@@ -7,6 +7,11 @@ parts) and whose variables ("atoms") are either coordinates of an extension
 chart -- the time coordinate ``t``, holomorphic coordinates ``z{r}_{i}``,
 antiholomorphic coordinates ``zb{r}_{i}`` -- or solver-internal unknowns.
 
+A Gaussian rational is held as a normalised integer triple ``(a, b, d)``
+meaning ``(a + b*i)/d``, so coefficient arithmetic is plain integer arithmetic
+with at most one gcd per operation. Atoms compute their hash and sort key
+once, when they are built.
+
 Polynomials are kept in a canonical normal form (a map from monomials to
 nonzero coefficients, with a fixed total order on atoms and on monomials), so
 equality of expressions is literal equality of term maps and every identity
@@ -27,11 +32,13 @@ machinery:
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 
@@ -99,17 +106,20 @@ class Kind(IntEnum):
     ANTI = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoordId:
     """A chart coordinate: ``t``, ``z{level}_{index}`` or ``zb{level}_{index}``.
 
     The time coordinate carries no level/index (both are fixed at 0).
     Holomorphic/antiholomorphic coordinates have level >= 0 and index >= 1.
+    The sort key and the hash are computed once, at construction.
     """
 
     kind: Kind
     level: int = 0
     index: int = 0
+    _key: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind == Kind.TIME:
@@ -120,9 +130,20 @@ class CoordId:
                 raise ValueError(f"negative level {self.level}")
             if self.index < 1:
                 raise ValueError(f"coordinate index must be >= 1, got {self.index}")
+        object.__setattr__(self, "_key",
+                           (0, int(self.kind), self.level, self.index, ""))
+        object.__setattr__(self, "_hash", hash((self.kind, self.level, self.index)))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not CoordId:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def sort_key(self) -> tuple:
-        return (0, int(self.kind), self.level, self.index, "")
+        return self._key
 
     @property
     def name(self) -> str:
@@ -141,14 +162,28 @@ class CoordId:
         return f"CoordId({self.name})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnknownId:
     """A solver unknown; a namespace disjoint from chart coordinates."""
 
     name: str
+    _key: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_key", (1, 0, 0, 0, self.name))
+        object.__setattr__(self, "_hash", hash((self.name,)))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not UnknownId:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def sort_key(self) -> tuple:
-        return (1, 0, 0, 0, self.name)
+        return self._key
 
     def __repr__(self) -> str:
         return f"UnknownId({self.name})"
@@ -173,18 +208,39 @@ def anti(level: int, index: int) -> CoordId:
 
 _RatLike = Union[int, Fraction]
 
+_new = object.__new__
+
 
 class GRat:
-    """An exact Gaussian rational ``re + im*i`` with Fraction components."""
+    """An exact Gaussian rational ``(a + b*i)/d`` held as three integers.
 
-    __slots__ = ("re", "im")
+    The triple is kept in normal form: ``d > 0`` and ``gcd(a, b, d) == 1``,
+    so zero is ``(0, 0, 1)`` and equal values have equal triples.  Every
+    operation reduces its result with at most one gcd, none when the
+    denominator is 1.  ``re`` and ``im`` are read-only ``Fraction`` views.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: _RatLike = 0, im: _RatLike = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        rd, imd = re.denominator, im.denominator
+        d = math.lcm(rd, imd)
+        # Reduced fractions over their lcm leave gcd(a, b, d) == 1.
+        self._a = re.numerator * (d // rd)
+        self._b = im.numerator * (d // imd)
+        self._d = d
 
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("GRat is immutable")
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -197,53 +253,75 @@ class GRat:
 
     # -- predicates ---------------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self._a and not self._b
 
     def is_real(self) -> bool:
-        return not self.im
+        return not self._b
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self._a or self._b)
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other: "GRatLike") -> "GRat":
-        o = GRat.from_value(other)
-        return GRat(self.re + o.re, self.im + o.im)
+        if other.__class__ is not GRat:
+            other = GRat.from_value(other)
+        d, od = self._d, other._d
+        if d == od:
+            return _grat(self._a + other._a, self._b + other._b, d)
+        return _grat(self._a * od + other._a * d, self._b * od + other._b * d,
+                     d * od)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GRat":
-        return GRat(-self.re, -self.im)
+        return _grat_normal(-self._a, -self._b, self._d)
 
     def __sub__(self, other: "GRatLike") -> "GRat":
-        return self + (-GRat.from_value(other))
+        if other.__class__ is not GRat:
+            other = GRat.from_value(other)
+        d, od = self._d, other._d
+        if d == od:
+            return _grat(self._a - other._a, self._b - other._b, d)
+        return _grat(self._a * od - other._a * d, self._b * od - other._b * d,
+                     d * od)
 
     def __rsub__(self, other: "GRatLike") -> "GRat":
-        return GRat.from_value(other) + (-self)
+        return GRat.from_value(other) - self
 
     def __mul__(self, other: "GRatLike") -> "GRat":
-        o = GRat.from_value(other)
-        return GRat(self.re * o.re - self.im * o.im,
-                    self.re * o.im + self.im * o.re)
+        if other.__class__ is not GRat:
+            if other.__class__ is int:
+                return _grat(self._a * other, self._b * other, self._d)
+            other = GRat.from_value(other)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _grat(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GRat":
-        norm = self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        norm = a * a + b * b
         if not norm:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GRat(self.re / norm, -self.im / norm)
+        return _grat(a * d, -b * d, norm)
 
     def __truediv__(self, other: "GRatLike") -> "GRat":
-        return self * GRat.from_value(other).inverse()
+        if other.__class__ is not GRat:
+            other = GRat.from_value(other)
+        # ((a + b*i)/d) / ((c + e*i)/f) == f*(a + b*i)*(c - e*i) / (d*(c^2 + e^2))
+        a, b, c, e, f = self._a, self._b, other._a, other._b, other._d
+        norm = c * c + e * e
+        if not norm:
+            raise ZeroDivisionError("inverse of zero Gaussian rational")
+        return _grat((a * c + b * e) * f, (b * c - a * e) * f, self._d * norm)
 
     def __rtruediv__(self, other: "GRatLike") -> "GRat":
-        return GRat.from_value(other) * self.inverse()
+        return GRat.from_value(other) / self
 
     def __pow__(self, exponent: int) -> "GRat":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("GRat powers take non-negative integer exponents")
-        result = GRat(1)
+        result = GR_ONE
         base = self
         e = exponent
         while e:
@@ -254,23 +332,50 @@ class GRat:
         return result
 
     def conjugate(self) -> "GRat":
-        return GRat(self.re, -self.im)
+        return _grat_normal(self._a, -self._b, self._d)
 
     # -- identity -----------------------------------------------------------
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = GRat(other)
-        if not isinstance(other, GRat):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if other.__class__ is GRat:
+            return (self._a == other._a and self._b == other._b
+                    and self._d == other._d)
+        if isinstance(other, int):
+            return not self._b and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return (not self._b and self._d == other.denominator
+                    and self._a == other.numerator)
+        return NotImplemented
 
     def __hash__(self) -> int:
-        if not self.im and self.re.denominator == 1:
-            return hash(int(self.re))
-        return hash((self.re, self.im))
+        """Real values hash like the equal ``int`` or ``Fraction``."""
+        if self._b:
+            return hash((self._a, self._b, self._d))
+        if self._d == 1:
+            return hash(self._a)
+        return hash(Fraction(self._a, self._d))
 
     def __repr__(self) -> str:
         return f"GRat({self.re}, {self.im})"
+
+
+def _grat_normal(a: int, b: int, d: int) -> GRat:
+    """The GRat whose triple ``(a, b, d)`` is already in normal form."""
+    g = _new(GRat)
+    g._a = a
+    g._b = b
+    g._d = d
+    return g
+
+
+def _grat(a: int, b: int, d: int) -> GRat:
+    """The GRat ``(a + b*i)/d`` for integers with ``d > 0``, reduced."""
+    if d != 1:
+        g = math.gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _grat_normal(a, b, d)
 
 
 GRatLike = Union[GRat, int, Fraction]
@@ -291,6 +396,15 @@ Monomial = tuple
 MONO_ONE: Monomial = ()
 
 
+_atom_key = attrgetter("_key")
+
+
+def _mono_sorted(exps: dict) -> Monomial:
+    """The monomial of an atom -> exponent map, in canonical atom order."""
+    atoms = sorted(exps, key=_atom_key)
+    return tuple(zip(atoms, map(exps.__getitem__, atoms)))
+
+
 def mono_from_pairs(pairs: Iterable[tuple[Atom, int]]) -> Monomial:
     merged: dict[Atom, int] = {}
     for atom, exp in pairs:
@@ -298,7 +412,7 @@ def mono_from_pairs(pairs: Iterable[tuple[Atom, int]]) -> Monomial:
             raise ValueError("negative exponent in monomial")
         if exp:
             merged[atom] = merged.get(atom, 0) + exp
-    return tuple(sorted(merged.items(), key=lambda kv: kv[0].sort_key()))
+    return _mono_sorted(merged)
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -306,10 +420,22 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
         return b
     if not b:
         return a
+    if a[-1][0]._key < b[0][0]._key:
+        return a + b
+    if b[-1][0]._key < a[0][0]._key:
+        return b + a
     merged = dict(a)
+    get = merged.get
+    fresh = False
     for atom, exp in b:
-        merged[atom] = merged.get(atom, 0) + exp
-    return tuple(sorted(merged.items(), key=lambda kv: kv[0].sort_key()))
+        have = get(atom)
+        if have is None:
+            merged[atom] = exp
+            fresh = True
+        else:
+            merged[atom] = have + exp
+    # Without a new atom the dict keeps a's (canonical) order.
+    return _mono_sorted(merged) if fresh else tuple(merged.items())
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial | None:
@@ -325,7 +451,8 @@ def mono_div(a: Monomial, b: Monomial) -> Monomial | None:
             del result[atom]
         else:
             result[atom] = have - exp
-    return tuple(sorted(result.items(), key=lambda kv: kv[0].sort_key()))
+    # Removing atoms keeps a's canonical order.
+    return tuple(result.items())
 
 
 def mono_degree(m: Monomial) -> int:
@@ -341,10 +468,10 @@ def _mono_order_key(m: Monomial) -> tuple:
     into its atom sequence so that plain tuple comparison implements the
     lexicographic part.
     """
-    expanded = []
+    expanded: tuple = ()
     for atom, exp in m:
-        expanded.extend([atom.sort_key()] * exp)
-    return (-mono_degree(m), tuple(expanded))
+        expanded += (atom._key,) * exp
+    return (-len(expanded), expanded)
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +491,8 @@ class Expr:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, GRat]):
-        clean = {m: c for m, c in terms.items() if c}
-        object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("Expr is immutable")
+        self._terms = {m: c for m, c in terms.items() if c}
+        self._hash = None
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -385,11 +508,11 @@ class Expr:
         c = GRat.from_value(value)
         if not c:
             return _EXPR_ZERO
-        return Expr({MONO_ONE: c})
+        return _expr({MONO_ONE: c})
 
     @staticmethod
     def imag_unit() -> "Expr":
-        return Expr({MONO_ONE: GR_I})
+        return _expr({MONO_ONE: GR_I})
 
     @staticmethod
     def atom(a: Atom, exponent: int = 1) -> "Expr":
@@ -397,7 +520,7 @@ class Expr:
             raise ValueError("negative exponent")
         if exponent == 0:
             return _EXPR_ONE
-        return Expr({((a, exponent),): GR_ONE})
+        return _expr({((a, exponent),): GR_ONE})
 
     @staticmethod
     def from_value(value: ExprLike) -> "Expr":
@@ -457,45 +580,67 @@ class Expr:
 
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other: ExprLike) -> "Expr":
-        o = Expr.from_value(other)
+        o = other if other.__class__ is Expr else Expr.from_value(other)
         if not self._terms:
             return o
         if not o._terms:
             return self
         merged = dict(self._terms)
-        for m, c in o._terms.items():
-            s = merged.get(m, GR_ZERO) + c
-            if s:
-                merged[m] = s
-            else:
-                merged.pop(m, None)
-        return Expr(merged)
+        _accumulate(merged, o._terms.items())
+        return _expr(merged)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Expr":
-        return Expr({m: -c for m, c in self._terms.items()})
+        return _expr({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: ExprLike) -> "Expr":
-        return self + (-Expr.from_value(other))
+        o = other if other.__class__ is Expr else Expr.from_value(other)
+        if not o._terms:
+            return self
+        merged = dict(self._terms)
+        get = merged.get
+        for m, c in o._terms.items():
+            s = get(m)
+            if s is None:
+                merged[m] = -c
+            else:
+                s = s - c
+                if s:
+                    merged[m] = s
+                else:
+                    del merged[m]
+        return _expr(merged)
 
     def __rsub__(self, other: ExprLike) -> "Expr":
-        return Expr.from_value(other) + (-self)
+        return Expr.from_value(other) - self
 
     def __mul__(self, other: ExprLike) -> "Expr":
-        o = Expr.from_value(other)
-        if not self._terms or not o._terms:
+        o = other if other.__class__ is Expr else Expr.from_value(other)
+        left, right = self._terms, o._terms
+        if not left or not right:
             return _EXPR_ZERO
+        if len(left) == 1 or len(right) == 1:
+            # Multiplying by one term is injective on monomials and the
+            # coefficients are nonzero, so nothing collides or cancels.
+            return _expr({mono_mul(m1, m2): c1 * c2
+                          for m1, c1 in left.items() for m2, c2 in right.items()})
         acc: dict[Monomial, GRat] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in o._terms.items():
+        get = acc.get
+        right_items = right.items()
+        for m1, c1 in left.items():
+            for m2, c2 in right_items:
                 m = mono_mul(m1, m2)
-                s = acc.get(m, GR_ZERO) + c1 * c2
-                if s:
-                    acc[m] = s
+                s = get(m)
+                if s is None:
+                    acc[m] = c1 * c2
                 else:
-                    acc.pop(m, None)
-        return Expr(acc)
+                    s = s + c1 * c2
+                    if s:
+                        acc[m] = s
+                    else:
+                        del acc[m]
+        return _expr(acc)
 
     __rmul__ = __mul__
 
@@ -516,28 +661,26 @@ class Expr:
         cv = GRat.from_value(c)
         if not cv:
             return _EXPR_ZERO
-        return Expr({m: coef * cv for m, coef in self._terms.items()})
+        return _expr({m: coef * cv for m, coef in self._terms.items()})
 
     # -- calculus ------------------------------------------------------------
     def diff(self, coord: CoordId) -> "Expr":
         """Formal partial derivative with respect to a coordinate."""
         if not isinstance(coord, CoordId):
             raise TypeError("diff differentiates with respect to a CoordId")
+        # Lowering the exponent of one atom is injective on the monomials
+        # that contain it, so the derivative's terms never collide.
+        key = coord._key
         acc: dict[Monomial, GRat] = {}
         for m, c in self._terms.items():
             for pos, (atom, exp) in enumerate(m):
-                if atom == coord:
+                if atom._key == key:
                     if exp == 1:
-                        reduced = m[:pos] + m[pos + 1:]
+                        acc[m[:pos] + m[pos + 1:]] = c * exp
                     else:
-                        reduced = m[:pos] + ((atom, exp - 1),) + m[pos + 1:]
-                    s = acc.get(reduced, GR_ZERO) + c * exp
-                    if s:
-                        acc[reduced] = s
-                    else:
-                        acc.pop(reduced, None)
+                        acc[m[:pos] + ((atom, exp - 1),) + m[pos + 1:]] = c * exp
                     break
-        return Expr(acc)
+        return _expr(acc)
 
     def conjugate(self) -> "Expr":
         """Complex conjugation: swap z <-> zb atoms, conjugate coefficients."""
@@ -550,7 +693,7 @@ class Expr:
                         f"cannot conjugate expression containing unknown {atom.name}")
                 pairs.append((atom.conjugate(), exp))
             acc[mono_from_pairs(pairs)] = c.conjugate()
-        return Expr(acc)
+        return _expr(acc)
 
     def substitute(self, mapping: Mapping[CoordId, "Expr"]) -> "Expr":
         """Simultaneous substitution of coordinates by expressions."""
@@ -568,20 +711,23 @@ class Expr:
     def _subst(self, mapping: Mapping[Atom, "Expr"]) -> "Expr":
         if not mapping:
             return self
-        relevant = set(mapping)
-        result = _EXPR_ZERO
+        acc: dict[Monomial, GRat] = {}
+        powers: dict[tuple[Atom, int], Expr] = {}
         for m, c in self._terms.items():
-            if not any(atom in relevant for atom, _ in m):
-                result = result + Expr({m: c})
+            kept = tuple(pair for pair in m if pair[0] not in mapping)
+            if len(kept) == len(m):
+                _accumulate(acc, ((m, c),))
                 continue
-            piece = Expr.constant(c)
-            for atom, exp in m:
-                if atom in relevant:
-                    piece = piece * (Expr.from_value(mapping[atom]) ** exp)
-                else:
-                    piece = piece * Expr.atom(atom, exp)
-            result = result + piece
-        return result
+            piece = _expr({kept: c})
+            for pair in m:
+                if pair[0] in mapping:
+                    power = powers.get(pair)
+                    if power is None:
+                        power = powers[pair] = (
+                            Expr.from_value(mapping[pair[0]]) ** pair[1])
+                    piece = piece * power
+            _accumulate(acc, piece._terms.items())
+        return _expr(acc)
 
     def linear_split(self, unknowns: Iterable[UnknownId]
                      ) -> tuple[dict[UnknownId, "Expr"], "Expr"]:
@@ -605,10 +751,12 @@ class Expr:
             reduced = tuple(pair for pair in m if pair[0] != u)
             bucket = coeffs.setdefault(u, {})
             bucket[reduced] = bucket.get(reduced, GR_ZERO) + c
-        return ({u: Expr(t) for u, t in coeffs.items()}, Expr(rest))
+        return ({u: Expr(t) for u, t in coeffs.items()}, _expr(rest))
 
     # -- identity ------------------------------------------------------------
     def __eq__(self, other) -> bool:
+        if other.__class__ is Expr:
+            return self._terms == other._terms
         if isinstance(other, (int, Fraction, GRat)):
             other = Expr.constant(other)
         if not isinstance(other, Expr):
@@ -616,18 +764,46 @@ class Expr:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        """A constant hashes like its value, so it hashes like the equal
+        ``GRat``, ``Fraction`` or ``int``."""
         h = self._hash
         if h is None:
-            h = hash(frozenset(self._terms.items()))
-            object.__setattr__(self, "_hash", h)
+            if self.is_constant():
+                h = hash(self.constant_value())
+            else:
+                h = hash(frozenset(self._terms.items()))
+            self._hash = h
         return h
 
     def __repr__(self) -> str:
         return f"Expr({format_expr(self)})"
 
 
-_EXPR_ZERO = Expr({})
-_EXPR_ONE = Expr({MONO_ONE: GR_ONE})
+def _expr(terms: dict) -> Expr:
+    """The Expr over ``terms``, a fresh map that holds no zero coefficient."""
+    e = _new(Expr)
+    e._terms = terms
+    e._hash = None
+    return e
+
+
+def _accumulate(acc: dict, terms: Iterable[tuple[Monomial, GRat]]) -> None:
+    """Add terms into the term map ``acc`` in place, dropping cancellations."""
+    get = acc.get
+    for m, c in terms:
+        s = get(m)
+        if s is None:
+            acc[m] = c
+        else:
+            s = s + c
+            if s:
+                acc[m] = s
+            else:
+                del acc[m]
+
+
+_EXPR_ZERO = _expr({})
+_EXPR_ONE = _expr({MONO_ONE: GR_ONE})
 
 
 def binomial(r: int, j: int) -> int:
@@ -643,33 +819,30 @@ def binomial(r: int, j: int) -> int:
 # Formatting
 # ---------------------------------------------------------------------------
 
-def _format_fraction(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+def _format_ratio(n: int, d: int) -> str:
+    """The reduced fraction ``n/d`` (``d > 0``) as text; integers print bare."""
+    g = math.gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
-def _format_coeff_magnitude(c: GRat) -> tuple[str, bool]:
-    """Render a nonzero coefficient magnitude.
+def _format_coeff_magnitude(a: int, b: int, d: int) -> str:
+    """Render the nonzero coefficient ``(a + b*i)/d``; "" when it is 1.
 
-    Returns (text, needs_star): needs_star is False when the coefficient is
-    1 (so the monomial prints bare).  The caller has already made the
-    leading sign non-negative (re > 0, or re == 0 and im > 0).
+    The caller has already made the leading sign non-negative (a > 0, or
+    a == 0 and b > 0).
     """
-    if c.is_real():
-        if c.re == 1:
-            return "", False
-        return _format_fraction(c.re), True
-    if not c.re:
-        if c.im == 1:
-            return "i", True
-        return f"{_format_fraction(c.im)}*i", True
+    if not b:
+        return "" if a == d else _format_ratio(a, d)
+    if not a:
+        return "i" if b == d else f"{_format_ratio(b, d)}*i"
     # Mixed: parenthesized so the output re-parses as a single factor.
-    im = c.im
-    joiner = " + " if im > 0 else " - "
-    im_abs = im if im > 0 else -im
-    im_text = "i" if im_abs == 1 else f"{_format_fraction(im_abs)}*i"
-    return f"({_format_fraction(c.re)}{joiner}{im_text})", True
+    joiner = " + " if b > 0 else " - "
+    b_abs = abs(b)
+    im_text = "i" if b_abs == d else f"{_format_ratio(b_abs, d)}*i"
+    return f"({_format_ratio(a, d)}{joiner}{im_text})"
 
 
 def _format_monomial(m: Monomial) -> str:
@@ -686,9 +859,11 @@ def format_expr(e: Expr) -> str:
         return "0"
     pieces: list[str] = []
     for n, (m, c) in enumerate(e.terms()):
-        negative = c.re < 0 or (not c.re and c.im < 0)
-        mag = -c if negative else c
-        coeff_text, needs_star = _format_coeff_magnitude(mag)
+        a, b = c._a, c._b
+        negative = a < 0 or (not a and b < 0)
+        if negative:
+            a, b = -a, -b
+        coeff_text = _format_coeff_magnitude(a, b, c._d)
         if not m:
             body = coeff_text if coeff_text else "1"
         elif coeff_text:
@@ -875,24 +1050,46 @@ def divide_exact(f: Expr, g: Expr) -> Expr:
     divides f exactly the leading term of every intermediate remainder is
     divisible by the leading term of g, so the loop either completes with
     remainder zero or detects non-divisibility.
+
+    The remainder is one mutable term map, and a heap of order keys finds its
+    leading term, so each monomial's key is computed once.
     """
     if g.is_zero():
         raise ExactDivisionError("division by the zero polynomial")
     if f.is_zero():
         return Expr.zero()
     g_mono, g_coeff = g.leading_term()
-    quotient = Expr.zero()
-    rest = f
-    while not rest.is_zero():
-        r_mono, r_coeff = rest.leading_term()
+    g_items = g._terms.items()
+    rest = dict(f._terms)
+    # Heap entries are (order key, monomial); equal keys mean equal monomials.
+    # An entry whose monomial has since cancelled out of `rest` is skipped.
+    heap = [(_mono_order_key(m), m) for m in rest]
+    heapq.heapify(heap)
+    quotient: dict[Monomial, GRat] = {}
+    while rest:
+        r_mono = heapq.heappop(heap)[1]
+        r_coeff = rest.get(r_mono)
+        if r_coeff is None:
+            continue
         q_mono = mono_div(r_mono, g_mono)
         if q_mono is None:
             raise ExactDivisionError(
                 f"{format_expr(g)} does not divide {format_expr(f)}")
-        t = Expr({q_mono: r_coeff / g_coeff})
-        quotient = quotient + t
-        rest = rest - t * g
-    return quotient
+        q = r_coeff / g_coeff
+        quotient[q_mono] = q
+        for gm, gc in g_items:
+            m = mono_mul(q_mono, gm)
+            s = rest.get(m)
+            if s is None:
+                rest[m] = -(q * gc)
+                heapq.heappush(heap, (_mono_order_key(m), m))
+            else:
+                s = s - q * gc
+                if s:
+                    rest[m] = s
+                else:
+                    del rest[m]
+    return _expr(quotient)
 
 
 # ---------------------------------------------------------------------------

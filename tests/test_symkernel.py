@@ -2,6 +2,7 @@
 parsing/printing, differentiation, conjugation, and the exact linear solver.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,123 @@ def test_grat_conjugate():
     assert a.conjugate() == GRat(Fraction(1, 2), Fraction(-3, 4))
     assert a.conjugate().conjugate() == a
     assert (a * a.conjugate()).is_real()
+
+
+# -- GRat against a two-Fraction reference -------------------------------------
+
+def _assert_normal(g):
+    """GRat's normal form: d > 0, gcd(a, b, d) == 1, zero is (0, 0, 1)."""
+    a, b, d = g._a, g._b, g._d
+    assert d > 0
+    assert math.gcd(a, b, d) == 1
+    if not g:
+        assert (a, b, d) == (0, 0, 1)
+
+
+def _ref(x):
+    """A GRat, Fraction or int as its (re, im) pair of Fractions."""
+    if isinstance(x, GRat):
+        return (x.re, x.im)
+    return (Fraction(x), Fraction(0))
+
+
+def _ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_inverse(x):
+    norm = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / norm, -x[1] / norm)
+
+
+def _ref_pow(x, e):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(e):
+        out = _ref_mul(out, x)
+    return out
+
+
+_wide_rats = st.fractions(min_value=-50, max_value=50, max_denominator=40)
+_grats = st.builds(GRat, _wide_rats, _wide_rats)
+_operands = st.one_of(_grats, _wide_rats, st.integers(min_value=-20, max_value=20))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_grats, _operands, st.integers(min_value=0, max_value=5))
+def test_grat_matches_fraction_reference(x, y, e):
+    rx, ry = _ref(x), _ref(y)
+    checks = [
+        (x + y, (rx[0] + ry[0], rx[1] + ry[1])),
+        (y + x, (rx[0] + ry[0], rx[1] + ry[1])),
+        (x - y, (rx[0] - ry[0], rx[1] - ry[1])),
+        (y - x, (ry[0] - rx[0], ry[1] - rx[1])),
+        (x * y, _ref_mul(rx, ry)),
+        (y * x, _ref_mul(rx, ry)),
+        (-x, (-rx[0], -rx[1])),
+        (x.conjugate(), (rx[0], -rx[1])),
+        (x ** e, _ref_pow(rx, e)),
+    ]
+    if any(ry):
+        checks.append((x / y, _ref_mul(rx, _ref_inverse(ry))))
+    if any(rx):
+        checks.append((x.inverse(), _ref_inverse(rx)))
+        checks.append((y / x, _ref_mul(ry, _ref_inverse(rx))))
+    for got, want in checks:
+        assert isinstance(got, GRat)
+        assert (got.re, got.im) == want
+        _assert_normal(got)
+    _assert_normal(x)
+    assert (x == y) == (rx == ry)
+    assert bool(x) == any(rx)
+    assert x.is_real() == (not rx[1])
+
+
+def test_grat_normal_form_examples():
+    assert (GRat(0)._a, GRat(0)._b, GRat(0)._d) == (0, 0, 1)
+    half = GRat(Fraction(1, 2), Fraction(3, 4))
+    assert (half._a, half._b, half._d) == (2, 3, 4)
+    zero = half - half
+    assert (zero._a, zero._b, zero._d) == (0, 0, 1)
+    assert GRat(Fraction(2, 4)) == Fraction(1, 2)
+    with pytest.raises(ZeroDivisionError):
+        GRat(0).inverse()
+    with pytest.raises(ZeroDivisionError):
+        Fraction(1, 2) / GRat(0)
+
+
+# -- hash/equality contract ---------------------------------------------------
+
+@st.composite
+def _numbers(draw):
+    """One value, drawn from a small pool so that equal pairs are common,
+    as an int, a Fraction, a GRat or a constant Expr."""
+    re = draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1),
+                               Fraction(1, 2), Fraction(-3, 2), Fraction(2)]))
+    im = draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 2)]))
+    forms = [GRat(re, im), Expr.constant(GRat(re, im))]
+    if not im:
+        forms.append(re)
+        if re.denominator == 1:
+            forms.append(int(re))
+    return draw(st.sampled_from(forms))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_numbers(), _numbers())
+def test_equal_values_hash_equal(x, y):
+    assert (x == y) == (y == x)
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+def test_hash_contract_examples():
+    half = Fraction(1, 2)
+    assert GRat(half) == half and hash(GRat(half)) == hash(half)
+    assert Expr.constant(3) == 3 and hash(Expr.constant(3)) == hash(3)
+    assert Expr.constant(half) == GRat(half)
+    assert hash(Expr.constant(half)) == hash(GRat(half)) == hash(half)
+    assert hash(Expr.zero()) == hash(0)
+    assert len({GRat(half), half, Expr.constant(half)}) == 1
 
 
 # -- coordinates --------------------------------------------------------------
