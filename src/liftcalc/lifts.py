@@ -29,14 +29,21 @@ finite spanning family of test objects:
 * (0,2)-tensor ``G``:  ``G^lift(X^{c^k}, Y^{c^k}) = (G(X,Y))^lift`` over
   ordered pairs.
 
-Each unknown component is a whole polynomial, solved exactly by
-:func:`liftcalc.symkernel.solve_poly_linear`.  Every solve re-verifies the
-defining equation on a disjoint holdout family and raises if any residual is
-nonzero, so a returned lift carries a machine-checked certificate.
+Each unknown component is a whole polynomial.  The left-hand sides depend
+only on the chart, ``k``, the op and the test stage; the input enters only
+through the right-hand sides.  So one engine serves all four ops: it factors
+each system's coefficient rows once per key (fraction-free elimination,
+:class:`liftcalc.symkernel.PolyLinearFactor`, kept in a bounded cache) and,
+per input, computes the right-hand sides, replays the recorded elimination
+on them and back-substitutes.  Every solution is then checked against every
+equation of its system and, per input, against the defining equation on a
+disjoint holdout family; any nonzero residual raises, so a returned lift
+carries a machine-checked certificate.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -58,11 +65,11 @@ from .symkernel import (
     Expr,
     Kind,
     LinearSolveError,
+    PolyLinearFactor,
     UnderdeterminedError,
     UnknownId,
     binomial,
     format_expr,
-    solve_poly_linear,
 )
 
 
@@ -118,6 +125,7 @@ def clear_lift_cache() -> None:
     _complete_step_expr.cache_clear()
     _complete_expr.cache_clear()
     _VF_SOLVE_CACHE.clear()
+    _SYSTEM_CACHE.clear()
 
 
 def fn_vertical(f: ScalarField, steps: int = 1) -> ScalarField:
@@ -535,7 +543,7 @@ def vector_test_holdout(chart0: ChartSpec) -> list[VectorField]:
 
 
 # ---------------------------------------------------------------------------
-# Determined lifts: solver core
+# Determined lifts: the defining-system engine
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -572,26 +580,180 @@ def _check_kind(kind: str, k: int, r: int | None, s: int | None
     return None, None
 
 
-def _solve_and_verify(equations: list[Expr], unknowns: list[UnknownId],
-                      context: str) -> dict[UnknownId, Expr]:
-    try:
-        solution = solve_poly_linear(equations, unknowns)
-    except UnderdeterminedError:
-        raise
-    except LinearSolveError as exc:
-        raise LiftError(f"{context}: {exc}") from exc
-    for n, eq in enumerate(equations):
-        if not eq.substitute_unknowns(solution).is_zero():
+def _bounded(cache: OrderedDict, bound: int, key, make):
+    """Least-recently-used lookup: ``make()`` fills a miss, and the oldest
+    entry goes once the cache holds more than `bound`."""
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = make()
+        if len(cache) > bound:
+            cache.popitem(last=False)
+    else:
+        cache.move_to_end(key)
+    return value
+
+
+class _System:
+    """The test items of one defining system, each item's coefficient row
+    ``{position: Expr}``, and the factorisation of the rows, built on first
+    use (a vector field whose ladders solve never needs its family's)."""
+
+    __slots__ = ("items", "rows", "width", "_factor")
+
+    def __init__(self, items: list, rows: list[dict[int, Expr]], width: int):
+        self.items, self.rows, self.width = items, rows, width
+        self._factor = None
+
+    @property
+    def factor(self) -> PolyLinearFactor:
+        if self._factor is None:
+            self._factor = PolyLinearFactor(self.rows, self.width)
+        return self._factor
+
+
+# Systems by key.  A key is a builder followed by its arguments (chart,
+# order, unknown layout, test stage); the rows depend on nothing else, so
+# every input with the same key shares them and their factorisation.
+_SYSTEM_CACHE_SIZE = 256
+_SYSTEM_CACHE: OrderedDict = OrderedDict()
+
+
+def _system(key: tuple) -> _System:
+    return _bounded(_SYSTEM_CACHE, _SYSTEM_CACHE_SIZE, key,
+                    lambda: key[0](*key[1:]))
+
+
+# op -> (name in messages, what the free unknowns are called)
+_OPS = {"vector": ("vector", "components"),
+        "oneform": ("one-form", "components"),
+        "endo": ("(1,1)-tensor", "entries"),
+        "bilinear": ("(0,2)-tensor", "entries")}
+
+
+class _Engine:
+    """The defining equations of one determined lift of one input.
+
+    Equation n of a system reads ``sum(row_n[p] * x_p) + rest_n == 0``.  The
+    rows come from the system cache; the input enters only through the
+    rests, on which the cached factorisation is replayed.  The engine checks
+    every solution against every equation of its system, checks the holdout
+    residuals, and owns the error texts and the certificate."""
+
+    def __init__(self, op: str, kind: str, k: int, labels: Sequence[str],
+                 r: int | None = None, s: int | None = None):
+        what, self.noun = _OPS[op]
+        self.op, self.kind, self.k, self.r, self.s = op, kind, k, r, s
+        self.what = f"{what} {kind}-lift"
+        self.labels = labels
+
+    def solve(self, system: _System, rests: list[Expr],
+              unknowns: Sequence[UnknownId]) -> list[Expr]:
+        """Replay and self-check; underdetermination is left to the caller."""
+        try:
+            values = system.factor.solve(rests, unknowns)
+        except UnderdeterminedError:
+            raise
+        except LinearSolveError as exc:
+            raise LiftError(f"{self.what} solve: {exc}") from exc
+        self.check(system, rests, values)
+        return values
+
+    def check(self, system: _System, rests: list[Expr],
+              values: Sequence[Expr]) -> None:
+        for n, (row, rest) in enumerate(zip(system.rows, rests)):
+            total = rest
+            for p, c in row.items():
+                total = total + c * values[p]
+            if not total.is_zero():
+                raise LiftError(
+                    f"{self.what} solve: solution fails its own equation {n}")
+
+    def solve_stages(self, keys: Sequence[tuple], rests,
+                     unknowns: Sequence[Sequence[UnknownId]]
+                     ) -> tuple[_System, list[list[Expr]]]:
+        """Solve on the first system of `keys` that determines every
+        unknown.  ``rests(items)`` gives one list of rests per right-hand
+        side; the first right-hand side decides whether to move on to the
+        next (larger) test stage, and the others are then replayed on the
+        same factorisation."""
+        for n, key in enumerate(keys):
+            system = _system(key)
+            columns = rests(system.items)
+            try:
+                values = [self.solve(system, columns[0], unknowns[0])]
+            except UnderdeterminedError as exc:
+                if n + 1 < len(keys):
+                    continue
+                raise self._underdetermined(system) from exc
+            break
+        for col in range(1, len(columns)):
+            try:
+                values.append(self.solve(system, columns[col], unknowns[col]))
+            except UnderdeterminedError as exc:
+                raise self._underdetermined(system) from exc
+        return system, values
+
+    def _underdetermined(self, system: _System) -> LiftError:
+        free = ", ".join(self.labels[p] for p in system.factor.free)
+        return LiftError(
+            f"{self.what} solve underdetermined; free {self.noun}: {free}")
+
+    def holdout(self, residuals: Iterable[Expr]) -> None:
+        bad = next((res for res in residuals if not res.is_zero()), None)
+        if bad is not None:
             raise LiftError(
-                f"{context}: solution fails its own equation {n}")
-    return solution
+                f"{self.what} holdout residual nonzero: {format_expr(bad)}")
+
+    def certificate(self, family_size: int, holdout_size: int,
+                    notes: tuple[str, ...] = ()) -> SolveCertificate:
+        return SolveCertificate(self.op, self.kind, self.k, self.r, self.s,
+                                family_size, holdout_size, True, notes)
 
 
-def _nonzero(residuals: Iterable[Expr]) -> list[Expr]:
-    return [res for res in residuals if not res.is_zero()]
+def _stages(build, chart0: ChartSpec, k: int) -> list[tuple]:
+    """The keys of a test family's two stages: coefficient degree <= 1,
+    then <= 2."""
+    return [(build, chart0, k, 1), (build, chart0, k, 2)]
+
+
+def _stage_tests(chart0: ChartSpec, stage: int) -> list[VectorField]:
+    tests = vector_test_family(chart0, 1)
+    return tests + _vector_stage(chart0, 2) if stage == 2 else tests
 
 
 # -- vector fields -----------------------------------------------------------
+
+def _vf_layout(chart0: ChartSpec, k: int, include_time: bool) -> list[CoordId]:
+    """The unknown components: the time component is one only for
+    vertical lifts (other kinds pin it to the input's constant)."""
+    return [c for c in chart0.extend(k).coordinates()
+            if include_time or c != TIME]
+
+
+def _vf_system(functions: list[Expr], coords: Sequence[CoordId],
+               k: int) -> _System:
+    """Rows of ``Z^lift(f^{c^k}) = sum over c of Z^c * d(f^{c^k})/dc``.  No
+    function carries t when the time component is pinned, so every
+    coordinate met is one of `coords`."""
+    position = {c: p for p, c in enumerate(coords)}
+    rows = []
+    for f in functions:
+        fck = _complete_expr(f, k)
+        rows.append({position[c]: fck.diff(c) for c in fck.coords()})
+    return _System(functions, rows, len(coords))
+
+
+def _vf_ladder(ladder: tuple[CoordId, ...], k: int) -> _System:
+    """A level ladder (or the time line) against the pure powers of its
+    base coordinate, which reach no other coordinate."""
+    x = Expr.atom(ladder[0])
+    return _vf_system([x ** d for d in range(1, len(ladder) + 1)], ladder, k)
+
+
+def _vf_family(chart0: ChartSpec, k: int, include_time: bool) -> _System:
+    return _vf_system(function_family(chart0, include_time, k),
+                      _vf_layout(chart0, k, include_time), k)
+
 
 def vf_lift_solve_certified(Z: VectorField, kind: str, k: int, *,
                             r: int | None = None, s: int | None = None
@@ -600,14 +762,12 @@ def vf_lift_solve_certified(Z: VectorField, kind: str, k: int, *,
 
     The defining equations decouple into one small square system per level
     ladder (the pure powers of a base coordinate only ever reach that
-    coordinate's higher levels), so each ladder is eliminated separately and
-    the cross-coordinate family members are then enforced by substitution.
-    If a ladder fails to determine its unknowns the solve falls back to a
-    joint elimination of the whole family."""
+    coordinate's higher levels), so each ladder is solved separately and
+    the whole family is then checked against the ladder solution.  If a
+    ladder fails to determine its unknowns the solve falls back to the
+    whole family's system."""
     chart0 = _require_base_chart(Z, "determined lift input")
     r, s = _check_kind(kind, k, r, s)
-    target = chart0.extend(k)
-
     pinned: dict[CoordId, Expr] = {}
     include_time = False
     if chart0.has_time:
@@ -620,80 +780,53 @@ def vf_lift_solve_certified(Z: VectorField, kind: str, k: int, *,
                     "complete and complete-vertical lifts require a constant "
                     f"time component, got {format_expr(tc)}")
             pinned[TIME] = tc
+    coords = _vf_layout(chart0, k, include_time)
+    engine = _Engine("vector", kind, k, [c.name for c in coords], r, s)
+    unknowns = [UnknownId(f"U_{c.name}") for c in coords]
+    position = {c: p for p, c in enumerate(coords)}
+    memo: dict[Expr, Expr] = {}
 
-    solve_coords = [c for c in target.coordinates() if c not in pinned]
-    if not include_time and chart0.has_time:
-        solve_coords = [c for c in solve_coords if c.kind != Kind.TIME]
-    unknowns = {c: UnknownId(f"U_{c.name}") for c in solve_coords}
-
-    def equations_for(functions: Sequence[Expr]) -> list[Expr]:
-        eqs = []
+    def rests(functions: Sequence[Expr]) -> list[Expr]:
+        out = []
         for f in functions:
-            fck = _complete_expr(f, k)
-            lhs = Expr.zero()
-            for coord in sorted(fck.coords(), key=lambda c: c.sort_key()):
-                d = fck.diff(coord)
-                u = unknowns.get(coord)
-                if u is not None:
-                    lhs = lhs + Expr.atom(u) * d
-                else:
-                    pin = pinned.get(coord)
-                    if pin is not None:
-                        lhs = lhs + pin * d
-            rhs = _lift_scalar_expr(Z.apply(f), kind, k, r, s)
-            eqs.append(lhs - rhs)
-        return eqs
+            rest = memo.get(f)
+            if rest is None:
+                rest = memo[f] = -_lift_scalar_expr(Z.apply(f), kind, k, r, s)
+            out.append(rest)
+        return out
 
-    family = function_family(chart0, include_time, k)
-
-    solution: dict[UnknownId, Expr] | None = {}
+    ladders = [(TIME,)] if include_time else []
+    ladders += [tuple(CoordId(base.kind, level, base.index)
+                      for level in range(k + 1))
+                for base in _base_coords(chart0)]
+    values: list | None = [None] * len(coords)
     try:
-        if include_time:
-            t_eqs = equations_for([Expr.atom(TIME)])
-            solution.update(solve_poly_linear(t_eqs, [unknowns[TIME]]))
-        for base in _base_coords(chart0):
-            ladder = [CoordId(base.kind, level, base.index)
-                      for level in range(k + 1)]
-            x = Expr.atom(base)
-            ladder_eqs = equations_for([x ** d for d in range(1, k + 2)])
-            solution.update(solve_poly_linear(
-                ladder_eqs, [unknowns[c] for c in ladder]))
+        for ladder in ladders:
+            system = _system((_vf_ladder, ladder, k))
+            solved = system.factor.solve(rests(system.items),
+                                         [unknowns[position[c]] for c in ladder])
+            for c, value in zip(ladder, solved):
+                values[position[c]] = value
     except LinearSolveError:
-        solution = None
+        values = None
 
-    try:
-        if solution is None:
-            solution = _solve_and_verify(equations_for(family),
-                                         list(unknowns.values()),
-                                         f"vector {kind}-lift solve")
-        else:
-            for n, eq in enumerate(equations_for(family)):
-                if not eq.substitute_unknowns(solution).is_zero():
-                    raise LiftError(
-                        f"vector {kind}-lift solve: solution fails its own "
-                        f"equation {n}")
-    except UnderdeterminedError as exc:
-        free = ", ".join(u.name[2:] for u in exc.free)
-        raise LiftError(
-            f"vector {kind}-lift solve underdetermined; free components: {free}"
-        ) from exc
+    family_key = (_vf_family, chart0, k, include_time)
+    if values is None:
+        family, (values,) = engine.solve_stages(
+            [family_key], lambda functions: [rests(functions)], [unknowns])
+    else:
+        family = _system(family_key)
+        engine.check(family, rests(family.items), values)
 
     comps = dict(pinned)
-    for coord, u in unknowns.items():
-        value = solution[u]
+    for coord, value in zip(coords, values):
         if not value.is_zero():
             comps[coord] = value
-    result = VectorField(target, comps)
-
+    result = VectorField(chart0.extend(k), comps)
     holdout = function_holdout(chart0)
-    bad = _nonzero(vf_defining_residuals(Z, result, kind, k, r=r, s=s,
+    engine.holdout(vf_defining_residuals(Z, result, kind, k, r=r, s=s,
                                          functions=holdout))
-    if bad:
-        raise LiftError(
-            f"vector {kind}-lift holdout residual nonzero: {format_expr(bad[0])}")
-    cert = SolveCertificate("vector", kind, k, r, s,
-                            len(family), len(holdout), True)
-    return result, cert
+    return result, engine.certificate(len(family.items), len(holdout))
 
 
 def vf_lift_solve(Z: VectorField, kind: str, k: int, *,
@@ -719,7 +852,8 @@ def vf_defining_residuals(Z: VectorField, lifted: VectorField, kind: str,
 
 # -- cached complete lifts of test vector fields ------------------------------
 
-_VF_SOLVE_CACHE: dict = {}
+_VF_SOLVE_CACHE_SIZE = 1024
+_VF_SOLVE_CACHE: OrderedDict = OrderedDict()
 
 
 def _field_key(Z: VectorField) -> tuple:
@@ -727,12 +861,9 @@ def _field_key(Z: VectorField) -> tuple:
 
 
 def _vf_solve_cached(Z: VectorField, kind: str, k: int) -> VectorField:
-    key = (Z.chart, kind, k, _field_key(Z))
-    hit = _VF_SOLVE_CACHE.get(key)
-    if hit is None:
-        hit = vf_lift_solve(Z, kind, k)
-        _VF_SOLVE_CACHE[key] = hit
-    return hit
+    return _bounded(_VF_SOLVE_CACHE, _VF_SOLVE_CACHE_SIZE,
+                    (Z.chart, kind, k, _field_key(Z)),
+                    lambda: vf_lift_solve(Z, kind, k))
 
 
 def complete_vf_cached(Z: VectorField, k: int) -> VectorField:
@@ -743,19 +874,15 @@ def complete_vf_cached(Z: VectorField, k: int) -> VectorField:
 
 # -- one-forms ----------------------------------------------------------------
 
-def _of_equations(w: OneForm, unknowns: dict[CoordId, UnknownId], kind: str,
-                  k: int, r: int | None, s: int | None,
-                  tests: Sequence[VectorField]) -> list[Expr]:
-    chart0 = w.chart
-    equations = []
-    for X in tests:
-        Xc = complete_vf_cached(X, k)
-        lhs = Expr.zero()
-        for coord, comp in Xc.components.items():
-            lhs = lhs + Expr.atom(unknowns[coord]) * comp
-        rhs = _lift_scalar_expr(w.pair(X), kind, k, r, s)
-        equations.append(lhs - rhs)
-    return equations
+def _pairing(chart0: ChartSpec, k: int, stage: int) -> _System:
+    """Test vector fields against the components of their complete lifts:
+    the rows of both the one-form and the (1,1)-tensor lift."""
+    tests = _stage_tests(chart0, stage)
+    position = {c: p for p, c in enumerate(chart0.extend(k).coordinates())}
+    rows = [{position[c]: comp
+             for c, comp in complete_vf_cached(X, k).components.items()}
+            for X in tests]
+    return _System(tests, rows, len(position))
 
 
 def of_lift_solve_certified(w: OneForm, kind: str, k: int, *,
@@ -774,39 +901,19 @@ def of_lift_solve_certified(w: OneForm, kind: str, k: int, *,
             f"one-form {kind}-lift requires a zero time component, got "
             f"{format_expr(w.component(TIME))}")
     target = chart0.extend(k)
-    unknowns = {c: UnknownId(f"W_{c.name}") for c in target.coordinates()}
-
-    tests = vector_test_family(chart0, 1)
-    equations = _of_equations(w, unknowns, kind, k, r, s, tests)
-    try:
-        solution = _solve_and_verify(equations, list(unknowns.values()),
-                                     f"one-form {kind}-lift solve")
-    except UnderdeterminedError:
-        extra = _vector_stage(chart0, 2)
-        tests = tests + extra
-        equations = equations + _of_equations(w, unknowns, kind, k, r, s, extra)
-        try:
-            solution = _solve_and_verify(equations, list(unknowns.values()),
-                                         f"one-form {kind}-lift solve")
-        except UnderdeterminedError as exc:
-            free = ", ".join(u.name[2:] for u in exc.free)
-            raise LiftError(
-                f"one-form {kind}-lift solve underdetermined; free components: {free}"
-            ) from exc
-
-    comps = {c: solution[u] for c, u in unknowns.items()
-             if not solution[u].is_zero()}
-    result = OneForm(target, comps)
-
+    coords = list(target.coordinates())
+    engine = _Engine("oneform", kind, k, [c.name for c in coords], r, s)
+    system, (values,) = engine.solve_stages(
+        _stages(_pairing, chart0, k),
+        lambda tests: [[-_lift_scalar_expr(w.pair(X), kind, k, r, s)
+                        for X in tests]],
+        [[UnknownId(f"W_{c.name}") for c in coords]])
+    result = OneForm(target, {c: v for c, v in zip(coords, values)
+                              if not v.is_zero()})
     holdout = vector_test_holdout(chart0)
-    bad = _nonzero(of_defining_residuals(w, result, kind, k, r=r, s=s,
+    engine.holdout(of_defining_residuals(w, result, kind, k, r=r, s=s,
                                          vectors=holdout))
-    if bad:
-        raise LiftError(
-            f"one-form {kind}-lift holdout residual nonzero: {format_expr(bad[0])}")
-    cert = SolveCertificate("oneform", kind, k, r, s,
-                            len(tests), len(holdout), True)
-    return result, cert
+    return result, engine.certificate(len(system.items), len(holdout))
 
 
 def of_lift_solve(w: OneForm, kind: str, k: int, *,
@@ -845,78 +952,30 @@ def t11_lift_solve_certified(phi: EndoField, kind: str, k: int
     """Determined lift of a (1,1)-tensor field.
 
     Row-wise: the output component at coordinate a couples only the unknowns
-    E[a, .], so each output direction is an independent small solve against
-    the shared test-field matrix."""
+    E[a, .], and every row has the one-form lift's coefficient rows, so the
+    rows are right-hand sides replayed on one factorisation."""
     chart0 = _require_base_chart(phi, "determined lift input")
     _t_kind(kind, k)
     target = chart0.extend(k)
-    target_coords = list(target.coordinates())
+    coords = list(target.coordinates())
+    labels = [c.name for c in coords]
+    engine = _Engine("endo", kind, k, labels)
 
-    def rhs_field(X: VectorField) -> VectorField:
-        return _lift_vf_definitional(phi.apply_vector(X), kind, k)
+    def rests(tests: Sequence[VectorField]) -> list[list[Expr]]:
+        lifted = [_lift_vf_definitional(phi.apply_vector(X), kind, k)
+                  for X in tests]
+        return [[-Y.component(a) for Y in lifted] for a in coords]
 
-    stage_max = 1
-    tests = vector_test_family(chart0, stage_max)
-    lifted_tests = [complete_vf_cached(X, k) for X in tests]
-    rhs_fields = [rhs_field(X) for X in tests]
-
-    # Probe one row for determinacy; the coefficient matrix is shared by all
-    # rows, so escalating the test family once covers every row.
-    def row_solve(row_coord: CoordId, tests_l, rhss) -> dict[CoordId, Expr]:
-        unknowns = {c: UnknownId(f"E_{row_coord.name}__{c.name}")
-                    for c in target_coords}
-        equations = []
-        for Xc, rhs_vf in zip(tests_l, rhss):
-            lhs = Expr.zero()
-            for coord, comp in Xc.components.items():
-                lhs = lhs + Expr.atom(unknowns[coord]) * comp
-            equations.append(lhs - rhs_vf.component(row_coord))
-        solution = _solve_and_verify(equations, list(unknowns.values()),
-                                     f"(1,1)-tensor {kind}-lift solve")
-        return {c: solution[u] for c, u in unknowns.items()
-                if not solution[u].is_zero()}
-
-    try:
-        first_row = row_solve(target_coords[0], lifted_tests, rhs_fields)
-    except UnderdeterminedError:
-        extra = _vector_stage(chart0, 2)
-        tests = tests + extra
-        lifted_tests = lifted_tests + [complete_vf_cached(X, k) for X in extra]
-        rhs_fields = rhs_fields + [rhs_field(X) for X in extra]
-        try:
-            first_row = row_solve(target_coords[0], lifted_tests, rhs_fields)
-        except UnderdeterminedError as exc:
-            free = ", ".join(u.name.split("__")[-1] for u in exc.free)
-            raise LiftError(
-                f"(1,1)-tensor {kind}-lift solve underdetermined; "
-                f"free entries: {free}") from exc
-
-    entries: dict[tuple[CoordId, CoordId], Expr] = {}
-    for b, value in first_row.items():
-        entries[(target_coords[0], b)] = value
-    for a in target_coords[1:]:
-        try:
-            row = row_solve(a, lifted_tests, rhs_fields)
-        except UnderdeterminedError as exc:
-            free = ", ".join(u.name.split("__")[-1] for u in exc.free)
-            raise LiftError(
-                f"(1,1)-tensor {kind}-lift solve underdetermined; "
-                f"free entries: {free}") from exc
-        for b, value in row.items():
-            entries[(a, b)] = value
-    result = EndoField(target, entries)
-
+    system, rows = engine.solve_stages(
+        _stages(_pairing, chart0, k), rests,
+        [[UnknownId(f"E_{a.name}__{b}") for b in labels] for a in coords])
+    result = EndoField(target, {(a, b): v
+                                for a, row in zip(coords, rows)
+                                for b, v in zip(coords, row) if not v.is_zero()})
     holdout = vector_test_holdout(chart0)
-    bad = _nonzero(t11_defining_residuals(phi, result, kind, k,
-                                          vectors=holdout))
-    if bad:
-        raise LiftError(
-            f"(1,1)-tensor {kind}-lift holdout residual nonzero: "
-            f"{format_expr(bad[0])}")
+    engine.holdout(t11_defining_residuals(phi, result, kind, k, vectors=holdout))
     notes = t11_form_clause_notes(phi, result, kind, k)
-    cert = SolveCertificate("endo", kind, k, None, None,
-                            len(tests), len(holdout), True, notes)
-    return result, cert
+    return result, engine.certificate(len(system.items), len(holdout), notes)
 
 
 def t11_form_clause_notes(phi: EndoField, lifted: EndoField, kind: str,
@@ -972,73 +1031,40 @@ def _lift_vf_definitional(Z: VectorField, kind: str, k: int) -> VectorField:
 
 # -- (0,2)-tensors -------------------------------------------------------------
 
-def _t02_pairs(fields: Sequence[VectorField]) -> list[tuple[int, int]]:
-    n = len(fields)
-    return [(i, j) for i in range(n) for j in range(n)]
+def _t02_pairs(chart0: ChartSpec, k: int, stage: int) -> _System:
+    """Ordered pairs of test fields (ordered, so antisymmetric parts are
+    pinned too) against products of their complete lifts' components."""
+    tests = _stage_tests(chart0, stage)
+    coords = list(chart0.extend(k).coordinates())
+    n = len(coords)
+    position = {c: p for p, c in enumerate(coords)}
+    lifted = [complete_vf_cached(X, k).components for X in tests]
+    rows = [{position[a] * n + position[b]: xa * yb
+             for a, xa in Xc.items() for b, yb in Yc.items()}
+            for Xc in lifted for Yc in lifted]
+    return _System([(X, Y) for X in tests for Y in tests], rows, n * n)
 
 
 def t02_lift_solve_certified(G: Bilinear, kind: str, k: int
                              ) -> tuple[Bilinear, SolveCertificate]:
     """Determined lift of a (0,2)-tensor field against ordered pairs of test
-    fields (ordered, so antisymmetric parts are pinned too)."""
+    fields."""
     chart0 = _require_base_chart(G, "determined lift input")
     _t_kind(kind, k)
     target = chart0.extend(k)
-    target_coords = list(target.coordinates())
-    unknowns = {(a, b): UnknownId(f"B_{a.name}__{b.name}")
-                for a in target_coords for b in target_coords}
-
-    def equations_for(fields: Sequence[VectorField]) -> list[Expr]:
-        lifted = [complete_vf_cached(X, k) for X in fields]
-        eqs = []
-        for i, j in _t02_pairs(fields):
-            Xc, Yc = lifted[i], lifted[j]
-            lhs = Expr.zero()
-            for a, xa in Xc.components.items():
-                for b, yb in Yc.components.items():
-                    lhs = lhs + Expr.atom(unknowns[(a, b)]) * xa * yb
-            rhs = _lift_scalar_expr(G.evaluate(fields[i], fields[j]),
-                                    kind, k, None, None)
-            eqs.append(lhs - rhs)
-        return eqs
-
-    tests = vector_test_family(chart0, 1)
-    equations = equations_for(tests)
-    unknown_list = [unknowns[(a, b)] for a in target_coords for b in target_coords]
-    try:
-        solution = _solve_and_verify(equations, unknown_list,
-                                     f"(0,2)-tensor {kind}-lift solve")
-    except UnderdeterminedError:
-        extra = _vector_stage(chart0, 2)
-        all_tests = tests + extra
-        equations = equations_for(all_tests)
-        tests = all_tests
-        try:
-            solution = _solve_and_verify(equations, unknown_list,
-                                         f"(0,2)-tensor {kind}-lift solve")
-        except UnderdeterminedError as exc:
-            free = ", ".join(u.name[2:] for u in exc.free)
-            raise LiftError(
-                f"(0,2)-tensor {kind}-lift solve underdetermined; "
-                f"free entries: {free}") from exc
-
-    entries = {}
-    for (a, b), u in unknowns.items():
-        value = solution[u]
-        if not value.is_zero():
-            entries[(a, b)] = value
-    result = Bilinear(target, entries)
-
-    holdout_fields = vector_test_holdout(chart0)
-    bad = _nonzero(t02_defining_residuals(G, result, kind, k,
-                                          vectors=holdout_fields))
-    if bad:
-        raise LiftError(
-            f"(0,2)-tensor {kind}-lift holdout residual nonzero: "
-            f"{format_expr(bad[0])}")
-    cert = SolveCertificate("bilinear", kind, k, None, None,
-                            len(tests) ** 2, len(holdout_fields), True)
-    return result, cert
+    pairs = [(a, b) for a in target.coordinates() for b in target.coordinates()]
+    labels = [f"{a.name}__{b.name}" for a, b in pairs]
+    engine = _Engine("bilinear", kind, k, labels)
+    system, (values,) = engine.solve_stages(
+        _stages(_t02_pairs, chart0, k),
+        lambda items: [[-_lift_scalar_expr(G.evaluate(X, Y), kind, k, None, None)
+                        for X, Y in items]],
+        [[UnknownId(f"B_{label}") for label in labels]])
+    result = Bilinear(target, {ab: v for ab, v in zip(pairs, values)
+                               if not v.is_zero()})
+    holdout = vector_test_holdout(chart0)
+    engine.holdout(t02_defining_residuals(G, result, kind, k, vectors=holdout))
+    return result, engine.certificate(len(system.items), len(holdout))
 
 
 def t02_lift_solve(G: Bilinear, kind: str, k: int) -> Bilinear:

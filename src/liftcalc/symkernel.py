@@ -18,16 +18,12 @@ equality of expressions is literal equality of term maps and every identity
 check in the package is exact and decidable. No floating point is used
 anywhere.
 
-The module also provides the two exact linear solvers used by the lift
-machinery:
-
-* :func:`solve_linear` -- unknowns stand for scalar constants; each equation is
-  split by coordinate monomial into scalar equations which are eliminated over
-  the Gaussian rationals.
-* :func:`solve_poly_linear` -- unknowns stand for whole polynomial values;
-  fraction-free elimination over the polynomial ring with exact-division
-  back-substitution. This is the engine behind the determined-lift solver,
-  where each unknown is an entire component function of the lifted field.
+The module also provides the exact linear solver behind the determined
+lifts, where each unknown is an entire component function of the lifted
+field: fraction-free elimination over the polynomial ring with
+exact-division back-substitution. :class:`PolyLinearFactor` records the
+elimination of a set of coefficient rows once and replays it on any number
+of right-hand sides; :func:`solve_poly_linear` is the one-shot form.
 """
 
 from __future__ import annotations
@@ -1093,102 +1089,116 @@ def divide_exact(f: Expr, g: Expr) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Linear solving, scalar semantics
-# ---------------------------------------------------------------------------
-
-def solve_linear(equations: Sequence[Expr], unknowns: Sequence[UnknownId]
-                 ) -> dict[UnknownId, Expr]:
-    """Solve a linear system whose unknowns are scalar constants.
-
-    Each equation (an Expr understood as "== 0") is split by coordinate
-    monomial: the coefficient of every coordinate monomial must vanish, which
-    yields scalar equations over the Gaussian rationals.  Exact Gaussian
-    elimination follows.    Returns the unique assignment as constant Exprs.
-
-    Raises NonlinearSystemError, InconsistentSystemError (with the violated
-    monomial equation as witness) or UnderdeterminedError (listing free
-    unknowns).
-    """
-    unknown_list = list(unknowns)
-    uset = set(unknown_list)
-    if len(uset) != len(unknown_list):
-        raise ValueError("duplicate unknowns")
-
-    # Scalar rows: (coeff map, constant, provenance)
-    rows: list[tuple[dict[UnknownId, GRat], GRat, tuple[int, Monomial]]] = []
-    for eq_idx, eq in enumerate(equations):
-        stray = eq.unknowns() - uset
-        if stray:
-            names = ", ".join(sorted(u.name for u in stray))
-            raise LinearSolveError(f"equation {eq_idx} contains unlisted unknowns: {names}")
-        coeff_polys, rest = eq.linear_split(unknown_list)
-        monos: set[Monomial] = set(rest.term_map())
-        for poly in coeff_polys.values():
-            monos.update(poly.term_map())
-        for mono in sorted(monos, key=_mono_order_key):
-            row = {u: poly.coefficient(mono)
-                   for u, poly in coeff_polys.items() if poly.coefficient(mono)}
-            const = rest.coefficient(mono)
-            if row or const:
-                rows.append((row, const, (eq_idx, mono)))
-
-    solution: dict[UnknownId, GRat] = {}
-    pivot_rows: list[tuple[UnknownId, dict[UnknownId, GRat], GRat]] = []
-    remaining = rows
-    for u in unknown_list:
-        chosen = None
-        for idx, (row, _, _) in enumerate(remaining):
-            if row.get(u):
-                chosen = idx
-                break
-        if chosen is None:
-            continue
-        prow, pconst, _ = remaining.pop(chosen)
-        pc = prow[u]
-        prow = {v: c / pc for v, c in prow.items()}
-        pconst = pconst / pc
-        reduced = []
-        for row, const, prov in remaining:
-            c = row.get(u)
-            if c:
-                row = {v: cv - c * prow.get(v, GR_ZERO)
-                       for v, cv in row.items() if v != u}
-                for v, pv in prow.items():
-                    if v != u and v not in row:
-                        nv = -c * pv
-                        if nv:
-                            row[v] = nv
-                row = {v: cv for v, cv in row.items() if cv}
-                const = const - c * pconst
-            if row or const:
-                reduced.append((row, const, prov))
-        remaining = reduced
-        pivot_rows.append((u, prow, pconst))
-
-    for row, const, (eq_idx, mono) in remaining:
-        if not row and const:
-            mono_text = _format_monomial(mono) if mono else "1"
-            raise InconsistentSystemError(
-                "no solution", eq_idx,
-                f"coefficient of {mono_text} reduces to {format_expr(Expr.constant(const))} == 0")
-
-    pivoted = {u for u, _, _ in pivot_rows}
-    free = [u for u in unknown_list if u not in pivoted]
-    if free:
-        raise UnderdeterminedError(free)
-
-    for u, prow, pconst in reversed(pivot_rows):
-        value = -pconst
-        for v, c in prow.items():
-            if v != u:
-                value = value - c * solution[v]
-        solution[u] = value
-    return {u: Expr.constant(v) for u, v in solution.items()}
-
-
-# ---------------------------------------------------------------------------
 # Linear solving, polynomial semantics
 # ---------------------------------------------------------------------------
+
+class PolyLinearFactor:
+    """A fraction-free elimination of polynomial coefficient rows, recorded
+    so that it can be replayed on any number of right-hand sides.
+
+    Row ``n`` is a map ``{position: Expr}`` of nonzero coefficients over the
+    positions ``0 .. width-1`` and stands for the equation
+    ``sum(row[p] * x_p) + rest_n == 0``.  The pivot sequence depends on the
+    rows alone, so :meth:`solve` only repeats the elimination's updates of
+    the rests and the back-substitution.
+    """
+
+    __slots__ = ("width", "free", "_steps", "_pivots", "_unpivoted")
+
+    def __init__(self, rows: Sequence[Mapping[int, Expr]], width: int):
+        live = [(n, dict(row)) for n, row in enumerate(rows) if row]
+        # Per elimination step: (pivot row, inverse of a constant pivot or
+        # None, cross-multiplier or None when normalised, [(row, coeff)]).
+        steps: list = []
+        # Per pivot: (position, other coefficients, pc or None, row).
+        pivots: list = []
+        for u in range(width):
+            best = best_rank = None
+            for idx, (_, coeffs) in enumerate(live):
+                c = coeffs.get(u)
+                if c is None:
+                    continue
+                rank = (0, 0) if c.is_constant() else (1, c.degree())
+                if best_rank is None or rank < best_rank:
+                    best, best_rank = idx, rank
+                    if rank == (0, 0):
+                        break
+            if best is None:
+                continue
+            prow, pcoeffs = live.pop(best)
+            pc = pcoeffs.pop(u)
+            inv = None
+            if pc.is_constant():
+                inv = pc.constant_value().inverse()
+                pcoeffs = {v: c.scale(inv) for v, c in pcoeffs.items()}
+                pc = None
+            updates = []
+            reduced = []
+            for n, coeffs in live:
+                c = coeffs.pop(u, None)
+                if c is not None:
+                    # row' = pc*row - c*pivot  (eliminates u without division)
+                    if pc is not None:
+                        coeffs = {v: pc * cv for v, cv in coeffs.items()}
+                    for v, pv in pcoeffs.items():
+                        val = coeffs.get(v, _EXPR_ZERO) - c * pv
+                        if val.is_zero():
+                            coeffs.pop(v, None)
+                        else:
+                            coeffs[v] = val
+                    updates.append((n, c))
+                if coeffs:
+                    reduced.append((n, coeffs))
+            live = reduced
+            steps.append((prow, inv, pc, updates))
+            pivots.append((u, tuple(pcoeffs.items()), pc, prow))
+        pivoted = {p[0] for p in pivots}
+        used = {p[3] for p in pivots}
+        self.width = width
+        self.free = tuple(u for u in range(width) if u not in pivoted)
+        self._steps = steps
+        self._pivots = pivots[::-1]
+        self._unpivoted = [n for n in range(len(rows)) if n not in used]
+
+    def solve(self, rests: Sequence[Expr], unknowns: Sequence[UnknownId]
+              ) -> list[Expr]:
+        """The values ``x_p`` for the given rests, one per row.
+
+        ``unknowns`` names the positions in errors: InconsistentSystemError
+        (with the row as ``equation_index``) or UnderdeterminedError.
+        """
+        rests = list(rests)
+        for prow, inv, pc, updates in self._steps:
+            rp = rests[prow]
+            if inv is not None:
+                rp = rests[prow] = rp.scale(inv)
+            for n, c in updates:
+                if pc is not None:
+                    rests[n] = pc * rests[n] - c * rp
+                elif rp._terms:
+                    rests[n] = rests[n] - c * rp
+        for n in self._unpivoted:
+            if not rests[n].is_zero():
+                raise InconsistentSystemError(
+                    "no solution", n, f"residual {format_expr(rests[n])} == 0")
+        if self.free:
+            raise UnderdeterminedError([unknowns[u] for u in self.free])
+        values: list = [None] * self.width
+        for u, coeffs, pc, prow in self._pivots:
+            numer = -rests[prow]
+            for v, c in coeffs:
+                numer = numer - c * values[v]
+            if pc is None:
+                values[u] = numer
+            else:
+                try:
+                    values[u] = divide_exact(numer, pc)
+                except ExactDivisionError as exc:
+                    raise InconsistentSystemError(
+                        f"no polynomial solution for {unknowns[u].name}", prow,
+                        str(exc)) from exc
+        return values
+
 
 def solve_poly_linear(equations: Sequence[Expr], unknowns: Sequence[UnknownId]
                       ) -> dict[UnknownId, Expr]:
@@ -1199,82 +1209,15 @@ def solve_poly_linear(equations: Sequence[Expr], unknowns: Sequence[UnknownId]
     keeps the rows polynomial; back-substitution divides exactly, so a unique
     polynomial solution is recovered whenever one exists.  Pivots prefer
     constant coefficients, then lowest degree, for determinism and to limit
-    growth.
+    growth.  This is :class:`PolyLinearFactor` used once.
     """
-    unknown_list = list(unknowns)
-
-    rows: list[tuple[dict[UnknownId, Expr], Expr, int]] = []
-    for eq_idx, eq in enumerate(equations):
+    unknown_list = list(dict.fromkeys(unknowns))
+    position = {u: p for p, u in enumerate(unknown_list)}
+    rows = []
+    rests = []
+    for eq in equations:
         coeffs, rest = eq.linear_split(unknown_list)
-        if coeffs or not rest.is_zero():
-            rows.append((coeffs, rest, eq_idx))
-
-    pivots: list[tuple[UnknownId, dict[UnknownId, Expr], Expr, int]] = []
-    remaining = rows
-    for u in unknown_list:
-        best = None
-        best_rank = None
-        for idx, (coeffs, _, _) in enumerate(remaining):
-            c = coeffs.get(u)
-            if c is None or c.is_zero():
-                continue
-            rank = (0, 0) if c.is_constant() else (1, c.degree())
-            if best_rank is None or rank < best_rank:
-                best = idx
-                best_rank = rank
-                if rank == (0, 0):
-                    break
-        if best is None:
-            continue
-        prow_coeffs, prow_rest, prov = remaining.pop(best)
-        pc = prow_coeffs[u]
-        if pc.is_constant():
-            inv = pc.constant_value().inverse()
-            prow_coeffs = {v: c.scale(inv) for v, c in prow_coeffs.items()}
-            prow_rest = prow_rest.scale(inv)
-            pc = _EXPR_ONE
-        reduced = []
-        for coeffs, rest, rprov in remaining:
-            c = coeffs.get(u)
-            if c is not None and not c.is_zero():
-                # row' = pc*row - c*pivot  (eliminates u without division)
-                new_coeffs: dict[UnknownId, Expr] = {}
-                for v in set(coeffs) | set(prow_coeffs):
-                    if v == u:
-                        continue
-                    val = pc * coeffs.get(v, _EXPR_ZERO) - c * prow_coeffs.get(v, _EXPR_ZERO)
-                    if not val.is_zero():
-                        new_coeffs[v] = val
-                rest = pc * rest - c * prow_rest
-                coeffs = new_coeffs
-            if coeffs or not rest.is_zero():
-                reduced.append((coeffs, rest, rprov))
-        remaining = reduced
-        pivots.append((u, prow_coeffs, prow_rest, prov))
-
-    for coeffs, rest, prov in remaining:
-        if not coeffs and not rest.is_zero():
-            raise InconsistentSystemError(
-                "no solution", prov, f"residual {format_expr(rest)} == 0")
-
-    pivoted = {u for u, _, _, _ in pivots}
-    free = [u for u in unknown_list if u not in pivoted]
-    if free:
-        raise UnderdeterminedError(free)
-
-    solution: dict[UnknownId, Expr] = {}
-    for u, coeffs, rest, prov in reversed(pivots):
-        numer = -rest
-        for v, c in coeffs.items():
-            if v != u:
-                numer = numer - c * solution[v]
-        pc = coeffs[u]
-        if pc == _EXPR_ONE:
-            solution[u] = numer
-        else:
-            try:
-                solution[u] = divide_exact(numer, pc)
-            except ExactDivisionError as exc:
-                raise InconsistentSystemError(
-                    f"no polynomial solution for {u.name}", prov, str(exc)) from exc
-    return solution
+        rows.append({position[u]: c for u, c in coeffs.items()})
+        rests.append(rest)
+    values = PolyLinearFactor(rows, len(unknown_list)).solve(rests, unknown_list)
+    return dict(zip(unknown_list, values))

@@ -1587,8 +1587,8 @@ def compare_proposition(prop: str, m: int, k: int,
                           f"{', '.join(COMPARISONS)}")
     if m < 1 or k < 1:
         raise VerifyError("m and k must both be at least 1")
-    if k > 3:
-        raise VerifyError("comparisons are limited to k <= 3 (solver cost)")
+    if k > 4:
+        raise VerifyError("comparisons are limited to k <= 4 (solver cost)")
     if samples < 1:
         raise VerifyError("samples must be at least 1")
     if gen is None:

@@ -305,8 +305,14 @@ def test_compare_match_case(capsys):
 
 
 def test_compare_k_cap_is_usage_error(capsys):
-    code, _, err = run(capsys, "compare", "P321", "--m", "1", "--k", "4")
+    code, _, err = run(capsys, "compare", "P321", "--m", "1", "--k", "5")
     assert code == 2
+
+
+def test_compare_at_the_k_cap(capsys):
+    code, out, _ = run(capsys, "compare", "P321", "--m", "2", "--k", "4")
+    assert code == 0
+    assert out.splitlines()[-1] == "verdict: MATCH"
 
 
 # -- frame / table -----------------------------------------------------------------------

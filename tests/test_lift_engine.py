@@ -1,0 +1,132 @@
+"""The determined-lift engine: cached factorisations stay certified.
+
+Each op's coefficient rows and their factorisation are cached per system
+key, and each input only replays the factorisation on its right-hand sides.
+A wrong right-hand side must still be caught -- by the self-check against
+every equation or by the holdout -- even when the system comes from the
+cache, and the failure must not spoil the cache for the next input.
+"""
+
+from collections import OrderedDict
+
+import pytest
+
+from liftcalc import lifts as L
+from liftcalc.charts import ChartSpec
+from liftcalc.fields import Bilinear, EndoField, OneForm, VectorField
+from liftcalc.symkernel import TIME, Expr, anti, holo
+
+C0 = ChartSpec(1, 0, True)
+K = 2
+Z = holo(0, 1)
+ZB = anti(0, 1)
+z, zb = Expr.atom(Z), Expr.atom(ZB)
+
+
+def _wrong_scalar_lift(monkeypatch, kind, value):
+    """Make the scalar lift of `value` (kind `kind`) wrong by one."""
+    right = L._lift_scalar_expr
+
+    def lift(expr, k_kind, k, r, s):
+        out = right(expr, k_kind, k, r, s)
+        return out + 1 if k_kind == kind and expr == value else out
+
+    monkeypatch.setattr(L, "_lift_scalar_expr", lift)
+
+
+def _assert_cached_solve_survives(monkeypatch, solve, first, second, corrupt,
+                                  message):
+    """Solve `second`, fail `first` under `corrupt`, then solve `second`
+    again from the same cache entry."""
+    L.clear_lift_cache()
+    expected, cert = solve(second)
+    assert cert.residuals_zero
+    entries = len(L._SYSTEM_CACHE)
+    with monkeypatch.context() as patch:
+        corrupt(patch)
+        with pytest.raises(L.LiftError, match=message):
+            solve(first)
+    again, cert = solve(second)
+    assert again == expected and cert.residuals_zero
+    assert len(L._SYSTEM_CACHE) == entries
+
+
+@pytest.mark.parametrize("value, message", [
+    (z * zb, "fails its own equation"),         # a family member off the ladders
+    (2 * z ** 2 * zb, "holdout residual nonzero"),  # Z applied to z^2*zb
+])
+def test_vector_lift_checks_stay_live(monkeypatch, value, message):
+    first = VectorField(C0, {Z: z, TIME: 1})
+    second = VectorField(C0, {ZB: z ** 2, TIME: 1})
+    _assert_cached_solve_survives(
+        monkeypatch, lambda Y: L.vf_lift_solve_certified(Y, "v", K),
+        first, second,
+        lambda patch: _wrong_scalar_lift(patch, "v", value), message)
+    assert L.vf_lift_solve(second, "v", K) == L.vf_vertical_closed(second, K)
+
+
+def test_oneform_lift_checks_stay_live(monkeypatch):
+    first = OneForm(C0, {Z: z})
+    second = OneForm(C0, {ZB: z * zb})
+    # z^4 is only paired against the holdout field z^3 d/dz0_1.
+    _assert_cached_solve_survives(
+        monkeypatch, lambda w: L.of_lift_solve_certified(w, "v", K),
+        first, second,
+        lambda patch: _wrong_scalar_lift(patch, "v", z ** 4),
+        "holdout residual nonzero")
+    assert L.of_lift_solve(second, "v", K) == L.of_vertical_closed(second, K)
+
+
+def test_endo_lift_checks_stay_live(monkeypatch):
+    first = EndoField(C0, {(Z, Z): Expr.one()})
+    second = EndoField(C0, {(ZB, Z): zb})
+    held_out = VectorField(C0, {Z: z ** 3})    # phi(X) for a holdout X
+    right = L._lift_vf_definitional
+
+    def corrupt(patch):
+        def lift(Y, kind, k):
+            out = right(Y, kind, k)
+            if Y == held_out:
+                return out + VectorField(out.chart, {TIME: 1})
+            return out
+        patch.setattr(L, "_lift_vf_definitional", lift)
+
+    _assert_cached_solve_survives(
+        monkeypatch, lambda phi: L.t11_lift_solve_certified(phi, "v", K),
+        first, second, corrupt, "holdout residual nonzero")
+
+
+def test_bilinear_lift_checks_stay_live(monkeypatch):
+    first = Bilinear(C0, {(Z, ZB): Expr.one()})
+    second = Bilinear(C0, {(ZB, Z): z, (Z, Z): 1})
+    # G(z^3 d/dz0_1, d/dzb0_1) = z^3 only on holdout pairs.
+    _assert_cached_solve_survives(
+        monkeypatch, lambda G: L.t02_lift_solve_certified(G, "v", K),
+        first, second,
+        lambda patch: _wrong_scalar_lift(patch, "v", z ** 3),
+        "holdout residual nonzero")
+
+
+def test_bounded_cache_evicts_the_least_recently_used():
+    cache: OrderedDict = OrderedDict()
+    for key in range(5):
+        L._bounded(cache, 3, key, lambda: object())
+    assert list(cache) == [2, 3, 4]
+    hit = cache[2]
+    assert L._bounded(cache, 3, 2, lambda: pytest.fail("2 is cached")) is hit
+    L._bounded(cache, 3, 5, lambda: object())
+    assert list(cache) == [4, 2, 5]
+
+
+def test_lift_caches_hold_their_bound_and_clear(monkeypatch):
+    L.clear_lift_cache()
+    monkeypatch.setattr(L, "_SYSTEM_CACHE_SIZE", 2)
+    monkeypatch.setattr(L, "_VF_SOLVE_CACHE_SIZE", 2)
+    w = OneForm(C0, {Z: z, ZB: z * zb})
+    for k in (1, 2, 3):
+        assert L.of_lift_solve(w, "v", k) == L.of_vertical_closed(w, k)
+        assert len(L._SYSTEM_CACHE) == 2
+        assert len(L._VF_SOLVE_CACHE) == 2
+    L.clear_lift_cache()
+    assert not L._SYSTEM_CACHE and not L._VF_SOLVE_CACHE
+    assert L._complete_expr.cache_info().currsize == 0

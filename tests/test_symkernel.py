@@ -28,7 +28,6 @@ from liftcalc.symkernel import (
     format_expr,
     holo,
     parse,
-    solve_linear,
     solve_poly_linear,
 )
 
@@ -432,50 +431,6 @@ def _u(name):
     return UnknownId(name)
 
 
-def test_solve_linear_simple():
-    a, b = _u("a"), _u("b")
-    # a + b = 3, a - b = 1  =>  a = 2, b = 1
-    eqs = [Expr.atom(a) + Expr.atom(b) - 3, Expr.atom(a) - Expr.atom(b) - 1]
-    sol = solve_linear(eqs, [a, b])
-    assert sol[a] == Expr.from_value(2)
-    assert sol[b] == Expr.from_value(1)
-
-
-def test_solve_linear_matches_monomial_coefficients():
-    # scalar-constant semantics: a*z0_1 + b == 0 identically forces a = b = 0
-    a, b = _u("a"), _u("b")
-    eq = Expr.atom(a) * Expr.atom(Z01) + Expr.atom(b)
-    sol = solve_linear([eq], [a, b])
-    assert sol[a].is_zero() and sol[b].is_zero()
-
-
-def test_solve_linear_rejects_nonconstant_solution():
-    # a scalar unknown cannot absorb a coordinate
-    a = _u("a")
-    with pytest.raises(InconsistentSystemError):
-        solve_linear([Expr.atom(a) - Expr.atom(Z01)], [a])
-
-
-def test_solve_linear_inconsistent():
-    a = _u("a")
-    eqs = [Expr.atom(a) - 1, Expr.atom(a) - 2]
-    with pytest.raises(InconsistentSystemError):
-        solve_linear(eqs, [a])
-
-
-def test_solve_linear_underdetermined():
-    a, b = _u("a"), _u("b")
-    with pytest.raises(UnderdeterminedError) as err:
-        solve_linear([Expr.atom(a) + Expr.atom(b)], [a, b])
-    assert len(err.value.free) == 1
-
-
-def test_solve_linear_rejects_nonlinear():
-    a = _u("a")
-    with pytest.raises(NonlinearSystemError):
-        solve_linear([Expr.atom(a, 2) - 1], [a])
-
-
 def test_solve_poly_linear_polynomial_unknown():
     # polynomial-unknown semantics: 2*a = z0_1^2 gives a = z0_1^2 / 2
     a = _u("a")
@@ -517,6 +472,21 @@ def test_solve_poly_linear_inconsistent():
     eq = Expr.atom(a) * Expr.atom(Z01) - 1
     with pytest.raises(InconsistentSystemError):
         solve_poly_linear([eq], [a])
+
+
+def test_solve_poly_linear_names_the_first_inconsistent_equation():
+    # a = 1 pivots; a = 2 and a = 3 both reduce to nonzero constants
+    a = _u("a")
+    eqs = [Expr.atom(a) - 1, Expr.atom(a) - 2, Expr.atom(a) - 3]
+    with pytest.raises(InconsistentSystemError) as err:
+        solve_poly_linear(eqs, [a])
+    assert err.value.equation_index == 1
+
+
+def test_solve_poly_linear_rejects_nonlinear():
+    a = _u("a")
+    with pytest.raises(NonlinearSystemError):
+        solve_poly_linear([Expr.atom(a, 2) - 1], [a])
 
 
 def test_unknowns_do_not_leak_into_results():

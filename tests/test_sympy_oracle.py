@@ -3,7 +3,10 @@
 sympy is an optional, independent oracle: when it is not installed the whole
 module is skipped, and liftcalc itself never imports it.  Small polynomials
 drawn by hypothesis are multiplied, differentiated, substituted into and
-divided both ways, and sympy's expanded result must equal liftcalc's.
+divided both ways, and sympy's expanded result must equal liftcalc's.  Small
+polynomial linear systems are solved through one factorisation for several
+right-hand sides, and each solution must equal the one-shot solve's and
+sympy's ``linsolve``'s.
 """
 
 from fractions import Fraction
@@ -17,9 +20,14 @@ from liftcalc.symkernel import (
     ExactDivisionError,
     Expr,
     GRat,
+    InconsistentSystemError,
+    PolyLinearFactor,
+    UnderdeterminedError,
+    UnknownId,
     anti,
     divide_exact,
     holo,
+    solve_poly_linear,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -126,3 +134,153 @@ def test_divide_exact_agrees_with_sympy_on_divisibility(f, g):
     else:
         assert theirs is not None
         assert _same(q, sympy.expand(theirs))
+
+
+# -- linear systems -------------------------------------------------------------
+
+_SOLVE_COORDS = [holo(0, 1), anti(0, 1)]
+# Coefficients stay small: at most two terms of degree <= 1, so the
+# cross-multiplied rows of a 3 x 3 elimination stay cheap for sympy.
+_entries = st.lists(
+    st.tuples(_coeffs, st.lists(st.tuples(st.sampled_from(_SOLVE_COORDS),
+                                          st.just(1)), max_size=1)),
+    max_size=2).map(_from_parts)
+_values = st.lists(
+    st.tuples(_coeffs, st.lists(st.tuples(st.sampled_from(_SOLVE_COORDS),
+                                          st.integers(1, 2)), max_size=2)),
+    max_size=3).map(_from_parts)
+
+
+def _matrices(rows, cols):
+    return st.lists(st.lists(_entries, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def _unknowns(n):
+    return [UnknownId(f"x{p}") for p in range(n)]
+
+
+def _rows(matrix):
+    return [{p: c for p, c in enumerate(row) if not c.is_zero()}
+            for row in matrix]
+
+
+def _equations(matrix, rests, unknowns):
+    eqs = []
+    for row, rest in zip(matrix, rests):
+        eq = rest
+        for c, u in zip(row, unknowns):
+            eq = eq + c * Expr.atom(u)
+        eqs.append(eq)
+    return eqs
+
+
+def _rests_of(matrix, values):
+    """The rests that make `values` a solution: -(A x)."""
+    out = []
+    for row in matrix:
+        total = Expr.zero()
+        for c, v in zip(row, values):
+            total = total + c * v
+        out.append(-total)
+    return out
+
+
+def _det(matrix):
+    return sympy.expand(sympy.Matrix(
+        [[to_sympy(c) for c in row] for row in matrix]).det(method="berkowitz"))
+
+
+def _linsolve(matrix, rests):
+    xs = sympy.symbols(f"x0:{len(matrix[0])}")
+    eqs = [sum((to_sympy(c) * x for c, x in zip(row, xs)), to_sympy(rest))
+           for row, rest in zip(matrix, rests)]
+    return xs, sympy.linsolve(eqs, xs)
+
+
+def _outcome(fn):
+    """The solution, or the solver error that a solve raised."""
+    try:
+        return fn()
+    except (UnderdeterminedError, InconsistentSystemError) as exc:
+        return exc
+
+
+def _raised(fn):
+    out = _outcome(fn)
+    assert isinstance(out, Exception), "the system solved"
+    return out
+
+
+def _same_solution(ours, matrix, rests):
+    _, theirs = _linsolve(matrix, rests)
+    (theirs,) = theirs
+    return all(sympy.cancel(to_sympy(mine) - their) == 0
+               for mine, their in zip(ours, theirs))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(_matrices(n, n),
+                        st.lists(st.lists(_values, min_size=n, max_size=n),
+                                 min_size=1, max_size=3),
+                        st.lists(_values, min_size=n, max_size=n))))
+def test_one_factorisation_solves_many_right_hand_sides(case):
+    """Rests built from a known polynomial solution give it back; arbitrary
+    rests may have no polynomial solution, and then the replay fails
+    exactly like the one-shot solve."""
+    matrix, solutions, arbitrary = case
+    if _det(matrix) == 0:
+        return
+    unknowns = _unknowns(len(matrix))
+    factor = PolyLinearFactor(_rows(matrix), len(unknowns))
+    for values in solutions:
+        rests = _rests_of(matrix, values)
+        ours = factor.solve(rests, unknowns)
+        assert ours == values
+        once = solve_poly_linear(_equations(matrix, rests, unknowns), unknowns)
+        assert [once[u] for u in unknowns] == ours
+        assert _same_solution(ours, matrix, rests)
+    ours = _outcome(lambda: factor.solve(arbitrary, unknowns))
+    once = _outcome(lambda: solve_poly_linear(
+        _equations(matrix, arbitrary, unknowns), unknowns))
+    if isinstance(once, Exception):
+        assert isinstance(once, InconsistentSystemError)
+        assert type(ours) is type(once) and str(ours) == str(once)
+        assert ours.equation_index == once.equation_index
+    else:
+        assert ours == [once[u] for u in unknowns]
+        assert _same_solution(ours, matrix, arbitrary)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(2, 3).flatmap(
+    lambda n: st.tuples(_matrices(n - 1, n), _entries.filter(bool),
+                        st.lists(_values, min_size=n, max_size=n),
+                        st.booleans())))
+def test_singular_and_inconsistent_systems_fail_like_the_one_shot_solve(case):
+    """A last row that is a multiple of the first makes the system
+    singular; its rest either follows (underdetermined) or is off by one
+    (inconsistent)."""
+    top, factor_poly, values, consistent = case
+    matrix = top + [[factor_poly * c for c in top[0]]]
+    rests = _rests_of(matrix, values)
+    if not consistent:
+        rests[-1] = rests[-1] + 1
+    unknowns = _unknowns(len(values))
+    replayed = _raised(lambda: PolyLinearFactor(_rows(matrix), len(values))
+                       .solve(rests, unknowns))
+    once = _raised(lambda: solve_poly_linear(
+        _equations(matrix, rests, unknowns), unknowns))
+    assert type(replayed) is type(once)
+    assert str(replayed) == str(once)
+    if consistent:
+        assert isinstance(once, UnderdeterminedError)
+        assert replayed.free == once.free
+        xs, theirs = _linsolve(matrix, rests)
+        (theirs,) = theirs
+        assert set(xs) & set().union(*(t.free_symbols for t in theirs))
+    else:
+        assert isinstance(once, InconsistentSystemError)
+        assert replayed.equation_index == once.equation_index
+        assert _linsolve(matrix, rests)[1] == sympy.S.EmptySet

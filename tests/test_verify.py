@@ -203,7 +203,7 @@ def test_compare_argument_validation():
     with pytest.raises(VerifyError):
         compare_proposition("P999", 1, 1)
     with pytest.raises(VerifyError):
-        compare_proposition("P321", 1, 4)  # k capped at 3
+        compare_proposition("P321", 1, 5)  # k capped at 4
 
 
 def test_compare_is_deterministic():
