@@ -48,8 +48,6 @@ from .fields import (
 )
 from .lifts import (
     LiftError,
-    _compact_oneform,
-    _compact_vector,
     adapted_frame,
     basis_lift_rows,
     fn_complete,
@@ -486,22 +484,18 @@ def cmd_frame(args) -> int:
     frame = adapted_frame(chart, conn)
     print(f"frame m={chart.m} k={chart.k} "
           f"time={'yes' if chart.has_time else 'no'} connection={label}")
-    if chart.has_time:
-        print("d/dt")
-    for family, table in (("D", frame.D), ("Dbar", frame.Dbar),
-                          ("V", frame.V), ("Vbar", frame.Vbar)):
-        for level in range(chart.k):
-            for i in range(1, chart.m + 1):
-                print(f"{family}[{level},{i}] = "
-                      f"{_compact_vector(table[(level, i)])}")
-    if chart.has_time:
-        print("dt")
-    for family, table in (("theta", frame.theta), ("thetabar", frame.thetabar),
-                          ("eta", frame.eta), ("etabar", frame.etabar)):
-        for level in range(chart.k):
-            for i in range(1, chart.m + 1):
-                print(f"{family}[{level},{i}] = "
-                      f"{_compact_oneform(table[(level, i)])}")
+    for head, families in (
+            ("d/dt", (("D", frame.D), ("Dbar", frame.Dbar),
+                      ("V", frame.V), ("Vbar", frame.Vbar))),
+            ("dt", (("theta", frame.theta), ("thetabar", frame.thetabar),
+                    ("eta", frame.eta), ("etabar", frame.etabar)))):
+        if chart.has_time:
+            print(head)
+        for family, table in families:
+            for level in range(chart.k):
+                for i in range(1, chart.m + 1):
+                    print(f"{family}[{level},{i}] = "
+                          f"{table[(level, i)]._compact()}")
     return 0
 
 

@@ -7,13 +7,30 @@ rank-2 objects against coordinate pairs.  Components are kernel expressions;
 zero components are never stored, so structural equality of two fields is
 equality of their component maps.
 
+The four frame fields share one component-map core.  ``_Rank1``
+(:class:`VectorField`, :class:`OneForm`; map ``components`` keyed by a
+coordinate) and ``_Rank2`` (:class:`EndoField`, :class:`Bilinear`; map
+``entries`` keyed by a coordinate pair) hold the validation and the
+componentwise algebra; each concrete class adds only its own actions.  Each
+class names its basis element once, in ``_LABEL`` (``d/d{}``, ``d{}``,
+``d/d{} <- d/d{}``, ``d{} (x) d{}``), and every text form of a field is
+derived from it in coordinate order:
+
+* lines ``<label>: <value>``, or ``0`` (the ``format_*`` functions);
+* the inline form ``(<value>)*<label> + ...``, or ``0`` (witness inputs and
+  the rank-1 ``repr``);
+* the compact form, which writes a ``1`` or ``-1`` component as ``<label>``
+  or ``-<label>`` (basis tables and frames);
+* the first difference of two fields, ``component <label>`` or
+  ``entry <label>`` with both values (clause and comparison witnesses).
+
 Components may contain solver unknowns (the determined-lift machinery builds
 ansatz fields this way); chart validation only constrains the coordinates.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .charts import ChartSpec
 from .symkernel import CoordId, Expr, ExprLike, format_expr
@@ -23,26 +40,21 @@ class FieldError(Exception):
     pass
 
 
-def _clean_components(chart: ChartSpec, components: Mapping[CoordId, ExprLike],
-                      what: str) -> dict[CoordId, Expr]:
-    clean: dict[CoordId, Expr] = {}
-    for coord, raw in components.items():
-        if not isinstance(coord, CoordId):
-            raise FieldError(f"{what} components must be keyed by CoordId")
-        if not chart.contains(coord):
-            raise FieldError(f"{what} component key {coord.name} is not in the chart")
-        value = Expr.from_value(raw)
-        chart.validate_expr(value, f"{what} component at {coord.name}")
-        if not value.is_zero():
-            clean[coord] = value
-    return clean
+_ONE = Expr.one()
+_MINUS_ONE = -_ONE
 
 
-def _sorted_coords(coords: Iterable[CoordId]) -> list[CoordId]:
-    return sorted(coords, key=lambda c: c.sort_key())
+class _Frozen:
+    """Attribute assignment raises; constructors set their slots through
+    ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-class ScalarField:
+class ScalarField(_Frozen):
     """A polynomial function on a chart."""
 
     __slots__ = ("chart", "value")
@@ -52,9 +64,6 @@ class ScalarField:
         chart.validate_expr(expr, "scalar field")
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "value", expr)
-
-    def __setattr__(self, name, v):  # pragma: no cover
-        raise AttributeError("ScalarField is immutable")
 
     def conjugate(self) -> "ScalarField":
         return ScalarField(self.chart, self.value.conjugate())
@@ -89,29 +98,137 @@ class ScalarField:
         return f"ScalarField({format_expr(self.value)})"
 
 
-class VectorField:
-    """A vector field: components against the coordinate partials."""
+class _ComponentMap(_Frozen):
+    """A chart and a map from coordinate keys to nonzero expressions.
+
+    A rank base supplies the map (``_map``), the coordinate order of its
+    keys (``_order``), the basis label of a key (``_slot``) and the word a
+    difference names a key by (``_KEY_WORD``); a concrete class sets
+    ``_LABEL`` and the ``_WHAT`` its errors name.
+    """
+
+    __slots__ = ()
+
+    def scaled(self, factor: ExprLike):
+        f = Expr.from_value(factor)
+        return type(self)(self.chart, {k: f * v for k, v in self._map().items()})
+
+    def __add__(self, other):
+        _same_chart(self, other)
+        merged = dict(self._map())
+        for key, value in other._map().items():
+            merged[key] = merged.get(key, Expr.zero()) + value
+        return type(self)(self.chart, merged)
+
+    def __neg__(self):
+        return type(self)(self.chart, {k: -v for k, v in self._map().items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.chart == other.chart and self._map() == other._map()
+
+    # -- text forms, all derived from the basis label -------------------------
+
+    def _terms(self) -> list[tuple[str, Expr]]:
+        values = self._map()
+        return [(self._slot(key), values[key])
+                for key in sorted(values, key=self._order)]
+
+    def _lines(self) -> list[str]:
+        return [f"{slot}: {format_expr(v)}" for slot, v in self._terms()] or ["0"]
+
+    def _inline(self) -> str:
+        return " + ".join(f"({format_expr(v)})*{slot}"
+                          for slot, v in self._terms()) or "0"
+
+    def _compact(self) -> str:
+        parts = []
+        for slot, v in self._terms():
+            if v == _ONE:
+                parts.append(slot)
+            elif v == _MINUS_ONE:
+                parts.append(f"-{slot}")
+            else:
+                parts.append(f"({format_expr(v)})*{slot}")
+        return " + ".join(parts) or "0"
+
+    def _first_difference(self, other) -> tuple[str, Expr, Expr] | None:
+        """The first key, in coordinate order, at which two fields of one
+        class differ: (``component <label>`` or ``entry <label>``, own value,
+        other value); None when their maps agree."""
+        mine, theirs = self._map(), other._map()
+        zero = Expr.zero()
+        for key in sorted(mine.keys() | theirs.keys(), key=self._order):
+            left, right = mine.get(key, zero), theirs.get(key, zero)
+            if left != right:
+                return f"{self._KEY_WORD} {self._slot(key)}", left, right
+        return None
+
+
+class _Rank1(_ComponentMap):
+    """Components against one coordinate frame, keyed by coordinate."""
 
     __slots__ = ("chart", "components")
+    _KEY_WORD = "component"
+    _order = staticmethod(CoordId.sort_key)
 
     def __init__(self, chart: ChartSpec, components: Mapping[CoordId, ExprLike]):
+        what = self._WHAT
+        clean: dict[CoordId, Expr] = {}
+        for coord, raw in components.items():
+            if not isinstance(coord, CoordId):
+                raise FieldError(f"{what} components must be keyed by CoordId")
+            if not chart.contains(coord):
+                raise FieldError(f"{what} component key {coord.name} is not in the chart")
+            value = Expr.from_value(raw)
+            chart.validate_expr(value, f"{what} component at {coord.name}")
+            if not value.is_zero():
+                clean[coord] = value
         object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "components",
-                           _clean_components(chart, components, "vector"))
+        object.__setattr__(self, "components", clean)
 
-    def __setattr__(self, name, v):  # pragma: no cover
-        raise AttributeError("VectorField is immutable")
+    def _map(self) -> dict[CoordId, Expr]:
+        return self.components
 
-    @staticmethod
-    def zero(chart: ChartSpec) -> "VectorField":
-        return VectorField(chart, {})
+    def _slot(self, coord: CoordId) -> str:
+        return self._LABEL.format(coord.name)
+
+    @classmethod
+    def zero(cls, chart: ChartSpec):
+        return cls(chart, {})
+
+    def component(self, coord: CoordId) -> Expr:
+        return self.components.get(coord, Expr.zero())
+
+    def conjugate(self):
+        return type(self)(self.chart, {
+            coord.conjugate(): comp.conjugate()
+            for coord, comp in self.components.items()})
+
+    def __rmul__(self, factor):
+        return self.scaled(factor)
+
+    def is_zero(self) -> bool:
+        return not self.components
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._inline()})"
+
+
+class VectorField(_Rank1):
+    """A vector field: components against the coordinate partials."""
+
+    __slots__ = ()
+    _LABEL = "d/d{}"
+    _WHAT = "vector"
 
     @staticmethod
     def basis(chart: ChartSpec, coord: CoordId) -> "VectorField":
         return VectorField(chart, {coord: Expr.one()})
-
-    def component(self, coord: CoordId) -> Expr:
-        return self.components.get(coord, Expr.zero())
 
     def apply(self, f: ExprLike) -> Expr:
         """Directional derivative of a function: sum of comp * df/dcoord."""
@@ -121,73 +238,17 @@ class VectorField:
             out = out + comp * expr.diff(coord)
         return out
 
-    def conjugate(self) -> "VectorField":
-        return VectorField(self.chart, {
-            coord.conjugate(): comp.conjugate()
-            for coord, comp in self.components.items()})
 
-    def __add__(self, other: "VectorField") -> "VectorField":
-        _same_chart(self, other)
-        merged = dict(self.components)
-        for coord, comp in other.components.items():
-            merged[coord] = merged.get(coord, Expr.zero()) + comp
-        return VectorField(self.chart, merged)
-
-    def __neg__(self) -> "VectorField":
-        return VectorField(self.chart,
-                           {c: -v for c, v in self.components.items()})
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return self + (-other)
-
-    def scaled(self, factor: ExprLike) -> "VectorField":
-        f = Expr.from_value(factor)
-        return VectorField(self.chart,
-                           {c: f * v for c, v in self.components.items()})
-
-    def __rmul__(self, factor) -> "VectorField":
-        return self.scaled(factor)
-
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return self.chart == other.chart and self.components == other.components
-
-    def __repr__(self) -> str:
-        if not self.components:
-            return "VectorField(0)"
-        parts = [f"({format_expr(v)})*d/d{c.name}"
-                 for c, v in sorted(self.components.items(),
-                                    key=lambda kv: kv[0].sort_key())]
-        return "VectorField(" + " + ".join(parts) + ")"
-
-
-class OneForm:
+class OneForm(_Rank1):
     """A one-form: components against the coordinate differentials."""
 
-    __slots__ = ("chart", "components")
-
-    def __init__(self, chart: ChartSpec, components: Mapping[CoordId, ExprLike]):
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "components",
-                           _clean_components(chart, components, "one-form"))
-
-    def __setattr__(self, name, v):  # pragma: no cover
-        raise AttributeError("OneForm is immutable")
-
-    @staticmethod
-    def zero(chart: ChartSpec) -> "OneForm":
-        return OneForm(chart, {})
+    __slots__ = ()
+    _LABEL = "d{}"
+    _WHAT = "one-form"
 
     @staticmethod
     def differential_of(chart: ChartSpec, coord: CoordId) -> "OneForm":
         return OneForm(chart, {coord: Expr.one()})
-
-    def component(self, coord: CoordId) -> Expr:
-        return self.components.get(coord, Expr.zero())
 
     def pair(self, Z: VectorField) -> Expr:
         """Natural pairing with a vector field."""
@@ -199,81 +260,60 @@ class OneForm:
                 out = out + comp * zc
         return out
 
-    def conjugate(self) -> "OneForm":
-        return OneForm(self.chart, {
-            coord.conjugate(): comp.conjugate()
-            for coord, comp in self.components.items()})
 
-    def __add__(self, other: "OneForm") -> "OneForm":
-        _same_chart(self, other)
-        merged = dict(self.components)
-        for coord, comp in other.components.items():
-            merged[coord] = merged.get(coord, Expr.zero()) + comp
-        return OneForm(self.chart, merged)
+class _Rank2(_ComponentMap):
+    """Entries on ordered coordinate pairs."""
 
-    def __neg__(self) -> "OneForm":
-        return OneForm(self.chart, {c: -v for c, v in self.components.items()})
+    __slots__ = ("chart", "entries")
+    _KEY_WORD = "entry"
 
-    def __sub__(self, other: "OneForm") -> "OneForm":
-        return self + (-other)
+    def __init__(self, chart: ChartSpec,
+                 entries: Mapping[tuple[CoordId, CoordId], ExprLike]):
+        what = self._WHAT
+        clean: dict[tuple[CoordId, CoordId], Expr] = {}
+        for key, raw in entries.items():
+            a, b = key
+            for c in (a, b):
+                if not isinstance(c, CoordId) or not chart.contains(c):
+                    raise FieldError(f"{what} entry key {c} is not a chart coordinate")
+            value = Expr.from_value(raw)
+            chart.validate_expr(value, f"{what} entry ({a.name}, {b.name})")
+            if not value.is_zero():
+                clean[(a, b)] = value
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "entries", clean)
 
-    def scaled(self, factor: ExprLike) -> "OneForm":
-        f = Expr.from_value(factor)
-        return OneForm(self.chart, {c: f * v for c, v in self.components.items()})
+    def _map(self) -> dict[tuple[CoordId, CoordId], Expr]:
+        return self.entries
 
-    def __rmul__(self, factor) -> "OneForm":
-        return self.scaled(factor)
+    @staticmethod
+    def _order(key: tuple[CoordId, CoordId]) -> tuple:
+        return key[0].sort_key(), key[1].sort_key()
 
-    def is_zero(self) -> bool:
-        return not self.components
+    def _slot(self, key: tuple[CoordId, CoordId]) -> str:
+        return self._LABEL.format(key[0].name, key[1].name)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OneForm):
-            return NotImplemented
-        return self.chart == other.chart and self.components == other.components
+    def entry(self, a: CoordId, b: CoordId) -> Expr:
+        return self.entries.get((a, b), Expr.zero())
 
     def __repr__(self) -> str:
-        if not self.components:
-            return "OneForm(0)"
-        parts = [f"({format_expr(v)})*d{c.name}"
-                 for c, v in sorted(self.components.items(),
-                                    key=lambda kv: kv[0].sort_key())]
-        return "OneForm(" + " + ".join(parts) + ")"
+        return f"{type(self).__name__}({len(self.entries)} entries)"
 
 
-class EndoField:
+class EndoField(_Rank2):
     """A (1,1)-tensor field: entries[(out, in)] against the coordinate frame.
 
     Acting on a vector field: (T Z)^out = sum_in entries[(out, in)] * Z^in.
     Acting on a one-form by precomposition: (w T)(Z) = w(T Z).
     """
 
-    __slots__ = ("chart", "entries")
-
-    def __init__(self, chart: ChartSpec,
-                 entries: Mapping[tuple[CoordId, CoordId], ExprLike]):
-        clean: dict[tuple[CoordId, CoordId], Expr] = {}
-        for key, raw in entries.items():
-            out_c, in_c = key
-            for c in (out_c, in_c):
-                if not isinstance(c, CoordId) or not chart.contains(c):
-                    raise FieldError(f"endo entry key {c} is not a chart coordinate")
-            value = Expr.from_value(raw)
-            chart.validate_expr(value, f"endo entry ({out_c.name}, {in_c.name})")
-            if not value.is_zero():
-                clean[(out_c, in_c)] = value
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "entries", clean)
-
-    def __setattr__(self, name, v):  # pragma: no cover
-        raise AttributeError("EndoField is immutable")
+    __slots__ = ()
+    _LABEL = "d/d{} <- d/d{}"
+    _WHAT = "endo"
 
     @staticmethod
     def identity(chart: ChartSpec) -> "EndoField":
         return EndoField(chart, {(c, c): Expr.one() for c in chart.coordinates()})
-
-    def entry(self, out_c: CoordId, in_c: CoordId) -> Expr:
-        return self.entries.get((out_c, in_c), Expr.zero())
 
     def apply_vector(self, Z: VectorField) -> VectorField:
         _same_chart(self, Z)
@@ -309,58 +349,14 @@ class EndoField:
     def square(self) -> "EndoField":
         return self.compose(self)
 
-    def scaled(self, factor: ExprLike) -> "EndoField":
-        f = Expr.from_value(factor)
-        return EndoField(self.chart, {k: f * v for k, v in self.entries.items()})
 
-    def __add__(self, other: "EndoField") -> "EndoField":
-        _same_chart(self, other)
-        merged = dict(self.entries)
-        for key, value in other.entries.items():
-            merged[key] = merged.get(key, Expr.zero()) + value
-        return EndoField(self.chart, merged)
-
-    def __neg__(self) -> "EndoField":
-        return self.scaled(-1)
-
-    def __sub__(self, other: "EndoField") -> "EndoField":
-        return self + (-other)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EndoField):
-            return NotImplemented
-        return self.chart == other.chart and self.entries == other.entries
-
-    def __repr__(self) -> str:
-        return f"EndoField({len(self.entries)} entries)"
-
-
-class Bilinear:
+class Bilinear(_Rank2):
     """A (0,2)-tensor field: entries[(a, b)] = value of the tensor on the
     coordinate pair (d/da, d/db)."""
 
-    __slots__ = ("chart", "entries")
-
-    def __init__(self, chart: ChartSpec,
-                 entries: Mapping[tuple[CoordId, CoordId], ExprLike]):
-        clean: dict[tuple[CoordId, CoordId], Expr] = {}
-        for key, raw in entries.items():
-            a, b = key
-            for c in (a, b):
-                if not isinstance(c, CoordId) or not chart.contains(c):
-                    raise FieldError(f"bilinear entry key {c} is not a chart coordinate")
-            value = Expr.from_value(raw)
-            chart.validate_expr(value, f"bilinear entry ({a.name}, {b.name})")
-            if not value.is_zero():
-                clean[(a, b)] = value
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "entries", clean)
-
-    def __setattr__(self, name, v):  # pragma: no cover
-        raise AttributeError("Bilinear is immutable")
-
-    def entry(self, a: CoordId, b: CoordId) -> Expr:
-        return self.entries.get((a, b), Expr.zero())
+    __slots__ = ()
+    _LABEL = "d{} (x) d{}"
+    _WHAT = "bilinear"
 
     def evaluate(self, X: VectorField, Y: VectorField) -> Expr:
         _same_chart(self, X)
@@ -393,33 +389,8 @@ class Bilinear:
     def is_antisymmetric(self) -> bool:
         return all(self.entry(b, a) == -v for (a, b), v in self.entries.items())
 
-    def scaled(self, factor: ExprLike) -> "Bilinear":
-        f = Expr.from_value(factor)
-        return Bilinear(self.chart, {k: f * v for k, v in self.entries.items()})
 
-    def __add__(self, other: "Bilinear") -> "Bilinear":
-        _same_chart(self, other)
-        merged = dict(self.entries)
-        for key, value in other.entries.items():
-            merged[key] = merged.get(key, Expr.zero()) + value
-        return Bilinear(self.chart, merged)
-
-    def __neg__(self) -> "Bilinear":
-        return self.scaled(-1)
-
-    def __sub__(self, other: "Bilinear") -> "Bilinear":
-        return self + (-other)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Bilinear):
-            return NotImplemented
-        return self.chart == other.chart and self.entries == other.entries
-
-    def __repr__(self) -> str:
-        return f"Bilinear({len(self.entries)} entries)"
-
-
-class AltForm:
+class AltForm(_Frozen):
     """An alternating form of degree 0..3.
 
     Components are stored on strictly increasing coordinate tuples (canonical
@@ -452,9 +423,6 @@ class AltForm:
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "components", clean)
-
-    def __setattr__(self, name, v):  # pragma: no cover
-        raise AttributeError("AltForm is immutable")
 
     @staticmethod
     def from_oneform(w: OneForm) -> "AltForm":
@@ -592,7 +560,7 @@ def _merge_ordered(s1: Sequence[CoordId], s2: Sequence[CoordId]):
     return sign, tuple(merged)
 
 
-class ConnectionCoeffs:
+class ConnectionCoeffs(_Frozen):
     """Connection coefficients for the adapted frames.
 
     ``gamma[(r, i, j)]`` is the coefficient used at frame level ``r``
@@ -634,9 +602,6 @@ class ConnectionCoeffs:
                 clean[(r, i, j)] = value
         return clean
 
-    def __setattr__(self, name, v):  # pragma: no cover
-        raise AttributeError("ConnectionCoeffs is immutable")
-
     @staticmethod
     def zero(chart: ChartSpec) -> "ConnectionCoeffs":
         return ConnectionCoeffs(chart, {})
@@ -667,30 +632,16 @@ def _same_chart(a, b) -> None:
 # -- deterministic text rendering (CLI and reports) --------------------------
 
 def format_vector(Z: VectorField) -> list[str]:
-    if not Z.components:
-        return ["0"]
-    return [f"d/d{c.name}: {format_expr(Z.components[c])}"
-            for c in _sorted_coords(Z.components)]
+    return Z._lines()
 
 
 def format_oneform(w: OneForm) -> list[str]:
-    if not w.components:
-        return ["0"]
-    return [f"d{c.name}: {format_expr(w.components[c])}"
-            for c in _sorted_coords(w.components)]
+    return w._lines()
 
 
 def format_endo(T: EndoField) -> list[str]:
-    if not T.entries:
-        return ["0"]
-    keys = sorted(T.entries, key=lambda k: (k[0].sort_key(), k[1].sort_key()))
-    return [f"d/d{o.name} <- d/d{i.name}: {format_expr(T.entries[(o, i)])}"
-            for o, i in keys]
+    return T._lines()
 
 
 def format_bilinear(B: Bilinear) -> list[str]:
-    if not B.entries:
-        return ["0"]
-    keys = sorted(B.entries, key=lambda k: (k[0].sort_key(), k[1].sort_key()))
-    return [f"d{a.name} (x) d{b.name}: {format_expr(B.entries[(a, b)])}"
-            for a, b in keys]
+    return B._lines()

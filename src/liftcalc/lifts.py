@@ -80,12 +80,19 @@ class LiftError(Exception):
 
 VF_KINDS = ("v", "c", "cv")
 
+# Cache bounds.  One `check all --m 1 --k 2` run leaves about 3.8k entries in
+# `_complete_expr` and 5.6k in `_complete_step_expr`, so the complete-lift
+# bound holds a whole run without evicting.
+_COMPLETE_CACHE_SIZE = 8192
+_SYSTEM_CACHE_SIZE = 256
+_VF_SOLVE_CACHE_SIZE = 1024
+
 
 # ---------------------------------------------------------------------------
 # Function lifts
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_COMPLETE_CACHE_SIZE)
 def _complete_step_expr(expr: Expr) -> Expr:
     """One complete-lift step at the expression level."""
     out = Expr.zero()
@@ -101,7 +108,7 @@ def _complete_step_expr(expr: Expr) -> Expr:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_COMPLETE_CACHE_SIZE)
 def _complete_expr(expr: Expr, steps: int) -> Expr:
     out = expr
     for _ in range(steps):
@@ -217,30 +224,42 @@ def vf_vertical_closed(Z: VectorField, k: int) -> VectorField:
     return VectorField(target, comps)
 
 
+def _closed(obj, k: int, what: str,
+            slots: Sequence[tuple[int, int, int | Fraction]]):
+    """Closed-form complete or complete-vertical lift of a base vector field
+    or one-form to the order-k chart.  The time component must be constant
+    and stays on the time slot.  Each other component lands on every
+    ``(level, steps, weight)`` slot as ``weight`` times its ``steps``-fold
+    complete lift, at that level of the same direction."""
+    chart0 = obj.chart
+    comps: dict[CoordId, Expr] = {}
+    if chart0.has_time:
+        tc = _constant_time_component(obj.component(TIME), what)
+        if not tc.is_zero():
+            comps[TIME] = tc
+    for coord, comp in obj.components.items():
+        if coord.kind == Kind.TIME:
+            continue
+        for level, steps, weight in slots:
+            value = _complete_expr(comp, steps)
+            if value.is_zero():
+                continue
+            if weight != 1:
+                value = value * weight
+            slot = CoordId(coord.kind, level, coord.index)
+            comps[slot] = comps.get(slot, Expr.zero()) + value
+    return type(obj)(chart0.extend(k), comps)
+
+
 def vf_complete_closed(Z: VectorField, k: int) -> VectorField:
     """Closed-form complete lift: the level-r slot of direction i carries
     C(k, r) times the mixed lift (Z-component)^{v^{k-r} c^r}.  Requires a
     constant time component."""
-    chart0 = _require_base_chart(Z, "complete lift input")
+    _require_base_chart(Z, "complete lift input")
     if k < 0:
         raise LiftError("lift order must be non-negative")
-    target = chart0.extend(k)
-    comps: dict[CoordId, Expr] = {}
-    if chart0.has_time:
-        tc = _constant_time_component(Z.component(TIME), "closed-form complete lift")
-        if not tc.is_zero():
-            comps[TIME] = tc
-    for coord, comp in Z.components.items():
-        if coord.kind == Kind.TIME:
-            continue
-        for r in range(k + 1):
-            value = _complete_expr(comp, r)
-            if value.is_zero():
-                continue
-            weighted = value * binomial(k, r)
-            slot = CoordId(coord.kind, r, coord.index)
-            comps[slot] = comps.get(slot, Expr.zero()) + weighted
-    return VectorField(target, comps)
+    return _closed(Z, k, "closed-form complete lift",
+                   [(r, r, binomial(k, r)) for r in range(k + 1)])
 
 
 def vf_cv_closed(Z: VectorField, r: int, s: int) -> VectorField:
@@ -250,27 +269,10 @@ def vf_cv_closed(Z: VectorField, r: int, s: int) -> VectorField:
     if r < 0 or s < 0:
         raise LiftError("lift split must be non-negative")
     k = r + s
-    chart0 = _require_base_chart(Z, "complete-vertical lift input")
-    target = chart0.extend(k)
-    comps: dict[CoordId, Expr] = {}
-    if chart0.has_time:
-        tc = _constant_time_component(Z.component(TIME),
-                                      "closed-form complete-vertical lift")
-        if not tc.is_zero():
-            comps[TIME] = tc
-    for coord, comp in Z.components.items():
-        if coord.kind == Kind.TIME:
-            continue
-        for level in range(s, k + 1):
-            if k - level > r:
-                continue
-            value = _complete_expr(comp, level - s)
-            if value.is_zero():
-                continue
-            weighted = value * binomial(r, k - level)
-            slot = CoordId(coord.kind, level, coord.index)
-            comps[slot] = comps.get(slot, Expr.zero()) + weighted
-    return VectorField(target, comps)
+    _require_base_chart(Z, "complete-vertical lift input")
+    return _closed(Z, k, "closed-form complete-vertical lift",
+                   [(level, level - s, binomial(r, k - level))
+                    for level in range(s, k + 1)])
 
 
 def of_vertical_closed(w: OneForm, k: int) -> OneForm:
@@ -286,25 +288,11 @@ def of_complete_closed(w: OneForm, k: int) -> OneForm:
     """Closed-form complete lift of a one-form: the level-r slot of index i
     carries (w-component)^{c^{k-r} v^r}, with no binomial weight.  The time
     component must be constant and stays on dt."""
-    chart0 = _require_base_chart(w, "complete lift input")
+    _require_base_chart(w, "complete lift input")
     if k < 0:
         raise LiftError("lift order must be non-negative")
-    target = chart0.extend(k)
-    comps: dict[CoordId, Expr] = {}
-    if chart0.has_time:
-        tc = _constant_time_component(w.component(TIME), "closed-form complete lift")
-        if not tc.is_zero():
-            comps[TIME] = tc
-    for coord, comp in w.components.items():
-        if coord.kind == Kind.TIME:
-            continue
-        for r in range(k + 1):
-            value = _complete_expr(comp, k - r)
-            if value.is_zero():
-                continue
-            slot = CoordId(coord.kind, r, coord.index)
-            comps[slot] = comps.get(slot, Expr.zero()) + value
-    return OneForm(target, comps)
+    return _closed(w, k, "closed-form complete lift",
+                   [(r, k - r, 1) for r in range(k + 1)])
 
 
 def of_cv_closed(w: OneForm, r: int, s: int) -> OneForm:
@@ -314,25 +302,11 @@ def of_cv_closed(w: OneForm, r: int, s: int) -> OneForm:
     if r < 0 or s < 0:
         raise LiftError("lift split must be non-negative")
     k = r + s
-    chart0 = _require_base_chart(w, "complete-vertical lift input")
-    target = chart0.extend(k)
-    comps: dict[CoordId, Expr] = {}
-    if chart0.has_time:
-        tc = _constant_time_component(w.component(TIME),
-                                      "closed-form complete-vertical lift")
-        if not tc.is_zero():
-            comps[TIME] = tc
-    for coord, comp in w.components.items():
-        if coord.kind == Kind.TIME:
-            continue
-        for level in range(0, r + 1):
-            value = _complete_expr(comp, r - level)
-            if value.is_zero():
-                continue
-            weight = Fraction(binomial(r, level), binomial(k, level))
-            slot = CoordId(coord.kind, level, coord.index)
-            comps[slot] = comps.get(slot, Expr.zero()) + value * weight
-    return OneForm(target, comps)
+    _require_base_chart(w, "complete-vertical lift input")
+    return _closed(w, k, "closed-form complete-vertical lift",
+                   [(level, r - level,
+                     Fraction(binomial(r, level), binomial(k, level)))
+                    for level in range(r + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +588,6 @@ class _System:
 # Systems by key.  A key is a builder followed by its arguments (chart,
 # order, unknown layout, test stage); the rows depend on nothing else, so
 # every input with the same key shares them and their factorisation.
-_SYSTEM_CACHE_SIZE = 256
 _SYSTEM_CACHE: OrderedDict = OrderedDict()
 
 
@@ -852,7 +825,6 @@ def vf_defining_residuals(Z: VectorField, lifted: VectorField, kind: str,
 
 # -- cached complete lifts of test vector fields ------------------------------
 
-_VF_SOLVE_CACHE_SIZE = 1024
 _VF_SOLVE_CACHE: OrderedDict = OrderedDict()
 
 
@@ -1108,36 +1080,6 @@ def t02_defining_residuals(G: Bilinear, lifted: Bilinear, kind: str, k: int, *,
 # Basis lift tables
 # ---------------------------------------------------------------------------
 
-def _compact_vector(Z: VectorField) -> str:
-    if not Z.components:
-        return "0"
-    parts = []
-    for c in sorted(Z.components, key=lambda c: c.sort_key()):
-        comp = Z.components[c]
-        if comp == Expr.one():
-            parts.append(f"d/d{c.name}")
-        elif comp == -Expr.one():
-            parts.append(f"-d/d{c.name}")
-        else:
-            parts.append(f"({format_expr(comp)})*d/d{c.name}")
-    return " + ".join(parts)
-
-
-def _compact_oneform(w: OneForm) -> str:
-    if not w.components:
-        return "0"
-    parts = []
-    for c in sorted(w.components, key=lambda c: c.sort_key()):
-        comp = w.components[c]
-        if comp == Expr.one():
-            parts.append(f"d{c.name}")
-        elif comp == -Expr.one():
-            parts.append(f"-d{c.name}")
-        else:
-            parts.append(f"({format_expr(comp)})*d{c.name}")
-    return " + ".join(parts)
-
-
 def basis_lift_rows(m: int, k: int, has_time: bool = True,
                     conn: ConnectionCoeffs | None = None
                     ) -> list[tuple[str, str]]:
@@ -1156,23 +1098,23 @@ def basis_lift_rows(m: int, k: int, has_time: bool = True,
         name = coord.name
         basis = VectorField.basis(chart0, coord)
         rows.append((f"(d/d{name})^{{v^{k}}}",
-                     _compact_vector(vf_vertical_closed(basis, k))))
+                     vf_vertical_closed(basis, k)._compact()))
         rows.append((f"(d/d{name})^{{c^{k}}}",
-                     _compact_vector(vf_complete_closed(basis, k))))
+                     vf_complete_closed(basis, k)._compact()))
         if has_time:
             rows.append((f"(d/d{name})^{{H^{k}}}",
-                         _compact_vector(vf_horizontal(basis, conn))))
+                         vf_horizontal(basis, conn)._compact()))
 
     def of_rows(coord: CoordId) -> None:
         name = coord.name
         diff = OneForm.differential_of(chart0, coord)
         rows.append((f"(d{name})^{{v^{k}}}",
-                     _compact_oneform(of_vertical_closed(diff, k))))
+                     of_vertical_closed(diff, k)._compact()))
         rows.append((f"(d{name})^{{c^{k}}}",
-                     _compact_oneform(of_complete_closed(diff, k))))
+                     of_complete_closed(diff, k)._compact()))
         if has_time and coord.kind != Kind.TIME:
             rows.append((f"(d{name})^{{H^{k}}}",
-                         _compact_oneform(of_horizontal(diff, conn))))
+                         of_horizontal(diff, conn)._compact()))
 
     if has_time:
         vf_rows(TIME)

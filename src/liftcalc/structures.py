@@ -30,6 +30,12 @@ class StructureError(Exception):
     """A structure constructor was used outside its domain."""
 
 
+def _diagonal(chart: ChartSpec) -> EndoField:
+    i = Expr.imag_unit()
+    return EndoField(chart, {(coord, coord): i if coord.kind == Kind.HOLO else -i
+                             for coord in chart.coordinates()})
+
+
 def build_Jk(chart: ChartSpec) -> EndoField:
     """The diagonal complex structure of an extension chart: i on every
     holomorphic direction, -i on every antiholomorphic one.  Time-free
@@ -37,11 +43,7 @@ def build_Jk(chart: ChartSpec) -> EndoField:
     if chart.has_time:
         raise StructureError(
             "the diagonal complex structure lives on time-free charts")
-    i = Expr.imag_unit()
-    entries: dict[tuple[CoordId, CoordId], Expr] = {}
-    for coord in chart.coordinates():
-        entries[(coord, coord)] = i if coord.kind == Kind.HOLO else -i
-    return EndoField(chart, entries)
+    return _diagonal(chart)
 
 
 def build_Jk_star(chart: ChartSpec) -> EndoField:
@@ -51,11 +53,7 @@ def build_Jk_star(chart: ChartSpec) -> EndoField:
     if chart.has_time:
         raise StructureError(
             "the cobasis complex structure lives on time-free charts")
-    i = Expr.imag_unit()
-    entries: dict[tuple[CoordId, CoordId], Expr] = {}
-    for coord in chart.coordinates():
-        entries[(coord, coord)] = i if coord.kind == Kind.HOLO else -i
-    return EndoField(chart, entries)
+    return _diagonal(chart)
 
 
 def star_apply(S: EndoField, w: OneForm) -> OneForm:
@@ -137,15 +135,8 @@ class HermitianPackage:
             entries[(z, zb)] = one
             entries[(zb, z)] = one
         metric = Bilinear(chart, entries)
-        J = build_Jk(chart)
-        phi_entries: dict[tuple[CoordId, CoordId], Expr] = {}
-        for (a, c), g in metric.entries.items():
-            for (cc, b), j in J.entries.items():
-                if cc == c:
-                    key = (a, b)
-                    phi_entries[key] = phi_entries.get(key, Expr.zero()) + g * j
-        phi = Bilinear(chart, phi_entries)
-        return HermitianPackage(chart, metric, J, phi)
+        J = _diagonal(chart)
+        return HermitianPackage(chart, metric, J, fundamental_bilinear(metric, J))
 
     def fundamental_form(self) -> AltForm:
         return kaehler_form(self.metric, self.J)

@@ -879,6 +879,11 @@ def format_expr(e: Expr) -> str:
 
 _COORD_RE = re.compile(r"(zb?)(\d+)_(\d+)")
 
+# A power whose total degree (base degree times exponent) exceeds this is
+# refused: expanding it costs time and memory that grow steeply with the
+# degree (a four-term degree-2 base takes seconds at exponent 60).
+_MAX_POWER_DEGREE = 64
+
 
 class _Scanner:
     def __init__(self, text: str):
@@ -996,6 +1001,10 @@ class _Parser:
             if kind != "nat":
                 raise ParseError("expected a natural-number exponent", pos)
             self.scanner.advance()
+            degree = base.degree() * val
+            if degree > _MAX_POWER_DEGREE:
+                raise ParseError(f"power of degree {degree} exceeds the limit "
+                                 f"{_MAX_POWER_DEGREE}", pos)
             return base ** val
         return base
 

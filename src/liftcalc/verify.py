@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .charts import ChartSpec
 from .fields import (
@@ -366,97 +366,29 @@ def _evaluate(clause: Clause, ctx: SuiteContext) -> ClauseOutcome:
 # witness rendering
 
 
-def _fmt(e: Expr) -> str:
-    return format_expr(e)
-
-
-def _coord_sorted(coords: Iterable[CoordId]) -> list[CoordId]:
-    return sorted(coords, key=lambda c: c.sort_key())
-
-
 def _sf_str(f: ScalarField) -> str:
-    return _fmt(f.value)
-
-
-def _vf_str(Z: VectorField) -> str:
-    parts = [f"({_fmt(Z.components[c])})*d/d{c.name}"
-             for c in _coord_sorted(Z.components)]
-    return " + ".join(parts) if parts else "0"
-
-
-def _of_str(w: OneForm) -> str:
-    parts = [f"({_fmt(w.components[c])})*d{c.name}"
-             for c in _coord_sorted(w.components)]
-    return " + ".join(parts) if parts else "0"
+    return format_expr(f.value)
 
 
 def _witness(inputs: Sequence[tuple[str, str]], slot: str,
              left: Expr, right: Expr) -> str:
     parts = [f"{name} = {text}" for name, text in inputs]
-    parts.append(f"{slot}: left = {_fmt(left)}; right = {_fmt(right)}")
+    parts.append(f"{slot}: left = {format_expr(left)}; right = {format_expr(right)}")
     return "; ".join(parts)
 
 
-def _check_sf(inputs: Sequence[tuple[str, str]], left: ScalarField,
-              right: ScalarField) -> str | None:
+def _check(inputs: Sequence[tuple[str, str]], left, right) -> str | None:
+    """Witness of the first difference between two values of one shape
+    (scalar field, expression, or a component-map field), or None when they
+    are equal."""
     if left == right:
         return None
-    return _witness(inputs, "value", left.value, right.value)
-
-
-def _check_expr(inputs: Sequence[tuple[str, str]], left: Expr,
-                right: Expr) -> str | None:
-    if left == right:
-        return None
-    return _witness(inputs, "value", left, right)
-
-
-def _check_vf(inputs: Sequence[tuple[str, str]], left: VectorField,
-              right: VectorField) -> str | None:
-    if left == right:
-        return None
-    for c in _coord_sorted(set(left.components) | set(right.components)):
-        l, r = left.component(c), right.component(c)
-        if l != r:
-            return _witness(inputs, f"component d/d{c.name}", l, r)
-    return None
-
-
-def _check_of(inputs: Sequence[tuple[str, str]], left: OneForm,
-              right: OneForm) -> str | None:
-    if left == right:
-        return None
-    for c in _coord_sorted(set(left.components) | set(right.components)):
-        l, r = left.component(c), right.component(c)
-        if l != r:
-            return _witness(inputs, f"component d{c.name}", l, r)
-    return None
-
-
-def _check_endo(inputs: Sequence[tuple[str, str]], left: EndoField,
-                right: EndoField) -> str | None:
-    if left == right:
-        return None
-    keys = set(left.entries) | set(right.entries)
-    for a, b in sorted(keys, key=lambda ab: (ab[0].sort_key(),
-                                             ab[1].sort_key())):
-        l, r = left.entry(a, b), right.entry(a, b)
-        if l != r:
-            return _witness(inputs, f"entry d/d{a.name} <- d/d{b.name}", l, r)
-    return None
-
-
-def _check_bil(inputs: Sequence[tuple[str, str]], left: Bilinear,
-               right: Bilinear) -> str | None:
-    if left == right:
-        return None
-    keys = set(left.entries) | set(right.entries)
-    for a, b in sorted(keys, key=lambda ab: (ab[0].sort_key(),
-                                             ab[1].sort_key())):
-        l, r = left.entry(a, b), right.entry(a, b)
-        if l != r:
-            return _witness(inputs, f"entry d{a.name} (x) d{b.name}", l, r)
-    return None
+    if isinstance(left, ScalarField):
+        left, right = left.value, right.value
+    if isinstance(left, Expr):
+        return _witness(inputs, "value", left, right)
+    first = left._first_difference(right)
+    return None if first is None else _witness(inputs, *first)
 
 
 # ---------------------------------------------------------------------------
@@ -529,25 +461,25 @@ def _functions_clauses(ctx: SuiteContext) -> list[Clause]:
     def run_add_vertical(ctx: SuiteContext):
         def one():
             f, g = ctx.gen.scalar(chart0), ctx.gen.scalar(chart0)
-            return _check_sf([("f", _sf_str(f)), ("g", _sf_str(g))],
-                             fn_vertical(f + g, k),
-                             fn_vertical(f, k) + fn_vertical(g, k))
+            return _check([("f", _sf_str(f)), ("g", _sf_str(g))],
+                          fn_vertical(f + g, k),
+                          fn_vertical(f, k) + fn_vertical(g, k))
         return _sample_loop(ctx, one)
 
     def run_mul_vertical(ctx: SuiteContext):
         def one():
             f, g = ctx.gen.scalar(chart0), ctx.gen.scalar(chart0)
-            return _check_sf([("f", _sf_str(f)), ("g", _sf_str(g))],
-                             fn_vertical(f * g, k),
-                             fn_vertical(f, k) * fn_vertical(g, k))
+            return _check([("f", _sf_str(f)), ("g", _sf_str(g))],
+                          fn_vertical(f * g, k),
+                          fn_vertical(f, k) * fn_vertical(g, k))
         return _sample_loop(ctx, one)
 
     def run_add_complete(ctx: SuiteContext):
         def one():
             f, g = ctx.gen.scalar(chart0), ctx.gen.scalar(chart0)
-            return _check_sf([("f", _sf_str(f)), ("g", _sf_str(g))],
-                             fn_complete(f + g, k),
-                             fn_complete(f, k) + fn_complete(g, k))
+            return _check([("f", _sf_str(f)), ("g", _sf_str(g))],
+                          fn_complete(f + g, k),
+                          fn_complete(f, k) + fn_complete(g, k))
         return _sample_loop(ctx, one)
 
     def run_mul_complete(ctx: SuiteContext):
@@ -560,8 +492,8 @@ def _functions_clauses(ctx: SuiteContext) -> list[Clause]:
                     * fn_complete_vertical(g, j, k - j)
                 right = right + ScalarField(ctx.chartk,
                                             term.value * binomial(k, j))
-            return _check_sf([("f", _sf_str(f)), ("g", _sf_str(g))],
-                             left, right)
+            return _check([("f", _sf_str(f)), ("g", _sf_str(g))],
+                          left, right)
         return _sample_loop(ctx, one)
 
     def run_dz_exchange(kind: str):
@@ -577,7 +509,7 @@ def _functions_clauses(ctx: SuiteContext) -> list[Clause]:
                             ScalarField(chart0, f.value.diff(c0)), kind, k)
                         right = ScalarField(ctx.chartk,
                                             lifted.value.diff(ck))
-                        w = _check_sf(
+                        w = _check(
                             [("f", _sf_str(f)), ("coordinate", c0.name)],
                             left, right)
                         if w is not None:
@@ -593,7 +525,7 @@ def _functions_clauses(ctx: SuiteContext) -> list[Clause]:
                                 kind, k)
                 right = ScalarField(ctx.chartk,
                                     fn_complete(f, k).value.diff(TIME))
-                return _check_sf([("f", _sf_str(f))], left, right)
+                return _check([("f", _sf_str(f))], left, right)
             probes = [lambda: check(probe_t_z())] if _t_probe_allowed(ctx) \
                 else []
             return _sample_loop(ctx, lambda: check(ctx.gen.scalar(chart0)),
@@ -603,8 +535,8 @@ def _functions_clauses(ctx: SuiteContext) -> list[Clause]:
     def run_horizontal_zero(ctx: SuiteContext):
         def check(f: ScalarField):
             left = fn_horizontal(f, k)
-            return _check_sf([("f", _sf_str(f))], left,
-                             ScalarField(ctx.chartk, Expr.zero()))
+            return _check([("f", _sf_str(f))], left,
+                          ScalarField(ctx.chartk, Expr.zero()))
         probes = [lambda: check(ScalarField(chart0, Expr.atom(TIME)))] \
             if _t_probe_allowed(ctx) else []
         return _sample_loop(ctx, lambda: check(ctx.gen.scalar(chart0)),
@@ -613,16 +545,16 @@ def _functions_clauses(ctx: SuiteContext) -> list[Clause]:
     def run_add_horizontal(ctx: SuiteContext):
         def one():
             f, g = ctx.gen.scalar(chart0), ctx.gen.scalar(chart0)
-            return _check_sf([("f", _sf_str(f)), ("g", _sf_str(g))],
-                             fn_horizontal(f + g, k),
-                             fn_horizontal(f, k) + fn_horizontal(g, k))
+            return _check([("f", _sf_str(f)), ("g", _sf_str(g))],
+                          fn_horizontal(f + g, k),
+                          fn_horizontal(f, k) + fn_horizontal(g, k))
         return _sample_loop(ctx, one)
 
     def run_mul_horizontal_zero(ctx: SuiteContext):
         def check(f: ScalarField, g: ScalarField):
-            return _check_sf([("f", _sf_str(f)), ("g", _sf_str(g))],
-                             fn_horizontal(f * g, k),
-                             ScalarField(ctx.chartk, Expr.zero()))
+            return _check([("f", _sf_str(f)), ("g", _sf_str(g))],
+                          fn_horizontal(f * g, k),
+                          ScalarField(ctx.chartk, Expr.zero()))
         def probe():
             z = next(iter(chart0.holo_coords(0)))
             return check(ScalarField(chart0, Expr.atom(TIME)),
@@ -638,8 +570,8 @@ def _functions_clauses(ctx: SuiteContext) -> list[Clause]:
             for r, s in _cv_splits(k):
                 left = fn_vertical(fn_complete(f, r), s)
                 right = fn_complete(fn_vertical(f, s), r)
-                w = _check_sf([("f", _sf_str(f)), ("split", f"({r},{s})")],
-                              left, right)
+                w = _check([("f", _sf_str(f)), ("split", f"({r},{s})")],
+                           left, right)
                 if w is not None:
                     return w
             return None
@@ -648,12 +580,12 @@ def _functions_clauses(ctx: SuiteContext) -> list[Clause]:
     def run_cv_endpoints(ctx: SuiteContext):
         def one():
             f = ctx.gen.scalar(chart0)
-            w = _check_sf([("f", _sf_str(f)), ("split", f"({k},0)")],
-                          fn_complete_vertical(f, k, 0), fn_complete(f, k))
+            w = _check([("f", _sf_str(f)), ("split", f"({k},0)")],
+                       fn_complete_vertical(f, k, 0), fn_complete(f, k))
             if w is not None:
                 return w
-            return _check_sf([("f", _sf_str(f)), ("split", f"(0,{k})")],
-                             fn_complete_vertical(f, 0, k), fn_vertical(f, k))
+            return _check([("f", _sf_str(f)), ("split", f"(0,{k})")],
+                          fn_complete_vertical(f, 0, k), fn_vertical(f, k))
         return _sample_loop(ctx, one)
 
     return [
@@ -695,8 +627,8 @@ def _vectors_clauses(ctx: SuiteContext) -> list[Clause]:
                     lift = lambda X: vf_horizontal(X, ctx.conn)
                 else:
                     lift = lambda X: vf_lift_solve(X, kind, k)
-                return _check_vf([("Z", _vf_str(Z)), ("W", _vf_str(W))],
-                                 lift(Z + W), lift(Z) + lift(W))
+                return _check([("Z", Z._inline()), ("W", W._inline())],
+                              lift(Z + W), lift(Z) + lift(W))
             return _sample_loop(ctx, one)
         return run
 
@@ -706,8 +638,8 @@ def _vectors_clauses(ctx: SuiteContext) -> list[Clause]:
             Z = ctx.gen.vector(chart0)
             left = vf_lift_solve(Z.scaled(f.value), "v", k)
             right = vf_lift_solve(Z, "v", k).scaled(fn_vertical(f, k).value)
-            return _check_vf([("f", _sf_str(f)), ("Z", _vf_str(Z))],
-                             left, right)
+            return _check([("f", _sf_str(f)), ("Z", Z._inline())],
+                          left, right)
         return _sample_loop(ctx, one)
 
     def run_scale_complete(ctx: SuiteContext):
@@ -720,8 +652,8 @@ def _vectors_clauses(ctx: SuiteContext) -> list[Clause]:
                 fl = fn_complete_vertical(f, k - j, j).value
                 Zl = vf_lift_solve(Z, "cv", k, r=j, s=k - j)
                 right = right + Zl.scaled(fl * binomial(k, j))
-            return _check_vf([("f", _sf_str(f)), ("Z", _vf_str(Z))],
-                             left, right)
+            return _check([("f", _sf_str(f)), ("Z", Z._inline())],
+                          left, right)
         return _sample_loop(ctx, one)
 
     def run_action(lift_kind: str, fn_kind: str, zero_rhs: bool = False,
@@ -742,8 +674,8 @@ def _vectors_clauses(ctx: SuiteContext) -> list[Clause]:
                         if fn_kind == "v" or lift_kind == "v" \
                         else fn_complete(
                             ScalarField(chart0, Z.apply(f.value)), k)
-                return _check_sf([("f", _sf_str(f)), ("Z", _vf_str(Z))],
-                                 left, right)
+                return _check([("f", _sf_str(f)), ("Z", Z._inline())],
+                              left, right)
             probes = []
             if probe_expr is not None and _t_probe_allowed(ctx):
                 probes = [lambda: check(ScalarField(chart0, probe_expr()),
@@ -761,15 +693,15 @@ def _vectors_clauses(ctx: SuiteContext) -> list[Clause]:
             for label, lifted in (("defining", vf_lift_solve(Z, "c", k)),
                                   ("closed", vf_complete_closed(Z, k))):
                 rows += 1
-                w = _check_vf([("input", f"d/d{c0.name}"),
-                               ("route", label)], lifted, expect)
+                w = _check([("input", f"d/d{c0.name}"),
+                            ("route", label)], lifted, expect)
                 if w is not None:
                     return rows, w
         rows += 1
         T = VectorField.basis(chart0, TIME)
-        w = _check_vf([("input", "d/dt"), ("route", "defining")],
-                      vf_lift_solve(T, "c", k),
-                      VectorField.basis(ctx.chartk, TIME))
+        w = _check([("input", "d/dt"), ("route", "defining")],
+                   vf_lift_solve(T, "c", k),
+                   VectorField.basis(ctx.chartk, TIME))
         return rows, w
 
     def run_basis_vertical(ctx: SuiteContext):
@@ -781,21 +713,21 @@ def _vectors_clauses(ctx: SuiteContext) -> list[Clause]:
             for label, lifted in (("defining", vf_lift_solve(Z, "v", k)),
                                   ("closed", vf_vertical_closed(Z, k))):
                 rows += 1
-                w = _check_vf([("input", f"d/d{c0.name}"),
-                               ("route", label)], lifted, expect)
+                w = _check([("input", f"d/d{c0.name}"),
+                            ("route", label)], lifted, expect)
                 if w is not None:
                     return rows, w
         rows += 1
         T = VectorField.basis(chart0, TIME)
-        w = _check_vf([("input", "d/dt"), ("route", "defining")],
-                      vf_lift_solve(T, "v", k),
-                      VectorField.basis(ctx.chartk, TIME))
+        w = _check([("input", "d/dt"), ("route", "defining")],
+                   vf_lift_solve(T, "v", k),
+                   VectorField.basis(ctx.chartk, TIME))
         return rows, w
 
     def run_basis_horizontal_time(ctx: SuiteContext):
         T = VectorField.basis(chart0, TIME)
-        w = _check_vf([("input", "d/dt")], vf_horizontal(T, ctx.conn),
-                      VectorField.basis(ctx.chartk, TIME))
+        w = _check([("input", "d/dt")], vf_horizontal(T, ctx.conn),
+                   VectorField.basis(ctx.chartk, TIME))
         return 1, w
 
     def run_basis_horizontal(ctx: SuiteContext):
@@ -807,8 +739,8 @@ def _vectors_clauses(ctx: SuiteContext) -> list[Clause]:
                                frame.Dbar[(0, i)])):
                 rows += 1
                 Z = VectorField.basis(chart0, c0)
-                w = _check_vf([("input", f"d/d{c0.name}")],
-                              vf_horizontal(Z, ctx.conn), guide)
+                w = _check([("input", f"d/d{c0.name}")],
+                           vf_horizontal(Z, ctx.conn), guide)
                 if w is not None:
                     return rows, w
         return rows, None
@@ -819,8 +751,8 @@ def _vectors_clauses(ctx: SuiteContext) -> list[Clause]:
             for r, s in _cv_splits(k):
                 if r >= s:
                     continue
-                w = _check_vf(
-                    [("Z", _vf_str(Z)), ("split", f"({r},{s}) vs ({s},{r})")],
+                w = _check(
+                    [("Z", Z._inline()), ("split", f"({r},{s}) vs ({s},{r})")],
                     vf_lift_solve(Z, "cv", k, r=r, s=s),
                     vf_lift_solve(Z, "cv", k, r=s, s=r))
                 if w is not None:
@@ -839,8 +771,8 @@ def _vectors_clauses(ctx: SuiteContext) -> list[Clause]:
                     fl = fn_complete_vertical(f, r - h, s + h).value
                     Zl = vf_lift_solve(Z, "cv", k, r=h, s=k - h)
                     right = right + Zl.scaled(fl * binomial(r, h))
-                w = _check_vf([("f", _sf_str(f)), ("Z", _vf_str(Z)),
-                               ("split", f"({r},{s})")], left, right)
+                w = _check([("f", _sf_str(f)), ("Z", Z._inline()),
+                            ("split", f"({r},{s})")], left, right)
                 if w is not None:
                     return w
             return None
@@ -904,8 +836,8 @@ def _oneforms_clauses(ctx: SuiteContext) -> list[Clause]:
                     lift = lambda a: of_horizontal(a, ctx.conn)
                 else:
                     lift = lambda a: of_lift_solve(a, kind, k)
-                return _check_of([("u", _of_str(u)), ("w", _of_str(w))],
-                                 lift(u + w), lift(u) + lift(w))
+                return _check([("u", u._inline()), ("w", w._inline())],
+                              lift(u + w), lift(u) + lift(w))
             return _sample_loop(ctx, one)
         return run
 
@@ -915,8 +847,8 @@ def _oneforms_clauses(ctx: SuiteContext) -> list[Clause]:
             w = ctx.gen.oneform(chart0)
             left = of_lift_solve(w.scaled(f.value), "v", k)
             right = of_lift_solve(w, "v", k).scaled(fn_vertical(f, k).value)
-            return _check_of([("f", _sf_str(f)), ("w", _of_str(w))],
-                             left, right)
+            return _check([("f", _sf_str(f)), ("w", w._inline())],
+                          left, right)
         return _sample_loop(ctx, one)
 
     def run_scale_complete(ctx: SuiteContext):
@@ -929,8 +861,8 @@ def _oneforms_clauses(ctx: SuiteContext) -> list[Clause]:
                 fl = fn_complete_vertical(f, k - j, j).value
                 wl = of_lift_solve(w, "cv", k, r=j, s=k - j)
                 right = right + wl.scaled(fl * binomial(k, j))
-            return _check_of([("f", _sf_str(f)), ("w", _of_str(w))],
-                             left, right)
+            return _check([("f", _sf_str(f)), ("w", w._inline())],
+                          left, right)
         return _sample_loop(ctx, one)
 
     def run_action(form_kind: str, vec_kind: str, zero_rhs: bool = False):
@@ -955,8 +887,8 @@ def _oneforms_clauses(ctx: SuiteContext) -> list[Clause]:
                     out_kind = "c" if (form_kind == "c" and vec_kind == "c") \
                         else "v"
                     right = _sf_lift(base, out_kind, k)
-                return _check_sf([("w", _of_str(w)), ("Z", _vf_str(Z))],
-                                 left, right)
+                return _check([("w", w._inline()), ("Z", Z._inline())],
+                              left, right)
             return _sample_loop(ctx, one)
         return run
 
@@ -968,15 +900,15 @@ def _oneforms_clauses(ctx: SuiteContext) -> list[Clause]:
             for label, lifted in (("defining", of_lift_solve(w0, "v", k)),
                                   ("closed", of_vertical_closed(w0, k))):
                 rows += 1
-                wit = _check_of([("input", f"d{c0.name}"),
-                                 ("route", label)], lifted, expect)
+                wit = _check([("input", f"d{c0.name}"),
+                              ("route", label)], lifted, expect)
                 if wit is not None:
                     return rows, wit
         rows += 1
         dt = OneForm.differential_of(chart0, TIME)
-        wit = _check_of([("input", "dt"), ("route", "defining")],
-                        of_lift_solve(dt, "v", k),
-                        OneForm.differential_of(ctx.chartk, TIME))
+        wit = _check([("input", "dt"), ("route", "defining")],
+                     of_lift_solve(dt, "v", k),
+                     OneForm.differential_of(ctx.chartk, TIME))
         return rows, wit
 
     def run_basis_complete(ctx: SuiteContext):
@@ -988,15 +920,15 @@ def _oneforms_clauses(ctx: SuiteContext) -> list[Clause]:
             for label, lifted in (("defining", of_lift_solve(w0, "c", k)),
                                   ("closed", of_complete_closed(w0, k))):
                 rows += 1
-                wit = _check_of([("input", f"d{c0.name}"),
-                                 ("route", label)], lifted, expect)
+                wit = _check([("input", f"d{c0.name}"),
+                              ("route", label)], lifted, expect)
                 if wit is not None:
                     return rows, wit
         rows += 1
         dt = OneForm.differential_of(chart0, TIME)
-        wit = _check_of([("input", "dt"), ("route", "closed")],
-                        of_complete_closed(dt, k),
-                        OneForm.differential_of(ctx.chartk, TIME))
+        wit = _check([("input", "dt"), ("route", "closed")],
+                     of_complete_closed(dt, k),
+                     OneForm.differential_of(ctx.chartk, TIME))
         return rows, wit
 
     def run_basis_horizontal(ctx: SuiteContext):
@@ -1008,8 +940,8 @@ def _oneforms_clauses(ctx: SuiteContext) -> list[Clause]:
                              frame.etabar[(0, i)])):
                 rows += 1
                 w0 = OneForm.differential_of(chart0, c0)
-                wit = _check_of([("input", f"d{c0.name}")],
-                                of_horizontal(w0, ctx.conn), eta)
+                wit = _check([("input", f"d{c0.name}")],
+                             of_horizontal(w0, ctx.conn), eta)
                 if wit is not None:
                     return rows, wit
         return rows, None
@@ -1029,8 +961,8 @@ def _oneforms_clauses(ctx: SuiteContext) -> list[Clause]:
             for r, s in _cv_splits(k):
                 if r >= s:
                     continue
-                wit = _check_of(
-                    [("w", _of_str(w)), ("split", f"({r},{s}) vs ({s},{r})")],
+                wit = _check(
+                    [("w", w._inline()), ("split", f"({r},{s}) vs ({s},{r})")],
                     of_lift_solve(w, "cv", k, r=r, s=s),
                     of_lift_solve(w, "cv", k, r=s, s=r))
                 if wit is not None:
@@ -1049,8 +981,8 @@ def _oneforms_clauses(ctx: SuiteContext) -> list[Clause]:
                     fl = fn_complete_vertical(f, r - h, s + h).value
                     wl = of_lift_solve(w, "cv", k, r=h, s=k - h)
                     right = right + wl.scaled(fl * binomial(r, h))
-                wit = _check_of([("f", _sf_str(f)), ("w", _of_str(w)),
-                                 ("split", f"({r},{s})")], left, right)
+                wit = _check([("f", _sf_str(f)), ("w", w._inline()),
+                              ("split", f"({r},{s})")], left, right)
                 if wit is not None:
                     return wit
             return None
@@ -1099,8 +1031,8 @@ def _tensors_clauses(ctx: SuiteContext) -> list[Clause]:
                 lifted = t11_lift_solve(phi, kind, k)
                 left = lifted.apply_vector(vf_lift_solve(xi, "c", k))
                 right = vf_lift_solve(phi.apply_vector(xi), kind, k)
-                return _check_vf([("phi entries", _endo_str(phi)),
-                                  ("xi", _vf_str(xi))], left, right)
+                return _check([("phi entries", _endo_str(phi)),
+                               ("xi", xi._inline())], left, right)
             return _sample_loop(ctx, one)
         return run
 
@@ -1112,8 +1044,8 @@ def _tensors_clauses(ctx: SuiteContext) -> list[Clause]:
                 lifted = t11_lift_solve(phi, kind, k)
                 left = lifted.apply_form(of_lift_solve(eta, kind, k))
                 right = of_lift_solve(phi.apply_form(eta), kind, k)
-                return _check_of([("phi entries", _endo_str(phi)),
-                                  ("eta", _of_str(eta))], left, right)
+                return _check([("phi entries", _endo_str(phi)),
+                               ("eta", eta._inline())], left, right)
             return _sample_loop(ctx, one)
         return run
 
@@ -1124,8 +1056,8 @@ def _tensors_clauses(ctx: SuiteContext) -> list[Clause]:
             lifted = t11_lift_solve(phi, "c", k)
             left = lifted.apply_vector(vf_lift_solve(xi, "c", k))
             right = vf_lift_solve(phi.apply_vector(xi), "v", k)
-            return _check_vf([("phi entries", _endo_str(phi)),
-                              ("xi", _vf_str(xi))], left, right)
+            return _check([("phi entries", _endo_str(phi)),
+                           ("xi", xi._inline())], left, right)
         return _sample_loop(ctx, one)
 
     def run_t02(kind: str):
@@ -1138,8 +1070,8 @@ def _tensors_clauses(ctx: SuiteContext) -> list[Clause]:
                                        vf_lift_solve(Y, "c", k))
                 right = _sf_lift(ScalarField(chart0, G.evaluate(X, Y)),
                                  kind, k).value
-                return _check_expr([("X", _vf_str(X)), ("Y", _vf_str(Y))],
-                                   left, right)
+                return _check([("X", X._inline()), ("Y", Y._inline())],
+                              left, right)
             return _sample_loop(ctx, one)
         return run
 
@@ -1159,7 +1091,7 @@ def _tensors_clauses(ctx: SuiteContext) -> list[Clause]:
 def _endo_str(phi: EndoField) -> str:
     keys = sorted(phi.entries, key=lambda ab: (ab[0].sort_key(),
                                                ab[1].sort_key()))
-    parts = [f"[{a.name},{b.name}]={_fmt(phi.entries[(a, b)])}"
+    parts = [f"[{a.name},{b.name}]={format_expr(phi.entries[(a, b)])}"
              for a, b in keys]
     return "{" + ", ".join(parts) + "}" if parts else "0"
 
@@ -1191,9 +1123,9 @@ def _structures_clauses(ctx: SuiteContext) -> list[Clause]:
     def run_square(builder):
         def run(ctx: SuiteContext):
             S = builder(chartk)
-            w = _check_endo([("chart", f"m={m} k={k}")], S.compose(S),
-                            EndoField.identity(chartk).scaled(Expr.zero()
-                                                              - Expr.one()))
+            w = _check([("chart", f"m={m} k={k}")], S.compose(S),
+                       EndoField.identity(chartk).scaled(Expr.zero()
+                                                         - Expr.one()))
             return 1, w
         return run
 
@@ -1204,19 +1136,19 @@ def _structures_clauses(ctx: SuiteContext) -> list[Clause]:
                                                kind, k)
             bad = [e for e in residuals if not e.is_zero()]
             if bad:
-                return 2, f"kind = {kind}; residual = {_fmt(bad[0])}"
+                return 2, f"kind = {kind}; residual = {format_expr(bad[0])}"
         return 2, None
 
     def run_lift_square(ctx: SuiteContext):
         J = _lifted_J(m, "c", k)
-        w = _check_endo([("kind", "c")], J.compose(J),
-                        EndoField.identity(chartk).scaled(Expr.zero()
-                                                          - Expr.one()))
+        w = _check([("kind", "c")], J.compose(J),
+                   EndoField.identity(chartk).scaled(Expr.zero()
+                                                     - Expr.one()))
         return 1, w
 
     def run_lift_coincides(ctx: SuiteContext):
-        w = _check_endo([("kind", "c")], _lifted_J(m, "c", k),
-                        build_Jk(chartk))
+        w = _check([("kind", "c")], _lifted_J(m, "c", k),
+                   build_Jk(chartk))
         return 1, w
 
     def run_star_duality(ctx: SuiteContext):
@@ -1229,8 +1161,8 @@ def _structures_clauses(ctx: SuiteContext) -> list[Clause]:
                                       for c in chartk.coordinates()})
             left = star_apply(Jstar, alpha).pair(xi)
             right = alpha.pair(J.apply_vector(xi))
-            return _check_expr([("alpha", _of_str(alpha)),
-                                ("xi", _vf_str(xi))], left, right)
+            return _check([("alpha", alpha._inline()),
+                           ("xi", xi._inline())], left, right)
         return _sample_loop(ctx, one)
 
     def run_metric_compat(kind: str):
@@ -1241,8 +1173,8 @@ def _structures_clauses(ctx: SuiteContext) -> list[Clause]:
                 Jk = _lifted_J(m, "c", k)
                 if hermitian_check(gk, Jk):
                     return None
-                return _check_bil([("metric", "mixed-entry symmetric")],
-                                  gk.pullback_endo(Jk), gk)
+                return _check([("metric", "mixed-entry symmetric")],
+                              gk.pullback_endo(Jk), gk)
             return _sample_loop(ctx, one)
         return run
 
@@ -1254,7 +1186,7 @@ def _structures_clauses(ctx: SuiteContext) -> list[Clause]:
             for kind in ("v", "c"):
                 left = t02_lift_solve(phi0, kind, k)
                 right = fundamental_bilinear(t02_lift_solve(g, kind, k), Jk)
-                w = _check_bil([("kind", kind)], left, right)
+                w = _check([("kind", kind)], left, right)
                 if w is not None:
                     return w
             return None
@@ -1309,8 +1241,8 @@ def _brackets_clauses(ctx: SuiteContext) -> list[Clause]:
             Z, W = ctx.gen.vector(chart0), ctx.gen.vector(chart0)
             bracket = lie_bracket(vf_lift_solve(Z, "v", k),
                                   vf_lift_solve(W, "v", k))
-            return _check_vf([("Z", _vf_str(Z)), ("W", _vf_str(W))],
-                             bracket, VectorField.zero(ctx.chartk))
+            return _check([("Z", Z._inline()), ("W", W._inline())],
+                          bracket, VectorField.zero(ctx.chartk))
         return _sample_loop(ctx, one)
 
     def run_cc(ctx: SuiteContext):
@@ -1319,8 +1251,8 @@ def _brackets_clauses(ctx: SuiteContext) -> list[Clause]:
             left = lie_bracket(vf_lift_solve(Z, "c", k),
                                vf_lift_solve(W, "c", k))
             right = vf_lift_solve(lie_bracket(Z, W), "c", k)
-            return _check_vf([("Z", _vf_str(Z)), ("W", _vf_str(W))],
-                             left, right)
+            return _check([("Z", Z._inline()), ("W", W._inline())],
+                          left, right)
         return _sample_loop(ctx, one)
 
     def run_mixed(ctx: SuiteContext):
@@ -1329,14 +1261,14 @@ def _brackets_clauses(ctx: SuiteContext) -> list[Clause]:
             Zv, Zc = vf_lift_solve(Z, "v", k), vf_lift_solve(Z, "c", k)
             Wv, Wc = vf_lift_solve(W, "v", k), vf_lift_solve(W, "c", k)
             expect = vf_lift_solve(lie_bracket(Z, W), "v", k)
-            w = _check_vf([("Z", _vf_str(Z)), ("W", _vf_str(W)),
-                           ("order", "[Z^v, W^c]")],
-                          lie_bracket(Zv, Wc), expect)
+            w = _check([("Z", Z._inline()), ("W", W._inline()),
+                        ("order", "[Z^v, W^c]")],
+                       lie_bracket(Zv, Wc), expect)
             if w is not None:
                 return w
-            return _check_vf([("Z", _vf_str(Z)), ("W", _vf_str(W)),
-                              ("order", "[Z^c, W^v]")],
-                             lie_bracket(Zc, Wv), expect)
+            return _check([("Z", Z._inline()), ("W", W._inline()),
+                           ("order", "[Z^c, W^v]")],
+                          lie_bracket(Zc, Wv), expect)
         return _sample_loop(ctx, one)
 
     return [
@@ -1370,7 +1302,7 @@ def _frames_clauses(ctx: SuiteContext) -> list[Clause]:
         T = VectorField.basis(ctx.chartk, TIME)
         rows = 1
         if dt.pair(T) != Expr.one():
-            return rows, "dt(d/dt): left = " + _fmt(dt.pair(T)) + \
+            return rows, "dt(d/dt): left = " + format_expr(dt.pair(T)) + \
                 "; right = 1"
         for (r, i) in levels_idx(ctx):
             for family, name in ((fr.D, "D"), (fr.Dbar, "Dbar"),
@@ -1379,7 +1311,7 @@ def _frames_clauses(ctx: SuiteContext) -> list[Clause]:
                 got = dt.pair(family[(r, i)])
                 if not got.is_zero():
                     return rows, f"dt({name}[{r},{i}]): left = " \
-                        f"{_fmt(got)}; right = 0"
+                        f"{format_expr(got)}; right = 0"
         return rows, None
 
     def run_pairing(theta_of, fields_of, expect_diag: bool, label: str):
@@ -1396,7 +1328,8 @@ def _frames_clauses(ctx: SuiteContext) -> list[Clause]:
                     if got != want:
                         return rows, (f"{label} at level {r}, "
                                       f"indices ({i},{j}): left = "
-                                      f"{_fmt(got)}; right = {_fmt(want)}")
+                                      f"{format_expr(got)}; "
+                                      f"right = {format_expr(want)}")
             return rows, None
         return run
 
@@ -1411,15 +1344,16 @@ def _frames_clauses(ctx: SuiteContext) -> list[Clause]:
                 zbc = CoordId(Kind.ANTI, 0, i)
                 rebuilt = rebuilt + fr.D[(0, i)].scaled(Z.component(zc)) \
                     + fr.Dbar[(0, i)].scaled(Z.component(zbc))
-            w = _check_vf([("Z", _vf_str(Z))], lifted, rebuilt)
+            w = _check([("Z", Z._inline())], lifted, rebuilt)
             if w is not None:
                 return w
             for i in range(1, ctx.m + 1):
                 zc = CoordId(Kind.HOLO, 0, i)
                 got = fr.theta[(0, i)].pair(lifted)
                 if got != Z.component(zc):
-                    return (f"Z = {_vf_str(Z)}; theta[0,{i}](Z^H): left = "
-                            f"{_fmt(got)}; right = {_fmt(Z.component(zc))}")
+                    return (f"Z = {Z._inline()}; theta[0,{i}](Z^H): left = "
+                            f"{format_expr(got)}; "
+                            f"right = {format_expr(Z.component(zc))}")
             return None
         return _sample_loop(ctx, one)
 
@@ -1433,7 +1367,7 @@ def _frames_clauses(ctx: SuiteContext) -> list[Clause]:
                 want = Expr.zero()
                 if got != want:
                     return rows, (f"eta[{r},{i}](D[{s},{j}]): left = "
-                                  f"{_fmt(got)}; right = 0")
+                                  f"{format_expr(got)}; right = 0")
         return rows, None
 
     return [
@@ -1564,8 +1498,8 @@ class CompareReport:
         return "\n".join(lines)
 
 
-def _compare_diff(label: str, defining, closed, check) -> CompareCase:
-    w = check([], defining, closed)
+def _compare_diff(label: str, defining, closed) -> CompareCase:
+    w = _check([], defining, closed)
     if w is None:
         return CompareCase(label, "MATCH")
     # Re-render the slot text with route names instead of left/right.
@@ -1614,31 +1548,31 @@ def compare_proposition(prop: str, m: int, k: int,
         if prop == "P321":
             cases.append(_compare_diff(
                 f"{name}[{idx}]", vf_lift_solve(field, "v", k),
-                vf_vertical_closed(field, k), _check_vf))
+                vf_vertical_closed(field, k)))
         elif prop == "P322":
             cases.append(_compare_diff(
                 f"{name}[{idx}]", vf_lift_solve(field, "c", k),
-                vf_complete_closed(field, k), _check_vf))
+                vf_complete_closed(field, k)))
         elif prop == "P323":
             for r, s in _cv_splits(k):
                 cases.append(_compare_diff(
                     f"{name}[{idx}] split=({r},{s})",
                     vf_lift_solve(field, "cv", k, r=r, s=s),
-                    vf_cv_closed(field, r, s), _check_vf))
+                    vf_cv_closed(field, r, s)))
         elif prop == "P331":
             cases.append(_compare_diff(
                 f"{name}[{idx}]", of_lift_solve(field, "v", k),
-                of_vertical_closed(field, k), _check_of))
+                of_vertical_closed(field, k)))
         elif prop == "P332":
             cases.append(_compare_diff(
                 f"{name}[{idx}]", of_lift_solve(field, "c", k),
-                of_complete_closed(field, k), _check_of))
+                of_complete_closed(field, k)))
         else:  # P333
             for r, s in _cv_splits(k):
                 cases.append(_compare_diff(
                     f"{name}[{idx}] split=({r},{s})",
                     of_lift_solve(field, "cv", k, r=r, s=s),
-                    of_cv_closed(field, r, s), _check_of))
+                    of_cv_closed(field, r, s)))
 
     subject = COMPARISON_SUBJECTS[prop]
     title = (f"compare={prop} subject={subject} m={m} k={k} seed={gen.seed} "

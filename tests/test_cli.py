@@ -224,6 +224,16 @@ def test_lift_error_codes(tmp_path, capsys, argv_tail, code):
     assert got == code
 
 
+def test_lift_refuses_a_power_beyond_the_degree_limit(tmp_path, capsys):
+    p = tmp_path / "m.manifest"
+    p.write_text("m: 1\n\nfield f:\n  type: scalar\n"
+                 "  value: (z0_1+zb0_1+z0_1*zb0_1+1)^200\n")
+    code, _, err = run(capsys, "lift", "--manifest", str(p),
+                       "--field", "f", "--kind", "c", "--k", "1")
+    assert code == 3
+    assert "power of degree 400 exceeds the limit 64" in err
+
+
 def test_lift_engine_error_is_exit_4(tmp_path, capsys):
     p = tmp_path / "m.manifest"
     p.write_text("m: 1\n\nfield Z:\n  type: vector\n  t: z0_1\n")

@@ -258,3 +258,69 @@ def test_format_endo_and_bilinear():
     assert format_endo(S) == ["d/dz0_1 <- d/dzb0_1: 1"]
     B = Bilinear(C0, {(ZB, Z): parse("2*z0_1")})
     assert format_bilinear(B) == ["dzb0_1 (x) dz0_1: 2*z0_1"]
+
+
+V_MIXED = VectorField(CT, {ZB: -1, Z: 1, TIME: parse("2*z0_1")})
+W_MIXED = OneForm(CT, {ZB: -1, Z: 1, TIME: parse("2*z0_1 - t")})
+E_TWO = EndoField(CT, {(Z, Z): parse("i"), (ZB, Z): 1})
+B_TWO = Bilinear(CT, {(Z, ZB): 1, (ZB, Z): 1})
+
+
+@pytest.mark.parametrize("field,text", [
+    (V_MIXED, "(2*z0_1)*d/dt + d/dz0_1 + -d/dzb0_1"),
+    (W_MIXED, "(-t + 2*z0_1)*dt + dz0_1 + -dzb0_1"),
+    (VectorField.zero(CT), "0"),
+    (OneForm.zero(CT), "0"),
+], ids=["vector", "oneform", "vector-zero", "oneform-zero"])
+def test_compact_form_writes_unit_components_bare(field, text):
+    assert field._compact() == text
+
+
+@pytest.mark.parametrize("field,text", [
+    (V_MIXED, "VectorField((2*z0_1)*d/dt + (1)*d/dz0_1 + (-1)*d/dzb0_1)"),
+    (W_MIXED, "OneForm((-t + 2*z0_1)*dt + (1)*dz0_1 + (-1)*dzb0_1)"),
+    (VectorField.zero(CT), "VectorField(0)"),
+    (OneForm.zero(CT), "OneForm(0)"),
+    (E_TWO, "EndoField(2 entries)"),
+    (EndoField(CT, {}), "EndoField(0 entries)"),
+    (B_TWO, "Bilinear(2 entries)"),
+    (Bilinear(CT, {}), "Bilinear(0 entries)"),
+], ids=["vector", "oneform", "vector-zero", "oneform-zero", "endo", "endo-zero",
+        "bilinear", "bilinear-zero"])
+def test_repr(field, text):
+    assert repr(field) == text
+
+
+# -- construction contracts -------------------------------------------------------
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: VectorField(C0, {holo(1, 1): 1}),
+     "vector component key z1_1 is not in the chart"),
+    (lambda: VectorField(C0, {"z0_1": 1}),
+     "vector components must be keyed by CoordId"),
+    (lambda: OneForm(C0, {TIME: 1}),
+     "one-form component key t is not in the chart"),
+    (lambda: EndoField(C0, {(Z, anti(2, 1)): 1}),
+     "endo entry key CoordId(zb2_1) is not a chart coordinate"),
+    (lambda: EndoField(C0, {("z0_1", Z): 1}),
+     "endo entry key z0_1 is not a chart coordinate"),
+    (lambda: Bilinear(C0, {(TIME, Z): 1}),
+     "bilinear entry key CoordId(t) is not a chart coordinate"),
+], ids=["vector", "vector-not-coord", "oneform", "endo", "endo-not-coord",
+        "bilinear"])
+def test_off_chart_keys_are_field_errors(make, message):
+    with pytest.raises(FieldError) as err:
+        make()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("obj", [
+    ScalarField(C0, 1), VectorField.zero(C0), OneForm.zero(C0),
+    EndoField(C0, {}), Bilinear(C0, {}), AltForm(C0, 0, {}),
+    ConnectionCoeffs.zero(C0),
+], ids=lambda obj: type(obj).__name__)
+def test_fields_are_immutable(obj):
+    with pytest.raises(AttributeError) as err:
+        obj.chart = C2
+    assert str(err.value) == f"{type(obj).__name__} is immutable"
+    assert obj.chart == C0

@@ -130,3 +130,17 @@ def test_lift_caches_hold_their_bound_and_clear(monkeypatch):
     L.clear_lift_cache()
     assert not L._SYSTEM_CACHE and not L._VF_SOLVE_CACHE
     assert L._complete_expr.cache_info().currsize == 0
+
+
+def test_complete_lift_caches_are_bounded_and_clear():
+    L.clear_lift_cache()
+    caches = (L._complete_expr, L._complete_step_expr)
+    bound = L._COMPLETE_CACHE_SIZE
+    for n in range(1, bound + 2):
+        L._complete_expr(Expr.atom(Z, n), 1)
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize == bound
+        assert info.currsize <= info.maxsize
+    L.clear_lift_cache()
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0]

@@ -322,11 +322,21 @@ def test_parse_arithmetic():
     ("(z0_1", 5),
     ("z0_1 + )", 7),
     ("^2", 0),
+    ("(z0_1+zb0_1+z0_1*zb0_1+1)^200", 26),
 ])
 def test_parse_error_positions(bad, pos):
     with pytest.raises(ParseError) as err:
         parse(bad)
     assert err.value.position == pos
+
+
+def test_parse_refuses_powers_beyond_the_degree_limit():
+    assert parse("z0_1^64").degree() == 64
+    assert parse("(z0_1^8*zb0_1^8)^4").degree() == 64
+    for text in ("z0_1^65", "(z0_1^8*zb0_1^8)^5", "(z0_1+zb0_1^2)^33"):
+        with pytest.raises(ParseError, match="exceeds the limit 64"):
+            parse(text)
+    assert parse("(1+i)^200") == parse("(2*i)^100")
 
 
 def test_parse_rejects_unknown_token():

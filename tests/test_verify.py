@@ -210,3 +210,42 @@ def test_compare_is_deterministic():
     a = compare_proposition("P332", 1, 2, seed=9).render()
     b = compare_proposition("P332", 1, 2, seed=9).render()
     assert a == b
+
+
+# -- first-difference witnesses ---------------------------------------------------
+
+def _witness_cases():
+    from liftcalc.charts import ChartSpec
+    from liftcalc.fields import (Bilinear, EndoField, OneForm, ScalarField,
+                                 VectorField)
+    from liftcalc.symkernel import TIME, anti, holo, parse
+    chart = ChartSpec(1, 0, True)
+    z, zb = holo(0, 1), anti(0, 1)
+    return [
+        ([("f", "z0_1")], ScalarField(chart, parse("z0_1")),
+         ScalarField(chart, parse("z0_1 + t")),
+         "f = z0_1; value: left = z0_1; right = t + z0_1"),
+        ([("X", "d/dt")], parse("2*t"), parse("t"),
+         "X = d/dt; value: left = 2*t; right = t"),
+        ([], VectorField(chart, {TIME: 1, z: parse("z0_1")}),
+         VectorField(chart, {TIME: 1, zb: parse("i")}),
+         "component d/dz0_1: left = z0_1; right = 0"),
+        ([("w", "dt")], OneForm(chart, {TIME: 1, zb: parse("z0_1")}),
+         OneForm(chart, {TIME: 1, z: parse("1/2")}),
+         "w = dt; component dz0_1: left = 0; right = 1/2"),
+        ([("kind", "c")], EndoField(chart, {(z, z): parse("i"), (zb, z): 1}),
+         EndoField(chart, {(z, z): parse("i"), (z, zb): 1}),
+         "kind = c; entry d/dz0_1 <- d/dzb0_1: left = 0; right = 1"),
+        ([("kind", "v")], Bilinear(chart, {(z, zb): 1, (zb, z): 1}),
+         Bilinear(chart, {(z, zb): 1, (zb, z): -1}),
+         "kind = v; entry dzb0_1 (x) dz0_1: left = 1; right = -1"),
+        ([], VectorField(chart, {z: 1}), VectorField(chart, {z: 1}), None),
+    ]
+
+
+@pytest.mark.parametrize(
+    "inputs,left,right,witness", _witness_cases(),
+    ids=["scalar", "expr", "vector", "oneform", "endo", "bilinear", "equal"])
+def test_first_difference_witness(inputs, left, right, witness):
+    from liftcalc.verify import _check
+    assert _check(inputs, left, right) == witness
