@@ -10,7 +10,13 @@ the level of a z/zb coordinate by one (the time term only exists on charts
 with a time line).  Mixed lifts compose the two; the horizontal lift of a
 function is the complete lift minus the time-unscaled step (:func:`gamma_gradient`)
 of the previous complete lift, which vanishes identically for time-free
-functions.
+functions.  The complete step and the gradient share one derivation pass,
+which walks the polynomial's terms once and differs only in the time term.
+
+**Horizontal lifts** of vector fields and one-forms are sums over the
+connection-adapted frame (:func:`adapted_frame`); they build only the frame
+fields they read: ``D`` and ``Dbar`` at level 0, ``eta`` and ``etabar`` at
+the top level.
 
 **Closed-form lifts.**  Constructors named ``*_closed`` build the lifted
 vector fields and one-forms from explicit componentwise formulas (binomially
@@ -68,8 +74,12 @@ from .symkernel import (
     PolyLinearFactor,
     UnderdeterminedError,
     UnknownId,
+    _accumulate,
+    _atom_key,
+    _expr,
     binomial,
     format_expr,
+    mono_mul,
 )
 
 
@@ -92,20 +102,47 @@ _VF_SOLVE_CACHE_SIZE = 1024
 # Function lifts
 # ---------------------------------------------------------------------------
 
+def _derive(expr: Expr, time_scaled: bool) -> Expr:
+    """The level-shift derivation: ``sum over coords c of shift(c)*(df/dc)``
+    plus the time term, ``t*(df/dt)`` when `time_scaled` (a complete step)
+    and ``df/dt`` otherwise (the gradient).
+
+    One walk over the term map puts each derivative term in its
+    coordinate's bucket; the buckets are then summed in sorted-coordinate
+    order, which leaves the same term map, insertion order included, as
+    adding ``shift(c) * f.diff(c)`` one coordinate at a time."""
+    buckets: dict = {}
+    for m, c in expr._terms.items():
+        for pos, (atom, exp) in enumerate(m):
+            entry = buckets.get(atom)
+            if entry is None:
+                if atom.__class__ is not CoordId:
+                    continue
+                if atom.kind != Kind.TIME:
+                    shift = ((CoordId(atom.kind, atom.level + 1, atom.index), 1),)
+                else:
+                    shift = None if time_scaled else ()
+                entry = buckets[atom] = (shift, [])
+            shift, terms = entry
+            coeff = c if exp == 1 else c * exp
+            if shift is None:
+                # t * d(t^e)/dt == e * t^e
+                terms.append((m, coeff))
+            elif exp == 1:
+                terms.append((mono_mul(m[:pos] + m[pos + 1:], shift), coeff))
+            else:
+                terms.append((mono_mul(m[:pos] + ((atom, exp - 1),) + m[pos + 1:],
+                                       shift), coeff))
+    acc: dict = {}
+    for atom in sorted(buckets, key=_atom_key):
+        _accumulate(acc, buckets[atom][1])
+    return _expr(acc)
+
+
 @lru_cache(maxsize=_COMPLETE_CACHE_SIZE)
 def _complete_step_expr(expr: Expr) -> Expr:
     """One complete-lift step at the expression level."""
-    out = Expr.zero()
-    for coord in sorted(expr.coords(), key=lambda c: c.sort_key()):
-        d = expr.diff(coord)
-        if d.is_zero():
-            continue
-        if coord.kind == Kind.TIME:
-            out = out + Expr.atom(TIME) * d
-        else:
-            shifted = CoordId(coord.kind, coord.level + 1, coord.index)
-            out = out + Expr.atom(shifted) * d
-    return out
+    return _derive(expr, True)
 
 
 @lru_cache(maxsize=_COMPLETE_CACHE_SIZE)
@@ -166,16 +203,7 @@ def gamma_gradient(f: ScalarField) -> ScalarField:
     (df/dt) instead of t*(df/dt).  Only defined on charts with a time line."""
     if not f.chart.has_time:
         raise LiftError("gamma_gradient requires a chart with a time coordinate")
-    expr = f.value
-    out = expr.diff(TIME)
-    for coord in sorted(expr.coords(), key=lambda c: c.sort_key()):
-        if coord.kind == Kind.TIME:
-            continue
-        d = expr.diff(coord)
-        if not d.is_zero():
-            shifted = CoordId(coord.kind, coord.level + 1, coord.index)
-            out = out + Expr.atom(shifted) * d
-    return ScalarField(f.chart.extend(1), out)
+    return ScalarField(f.chart.extend(1), _derive(f.value, False))
 
 
 def fn_horizontal(f: ScalarField, k: int) -> ScalarField:
@@ -341,6 +369,30 @@ class AdaptedFrame:
     etabar: dict
 
 
+def _frame_vector(chart: ChartSpec, conn: ConnectionCoeffs, r: int, i: int,
+                  kind: Kind) -> VectorField:
+    """``D[(r, i)]`` (kind HOLO) or ``Dbar[(r, i)]`` (kind ANTI)."""
+    gamma = conn.gamma_at if kind == Kind.HOLO else conn.gammabar_at
+    comps = {CoordId(kind, r, i): Expr.one()}
+    for j in range(1, chart.m + 1):
+        g = gamma(r, j, i)
+        if not g.is_zero():
+            comps[CoordId(kind, r + 1, j)] = -g
+    return VectorField(chart, comps)
+
+
+def _frame_form(chart: ChartSpec, conn: ConnectionCoeffs, r: int, i: int,
+                kind: Kind) -> OneForm:
+    """``eta[(r, i)]`` (kind HOLO) or ``etabar[(r, i)]`` (kind ANTI)."""
+    gamma = conn.gamma_at if kind == Kind.HOLO else conn.gammabar_at
+    comps = {CoordId(kind, r + 1, i): Expr.one()}
+    for j in range(1, chart.m + 1):
+        g = gamma(r, i, j)
+        if not g.is_zero():
+            comps[CoordId(kind, r, j)] = g
+    return OneForm(chart, comps)
+
+
 def adapted_frame(chart: ChartSpec, conn: ConnectionCoeffs) -> AdaptedFrame:
     if conn.chart != chart:
         raise LiftError("connection coefficients belong to a different chart")
@@ -354,34 +406,16 @@ def adapted_frame(chart: ChartSpec, conn: ConnectionCoeffs) -> AdaptedFrame:
     thetabar: dict = {}
     eta: dict = {}
     etabar: dict = {}
-    m = chart.m
     for r in range(chart.k):
-        for i in range(1, m + 1):
-            d_comps = {CoordId(Kind.HOLO, r, i): Expr.one()}
-            dbar_comps = {CoordId(Kind.ANTI, r, i): Expr.one()}
-            eta_comps = {CoordId(Kind.HOLO, r + 1, i): Expr.one()}
-            etabar_comps = {CoordId(Kind.ANTI, r + 1, i): Expr.one()}
-            for j in range(1, m + 1):
-                g = conn.gamma_at(r, j, i)
-                if not g.is_zero():
-                    d_comps[CoordId(Kind.HOLO, r + 1, j)] = -g
-                gb = conn.gammabar_at(r, j, i)
-                if not gb.is_zero():
-                    dbar_comps[CoordId(Kind.ANTI, r + 1, j)] = -gb
-                ge = conn.gamma_at(r, i, j)
-                if not ge.is_zero():
-                    eta_comps[CoordId(Kind.HOLO, r, j)] = ge
-                gbe = conn.gammabar_at(r, i, j)
-                if not gbe.is_zero():
-                    etabar_comps[CoordId(Kind.ANTI, r, j)] = gbe
-            D[(r, i)] = VectorField(chart, d_comps)
-            Dbar[(r, i)] = VectorField(chart, dbar_comps)
+        for i in range(1, chart.m + 1):
+            D[(r, i)] = _frame_vector(chart, conn, r, i, Kind.HOLO)
+            Dbar[(r, i)] = _frame_vector(chart, conn, r, i, Kind.ANTI)
             V[(r, i)] = VectorField.basis(chart, CoordId(Kind.HOLO, r + 1, i))
             Vbar[(r, i)] = VectorField.basis(chart, CoordId(Kind.ANTI, r + 1, i))
             theta[(r, i)] = OneForm.differential_of(chart, CoordId(Kind.HOLO, r, i))
             thetabar[(r, i)] = OneForm.differential_of(chart, CoordId(Kind.ANTI, r, i))
-            eta[(r, i)] = OneForm(chart, eta_comps)
-            etabar[(r, i)] = OneForm(chart, etabar_comps)
+            eta[(r, i)] = _frame_form(chart, conn, r, i, Kind.HOLO)
+            etabar[(r, i)] = _frame_form(chart, conn, r, i, Kind.ANTI)
     return AdaptedFrame(chart, conn, D, Dbar, V, Vbar,
                         theta, thetabar, eta, etabar)
 
@@ -396,18 +430,15 @@ def vf_horizontal(Z: VectorField, conn: ConnectionCoeffs) -> VectorField:
     target = conn.chart
     if target.m != chart0.m or not target.has_time or target.k < 1:
         raise LiftError("connection chart must extend the input chart")
-    frame = adapted_frame(target, conn)
     out = VectorField.zero(target)
     tc = Z.component(TIME)
     if not tc.is_zero():
         out = out + VectorField(target, {TIME: tc})
     for i in range(1, chart0.m + 1):
-        zc = Z.component(CoordId(Kind.HOLO, 0, i))
-        if not zc.is_zero():
-            out = out + frame.D[(0, i)].scaled(zc)
-        zbc = Z.component(CoordId(Kind.ANTI, 0, i))
-        if not zbc.is_zero():
-            out = out + frame.Dbar[(0, i)].scaled(zbc)
+        for kind in (Kind.HOLO, Kind.ANTI):
+            zc = Z.component(CoordId(kind, 0, i))
+            if not zc.is_zero():
+                out = out + _frame_vector(target, conn, 0, i, kind).scaled(zc)
     return out
 
 
@@ -426,16 +457,13 @@ def of_horizontal(w: OneForm, conn: ConnectionCoeffs) -> OneForm:
     target = conn.chart
     if target.m != chart0.m or not target.has_time or target.k < 1:
         raise LiftError("connection chart must extend the input chart")
-    frame = adapted_frame(target, conn)
     out = OneForm.zero(target)
-    top = target.k - 1
     for i in range(1, chart0.m + 1):
-        zc = w.component(CoordId(Kind.HOLO, 0, i))
-        if not zc.is_zero():
-            out = out + frame.eta[(top, i)].scaled(zc)
-        zbc = w.component(CoordId(Kind.ANTI, 0, i))
-        if not zbc.is_zero():
-            out = out + frame.etabar[(top, i)].scaled(zbc)
+        for kind in (Kind.HOLO, Kind.ANTI):
+            zc = w.component(CoordId(kind, 0, i))
+            if not zc.is_zero():
+                out = out + _frame_form(target, conn, target.k - 1, i,
+                                        kind).scaled(zc)
     return out
 
 

@@ -34,6 +34,7 @@ import re
 from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
+from functools import lru_cache
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -877,68 +878,94 @@ def format_expr(e: Expr) -> str:
 # Parsing
 # ---------------------------------------------------------------------------
 
-_COORD_RE = re.compile(r"(zb?)(\d+)_(\d+)")
+# One match per token, with the whitespace before it.  Tokens are whole
+# factors where they can be: a coordinate carries its power ("z0_1^3") and a
+# number its denominator ("3/2").  Digits are ASCII only and a coordinate
+# index is nonzero; whitespace and the word boundary after "t" and "i" keep
+# the Unicode meaning of str.isspace and str.isalnum.  Any other character
+# is a "bad" token.
+_TOKEN_RE = re.compile(r"""
+    \s* (?:
+      (?P<coord> zb?[0-9]+_0*[1-9][0-9]* | t(?!\w) ) (?: \s*\^\s* (?P<cexp>[0-9]+) )?
+    | (?P<num>[0-9]+) (?: \s*/\s* (?P<den>[0-9]+) )?
+    | (?P<pow>\^) \s* (?P<exp>[0-9]+)
+    | (?P<imag> i(?!\w) )
+    | (?P<op> [-+*^/()] )
+    | (?P<bad> \S )
+    )""", re.VERBOSE)
 
 # A power whose total degree (base degree times exponent) exceeds this is
 # refused: expanding it costs time and memory that grow steeply with the
 # degree (a four-term degree-2 base takes seconds at exponent 60).
 _MAX_POWER_DEGREE = 64
 
+# A power whose coefficient bit size (exponent times the largest bit length
+# of the base's integers) exceeds this is refused.  An accepted power's
+# integers stay below 2**8192, about 2,470 digits, inside the default
+# int-to-str limit of 4,300 digits, so its result can be printed.
+_MAX_POWER_BITS = 4096
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens: list[tuple[str, object, int]] = []
-        self._scan()
-        self.cursor = 0
+_COORD_CACHE_SIZE = 4096
 
-    def _scan(self) -> None:
-        text = self.text
-        n = len(text)
-        i = 0
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch in "+-*^/()":
-                self.tokens.append(("op", ch, i))
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                self.tokens.append(("nat", int(text[i:j]), i))
-                i = j
-                continue
-            m = _COORD_RE.match(text, i)
-            if m:
-                kind = Kind.HOLO if m.group(1) == "z" else Kind.ANTI
-                coord = CoordId(kind, int(m.group(2)), int(m.group(3)))
-                self.tokens.append(("coord", coord, i))
-                i = m.end()
-                continue
-            if ch in ("t", "i"):
-                nxt = text[i + 1] if i + 1 < n else ""
-                if not (nxt.isalnum() or nxt == "_"):
-                    if ch == "t":
-                        self.tokens.append(("coord", TIME, i))
-                    else:
-                        self.tokens.append(("imag", None, i))
-                    i += 1
-                    continue
-            raise ParseError(f"unexpected character {text[i:i + 4]!r}", i)
-        self.tokens.append(("end", None, n))
 
-    def peek(self) -> tuple[str, object, int]:
-        return self.tokens[self.cursor]
+@lru_cache(maxsize=_COORD_CACHE_SIZE)
+def _coord(name: str) -> CoordId:
+    """The coordinate of a token: ``t``, ``z<level>_<index>`` or
+    ``zb<level>_<index>``."""
+    if name == "t":
+        return TIME
+    head, index = name.split("_")
+    if head[1:2] == "b":
+        return CoordId(Kind.ANTI, int(head[2:]), int(index))
+    return CoordId(Kind.HOLO, int(head[1:]), int(index))
 
-    def advance(self) -> tuple[str, object, int]:
-        tok = self.tokens[self.cursor]
-        self.cursor += 1
-        return tok
+
+def _tokens(text: str) -> list[tuple]:
+    """The tokens of `text`, then an end token.  Each token is a tuple whose
+    first two fields are its kind and position: ``("c", pos, coord, exponent
+    or None, exponent position)``, ``("n", pos, numerator, denominator or
+    None, denominator position)``, ``("p", pos, exponent, exponent
+    position)`` for a ``^`` with its exponent, ``("i", pos)``, ``(op, pos)``
+    and ``("end", pos)``.  Lexical errors come before any syntax error."""
+    toks: list[tuple] = []
+    append = toks.append
+    try:
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            if kind == "op":
+                append((m[kind], m.start(kind)))
+            elif kind == "coord":
+                append(("c", m.start(kind), _coord(m[kind]), None, 0))
+            elif kind == "num":
+                append(("n", m.start(kind), int(m[kind]), None, 0))
+            elif kind == "cexp":
+                append(("c", m.start("coord"), _coord(m["coord"]), int(m[kind]),
+                        m.start(kind)))
+            elif kind == "den":
+                append(("n", m.start("num"), int(m["num"]), int(m[kind]),
+                        m.start(kind)))
+            elif kind == "exp":
+                append(("p", m.start("pow"), int(m[kind]), m.start(kind)))
+            elif kind == "imag":
+                append(("i", m.start(kind)))
+            else:
+                pos = m.start(kind)
+                raise ParseError(f"unexpected character {text[pos:pos + 4]!r}", pos)
+    except ValueError:
+        # int() refuses digit strings beyond the interpreter's limit.
+        raise ParseError("number too long", m.start(m.lastgroup)) from None
+    append(("end", len(text)))
+    return toks
+
+
+def _check_power(degree: int, bits: int, exponent: int, pos: int) -> None:
+    """Refuse a power over the degree budget or the coefficient budget."""
+    if degree * exponent > _MAX_POWER_DEGREE:
+        raise ParseError(f"power of degree {degree * exponent} exceeds the limit "
+                         f"{_MAX_POWER_DEGREE}", pos)
+    if bits * exponent > _MAX_POWER_BITS:
+        raise ParseError(f"power of {bits * exponent} coefficient bits exceeds "
+                         f"the limit {_MAX_POWER_BITS}", pos)
 
 
 class _Parser:
@@ -949,94 +976,144 @@ class _Parser:
     factor := base ["^" nat]
     base   := coord | "i" | number | "(" expr ")"
     number := nat ["/" nat]
+
+    A term's factors fold into one Gaussian-rational coefficient, held as
+    an integer triple ``(a, b, d)``, and one exponent map; an Expr is built
+    only for a parenthesized sum, and each term is added into its
+    expression's term map as it is read.
     """
 
     def __init__(self, text: str, chart=None):
-        self.scanner = _Scanner(text)
+        self.toks = _tokens(text)
+        self.at = 0
         self.chart = chart
 
     def parse(self) -> Expr:
         value = self._expr()
-        kind, _, pos = self.scanner.peek()
-        if kind != "end":
-            raise ParseError("unexpected trailing input", pos)
+        tok = self.toks[self.at]
+        if tok[0] != "end":
+            raise ParseError("unexpected trailing input", tok[1])
         return value
 
     def _expr(self) -> Expr:
-        kind, val, _ = self.scanner.peek()
-        negate = False
-        if kind == "op" and val == "-":
-            self.scanner.advance()
-            negate = True
-        value = self._term()
-        if negate:
-            value = -value
+        toks = self.toks
+        acc: dict[Monomial, GRat] = {}
+        sign = 1
+        if toks[self.at][0] == "-":
+            self.at += 1
+            sign = -1
         while True:
-            kind, val, _ = self.scanner.peek()
-            if kind == "op" and val in "+-":
-                self.scanner.advance()
-                rhs = self._term()
-                value = value + rhs if val == "+" else value - rhs
+            self._term(acc, sign)
+            op = toks[self.at][0]
+            if op == "+":
+                sign = 1
+            elif op == "-":
+                sign = -1
             else:
-                return value
+                return _expr(acc)
+            self.at += 1
 
-    def _term(self) -> Expr:
-        value = self._factor()
+    def _power(self):
+        """The ``("p", ...)`` token after a base, or None when no power
+        follows; a ``^`` without a natural number after it is an error."""
+        tok = self.toks[self.at]
+        if tok[0] == "p":
+            self.at += 1
+            return tok
+        if tok[0] == "^":
+            nxt = self.toks[self.at + 1]
+            if nxt[0] == "-":
+                raise ParseError("negative exponent", nxt[1])
+            raise ParseError("expected a natural-number exponent", nxt[1])
+        return None
+
+    def _term(self, acc: dict, sign: int) -> None:
+        """Read one term and add ``sign`` times it into the term map `acc`."""
+        toks, chart = self.toks, self.chart
+        a, b, d = sign, 0, 1
+        exps: dict = {}
+        sums = None     # the product of the term's parenthesized sums
         while True:
-            kind, val, _ = self.scanner.peek()
-            if kind == "op" and val == "*":
-                self.scanner.advance()
-                value = value * self._factor()
+            tok = toks[self.at]
+            self.at += 1
+            kind = tok[0]
+            if kind == "c":
+                coord = tok[2]
+                if chart is not None and not chart.contains(coord):
+                    raise ParseError(
+                        f"coordinate {coord.name} is not in the chart", tok[1])
+                e = tok[3]
+                if e is None:
+                    # A power after a coordinate is part of its token, so
+                    # this only refuses a "^" with no exponent.
+                    self._power()
+                    e = 1
+                else:
+                    _check_power(1, 1, e, tok[4])
+                if e:
+                    exps[coord] = exps.get(coord, 0) + e
+            elif kind == "n":
+                n, q = tok[2], tok[3]
+                if q is None:
+                    if toks[self.at][0] == "/":
+                        raise ParseError("expected a denominator",
+                                         toks[self.at + 1][1])
+                    q = 1
+                elif not q:
+                    raise ParseError("zero denominator", tok[4])
+                p = self._power()
+                if p is not None:
+                    g = math.gcd(n, q)
+                    n, q = n // g, q // g
+                    _check_power(0, max(n.bit_length(), q.bit_length()), p[2], p[3])
+                    n, q = n ** p[2], q ** p[2]
+                a, b, d = a * n, b * n, d * q
+            elif kind == "i":
+                p = self._power()
+                e = 1
+                if p is not None:
+                    e = p[2]
+                    _check_power(0, 1, e, p[3])
+                for _ in range(e % 4):
+                    a, b = -b, a
+            elif kind == "(":
+                inner = self._expr()
+                close = toks[self.at]
+                self.at += 1
+                if close[0] != ")":
+                    raise ParseError("expected ')'", close[1])
+                p = self._power()
+                if p is not None:
+                    bits = max((max(c._a.bit_length(), c._b.bit_length(),
+                                    c._d.bit_length())
+                                for c in inner._terms.values()), default=0)
+                    _check_power(inner.degree(), bits, p[2], p[3])
+                    inner = inner ** p[2]
+                terms = inner._terms
+                if len(terms) > 1:
+                    sums = inner if sums is None else sums * inner
+                elif terms:
+                    ((m, c),) = terms.items()
+                    a, b, d = a * c._a - b * c._b, a * c._b + b * c._a, d * c._d
+                    for atom, e in m:
+                        exps[atom] = exps.get(atom, 0) + e
+                else:
+                    a = b = 0
+            elif kind == "end":
+                raise ParseError("unexpected end of input", tok[1])
             else:
-                return value
-
-    def _factor(self) -> Expr:
-        base = self._base()
-        kind, val, pos = self.scanner.peek()
-        if kind == "op" and val == "^":
-            self.scanner.advance()
-            kind, val, pos = self.scanner.peek()
-            if kind == "op" and val == "-":
-                raise ParseError("negative exponent", pos)
-            if kind != "nat":
-                raise ParseError("expected a natural-number exponent", pos)
-            self.scanner.advance()
-            degree = base.degree() * val
-            if degree > _MAX_POWER_DEGREE:
-                raise ParseError(f"power of degree {degree} exceeds the limit "
-                                 f"{_MAX_POWER_DEGREE}", pos)
-            return base ** val
-        return base
-
-    def _base(self) -> Expr:
-        kind, val, pos = self.scanner.advance()
-        if kind == "coord":
-            if self.chart is not None and not self.chart.contains(val):
                 raise ParseError(
-                    f"coordinate {val.name} is not in the chart", pos)
-            return Expr.atom(val)
-        if kind == "imag":
-            return Expr.imag_unit()
-        if kind == "nat":
-            nxt_kind, nxt_val, _ = self.scanner.peek()
-            if nxt_kind == "op" and nxt_val == "/":
-                self.scanner.advance()
-                dkind, dval, dpos = self.scanner.advance()
-                if dkind != "nat":
-                    raise ParseError("expected a denominator", dpos)
-                if dval == 0:
-                    raise ParseError("zero denominator", dpos)
-                return Expr.constant(Fraction(val, dval))
-            return Expr.constant(val)
-        if kind == "op" and val == "(":
-            inner = self._expr()
-            ckind, cval, cpos = self.scanner.advance()
-            if not (ckind == "op" and cval == ")"):
-                raise ParseError("expected ')'", cpos)
-            return inner
-        if kind == "end":
-            raise ParseError("unexpected end of input", pos)
-        raise ParseError(f"unexpected token {val!r}", pos)
+                    f"unexpected token {'^' if kind == 'p' else kind!r}", tok[1])
+            if toks[self.at][0] != "*":
+                break
+            self.at += 1
+        if not (a or b):
+            return
+        mono = _mono_sorted(exps)
+        if sums is None:
+            _accumulate(acc, ((mono, _grat(a, b, d)),))
+        else:
+            _accumulate(acc, (_expr({mono: _grat(a, b, d)}) * sums)._terms.items())
 
 
 def parse(text: str, chart=None) -> Expr:

@@ -234,6 +234,24 @@ def test_lift_refuses_a_power_beyond_the_degree_limit(tmp_path, capsys):
     assert "power of degree 400 exceeds the limit 64" in err
 
 
+@pytest.mark.parametrize("value,message", [
+    ("(3/2)^20000*z0_1",
+     "power of 40000 coefficient bits exceeds the limit 4096 (at position 6)"),
+    ("2\u00b2*z0_1", "unexpected character '\u00b2*z0' (at position 1)"),
+    ("z\u0663_1", "unexpected character 'z\u0663_1' (at position 0)"),
+])
+def test_lift_refuses_huge_constant_powers_and_non_ascii_digits(
+        tmp_path, capsys, value, message):
+    p = tmp_path / "m.manifest"
+    p.write_text(f"m: 1\n\nfield f:\n  type: scalar\n  value: {value}\n",
+                 encoding="utf-8")
+    code, out, err = run(capsys, "lift", "--manifest", str(p),
+                         "--field", "f", "--kind", "c", "--k", "1")
+    assert code == 3
+    assert out == ""
+    assert message in err
+
+
 def test_lift_engine_error_is_exit_4(tmp_path, capsys):
     p = tmp_path / "m.manifest"
     p.write_text("m: 1\n\nfield Z:\n  type: vector\n  t: z0_1\n")

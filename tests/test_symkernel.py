@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liftcalc.charts import ChartSpec
 from liftcalc.symkernel import (
     TIME,
     ConjugationError,
@@ -317,17 +318,41 @@ def test_parse_arithmetic():
     assert parse("z0_1 - z0_1").is_zero()
 
 
-@pytest.mark.parametrize("bad,pos", [
-    ("z0_1 +", 6),
-    ("(z0_1", 5),
-    ("z0_1 + )", 7),
-    ("^2", 0),
-    ("(z0_1+zb0_1+z0_1*zb0_1+1)^200", 26),
-])
-def test_parse_error_positions(bad, pos):
+_ERROR_CHART = ChartSpec(1, 1, True)
+
+
+# Every ParseError text, at the position the parser reports (read on the
+# chart above, which holds t, z0_1, zb0_1, z1_1 and zb1_1).  Texts and
+# positions are part of the parser's interface (the CLI prints them), so
+# they are pinned exactly.
+@pytest.mark.parametrize("bad,pos,message", [
+    pytest.param(bad, pos, message, id=f"{bad}-{pos}")
+    for bad, pos, message in [
+        ("z0_1 +", 6, "unexpected end of input"),
+        ("(z0_1", 5, "expected ')'"),
+        ("z0_1 + )", 7, "unexpected token ')'"),
+        ("^2", 0, "unexpected token '^'"),
+        ("(z0_1+zb0_1+z0_1*zb0_1+1)^200", 26,
+         "power of degree 400 exceeds the limit 64"),
+        ("1/0", 2, "zero denominator"),
+        ("1/x", 2, "unexpected character 'x'"),
+        ("1/t", 2, "expected a denominator"),
+        ("z0_1^-1", 5, "negative exponent"),
+        ("z0_1^x", 5, "unexpected character 'x'"),
+        ("z0_1^ t", 6, "expected a natural-number exponent"),
+        ("q", 0, "unexpected character 'q'"),
+        ("z0_1 z0_2", 5, "unexpected trailing input"),
+        ("2 * (z0_1 + z2_1)", 12, "coordinate z2_1 is not in the chart"),
+        ("t\u00e9 + 1", 0, "unexpected character 't\u00e9 +'"),
+        ("(1 + 2)^2^3", 9, "unexpected trailing input"),
+        ("2/3/4", 3, "unexpected trailing input"),
+        ("--z0_1", 1, "unexpected token '-'"),
+    ]])
+def test_parse_error_positions(bad, pos, message):
     with pytest.raises(ParseError) as err:
-        parse(bad)
+        parse(bad, _ERROR_CHART)
     assert err.value.position == pos
+    assert str(err.value) == f"{message} (at position {pos})"
 
 
 def test_parse_refuses_powers_beyond_the_degree_limit():
@@ -337,6 +362,49 @@ def test_parse_refuses_powers_beyond_the_degree_limit():
         with pytest.raises(ParseError, match="exceeds the limit 64"):
             parse(text)
     assert parse("(1+i)^200") == parse("(2*i)^100")
+
+
+@pytest.mark.parametrize("bad,pos,message", [
+    ("(3/2)^20000*z0_1", 6, "power of 40000 coefficient bits exceeds the limit 4096"),
+    ("(3/2)^2000000", 6, "power of 4000000 coefficient bits exceeds the limit 4096"),
+    ("2^2049", 2, "power of 4098 coefficient bits exceeds the limit 4096"),
+    ("((3/2)^2000)^3", 13, "power of 9510 coefficient bits exceeds the limit 4096"),
+    ("i^5000", 2, "power of 5000 coefficient bits exceeds the limit 4096"),
+])
+def test_parse_refuses_constant_powers_beyond_the_bit_limit(bad, pos, message):
+    with pytest.raises(ParseError) as err:
+        parse(bad)
+    assert (err.value.position, str(err.value)) == (
+        pos, f"{message} (at position {pos})")
+
+
+def test_parse_accepts_constant_powers_within_the_bit_limit():
+    assert parse("(3/2)^2048") == Expr.constant(Fraction(3 ** 2048, 2 ** 2048))
+    assert parse("2^2048") == Expr.constant(2 ** 2048)
+    assert parse("i^4095") == parse("-i")
+    # The largest accepted powers still print.
+    for text in ("(3/2)^2048", "(1 + i)^4096", "(3/2 + 5/4*i)^1365"):
+        assert parse(format_expr(parse(text))) == parse(text)
+
+
+@pytest.mark.parametrize("bad,pos,message", [
+    ("2\u00b2", 1, "unexpected character '\u00b2'"),
+    ("z\u0663_1", 0, "unexpected character 'z\u0663_1'"),
+    ("z0_1^\u00b2", 5, "unexpected character '\u00b2'"),
+    ("1/\u0663", 2, "unexpected character '\u0663'"),
+    ("z0_0 + 1", 0, "unexpected character 'z0_0'"),
+    ("1" * 5000, 0, "number too long"),
+], ids=["superscript-digit", "arabic-indic-level", "superscript-exponent",
+        "arabic-indic-denominator", "zero-index", "5000-digit-number"])
+def test_parse_refuses_non_ascii_digits_and_malformed_numbers(bad, pos, message):
+    with pytest.raises(ParseError) as err:
+        parse(bad)
+    assert (err.value.position, str(err.value)) == (
+        pos, f"{message} (at position {pos})")
+
+
+def test_parse_keeps_unicode_whitespace():
+    assert parse("z0_1\u00a0+\u20031") == parse("z0_1 + 1")
 
 
 def test_parse_rejects_unknown_token():
@@ -393,6 +461,73 @@ def test_diff_is_leibniz(a, b):
 @given(_exprs)
 def test_format_parse_round_trip_property(e):
     assert parse(format_expr(e)) == e
+
+
+# -- hypothesis: printed grammar trees ------------------------------------------
+#
+# A tree node is (text, value, level): level 0 is a base, 1 a factor, 2 a
+# term and 3 an expression.  An operand above the level its slot takes is
+# printed in parentheses.  Values are built with Expr ops alone.
+
+_SPACES = st.sampled_from(["", " ", "  "])
+_TREE_ATOMS = {"t": TIME, "z0_1": Z01, "z0_2": Z02, "zb0_1": ZB01, "z1_1": Z11}
+
+
+def _operand(node, level, space):
+    text, value, have = node
+    return text if have <= level else f"({space}{text}{space})"
+
+
+def _power(args):
+    base, exponent, space = args
+    exponent = min(exponent, 64 // max(1, base[1].degree()))
+    return (f"{_operand(base, 0, space)}{space}^{space}{exponent}",
+            base[1] ** exponent, 1)
+
+
+def _product(args):
+    left, right, space = args
+    return (f"{_operand(left, 2, space)}{space}*{space}{_operand(right, 1, space)}",
+            left[1] * right[1], 2)
+
+
+def _sum(args):
+    left, right, op, space = args
+    value = left[1] + right[1] if op == "+" else left[1] - right[1]
+    return (f"{_operand(left, 3, space)}{space}{op}{space}{_operand(right, 2, space)}",
+            value, 3)
+
+
+def _negation(args):
+    node, space = args
+    return f"-{space}{_operand(node, 2, space)}", -node[1], 3
+
+
+_tree_leaves = st.one_of(
+    st.sampled_from(sorted(_TREE_ATOMS)).map(
+        lambda name: (name, Expr.atom(_TREE_ATOMS[name]), 0)),
+    st.just(("i", Expr.imag_unit(), 0)),
+    st.integers(0, 30).map(lambda n: (str(n), Expr.constant(n), 0)),
+    st.tuples(st.integers(0, 30), st.integers(1, 9), _SPACES).map(
+        lambda a: (f"{a[0]}{a[2]}/{a[2]}{a[1]}",
+                   Expr.constant(Fraction(a[0], a[1])), 0)),
+)
+
+_trees = st.recursive(
+    _tree_leaves,
+    lambda kids: st.one_of(
+        st.tuples(kids, st.integers(0, 3), _SPACES).map(_power),
+        st.tuples(kids, kids, _SPACES).map(_product),
+        st.tuples(kids, kids, st.sampled_from("+-"), _SPACES).map(_sum),
+        st.tuples(kids, _SPACES).map(_negation)),
+    max_leaves=10)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_trees, _SPACES)
+def test_parse_evaluates_printed_grammar_trees(tree, space):
+    text, value, _ = tree
+    assert parse(f"{space}{text}{space}") == value
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
