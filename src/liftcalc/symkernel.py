@@ -905,6 +905,15 @@ _MAX_POWER_DEGREE = 64
 # int-to-str limit of 4,300 digits, so its result can be printed.
 _MAX_POWER_BITS = 4096
 
+# A coefficient with an integer of more bits than this in its reduced
+# (a + b*i)/d is refused, so that however many factors a term folds or terms
+# an expression adds, every parsed coefficient prints like an accepted power.
+_MAX_COEFF_BITS = 8192
+
+# A power of a sum, or a product of sums, predicted to expand to more terms
+# than this is refused: 6,435 terms take about a second, 50,388 over 20 s.
+_MAX_TERMS = 10000
+
 _COORD_CACHE_SIZE = 4096
 
 
@@ -968,6 +977,33 @@ def _check_power(degree: int, bits: int, exponent: int, pos: int) -> None:
                          f"the limit {_MAX_POWER_BITS}", pos)
 
 
+def _fit_coefficient(a: int, b: int, d: int, pos: int) -> tuple[int, int, int]:
+    """The triple ``(a, b, d)``, reduced when it is over the coefficient
+    budget; refused when it still is."""
+    if (abs(a) | abs(b) | d).bit_length() > _MAX_COEFF_BITS:
+        g = math.gcd(a, b, d)
+        a, b, d = a // g, b // g, d // g
+        bits = (abs(a) | abs(b) | d).bit_length()
+        if bits > _MAX_COEFF_BITS:
+            raise ParseError(f"coefficient of {bits} bits exceeds the limit "
+                             f"{_MAX_COEFF_BITS}", pos)
+    return a, b, d
+
+
+def _check_terms(count: int, pos: int) -> None:
+    if count > _MAX_TERMS:
+        raise ParseError(f"expansion of {count} terms exceeds the limit "
+                         f"{_MAX_TERMS}", pos)
+
+
+def _power_terms(base: Expr, exponent: int) -> int:
+    """A bound on the terms of ``base ** exponent``: C(v + D, D) monomials
+    of degree D or less in v atoms, or C(n - 1 + e, e) products of n terms."""
+    top = base.degree() * exponent
+    return min(math.comb(len(base.atoms()) + top, top),
+               math.comb(len(base._terms) - 1 + exponent, exponent))
+
+
 class _Parser:
     """Recursive-descent parser for the expression grammar.
 
@@ -980,7 +1016,8 @@ class _Parser:
     A term's factors fold into one Gaussian-rational coefficient, held as
     an integer triple ``(a, b, d)``, and one exponent map; an Expr is built
     only for a parenthesized sum, and each term is added into its
-    expression's term map as it is read.
+    expression's term map as it is read.  Powers, expansions and
+    coefficients are held to the budgets above.
     """
 
     def __init__(self, text: str, chart=None):
@@ -1030,6 +1067,7 @@ class _Parser:
     def _term(self, acc: dict, sign: int) -> None:
         """Read one term and add ``sign`` times it into the term map `acc`."""
         toks, chart = self.toks, self.chart
+        start = toks[self.at][1]
         a, b, d = sign, 0, 1
         exps: dict = {}
         sums = None     # the product of the term's parenthesized sums
@@ -1068,6 +1106,8 @@ class _Parser:
                     _check_power(0, max(n.bit_length(), q.bit_length()), p[2], p[3])
                     n, q = n ** p[2], q ** p[2]
                 a, b, d = a * n, b * n, d * q
+                if (abs(a) | abs(b) | d).bit_length() > _MAX_COEFF_BITS:
+                    a, b, d = _fit_coefficient(a, b, d, tok[1])
             elif kind == "i":
                 p = self._power()
                 e = 1
@@ -1088,13 +1128,23 @@ class _Parser:
                                     c._d.bit_length())
                                 for c in inner._terms.values()), default=0)
                     _check_power(inner.degree(), bits, p[2], p[3])
+                    if len(inner._terms) > 1:
+                        _check_terms(_power_terms(inner, p[2]), p[3])
                     inner = inner ** p[2]
                 terms = inner._terms
                 if len(terms) > 1:
-                    sums = inner if sums is None else sums * inner
+                    if sums is None:
+                        sums = inner
+                    else:
+                        _check_terms(len(sums._terms) * len(terms), tok[1])
+                        sums = sums * inner
+                        for c in sums._terms.values():
+                            _fit_coefficient(c._a, c._b, c._d, tok[1])
                 elif terms:
                     ((m, c),) = terms.items()
                     a, b, d = a * c._a - b * c._b, a * c._b + b * c._a, d * c._d
+                    if (abs(a) | abs(b) | d).bit_length() > _MAX_COEFF_BITS:
+                        a, b, d = _fit_coefficient(a, b, d, tok[1])
                     for atom, e in m:
                         exps[atom] = exps.get(atom, 0) + e
                 else:
@@ -1111,9 +1161,16 @@ class _Parser:
             return
         mono = _mono_sorted(exps)
         if sums is None:
+            touched = (mono,) if mono in acc else ()
             _accumulate(acc, ((mono, _grat(a, b, d)),))
         else:
-            _accumulate(acc, (_expr({mono: _grat(a, b, d)}) * sums)._terms.items())
+            touched = (_expr({mono: _grat(a, b, d)}) * sums)._terms
+            _accumulate(acc, touched.items())
+        # Like terms added up, or a product of sums, can outgrow their parts.
+        for m in touched:
+            c = acc.get(m)
+            if c is not None:
+                _fit_coefficient(c._a, c._b, c._d, start)
 
 
 def parse(text: str, chart=None) -> Expr:

@@ -20,7 +20,9 @@ Three outcomes are possible per clause:
 :func:`run_suite` evaluates one of seven fixed clause lists (or all of
 them); :func:`compare_proposition` builds the same lift twice — once
 through the defining-equation solver, once through the closed-form
-constructor — and reports the first differing component.
+constructor — and reports the first differing component.  Vector fields
+and one-forms share one rank-1 family record (``_Rank1Family``), so every
+clause and comparison the two have in common is written once.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 from typing import Callable, Sequence
 
 from .charts import ChartSpec
@@ -70,6 +73,7 @@ from .structures import (
     hermitian_check,
     kaehler_closed,
     kaehler_form,
+    lift_J0,
     star_apply,
 )
 from .symkernel import TIME, CoordId, Expr, ExprLike, GRat, Kind, binomial, format_expr
@@ -169,35 +173,25 @@ class FieldGen:
 
     # -- fields -------------------------------------------------------
 
+    def _rank1(self, cls, chart: ChartSpec, time_component: ExprLike | None):
+        """Random t-free components on every coordinate but t; on a time
+        chart the t-component defaults to the constant 1."""
+        comps = {c: self.expr(chart, allow_time=False)
+                 for c in chart.coordinates() if c.kind != Kind.TIME}
+        if chart.has_time:
+            comps[TIME] = Expr.one() if time_component is None \
+                else Expr.from_value(time_component)
+        return cls(chart, comps)
+
     def vector(self, chart: ChartSpec, *,
                time_component: ExprLike | None = None) -> VectorField:
-        """Random vector field; on a time chart the t-component defaults to
-        the constant 1 (pass 0 to suppress it)."""
-        comps: dict[CoordId, Expr] = {}
-        for c in chart.coordinates():
-            if c.kind == Kind.TIME:
-                continue
-            comps[c] = self.expr(chart, allow_time=False)
-        if chart.has_time:
-            tc = Expr.one() if time_component is None \
-                else Expr.from_value(time_component)
-            comps[TIME] = tc
-        return VectorField(chart, comps)
+        """Random vector field; ``time_component=0`` drops d/dt."""
+        return self._rank1(VectorField, chart, time_component)
 
     def oneform(self, chart: ChartSpec, *,
                 time_component: ExprLike | None = None) -> OneForm:
-        """Random one-form; on a time chart the dt-component defaults to the
-        constant 1 (pass 0 to suppress it)."""
-        comps: dict[CoordId, Expr] = {}
-        for c in chart.coordinates():
-            if c.kind == Kind.TIME:
-                continue
-            comps[c] = self.expr(chart, allow_time=False)
-        if chart.has_time:
-            tc = Expr.one() if time_component is None \
-                else Expr.from_value(time_component)
-            comps[TIME] = tc
-        return OneForm(chart, comps)
+        """Random one-form; ``time_component=0`` drops dt."""
+        return self._rank1(OneForm, chart, time_component)
 
     def endo(self, chart: ChartSpec) -> EndoField:
         coords = [c for c in chart.coordinates() if c.kind != Kind.TIME]
@@ -409,18 +403,12 @@ def _sample_loop(ctx: SuiteContext,
                  ) -> tuple[int, str | None]:
     """Run optional deterministic probes, then up to ``ctx.samples`` random
     draws; stop at the first witness.  Returns (evaluated, witness)."""
-    evaluated = 0
-    for probe in probes:
-        evaluated += 1
-        witness = probe()
+    draws = [*probes, *[one] * ctx.samples]
+    for evaluated, draw in enumerate(draws, start=1):
+        witness = draw()
         if witness is not None:
             return evaluated, witness
-    for _ in range(ctx.samples):
-        evaluated += 1
-        witness = one()
-        if witness is not None:
-            return evaluated, witness
-    return evaluated, None
+    return len(draws), None
 
 
 def _t_probe_allowed(ctx: SuiteContext) -> bool:
@@ -433,13 +421,6 @@ _T_NOTE = ("documented conflict: the identity holds only for inputs free "
            "of t")
 _PAIR_NOTE = ("documented conflict: the (r,s) and (s,r) lifts are "
               "different objects already on coordinate inputs")
-
-
-def _tfree_scalar(gen: FieldGen, chart: ChartSpec) -> ScalarField:
-    """Scalar draw that never involves t.  Scale factors multiply into
-    component expressions, and components stay t-free by the generator's
-    contract, so scale clauses use this regardless of ``t_free``."""
-    return ScalarField(chart, gen.expr(chart, allow_time=False))
 
 
 def _cv_splits(k: int) -> list[tuple[int, int]]:
@@ -458,29 +439,15 @@ def _functions_clauses(ctx: SuiteContext) -> list[Clause]:
         z = next(iter(chart0.holo_coords(0)))
         return ScalarField(chart0, Expr.atom(TIME) * Expr.atom(z))
 
-    def run_add_vertical(ctx: SuiteContext):
-        def one():
-            f, g = ctx.gen.scalar(chart0), ctx.gen.scalar(chart0)
-            return _check([("f", _sf_str(f)), ("g", _sf_str(g))],
-                          fn_vertical(f + g, k),
-                          fn_vertical(f, k) + fn_vertical(g, k))
-        return _sample_loop(ctx, one)
-
-    def run_mul_vertical(ctx: SuiteContext):
-        def one():
-            f, g = ctx.gen.scalar(chart0), ctx.gen.scalar(chart0)
-            return _check([("f", _sf_str(f)), ("g", _sf_str(g))],
-                          fn_vertical(f * g, k),
-                          fn_vertical(f, k) * fn_vertical(g, k))
-        return _sample_loop(ctx, one)
-
-    def run_add_complete(ctx: SuiteContext):
-        def one():
-            f, g = ctx.gen.scalar(chart0), ctx.gen.scalar(chart0)
-            return _check([("f", _sf_str(f)), ("g", _sf_str(g))],
-                          fn_complete(f + g, k),
-                          fn_complete(f, k) + fn_complete(g, k))
-        return _sample_loop(ctx, one)
+    def run_homomorphism(lift, op):
+        """lift(f op g) == lift(f) op lift(g) on random scalar pairs."""
+        def run(ctx: SuiteContext):
+            def one():
+                f, g = ctx.gen.scalar(chart0), ctx.gen.scalar(chart0)
+                return _check([("f", _sf_str(f)), ("g", _sf_str(g))],
+                              lift(op(f, g), k), op(lift(f, k), lift(g, k)))
+            return _sample_loop(ctx, one)
+        return run
 
     def run_mul_complete(ctx: SuiteContext):
         def one():
@@ -542,14 +509,6 @@ def _functions_clauses(ctx: SuiteContext) -> list[Clause]:
         return _sample_loop(ctx, lambda: check(ctx.gen.scalar(chart0)),
                             probes)
 
-    def run_add_horizontal(ctx: SuiteContext):
-        def one():
-            f, g = ctx.gen.scalar(chart0), ctx.gen.scalar(chart0)
-            return _check([("f", _sf_str(f)), ("g", _sf_str(g))],
-                          fn_horizontal(f + g, k),
-                          fn_horizontal(f, k) + fn_horizontal(g, k))
-        return _sample_loop(ctx, one)
-
     def run_mul_horizontal_zero(ctx: SuiteContext):
         def check(f: ScalarField, g: ScalarField):
             return _check([("f", _sf_str(f)), ("g", _sf_str(g))],
@@ -589,9 +548,9 @@ def _functions_clauses(ctx: SuiteContext) -> list[Clause]:
         return _sample_loop(ctx, one)
 
     return [
-        Clause("F1", "fn-add-vertical", run_add_vertical),
-        Clause("F2", "fn-mul-vertical", run_mul_vertical),
-        Clause("F3", "fn-add-complete", run_add_complete),
+        Clause("F1", "fn-add-vertical", run_homomorphism(fn_vertical, add)),
+        Clause("F2", "fn-mul-vertical", run_homomorphism(fn_vertical, mul)),
+        Clause("F3", "fn-add-complete", run_homomorphism(fn_complete, add)),
         Clause("F4", "fn-mul-complete-binomial", run_mul_complete),
         Clause("F5", "fn-dz-exchange-vertical", run_dz_exchange("v"),
                conflict_note=_T_NOTE),
@@ -603,12 +562,203 @@ def _functions_clauses(ctx: SuiteContext) -> list[Clause]:
                conflict_note=_T_NOTE),
         Clause("F9", "fn-horizontal-zero", run_horizontal_zero,
                conflict_note=_T_NOTE),
-        Clause("F10", "fn-add-horizontal", run_add_horizontal),
+        Clause("F10", "fn-add-horizontal",
+               run_homomorphism(fn_horizontal, add)),
         Clause("F11", "fn-mul-horizontal-zero", run_mul_horizontal_zero,
                conflict_note=_T_NOTE),
         Clause("F12", "fn-cv-order-swap", run_cv_order_swap),
         Clause("F13", "fn-cv-endpoints", run_cv_endpoints),
     ]
+
+
+# ---------------------------------------------------------------------------
+# vector fields and one-forms: one rank-1 family
+
+
+@dataclass(frozen=True)
+class _Rank1Family:
+    """What the vector and one-form calculi differ in.
+
+    The lifts of vector fields and of one-forms are dual constructions, so
+    every clause and comparison the two share is written once against this
+    record.  The lift functions sit in lambdas, which look them up in this
+    module at call time: a wrapper installed on the module's name (as the
+    benchmark's layer trace installs one) then sees every call."""
+
+    cls: type                           # VectorField | OneForm
+    draw_method: str                    # the FieldGen method of a corpus draw
+    dt_free_kinds: frozenset[str]       # lift kinds drawn with no t-component
+    solve: Callable                     # (field, kind, k, *, r, s) -> field
+    horizontal: Callable                # (field, connection) -> field
+    closed_forms: dict[str, Callable]   # kind -> closed-form constructor
+    element: Callable                   # (chart, coordinate) -> basis element
+    halves: tuple[str, str]             # adapted-frame fields of holo / anti
+    pair_names: tuple[str, str]         # witness names of a drawn pair
+    name: str                           # witness name of one drawn field
+
+    def draw(self, gen: FieldGen, chart: ChartSpec, kind: str):
+        """Corpus draw for a lift of ``kind``."""
+        tc = 0 if kind in self.dt_free_kinds else None
+        return getattr(gen, self.draw_method)(chart, time_component=tc)
+
+    def label(self, coord: CoordId) -> str:
+        return self.cls._LABEL.format(coord.name)
+
+    def lift(self, field, kind: str, ctx: SuiteContext):
+        if kind == "h":
+            return self.horizontal(field, ctx.conn)
+        return self.solve(field, kind, ctx.k)
+
+    def closed(self, field, kind: str, k: int, *,
+               r: int | None = None, s: int | None = None):
+        if kind == "cv":
+            return self.closed_forms["cv"](field, r, s)
+        return self.closed_forms[kind](field, k)
+
+
+_VECTORS = _Rank1Family(
+    VectorField, "vector", frozenset({"cv"}),
+    solve=lambda *args, **split: vf_lift_solve(*args, **split),
+    horizontal=lambda Z, conn: vf_horizontal(Z, conn),
+    closed_forms={"v": lambda Z, k: vf_vertical_closed(Z, k),
+                  "c": lambda Z, k: vf_complete_closed(Z, k),
+                  "cv": lambda Z, r, s: vf_cv_closed(Z, r, s)},
+    element=VectorField.basis, halves=("D", "Dbar"), pair_names=("Z", "W"),
+    name="Z")
+
+_ONEFORMS = _Rank1Family(
+    OneForm, "oneform", frozenset({"c", "cv", "h"}),
+    solve=lambda *args, **split: of_lift_solve(*args, **split),
+    horizontal=lambda w, conn: of_horizontal(w, conn),
+    closed_forms={"v": lambda w, k: of_vertical_closed(w, k),
+                  "c": lambda w, k: of_complete_closed(w, k),
+                  "cv": lambda w, r, s: of_cv_closed(w, r, s)},
+    element=OneForm.differential_of, halves=("eta", "etabar"),
+    pair_names=("u", "w"), name="w")
+
+
+def _rank1_add(fam: _Rank1Family, kind: str):
+    def run(ctx: SuiteContext):
+        def one():
+            X = fam.draw(ctx.gen, ctx.chart0, kind)
+            Y = fam.draw(ctx.gen, ctx.chart0, kind)
+            x, y = fam.pair_names
+            return _check([(x, X._inline()), (y, Y._inline())],
+                          fam.lift(X + Y, kind, ctx),
+                          fam.lift(X, kind, ctx) + fam.lift(Y, kind, ctx))
+        return _sample_loop(ctx, one)
+    return run
+
+
+def _cv_expansion(fam: _Rank1Family, f: ScalarField, X, r: int, s: int,
+                  ctx: SuiteContext):
+    """The binomial side of the (r,s) scale law: the sum over h of
+    C(r,h) * f^{cv(r-h,s+h)} * X^{cv(h,k-h)}."""
+    k = ctx.k
+    right = fam.cls.zero(ctx.chartk)
+    for h in range(r + 1):
+        fl = fn_complete_vertical(f, r - h, s + h).value
+        Xl = fam.solve(X, "cv", k, r=h, s=k - h)
+        right = right + Xl.scaled(fl * binomial(r, h))
+    return right
+
+
+def _rank1_scale(fam: _Rank1Family, kind: str):
+    """(fX)^v = f^v X^v; (fX)^c and every (fX)^{cv(r,s)} expand into
+    complete-vertical lifts of f and X, drawn with no t-component.  The
+    factor f never involves t, whatever ``t_free`` says: it multiplies into
+    component expressions, which stay t-free by the generator's contract."""
+    def run(ctx: SuiteContext):
+        k = ctx.k
+
+        def one():
+            f = ScalarField(ctx.chart0,
+                            ctx.gen.expr(ctx.chart0, allow_time=False))
+            X = fam.draw(ctx.gen, ctx.chart0, "v" if kind == "v" else "cv")
+            inputs = [("f", _sf_str(f)), (fam.name, X._inline())]
+            if kind == "v":
+                return _check(inputs, fam.solve(X.scaled(f.value), "v", k),
+                              fam.solve(X, "v", k).scaled(
+                                  fn_vertical(f, k).value))
+            if kind == "c":
+                return _check(inputs, fam.solve(X.scaled(f.value), "c", k),
+                              _cv_expansion(fam, f, X, k, 0, ctx))
+            for r, s in _cv_splits(k):
+                left = fam.solve(X.scaled(f.value), "cv", k, r=r, s=s)
+                w = _check(inputs + [("split", f"({r},{s})")], left,
+                           _cv_expansion(fam, f, X, r, s, ctx))
+                if w is not None:
+                    return w
+            return None
+        return _sample_loop(ctx, one)
+    return run
+
+
+def _rank1_basis_table(fam: _Rank1Family, kind: str, to_level_k: bool,
+                       t_route: str):
+    """Each level-0 basis element lifts to the same element at level 0 (or
+    at level k), along the defining route and the closed-form route; the t
+    row is checked along ``t_route``."""
+    def run(ctx: SuiteContext):
+        k, chart0 = ctx.k, ctx.chart0
+        route = {"defining": lambda X: fam.solve(X, kind, k),
+                 "closed": lambda X: fam.closed(X, kind, k)}
+        rows = 0
+        for c0 in chart0.holo_coords(0) + chart0.anti_coords(0):
+            X = fam.element(chart0, c0)
+            expect = fam.element(
+                ctx.chartk, CoordId(c0.kind, k, c0.index) if to_level_k else c0)
+            for label in ("defining", "closed"):
+                rows += 1
+                w = _check([("input", fam.label(c0)), ("route", label)],
+                           route[label](X), expect)
+                if w is not None:
+                    return rows, w
+        T = fam.element(chart0, TIME)
+        return rows + 1, _check([("input", fam.label(TIME)), ("route", t_route)],
+                                route[t_route](T), fam.element(ctx.chartk, TIME))
+    return run
+
+
+def _rank1_basis_horizontal(fam: _Rank1Family):
+    """The horizontal lift of each level-0 basis element is the level-0
+    member of the matching adapted-frame half."""
+    def run(ctx: SuiteContext):
+        frame = adapted_frame(ctx.chartk, ctx.conn)
+        holo, anti = (getattr(frame, half) for half in fam.halves)
+        rows = 0
+        for i in range(1, ctx.m + 1):
+            for c0, guide in ((CoordId(Kind.HOLO, 0, i), holo[(0, i)]),
+                              (CoordId(Kind.ANTI, 0, i), anti[(0, i)])):
+                rows += 1
+                w = _check([("input", fam.label(c0))],
+                           fam.horizontal(fam.element(ctx.chart0, c0),
+                                          ctx.conn), guide)
+                if w is not None:
+                    return rows, w
+        return rows, None
+    return run
+
+
+def _rank1_cv_pair_swap(fam: _Rank1Family):
+    def run(ctx: SuiteContext):
+        k = ctx.k
+
+        def one():
+            X = fam.draw(ctx.gen, ctx.chart0, "cv")
+            for r, s in _cv_splits(k):
+                if r >= s:
+                    continue
+                w = _check(
+                    [(fam.name, X._inline()),
+                     ("split", f"({r},{s}) vs ({s},{r})")],
+                    fam.solve(X, "cv", k, r=r, s=s),
+                    fam.solve(X, "cv", k, r=s, s=r))
+                if w is not None:
+                    return w
+            return None
+        return _sample_loop(ctx, one)
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -618,62 +768,21 @@ def _functions_clauses(ctx: SuiteContext) -> list[Clause]:
 def _vectors_clauses(ctx: SuiteContext) -> list[Clause]:
     k = ctx.k
     chart0 = ctx.chart0
-
-    def run_add(kind: str):
-        def run(ctx: SuiteContext):
-            def one():
-                Z, W = ctx.gen.vector(chart0), ctx.gen.vector(chart0)
-                if kind == "h":
-                    lift = lambda X: vf_horizontal(X, ctx.conn)
-                else:
-                    lift = lambda X: vf_lift_solve(X, kind, k)
-                return _check([("Z", Z._inline()), ("W", W._inline())],
-                              lift(Z + W), lift(Z) + lift(W))
-            return _sample_loop(ctx, one)
-        return run
-
-    def run_scale_vertical(ctx: SuiteContext):
-        def one():
-            f = _tfree_scalar(ctx.gen, chart0)
-            Z = ctx.gen.vector(chart0)
-            left = vf_lift_solve(Z.scaled(f.value), "v", k)
-            right = vf_lift_solve(Z, "v", k).scaled(fn_vertical(f, k).value)
-            return _check([("f", _sf_str(f)), ("Z", Z._inline())],
-                          left, right)
-        return _sample_loop(ctx, one)
-
-    def run_scale_complete(ctx: SuiteContext):
-        def one():
-            f = _tfree_scalar(ctx.gen, chart0)
-            Z = ctx.gen.vector(chart0, time_component=0)
-            left = vf_lift_solve(Z.scaled(f.value), "c", k)
-            right = VectorField.zero(ctx.chartk)
-            for j in range(k + 1):
-                fl = fn_complete_vertical(f, k - j, j).value
-                Zl = vf_lift_solve(Z, "cv", k, r=j, s=k - j)
-                right = right + Zl.scaled(fl * binomial(k, j))
-            return _check([("f", _sf_str(f)), ("Z", Z._inline())],
-                          left, right)
-        return _sample_loop(ctx, one)
+    F = _VECTORS
 
     def run_action(lift_kind: str, fn_kind: str, zero_rhs: bool = False,
                    probe_expr: Callable[[], Expr] | None = None):
         def run(ctx: SuiteContext):
             def check(f: ScalarField, Z: VectorField):
-                if lift_kind == "h":
-                    Zl = vf_horizontal(Z, ctx.conn)
-                else:
-                    Zl = vf_lift_solve(Z, lift_kind, k)
+                Zl = F.lift(Z, lift_kind, ctx)
                 left = ScalarField(ctx.chartk,
                                    Zl.apply(_sf_lift(f, fn_kind, k).value))
                 if zero_rhs:
                     right = ScalarField(ctx.chartk, Expr.zero())
                 else:
-                    right = fn_vertical(
-                        ScalarField(chart0, Z.apply(f.value)), k) \
-                        if fn_kind == "v" or lift_kind == "v" \
-                        else fn_complete(
-                            ScalarField(chart0, Z.apply(f.value)), k)
+                    out_kind = "v" if "v" in (lift_kind, fn_kind) else "c"
+                    right = _sf_lift(ScalarField(chart0, Z.apply(f.value)),
+                                     out_kind, k)
                 return _check([("f", _sf_str(f)), ("Z", Z._inline())],
                               left, right)
             probes = []
@@ -685,105 +794,18 @@ def _vectors_clauses(ctx: SuiteContext) -> list[Clause]:
                                    ctx.gen.vector(chart0)), probes)
         return run
 
-    def run_basis_complete(ctx: SuiteContext):
-        rows = 0
-        for c0 in _base_fiber_coords(chart0):
-            Z = VectorField.basis(chart0, c0)
-            expect = VectorField.basis(ctx.chartk, c0)
-            for label, lifted in (("defining", vf_lift_solve(Z, "c", k)),
-                                  ("closed", vf_complete_closed(Z, k))):
-                rows += 1
-                w = _check([("input", f"d/d{c0.name}"),
-                            ("route", label)], lifted, expect)
-                if w is not None:
-                    return rows, w
-        rows += 1
-        T = VectorField.basis(chart0, TIME)
-        w = _check([("input", "d/dt"), ("route", "defining")],
-                   vf_lift_solve(T, "c", k),
-                   VectorField.basis(ctx.chartk, TIME))
-        return rows, w
-
-    def run_basis_vertical(ctx: SuiteContext):
-        rows = 0
-        for c0 in _base_fiber_coords(chart0):
-            Z = VectorField.basis(chart0, c0)
-            expect = VectorField.basis(
-                ctx.chartk, CoordId(c0.kind, k, c0.index))
-            for label, lifted in (("defining", vf_lift_solve(Z, "v", k)),
-                                  ("closed", vf_vertical_closed(Z, k))):
-                rows += 1
-                w = _check([("input", f"d/d{c0.name}"),
-                            ("route", label)], lifted, expect)
-                if w is not None:
-                    return rows, w
-        rows += 1
-        T = VectorField.basis(chart0, TIME)
-        w = _check([("input", "d/dt"), ("route", "defining")],
-                   vf_lift_solve(T, "v", k),
-                   VectorField.basis(ctx.chartk, TIME))
-        return rows, w
-
     def run_basis_horizontal_time(ctx: SuiteContext):
         T = VectorField.basis(chart0, TIME)
         w = _check([("input", "d/dt")], vf_horizontal(T, ctx.conn),
                    VectorField.basis(ctx.chartk, TIME))
         return 1, w
 
-    def run_basis_horizontal(ctx: SuiteContext):
-        frame = adapted_frame(ctx.chartk, ctx.conn)
-        rows = 0
-        for i in range(1, ctx.m + 1):
-            for c0, guide in ((CoordId(Kind.HOLO, 0, i), frame.D[(0, i)]),
-                              (CoordId(Kind.ANTI, 0, i),
-                               frame.Dbar[(0, i)])):
-                rows += 1
-                Z = VectorField.basis(chart0, c0)
-                w = _check([("input", f"d/d{c0.name}")],
-                           vf_horizontal(Z, ctx.conn), guide)
-                if w is not None:
-                    return rows, w
-        return rows, None
-
-    def run_cv_pair_swap(ctx: SuiteContext):
-        def one():
-            Z = ctx.gen.vector(chart0, time_component=0)
-            for r, s in _cv_splits(k):
-                if r >= s:
-                    continue
-                w = _check(
-                    [("Z", Z._inline()), ("split", f"({r},{s}) vs ({s},{r})")],
-                    vf_lift_solve(Z, "cv", k, r=r, s=s),
-                    vf_lift_solve(Z, "cv", k, r=s, s=r))
-                if w is not None:
-                    return w
-            return None
-        return _sample_loop(ctx, one)
-
-    def run_scale_cv(ctx: SuiteContext):
-        def one():
-            f = _tfree_scalar(ctx.gen, chart0)
-            Z = ctx.gen.vector(chart0, time_component=0)
-            for r, s in _cv_splits(k):
-                left = vf_lift_solve(Z.scaled(f.value), "cv", k, r=r, s=s)
-                right = VectorField.zero(ctx.chartk)
-                for h in range(r + 1):
-                    fl = fn_complete_vertical(f, r - h, s + h).value
-                    Zl = vf_lift_solve(Z, "cv", k, r=h, s=k - h)
-                    right = right + Zl.scaled(fl * binomial(r, h))
-                w = _check([("f", _sf_str(f)), ("Z", Z._inline()),
-                            ("split", f"({r},{s})")], left, right)
-                if w is not None:
-                    return w
-            return None
-        return _sample_loop(ctx, one)
-
     return [
-        Clause("V1", "vf-add-vertical", run_add("v")),
-        Clause("V2", "vf-add-complete", run_add("c")),
-        Clause("V3", "vf-add-horizontal", run_add("h")),
-        Clause("V4", "vf-scale-vertical", run_scale_vertical),
-        Clause("V5", "vf-scale-complete-binomial", run_scale_complete),
+        Clause("V1", "vf-add-vertical", _rank1_add(F, "v")),
+        Clause("V2", "vf-add-complete", _rank1_add(F, "c")),
+        Clause("V3", "vf-add-horizontal", _rank1_add(F, "h")),
+        Clause("V4", "vf-scale-vertical", _rank1_scale(F, "v")),
+        Clause("V5", "vf-scale-complete-binomial", _rank1_scale(F, "c")),
         Clause("V6", "vf-action-vv-zero",
                run_action("v", "v", zero_rhs=True,
                           probe_expr=lambda: Expr.atom(TIME)),
@@ -798,18 +820,16 @@ def _vectors_clauses(ctx: SuiteContext) -> list[Clause]:
                           probe_expr=lambda: Expr.atom(TIME, 2)),
                conflict_note=_T_NOTE),
         Clause("V10", "vf-action-hv", run_action("h", "v")),
-        Clause("V11", "vf-basis-complete-table", run_basis_complete),
-        Clause("V12", "vf-basis-vertical-table", run_basis_vertical),
+        Clause("V11", "vf-basis-complete-table",
+               _rank1_basis_table(F, "c", False, "defining")),
+        Clause("V12", "vf-basis-vertical-table",
+               _rank1_basis_table(F, "v", True, "defining")),
         Clause("V13", "vf-basis-horizontal-time", run_basis_horizontal_time),
-        Clause("V14", "vf-basis-horizontal-table", run_basis_horizontal),
-        Clause("V15", "vf-cv-pair-swap", run_cv_pair_swap,
+        Clause("V14", "vf-basis-horizontal-table", _rank1_basis_horizontal(F)),
+        Clause("V15", "vf-cv-pair-swap", _rank1_cv_pair_swap(F),
                conflict_note=_PAIR_NOTE),
-        Clause("V16", "vf-scale-cv-expansion", run_scale_cv),
+        Clause("V16", "vf-scale-cv-expansion", _rank1_scale(F, "cv")),
     ]
-
-
-def _base_fiber_coords(chart0: ChartSpec) -> list[CoordId]:
-    return list(chart0.holo_coords(0)) + list(chart0.anti_coords(0))
 
 
 # ---------------------------------------------------------------------------
@@ -819,6 +839,7 @@ def _base_fiber_coords(chart0: ChartSpec) -> list[CoordId]:
 def _oneforms_clauses(ctx: SuiteContext) -> list[Clause]:
     k = ctx.k
     chart0 = ctx.chart0
+    F = _ONEFORMS
     level_note = ("documented conflict: the engine's horizontal covector "
                   "uses the top transition level; the tabulated row names "
                   "the bottom one, and the two agree only at k = 1")
@@ -826,59 +847,13 @@ def _oneforms_clauses(ctx: SuiteContext) -> list[Clause]:
                   "nontrivially with horizontal fields across levels once "
                   "k >= 2")
 
-    def run_add(kind: str):
-        def run(ctx: SuiteContext):
-            def one():
-                tc = None if kind == "v" else 0
-                u = ctx.gen.oneform(chart0, time_component=tc)
-                w = ctx.gen.oneform(chart0, time_component=tc)
-                if kind == "h":
-                    lift = lambda a: of_horizontal(a, ctx.conn)
-                else:
-                    lift = lambda a: of_lift_solve(a, kind, k)
-                return _check([("u", u._inline()), ("w", w._inline())],
-                              lift(u + w), lift(u) + lift(w))
-            return _sample_loop(ctx, one)
-        return run
-
-    def run_scale_vertical(ctx: SuiteContext):
-        def one():
-            f = _tfree_scalar(ctx.gen, chart0)
-            w = ctx.gen.oneform(chart0)
-            left = of_lift_solve(w.scaled(f.value), "v", k)
-            right = of_lift_solve(w, "v", k).scaled(fn_vertical(f, k).value)
-            return _check([("f", _sf_str(f)), ("w", w._inline())],
-                          left, right)
-        return _sample_loop(ctx, one)
-
-    def run_scale_complete(ctx: SuiteContext):
-        def one():
-            f = _tfree_scalar(ctx.gen, chart0)
-            w = ctx.gen.oneform(chart0, time_component=0)
-            left = of_lift_solve(w.scaled(f.value), "c", k)
-            right = OneForm.zero(ctx.chartk)
-            for j in range(k + 1):
-                fl = fn_complete_vertical(f, k - j, j).value
-                wl = of_lift_solve(w, "cv", k, r=j, s=k - j)
-                right = right + wl.scaled(fl * binomial(k, j))
-            return _check([("f", _sf_str(f)), ("w", w._inline())],
-                          left, right)
-        return _sample_loop(ctx, one)
-
     def run_action(form_kind: str, vec_kind: str, zero_rhs: bool = False):
         def run(ctx: SuiteContext):
             def one():
-                tc = None if form_kind == "v" else 0
-                w = ctx.gen.oneform(chart0, time_component=tc)
+                w = F.draw(ctx.gen, chart0, form_kind)
                 Z = ctx.gen.vector(chart0)
-                if form_kind == "h":
-                    wl = of_horizontal(w, ctx.conn)
-                else:
-                    wl = of_lift_solve(w, form_kind, k)
-                if vec_kind == "h":
-                    Zl = vf_horizontal(Z, ctx.conn)
-                else:
-                    Zl = vf_lift_solve(Z, vec_kind, k)
+                wl = F.lift(w, form_kind, ctx)
+                Zl = _VECTORS.lift(Z, vec_kind, ctx)
                 left = ScalarField(ctx.chartk, wl.pair(Zl))
                 if zero_rhs:
                     right = ScalarField(ctx.chartk, Expr.zero())
@@ -892,60 +867,6 @@ def _oneforms_clauses(ctx: SuiteContext) -> list[Clause]:
             return _sample_loop(ctx, one)
         return run
 
-    def run_basis_vertical(ctx: SuiteContext):
-        rows = 0
-        for c0 in _base_fiber_coords(chart0):
-            w0 = OneForm.differential_of(chart0, c0)
-            expect = OneForm.differential_of(ctx.chartk, c0)
-            for label, lifted in (("defining", of_lift_solve(w0, "v", k)),
-                                  ("closed", of_vertical_closed(w0, k))):
-                rows += 1
-                wit = _check([("input", f"d{c0.name}"),
-                              ("route", label)], lifted, expect)
-                if wit is not None:
-                    return rows, wit
-        rows += 1
-        dt = OneForm.differential_of(chart0, TIME)
-        wit = _check([("input", "dt"), ("route", "defining")],
-                     of_lift_solve(dt, "v", k),
-                     OneForm.differential_of(ctx.chartk, TIME))
-        return rows, wit
-
-    def run_basis_complete(ctx: SuiteContext):
-        rows = 0
-        for c0 in _base_fiber_coords(chart0):
-            w0 = OneForm.differential_of(chart0, c0)
-            expect = OneForm.differential_of(
-                ctx.chartk, CoordId(c0.kind, k, c0.index))
-            for label, lifted in (("defining", of_lift_solve(w0, "c", k)),
-                                  ("closed", of_complete_closed(w0, k))):
-                rows += 1
-                wit = _check([("input", f"d{c0.name}"),
-                              ("route", label)], lifted, expect)
-                if wit is not None:
-                    return rows, wit
-        rows += 1
-        dt = OneForm.differential_of(chart0, TIME)
-        wit = _check([("input", "dt"), ("route", "closed")],
-                     of_complete_closed(dt, k),
-                     OneForm.differential_of(ctx.chartk, TIME))
-        return rows, wit
-
-    def run_basis_horizontal(ctx: SuiteContext):
-        frame = adapted_frame(ctx.chartk, ctx.conn)
-        rows = 0
-        for i in range(1, ctx.m + 1):
-            for c0, eta in ((CoordId(Kind.HOLO, 0, i), frame.eta[(0, i)]),
-                            (CoordId(Kind.ANTI, 0, i),
-                             frame.etabar[(0, i)])):
-                rows += 1
-                w0 = OneForm.differential_of(chart0, c0)
-                wit = _check([("input", f"d{c0.name}")],
-                             of_horizontal(w0, ctx.conn), eta)
-                if wit is not None:
-                    return rows, wit
-        return rows, None
-
     def run_rejects_dt(ctx: SuiteContext):
         dt = OneForm.differential_of(chart0, TIME)
         try:
@@ -955,58 +876,27 @@ def _oneforms_clauses(ctx: SuiteContext) -> list[Clause]:
         return 1, "input = dt; a horizontal lift was produced instead of " \
                   "the expected rejection"
 
-    def run_cv_pair_swap(ctx: SuiteContext):
-        def one():
-            w = ctx.gen.oneform(chart0, time_component=0)
-            for r, s in _cv_splits(k):
-                if r >= s:
-                    continue
-                wit = _check(
-                    [("w", w._inline()), ("split", f"({r},{s}) vs ({s},{r})")],
-                    of_lift_solve(w, "cv", k, r=r, s=s),
-                    of_lift_solve(w, "cv", k, r=s, s=r))
-                if wit is not None:
-                    return wit
-            return None
-        return _sample_loop(ctx, one)
-
-    def run_scale_cv(ctx: SuiteContext):
-        def one():
-            f = _tfree_scalar(ctx.gen, chart0)
-            w = ctx.gen.oneform(chart0, time_component=0)
-            for r, s in _cv_splits(k):
-                left = of_lift_solve(w.scaled(f.value), "cv", k, r=r, s=s)
-                right = OneForm.zero(ctx.chartk)
-                for h in range(r + 1):
-                    fl = fn_complete_vertical(f, r - h, s + h).value
-                    wl = of_lift_solve(w, "cv", k, r=h, s=k - h)
-                    right = right + wl.scaled(fl * binomial(r, h))
-                wit = _check([("f", _sf_str(f)), ("w", w._inline()),
-                              ("split", f"({r},{s})")], left, right)
-                if wit is not None:
-                    return wit
-            return None
-        return _sample_loop(ctx, one)
-
     return [
-        Clause("O1", "of-add-vertical", run_add("v")),
-        Clause("O2", "of-add-complete", run_add("c")),
-        Clause("O3", "of-add-horizontal", run_add("h")),
-        Clause("O4", "of-scale-vertical", run_scale_vertical),
-        Clause("O5", "of-scale-complete-binomial", run_scale_complete),
+        Clause("O1", "of-add-vertical", _rank1_add(F, "v")),
+        Clause("O2", "of-add-complete", _rank1_add(F, "c")),
+        Clause("O3", "of-add-horizontal", _rank1_add(F, "h")),
+        Clause("O4", "of-scale-vertical", _rank1_scale(F, "v")),
+        Clause("O5", "of-scale-complete-binomial", _rank1_scale(F, "c")),
         Clause("O6", "of-action-vc", run_action("v", "c")),
         Clause("O7", "of-action-cc", run_action("c", "c")),
         Clause("O8", "of-action-hh-zero", run_action("h", "h", zero_rhs=True),
                conflict_note=cross_note if k >= 2 else None),
         Clause("O9", "of-action-hv", run_action("h", "v")),
-        Clause("O10", "of-basis-vertical-table", run_basis_vertical),
-        Clause("O11", "of-basis-complete-table", run_basis_complete),
-        Clause("O12", "of-basis-horizontal-table", run_basis_horizontal,
+        Clause("O10", "of-basis-vertical-table",
+               _rank1_basis_table(F, "v", False, "defining")),
+        Clause("O11", "of-basis-complete-table",
+               _rank1_basis_table(F, "c", True, "closed")),
+        Clause("O12", "of-basis-horizontal-table", _rank1_basis_horizontal(F),
                conflict_note=level_note if k >= 2 else None),
         Clause("O13", "of-horizontal-rejects-time", run_rejects_dt),
-        Clause("O14", "of-cv-pair-swap", run_cv_pair_swap,
+        Clause("O14", "of-cv-pair-swap", _rank1_cv_pair_swap(F),
                conflict_note=_PAIR_NOTE),
-        Clause("O15", "of-scale-cv-expansion", run_scale_cv),
+        Clause("O15", "of-scale-cv-expansion", _rank1_scale(F, "cv")),
     ]
 
 
@@ -1023,14 +913,15 @@ def _tensors_clauses(ctx: SuiteContext) -> list[Clause]:
     mixed_note = ("documented conflict: pairing two complete lifts does "
                   "not drop to a vertical lift")
 
-    def run_defining(kind: str):
+    def run_defining(kind: str, out_kind: str | None = None):
+        """phi^kind(xi^c) == (phi xi)^out_kind; out_kind defaults to kind."""
         def run(ctx: SuiteContext):
             def one():
                 phi = ctx.gen.endo(chart0)
                 xi = ctx.gen.vector(chart0)
                 lifted = t11_lift_solve(phi, kind, k)
                 left = lifted.apply_vector(vf_lift_solve(xi, "c", k))
-                right = vf_lift_solve(phi.apply_vector(xi), kind, k)
+                right = vf_lift_solve(phi.apply_vector(xi), out_kind or kind, k)
                 return _check([("phi entries", _endo_str(phi)),
                                ("xi", xi._inline())], left, right)
             return _sample_loop(ctx, one)
@@ -1048,17 +939,6 @@ def _tensors_clauses(ctx: SuiteContext) -> list[Clause]:
                                ("eta", eta._inline())], left, right)
             return _sample_loop(ctx, one)
         return run
-
-    def run_mixed_literal(ctx: SuiteContext):
-        def one():
-            phi = ctx.gen.endo(chart0)
-            xi = ctx.gen.vector(chart0)
-            lifted = t11_lift_solve(phi, "c", k)
-            left = lifted.apply_vector(vf_lift_solve(xi, "c", k))
-            right = vf_lift_solve(phi.apply_vector(xi), "v", k)
-            return _check([("phi entries", _endo_str(phi)),
-                           ("xi", xi._inline())], left, right)
-        return _sample_loop(ctx, one)
 
     def run_t02(kind: str):
         def run(ctx: SuiteContext):
@@ -1081,7 +961,7 @@ def _tensors_clauses(ctx: SuiteContext) -> list[Clause]:
                conflict_note=vert_note),
         Clause("T3", "t11-complete-defining", run_defining("c")),
         Clause("T4", "t11-complete-form-pairing", run_form_pairing("c")),
-        Clause("T5", "t11-complete-mixed-pairing", run_mixed_literal,
+        Clause("T5", "t11-complete-mixed-pairing", run_defining("c", "v"),
                conflict_note=mixed_note),
         Clause("T6", "t02-vertical-defining", run_t02("v")),
         Clause("T7", "t02-complete-defining", run_t02("c")),
@@ -1100,30 +980,21 @@ def _endo_str(phi: EndoField) -> str:
 # structures suite
 
 
-_J_CACHE: dict[tuple[int, str, int], EndoField] = {}
-
-
-def _lifted_J(m: int, kind: str, k: int) -> EndoField:
-    key = (m, kind, k)
-    if key not in _J_CACHE:
-        chart0 = ChartSpec(m, 0, False)
-        _J_CACHE[key] = t11_lift_solve(build_Jk(chart0), kind, k)
-    return _J_CACHE[key]
-
-
 def _structures_clauses(ctx: SuiteContext) -> list[Clause]:
     k = ctx.k
     m = ctx.m
     chart0 = ctx.chart0
     chartk = ctx.chartk
+    chart_inputs = [("chart", f"m={m} k={k}")]
     coincide_note = ("recorded comparison: agreement between the solved "
                      "lift and the direct diagonal construction is "
                      "reported, not assumed")
 
-    def run_square(builder):
+    def run_square(structure: Callable[[], EndoField],
+                   inputs: Sequence[tuple[str, str]]):
         def run(ctx: SuiteContext):
-            S = builder(chartk)
-            w = _check([("chart", f"m={m} k={k}")], S.compose(S),
+            S = structure()
+            w = _check(inputs, S.compose(S),
                        EndoField.identity(chartk).scaled(Expr.zero()
                                                          - Expr.one()))
             return 1, w
@@ -1132,22 +1003,15 @@ def _structures_clauses(ctx: SuiteContext) -> list[Clause]:
     def run_lift_residuals(ctx: SuiteContext):
         J0 = build_Jk(chart0)
         for kind in ("v", "c"):
-            residuals = t11_defining_residuals(J0, _lifted_J(m, kind, k),
+            residuals = t11_defining_residuals(J0, lift_J0(m, kind, k),
                                                kind, k)
             bad = [e for e in residuals if not e.is_zero()]
             if bad:
                 return 2, f"kind = {kind}; residual = {format_expr(bad[0])}"
         return 2, None
 
-    def run_lift_square(ctx: SuiteContext):
-        J = _lifted_J(m, "c", k)
-        w = _check([("kind", "c")], J.compose(J),
-                   EndoField.identity(chartk).scaled(Expr.zero()
-                                                     - Expr.one()))
-        return 1, w
-
     def run_lift_coincides(ctx: SuiteContext):
-        w = _check([("kind", "c")], _lifted_J(m, "c", k),
+        w = _check([("kind", "c")], lift_J0(m, "c", k),
                    build_Jk(chartk))
         return 1, w
 
@@ -1170,7 +1034,7 @@ def _structures_clauses(ctx: SuiteContext) -> list[Clause]:
             def one():
                 g = ctx.gen.hermitian(chart0)
                 gk = t02_lift_solve(g, kind, k)
-                Jk = _lifted_J(m, "c", k)
+                Jk = lift_J0(m, "c", k)
                 if hermitian_check(gk, Jk):
                     return None
                 return _check([("metric", "mixed-entry symmetric")],
@@ -1182,7 +1046,7 @@ def _structures_clauses(ctx: SuiteContext) -> list[Clause]:
         def one():
             g = ctx.gen.hermitian(chart0)
             phi0 = fundamental_bilinear(g, build_Jk(chart0))
-            Jk = _lifted_J(m, "c", k)
+            Jk = lift_J0(m, "c", k)
             for kind in ("v", "c"):
                 left = t02_lift_solve(phi0, kind, k)
                 right = fundamental_bilinear(t02_lift_solve(g, kind, k), Jk)
@@ -1214,10 +1078,13 @@ def _structures_clauses(ctx: SuiteContext) -> list[Clause]:
         return rows, None
 
     return [
-        Clause("S1", "structure-square", run_square(build_Jk)),
-        Clause("S2", "costructure-square", run_square(build_Jk_star)),
+        Clause("S1", "structure-square",
+               run_square(lambda: build_Jk(chartk), chart_inputs)),
+        Clause("S2", "costructure-square",
+               run_square(lambda: build_Jk_star(chartk), chart_inputs)),
         Clause("S3", "structure-lift-defining", run_lift_residuals),
-        Clause("S4", "structure-lift-square", run_lift_square),
+        Clause("S4", "structure-lift-square",
+               run_square(lambda: lift_J0(m, "c", k), [("kind", "c")])),
         Clause("S5", "structure-lift-coincides-diagonal", run_lift_coincides,
                conflict_note=coincide_note),
         Clause("S6", "costructure-duality", run_star_duality),
@@ -1498,6 +1365,13 @@ class CompareReport:
         return "\n".join(lines)
 
 
+#: The family and lift kind each comparison builds along both routes.
+_PROPOSITIONS = {
+    "P321": (_VECTORS, "v"), "P322": (_VECTORS, "c"), "P323": (_VECTORS, "cv"),
+    "P331": (_ONEFORMS, "v"), "P332": (_ONEFORMS, "c"), "P333": (_ONEFORMS, "cv"),
+}
+
+
 def _compare_diff(label: str, defining, closed) -> CompareCase:
     w = _check([], defining, closed)
     if w is None:
@@ -1529,50 +1403,19 @@ def compare_proposition(prop: str, m: int, k: int,
         gen = FieldGen(seed)
     chart0 = ChartSpec(m, 0, True)
 
-    vector_prop = prop.startswith("P32")
-    if fields is None:
-        if vector_prop:
-            tc = 0 if prop == "P323" else None
-            corpus: list = [gen.vector(chart0, time_component=tc)
-                            for _ in range(samples)]
-        else:
-            tc = None if prop == "P331" else 0
-            corpus = [gen.oneform(chart0, time_component=tc)
-                      for _ in range(samples)]
-    else:
-        corpus = list(fields)
-
-    name = "Z" if vector_prop else "w"
+    fam, kind = _PROPOSITIONS[prop]
+    corpus = list(fields) if fields is not None \
+        else [fam.draw(gen, chart0, kind) for _ in range(samples)]
+    splits = _cv_splits(k) if kind == "cv" else [(None, None)]
     cases: list[CompareCase] = []
     for idx, field in enumerate(corpus, start=1):
-        if prop == "P321":
+        for r, s in splits:
+            label = f"{fam.name}[{idx}]"
+            if r is not None:
+                label += f" split=({r},{s})"
             cases.append(_compare_diff(
-                f"{name}[{idx}]", vf_lift_solve(field, "v", k),
-                vf_vertical_closed(field, k)))
-        elif prop == "P322":
-            cases.append(_compare_diff(
-                f"{name}[{idx}]", vf_lift_solve(field, "c", k),
-                vf_complete_closed(field, k)))
-        elif prop == "P323":
-            for r, s in _cv_splits(k):
-                cases.append(_compare_diff(
-                    f"{name}[{idx}] split=({r},{s})",
-                    vf_lift_solve(field, "cv", k, r=r, s=s),
-                    vf_cv_closed(field, r, s)))
-        elif prop == "P331":
-            cases.append(_compare_diff(
-                f"{name}[{idx}]", of_lift_solve(field, "v", k),
-                of_vertical_closed(field, k)))
-        elif prop == "P332":
-            cases.append(_compare_diff(
-                f"{name}[{idx}]", of_lift_solve(field, "c", k),
-                of_complete_closed(field, k)))
-        else:  # P333
-            for r, s in _cv_splits(k):
-                cases.append(_compare_diff(
-                    f"{name}[{idx}] split=({r},{s})",
-                    of_lift_solve(field, "cv", k, r=r, s=s),
-                    of_cv_closed(field, r, s)))
+                label, fam.solve(field, kind, k, r=r, s=s),
+                fam.closed(field, kind, k, r=r, s=s)))
 
     subject = COMPARISON_SUBJECTS[prop]
     title = (f"compare={prop} subject={subject} m={m} k={k} seed={gen.seed} "

@@ -252,6 +252,22 @@ def test_lift_refuses_huge_constant_powers_and_non_ascii_digits(
     assert message in err
 
 
+@pytest.mark.parametrize("value,message", [
+    ("(3/2)^2048*(3/2)^2048*(3/2)^2048*(3/2)^2048*(3/2)^2048*z0_1",
+     "coefficient of 9739 bits exceeds the limit 8192 (at position 22)"),
+    ("(z0_1+z0_2+z0_3+zb0_1+zb0_2+zb0_3+t+1)^12",
+     "expansion of 50388 terms exceeds the limit 10000 (at position 39)"),
+], ids=["coefficient-bits", "term-count"])
+def test_lift_refuses_over_budget_terms(tmp_path, capsys, value, message):
+    p = tmp_path / "m.manifest"
+    p.write_text(f"m: 3\n\nfield f:\n  type: scalar\n  value: {value}\n")
+    code, out, err = run(capsys, "lift", "--manifest", str(p),
+                         "--field", "f", "--kind", "c", "--k", "1")
+    assert code == 3
+    assert out == ""
+    assert message in err
+
+
 def test_lift_engine_error_is_exit_4(tmp_path, capsys):
     p = tmp_path / "m.manifest"
     p.write_text("m: 1\n\nfield Z:\n  type: vector\n  t: z0_1\n")
@@ -284,11 +300,21 @@ def test_parse_error_in_manifest_is_exit_3(tmp_path, capsys):
 
 # -- check / compare -------------------------------------------------------------------
 
-def test_check_exit_zero_and_golden(capsys):
-    code, out, _ = run(capsys, "check", "functions", "--m", "1", "--k", "2",
-                       "--seed", "7", "--samples", "25")
+# The vectors and one-forms goldens carry every CONFLICT witness of their
+# suites (V6, V8, V9, V15, O8, O12, O14).
+@pytest.mark.parametrize("argv,golden", [
+    (("functions", "--seed", "7", "--samples", "25"),
+     "check_functions_m1_k2_seed7.txt"),
+    (("vectors", "--seed", "7", "--with-time"),
+     "check_vectors_m1_k2_seed7_time.txt"),
+    (("oneforms", "--seed", "7", "--with-time"),
+     "check_oneforms_m1_k2_seed7_time.txt"),
+], ids=["functions", "vectors", "oneforms"])
+def test_check_exit_zero_and_golden(capsys, argv, golden):
+    code, out, _ = run(capsys, "check", argv[0], "--m", "1", "--k", "2",
+                       *argv[1:])
     assert code == 0
-    assert out == (GOLDEN / "check_functions_m1_k2_seed7.txt").read_text()
+    assert out == (GOLDEN / golden).read_text()
 
 
 def test_check_warns_on_conflicts(capsys):
@@ -320,10 +346,12 @@ def test_check_rejects_bad_arguments(capsys):
     assert code == 2
 
 
-def test_compare_golden_and_exit_zero(capsys):
-    code, out, _ = run(capsys, "compare", "P322", "--m", "1", "--k", "2")
+# P333 carries four MISMATCH witnesses on the one-form cv route.
+@pytest.mark.parametrize("prop", ["P322", "P333"])
+def test_compare_golden_and_exit_zero(capsys, prop):
+    code, out, _ = run(capsys, "compare", prop, "--m", "1", "--k", "2")
     assert code == 0  # a mismatch verdict is a result, not an error
-    assert out == (GOLDEN / "compare_P322_m1_k2.txt").read_text()
+    assert out == (GOLDEN / f"compare_{prop}_m1_k2.txt").read_text()
 
 
 def test_compare_match_case(capsys):

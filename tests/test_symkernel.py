@@ -388,6 +388,60 @@ def test_parse_accepts_constant_powers_within_the_bit_limit():
 
 
 @pytest.mark.parametrize("bad,pos,message", [
+    ("(3/2)^2048*(3/2)^2048*(3/2)^2048*(3/2)^2048*(3/2)^2048*z0_1", 22,
+     "coefficient of 9739 bits exceeds the limit 8192"),
+    ("z0_1 + (3/2)^2048*(3/2)^2048*((3/2)^2048*z0_1)", 29,
+     "coefficient of 9739 bits exceeds the limit 8192"),
+    ("((3/2)^2000+z0_1)*((3/2)^2000+z0_1)*((3/2)^2000+z0_1)", 36,
+     "coefficient of 9510 bits exceeds the limit 8192"),
+    ("(1/3)^2048*z0_1 + (1/5)^1365*z0_1 + (1/7)^1365*z0_1", 36,
+     "coefficient of 10248 bits exceeds the limit 8192"),
+    ("2^2048*2^2048*2^2048*2^2048*z0_1", 21,
+     "coefficient of 8193 bits exceeds the limit 8192"),
+    ("9" * 2500 + "*z0_1", 0, "coefficient of 8305 bits exceeds the limit 8192"),
+], ids=["factors", "single-term-group", "product-of-sums", "sum-of-terms",
+        "number-factors", "2500-digit-number"])
+def test_parse_refuses_coefficients_beyond_the_bit_limit(bad, pos, message):
+    with pytest.raises(ParseError) as err:
+        parse(bad)
+    assert (err.value.position, str(err.value)) == (
+        pos, f"{message} (at position {pos})")
+
+
+def test_parse_accepts_coefficients_within_the_bit_limit():
+    two = parse("(3/2)^2048*(3/2)^2048*z0_1")
+    assert two == parse("z0_1") * Expr.constant(Fraction(3 ** 4096, 2 ** 4096))
+    assert parse(format_expr(two)) == two
+    # The budget holds for the reduced coefficient, not the folded factors.
+    assert parse("(2/3)^2048*(3/2)^2048*(2/3)^2048*(3/2)^2048*z0_1") \
+        == parse("z0_1")
+    assert parse("(3/2)^2048*z0_1 - (3/2)^2048*z0_1").is_zero()
+
+
+@pytest.mark.parametrize("bad,pos,message", [
+    ("(z0_1+z0_2+zb0_1+zb0_2+t+1)^14", 28,
+     "expansion of 11628 terms exceeds the limit 10000"),
+    ("(z0_1+z0_2+z0_3+zb0_1+zb0_2+zb0_3+t+1)^12", 39,
+     "expansion of 50388 terms exceeds the limit 10000"),
+    ("(z0_1+z0_2+zb0_1+zb0_2+t+1)^5*(z0_1+z0_2+zb0_1+zb0_2+t+1)^5", 30,
+     "expansion of 63504 terms exceeds the limit 10000"),
+], ids=["power-5-atoms", "power-7-atoms", "product-of-powers"])
+def test_parse_refuses_expansions_beyond_the_term_limit(bad, pos, message):
+    with pytest.raises(ParseError) as err:
+        parse(bad)
+    assert (err.value.position, str(err.value)) == (
+        pos, f"{message} (at position {pos})")
+
+
+def test_parse_accepts_expansions_within_the_term_limit():
+    # C(5 + 6, 6) = 462 monomials of degree <= 6 in five atoms.
+    assert len(parse("(z0_1+z0_2+zb0_1+zb0_2+t+1)^6")._terms) == 462
+    # Few terms bound a power of a many-atom base: 17 here, not C(68, 64).
+    assert len(parse("(z0_1*z0_2*zb0_1*zb0_2 + 1)^16")._terms) == 17
+    assert len(parse("(z0_1+1)^64*(zb0_1+1)^64")._terms) == 65 * 65
+
+
+@pytest.mark.parametrize("bad,pos,message", [
     ("2\u00b2", 1, "unexpected character '\u00b2'"),
     ("z\u0663_1", 0, "unexpected character 'z\u0663_1'"),
     ("z0_1^\u00b2", 5, "unexpected character '\u00b2'"),
