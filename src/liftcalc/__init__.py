@@ -90,7 +90,6 @@ from .structures import (
     star_apply,
 )
 from .symkernel import (
-    ConjugationError,
     CoordId,
     ExactDivisionError,
     Expr,
@@ -98,16 +97,13 @@ from .symkernel import (
     InconsistentSystemError,
     Kind,
     LinearSolveError,
-    NonlinearSystemError,
     ParseError,
     SymKernelError,
     TIME,
     UnderdeterminedError,
-    UnknownId,
     binomial,
     format_expr,
     parse,
-    solve_poly_linear,
 )
 from .verify import (
     CheckReport,
@@ -129,22 +125,20 @@ __version__ = "0.1.0"
 __all__ = [
     "AdaptedFrame", "AltForm", "Bilinear", "ChartError", "ChartSpec",
     "CheckReport", "Clause", "ClauseOutcome", "CompareCase", "CompareReport",
-    "COMPARISONS", "ConjugationError", "ConnectionCoeffs", "CoordId",
-    "DEFAULT_SAMPLES", "EndoField", "ExactDivisionError", "Expr",
-    "FieldError", "FieldGen", "GRat", "HermitianPackage",
-    "InconsistentSystemError", "Kind", "LiftError", "LinearSolveError",
-    "NonlinearSystemError", "OneForm", "ParseError", "ScalarField",
-    "SolveCertificate", "StructureError", "SUITES", "SymKernelError",
-    "TIME", "UnderdeterminedError", "UnknownId", "VectorField",
-    "VerifyError", "adapted_frame", "basis_lift_rows", "binomial",
-    "build_Jk", "build_Jk_star", "clear_lift_cache", "compare_proposition",
-    "fn_complete", "fn_complete_vertical", "fn_horizontal", "fn_vertical",
-    "format_bilinear", "format_endo", "format_expr", "format_oneform",
-    "format_vector", "fundamental_bilinear", "hermitian_check",
-    "kaehler_closed", "kaehler_form", "lie_bracket", "lift_J0",
-    "of_complete_closed", "of_cv_closed", "of_defining_residuals",
-    "of_horizontal", "of_lift_solve", "of_lift_solve_certified",
-    "of_vertical_closed", "parse", "run_suite", "solve_poly_linear",
+    "COMPARISONS", "ConnectionCoeffs", "CoordId", "DEFAULT_SAMPLES",
+    "EndoField", "ExactDivisionError", "Expr", "FieldError", "FieldGen",
+    "GRat", "HermitianPackage", "InconsistentSystemError", "Kind", "LiftError",
+    "LinearSolveError", "OneForm", "ParseError", "ScalarField",
+    "SolveCertificate", "StructureError", "SUITES", "SymKernelError", "TIME",
+    "UnderdeterminedError", "VectorField", "VerifyError", "adapted_frame",
+    "basis_lift_rows", "binomial", "build_Jk", "build_Jk_star",
+    "clear_lift_cache", "compare_proposition", "fn_complete",
+    "fn_complete_vertical", "fn_horizontal", "fn_vertical", "format_bilinear",
+    "format_endo", "format_expr", "format_oneform", "format_vector",
+    "fundamental_bilinear", "hermitian_check", "kaehler_closed",
+    "kaehler_form", "lie_bracket", "lift_J0", "of_complete_closed",
+    "of_cv_closed", "of_defining_residuals", "of_horizontal", "of_lift_solve",
+    "of_lift_solve_certified", "of_vertical_closed", "parse", "run_suite",
     "star_apply", "t02_defining_residuals", "t02_lift_solve",
     "t02_lift_solve_certified", "t11_defining_residuals", "t11_lift_solve",
     "t11_lift_solve_certified", "vf_complete_closed", "vf_cv_closed",

@@ -24,8 +24,8 @@ derived from it in coordinate order:
 * the first difference of two fields, ``component <label>`` or
   ``entry <label>`` with both values (clause and comparison witnesses).
 
-Components may contain solver unknowns (the determined-lift machinery builds
-ansatz fields this way); chart validation only constrains the coordinates.
+Chart validation requires every coordinate a component mentions to be one
+of the chart's.
 """
 
 from __future__ import annotations

@@ -73,7 +73,6 @@ from .symkernel import (
     LinearSolveError,
     PolyLinearFactor,
     UnderdeterminedError,
-    UnknownId,
     _accumulate,
     _atom_key,
     _expr,
@@ -116,8 +115,6 @@ def _derive(expr: Expr, time_scaled: bool) -> Expr:
         for pos, (atom, exp) in enumerate(m):
             entry = buckets.get(atom)
             if entry is None:
-                if atom.__class__ is not CoordId:
-                    continue
                 if atom.kind != Kind.TIME:
                     shift = ((CoordId(atom.kind, atom.level + 1, atom.index), 1),)
                 else:
@@ -624,7 +621,9 @@ def _system(key: tuple) -> _System:
                     lambda: key[0](*key[1:]))
 
 
-# op -> (name in messages, what the free unknowns are called)
+# op -> (name in messages, what its free positions are called).  The solver's
+# own errors name a position by a plain label instead: U_<coord> (vector),
+# W_<coord> (one-form), E_<a>__<b> ((1,1)) or B_<a>__<b> ((0,2)).
 _OPS = {"vector": ("vector", "components"),
         "oneform": ("one-form", "components"),
         "endo": ("(1,1)-tensor", "entries"),
@@ -648,10 +647,10 @@ class _Engine:
         self.labels = labels
 
     def solve(self, system: _System, rests: list[Expr],
-              unknowns: Sequence[UnknownId]) -> list[Expr]:
+              names: Sequence[str]) -> list[Expr]:
         """Replay and self-check; underdetermination is left to the caller."""
         try:
-            values = system.factor.solve(rests, unknowns)
+            values = system.factor.solve(rests, names)
         except UnderdeterminedError:
             raise
         except LinearSolveError as exc:
@@ -670,7 +669,7 @@ class _Engine:
                     f"{self.what} solve: solution fails its own equation {n}")
 
     def solve_stages(self, keys: Sequence[tuple], rests,
-                     unknowns: Sequence[Sequence[UnknownId]]
+                     names: Sequence[Sequence[str]]
                      ) -> tuple[_System, list[list[Expr]]]:
         """Solve on the first system of `keys` that determines every
         unknown.  ``rests(items)`` gives one list of rests per right-hand
@@ -681,7 +680,7 @@ class _Engine:
             system = _system(key)
             columns = rests(system.items)
             try:
-                values = [self.solve(system, columns[0], unknowns[0])]
+                values = [self.solve(system, columns[0], names[0])]
             except UnderdeterminedError as exc:
                 if n + 1 < len(keys):
                     continue
@@ -689,7 +688,7 @@ class _Engine:
             break
         for col in range(1, len(columns)):
             try:
-                values.append(self.solve(system, columns[col], unknowns[col]))
+                values.append(self.solve(system, columns[col], names[col]))
             except UnderdeterminedError as exc:
                 raise self._underdetermined(system) from exc
         return system, values
@@ -783,7 +782,7 @@ def vf_lift_solve_certified(Z: VectorField, kind: str, k: int, *,
             pinned[TIME] = tc
     coords = _vf_layout(chart0, k, include_time)
     engine = _Engine("vector", kind, k, [c.name for c in coords], r, s)
-    unknowns = [UnknownId(f"U_{c.name}") for c in coords]
+    names = [f"U_{c.name}" for c in coords]
     position = {c: p for p, c in enumerate(coords)}
     memo: dict[Expr, Expr] = {}
 
@@ -805,7 +804,7 @@ def vf_lift_solve_certified(Z: VectorField, kind: str, k: int, *,
         for ladder in ladders:
             system = _system((_vf_ladder, ladder, k))
             solved = system.factor.solve(rests(system.items),
-                                         [unknowns[position[c]] for c in ladder])
+                                         [names[position[c]] for c in ladder])
             for c, value in zip(ladder, solved):
                 values[position[c]] = value
     except LinearSolveError:
@@ -814,7 +813,7 @@ def vf_lift_solve_certified(Z: VectorField, kind: str, k: int, *,
     family_key = (_vf_family, chart0, k, include_time)
     if values is None:
         family, (values,) = engine.solve_stages(
-            [family_key], lambda functions: [rests(functions)], [unknowns])
+            [family_key], lambda functions: [rests(functions)], [names])
     else:
         family = _system(family_key)
         engine.check(family, rests(family.items), values)
@@ -907,7 +906,7 @@ def of_lift_solve_certified(w: OneForm, kind: str, k: int, *,
         _stages(_pairing, chart0, k),
         lambda tests: [[-_lift_scalar_expr(w.pair(X), kind, k, r, s)
                         for X in tests]],
-        [[UnknownId(f"W_{c.name}") for c in coords]])
+        [[f"W_{c.name}" for c in coords]])
     result = OneForm(target, {c: v for c, v in zip(coords, values)
                               if not v.is_zero()})
     holdout = vector_test_holdout(chart0)
@@ -968,7 +967,7 @@ def t11_lift_solve_certified(phi: EndoField, kind: str, k: int
 
     system, rows = engine.solve_stages(
         _stages(_pairing, chart0, k), rests,
-        [[UnknownId(f"E_{a.name}__{b}") for b in labels] for a in coords])
+        [[f"E_{a.name}__{b}" for b in labels] for a in coords])
     result = EndoField(target, {(a, b): v
                                 for a, row in zip(coords, rows)
                                 for b, v in zip(coords, row) if not v.is_zero()})
@@ -1059,7 +1058,7 @@ def t02_lift_solve_certified(G: Bilinear, kind: str, k: int
         _stages(_t02_pairs, chart0, k),
         lambda items: [[-_lift_scalar_expr(G.evaluate(X, Y), kind, k, None, None)
                         for X, Y in items]],
-        [[UnknownId(f"B_{label}") for label in labels]])
+        [[f"B_{label}" for label in labels]])
     result = Bilinear(target, {ab: v for ab, v in zip(pairs, values)
                                if not v.is_zero()})
     holdout = vector_test_holdout(chart0)

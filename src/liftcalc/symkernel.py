@@ -3,9 +3,9 @@
 Everything downstream (charts, fields, lifts, verification) reduces to algebra in
 this module. The objects are multivariate polynomials whose coefficients are
 Gaussian rationals (complex numbers with exact rational real and imaginary
-parts) and whose variables ("atoms") are either coordinates of an extension
-chart -- the time coordinate ``t``, holomorphic coordinates ``z{r}_{i}``,
-antiholomorphic coordinates ``zb{r}_{i}`` -- or solver-internal unknowns.
+parts) and whose variables ("atoms") are the coordinates of an extension
+chart: the time coordinate ``t``, holomorphic coordinates ``z{r}_{i}`` and
+antiholomorphic coordinates ``zb{r}_{i}``.
 
 A Gaussian rational is held as a normalised integer triple ``(a, b, d)``
 meaning ``(a + b*i)/d``, so coefficient arithmetic is plain integer arithmetic
@@ -23,7 +23,9 @@ lifts, where each unknown is an entire component function of the lifted
 field: fraction-free elimination over the polynomial ring with
 exact-division back-substitution. :class:`PolyLinearFactor` records the
 elimination of a set of coefficient rows once and replays it on any number
-of right-hand sides; :func:`solve_poly_linear` is the one-shot form.
+of right-hand sides.  Unknowns never enter an expression: a row maps
+positions to coefficients, and an unknown's name is only a label in error
+texts.
 """
 
 from __future__ import annotations
@@ -51,16 +53,8 @@ class ParseError(SymKernelError):
         self.position = position
 
 
-class ConjugationError(SymKernelError):
-    """Conjugation applied to an expression containing solver unknowns."""
-
-
 class LinearSolveError(SymKernelError):
     """Base class for linear-system failures."""
-
-
-class NonlinearSystemError(LinearSolveError):
-    """An equation is not linear in the designated unknowns."""
 
 
 class InconsistentSystemError(LinearSolveError):
@@ -81,10 +75,10 @@ class InconsistentSystemError(LinearSolveError):
 class UnderdeterminedError(LinearSolveError):
     """The system does not determine all unknowns; lists the free ones."""
 
-    def __init__(self, free: Sequence["UnknownId"]):
+    def __init__(self, free: Sequence[str]):
         self.free = tuple(free)
-        names = ", ".join(u.name for u in self.free)
-        super().__init__(f"underdetermined system; free unknowns: {names}")
+        super().__init__(
+            f"underdetermined system; free unknowns: {', '.join(self.free)}")
 
 
 class ExactDivisionError(SymKernelError):
@@ -127,8 +121,7 @@ class CoordId:
                 raise ValueError(f"negative level {self.level}")
             if self.index < 1:
                 raise ValueError(f"coordinate index must be >= 1, got {self.index}")
-        object.__setattr__(self, "_key",
-                           (0, int(self.kind), self.level, self.index, ""))
+        object.__setattr__(self, "_key", (int(self.kind), self.level, self.index))
         object.__setattr__(self, "_hash", hash((self.kind, self.level, self.index)))
 
     def __eq__(self, other) -> bool:
@@ -158,35 +151,6 @@ class CoordId:
     def __repr__(self) -> str:
         return f"CoordId({self.name})"
 
-
-@dataclass(frozen=True, slots=True)
-class UnknownId:
-    """A solver unknown; a namespace disjoint from chart coordinates."""
-
-    name: str
-    _key: tuple = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_key", (1, 0, 0, 0, self.name))
-        object.__setattr__(self, "_hash", hash((self.name,)))
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not UnknownId:
-            return NotImplemented
-        return self.name == other.name
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def sort_key(self) -> tuple:
-        return self._key
-
-    def __repr__(self) -> str:
-        return f"UnknownId({self.name})"
-
-
-Atom = Union[CoordId, UnknownId]
 
 TIME = CoordId(Kind.TIME)
 
@@ -402,16 +366,6 @@ def _mono_sorted(exps: dict) -> Monomial:
     return tuple(zip(atoms, map(exps.__getitem__, atoms)))
 
 
-def mono_from_pairs(pairs: Iterable[tuple[Atom, int]]) -> Monomial:
-    merged: dict[Atom, int] = {}
-    for atom, exp in pairs:
-        if exp < 0:
-            raise ValueError("negative exponent in monomial")
-        if exp:
-            merged[atom] = merged.get(atom, 0) + exp
-    return _mono_sorted(merged)
-
-
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     if not a:
         return b
@@ -512,7 +466,7 @@ class Expr:
         return _expr({MONO_ONE: GR_I})
 
     @staticmethod
-    def atom(a: Atom, exponent: int = 1) -> "Expr":
+    def atom(a: CoordId, exponent: int = 1) -> "Expr":
         if exponent < 0:
             raise ValueError("negative exponent")
         if exponent == 0:
@@ -553,18 +507,8 @@ class Expr:
             return 0
         return max(mono_degree(m) for m in self._terms)
 
-    def atoms(self) -> set:
-        out: set = set()
-        for m in self._terms:
-            for atom, _ in m:
-                out.add(atom)
-        return out
-
     def coords(self) -> set:
-        return {a for a in self.atoms() if isinstance(a, CoordId)}
-
-    def unknowns(self) -> set:
-        return {a for a in self.atoms() if isinstance(a, UnknownId)}
+        return {atom for m in self._terms for atom, _ in m}
 
     def leading_term(self) -> tuple[Monomial, GRat]:
         if not self._terms:
@@ -681,35 +625,19 @@ class Expr:
 
     def conjugate(self) -> "Expr":
         """Complex conjugation: swap z <-> zb atoms, conjugate coefficients."""
-        acc: dict[Monomial, GRat] = {}
-        for m, c in self._terms.items():
-            pairs = []
-            for atom, exp in m:
-                if isinstance(atom, UnknownId):
-                    raise ConjugationError(
-                        f"cannot conjugate expression containing unknown {atom.name}")
-                pairs.append((atom.conjugate(), exp))
-            acc[mono_from_pairs(pairs)] = c.conjugate()
-        return _expr(acc)
+        # Conjugation is injective on coordinates, so nothing merges.
+        return _expr({_mono_sorted({atom.conjugate(): exp for atom, exp in m}):
+                      c.conjugate() for m, c in self._terms.items()})
 
     def substitute(self, mapping: Mapping[CoordId, "Expr"]) -> "Expr":
         """Simultaneous substitution of coordinates by expressions."""
         for key in mapping:
             if not isinstance(key, CoordId):
                 raise TypeError("substitute keys must be CoordId")
-        return self._subst(mapping)
-
-    def substitute_unknowns(self, mapping: Mapping[UnknownId, "Expr"]) -> "Expr":
-        for key in mapping:
-            if not isinstance(key, UnknownId):
-                raise TypeError("substitute_unknowns keys must be UnknownId")
-        return self._subst(mapping)
-
-    def _subst(self, mapping: Mapping[Atom, "Expr"]) -> "Expr":
         if not mapping:
             return self
         acc: dict[Monomial, GRat] = {}
-        powers: dict[tuple[Atom, int], Expr] = {}
+        powers: dict[tuple[CoordId, int], Expr] = {}
         for m, c in self._terms.items():
             kept = tuple(pair for pair in m if pair[0] not in mapping)
             if len(kept) == len(m):
@@ -725,30 +653,6 @@ class Expr:
                     piece = piece * power
             _accumulate(acc, piece._terms.items())
         return _expr(acc)
-
-    def linear_split(self, unknowns: Iterable[UnknownId]
-                     ) -> tuple[dict[UnknownId, "Expr"], "Expr"]:
-        """Split into (coefficient-of-unknown map, remainder).
-
-        Requires the expression to be linear (degree <= 1) in the given
-        unknowns jointly; raises NonlinearSystemError otherwise.
-        """
-        uset = set(unknowns)
-        coeffs: dict[UnknownId, dict[Monomial, GRat]] = {}
-        rest: dict[Monomial, GRat] = {}
-        for m, c in self._terms.items():
-            present = [(atom, exp) for atom, exp in m if atom in uset]
-            if not present:
-                rest[m] = c
-                continue
-            if len(present) > 1 or present[0][1] > 1:
-                raise NonlinearSystemError(
-                    f"term {format_expr(Expr({m: c}))} is not linear in the unknowns")
-            u = present[0][0]
-            reduced = tuple(pair for pair in m if pair[0] != u)
-            bucket = coeffs.setdefault(u, {})
-            bucket[reduced] = bucket.get(reduced, GR_ZERO) + c
-        return ({u: Expr(t) for u, t in coeffs.items()}, _expr(rest))
 
     # -- identity ------------------------------------------------------------
     def __eq__(self, other) -> bool:
@@ -816,12 +720,23 @@ def binomial(r: int, j: int) -> int:
 # Formatting
 # ---------------------------------------------------------------------------
 
+# An integer of more bits than this is refused in formatting: 14,280 bits
+# stay under the default int-to-str limit of 4,300 digits, which is a
+# process-wide setting and is left alone.  Parsed coefficients keep under
+# 8,192 bits, but lifts multiply them.
+_MAX_FORMAT_BITS = 14280
+
+
 def _format_ratio(n: int, d: int) -> str:
     """The reduced fraction ``n/d`` (``d > 0``) as text; integers print bare."""
     g = math.gcd(n, d)
     if g != 1:
         n //= g
         d //= g
+    bits = max(n.bit_length(), d.bit_length())
+    if bits > _MAX_FORMAT_BITS:
+        raise SymKernelError(f"coefficient of {bits} bits is too large to print "
+                             f"(limit {_MAX_FORMAT_BITS})")
     return str(n) if d == 1 else f"{n}/{d}"
 
 
@@ -1000,7 +915,7 @@ def _power_terms(base: Expr, exponent: int) -> int:
     """A bound on the terms of ``base ** exponent``: C(v + D, D) monomials
     of degree D or less in v atoms, or C(n - 1 + e, e) products of n terms."""
     top = base.degree() * exponent
-    return min(math.comb(len(base.atoms()) + top, top),
+    return min(math.comb(len(base.coords()) + top, top),
                math.comb(len(base._terms) - 1 + exponent, exponent))
 
 
@@ -1241,9 +1156,12 @@ class PolyLinearFactor:
 
     Row ``n`` is a map ``{position: Expr}`` of nonzero coefficients over the
     positions ``0 .. width-1`` and stands for the equation
-    ``sum(row[p] * x_p) + rest_n == 0``.  The pivot sequence depends on the
-    rows alone, so :meth:`solve` only repeats the elimination's updates of
-    the rests and the back-substitution.
+    ``sum(row[p] * x_p) + rest_n == 0``.  Each ``x_p`` stands for a whole
+    polynomial.  Forward elimination cross-multiplies instead of dividing,
+    so the rows stay polynomial, and pivots prefer constant coefficients,
+    then the lowest degree.  The pivot sequence depends on the rows alone,
+    so :meth:`solve` only repeats the elimination's updates of the rests and
+    the exact-division back-substitution.
     """
 
     __slots__ = ("width", "free", "_steps", "_pivots", "_unpivoted")
@@ -1303,12 +1221,14 @@ class PolyLinearFactor:
         self._pivots = pivots[::-1]
         self._unpivoted = [n for n in range(len(rows)) if n not in used]
 
-    def solve(self, rests: Sequence[Expr], unknowns: Sequence[UnknownId]
-              ) -> list[Expr]:
-        """The values ``x_p`` for the given rests, one per row.
+    def solve(self, rests: Sequence[Expr], names: Sequence[str]) -> list[Expr]:
+        """The values ``x_p`` for the given rests, one rest per row.
 
-        ``unknowns`` names the positions in errors: InconsistentSystemError
-        (with the row as ``equation_index``) or UnderdeterminedError.
+        ``names[p]`` labels position ``p`` in the errors: an
+        InconsistentSystemError (with the row as ``equation_index``) when
+        an unpivoted rest is nonzero or a pivot does not divide exactly,
+        else an UnderdeterminedError whose ``free`` lists the names of the
+        unpivoted positions.
         """
         rests = list(rests)
         for prow, inv, pc, updates in self._steps:
@@ -1325,7 +1245,7 @@ class PolyLinearFactor:
                 raise InconsistentSystemError(
                     "no solution", n, f"residual {format_expr(rests[n])} == 0")
         if self.free:
-            raise UnderdeterminedError([unknowns[u] for u in self.free])
+            raise UnderdeterminedError([names[u] for u in self.free])
         values: list = [None] * self.width
         for u, coeffs, pc, prow in self._pivots:
             numer = -rests[prow]
@@ -1338,29 +1258,7 @@ class PolyLinearFactor:
                     values[u] = divide_exact(numer, pc)
                 except ExactDivisionError as exc:
                     raise InconsistentSystemError(
-                        f"no polynomial solution for {unknowns[u].name}", prow,
+                        f"no polynomial solution for {names[u]}", prow,
                         str(exc)) from exc
         return values
 
-
-def solve_poly_linear(equations: Sequence[Expr], unknowns: Sequence[UnknownId]
-                      ) -> dict[UnknownId, Expr]:
-    """Solve a linear system whose unknowns stand for whole polynomials.
-
-    Each equation is linear in the unknowns with polynomial coefficients.
-    Fraction-free forward elimination (cross-multiplication, no division)
-    keeps the rows polynomial; back-substitution divides exactly, so a unique
-    polynomial solution is recovered whenever one exists.  Pivots prefer
-    constant coefficients, then lowest degree, for determinism and to limit
-    growth.  This is :class:`PolyLinearFactor` used once.
-    """
-    unknown_list = list(dict.fromkeys(unknowns))
-    position = {u: p for p, u in enumerate(unknown_list)}
-    rows = []
-    rests = []
-    for eq in equations:
-        coeffs, rest = eq.linear_split(unknown_list)
-        rows.append({position[u]: c for u, c in coeffs.items()})
-        rests.append(rest)
-    values = PolyLinearFactor(rows, len(unknown_list)).solve(rests, unknown_list)
-    return dict(zip(unknown_list, values))

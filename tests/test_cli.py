@@ -277,6 +277,20 @@ def test_lift_engine_error_is_exit_4(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_lift_too_large_to_print_is_exit_4(tmp_path, capsys):
+    # Each coefficient parses (8,077 bits); the horizontal lift multiplies
+    # two of them past what an int prints as under the default digit limit.
+    big = "(3/2)^2048*(3/2)^2048*(3/2)^1000*z0_1"
+    p = tmp_path / "m.manifest"
+    p.write_text(f"m: 1\nfield Z:\n  type: vector\n  z0_1: {big}\n"
+                 f"connection:\n  gamma 0 1 1: {big}\n")
+    code, out, err = run(capsys, "lift", "--manifest", str(p),
+                         "--field", "Z", "--kind", "h", "--k", "1")
+    assert (code, out) == (4, "")
+    assert err == ("error: coefficient of 16154 bits is too large to print "
+                   "(limit 14280)\n")
+
+
 def test_lift_h_requires_product_manifest(tensors, capsys):
     code, _, err = run(capsys, "lift", "--manifest", tensors,
                        "--field", "J", "--kind", "h", "--k", "1")

@@ -14,7 +14,8 @@ import pytest
 from liftcalc import lifts as L
 from liftcalc.charts import ChartSpec
 from liftcalc.fields import Bilinear, EndoField, OneForm, VectorField
-from liftcalc.symkernel import TIME, Expr, anti, holo
+from liftcalc.symkernel import TIME, Expr, PolyLinearFactor, anti, holo
+from liftcalc.verify import FieldGen
 
 C0 = ChartSpec(1, 0, True)
 K = 2
@@ -105,6 +106,45 @@ def test_bilinear_lift_checks_stay_live(monkeypatch):
         first, second,
         lambda patch: _wrong_scalar_lift(patch, "v", z ** 3),
         "holdout residual nonzero")
+
+
+def _solver_names(monkeypatch, solve, field):
+    """The position names of every factorisation replay `solve(field)`
+    makes, in order, from cold caches."""
+    calls = []
+    replay = PolyLinearFactor.solve
+
+    def recording(self, rests, names):
+        calls.append(tuple(names))
+        return replay(self, rests, names)
+
+    L.clear_lift_cache()
+    with monkeypatch.context() as patch:
+        patch.setattr(PolyLinearFactor, "solve", recording)
+        solve(field)
+    assert all(type(name) is str for names in calls for name in names)
+    return calls
+
+
+def test_each_op_names_its_positions(monkeypatch):
+    gen = FieldGen(5)
+    coords = C0.extend(K).coordinates()
+    cases = [
+        # One replay per level ladder; the time component is pinned.
+        (lambda Y: L.vf_lift_solve(Y, "c", K), gen.vector(C0), "U_",
+         [tuple(f"U_{base}{r}_1" for r in range(K + 1)) for base in ("z", "zb")]),
+        (lambda w: L.of_lift_solve(w, "v", K), gen.oneform(C0), "W_",
+         [tuple(f"W_{c.name}" for c in coords)]),
+        (lambda p: L.t11_lift_solve(p, "v", K), gen.endo(C0), "E_",
+         [tuple(f"E_{a.name}__{b.name}" for b in coords) for a in coords]),
+        (lambda G: L.t02_lift_solve(G, "v", K), gen.bilinear(C0), "B_",
+         [tuple(f"B_{a.name}__{b.name}" for a in coords for b in coords)]),
+    ]
+    for solve, field, prefix, expected in cases:
+        names = _solver_names(monkeypatch, solve, field)
+        assert [n for n in names if n[0].startswith(prefix)] == expected
+        # The other replays are the vector and one-form lifts the op uses.
+        assert all(n[0].startswith((prefix, "U_", "W_")) for n in names)
 
 
 def test_bounded_cache_evicts_the_least_recently_used():

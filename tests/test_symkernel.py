@@ -12,24 +12,22 @@ from hypothesis import strategies as st
 from liftcalc.charts import ChartSpec
 from liftcalc.symkernel import (
     TIME,
-    ConjugationError,
     CoordId,
     ExactDivisionError,
     Expr,
     GRat,
     InconsistentSystemError,
     Kind,
-    NonlinearSystemError,
     ParseError,
+    PolyLinearFactor,
+    SymKernelError,
     UnderdeterminedError,
-    UnknownId,
     anti,
     binomial,
     divide_exact,
     format_expr,
     holo,
     parse,
-    solve_poly_linear,
 )
 
 Z01 = holo(0, 1)
@@ -267,12 +265,6 @@ def test_expr_conjugate_fixes_time():
     assert parse("t*z0_1").conjugate() == parse("t*zb0_1")
 
 
-def test_expr_conjugate_rejects_unknowns():
-    u = UnknownId("u")
-    with pytest.raises(ConjugationError):
-        (Expr.atom(u) + 1).conjugate()
-
-
 def test_expr_substitute():
     f = parse("z0_1^2 + z0_2")
     g = f.substitute({Z01: Expr.atom(Z11)})
@@ -310,6 +302,17 @@ def test_parse_format_round_trip(text):
 def test_format_deterministic_term_order():
     e = parse("z1_1 + z0_1 + t + zb0_1")
     assert format_expr(e) == "t + z0_1 + z1_1 + zb0_1"
+
+
+def test_format_refuses_coefficients_too_large_to_print():
+    # 14,280 bits print in under the interpreter's 4,300-digit limit
+    assert len(format_expr(Expr.constant(2 ** 14280 - 1))) == 4299
+    for value in (2 ** 14280, Fraction(3, 2 ** 14280),
+                  Expr.atom(Z01).scale(GRat(1, 2 ** 14280))):
+        with pytest.raises(SymKernelError) as err:
+            format_expr(Expr.from_value(value))
+        assert str(err.value) == ("coefficient of 14281 bits is too large to "
+                                  "print (limit 14280)")
 
 
 def test_parse_arithmetic():
@@ -626,69 +629,74 @@ def test_divide_exact_rejects_remainder():
 
 # -- linear solver ------------------------------------------------------------
 
-def _u(name):
-    return UnknownId(name)
+_X, _XB = Expr.atom(Z01), Expr.atom(ZB01)
+
+# Rows ``{position: coefficient}`` and rests of ``sum(row[p]*x_p) + rest
+# == 0``, with the solution or the error raised (type, text, attribute and
+# its value).  Positions are named "a", "b".
+_FACTOR_CASES = {
+    # 2*a = z0_1^2: a whole polynomial, a = z0_1^2/2
+    "polynomial-unknown": ([{0: Expr.constant(2)}], [-_X ** 2],
+                           [_X ** 2 * GRat(Fraction(1, 2))]),
+    # a + b = 2*z0_1 and a - b = 2
+    "square-system": ([{0: Expr.one(), 1: Expr.one()},
+                       {0: Expr.one(), 1: Expr.constant(-1)}],
+                      [-2 * _X, Expr.constant(-2)], [_X + 1, _X - 1]),
+    # z0_1*a = z0_1*zb0_1 needs an exact polynomial division
+    "nonconstant-pivot": ([{0: _X}], [-_X * _XB], [_XB]),
+    # a*z0_1 + b = 0 has the polynomial family a = -p, b = p*z0_1
+    "underdetermined": ([{0: _X, 1: Expr.one()}], [Expr.zero()],
+                        (UnderdeterminedError,
+                         "underdetermined system; free unknowns: b",
+                         "free", ("b",))),
+    # a*z0_1 = 1 has no polynomial solution
+    "inconsistent": ([{0: _X}], [Expr.constant(-1)],
+                     (InconsistentSystemError,
+                      "no polynomial solution for a [equation 0]: "
+                      "z0_1 does not divide 1", "equation_index", 0)),
+    # a = 1 pivots; a = 2 and a = 3 both reduce to nonzero constants
+    "first-inconsistent-equation": (
+        [{0: Expr.one()}] * 3, [Expr.constant(-n) for n in (1, 2, 3)],
+        (InconsistentSystemError, "no solution [equation 1]: residual -1 == 0",
+         "equation_index", 1)),
+}
 
 
+def _assert_factor_case(case):
+    rows, rests, expected = _FACTOR_CASES[case]
+    width = 1 + max(p for row in rows for p in row)
+    factor = PolyLinearFactor(rows, width)
+    names = ["a", "b"][:width]
+    if isinstance(expected, list):
+        assert factor.solve(rests, names) == expected
+        return
+    error, text, attribute, value = expected
+    with pytest.raises(error) as err:
+        factor.solve(rests, names)
+    assert str(err.value) == text
+    assert getattr(err.value, attribute) == value
+
+
+# One test per case keeps each case's test id.
 def test_solve_poly_linear_polynomial_unknown():
-    # polynomial-unknown semantics: 2*a = z0_1^2 gives a = z0_1^2 / 2
-    a = _u("a")
-    x = Expr.atom(Z01)
-    sol = solve_poly_linear([Expr.atom(a) * 2 - x ** 2], [a])
-    assert sol[a] == x ** 2 * GRat(Fraction(1, 2))
+    _assert_factor_case("polynomial-unknown")
 
 
 def test_solve_poly_linear_square_system():
-    # a + b = 2*z0_1 and a - b = 2  =>  a = z0_1 + 1, b = z0_1 - 1
-    a, b = _u("a"), _u("b")
-    x = Expr.atom(Z01)
-    eqs = [Expr.atom(a) + Expr.atom(b) - 2 * x,
-           Expr.atom(a) - Expr.atom(b) - 2]
-    sol = solve_poly_linear(eqs, [a, b])
-    assert sol[a] == x + 1
-    assert sol[b] == x - 1
+    _assert_factor_case("square-system")
 
 
 def test_solve_poly_linear_nonconstant_pivot():
-    # z0_1 * a = z0_1 * zb0_1 needs an exact polynomial division
-    a = _u("a")
-    eq = Expr.atom(a) * Expr.atom(Z01) - Expr.atom(Z01) * Expr.atom(ZB01)
-    sol = solve_poly_linear([eq], [a])
-    assert sol[a] == Expr.atom(ZB01)
+    _assert_factor_case("nonconstant-pivot")
 
 
 def test_solve_poly_linear_underdetermined_family():
-    # a*z0_1 + b = 0 has the polynomial family a = -p, b = p*z0_1
-    a, b = _u("a"), _u("b")
-    eq = Expr.atom(a) * Expr.atom(Z01) + Expr.atom(b)
-    with pytest.raises(UnderdeterminedError):
-        solve_poly_linear([eq], [a, b])
+    _assert_factor_case("underdetermined")
 
 
 def test_solve_poly_linear_inconsistent():
-    # a*z0_1 = 1 has no polynomial solution
-    a = _u("a")
-    eq = Expr.atom(a) * Expr.atom(Z01) - 1
-    with pytest.raises(InconsistentSystemError):
-        solve_poly_linear([eq], [a])
+    _assert_factor_case("inconsistent")
 
 
 def test_solve_poly_linear_names_the_first_inconsistent_equation():
-    # a = 1 pivots; a = 2 and a = 3 both reduce to nonzero constants
-    a = _u("a")
-    eqs = [Expr.atom(a) - 1, Expr.atom(a) - 2, Expr.atom(a) - 3]
-    with pytest.raises(InconsistentSystemError) as err:
-        solve_poly_linear(eqs, [a])
-    assert err.value.equation_index == 1
-
-
-def test_solve_poly_linear_rejects_nonlinear():
-    a = _u("a")
-    with pytest.raises(NonlinearSystemError):
-        solve_poly_linear([Expr.atom(a, 2) - 1], [a])
-
-
-def test_unknowns_do_not_leak_into_results():
-    a = _u("a")
-    sol = solve_poly_linear([Expr.atom(a) - Expr.atom(Z01)], [a])
-    assert not sol[a].unknowns()
+    _assert_factor_case("first-inconsistent-equation")

@@ -5,8 +5,8 @@ module is skipped, and liftcalc itself never imports it.  Small polynomials
 drawn by hypothesis are multiplied, differentiated, substituted into and
 divided both ways, and sympy's expanded result must equal liftcalc's.  Small
 polynomial linear systems are solved through one factorisation for several
-right-hand sides, and each solution must equal the one-shot solve's and
-sympy's ``linsolve``'s.
+right-hand sides, and each solution, or each failure, must agree with
+sympy's ``linsolve``.
 """
 
 from fractions import Fraction
@@ -23,11 +23,9 @@ from liftcalc.symkernel import (
     InconsistentSystemError,
     PolyLinearFactor,
     UnderdeterminedError,
-    UnknownId,
     anti,
     divide_exact,
     holo,
-    solve_poly_linear,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -156,23 +154,13 @@ def _matrices(rows, cols):
                     min_size=rows, max_size=rows)
 
 
-def _unknowns(n):
-    return [UnknownId(f"x{p}") for p in range(n)]
+def _names(n):
+    return [f"x{p}" for p in range(n)]
 
 
 def _rows(matrix):
     return [{p: c for p, c in enumerate(row) if not c.is_zero()}
             for row in matrix]
-
-
-def _equations(matrix, rests, unknowns):
-    eqs = []
-    for row, rest in zip(matrix, rests):
-        eq = rest
-        for c, u in zip(row, unknowns):
-            eq = eq + c * Expr.atom(u)
-        eqs.append(eq)
-    return eqs
 
 
 def _rests_of(matrix, values):
@@ -198,18 +186,13 @@ def _linsolve(matrix, rests):
     return xs, sympy.linsolve(eqs, xs)
 
 
-def _outcome(fn):
-    """The solution, or the solver error that a solve raised."""
+def _raised(fn):
+    """The solver error that `fn` raised."""
     try:
-        return fn()
+        fn()
     except (UnderdeterminedError, InconsistentSystemError) as exc:
         return exc
-
-
-def _raised(fn):
-    out = _outcome(fn)
-    assert isinstance(out, Exception), "the system solved"
-    return out
+    raise AssertionError("the system solved")
 
 
 def _same_solution(ours, matrix, rests):
@@ -217,6 +200,11 @@ def _same_solution(ours, matrix, rests):
     (theirs,) = theirs
     return all(sympy.cancel(to_sympy(mine) - their) == 0
                for mine, their in zip(ours, theirs))
+
+
+def _is_polynomial(solution):
+    return all(not sympy.fraction(sympy.cancel(t))[1].free_symbols
+               for t in solution)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -227,30 +215,25 @@ def _same_solution(ours, matrix, rests):
                         st.lists(_values, min_size=n, max_size=n))))
 def test_one_factorisation_solves_many_right_hand_sides(case):
     """Rests built from a known polynomial solution give it back; arbitrary
-    rests may have no polynomial solution, and then the replay fails
-    exactly like the one-shot solve."""
+    rests solve like sympy's unique solution when it is a polynomial, and
+    fail to divide exactly when it is not."""
     matrix, solutions, arbitrary = case
     if _det(matrix) == 0:
         return
-    unknowns = _unknowns(len(matrix))
-    factor = PolyLinearFactor(_rows(matrix), len(unknowns))
+    names = _names(len(matrix))
+    factor = PolyLinearFactor(_rows(matrix), len(names))
     for values in solutions:
         rests = _rests_of(matrix, values)
-        ours = factor.solve(rests, unknowns)
+        ours = factor.solve(rests, names)
         assert ours == values
-        once = solve_poly_linear(_equations(matrix, rests, unknowns), unknowns)
-        assert [once[u] for u in unknowns] == ours
         assert _same_solution(ours, matrix, rests)
-    ours = _outcome(lambda: factor.solve(arbitrary, unknowns))
-    once = _outcome(lambda: solve_poly_linear(
-        _equations(matrix, arbitrary, unknowns), unknowns))
-    if isinstance(once, Exception):
-        assert isinstance(once, InconsistentSystemError)
-        assert type(ours) is type(once) and str(ours) == str(once)
-        assert ours.equation_index == once.equation_index
+    (theirs,) = _linsolve(matrix, arbitrary)[1]
+    if _is_polynomial(theirs):
+        assert _same_solution(factor.solve(arbitrary, names), matrix, arbitrary)
     else:
-        assert ours == [once[u] for u in unknowns]
-        assert _same_solution(ours, matrix, arbitrary)
+        failed = _raised(lambda: factor.solve(arbitrary, names))
+        assert isinstance(failed, InconsistentSystemError)
+        assert str(failed).startswith("no polynomial solution for x")
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -260,27 +243,29 @@ def test_one_factorisation_solves_many_right_hand_sides(case):
                         st.booleans())))
 def test_singular_and_inconsistent_systems_fail_like_the_one_shot_solve(case):
     """A last row that is a multiple of the first makes the system
-    singular; its rest either follows (underdetermined) or is off by one
-    (inconsistent)."""
+    singular; its rest either follows (underdetermined, where sympy's
+    solution is parametric) or is off by one (inconsistent, where sympy
+    finds no solution)."""
     top, factor_poly, values, consistent = case
     matrix = top + [[factor_poly * c for c in top[0]]]
     rests = _rests_of(matrix, values)
     if not consistent:
         rests[-1] = rests[-1] + 1
-    unknowns = _unknowns(len(values))
-    replayed = _raised(lambda: PolyLinearFactor(_rows(matrix), len(values))
-                       .solve(rests, unknowns))
-    once = _raised(lambda: solve_poly_linear(
-        _equations(matrix, rests, unknowns), unknowns))
-    assert type(replayed) is type(once)
-    assert str(replayed) == str(once)
-    if consistent:
-        assert isinstance(once, UnderdeterminedError)
-        assert replayed.free == once.free
-        xs, theirs = _linsolve(matrix, rests)
+    names = _names(len(values))
+    failed = _raised(lambda: PolyLinearFactor(_rows(matrix), len(values))
+                     .solve(rests, names))
+    xs, theirs = _linsolve(matrix, rests)
+    if theirs == sympy.S.EmptySet:
+        assert not consistent
+        assert isinstance(failed, InconsistentSystemError)
+        assert 0 <= failed.equation_index < len(matrix)
+        assert str(failed).startswith(
+            f"no solution [equation {failed.equation_index}]: residual ")
+    else:
+        assert consistent
+        assert isinstance(failed, UnderdeterminedError)
+        assert failed.free and set(failed.free) <= set(names)
+        assert str(failed) == ("underdetermined system; free unknowns: "
+                               + ", ".join(failed.free))
         (theirs,) = theirs
         assert set(xs) & set().union(*(t.free_symbols for t in theirs))
-    else:
-        assert isinstance(once, InconsistentSystemError)
-        assert replayed.equation_index == once.equation_index
-        assert _linsolve(matrix, rests)[1] == sympy.S.EmptySet
