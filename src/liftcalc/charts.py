@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .symkernel import TIME, CoordId, Expr, Kind
+from .symkernel import _FIELD_MASK, TIME, CoordId, Expr, Kind
 
 
 class ChartError(Exception):
@@ -37,6 +37,13 @@ class ChartSpec:
             raise ChartError(f"need at least one complex dimension, got m={self.m}")
         if self.k < 0:
             raise ChartError(f"extension order must be >= 0, got k={self.k}")
+        # Levels and indices are packed into 20-bit fields of a coordinate code.
+        if self.m > _FIELD_MASK:
+            raise ChartError(f"complex dimension m={self.m} exceeds the limit "
+                             f"{_FIELD_MASK}")
+        if self.k > _FIELD_MASK:
+            raise ChartError(f"extension order k={self.k} exceeds the limit "
+                             f"{_FIELD_MASK}")
 
     # -- coordinate enumeration ---------------------------------------------
     def coordinates(self) -> tuple[CoordId, ...]:

@@ -74,8 +74,8 @@ from .symkernel import (
     PolyLinearFactor,
     UnderdeterminedError,
     _accumulate,
-    _atom_key,
     _expr,
+    _level_up,
     binomial,
     format_expr,
     mono_mul,
@@ -112,14 +112,14 @@ def _derive(expr: Expr, time_scaled: bool) -> Expr:
     adding ``shift(c) * f.diff(c)`` one coordinate at a time."""
     buckets: dict = {}
     for m, c in expr._terms.items():
-        for pos, (atom, exp) in enumerate(m):
-            entry = buckets.get(atom)
+        for pos, (code, exp) in enumerate(m):
+            entry = buckets.get(code)
             if entry is None:
-                if atom.kind != Kind.TIME:
-                    shift = ((CoordId(atom.kind, atom.level + 1, atom.index), 1),)
-                else:
+                if code == TIME._code:
                     shift = None if time_scaled else ()
-                entry = buckets[atom] = (shift, [])
+                else:
+                    shift = ((_level_up(code), 1),)
+                entry = buckets[code] = (shift, [])
             shift, terms = entry
             coeff = c if exp == 1 else c * exp
             if shift is None:
@@ -128,11 +128,11 @@ def _derive(expr: Expr, time_scaled: bool) -> Expr:
             elif exp == 1:
                 terms.append((mono_mul(m[:pos] + m[pos + 1:], shift), coeff))
             else:
-                terms.append((mono_mul(m[:pos] + ((atom, exp - 1),) + m[pos + 1:],
+                terms.append((mono_mul(m[:pos] + ((code, exp - 1),) + m[pos + 1:],
                                        shift), coeff))
     acc: dict = {}
-    for atom in sorted(buckets, key=_atom_key):
-        _accumulate(acc, buckets[atom][1])
+    for code in sorted(buckets):
+        _accumulate(acc, buckets[code][1])
     return _expr(acc)
 
 

@@ -9,8 +9,17 @@ antiholomorphic coordinates ``zb{r}_{i}``.
 
 A Gaussian rational is held as a normalised integer triple ``(a, b, d)``
 meaning ``(a + b*i)/d``, so coefficient arithmetic is plain integer arithmetic
-with at most one gcd per operation. Atoms compute their hash and sort key
-once, when they are built.
+with at most one gcd per operation.
+
+Inside the kernel a coordinate is its packed code, one int built once per
+:class:`CoordId`: ``kind << 40 | level << 20 | index``.  Integer order on
+codes is the canonical coordinate order, so a monomial is a tuple of
+``(code, exponent)`` pairs and hashing, comparing and sorting it run on
+plain ints.  Codes are decoded back to ``CoordId`` only at the API and text
+boundary: ``terms``, ``term_map``, ``leading_term``, ``coords`` and
+``coefficient`` speak ``CoordId``, and ``format_expr`` reads names from a
+bounded code -> name cache.  Level and index must stay below ``2**20``;
+``CoordId`` refuses anything larger.
 
 Polynomials are kept in a canonical normal form (a map from monomials to
 nonzero coefficients, with a fixed total order on atoms and on monomials), so
@@ -37,7 +46,6 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
 from functools import lru_cache
-from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 
@@ -97,20 +105,30 @@ class Kind(IntEnum):
     ANTI = 2
 
 
+# A coordinate's packed code: kind in the bits from 40 up, level in bits
+# 20..39 and index in bits 0..19, so integer order on codes is the
+# (kind, level, index) order.  The time coordinate's code is 0.
+_LEVEL_SHIFT = 20
+_KIND_SHIFT = 40
+_LEVEL_STEP = 1 << _LEVEL_SHIFT         # code of level + 1 minus code of level
+_FIELD_MASK = _LEVEL_STEP - 1           # the largest level and index
+_SWAP_KINDS = 3 << _KIND_SHIFT          # xor swaps HOLO (1) and ANTI (2)
+
+
 @dataclass(frozen=True, slots=True)
 class CoordId:
     """A chart coordinate: ``t``, ``z{level}_{index}`` or ``zb{level}_{index}``.
 
     The time coordinate carries no level/index (both are fixed at 0).
-    Holomorphic/antiholomorphic coordinates have level >= 0 and index >= 1.
-    The sort key and the hash are computed once, at construction.
+    Holomorphic/antiholomorphic coordinates have ``0 <= level < 2**20`` and
+    ``1 <= index < 2**20``.  The packed code, which is both the sort key
+    and the hash, is computed once, at construction.
     """
 
     kind: Kind
     level: int = 0
     index: int = 0
-    _key: tuple = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    _code: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind == Kind.TIME:
@@ -121,19 +139,24 @@ class CoordId:
                 raise ValueError(f"negative level {self.level}")
             if self.index < 1:
                 raise ValueError(f"coordinate index must be >= 1, got {self.index}")
-        object.__setattr__(self, "_key", (int(self.kind), self.level, self.index))
-        object.__setattr__(self, "_hash", hash((self.kind, self.level, self.index)))
+            if self.level > _FIELD_MASK or self.index > _FIELD_MASK:
+                raise ValueError(
+                    f"coordinate level {self.level} or index {self.index} "
+                    f"exceeds the limit {_FIELD_MASK}")
+        object.__setattr__(self, "_code", int(self.kind) << _KIND_SHIFT
+                           | self.level << _LEVEL_SHIFT | self.index)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not CoordId:
             return NotImplemented
-        return self._key == other._key
+        return self._code == other._code
 
     def __hash__(self) -> int:
-        return self._hash
+        return self._code
 
-    def sort_key(self) -> tuple:
-        return self._key
+    def sort_key(self) -> int:
+        """The packed code; its order is the canonical coordinate order."""
+        return self._code
 
     @property
     def name(self) -> str:
@@ -161,6 +184,29 @@ def holo(level: int, index: int) -> CoordId:
 
 def anti(level: int, index: int) -> CoordId:
     return CoordId(Kind.ANTI, level, index)
+
+
+_CODE_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_CODE_CACHE_SIZE)
+def _decode(code: int) -> CoordId:
+    """The coordinate of a packed code."""
+    return CoordId(Kind(code >> _KIND_SHIFT), code >> _LEVEL_SHIFT & _FIELD_MASK,
+                   code & _FIELD_MASK)
+
+
+def _level_up(code: int) -> int:
+    """The code of the coordinate one level above a z or zb coordinate's."""
+    if code >> _LEVEL_SHIFT & _FIELD_MASK == _FIELD_MASK:
+        raise ValueError(f"cannot shift a coordinate beyond level {_FIELD_MASK}")
+    return code + _LEVEL_STEP
+
+
+@lru_cache(maxsize=_CODE_CACHE_SIZE)
+def _code_name(code: int) -> str:
+    """The text name of the coordinate of a packed code."""
+    return _decode(code).name
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +271,9 @@ class GRat:
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other: "GRatLike") -> "GRat":
         if other.__class__ is not GRat:
-            other = GRat.from_value(other)
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GRat(other)
         d, od = self._d, other._d
         if d == od:
             return _grat(self._a + other._a, self._b + other._b, d)
@@ -239,7 +287,9 @@ class GRat:
 
     def __sub__(self, other: "GRatLike") -> "GRat":
         if other.__class__ is not GRat:
-            other = GRat.from_value(other)
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GRat(other)
         d, od = self._d, other._d
         if d == od:
             return _grat(self._a - other._a, self._b - other._b, d)
@@ -247,13 +297,17 @@ class GRat:
                      d * od)
 
     def __rsub__(self, other: "GRatLike") -> "GRat":
-        return GRat.from_value(other) - self
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return GRat(other) - self
 
     def __mul__(self, other: "GRatLike") -> "GRat":
         if other.__class__ is not GRat:
             if other.__class__ is int:
                 return _grat(self._a * other, self._b * other, self._d)
-            other = GRat.from_value(other)
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GRat(other)
         a, b, c, e = self._a, self._b, other._a, other._b
         return _grat(a * c - b * e, a * e + b * c, self._d * other._d)
 
@@ -350,20 +404,25 @@ GR_I = GRat(0, 1)
 # Monomials
 # ---------------------------------------------------------------------------
 
-# A monomial is a tuple of (atom, exponent) pairs, sorted by atom sort key,
-# with all exponents positive.  The empty tuple is the monomial 1.
+# A monomial is a tuple of (code, exponent) pairs, sorted by code, with all
+# exponents positive.  The empty tuple is the monomial 1.  The API speaks
+# (CoordId, exponent) pairs; the two helpers below cross that boundary.
 Monomial = tuple
 
 MONO_ONE: Monomial = ()
 
 
-_atom_key = attrgetter("_key")
+def _mono_decode(m: Monomial) -> Monomial:
+    return tuple([(_decode(code), exp) for code, exp in m])
+
+
+def _mono_encode(m: Iterable) -> Monomial:
+    return tuple([(coord._code, exp) for coord, exp in m])
 
 
 def _mono_sorted(exps: dict) -> Monomial:
-    """The monomial of an atom -> exponent map, in canonical atom order."""
-    atoms = sorted(exps, key=_atom_key)
-    return tuple(zip(atoms, map(exps.__getitem__, atoms)))
+    """The monomial of a code -> exponent map, in canonical order."""
+    return tuple(sorted(exps.items()))
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -371,21 +430,21 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
         return b
     if not b:
         return a
-    if a[-1][0]._key < b[0][0]._key:
+    if a[-1][0] < b[0][0]:
         return a + b
-    if b[-1][0]._key < a[0][0]._key:
+    if b[-1][0] < a[0][0]:
         return b + a
     merged = dict(a)
     get = merged.get
     fresh = False
-    for atom, exp in b:
-        have = get(atom)
+    for code, exp in b:
+        have = get(code)
         if have is None:
-            merged[atom] = exp
+            merged[code] = exp
             fresh = True
         else:
-            merged[atom] = have + exp
-    # Without a new atom the dict keeps a's (canonical) order.
+            merged[code] = have + exp
+    # Without a new code the dict keeps a's (canonical) order.
     return _mono_sorted(merged) if fresh else tuple(merged.items())
 
 
@@ -394,15 +453,15 @@ def mono_div(a: Monomial, b: Monomial) -> Monomial | None:
     if not b:
         return a
     result = dict(a)
-    for atom, exp in b:
-        have = result.get(atom, 0)
+    for code, exp in b:
+        have = result.get(code, 0)
         if have < exp:
             return None
         if have == exp:
-            del result[atom]
+            del result[code]
         else:
-            result[atom] = have - exp
-    # Removing atoms keeps a's canonical order.
+            result[code] = have - exp
+    # Removing codes keeps a's canonical order.
     return tuple(result.items())
 
 
@@ -415,14 +474,24 @@ def _mono_order_key(m: Monomial) -> tuple:
 
     Graded lexicographic, largest first: higher total degree sorts earlier;
     within a degree, the monomial with the larger exponent on the earliest
-    atom (canonical atom order) sorts earlier.  The key expands the monomial
-    into its atom sequence so that plain tuple comparison implements the
-    lexicographic part.
+    coordinate (canonical order) sorts earlier.  The key expands the
+    monomial into its code sequence so that plain tuple comparison
+    implements the lexicographic part.
     """
     expanded: tuple = ()
-    for atom, exp in m:
-        expanded += (atom._key,) * exp
+    for code, exp in m:
+        expanded += (code,) * exp
     return (-len(expanded), expanded)
+
+
+def _leading(terms: dict) -> Monomial:
+    """The leading monomial of a nonempty term map."""
+    return min(terms, key=_mono_order_key)
+
+
+def _codes(terms: dict) -> set:
+    """The codes of every coordinate in a term map."""
+    return {code for m in terms for code, _ in m}
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +511,9 @@ class Expr:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, GRat]):
-        self._terms = {m: c for m, c in terms.items() if c}
+        """The expression over a map from ``(CoordId, exponent)`` monomials
+        in canonical order to coefficients; zero coefficients are dropped."""
+        self._terms = {_mono_encode(m): c for m, c in terms.items() if c}
         self._hash = None
 
     # -- constructors -------------------------------------------------------
@@ -471,7 +542,7 @@ class Expr:
             raise ValueError("negative exponent")
         if exponent == 0:
             return _EXPR_ONE
-        return _expr({((a, exponent),): GR_ONE})
+        return _expr({((a._code, exponent),): GR_ONE})
 
     @staticmethod
     def from_value(value: ExprLike) -> "Expr":
@@ -481,12 +552,14 @@ class Expr:
 
     # -- inspection ----------------------------------------------------------
     def terms(self) -> Iterator[tuple[Monomial, GRat]]:
-        """Iterate terms in the canonical (display) order."""
+        """Iterate terms in the canonical (display) order; monomials are
+        tuples of ``(CoordId, exponent)`` pairs."""
         for m in sorted(self._terms, key=_mono_order_key):
-            yield m, self._terms[m]
+            yield _mono_decode(m), self._terms[m]
 
     def term_map(self) -> Mapping[Monomial, GRat]:
-        return dict(self._terms)
+        """The term map in insertion order, keyed like :meth:`terms`."""
+        return {_mono_decode(m): c for m, c in self._terms.items()}
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -508,16 +581,17 @@ class Expr:
         return max(mono_degree(m) for m in self._terms)
 
     def coords(self) -> set:
-        return {atom for m in self._terms for atom, _ in m}
+        return {_decode(code) for code in _codes(self._terms)}
 
     def leading_term(self) -> tuple[Monomial, GRat]:
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
-        m = min(self._terms, key=_mono_order_key)
-        return m, self._terms[m]
+        m = _leading(self._terms)
+        return _mono_decode(m), self._terms[m]
 
     def coefficient(self, m: Monomial) -> GRat:
-        return self._terms.get(m, GR_ZERO)
+        """The coefficient of a ``(CoordId, exponent)`` monomial."""
+        return self._terms.get(_mono_encode(m), GR_ZERO)
 
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other: ExprLike) -> "Expr":
@@ -609,47 +683,51 @@ class Expr:
         """Formal partial derivative with respect to a coordinate."""
         if not isinstance(coord, CoordId):
             raise TypeError("diff differentiates with respect to a CoordId")
-        # Lowering the exponent of one atom is injective on the monomials
-        # that contain it, so the derivative's terms never collide.
-        key = coord._key
+        # Lowering the exponent of one coordinate is injective on the
+        # monomials that contain it, so the derivative's terms never collide.
+        key = coord._code
         acc: dict[Monomial, GRat] = {}
         for m, c in self._terms.items():
-            for pos, (atom, exp) in enumerate(m):
-                if atom._key == key:
+            for pos, (code, exp) in enumerate(m):
+                if code == key:
                     if exp == 1:
                         acc[m[:pos] + m[pos + 1:]] = c * exp
                     else:
-                        acc[m[:pos] + ((atom, exp - 1),) + m[pos + 1:]] = c * exp
+                        acc[m[:pos] + ((code, exp - 1),) + m[pos + 1:]] = c * exp
                     break
         return _expr(acc)
 
     def conjugate(self) -> "Expr":
         """Complex conjugation: swap z <-> zb atoms, conjugate coefficients."""
-        # Conjugation is injective on coordinates, so nothing merges.
-        return _expr({_mono_sorted({atom.conjugate(): exp for atom, exp in m}):
+        # Conjugation is injective on coordinates, so nothing merges.  It
+        # flips the kind bits of every code but time's, which is 0.
+        return _expr({tuple(sorted([(code ^ _SWAP_KINDS if code else 0, exp)
+                                    for code, exp in m])):
                       c.conjugate() for m, c in self._terms.items()})
 
     def substitute(self, mapping: Mapping[CoordId, "Expr"]) -> "Expr":
         """Simultaneous substitution of coordinates by expressions."""
-        for key in mapping:
+        coded = {}
+        for key, value in mapping.items():
             if not isinstance(key, CoordId):
                 raise TypeError("substitute keys must be CoordId")
-        if not mapping:
+            coded[key._code] = value
+        if not coded:
             return self
         acc: dict[Monomial, GRat] = {}
-        powers: dict[tuple[CoordId, int], Expr] = {}
+        powers: dict[tuple[int, int], Expr] = {}
         for m, c in self._terms.items():
-            kept = tuple(pair for pair in m if pair[0] not in mapping)
+            kept = tuple(pair for pair in m if pair[0] not in coded)
             if len(kept) == len(m):
                 _accumulate(acc, ((m, c),))
                 continue
             piece = _expr({kept: c})
             for pair in m:
-                if pair[0] in mapping:
+                if pair[0] in coded:
                     power = powers.get(pair)
                     if power is None:
                         power = powers[pair] = (
-                            Expr.from_value(mapping[pair[0]]) ** pair[1])
+                            Expr.from_value(coded[pair[0]]) ** pair[1])
                     piece = piece * power
             _accumulate(acc, piece._terms.items())
         return _expr(acc)
@@ -759,8 +837,8 @@ def _format_coeff_magnitude(a: int, b: int, d: int) -> str:
 
 def _format_monomial(m: Monomial) -> str:
     parts = []
-    for atom, exp in m:
-        name = atom.name
+    for code, exp in m:
+        name = _code_name(code)
         parts.append(name if exp == 1 else f"{name}^{exp}")
     return "*".join(parts)
 
@@ -770,7 +848,9 @@ def format_expr(e: Expr) -> str:
     if e.is_zero():
         return "0"
     pieces: list[str] = []
-    for n, (m, c) in enumerate(e.terms()):
+    terms = e._terms
+    for n, m in enumerate(sorted(terms, key=_mono_order_key)):
+        c = terms[m]
         a, b = c._a, c._b
         negative = a < 0 or (not a and b < 0)
         if negative:
@@ -833,15 +913,26 @@ _COORD_CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=_COORD_CACHE_SIZE)
-def _coord(name: str) -> CoordId:
+def _coord(name: str) -> CoordId | None:
     """The coordinate of a token: ``t``, ``z<level>_<index>`` or
-    ``zb<level>_<index>``."""
+    ``zb<level>_<index>``; None when its level or index is out of range."""
     if name == "t":
         return TIME
     head, index = name.split("_")
-    if head[1:2] == "b":
-        return CoordId(Kind.ANTI, int(head[2:]), int(index))
-    return CoordId(Kind.HOLO, int(head[1:]), int(index))
+    kind, start = (Kind.ANTI, 2) if head[1:2] == "b" else (Kind.HOLO, 1)
+    level, index = int(head[start:]), int(index)
+    if level > _FIELD_MASK or index > _FIELD_MASK:
+        return None
+    return CoordId(kind, level, index)
+
+
+def _token_coord(m: re.Match) -> CoordId:
+    """The coordinate of a matched coordinate token, or a ParseError."""
+    coord = _coord(m["coord"])
+    if coord is None:
+        raise ParseError(f"coordinate level or index exceeds the limit "
+                         f"{_FIELD_MASK}", m.start("coord"))
+    return coord
 
 
 def _tokens(text: str) -> list[tuple]:
@@ -859,11 +950,11 @@ def _tokens(text: str) -> list[tuple]:
             if kind == "op":
                 append((m[kind], m.start(kind)))
             elif kind == "coord":
-                append(("c", m.start(kind), _coord(m[kind]), None, 0))
+                append(("c", m.start(kind), _token_coord(m), None, 0))
             elif kind == "num":
                 append(("n", m.start(kind), int(m[kind]), None, 0))
             elif kind == "cexp":
-                append(("c", m.start("coord"), _coord(m["coord"]), int(m[kind]),
+                append(("c", m.start("coord"), _token_coord(m), int(m[kind]),
                         m.start(kind)))
             elif kind == "den":
                 append(("n", m.start("num"), int(m["num"]), int(m[kind]),
@@ -915,7 +1006,7 @@ def _power_terms(base: Expr, exponent: int) -> int:
     """A bound on the terms of ``base ** exponent``: C(v + D, D) monomials
     of degree D or less in v atoms, or C(n - 1 + e, e) products of n terms."""
     top = base.degree() * exponent
-    return min(math.comb(len(base.coords()) + top, top),
+    return min(math.comb(len(_codes(base._terms)) + top, top),
                math.comb(len(base._terms) - 1 + exponent, exponent))
 
 
@@ -1004,7 +1095,8 @@ class _Parser:
                 else:
                     _check_power(1, 1, e, tok[4])
                 if e:
-                    exps[coord] = exps.get(coord, 0) + e
+                    code = coord._code
+                    exps[code] = exps.get(code, 0) + e
             elif kind == "n":
                 n, q = tok[2], tok[3]
                 if q is None:
@@ -1060,8 +1152,8 @@ class _Parser:
                     a, b, d = a * c._a - b * c._b, a * c._b + b * c._a, d * c._d
                     if (abs(a) | abs(b) | d).bit_length() > _MAX_COEFF_BITS:
                         a, b, d = _fit_coefficient(a, b, d, tok[1])
-                    for atom, e in m:
-                        exps[atom] = exps.get(atom, 0) + e
+                    for code, e in m:
+                        exps[code] = exps.get(code, 0) + e
                 else:
                     a = b = 0
             elif kind == "end":
@@ -1112,7 +1204,8 @@ def divide_exact(f: Expr, g: Expr) -> Expr:
         raise ExactDivisionError("division by the zero polynomial")
     if f.is_zero():
         return Expr.zero()
-    g_mono, g_coeff = g.leading_term()
+    g_mono = _leading(g._terms)
+    g_coeff = g._terms[g_mono]
     g_items = g._terms.items()
     rest = dict(f._terms)
     # Heap entries are (order key, monomial); equal keys mean equal monomials.

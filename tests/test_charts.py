@@ -38,6 +38,24 @@ def test_invalid_parameters():
         ChartSpec(1, -1, False)
 
 
+# Levels and indices are packed into 20-bit fields of a coordinate code.
+@pytest.mark.parametrize("m,k,text", [
+    (2 ** 20, 0, "complex dimension m=1048576 exceeds the limit 1048575"),
+    (1, 2 ** 20, "extension order k=1048576 exceeds the limit 1048575"),
+])
+def test_chart_refuses_m_and_k_beyond_the_code_range(m, k, text):
+    with pytest.raises(ChartError) as err:
+        ChartSpec(m, k, True)
+    assert str(err.value) == text
+
+
+def test_chart_range_edges():
+    top = ChartSpec(2 ** 20 - 1, 2 ** 20 - 1, False)
+    assert top.dimension() == 2 * (2 ** 20 - 1) * 2 ** 20
+    with pytest.raises(ChartError):
+        ChartSpec(1, 2 ** 20 - 1, True).extend(1)
+
+
 def test_extend_and_base():
     base = ChartSpec(2, 0, True)
     big = base.extend(3)

@@ -1,7 +1,10 @@
 """Command-line surface: manifest parsing, the five subcommands, exit
 codes, and byte-stable golden outputs."""
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -353,6 +356,48 @@ def test_check_exit_one_on_failures(capsys, monkeypatch):
     code, out, _ = run(capsys, "check", "functions", "--m", "1", "--k", "1")
     assert code == 1
     assert out == "stub\n"
+
+
+@pytest.mark.parametrize("argv,text", [
+    (("--m", "1048576", "--k", "1"),
+     "error: complex dimension m=1048576 exceeds the limit 1048575\n"),
+    (("--m", "1", "--k", "1048576"),
+     "error: extension order k=1048576 exceeds the limit 1048575\n"),
+], ids=["m", "k"])
+def test_frame_refuses_charts_beyond_the_code_range(capsys, argv, text):
+    code, out, err = run(capsys, "frame", *argv)
+    assert (code, out, err) == (3, "", text)
+
+
+def test_lift_refuses_a_coordinate_beyond_the_code_range(tmp_path, capsys):
+    p = tmp_path / "m.manifest"
+    p.write_text("m: 1\n\nfield f:\n  type: scalar\n"
+                 "  value: z0_1 + z1048576_1\n")
+    code, out, err = run(capsys, "lift", "--manifest", str(p),
+                         "--field", "f", "--kind", "c", "--k", "1")
+    assert code == 3
+    assert out == ""
+    assert ("coordinate level or index exceeds the limit 1048575 "
+            "(at position 7)") in err
+
+
+def test_check_output_does_not_depend_on_the_hash_seed():
+    """Reports come from term maps and sets keyed by hashes; their text must
+    not follow the interpreter's string-hash randomisation."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "liftcalc.cli", "check", "all", "--m", "1",
+             "--k", "1", "--seed", "0"],
+            cwd=root, env=env, capture_output=True, timeout=300)
+        assert done.returncode == 0, done.stderr.decode()
+        outs.append(done.stdout)
+    assert outs[0]
+    assert outs[0] == outs[1]
 
 
 def test_check_rejects_bad_arguments(capsys):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from liftcalc.charts import ChartSpec
 from liftcalc.lifts import (
     LiftError,
+    _derive,
     fn_complete,
     fn_complete_vertical,
     fn_horizontal,
@@ -155,3 +156,12 @@ def test_vertical_is_multiplicative():
     fg = ScalarField(C0, f.value * g.value)
     assert fn_vertical(fg, 2).value == \
         fn_vertical(f, 2).value * fn_vertical(g, 2).value
+
+
+def test_complete_step_refuses_to_shift_past_the_top_level():
+    # A level fills 20 bits of the packed coordinate code.
+    top = holo(2 ** 20 - 1, 1)
+    with pytest.raises(ValueError) as err:
+        _derive(Expr.atom(top), True)
+    assert str(err.value) == "cannot shift a coordinate beyond level 1048575"
+    assert _derive(Expr.atom(holo(2 ** 20 - 2, 1)), True) == Expr.atom(top)

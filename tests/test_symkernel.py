@@ -22,6 +22,9 @@ from liftcalc.symkernel import (
     PolyLinearFactor,
     SymKernelError,
     UnderdeterminedError,
+    _decode,
+    _mono_decode,
+    _mono_order_key,
     anti,
     binomial,
     divide_exact,
@@ -65,6 +68,33 @@ def test_grat_conjugate():
     assert a.conjugate() == GRat(Fraction(1, 2), Fraction(-3, 4))
     assert a.conjugate().conjugate() == a
     assert (a * a.conjugate()).is_real()
+
+
+# GRat arithmetic hands an operand it does not know to that operand's
+# reflected method, so an Expr operand works on either side.
+@pytest.mark.parametrize("op", ["+", "-", "*"])
+def test_grat_defers_to_expr_operands(op):
+    half, z = GRat(Fraction(1, 2)), Expr.atom(Z01)
+    apply = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
+             "*": lambda x, y: x * y}[op]
+    grat_first, expr_first = apply(half, z), apply(z, half)
+    assert isinstance(grat_first, Expr) and isinstance(expr_first, Expr)
+    assert grat_first == apply(Expr.constant(half), z)
+    assert expr_first == apply(z, Expr.constant(half))
+    if op == "-":
+        assert grat_first == -expr_first
+    else:
+        assert grat_first == expr_first
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*"])
+def test_grat_refuses_foreign_operands(op):
+    apply = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
+             "*": lambda x, y: x * y}[op]
+    for left, right in [(GRat(1), "x"), ("x", GRat(1)),
+                        (GRat(1), 1.5), (1.5, GRat(1))]:
+        with pytest.raises(TypeError):
+            apply(left, right)
 
 
 # -- GRat against a two-Fraction reference -------------------------------------
@@ -215,6 +245,32 @@ def test_coord_validation():
         CoordId(Kind.TIME, 1, 1)
 
 
+# A level or an index fills 20 bits of the packed code.
+_LIMIT = 2 ** 20 - 1
+
+
+@pytest.mark.parametrize("kind,level,index,text", [
+    (Kind.HOLO, _LIMIT + 1, 1, f"coordinate level {_LIMIT + 1} or index 1 "
+                               f"exceeds the limit {_LIMIT}"),
+    (Kind.ANTI, 3, _LIMIT + 2, f"coordinate level 3 or index {_LIMIT + 2} "
+                               f"exceeds the limit {_LIMIT}"),
+])
+def test_coord_refuses_levels_and_indices_out_of_range(kind, level, index, text):
+    with pytest.raises(ValueError) as err:
+        CoordId(kind, level, index)
+    assert str(err.value) == text
+
+
+def test_coord_accepts_the_largest_level_and_index():
+    top = anti(_LIMIT, _LIMIT)
+    assert top.name == f"zb{_LIMIT}_{_LIMIT}"
+    assert sorted([top, holo(_LIMIT, _LIMIT), TIME, anti(0, 1)],
+                  key=CoordId.sort_key) == [TIME, holo(_LIMIT, _LIMIT),
+                                            anti(0, 1), top]
+    assert format_expr(parse(f"z{_LIMIT}_1*zb3_{_LIMIT} + z0_1")) == (
+        f"z{_LIMIT}_1*zb3_{_LIMIT} + z0_1")
+
+
 # -- Expr ring ---------------------------------------------------------------
 
 def test_expr_basic_identities():
@@ -263,6 +319,16 @@ def test_expr_conjugate_swaps_coordinates():
 
 def test_expr_conjugate_fixes_time():
     assert parse("t*z0_1").conjugate() == parse("t*zb0_1")
+
+
+def test_expr_conjugate_reorders_mixed_monomials():
+    # Swapping kinds moves a coordinate past the other kind's, so each
+    # conjugated monomial is put back in canonical order.
+    f = parse("z0_1*zb0_2 + t*z1_1^2*zb0_1 - i*zb2_1*z0_3")
+    g = f.conjugate()
+    assert g == parse("zb0_1*z0_2 + t*zb1_1^2*z0_1 + i*z2_1*zb0_3")
+    assert format_expr(g) == "t*z0_1*zb1_1^2 + z0_2*zb0_1 + i*z2_1*zb0_3"
+    assert all(list(m) == sorted(m) for m in g._terms)
 
 
 def test_expr_substitute():
@@ -356,6 +422,19 @@ def test_parse_error_positions(bad, pos, message):
         parse(bad, _ERROR_CHART)
     assert err.value.position == pos
     assert str(err.value) == f"{message} (at position {pos})"
+
+
+@pytest.mark.parametrize("bad,pos", [
+    ("z1048576_1*zb3_1048577 + z0_1", 0),
+    ("z0_1 + zb3_1048576^2", 7),
+    ("2*(t + z0_01048576)", 7),
+])
+def test_parse_refuses_coordinates_out_of_range(bad, pos):
+    with pytest.raises(ParseError) as err:
+        parse(bad)
+    assert err.value.position == pos
+    assert str(err.value) == (f"coordinate level or index exceeds the limit "
+                              f"1048575 (at position {pos})")
 
 
 def test_parse_refuses_powers_beyond_the_degree_limit():
@@ -593,6 +672,78 @@ def test_conjugation_involution(e):
     if any(c.kind == Kind.TIME for c in e.coords()):
         e = e.substitute({TIME: Expr.atom(Z02)})
     assert e.conjugate().conjugate() == e
+
+
+# -- packed coordinate codes --------------------------------------------------
+
+_any_coords = st.one_of(
+    st.just(TIME),
+    st.builds(CoordId, st.sampled_from([Kind.HOLO, Kind.ANTI]),
+              st.one_of(st.integers(0, 3), st.integers(0, _LIMIT)),
+              st.one_of(st.integers(1, 3), st.integers(1, _LIMIT))))
+
+
+def _reference_key(coord):
+    return (int(coord.kind), coord.level, coord.index)
+
+
+def _reference_order_key(m):
+    """The term order on (CoordId, exponent) monomials, built from
+    ``(kind, level, index)`` tuples the way the kernel's key was before
+    coordinates were packed into ints."""
+    expanded = ()
+    for coord, exp in m:
+        expanded += (_reference_key(coord),) * exp
+    return (-len(expanded), expanded)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_any_coords, _any_coords)
+def test_codes_decode_and_keep_the_coordinate_order(a, b):
+    for c in (a, b, a.conjugate()):
+        back = _decode(c._code)
+        assert back == c and back.kind is c.kind
+        assert (back.level, back.index, back.name) == (c.level, c.index, c.name)
+    assert (a.sort_key() < b.sort_key()) == (_reference_key(a) < _reference_key(b))
+    assert (a == b) == (_reference_key(a) == _reference_key(b))
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@st.composite
+def _wide_exprs(draw):
+    """A sum of up to six terms over a few coordinates from the whole code
+    range, so that monomials share coordinates and compare on every field."""
+    pool = draw(st.lists(_any_coords, min_size=1, max_size=4, unique=True))
+    out = Expr.zero()
+    for _ in range(draw(st.integers(1, 6))):
+        term = Expr.constant(draw(_coeffs))
+        for coord in draw(st.lists(st.sampled_from(pool), max_size=4)):
+            term = term * Expr.atom(coord, draw(st.integers(1, 3)))
+        out = out + term
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_wide_exprs())
+def test_term_order_matches_the_tuple_keyed_reference(e):
+    terms = list(e.terms())
+    term_map = e.term_map()
+    assert [m for m, _ in terms] == sorted(term_map, key=_reference_order_key)
+    assert dict(terms) == term_map
+    for m, c in term_map.items():
+        assert all(type(coord) is CoordId for coord, _ in m)
+        assert e.coefficient(m) == c
+    assert Expr(term_map) == e
+    assert list(Expr(term_map)._terms) == list(e._terms)
+    assert all(type(coord) is CoordId for coord in e.coords())
+    assert e.coords() == {coord for m in term_map for coord, _ in m}
+    if term_map:
+        lead = e.leading_term()
+        assert lead[0] == min(term_map, key=_reference_order_key)
+        assert lead[1] == term_map[lead[0]]
+    internal = sorted(e._terms, key=_mono_order_key)
+    assert [_mono_decode(m) for m in internal] == [m for m, _ in terms]
 
 
 # -- binomial -----------------------------------------------------------------
