@@ -41,7 +41,10 @@ through the right-hand sides.  So one engine serves all four ops: it factors
 each system's coefficient rows once per key (fraction-free elimination,
 :class:`liftcalc.symkernel.PolyLinearFactor`, kept in a bounded cache) and,
 per input, computes the right-hand sides, replays the recorded elimination
-on them and back-substitutes.  Every solution is then checked against every
+on them and back-substitutes.  The one-form, (1,1) and (0,2) lifts share
+one set of rows P (test fields against their complete lifts); the (0,2)
+pair equations ``P B P^T = R``, i.e. ``(P (x) P) vec(B) = vec(R)``, are two
+rounds of replays on P.  Every solution is then checked against every
 equation of its system and, per input, against the defining equation on a
 disjoint holdout family; any nonzero residual raises, so a returned lift
 carries a machine-checked certificate.
@@ -623,7 +626,8 @@ def _system(key: tuple) -> _System:
 
 # op -> (name in messages, what its free positions are called).  The solver's
 # own errors name a position by a plain label instead: U_<coord> (vector),
-# W_<coord> (one-form), E_<a>__<b> ((1,1)) or B_<a>__<b> ((0,2)).
+# W_<coord> (one-form), E_<a>__<b> ((1,1)), or for (0,2) C_<a>__<test> in
+# the first round and B_<a>__<b> in the second.
 _OPS = {"vector": ("vector", "components"),
         "oneform": ("one-form", "components"),
         "endo": ("(1,1)-tensor", "entries"),
@@ -693,8 +697,12 @@ class _Engine:
                 raise self._underdetermined(system) from exc
         return system, values
 
+    def _free(self, system: _System) -> Sequence[int]:
+        """The label positions left free by the system's factorisation."""
+        return system.factor.free
+
     def _underdetermined(self, system: _System) -> LiftError:
-        free = ", ".join(self.labels[p] for p in system.factor.free)
+        free = ", ".join(self.labels[p] for p in self._free(system))
         return LiftError(
             f"{self.what} solve underdetermined; free {self.noun}: {free}")
 
@@ -710,15 +718,10 @@ class _Engine:
                                 family_size, holdout_size, True, notes)
 
 
-def _stages(build, chart0: ChartSpec, k: int) -> list[tuple]:
-    """The keys of a test family's two stages: coefficient degree <= 1,
-    then <= 2."""
-    return [(build, chart0, k, 1), (build, chart0, k, 2)]
-
-
-def _stage_tests(chart0: ChartSpec, stage: int) -> list[VectorField]:
-    tests = vector_test_family(chart0, 1)
-    return tests + _vector_stage(chart0, 2) if stage == 2 else tests
+def _stages(chart0: ChartSpec, k: int) -> list[tuple]:
+    """The keys of the pairing rows' two test stages: coefficient degree
+    <= 1, then <= 2."""
+    return [(_pairing, chart0, k, 1), (_pairing, chart0, k, 2)]
 
 
 # -- vector fields -----------------------------------------------------------
@@ -875,8 +878,8 @@ def complete_vf_cached(Z: VectorField, k: int) -> VectorField:
 
 def _pairing(chart0: ChartSpec, k: int, stage: int) -> _System:
     """Test vector fields against the components of their complete lifts:
-    the rows of both the one-form and the (1,1)-tensor lift."""
-    tests = _stage_tests(chart0, stage)
+    the rows of the one-form, (1,1)-tensor and (0,2)-tensor lifts."""
+    tests = vector_test_family(chart0, stage)
     position = {c: p for p, c in enumerate(chart0.extend(k).coordinates())}
     rows = [{position[c]: comp
              for c, comp in complete_vf_cached(X, k).components.items()}
@@ -903,7 +906,7 @@ def of_lift_solve_certified(w: OneForm, kind: str, k: int, *,
     coords = list(target.coordinates())
     engine = _Engine("oneform", kind, k, [c.name for c in coords], r, s)
     system, (values,) = engine.solve_stages(
-        _stages(_pairing, chart0, k),
+        _stages(chart0, k),
         lambda tests: [[-_lift_scalar_expr(w.pair(X), kind, k, r, s)
                         for X in tests]],
         [[f"W_{c.name}" for c in coords]])
@@ -966,7 +969,7 @@ def t11_lift_solve_certified(phi: EndoField, kind: str, k: int
         return [[-Y.component(a) for Y in lifted] for a in coords]
 
     system, rows = engine.solve_stages(
-        _stages(_pairing, chart0, k), rests,
+        _stages(chart0, k), rests,
         [[f"E_{a.name}__{b}" for b in labels] for a in coords])
     result = EndoField(target, {(a, b): v
                                 for a, row in zip(coords, rows)
@@ -1030,40 +1033,49 @@ def _lift_vf_definitional(Z: VectorField, kind: str, k: int) -> VectorField:
 
 # -- (0,2)-tensors -------------------------------------------------------------
 
-def _t02_pairs(chart0: ChartSpec, k: int, stage: int) -> _System:
-    """Ordered pairs of test fields (ordered, so antisymmetric parts are
-    pinned too) against products of their complete lifts' components."""
-    tests = _stage_tests(chart0, stage)
-    coords = list(chart0.extend(k).coordinates())
-    n = len(coords)
-    position = {c: p for p, c in enumerate(coords)}
-    lifted = [complete_vf_cached(X, k).components for X in tests]
-    rows = [{position[a] * n + position[b]: xa * yb
-             for a, xa in Xc.items() for b, yb in Yc.items()}
-            for Xc in lifted for Yc in lifted]
-    return _System([(X, Y) for X in tests for Y in tests], rows, n * n)
+class _PairEngine(_Engine):
+    """The (0,2)-tensor engine.  Its unknowns are pairs of positions of the
+    pairing rows, so a pair is free when either of its positions is."""
+
+    def _free(self, system: _System) -> list[int]:
+        free, n = set(system.factor.free), system.width
+        return [p for p in range(n * n) if p // n in free or p % n in free]
 
 
 def t02_lift_solve_certified(G: Bilinear, kind: str, k: int
                              ) -> tuple[Bilinear, SolveCertificate]:
     """Determined lift of a (0,2)-tensor field against ordered pairs of test
-    fields."""
+    fields (ordered, so antisymmetric parts are pinned too).
+
+    With P the pairing rows (test fields against their complete lifts) and
+    R[X, Y] the lifted G(X, Y), the pair equations read ``P B P^T = R``.
+    They are solved in two rounds of replays on P's factorisation: one per
+    test field Y for the column Y of ``C = B P^T`` (``P C = R``), then one per
+    coordinate a for the row a of B (``P B^T = C^T``).  Each replay checks
+    its own equations, and together the two rounds give ``P B P^T = P C = R``
+    exactly, so no separate check of the pair equations is made."""
     chart0 = _require_base_chart(G, "determined lift input")
     _t_kind(kind, k)
     target = chart0.extend(k)
-    pairs = [(a, b) for a in target.coordinates() for b in target.coordinates()]
-    labels = [f"{a.name}__{b.name}" for a, b in pairs]
-    engine = _Engine("bilinear", kind, k, labels)
-    system, (values,) = engine.solve_stages(
-        _stages(_t02_pairs, chart0, k),
-        lambda items: [[-_lift_scalar_expr(G.evaluate(X, Y), kind, k, None, None)
-                        for X, Y in items]],
-        [[f"B_{label}" for label in labels]])
-    result = Bilinear(target, {ab: v for ab, v in zip(pairs, values)
-                               if not v.is_zero()})
+    coords = list(target.coordinates())
+    labels = [c.name for c in coords]
+    engine = _PairEngine("bilinear", kind, k,
+                         [f"{a}__{b}" for a in labels for b in labels])
+    n_tests = len(vector_test_family(chart0, 2))
+    system, C = engine.solve_stages(
+        _stages(chart0, k),
+        lambda tests: [[-_lift_scalar_expr(G.evaluate(X, Y), kind, k, None, None)
+                        for X in tests] for Y in tests],
+        [[f"C_{a}__{j}" for a in labels] for j in range(n_tests)])
+    rows = [engine.solve(system, [-col[p] for col in C],
+                         [f"B_{a}__{b}" for b in labels])
+            for p, a in enumerate(labels)]
+    result = Bilinear(target, {(a, b): v
+                               for a, row in zip(coords, rows)
+                               for b, v in zip(coords, row) if not v.is_zero()})
     holdout = vector_test_holdout(chart0)
     engine.holdout(t02_defining_residuals(G, result, kind, k, vectors=holdout))
-    return result, engine.certificate(len(system.items), len(holdout))
+    return result, engine.certificate(len(system.items) ** 2, len(holdout))
 
 
 def t02_lift_solve(G: Bilinear, kind: str, k: int) -> Bilinear:
@@ -1080,27 +1092,11 @@ def t02_defining_residuals(G: Bilinear, lifted: Bilinear, kind: str, k: int, *,
     if vectors is None:
         vectors = vector_test_holdout(chart0)
     basis = _vector_stage(chart0, 0)
-    pairs: list[tuple[VectorField, VectorField]] = []
-    for X in vectors:
-        for Y in basis:
-            pairs.append((X, Y))
-            pairs.append((Y, X))
-    for i, X in enumerate(vectors):
-        for Y in vectors[i:]:
-            pairs.append((X, Y))
-    out = []
-    for X, Y in pairs:
-        Xc = complete_vf_cached(X, k)
-        Yc = complete_vf_cached(Y, k)
-        lhs = Expr.zero()
-        for (a, b), value in lifted.entries.items():
-            xa = Xc.components.get(a)
-            yb = Yc.components.get(b)
-            if xa is not None and yb is not None:
-                lhs = lhs + value * xa * yb
-        rhs = _lift_scalar_expr(G.evaluate(X, Y), kind, k, None, None)
-        out.append(lhs - rhs)
-    return out
+    pairs = [pair for X in vectors for Y in basis for pair in ((X, Y), (Y, X))]
+    pairs += [(X, Y) for i, X in enumerate(vectors) for Y in vectors[i:]]
+    return [lifted.evaluate(complete_vf_cached(X, k), complete_vf_cached(Y, k))
+            - _lift_scalar_expr(G.evaluate(X, Y), kind, k, None, None)
+            for X, Y in pairs]
 
 
 # ---------------------------------------------------------------------------

@@ -100,12 +100,53 @@ def test_endo_lift_checks_stay_live(monkeypatch):
 def test_bilinear_lift_checks_stay_live(monkeypatch):
     first = Bilinear(C0, {(Z, ZB): Expr.one()})
     second = Bilinear(C0, {(ZB, Z): z, (Z, Z): 1})
-    # G(z^3 d/dz0_1, d/dzb0_1) = z^3 only on holdout pairs.
-    _assert_cached_solve_survives(
-        monkeypatch, lambda G: L.t02_lift_solve_certified(G, "v", K),
-        first, second,
-        lambda patch: _wrong_scalar_lift(patch, "v", z ** 3),
-        "holdout residual nonzero")
+    for value, message in [
+        # G(z d/dz0_1, zb d/dzb0_1) = z*zb on a stage-1 pair: the first
+        # round of replays (the columns of B P^T) has no polynomial solution.
+        (z * zb, "no polynomial solution for C_"),
+        # G(z^3 d/dz0_1, d/dzb0_1) = z^3 only on holdout pairs.
+        (z ** 3, "holdout residual nonzero"),
+    ]:
+        _assert_cached_solve_survives(
+            monkeypatch, lambda G: L.t02_lift_solve_certified(G, "v", K),
+            first, second,
+            lambda patch: _wrong_scalar_lift(patch, "v", value), message)
+
+
+@pytest.mark.parametrize("prefix", ["C_", "B_"])
+def test_bilinear_rounds_check_their_own_equations(monkeypatch, prefix):
+    """No separate check of the pair equations is made: a wrong value from a
+    replay of either round must fail that replay's own equations."""
+    replay = PolyLinearFactor.solve
+
+    def wrong(self, rests, names):
+        values = replay(self, rests, names)
+        if names[0].startswith(prefix):
+            values[0] = values[0] + 1
+        return values
+
+    L.clear_lift_cache()
+    monkeypatch.setattr(PolyLinearFactor, "solve", wrong)
+    with pytest.raises(L.LiftError, match="fails its own equation"):
+        L.t02_lift_solve(Bilinear(C0, {(Z, ZB): Expr.one()}), "v", K)
+
+
+def test_bilinear_underdetermined_names_free_pairs(monkeypatch):
+    """A pairing row that misses a coordinate leaves every pair through that
+    coordinate free; the text lists the pairs in row-major order."""
+    family = L.vector_test_family
+    L.clear_lift_cache()
+    try:
+        monkeypatch.setattr(L, "vector_test_family",
+                            lambda chart0, stage: family(chart0, stage)[1:])
+        with pytest.raises(L.LiftError) as info:
+            L.t02_lift_solve(Bilinear(C0, {(Z, ZB): Expr.one()}), "v", 1)
+    finally:
+        L.clear_lift_cache()
+    assert str(info.value) == (
+        "(0,2)-tensor v-lift solve underdetermined; free entries: t__t, "
+        "t__z0_1, t__z1_1, t__zb0_1, t__zb1_1, z0_1__t, z1_1__t, zb0_1__t, "
+        "zb1_1__t")
 
 
 def _solver_names(monkeypatch, solve, field):
@@ -129,22 +170,26 @@ def _solver_names(monkeypatch, solve, field):
 def test_each_op_names_its_positions(monkeypatch):
     gen = FieldGen(5)
     coords = C0.extend(K).coordinates()
+    tests = L.vector_test_family(C0, 1)
     cases = [
         # One replay per level ladder; the time component is pinned.
-        (lambda Y: L.vf_lift_solve(Y, "c", K), gen.vector(C0), "U_",
+        (lambda Y: L.vf_lift_solve(Y, "c", K), gen.vector(C0), ("U_",),
          [tuple(f"U_{base}{r}_1" for r in range(K + 1)) for base in ("z", "zb")]),
-        (lambda w: L.of_lift_solve(w, "v", K), gen.oneform(C0), "W_",
+        (lambda w: L.of_lift_solve(w, "v", K), gen.oneform(C0), ("W_",),
          [tuple(f"W_{c.name}" for c in coords)]),
-        (lambda p: L.t11_lift_solve(p, "v", K), gen.endo(C0), "E_",
+        (lambda p: L.t11_lift_solve(p, "v", K), gen.endo(C0), ("E_",),
          [tuple(f"E_{a.name}__{b.name}" for b in coords) for a in coords]),
-        (lambda G: L.t02_lift_solve(G, "v", K), gen.bilinear(C0), "B_",
-         [tuple(f"B_{a.name}__{b.name}" for a in coords for b in coords)]),
+        # One replay per stage-1 test column of C = B P^T, then one per row
+        # of B.
+        (lambda G: L.t02_lift_solve(G, "v", K), gen.bilinear(C0), ("C_", "B_"),
+         [tuple(f"C_{c.name}__{j}" for c in coords) for j in range(len(tests))]
+         + [tuple(f"B_{a.name}__{b.name}" for b in coords) for a in coords]),
     ]
-    for solve, field, prefix, expected in cases:
+    for solve, field, prefixes, expected in cases:
         names = _solver_names(monkeypatch, solve, field)
-        assert [n for n in names if n[0].startswith(prefix)] == expected
+        assert [n for n in names if n[0].startswith(prefixes)] == expected
         # The other replays are the vector and one-form lifts the op uses.
-        assert all(n[0].startswith((prefix, "U_", "W_")) for n in names)
+        assert all(n[0].startswith(prefixes + ("U_", "W_")) for n in names)
 
 
 def test_bounded_cache_evicts_the_least_recently_used():

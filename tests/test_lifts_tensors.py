@@ -125,19 +125,21 @@ def test_t02_vertical_lift_of_flat_metric():
 
 
 def test_t02_lift_preserves_symmetry():
-    g = Bilinear(C2, {
-        (holo(0, 1), anti(0, 2)): parse("z0_1"),
-        (anti(0, 2), holo(0, 1)): parse("z0_1"),
-    })
-    assert g.is_symmetric()
-    for kind in ("v", "c"):
-        assert t02_lift_solve(g, kind, 1).is_symmetric()
+    for chart, k in ((C2, 1), (C0, 3)):
+        g = Bilinear(chart, {
+            (holo(0, 1), anti(0, chart.m)): parse("z0_1"),
+            (anti(0, chart.m), holo(0, 1)): parse("z0_1"),
+        })
+        assert g.is_symmetric()
+        for kind in ("v", "c"):
+            assert t02_lift_solve(g, kind, k).is_symmetric()
 
 
 def test_t02_certificate():
-    _, cert = t02_lift_solve_certified(flat_metric(), "c", 2)
-    assert cert.op == "bilinear"
-    assert cert.residuals_zero
+    for k in (2, 3):
+        _, cert = t02_lift_solve_certified(flat_metric(), "c", k)
+        assert cert.op == "bilinear"
+        assert cert.residuals_zero
 
 
 def test_t02_residuals_vanish_on_fresh_vectors():

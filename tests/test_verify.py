@@ -110,6 +110,8 @@ def test_brackets_suite_three_clauses():
     ("tensors", 1, {"T2", "T5"}),
     ("frames", 1, set()),
     ("frames", 2, {"FR7"}),
+    ("tensors", 3, {"T2", "T5"}),
+    ("oneforms", 3, {"O12", "O14"}),
 ])
 def test_conflict_inventory(suite, k, expected_conflicts):
     samples = 2 if suite == "tensors" else None
@@ -121,9 +123,10 @@ def test_conflict_inventory(suite, k, expected_conflicts):
 
 
 def test_structures_suite_passes():
-    report = run_suite("structures", 1, 1, seed=0, samples=2)
-    assert report.n_fail == 0
-    assert {o.status for o in report.outcomes} <= {"PASS", "CONFLICT"}
+    for k in (1, 3):
+        report = run_suite("structures", 1, k, seed=0, samples=2)
+        assert report.n_fail == 0
+        assert {o.status for o in report.outcomes} <= {"PASS", "CONFLICT"}
 
 
 def test_all_runs_every_suite():
