@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .symkernel import _FIELD_MASK, TIME, CoordId, Expr, Kind
+from .symkernel import (_FIELD_MASK, _LEVEL_SHIFT, TIME, CoordId, Expr, Kind,
+                        _code_name, _codes)
 
 
 class ChartError(Exception):
@@ -83,18 +84,23 @@ class ChartSpec:
 
     # -- membership ----------------------------------------------------------
     def contains(self, coord: CoordId) -> bool:
-        if coord.kind == Kind.TIME:
-            return self.has_time
-        return 0 <= coord.level <= self.k and 1 <= coord.index <= self.m
+        return not self._outside((coord._code,))
+
+    def _outside(self, codes) -> list[int]:
+        """The packed codes among `codes` whose coordinates are not in the
+        chart: level and index are read off the code, and time's code is 0."""
+        k, m = self.k, self.m
+        return [code for code in codes
+                if (code & _FIELD_MASK) > m or (code >> _LEVEL_SHIFT & _FIELD_MASK) > k
+                or not (code or self.has_time)]
 
     def in_chart(self, e: Expr) -> bool:
-        return all(self.contains(c) for c in e.coords())
+        return not self._outside(_codes(e._terms))
 
     def validate_expr(self, e: Expr, context: str = "expression") -> Expr:
-        bad = sorted((c for c in e.coords() if not self.contains(c)),
-                     key=lambda c: c.sort_key())
+        bad = self._outside(_codes(e._terms))
         if bad:
-            names = ", ".join(c.name for c in bad)
+            names = ", ".join(_code_name(code) for code in sorted(bad))
             raise ChartError(f"{context} uses coordinates outside the chart: {names}")
         return e
 

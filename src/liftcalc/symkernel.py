@@ -874,15 +874,23 @@ def format_expr(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 
 # One match per token, with the whitespace before it.  Tokens are whole
-# factors where they can be: a coordinate carries its power ("z0_1^3") and a
-# number its denominator ("3/2").  Digits are ASCII only and a coordinate
-# index is nonzero; whitespace and the word boundary after "t" and "i" keep
-# the Unicode meaning of str.isspace and str.isalnum.  Any other character
-# is a "bad" token.
+# factors where they can be: a coordinate carries its power ("z0_1^3"), a
+# number its denominator ("3/2"), and a parenthesized Gaussian constant such
+# as format_expr writes ("(10 + 15/2*i)") is one factor.  That group matches
+# only where nothing inside it can be refused: its denominators are nonzero
+# and its integers have at most 1,000 digits, so no sum or fold in it passes
+# the coefficient budget.  Any other group is read through "(" as a sum.
+# Digits are ASCII only and a coordinate index is nonzero; whitespace and
+# the word boundary after "t" and "i" keep the Unicode meaning of
+# str.isspace and str.isalnum.  Any other character is a "bad" token.
 _TOKEN_RE = re.compile(r"""
     \s* (?:
       (?P<coord> zb?[0-9]+_0*[1-9][0-9]* | t(?!\w) ) (?: \s*\^\s* (?P<cexp>[0-9]+) )?
     | (?P<num>[0-9]+) (?: \s*/\s* (?P<den>[0-9]+) )?
+    | (?P<gauss> \( \s* (?P<gre>[0-9]{1,1000}) (?: \s*/\s* (?P<gred>(?=0*[1-9])[0-9]{1,1000}) )?
+        \s* (?P<gsign>[-+]) \s*
+        (?: (?P<gim>[0-9]{1,1000}) (?: \s*/\s* (?P<gimd>(?=0*[1-9])[0-9]{1,1000}) )? \s*\*\s* )?
+        i \s* \) )
     | (?P<pow>\^) \s* (?P<exp>[0-9]+)
     | (?P<imag> i(?!\w) )
     | (?P<op> [-+*^/()] )
@@ -939,9 +947,11 @@ def _tokens(text: str) -> list[tuple]:
     """The tokens of `text`, then an end token.  Each token is a tuple whose
     first two fields are its kind and position: ``("c", pos, coord, exponent
     or None, exponent position)``, ``("n", pos, numerator, denominator or
-    None, denominator position)``, ``("p", pos, exponent, exponent
-    position)`` for a ``^`` with its exponent, ``("i", pos)``, ``(op, pos)``
-    and ``("end", pos)``.  Lexical errors come before any syntax error."""
+    None, denominator position)``, ``("g", pos, a, b, d)`` for a
+    parenthesized Gaussian constant with its reduced triple, ``("p", pos,
+    exponent, exponent position)`` for a ``^`` with its exponent, ``("i",
+    pos)``, ``(op, pos)`` and ``("end", pos)``.  Lexical errors come before
+    any syntax error."""
     toks: list[tuple] = []
     append = toks.append
     try:
@@ -963,6 +973,13 @@ def _tokens(text: str) -> list[tuple]:
                 append(("p", m.start("pow"), int(m[kind]), m.start(kind)))
             elif kind == "imag":
                 append(("i", m.start(kind)))
+            elif kind == "gauss":
+                p, q, sign, r, s = m.group("gre", "gred", "gsign", "gim", "gimd")
+                p, q = int(p), int(q) if q else 1
+                r, s = int(r) if r else 1, int(s) if s else 1
+                a, b, d = p * s, r * q if sign == "+" else -r * q, q * s
+                g = math.gcd(a, b, d)
+                append(("g", m.start(kind), a // g, b // g, d // g))
             else:
                 pos = m.start(kind)
                 raise ParseError(f"unexpected character {text[pos:pos + 4]!r}", pos)
@@ -1022,8 +1039,9 @@ class _Parser:
     A term's factors fold into one Gaussian-rational coefficient, held as
     an integer triple ``(a, b, d)``, and one exponent map; an Expr is built
     only for a parenthesized sum, and each term is added into its
-    expression's term map as it is read.  Powers, expansions and
-    coefficients are held to the budgets above.
+    expression's term map as it is read.  A parenthesized Gaussian constant
+    such as ``(10 + 15/2*i)`` is one factor token, folded like a number.
+    Powers, expansions and coefficients are held to the budgets above.
     """
 
     def __init__(self, text: str, chart=None):
@@ -1113,6 +1131,21 @@ class _Parser:
                     _check_power(0, max(n.bit_length(), q.bit_length()), p[2], p[3])
                     n, q = n ** p[2], q ** p[2]
                 a, b, d = a * n, b * n, d * q
+                if (abs(a) | abs(b) | d).bit_length() > _MAX_COEFF_BITS:
+                    a, b, d = _fit_coefficient(a, b, d, tok[1])
+            elif kind == "g":
+                # A parenthesized constant, folded like a number.  A power of
+                # it is checked as the "(" path checks a constant sum: degree
+                # 0, and no coefficient bits when it is zero (an empty sum).
+                ga, gb, gd = tok[2], tok[3], tok[4]
+                p = self._power()
+                if p is not None:
+                    bits = (max(ga.bit_length(), gb.bit_length(), gd.bit_length())
+                            if ga or gb else 0)
+                    _check_power(0, bits, p[2], p[3])
+                    c = _grat_normal(ga, gb, gd) ** p[2]
+                    ga, gb, gd = c._a, c._b, c._d
+                a, b, d = a * ga - b * gb, a * gb + b * ga, d * gd
                 if (abs(a) | abs(b) | d).bit_length() > _MAX_COEFF_BITS:
                     a, b, d = _fit_coefficient(a, b, d, tok[1])
             elif kind == "i":

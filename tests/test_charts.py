@@ -88,6 +88,19 @@ def test_validate_expr():
         chart.validate_expr(parse("t"))
 
 
+@pytest.mark.parametrize("chart,text,names", [
+    (ChartSpec(1, 0, False), "z1_1*zb0_1 + z0_2 + zb1_1", "z0_2, z1_1, zb1_1"),
+    (ChartSpec(2, 1, False), "zb2_1*z0_1 + z0_3 + t*zb1_2", "t, z0_3, zb2_1"),
+])
+def test_validate_expr_names_the_outside_coordinates_in_order(chart, text, names):
+    e = parse(text)
+    assert not chart.in_chart(e)
+    with pytest.raises(ChartError) as err:
+        chart.validate_expr(e, "vector component at z0_1")
+    assert str(err.value) == ("vector component at z0_1 uses coordinates "
+                              f"outside the chart: {names}")
+
+
 def test_in_chart():
     chart = ChartSpec(1, 1, True)
     assert chart.in_chart(parse("t + z1_1"))

@@ -25,6 +25,7 @@ from liftcalc.symkernel import (
     _decode,
     _mono_decode,
     _mono_order_key,
+    _tokens,
     anti,
     binomial,
     divide_exact,
@@ -548,6 +549,89 @@ def test_parse_rejects_unknown_token():
         parse("q + 1")
 
 
+# -- parenthesized Gaussian constants -------------------------------------------
+#
+# "(3/2 + 5*i)" is one factor token; the same constant with "+ 0" before
+# the ")" is not, and is read as a parenthesized sum.
+
+_BIG = "9" * 1000 + "/" + "7" * 1000 + " - " + "8" * 1000 + "*i"
+
+_GROUP_SHAPES = ["(3 + i)", "(3 - i)", "(3/2 + i)", "(10 + 15/2*i)",
+                 "(2/4 - 6/8*i)", "(0 + 5*i)", "(7 - 0*i)", "(0 + 0*i)",
+                 "(007/010 + 03*i)", "( 3 /2\t+\u00a05 / 3 * i )",
+                 "(1 - 1*i)", f"({_BIG})"]
+
+_GROUP_CONTEXTS = ["{g}", "-{g}*z0_1 + zb0_1", "z0_1 + {g}*zb0_1*{g} - {g}*z0_1",
+                   "t*{g}*z0_1^2 - (z0_1 + {g})*zb0_1", "{g}^0", "{g}^3*t + 2",
+                   "2*{g}^2*z0_1 + t*{g} - {g}^1*z0_1"]
+
+
+def _group_kinds(text):
+    return [tok[0] for tok in _tokens(text) if tok[0] in ("g", "(")]
+
+
+@pytest.mark.parametrize("shape", _GROUP_SHAPES,
+                         ids=[f"shape-{n}" for n in range(len(_GROUP_SHAPES))])
+def test_group_token_matches_the_parenthesized_sum(shape):
+    summed = shape[:-1] + " + 0)"
+    assert _group_kinds(shape) == ["g"] and _group_kinds(summed) == ["("]
+    for context in _GROUP_CONTEXTS:
+        if shape.endswith(f"{_BIG})") and "^" in context[context.index("{g}"):]:
+            continue    # its powers pass the bit budget; pinned below
+        value = parse(context.format(g=shape))
+        expected = parse(context.format(g=summed))
+        assert list(value._terms.items()) == list(expected._terms.items())
+
+
+def test_zero_group_powers_have_no_coefficient_bits():
+    # An empty sum has no integers, so no power of it passes the budget.
+    for text in ("(0 + 0*i)^5000*z0_1", "(0 - 0/3*i)^0*z0_1"):
+        assert parse(text) == parse(text.replace(")", " + 0)", 1))
+
+
+_NEAR_MISSES = [
+    ("(1/0 + i)", 3, "zero denominator"),
+    ("(2 + 3/0*i)", 7, "zero denominator"),
+    ("(1 + 2*i)^5000", 10, "power of 10000 coefficient bits exceeds the limit 4096"),
+    ("(3/2 + 5/4*i)^1366", 14, "power of 4098 coefficient bits exceeds the limit 4096"),
+    ("*".join(["(3/2 + i)^2048"] * 5), 30,
+     "coefficient of 11368 bits exceeds the limit 8192"),
+    ("*".join([f"(1{'0' * 1000} + i)"] * 3), 2016,
+     "coefficient of 9966 bits exceeds the limit 8192"),
+    ("*".join([f"(1{'0' * 999} + i)"] * 3), 2014,
+     "coefficient of 9956 bits exceeds the limit 8192"),
+    (f"({_BIG})^2", 3009, "power of 6650 coefficient bits exceeds the limit 4096"),
+    ("(" + "1" * 5000 + " + i)", 1, "number too long"),
+    ("(1 + i", 6, "expected ')'"),
+    ("(1 + ix)", 5, "unexpected character 'ix)'"),
+    ("(1 + 2*i)^-1", 10, "negative exponent"),
+    ("(1 + 2*i)^", 10, "expected a natural-number exponent"),
+    ("(1 + i)(2 + i)", 7, "unexpected trailing input"),
+    ("z0_1^(1 + i)", 5, "expected a natural-number exponent"),
+    ("3/(1 + i)", 2, "expected a denominator"),
+    ("(1 + i)*z2_1", 8, "coordinate z2_1 is not in the chart"),
+]
+
+
+@pytest.mark.parametrize("bad,pos,message", _NEAR_MISSES,
+                         ids=[f"near-miss-{n}" for n in range(len(_NEAR_MISSES))])
+def test_group_errors_keep_their_text_and_position(bad, pos, message):
+    with pytest.raises(ParseError) as err:
+        parse(bad, _ERROR_CHART)
+    assert (err.value.position, str(err.value)) == (
+        pos, f"{message} (at position {pos})")
+
+
+def test_groups_the_token_does_not_match_are_read_as_sums():
+    long_one = f"(1{'0' * 1000} + i)"
+    for text, value in [("(2 + 3*i^2)", Expr.constant(-1)),
+                        ("(i + 2)", Expr.constant(GRat(2, 1))),
+                        ("(-3/2 + i)", Expr.constant(GRat(Fraction(-3, 2), 1))),
+                        (long_one, Expr.constant(GRat(10 ** 1000, 1)))]:
+        assert _group_kinds(text) == ["("]
+        assert parse(text) == value
+
+
 # -- hypothesis: ring axioms --------------------------------------------------
 
 _COORDS = [TIME, holo(0, 1), holo(0, 2), anti(0, 1), holo(1, 1)]
@@ -597,6 +681,30 @@ def test_diff_is_leibniz(a, b):
 @given(_exprs)
 def test_format_parse_round_trip_property(e):
     assert parse(format_expr(e)) == e
+
+
+# Numerators past 1,000 digits print groups that are read as sums.
+_gauss_rats = st.builds(lambda n, d, neg: Fraction(-n if neg else n, d),
+                        st.one_of(st.integers(1, 60),
+                                  st.integers(10 ** 998, 10 ** 1001)),
+                        st.integers(1, 60), st.booleans())
+_mixed_exprs = st.lists(st.tuples(st.builds(GRat, _gauss_rats, _gauss_rats),
+                                  _monomials), min_size=1, max_size=4).map(
+    lambda ts: sum((m.scale(c) for c, m in ts), Expr.zero()))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_mixed_exprs)
+def test_mixed_coefficients_round_trip(e):
+    text = format_expr(e)
+    assert parse(text) == e
+    # Each mixed coefficient prints as one group: a token when its integers
+    # have at most 1,000 digits, else a sum read through "(".
+    kinds = [tok[0] for tok in _tokens(text)]
+    coeffs = e._terms.values()
+    assert kinds.count("g") + kinds.count("(") == sum(bool(c._a and c._b) for c in coeffs)
+    if all(max(abs(c._a), abs(c._b), c._d) < 10 ** 1000 for c in coeffs):
+        assert "(" not in kinds
 
 
 # -- hypothesis: printed grammar trees ------------------------------------------
