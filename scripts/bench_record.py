@@ -1,79 +1,76 @@
 """Record one benchmark run as a committed trajectory point.
 
-usage: python3 scripts/bench_record.py --seed N --out BENCH_<n>.json [--seconds S]
+usage: python3 scripts/bench_record.py --seed N --out BENCH_<n>.json
 
-Runs ``perfbench/run.py --workload all --trace 0`` for one seed from the
-root of this checkout and writes a JSON file holding each workload's
-result line (its metrics, ``correct``, ``attempted`` and ``failed``) keyed
-by workload name, with the commit, the interpreter, the host and the run
-settings.  The benchmark itself is not changed or re-implemented here.
-Exits nonzero, writing nothing, when the run fails or a workload is not
-correct.
+Runs ``perfbench/run.py --workload all --seconds 36 --trace 0`` for one
+seed from the root of this checkout, at the benchmark's own run length, and
+writes a JSON file holding each workload's result line (its metrics,
+``correct``, ``attempted`` and ``failed``) keyed by workload name, with the
+commit, the interpreter and the host as run.py reports them under each
+workload's header.  The benchmark itself is not changed or re-implemented
+here.  Exits nonzero, writing nothing, when the run fails or a workload is
+not correct.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 HEADER = "liftcalc benchmark: workload="
+SECONDS = 36
+CONTEXT_KEYS = ("commit", "dirty", "python", "platform", "nproc")
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", "--no-optional-locks", *args], cwd=ROOT,
-                          capture_output=True, text=True, check=True).stdout.strip()
+def value(text: str):
+    """A context value as run.py prints it: a bool, None, an int or text."""
+    literals = {"True": True, "False": False, "None": None}
+    if text in literals:
+        return literals[text]
+    return int(text) if text.isdigit() else text
 
 
-def results(stdout: str) -> dict:
+def results(stdout: str) -> tuple[dict, dict]:
     """Each workload's JSON result line, keyed by the name in the report
-    header that precedes it."""
-    found, name = {}, None
+    header that precedes it, and the context (commit, interpreter, host)
+    printed as ``  key: value`` lines under the first header."""
+    found, context, name = {}, {}, None
     for line in stdout.splitlines():
         if line.startswith(HEADER):
             name = line[len(HEADER):].split()[0]
         elif line.startswith("{") and name is not None:
             found[name] = json.loads(line)
             name = None
-    return found
+        elif name is not None and not found and line.startswith("  "):
+            key, sep, text = line.strip().partition(": ")
+            if sep and key in CONTEXT_KEYS:
+                context[key] = value(text)
+    return found, context
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=int, default=36,
-                        help="run length per workload (the benchmark's is 36)")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     command = [sys.executable, "perfbench/run.py", "--workload", "all",
-               "--seed", str(args.seed), "--seconds", str(args.seconds),
-               "--trace", "0"]
+               "--seed", str(args.seed), "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
     sys.stderr.write(proc.stderr)
-    workloads = results(proc.stdout)
+    workloads, context = results(proc.stdout)
     if proc.returncode or len(workloads) != 3 or not all(
             w["correct"] for w in workloads.values()):
         print(proc.stdout, end="")
         print(f"error: run exited {proc.returncode} with {len(workloads)} "
               f"result lines; nothing written", file=sys.stderr)
         return 1
-    record = {
-        "commit": git("rev-parse", "HEAD"),
-        "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "nproc": os.cpu_count(),
-        "seed": args.seed,
-        "seconds": args.seconds,
-        "command": " ".join(["python3", *command[1:]]),
-        "workloads": workloads,
-    }
+    record = {**context, "seed": args.seed, "seconds": SECONDS,
+              "command": " ".join(["python3", *command[1:]]),
+              "workloads": workloads}
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {args.out}")
     return 0

@@ -84,15 +84,19 @@ class ChartSpec:
 
     # -- membership ----------------------------------------------------------
     def contains(self, coord: CoordId) -> bool:
-        return not self._outside((coord._code,))
+        return self._has(coord._code)
+
+    def _has(self, code: int) -> bool:
+        """Whether the coordinate with packed `code` is in the chart: level
+        and index are read off the code, and time's code is 0."""
+        if not code:
+            return self.has_time
+        return (code & _FIELD_MASK) <= self.m and (code >> _LEVEL_SHIFT & _FIELD_MASK) <= self.k
 
     def _outside(self, codes) -> list[int]:
-        """The packed codes among `codes` whose coordinates are not in the
-        chart: level and index are read off the code, and time's code is 0."""
-        k, m = self.k, self.m
-        return [code for code in codes
-                if (code & _FIELD_MASK) > m or (code >> _LEVEL_SHIFT & _FIELD_MASK) > k
-                or not (code or self.has_time)]
+        """The packed codes among `codes` whose coordinates are not in the chart."""
+        has = self._has
+        return [code for code in codes if not has(code)]
 
     def in_chart(self, e: Expr) -> bool:
         return not self._outside(_codes(e._terms))

@@ -877,9 +877,11 @@ def format_expr(e: Expr) -> str:
 # factors where they can be: a coordinate carries its power ("z0_1^3"), a
 # number its denominator ("3/2"), and a parenthesized Gaussian constant such
 # as format_expr writes ("(10 + 15/2*i)") is one factor.  That group matches
-# only where nothing inside it can be refused: its denominators are nonzero
-# and its integers have at most 1,000 digits, so no sum or fold in it passes
-# the coefficient budget.  Any other group is read through "(" as a sum.
+# only where nothing inside it can be refused: its denominators and its
+# imaginary part are nonzero, and its integers have at most 640 digits, so
+# no sum or fold in it passes the coefficient budget and int() reads them
+# under the lowest int-to-str limit Python allows.  Any other group is read
+# through "(" as a sum.
 # Digits are ASCII only and a coordinate index is nonzero; whitespace and
 # the word boundary after "t" and "i" keep the Unicode meaning of
 # str.isspace and str.isalnum.  Any other character is a "bad" token.
@@ -887,9 +889,10 @@ _TOKEN_RE = re.compile(r"""
     \s* (?:
       (?P<coord> zb?[0-9]+_0*[1-9][0-9]* | t(?!\w) ) (?: \s*\^\s* (?P<cexp>[0-9]+) )?
     | (?P<num>[0-9]+) (?: \s*/\s* (?P<den>[0-9]+) )?
-    | (?P<gauss> \( \s* (?P<gre>[0-9]{1,1000}) (?: \s*/\s* (?P<gred>(?=0*[1-9])[0-9]{1,1000}) )?
+    | (?P<gauss> \( \s* (?P<gre>[0-9]{1,640}) (?: \s*/\s* (?P<gred>(?=0*[1-9])[0-9]{1,640}) )?
         \s* (?P<gsign>[-+]) \s*
-        (?: (?P<gim>[0-9]{1,1000}) (?: \s*/\s* (?P<gimd>(?=0*[1-9])[0-9]{1,1000}) )? \s*\*\s* )?
+        (?: (?P<gim>(?=0*[1-9])[0-9]{1,640}) (?: \s*/\s* (?P<gimd>(?=0*[1-9])[0-9]{1,640}) )?
+            \s*\*\s* )?
         i \s* \) )
     | (?P<pow>\^) \s* (?P<exp>[0-9]+)
     | (?P<imag> i(?!\w) )
@@ -1013,6 +1016,25 @@ def _fit_coefficient(a: int, b: int, d: int, pos: int) -> tuple[int, int, int]:
     return a, b, d
 
 
+def _fold(a: int, b: int, d: int, fa: int, fb: int, fd: int, power,
+          pos: int) -> tuple[int, int, int]:
+    """The coefficient ``(a + b*i)/d`` times the constant factor ``(fa +
+    fb*i)/fd`` raised to the ``("p", ...)`` token `power`, or to 1 when it is
+    None.  The power has degree 0 and the bits of the factor's reduced
+    triple; the product is held to the coefficient budget at `pos`."""
+    if power is not None:
+        g = math.gcd(fa, fb, fd)
+        fa, fb, fd = fa // g, fb // g, fd // g
+        _check_power(0, max(fa.bit_length(), fb.bit_length(), fd.bit_length()),
+                     power[2], power[3])
+        c = _grat_normal(fa, fb, fd) ** power[2]
+        fa, fb, fd = c._a, c._b, c._d
+    a, b, d = a * fa - b * fb, a * fb + b * fa, d * fd
+    if (abs(a) | abs(b) | d).bit_length() > _MAX_COEFF_BITS:
+        return _fit_coefficient(a, b, d, pos)
+    return a, b, d
+
+
 def _check_terms(count: int, pos: int) -> None:
     if count > _MAX_TERMS:
         raise ParseError(f"expansion of {count} terms exceeds the limit "
@@ -1124,30 +1146,11 @@ class _Parser:
                     q = 1
                 elif not q:
                     raise ParseError("zero denominator", tok[4])
-                p = self._power()
-                if p is not None:
-                    g = math.gcd(n, q)
-                    n, q = n // g, q // g
-                    _check_power(0, max(n.bit_length(), q.bit_length()), p[2], p[3])
-                    n, q = n ** p[2], q ** p[2]
-                a, b, d = a * n, b * n, d * q
-                if (abs(a) | abs(b) | d).bit_length() > _MAX_COEFF_BITS:
-                    a, b, d = _fit_coefficient(a, b, d, tok[1])
+                a, b, d = _fold(a, b, d, n, 0, q, self._power(), tok[1])
             elif kind == "g":
-                # A parenthesized constant, folded like a number.  A power of
-                # it is checked as the "(" path checks a constant sum: degree
-                # 0, and no coefficient bits when it is zero (an empty sum).
-                ga, gb, gd = tok[2], tok[3], tok[4]
-                p = self._power()
-                if p is not None:
-                    bits = (max(ga.bit_length(), gb.bit_length(), gd.bit_length())
-                            if ga or gb else 0)
-                    _check_power(0, bits, p[2], p[3])
-                    c = _grat_normal(ga, gb, gd) ** p[2]
-                    ga, gb, gd = c._a, c._b, c._d
-                a, b, d = a * ga - b * gb, a * gb + b * ga, d * gd
-                if (abs(a) | abs(b) | d).bit_length() > _MAX_COEFF_BITS:
-                    a, b, d = _fit_coefficient(a, b, d, tok[1])
+                # A parenthesized constant (never zero), folded like a number.
+                a, b, d = _fold(a, b, d, tok[2], tok[3], tok[4], self._power(),
+                                tok[1])
             elif kind == "i":
                 p = self._power()
                 e = 1
@@ -1182,9 +1185,7 @@ class _Parser:
                             _fit_coefficient(c._a, c._b, c._d, tok[1])
                 elif terms:
                     ((m, c),) = terms.items()
-                    a, b, d = a * c._a - b * c._b, a * c._b + b * c._a, d * c._d
-                    if (abs(a) | abs(b) | d).bit_length() > _MAX_COEFF_BITS:
-                        a, b, d = _fit_coefficient(a, b, d, tok[1])
+                    a, b, d = _fold(a, b, d, c._a, c._b, c._d, None, tok[1])
                     for code, e in m:
                         exps[code] = exps.get(code, 0) + e
                 else:

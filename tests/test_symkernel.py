@@ -3,6 +3,7 @@ parsing/printing, differentiation, conjugation, and the exact linear solver.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -554,10 +555,10 @@ def test_parse_rejects_unknown_token():
 # "(3/2 + 5*i)" is one factor token; the same constant with "+ 0" before
 # the ")" is not, and is read as a parenthesized sum.
 
-_BIG = "9" * 1000 + "/" + "7" * 1000 + " - " + "8" * 1000 + "*i"
+_BIG = "9" * 640 + "/" + "7" * 640 + " - " + "8" * 640 + "*i"
 
 _GROUP_SHAPES = ["(3 + i)", "(3 - i)", "(3/2 + i)", "(10 + 15/2*i)",
-                 "(2/4 - 6/8*i)", "(0 + 5*i)", "(7 - 0*i)", "(0 + 0*i)",
+                 "(2/4 - 6/8*i)", "(0 + 5*i)", "(0 - 7/3*i)",
                  "(007/010 + 03*i)", "( 3 /2\t+\u00a05 / 3 * i )",
                  "(1 - 1*i)", f"({_BIG})"]
 
@@ -583,12 +584,6 @@ def test_group_token_matches_the_parenthesized_sum(shape):
         assert list(value._terms.items()) == list(expected._terms.items())
 
 
-def test_zero_group_powers_have_no_coefficient_bits():
-    # An empty sum has no integers, so no power of it passes the budget.
-    for text in ("(0 + 0*i)^5000*z0_1", "(0 - 0/3*i)^0*z0_1"):
-        assert parse(text) == parse(text.replace(")", " + 0)", 1))
-
-
 _NEAR_MISSES = [
     ("(1/0 + i)", 3, "zero denominator"),
     ("(2 + 3/0*i)", 7, "zero denominator"),
@@ -596,11 +591,15 @@ _NEAR_MISSES = [
     ("(3/2 + 5/4*i)^1366", 14, "power of 4098 coefficient bits exceeds the limit 4096"),
     ("*".join(["(3/2 + i)^2048"] * 5), 30,
      "coefficient of 11368 bits exceeds the limit 8192"),
-    ("*".join([f"(1{'0' * 1000} + i)"] * 3), 2016,
-     "coefficient of 9966 bits exceeds the limit 8192"),
-    ("*".join([f"(1{'0' * 999} + i)"] * 3), 2014,
-     "coefficient of 9956 bits exceeds the limit 8192"),
-    (f"({_BIG})^2", 3009, "power of 6650 coefficient bits exceeds the limit 4096"),
+    ("*".join([f"(1{'0' * 640} + i)"] * 4), 1944,
+     "coefficient of 8505 bits exceeds the limit 8192"),
+    ("*".join([f"(1{'0' * 639} + i)"] * 4), 1941,
+     "coefficient of 8491 bits exceeds the limit 8192"),
+    (f"({_BIG})^2", 1929, "power of 4258 coefficient bits exceeds the limit 4096"),
+    ("(7 - 0*i)^5000", 10, "power of 15000 coefficient bits exceeds the limit 4096"),
+    # A number's power takes the bits of its reduced ratio, as a group's does.
+    ("6/4^2049", 4, "power of 4098 coefficient bits exceeds the limit 4096"),
+    ("0/7^5000", 4, "power of 5000 coefficient bits exceeds the limit 4096"),
     ("(" + "1" * 5000 + " + i)", 1, "number too long"),
     ("(1 + i", 6, "expected ')'"),
     ("(1 + ix)", 5, "unexpected character 'ix)'"),
@@ -623,13 +622,39 @@ def test_group_errors_keep_their_text_and_position(bad, pos, message):
 
 
 def test_groups_the_token_does_not_match_are_read_as_sums():
-    long_one = f"(1{'0' * 1000} + i)"
+    long_one = f"(1{'0' * 640} + i)"
     for text, value in [("(2 + 3*i^2)", Expr.constant(-1)),
                         ("(i + 2)", Expr.constant(GRat(2, 1))),
                         ("(-3/2 + i)", Expr.constant(GRat(Fraction(-3, 2), 1))),
-                        (long_one, Expr.constant(GRat(10 ** 1000, 1)))]:
+                        (long_one, Expr.constant(GRat(10 ** 640, 1))),
+                        ("(7 - 0*i)", Expr.constant(7)),
+                        # An empty sum has no integers, so no power of it
+                        # passes the bit budget.
+                        ("(0 + 0*i)^5000*z0_1", Expr.zero()),
+                        ("(0 - 0/3*i)^0*z0_1", parse("z0_1"))]:
         assert _group_kinds(text) == ["("]
         assert parse(text) == value
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit in this interpreter")
+@pytest.mark.parametrize("limit", [640, 699])
+def test_group_errors_hold_under_the_lowest_int_digit_limit(limit):
+    # A group's integers have at most 640 digits, the lowest limit Python
+    # allows, so int() never refuses one inside the token; a longer run is
+    # read through "(" and refused at its own position.
+    group = f"({'3' * 640}/{'7' * 640} - {'1' * 640}*i)"
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        assert _group_kinds(group) == ["g"]
+        assert parse(group) == parse(group[:-1] + " + 0)")
+        with pytest.raises(ParseError) as err:
+            parse("(" + "1" * 700 + " + i)")
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert (err.value.position, str(err.value)) == (
+        1, "number too long (at position 1)")
 
 
 # -- hypothesis: ring axioms --------------------------------------------------
@@ -683,10 +708,10 @@ def test_format_parse_round_trip_property(e):
     assert parse(format_expr(e)) == e
 
 
-# Numerators past 1,000 digits print groups that are read as sums.
+# Numerators past 640 digits print groups that are read as sums.
 _gauss_rats = st.builds(lambda n, d, neg: Fraction(-n if neg else n, d),
                         st.one_of(st.integers(1, 60),
-                                  st.integers(10 ** 998, 10 ** 1001)),
+                                  st.integers(10 ** 638, 10 ** 642)),
                         st.integers(1, 60), st.booleans())
 _mixed_exprs = st.lists(st.tuples(st.builds(GRat, _gauss_rats, _gauss_rats),
                                   _monomials), min_size=1, max_size=4).map(
@@ -699,11 +724,11 @@ def test_mixed_coefficients_round_trip(e):
     text = format_expr(e)
     assert parse(text) == e
     # Each mixed coefficient prints as one group: a token when its integers
-    # have at most 1,000 digits, else a sum read through "(".
+    # have at most 640 digits, else a sum read through "(".
     kinds = [tok[0] for tok in _tokens(text)]
     coeffs = e._terms.values()
     assert kinds.count("g") + kinds.count("(") == sum(bool(c._a and c._b) for c in coeffs)
-    if all(max(abs(c._a), abs(c._b), c._d) < 10 ** 1000 for c in coeffs):
+    if all(max(abs(c._a), abs(c._b), c._d) < 10 ** 640 for c in coeffs):
         assert "(" not in kinds
 
 
