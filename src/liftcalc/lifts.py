@@ -7,11 +7,15 @@ read on a higher-order chart.  The complete lift is the level-shift
 derivation, applied stepwise: each step sends f to
 ``t*(df/dt) + sum over coords c of shift(c)*(df/dc)`` where ``shift`` raises
 the level of a z/zb coordinate by one (the time term only exists on charts
-with a time line).  Mixed lifts compose the two; the horizontal lift of a
-function is the complete lift minus the time-unscaled step (:func:`gamma_gradient`)
-of the previous complete lift, which vanishes identically for time-free
-functions.  The complete step and the gradient share one derivation pass,
-which walks the polynomial's terms once and differs only in the time term.
+with a time line).  The derivation is linear over the Gaussian rationals, so
+the k-step lift of ``sum c*m`` is ``sum c*D^k(m)``, read from one bounded
+table of coefficient-1 monomials keyed ``(m, k)``; a missing entry is derived
+stepwise from the largest cached step of its monomial below k.  Mixed lifts
+compose the two; the horizontal lift of a function is the complete lift minus
+the time-unscaled step (:func:`gamma_gradient`) of the previous complete
+lift, which vanishes identically for time-free functions.  The complete step
+and the gradient share one derivation pass, which walks the polynomial's
+terms once and differs only in the time term.
 
 **Horizontal lifts** of vector fields and one-forms are sums over the
 connection-adapted frame (:func:`adapted_frame`); they build only the frame
@@ -52,7 +56,7 @@ carries a machine-checked certificate.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -69,6 +73,7 @@ from .fields import (
     VectorField,
 )
 from .symkernel import (
+    GR_ONE,
     TIME,
     CoordId,
     Expr,
@@ -92,12 +97,16 @@ class LiftError(Exception):
 
 VF_KINDS = ("v", "c", "cv")
 
-# Cache bounds.  One `check all --m 1 --k 2` run leaves about 3.8k entries in
-# `_complete_expr` and 5.6k in `_complete_step_expr`, so the complete-lift
-# bound holds a whole run without evicting.
+# Cache bounds.  One `check all --m 1 --k 2` run (seeds 3 and 11) leaves 92
+# per-monomial entries in `_complete_expr` and none in `_complete_step_expr`,
+# which only `fn_complete_step` reads, so the complete-lift bound holds far
+# larger charts and orders without evicting.
 _COMPLETE_CACHE_SIZE = 8192
 _SYSTEM_CACHE_SIZE = 256
 _VF_SOLVE_CACHE_SIZE = 1024
+# Test families depend only on their arguments (chart, order or stage), so
+# each is built once per argument tuple and shared as a tuple.
+_FAMILY_CACHE_SIZE = 128
 
 
 # ---------------------------------------------------------------------------
@@ -145,12 +154,69 @@ def _complete_step_expr(expr: Expr) -> Expr:
     return _derive(expr, True)
 
 
-@lru_cache(maxsize=_COMPLETE_CACHE_SIZE)
-def _complete_expr(expr: Expr, steps: int) -> Expr:
-    out = expr
-    for _ in range(steps):
-        out = _complete_step_expr(out)
-    return out
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _CompleteTable:
+    """The complete lift ``_complete_expr(expr, steps)`` as ``sum c *
+    D^steps(m)`` over the terms ``c*m`` of `expr`, with each ``D^steps(m)``
+    of a coefficient-1 monomial held in one table keyed ``(m, steps)``.
+    The least recently used entry goes once the table holds more than
+    `_COMPLETE_CACHE_SIZE`.  ``cache_info()`` and ``cache_clear()`` read and
+    empty it like an ``lru_cache``'s; a hit or miss is one monomial's lookup.
+
+    A missing entry is derived in a loop, never by recursion on `steps`,
+    from the largest cached step of its monomial below `steps`; every step
+    derived on the way is stored too."""
+
+    def __init__(self):
+        self._table: OrderedDict = OrderedDict()
+        self.hits = self.misses = 0
+
+    def __call__(self, expr: Expr, steps: int) -> Expr:
+        if steps <= 0:
+            return expr
+        terms = expr._terms
+        if len(terms) == 1:
+            ((m, c),) = terms.items()
+            lifted = self._lift(m, steps)
+            return lifted if c == GR_ONE else lifted.scale(c)
+        acc: dict = {}
+        for m, c in terms.items():
+            lifted = self._lift(m, steps)._terms.items()
+            if c != GR_ONE:
+                lifted = [(lm, lc * c) for lm, lc in lifted]
+            _accumulate(acc, lifted)
+        return _expr(acc)
+
+    def _lift(self, m: tuple, steps: int) -> Expr:
+        table = self._table
+        out = table.get((m, steps))
+        if out is not None:
+            self.hits += 1
+            table.move_to_end((m, steps))
+            return out
+        self.misses += 1
+        start = steps - 1
+        while start and (m, start) not in table:
+            start -= 1
+        out = table[(m, start)] if start else _expr({m: GR_ONE})
+        for step in range(start + 1, steps + 1):
+            out = table[(m, step)] = _derive(out, True)
+            while len(table) > _COMPLETE_CACHE_SIZE:
+                table.popitem(last=False)
+        return out
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self.hits, self.misses, _COMPLETE_CACHE_SIZE,
+                         len(self._table))
+
+    def cache_clear(self) -> None:
+        self._table.clear()
+        self.hits = self.misses = 0
+
+
+_complete_expr = _CompleteTable()
 
 
 def _lift_scalar_expr(expr: Expr, kind: str, k: int, r: int | None,
@@ -475,7 +541,9 @@ def _base_coords(chart0: ChartSpec) -> list[CoordId]:
     return list(chart0.holo_coords(0) + chart0.anti_coords(0))
 
 
-def function_family(chart0: ChartSpec, include_time: bool, k: int) -> list[Expr]:
+@lru_cache(maxsize=_FAMILY_CACHE_SIZE)
+def function_family(chart0: ChartSpec, include_time: bool, k: int
+                    ) -> tuple[Expr, ...]:
     """Functions whose defining equations pin a lifted vector field: the
     coordinates, all their squares and pairwise products, and pure powers up
     to degree k+1 (plus t itself when requested).  A coordinate's pure powers
@@ -490,10 +558,11 @@ def function_family(chart0: ChartSpec, include_time: bool, k: int) -> list[Expr]
         fam.append(Expr.atom(a) * Expr.atom(b))
     for d in range(3, max(3, k + 1) + 1):
         fam.extend(Expr.atom(c) ** d for c in coords0)
-    return fam
+    return tuple(fam)
 
 
-def function_holdout(chart0: ChartSpec) -> list[Expr]:
+@lru_cache(maxsize=_FAMILY_CACHE_SIZE)
+def function_holdout(chart0: ChartSpec) -> tuple[Expr, ...]:
     """Degree-3 mixed products — disjoint from the solving family, whose
     degree-3 members are pure cubes."""
     coords0 = _base_coords(chart0)
@@ -504,10 +573,11 @@ def function_holdout(chart0: ChartSpec) -> list[Expr]:
             for c in combo:
                 prod = prod * Expr.atom(c)
             out.append(prod)
-    return out
+    return tuple(out)
 
 
-def _vector_stage(chart0: ChartSpec, stage: int) -> list[VectorField]:
+@lru_cache(maxsize=_FAMILY_CACHE_SIZE)
+def _vector_stage(chart0: ChartSpec, stage: int) -> tuple[VectorField, ...]:
     """Test vector fields with coefficient degree == stage (stage 0 also
     contributes the time direction on product charts)."""
     coords0 = _base_coords(chart0)
@@ -516,24 +586,25 @@ def _vector_stage(chart0: ChartSpec, stage: int) -> list[VectorField]:
         if chart0.has_time:
             out.append(VectorField.basis(chart0, TIME))
         out.extend(VectorField.basis(chart0, c) for c in coords0)
-        return out
+        return tuple(out)
     for coeffs in combinations_with_replacement(coords0, stage):
         coeff = Expr.one()
         for c in coeffs:
             coeff = coeff * Expr.atom(c)
         for direction in coords0:
             out.append(VectorField(chart0, {direction: coeff}))
-    return out
+    return tuple(out)
 
 
-def vector_test_family(chart0: ChartSpec, max_stage: int) -> list[VectorField]:
-    out: list[VectorField] = []
-    for stage in range(max_stage + 1):
-        out.extend(_vector_stage(chart0, stage))
-    return out
+@lru_cache(maxsize=_FAMILY_CACHE_SIZE)
+def vector_test_family(chart0: ChartSpec, max_stage: int
+                       ) -> tuple[VectorField, ...]:
+    return tuple(X for stage in range(max_stage + 1)
+                 for X in _vector_stage(chart0, stage))
 
 
-def vector_test_holdout(chart0: ChartSpec) -> list[VectorField]:
+@lru_cache(maxsize=_FAMILY_CACHE_SIZE)
+def vector_test_holdout(chart0: ChartSpec) -> tuple[VectorField, ...]:
     """Cube-coefficient fields; coefficient degrees used for solving stop at 2."""
     coords0 = _base_coords(chart0)
     out: list[VectorField] = []
@@ -541,7 +612,7 @@ def vector_test_holdout(chart0: ChartSpec) -> list[VectorField]:
         coeff = Expr.atom(c) ** 3
         for direction in coords0:
             out.append(VectorField(chart0, {direction: coeff}))
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +673,8 @@ class _System:
 
     __slots__ = ("items", "rows", "width", "_factor")
 
-    def __init__(self, items: list, rows: list[dict[int, Expr]], width: int):
+    def __init__(self, items: Sequence, rows: list[dict[int, Expr]],
+                 width: int):
         self.items, self.rows, self.width = items, rows, width
         self._factor = None
 
@@ -733,7 +805,7 @@ def _vf_layout(chart0: ChartSpec, k: int, include_time: bool) -> list[CoordId]:
             if include_time or c != TIME]
 
 
-def _vf_system(functions: list[Expr], coords: Sequence[CoordId],
+def _vf_system(functions: Sequence[Expr], coords: Sequence[CoordId],
                k: int) -> _System:
     """Rows of ``Z^lift(f^{c^k}) = sum over c of Z^c * d(f^{c^k})/dc``.  No
     function carries t when the time component is pinned, so every

@@ -920,6 +920,12 @@ _MAX_COEFF_BITS = 8192
 # than this is refused: 6,435 terms take about a second, 50,388 over 20 s.
 _MAX_TERMS = 10000
 
+# A parenthesized sum nested deeper than this is refused.  Each level costs
+# the parser two Python frames, so the deepest accepted input stays far
+# below the interpreter's recursion limit (1,000 by default) even when
+# parse is called from a deep stack.
+_MAX_DEPTH = 100
+
 _COORD_CACHE_SIZE = 4096
 
 
@@ -1063,12 +1069,14 @@ class _Parser:
     only for a parenthesized sum, and each term is added into its
     expression's term map as it is read.  A parenthesized Gaussian constant
     such as ``(10 + 15/2*i)`` is one factor token, folded like a number.
-    Powers, expansions and coefficients are held to the budgets above.
+    Powers, expansions, coefficients and nesting depth are held to the
+    budgets above.
     """
 
     def __init__(self, text: str, chart=None):
         self.toks = _tokens(text)
         self.at = 0
+        self.depth = 0
         self.chart = chart
 
     def parse(self) -> Expr:
@@ -1160,7 +1168,12 @@ class _Parser:
                 for _ in range(e % 4):
                     a, b = -b, a
             elif kind == "(":
+                if self.depth == _MAX_DEPTH:
+                    raise ParseError(f"nesting depth {_MAX_DEPTH + 1} exceeds "
+                                     f"the limit {_MAX_DEPTH}", tok[1])
+                self.depth += 1
                 inner = self._expr()
+                self.depth -= 1
                 close = toks[self.at]
                 self.at += 1
                 if close[0] != ")":

@@ -271,6 +271,17 @@ def test_lift_refuses_over_budget_terms(tmp_path, capsys, value, message):
     assert message in err
 
 
+def test_lift_refuses_nesting_beyond_the_depth_limit(tmp_path, capsys):
+    p = tmp_path / "m.manifest"
+    value = "(" * 1000 + "z0_1" + ")" * 1000
+    p.write_text(f"m: 1\n\nfield f:\n  type: scalar\n  value: {value}\n")
+    code, out, err = run(capsys, "lift", "--manifest", str(p),
+                         "--field", "f", "--kind", "c", "--k", "1")
+    assert (code, out) == (3, "")
+    assert err == ("error: nesting depth 101 exceeds the limit 100 "
+                   "(at position 100)\n")
+
+
 def test_lift_engine_error_is_exit_4(tmp_path, capsys):
     p = tmp_path / "m.manifest"
     p.write_text("m: 1\n\nfield Z:\n  type: vector\n  t: z0_1\n")

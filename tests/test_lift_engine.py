@@ -131,6 +131,23 @@ def test_bilinear_rounds_check_their_own_equations(monkeypatch, prefix):
         L.t02_lift_solve(Bilinear(C0, {(Z, ZB): Expr.one()}), "v", K)
 
 
+@pytest.mark.parametrize("family,args", [
+    (L.function_family, (C0, True, 3)),
+    (L.function_family, (ChartSpec(2, 0, False), False, 1)),
+    (L.function_holdout, (ChartSpec(2, 0, True),)),
+    (L._vector_stage, (C0, 0)),
+    (L._vector_stage, (ChartSpec(2, 0, True), 2)),
+    (L.vector_test_family, (ChartSpec(2, 0, True), 2)),
+    (L.vector_test_holdout, (C0,)),
+], ids=["functions", "functions-no-time", "function-holdout", "stage-0",
+        "stage-2", "vector-family", "vector-holdout"])
+def test_test_families_are_built_once_as_tuples(family, args):
+    cached = family(*args)
+    assert type(cached) is tuple and cached
+    assert family(*args) is cached
+    assert list(cached) == list(family.__wrapped__(*args))
+
+
 def test_bilinear_underdetermined_names_free_pairs(monkeypatch):
     """A pairing row that misses a coordinate leaves every pair through that
     coordinate free; the text lists the pairs in row-major order."""

@@ -3,8 +3,10 @@
 `_derive` is the one derivation pass behind the complete step and the
 gradient; the references below are the per-coordinate ``diff`` bodies it
 replaced, and the pass must match them in value and in term-map insertion
-order.  The horizontal lifts build only the frame fields they read; they
-must equal the same sums taken over the whole `adapted_frame`.
+order.  The k-step complete lift sums per-monomial lifts from one bounded
+table; it must equal k passes of `_derive` in value.  The horizontal lifts
+build only the frame fields they read; they must equal the same sums taken
+over the whole `adapted_frame`.
 """
 
 import random
@@ -13,12 +15,16 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liftcalc import lifts as L
 from liftcalc.charts import ChartSpec
 from liftcalc.fields import ConnectionCoeffs, OneForm, ScalarField, VectorField
 from liftcalc.lifts import (
+    _complete_expr,
     _complete_step_expr,
     _derive,
     adapted_frame,
+    clear_lift_cache,
+    fn_complete,
     gamma_gradient,
     of_horizontal,
     vf_horizontal,
@@ -107,6 +113,47 @@ def test_derivation_keeps_the_order_of_a_cancelled_term():
     for time_scaled, reference in ((True, reference_complete_step),
                                    (False, reference_gamma_gradient)):
         assert _items(_derive(e, time_scaled)) == _items(reference(e))
+
+
+def _derived(e: Expr, k: int) -> Expr:
+    for _ in range(k):
+        e = _derive(e, True)
+    return e
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_exprs, st.permutations(range(6)))
+def test_complete_lift_table_matches_repeated_derivation(e, steps):
+    # Each order of the steps reads some entries from a lower cached step
+    # of the same monomial and some from steps cached by earlier examples.
+    for k in steps:
+        assert _complete_expr(e, k) == _derived(e, k)
+
+
+def test_complete_lift_of_1500_steps_needs_no_recursion():
+    chart0 = ChartSpec(1, 0, True)
+    f = ScalarField(chart0, parse("z0_1 + (2 - i)*zb0_1"))
+    clear_lift_cache()
+    try:
+        for steps in (1500, 1499, 1500):
+            lifted = fn_complete(f, steps)
+            assert lifted.chart == chart0.extend(steps)
+            assert lifted.value == parse(f"z{steps}_1 + (2 - i)*zb{steps}_1")
+    finally:
+        clear_lift_cache()
+
+
+def test_complete_lift_table_holds_its_bound_and_clears(monkeypatch):
+    clear_lift_cache()
+    monkeypatch.setattr(L, "_COMPLETE_CACHE_SIZE", 16)
+    e = parse("t*z0_1^2 + 3*zb0_1")
+    for k in (40, 3, 39, 2):
+        assert _complete_expr(e, k) == _derived(e, k)
+        info = _complete_expr.cache_info()
+        assert info.maxsize == 16
+        assert 0 < info.currsize <= 16
+    clear_lift_cache()
+    assert tuple(_complete_expr.cache_info()) == (0, 0, 16, 0)
 
 
 def _random_expr(rng: random.Random, atoms: list) -> Expr:

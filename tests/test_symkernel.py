@@ -541,6 +541,37 @@ def test_parse_refuses_non_ascii_digits_and_malformed_numbers(bad, pos, message)
         pos, f"{message} (at position {pos})")
 
 
+def _nested(depth: int, inner: str = "z0_1") -> str:
+    return "(" * depth + inner + ")" * depth
+
+
+@pytest.mark.parametrize("bad,pos", [
+    (_nested(101), 100),
+    (_nested(1000), 100),
+    ("z0_1 + " + _nested(101, "1/0"), 107),
+    ("(1 + i)*" + _nested(101), 108),
+    ("(" * 50 + "z0_1)^2*" + _nested(52) + ")" * 49, 109),
+], ids=["one-past-the-limit", "1000-deep", "before-an-inner-error",
+        "after-a-group-token", "nested-after-a-closed-group"])
+def test_parse_refuses_nesting_beyond_the_depth_limit(bad, pos):
+    with pytest.raises(ParseError) as err:
+        parse(bad)
+    assert (err.value.position, str(err.value)) == (
+        pos, f"nesting depth 101 exceeds the limit 100 (at position {pos})")
+
+
+def test_parse_accepts_nesting_at_the_depth_limit():
+    assert parse(_nested(100)) == parse("z0_1")
+    # Sibling groups do not add up; a group token is not a nesting level.
+    assert parse(_nested(100) + "*" + _nested(100, "(1 + i)")) \
+        == parse("(1 + i)*z0_1")
+    # An error inside the limit keeps its own text and position.
+    with pytest.raises(ParseError) as err:
+        parse(_nested(100, "1/0"))
+    assert (err.value.position, str(err.value)) == (
+        102, "zero denominator (at position 102)")
+
+
 def test_parse_keeps_unicode_whitespace():
     assert parse("z0_1\u00a0+\u20031") == parse("z0_1 + 1")
 
