@@ -41,10 +41,6 @@ from .fields import (
     OneForm,
     ScalarField,
     VectorField,
-    format_bilinear,
-    format_endo,
-    format_oneform,
-    format_vector,
 )
 from .lifts import (
     LiftError,
@@ -54,18 +50,8 @@ from .lifts import (
     fn_complete_vertical,
     fn_horizontal,
     fn_vertical,
-    of_complete_closed,
-    of_cv_closed,
-    of_horizontal,
-    of_lift_solve,
-    of_vertical_closed,
     t02_lift_solve,
     t11_lift_solve,
-    vf_complete_closed,
-    vf_cv_closed,
-    vf_horizontal,
-    vf_lift_solve,
-    vf_vertical_closed,
 )
 from .structures import StructureError
 from .symkernel import (
@@ -78,7 +64,15 @@ from .symkernel import (
     format_expr,
     parse,
 )
-from .verify import COMPARISONS, SUITES, VerifyError, compare_proposition, run_suite
+from .verify import (
+    _ONEFORMS,
+    _VECTORS,
+    COMPARISONS,
+    SUITES,
+    VerifyError,
+    compare_proposition,
+    run_suite,
+)
 
 
 class ManifestError(Exception):
@@ -386,44 +380,22 @@ def cmd_lift(args) -> int:
               f"{format_expr(res.value)}")
         return 0
 
-    if isinstance(obj, VectorField):
+    if isinstance(obj, (VectorField, OneForm)):
+        family = _VECTORS if isinstance(obj, VectorField) else _ONEFORMS
         if kind == "h":
-            conn = manifest.connection(manifest.base_chart().extend(k))
-            res = vf_horizontal(obj, conn)
+            res = family.horizontal(
+                obj, manifest.connection(manifest.base_chart().extend(k)))
         elif args.closed_form:
-            if kind == "v":
-                res = vf_vertical_closed(obj, k)
-            elif kind == "c":
-                res = vf_complete_closed(obj, k)
-            else:
-                res = vf_cv_closed(obj, r, s)
+            res = family.closed(obj, kind, k, r=r, s=s)
         else:
-            res = vf_lift_solve(obj, kind, k, r=r, s=s)
-        lines = format_vector(res)
-    elif isinstance(obj, OneForm):
-        if kind == "h":
-            conn = manifest.connection(manifest.base_chart().extend(k))
-            res = of_horizontal(obj, conn)
-        elif args.closed_form:
-            if kind == "v":
-                res = of_vertical_closed(obj, k)
-            elif kind == "c":
-                res = of_complete_closed(obj, k)
-            else:
-                res = of_cv_closed(obj, r, s)
-        else:
-            res = of_lift_solve(obj, kind, k, r=r, s=s)
-        lines = format_oneform(res)
-    elif isinstance(obj, EndoField):
-        if kind not in ("v", "c"):
-            raise _UsageError("endo fields lift with --kind v or c only")
-        res = t11_lift_solve(obj, kind, k)
-        lines = format_endo(res)
+            res = family.solve(obj, kind, k, r=r, s=s)
     else:
+        endo = isinstance(obj, EndoField)
         if kind not in ("v", "c"):
-            raise _UsageError("bilinear fields lift with --kind v or c only")
-        res = t02_lift_solve(obj, kind, k)
-        lines = format_bilinear(res)
+            raise _UsageError(f"{'endo' if endo else 'bilinear'} fields "
+                              f"lift with --kind v or c only")
+        res = (t11_lift_solve if endo else t02_lift_solve)(obj, kind, k)
+    lines = res._lines()   # before the header: formatting can refuse
 
     print(f"{args.field}^{{{_lift_symbol(kind, k, r, s)}}}:")
     for line in lines:
@@ -454,29 +426,29 @@ def cmd_compare(args) -> int:
 # -- frame / table -----------------------------------------------------------
 
 def _frame_chart(args) -> tuple[ChartSpec, ConnectionCoeffs, str]:
-    if args.manifest:
-        manifest = load_manifest(args.manifest)
-        m = manifest.m
+    manifest = load_manifest(args.manifest) if args.manifest else None
+    if manifest is not None:
+        m, product = manifest.m, manifest.product
         if args.m is not None and args.m != m:
             raise _UsageError(f"--m {args.m} contradicts manifest m={m}")
         k = args.k if args.k is not None else manifest.k
         if k is None:
             raise _UsageError("no extension order: pass --k or declare k "
                               "in the manifest")
-        chart = ChartSpec(m, 0, manifest.product).extend(k)
-        conn = manifest.connection(chart)
-        label = "manifest" if manifest.has_connection else "zero"
     else:
         if args.m is None:
             raise _UsageError("--m is required without a manifest")
         if args.k is None:
             raise _UsageError("--k is required without a manifest")
-        chart = ChartSpec(args.m, 0, True).extend(args.k)
-        conn = ConnectionCoeffs.zero(chart)
-        label = "zero"
-    if chart.k < 1:
+        m, k, product = args.m, args.k, True
+    if m < 1:
+        raise _UsageError("--m must be >= 1")
+    if k < 1:
         raise _UsageError("--k must be >= 1")
-    return chart, conn, label
+    chart = ChartSpec(m, 0, product).extend(k)
+    if manifest is not None and manifest.has_connection:
+        return chart, manifest.connection(chart), "manifest"
+    return chart, ConnectionCoeffs.zero(chart), "zero"
 
 
 def cmd_frame(args) -> int:

@@ -98,9 +98,8 @@ class LiftError(Exception):
 VF_KINDS = ("v", "c", "cv")
 
 # Cache bounds.  One `check all --m 1 --k 2` run (seeds 3 and 11) leaves 92
-# per-monomial entries in `_complete_expr` and none in `_complete_step_expr`,
-# which only `fn_complete_step` reads, so the complete-lift bound holds far
-# larger charts and orders without evicting.
+# per-monomial entries in `_complete_expr`, so its bound holds far larger
+# charts and orders without evicting.
 _COMPLETE_CACHE_SIZE = 8192
 _SYSTEM_CACHE_SIZE = 256
 _VF_SOLVE_CACHE_SIZE = 1024
@@ -146,12 +145,6 @@ def _derive(expr: Expr, time_scaled: bool) -> Expr:
     for code in sorted(buckets):
         _accumulate(acc, buckets[code][1])
     return _expr(acc)
-
-
-@lru_cache(maxsize=_COMPLETE_CACHE_SIZE)
-def _complete_step_expr(expr: Expr) -> Expr:
-    """One complete-lift step at the expression level."""
-    return _derive(expr, True)
 
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -232,7 +225,6 @@ def _lift_scalar_expr(expr: Expr, kind: str, k: int, r: int | None,
 
 
 def clear_lift_cache() -> None:
-    _complete_step_expr.cache_clear()
     _complete_expr.cache_clear()
     _VF_SOLVE_CACHE.clear()
     _SYSTEM_CACHE.clear()
@@ -247,7 +239,7 @@ def fn_vertical(f: ScalarField, steps: int = 1) -> ScalarField:
 
 def fn_complete_step(f: ScalarField) -> ScalarField:
     """One complete-lift step: chart order j -> j+1."""
-    return ScalarField(f.chart.extend(1), _complete_step_expr(f.value))
+    return ScalarField(f.chart.extend(1), _complete_expr(f.value, 1))
 
 
 def fn_complete(f: ScalarField, steps: int) -> ScalarField:
@@ -669,7 +661,7 @@ def _bounded(cache: OrderedDict, bound: int, key, make):
 class _System:
     """The test items of one defining system, each item's coefficient row
     ``{position: Expr}``, and the factorisation of the rows, built on first
-    use (a vector field whose ladders solve never needs its family's)."""
+    use (a vector lift's whole family is only checked, never factored)."""
 
     __slots__ = ("items", "rows", "width", "_factor")
 
@@ -722,15 +714,20 @@ class _Engine:
         self.what = f"{what} {kind}-lift"
         self.labels = labels
 
-    def solve(self, system: _System, rests: list[Expr],
-              names: Sequence[str]) -> list[Expr]:
-        """Replay and self-check; underdetermination is left to the caller."""
+    def replay(self, system: _System, rests: list[Expr],
+               names: Sequence[str]) -> list[Expr]:
+        """Replay the factorisation; the caller handles underdetermination."""
         try:
-            values = system.factor.solve(rests, names)
+            return system.factor.solve(rests, names)
         except UnderdeterminedError:
             raise
         except LinearSolveError as exc:
             raise LiftError(f"{self.what} solve: {exc}") from exc
+
+    def solve(self, system: _System, rests: list[Expr],
+              names: Sequence[str]) -> list[Expr]:
+        """Replay and self-check."""
+        values = self.replay(system, rests, names)
         self.check(system, rests, values)
         return values
 
@@ -744,29 +741,26 @@ class _Engine:
                 raise LiftError(
                     f"{self.what} solve: solution fails its own equation {n}")
 
-    def solve_stages(self, keys: Sequence[tuple], rests,
+    def solve_stages(self, chart0: ChartSpec, k: int, rests,
                      names: Sequence[Sequence[str]]
                      ) -> tuple[_System, list[list[Expr]]]:
-        """Solve on the first system of `keys` that determines every
-        unknown.  ``rests(items)`` gives one list of rests per right-hand
-        side; the first right-hand side decides whether to move on to the
-        next (larger) test stage, and the others are then replayed on the
-        same factorisation."""
-        for n, key in enumerate(keys):
-            system = _system(key)
+        """Solve on the pairing rows of test stage 1 (coefficient degree
+        <= 1), or of stage 2 (<= 2) when stage 1 leaves an unknown free.
+        ``rests(items)`` gives one list of rests per right-hand side; the
+        first right-hand side decides the stage, and the others are then
+        replayed on the same factorisation, whose free positions the first
+        replay has shown to be none."""
+        for stage in (1, 2):
+            system = _system((_pairing, chart0, k, stage))
             columns = rests(system.items)
             try:
                 values = [self.solve(system, columns[0], names[0])]
+                break
             except UnderdeterminedError as exc:
-                if n + 1 < len(keys):
-                    continue
-                raise self._underdetermined(system) from exc
-            break
-        for col in range(1, len(columns)):
-            try:
-                values.append(self.solve(system, columns[col], names[col]))
-            except UnderdeterminedError as exc:
-                raise self._underdetermined(system) from exc
+                if stage == 2:
+                    raise self._underdetermined(system) from exc
+        values += [self.solve(system, column, column_names)
+                   for column, column_names in zip(columns[1:], names[1:])]
         return system, values
 
     def _free(self, system: _System) -> Sequence[int]:
@@ -788,12 +782,6 @@ class _Engine:
                     notes: tuple[str, ...] = ()) -> SolveCertificate:
         return SolveCertificate(self.op, self.kind, self.k, self.r, self.s,
                                 family_size, holdout_size, True, notes)
-
-
-def _stages(chart0: ChartSpec, k: int) -> list[tuple]:
-    """The keys of the pairing rows' two test stages: coefficient degree
-    <= 1, then <= 2."""
-    return [(_pairing, chart0, k, 1), (_pairing, chart0, k, 2)]
 
 
 # -- vector fields -----------------------------------------------------------
@@ -838,9 +826,11 @@ def vf_lift_solve_certified(Z: VectorField, kind: str, k: int, *,
     The defining equations decouple into one small square system per level
     ladder (the pure powers of a base coordinate only ever reach that
     coordinate's higher levels), so each ladder is solved separately and
-    the whole family is then checked against the ladder solution.  If a
-    ladder fails to determine its unknowns the solve falls back to the
-    whole family's system."""
+    the whole family is then checked against the ladder solution.  Every
+    ladder function is a family member, so that check covers every ladder
+    equation too.  A ladder system is square and nonsingular and its
+    equations are a subset of the family's, so when a ladder has no
+    solution neither has the family, and the ladder's error is raised."""
     chart0 = _require_base_chart(Z, "determined lift input")
     r, s = _check_kind(kind, k, r, s)
     pinned: dict[CoordId, Expr] = {}
@@ -874,24 +864,15 @@ def vf_lift_solve_certified(Z: VectorField, kind: str, k: int, *,
     ladders += [tuple(CoordId(base.kind, level, base.index)
                       for level in range(k + 1))
                 for base in _base_coords(chart0)]
-    values: list | None = [None] * len(coords)
-    try:
-        for ladder in ladders:
-            system = _system((_vf_ladder, ladder, k))
-            solved = system.factor.solve(rests(system.items),
-                                         [names[position[c]] for c in ladder])
-            for c, value in zip(ladder, solved):
-                values[position[c]] = value
-    except LinearSolveError:
-        values = None
-
-    family_key = (_vf_family, chart0, k, include_time)
-    if values is None:
-        family, (values,) = engine.solve_stages(
-            [family_key], lambda functions: [rests(functions)], [names])
-    else:
-        family = _system(family_key)
-        engine.check(family, rests(family.items), values)
+    values: list = [None] * len(coords)
+    for ladder in ladders:
+        system = _system((_vf_ladder, ladder, k))
+        solved = engine.replay(system, rests(system.items),
+                               [names[position[c]] for c in ladder])
+        for c, value in zip(ladder, solved):
+            values[position[c]] = value
+    family = _system((_vf_family, chart0, k, include_time))
+    engine.check(family, rests(family.items), values)
 
     comps = dict(pinned)
     for coord, value in zip(coords, values):
@@ -978,7 +959,7 @@ def of_lift_solve_certified(w: OneForm, kind: str, k: int, *,
     coords = list(target.coordinates())
     engine = _Engine("oneform", kind, k, [c.name for c in coords], r, s)
     system, (values,) = engine.solve_stages(
-        _stages(chart0, k),
+        chart0, k,
         lambda tests: [[-_lift_scalar_expr(w.pair(X), kind, k, r, s)
                         for X in tests]],
         [[f"W_{c.name}" for c in coords]])
@@ -1041,7 +1022,7 @@ def t11_lift_solve_certified(phi: EndoField, kind: str, k: int
         return [[-Y.component(a) for Y in lifted] for a in coords]
 
     system, rows = engine.solve_stages(
-        _stages(chart0, k), rests,
+        chart0, k, rests,
         [[f"E_{a.name}__{b}" for b in labels] for a in coords])
     result = EndoField(target, {(a, b): v
                                 for a, row in zip(coords, rows)
@@ -1135,7 +1116,7 @@ def t02_lift_solve_certified(G: Bilinear, kind: str, k: int
                          [f"{a}__{b}" for a in labels for b in labels])
     n_tests = len(vector_test_family(chart0, 2))
     system, C = engine.solve_stages(
-        _stages(chart0, k),
+        chart0, k,
         lambda tests: [[-_lift_scalar_expr(G.evaluate(X, Y), kind, k, None, None)
                         for X in tests] for Y in tests],
         [[f"C_{a}__{j}" for a in labels] for j in range(n_tests)])

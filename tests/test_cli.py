@@ -8,8 +8,23 @@ import sys
 
 import pytest
 
+from liftcalc.charts import ChartSpec
 from liftcalc.cli import ManifestError, load_manifest, main
-from liftcalc.symkernel import parse
+from liftcalc.fields import ScalarField
+from liftcalc.lifts import (
+    basis_lift_rows,
+    fn_complete_vertical,
+    fn_horizontal,
+    fn_vertical,
+    of_complete_closed,
+    of_cv_closed,
+    of_horizontal,
+    of_vertical_closed,
+    t02_lift_solve,
+    vf_cv_closed,
+    vf_vertical_closed,
+)
+from liftcalc.symkernel import format_expr, parse
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -62,6 +77,40 @@ field h:
   z0_1, zb0_1: 1
   zb0_1, z0_1: 1
 """
+
+
+# One field of each rank-0/1 type on a product chart, t-dependent where the
+# route allows it, and a connection with both transition levels of k = 2.
+ROUTES = """\
+m: 1
+k: 2
+
+field f:
+  type: scalar
+  value: t*z0_1^2 + zb0_1
+
+field Z:
+  type: vector
+  t: 1
+  z0_1: z0_1*zb0_1
+  zb0_1: z0_1^2
+
+field w:
+  type: oneform
+  z0_1: z0_1^2
+  zb0_1: t*z0_1
+
+connection:
+  gamma 0 1 1: z0_1
+  gamma 1 1 1: zb0_1
+"""
+
+
+@pytest.fixture
+def routes(tmp_path):
+    p = tmp_path / "routes.manifest"
+    p.write_text(ROUTES)
+    return str(p)
 
 
 @pytest.fixture
@@ -205,6 +254,63 @@ def test_lift_output_components_reparse(basic, capsys):
     assert parse(value) == parse("2*z0_1*z2_1 + 2*z1_1^2")
 
 
+def _printed(name, symbol, res):
+    """What `lift` prints for the library's result `res`."""
+    if isinstance(res, ScalarField):
+        return f"{name}^{{{symbol}}} = {format_expr(res.value)}\n"
+    return "".join([f"{name}^{{{symbol}}}:\n"]
+                   + [f"  {line}\n" for line in res._lines()])
+
+
+@pytest.mark.parametrize("name,argv_tail,symbol,route", [
+    ("f", ("--kind", "v"), "v^2", lambda f, conn: fn_vertical(f, 2)),
+    ("f", ("--kind", "cv", "--r", "1", "--s", "1"), "c^1 v^1",
+     lambda f, conn: fn_complete_vertical(f, 1, 1)),
+    ("f", ("--kind", "h"), "H^2", lambda f, conn: fn_horizontal(f, 2)),
+    ("Z", ("--kind", "v", "--closed-form"), "v^2",
+     lambda Z, conn: vf_vertical_closed(Z, 2)),
+    ("Z", ("--kind", "cv", "--r", "1", "--s", "1", "--closed-form"),
+     "c^1 v^1", lambda Z, conn: vf_cv_closed(Z, 1, 1)),
+    ("w", ("--kind", "h"), "H^2", lambda w, conn: of_horizontal(w, conn)),
+    ("w", ("--kind", "v", "--closed-form"), "v^2",
+     lambda w, conn: of_vertical_closed(w, 2)),
+    ("w", ("--kind", "c", "--closed-form"), "c^2",
+     lambda w, conn: of_complete_closed(w, 2)),
+    ("w", ("--kind", "cv", "--r", "1", "--s", "1", "--closed-form"),
+     "c^1 v^1", lambda w, conn: of_cv_closed(w, 1, 1)),
+], ids=["scalar-v", "scalar-cv", "scalar-h", "vector-closed-v",
+        "vector-closed-cv", "oneform-h", "oneform-closed-v",
+        "oneform-closed-c", "oneform-closed-cv"])
+def test_lift_prints_the_library_route(routes, capsys, name, argv_tail,
+                                       symbol, route):
+    manifest = load_manifest(routes)
+    conn = manifest.connection(manifest.base_chart().extend(2))
+    expected = _printed(name, symbol, route(manifest.fields[name], conn))
+    code, out, err = run(capsys, "lift", "--manifest", routes,
+                         "--field", name, *argv_tail)
+    assert (code, out, err) == (0, expected, "")
+
+
+@pytest.mark.parametrize("kind", ["v", "c"])
+def test_lift_bilinear_prints_the_library_route(tensors, capsys, kind):
+    h = load_manifest(tensors).fields["h"]
+    expected = _printed("h", f"{kind}^1", t02_lift_solve(h, kind, 1))
+    code, out, err = run(capsys, "lift", "--manifest", tensors,
+                         "--field", "h", "--kind", kind, "--k", "1")
+    assert (code, out, err) == (0, expected, "")
+
+
+def test_table_with_a_manifest_connection(routes, capsys):
+    manifest = load_manifest(routes)
+    conn = manifest.connection(ChartSpec(1, 0, True).extend(2))
+    expected = "".join(f"{label} = {value}\n" for label, value
+                       in basis_lift_rows(1, 2, has_time=True, conn=conn))
+    code, out, err = run(capsys, "table", "--m", "1", "--k", "2",
+                         "--manifest", routes)
+    assert (code, out, err) == (0, expected, "")
+    assert "(d/dz0_1)^{H^2} = d/dz0_1 + (-z0_1)*d/dz1_1" in out.splitlines()
+
+
 # -- lift usage errors ------------------------------------------------------------------
 
 @pytest.mark.parametrize("argv_tail,code", [
@@ -317,6 +423,34 @@ def test_lift_endo_rejects_cv(tensors, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("fixture,argv_tail,text", [
+    ("tensors", ("--field", "h", "--kind", "cv", "--r", "1", "--s", "0"),
+     "error: bilinear fields lift with --kind v or c only\n"),
+    ("routes", ("--field", "Z", "--kind", "h", "--closed-form"),
+     "error: --closed-form does not combine with --kind h (the horizontal "
+     "lift is already a direct construction)\n"),
+], ids=["bilinear-cv", "closed-form-h"])
+def test_lift_route_usage_errors(request, capsys, fixture, argv_tail, text):
+    code, out, err = run(capsys, "lift", "--manifest",
+                         request.getfixturevalue(fixture), *argv_tail)
+    assert (code, out, err) == (2, "", text)
+
+
+@pytest.mark.parametrize("argv_tail", [
+    ("--kind", "c", "--k", "1"),
+    ("--kind", "cv", "--r", "1", "--s", "0"),
+], ids=["c", "cv"])
+def test_lift_oneform_with_dt_is_exit_4(tmp_path, capsys, argv_tail):
+    p = tmp_path / "m.manifest"
+    p.write_text("m: 1\n\nfield w:\n  type: oneform\n  t: 2\n  z0_1: z0_1\n")
+    code, out, err = run(capsys, "lift", "--manifest", str(p),
+                         "--field", "w", *argv_tail)
+    kind = argv_tail[1]
+    assert (code, out) == (4, "")
+    assert err == (f"error: one-form {kind}-lift requires a zero time "
+                   f"component, got 2\n")
+
+
 def test_parse_error_in_manifest_is_exit_3(tmp_path, capsys):
     p = tmp_path / "m.manifest"
     p.write_text("m: 1\n\nfield f:\n  type: scalar\n  value: z0_1 + )\n")
@@ -378,6 +512,21 @@ def test_check_exit_one_on_failures(capsys, monkeypatch):
 def test_frame_refuses_charts_beyond_the_code_range(capsys, argv, text):
     code, out, err = run(capsys, "frame", *argv)
     assert (code, out, err) == (3, "", text)
+
+
+@pytest.mark.parametrize("argv,text", [
+    (("--m", "0", "--k", "1"), "error: --m must be >= 1\n"),
+    (("--m", "1", "--k", "-1"), "error: --k must be >= 1\n"),
+    (("--m", "0", "--k", "0"), "error: --m must be >= 1\n"),
+], ids=["m", "k", "both"])
+def test_frame_refuses_low_m_and_k_as_usage_errors(capsys, argv, text):
+    assert run(capsys, "frame", *argv) == (2, "", text)
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_frame_refuses_a_low_k_with_a_manifest(with_conn, capsys, k):
+    assert run(capsys, "frame", "--manifest", with_conn, "--k", k) == \
+        (2, "", "error: --k must be >= 1\n")
 
 
 def test_lift_refuses_a_coordinate_beyond_the_code_range(tmp_path, capsys):

@@ -7,6 +7,7 @@ every equation or by the holdout -- even when the system comes from the
 cache, and the failure must not spoil the cache for the next input.
 """
 
+import re
 from collections import OrderedDict
 
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from liftcalc import lifts as L
 from liftcalc.charts import ChartSpec
 from liftcalc.fields import Bilinear, EndoField, OneForm, VectorField
-from liftcalc.symkernel import TIME, Expr, PolyLinearFactor, anti, holo
+from liftcalc.symkernel import TIME, CoordId, Expr, PolyLinearFactor, anti, holo
 from liftcalc.verify import FieldGen
 
 C0 = ChartSpec(1, 0, True)
@@ -55,6 +56,12 @@ def _assert_cached_solve_survives(monkeypatch, solve, first, second, corrupt,
 @pytest.mark.parametrize("value, message", [
     (z * zb, "fails its own equation"),         # a family member off the ladders
     (2 * z ** 2 * zb, "holdout residual nonzero"),  # Z applied to z^2*zb
+    # Z applied to z^2, a ladder function: the ladder replay itself fails,
+    # and no whole-family solve is tried after it.
+    pytest.param(2 * z ** 2, "^" + re.escape(
+        "vector v-lift solve: no polynomial solution for U_z1_1 "
+        "[equation 2]: -24*z1_1^3 does not divide -6*z0_1*z2_1 - 6*z1_1^2")
+        + "$", id="value2-ladder replay"),
 ])
 def test_vector_lift_checks_stay_live(monkeypatch, value, message):
     first = VectorField(C0, {Z: z, TIME: 1})
@@ -129,6 +136,27 @@ def test_bilinear_rounds_check_their_own_equations(monkeypatch, prefix):
     monkeypatch.setattr(PolyLinearFactor, "solve", wrong)
     with pytest.raises(L.LiftError, match="fails its own equation"):
         L.t02_lift_solve(Bilinear(C0, {(Z, ZB): Expr.one()}), "v", K)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("include_time", [False, True])
+@pytest.mark.parametrize("chart0", [C0, ChartSpec(1, 0, False),
+                                    ChartSpec(2, 0, True),
+                                    ChartSpec(2, 0, False)],
+                         ids=["m1-time", "m1", "m2-time", "m2"])
+def test_vector_ladder_functions_are_family_members(chart0, include_time, k):
+    """The whole-family check of a vector lift certifies its ladder
+    solves, and with them every ladder equation, only because each ladder
+    function is a member of the family."""
+    family = set(L.function_family(chart0, include_time, k))
+    ladders = [(TIME,)] if include_time and chart0.has_time else []
+    ladders += [tuple(CoordId(base.kind, level, base.index)
+                      for level in range(k + 1))
+                for base in L._base_coords(chart0)]
+    for ladder in ladders:
+        functions = L._vf_ladder(ladder, k).items
+        assert len(functions) == len(ladder)
+        assert set(functions) <= family
 
 
 @pytest.mark.parametrize("family,args", [
@@ -236,13 +264,11 @@ def test_lift_caches_hold_their_bound_and_clear(monkeypatch):
 
 def test_complete_lift_caches_are_bounded_and_clear():
     L.clear_lift_cache()
-    caches = (L._complete_expr, L._complete_step_expr)
     bound = L._COMPLETE_CACHE_SIZE
     for n in range(1, bound + 2):
         L._complete_expr(Expr.atom(Z, n), 1)
-    for cache in caches:
-        info = cache.cache_info()
-        assert info.maxsize == bound
-        assert info.currsize <= info.maxsize
+    info = L._complete_expr.cache_info()
+    assert info.maxsize == bound
+    assert info.currsize <= info.maxsize
     L.clear_lift_cache()
-    assert [cache.cache_info().currsize for cache in caches] == [0, 0]
+    assert L._complete_expr.cache_info().currsize == 0

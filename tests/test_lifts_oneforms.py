@@ -72,6 +72,15 @@ def test_cv_of_basis_both_routes():
     assert closed == solved.scaled(parse("1/2"))
 
 
+@pytest.mark.parametrize("kind,split", [("c", {}), ("cv", {"r": 1, "s": 1})])
+def test_complete_solves_refuse_a_dt_component(kind, split):
+    w = OneForm(CT, {TIME: parse("2*i"), Z01: parse("z0_1")})
+    with pytest.raises(LiftError) as err:
+        of_lift_solve(w, kind, 2, **split)
+    assert str(err.value) == \
+        f"one-form {kind}-lift requires a zero time component, got 2*i"
+
+
 def test_vertical_lift_carries_dt():
     w = OneForm(CT, {TIME: Expr.one(), Z01: Expr.atom(Z01)})
     lifted = of_lift_solve(w, "v", 1)
@@ -128,6 +137,15 @@ def test_horizontal_rejects_dt_component():
     w = OneForm(CT, {TIME: Expr.one()})
     with pytest.raises(LiftError):
         of_horizontal(w, ConnectionCoeffs.zero(CT.extend(1)))
+
+
+@pytest.mark.parametrize("chart", [ChartSpec(2, 1, True), C0.extend(1),
+                                   CT], ids=["other-m", "no-time", "k0"])
+def test_horizontal_requires_a_connection_on_an_extension(chart):
+    w = OneForm(CT, {Z01: Expr.one()})
+    with pytest.raises(LiftError) as err:
+        of_horizontal(w, ConnectionCoeffs.zero(chart))
+    assert str(err.value) == "connection chart must extend the input chart"
 
 
 def test_horizontal_requires_time_chart():

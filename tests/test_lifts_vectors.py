@@ -164,6 +164,15 @@ def test_horizontal_requires_time():
         vf_horizontal(euler(), ConnectionCoeffs.zero(C0.extend(1)))
 
 
+@pytest.mark.parametrize("chart", [ChartSpec(2, 1, True), C0.extend(1),
+                                   CT], ids=["other-m", "no-time", "k0"])
+def test_horizontal_requires_a_connection_on_an_extension(chart):
+    Z = VectorField(CT, {Z01: Expr.one()})
+    with pytest.raises(LiftError) as err:
+        vf_horizontal(Z, ConnectionCoeffs.zero(chart))
+    assert str(err.value) == "connection chart must extend the input chart"
+
+
 def test_horizontal_time_basis_is_fixed():
     dt = VectorField.basis(CT, TIME)
     for k in (1, 2, 3):
