@@ -479,6 +479,15 @@ def test_check_exit_zero_and_golden(capsys, argv, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
+def test_check_all_golden_at_m2(capsys):
+    # two complex dimensions: every frame, basis and structure table runs
+    # over more than one index, and all seven suites share one generator
+    code, out, _ = run(capsys, "check", "all", "--m", "2", "--k", "2",
+                       "--seed", "3", "--samples", "1", "--with-time")
+    assert code == 0
+    assert out == (GOLDEN / "check_all_m2_k2_seed3_time.txt").read_text()
+
+
 def test_check_warns_on_conflicts(capsys):
     code, out, _ = run(capsys, "check", "functions", "--m", "1", "--k", "1",
                        "--with-time")

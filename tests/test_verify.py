@@ -252,3 +252,91 @@ def _witness_cases():
 def test_first_difference_witness(inputs, left, right, witness):
     from liftcalc.verify import _check
     assert _check(inputs, left, right) == witness
+
+
+# -- evaluation policy -------------------------------------------------------------
+
+GOLDEN = __import__("pathlib").Path(__file__).parent / "golden"
+
+
+def _break_lifts(monkeypatch):
+    """Break five names that the clause bodies and the rank-1 family records
+    look up in liftcalc.verify at call time."""
+    import dataclasses
+
+    from liftcalc import verify
+    from liftcalc.fields import OneForm, ScalarField, VectorField
+    from liftcalc.lifts import LiftError
+    from liftcalc.symkernel import TIME, Expr
+
+    fn_complete, adapted_frame = verify.fn_complete, verify.adapted_frame
+    lift_J0, of_horizontal = verify.lift_J0, verify.of_horizontal
+    vf_lift_solve = verify.vf_lift_solve
+
+    def complete(f, k):
+        # wrong only on inputs of three or more terms: fails mid-corpus
+        out = fn_complete(f, k)
+        if len(list(f.value.terms())) >= 3:
+            out = out + ScalarField(out.chart, Expr.one())
+        return out
+
+    def frame(chart, conn):
+        # the last guide field: a frame clause fails on a later row
+        fr = adapted_frame(chart, conn)
+        D = dict(fr.D)
+        D[(chart.k - 1, chart.m)] = D[(chart.k - 1, chart.m)].scaled(2)
+        return dataclasses.replace(fr, D=D)
+
+    def structure(m, kind, k):
+        J = lift_J0(m, kind, k)
+        return J.scaled(2) if kind == "v" else J
+
+    def horizontal(w, conn):
+        try:
+            return of_horizontal(w, conn)
+        except LiftError:
+            return OneForm.zero(conn.chart)
+
+    def solve(Z, kind, k, **split):
+        # a stray d/dt on the product chart only: the tensors and brackets
+        # suites, on time-free charts, still pass
+        out = vf_lift_solve(Z, kind, k, **split)
+        if kind == "c" and out.chart.has_time:
+            out = out + VectorField.basis(out.chart, TIME)
+        return out
+
+    monkeypatch.setattr(verify, "fn_complete", complete)
+    monkeypatch.setattr(verify, "adapted_frame", frame)
+    monkeypatch.setattr(verify, "lift_J0", structure)
+    monkeypatch.setattr(verify, "of_horizontal", horizontal)
+    monkeypatch.setattr(verify, "vf_lift_solve", solve)
+
+
+def test_failures_report_counts_and_later_draws(monkeypatch):
+    """A FAIL line carries the number of cases evaluated up to and including
+    the first witness, and the corpus draws after it are the ones a stopped
+    clause leaves: mid-corpus (F3), a later table row (FR2), a fixed case
+    count (S3) and every clause drawn after a FAIL are pinned by the golden."""
+    _break_lifts(monkeypatch)
+    report = run_suite("all", 1, 2, seed=0, samples=2)
+    assert report.render() + "\n" == \
+        (GOLDEN / "check_all_m1_k2_seed0_broken_lifts.txt").read_text()
+    assert report.n_fail > 0
+
+
+def test_all_runs_each_suite_through_run_suite(monkeypatch):
+    """``run_suite("all", ...)`` reaches the module-level ``run_suite`` once
+    per suite, in SUITES order; the layer trace attributes its per-suite
+    seconds through exactly these calls."""
+    from liftcalc import verify
+
+    seen = []
+    original = verify.run_suite
+
+    def recorder(suite, *args, **kwargs):
+        seen.append(suite)
+        return original(suite, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "run_suite", recorder)
+    verify.run_suite("all", 1, 1, samples=1)
+    assert seen == ["all", *SUITES]
