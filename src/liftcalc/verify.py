@@ -6,14 +6,17 @@ supposed to satisfy is encoded as a *clause*, evaluated symbolically on
 seeded random corpora, and reported line by line.  Nothing here is numeric
 — a clause passes only when both sides agree in Expr normal form.
 
-Three outcomes are possible per clause:
+A clause is a generator of cases (corpus samples, deterministic probes or
+table rows), each yielding a witness or None; ``_evaluate`` alone counts
+the cases and stops at the first witness.  Three outcomes are possible per
+clause:
 
 ``PASS``
-    every sample satisfied the identity exactly;
+    every case satisfied the identity exactly;
 ``FAIL``
-    a sample violated it and no documented reason exists — an engine bug;
+    a case violated it and no documented reason exists — an engine bug;
 ``CONFLICT``
-    a sample violated it but the violation is a documented discrepancy of
+    a case violated it but the violation is a documented discrepancy of
     the source calculus (the clause carries a note saying why).  Conflicts
     are reported, never hidden, and never treated as engine failures.
 
@@ -31,7 +34,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .charts import ChartSpec
 from .fields import (
@@ -112,6 +115,11 @@ COMPARISON_SUBJECTS = {
 # ---------------------------------------------------------------------------
 # corpus generation
 
+#: Largest monomial degree of a random expression.
+_MAX_DEGREE = 2
+#: Bound on the numerators and denominators of random coefficients.
+_COEFF_BOUND = 5
+
 
 class FieldGen:
     """Seeded generator of random polynomial fields on a base chart.
@@ -119,8 +127,8 @@ class FieldGen:
     Every draw goes through a single :class:`random.Random` stream, so a
     fixed seed fixes the entire corpus, in order.  Coefficients are small
     Gaussian rationals (numerators and denominators bounded by
-    ``coeff_bound``) and monomials have degree at most ``max_degree``, which
-    keeps expression growth bounded through iterated lifts.
+    ``_COEFF_BOUND``) and monomials have degree at most ``_MAX_DEGREE``,
+    which keeps expression growth bounded through iterated lifts.
 
     ``t_free`` governs *scalar* draws only: with ``t_free=False`` random
     scalars may involve the shared coordinate t.  Component expressions of
@@ -129,22 +137,15 @@ class FieldGen:
     t-discrepancy of the calculus is a statement about scalar inputs.
     """
 
-    def __init__(self, seed: int = 0, *, max_degree: int = 2,
-                 coeff_bound: int = 5, t_free: bool = True):
-        if max_degree < 0:
-            raise VerifyError("max_degree must be >= 0")
-        if coeff_bound < 1:
-            raise VerifyError("coeff_bound must be >= 1")
+    def __init__(self, seed: int = 0, *, t_free: bool = True):
         self.seed = seed
-        self.max_degree = max_degree
-        self.coeff_bound = coeff_bound
         self.t_free = t_free
         self.rng = random.Random(seed)
 
     # -- scalars ------------------------------------------------------
 
     def rational(self) -> Fraction:
-        b = self.coeff_bound
+        b = _COEFF_BOUND
         return Fraction(self.rng.randint(-b, b), self.rng.randint(1, b))
 
     def coefficient(self) -> GRat:
@@ -163,7 +164,7 @@ class FieldGen:
         total = Expr.zero()
         for _ in range(self.rng.randint(1, 3)):
             term = Expr.from_value(self.coefficient())
-            for _ in range(self.rng.randint(0, self.max_degree)):
+            for _ in range(self.rng.randint(0, _MAX_DEGREE)):
                 term = term * Expr.atom(self.rng.choice(atoms))
             total = total + term
         return total
@@ -199,20 +200,15 @@ class FieldGen:
                    for a in coords for b in coords}
         return EndoField(chart, entries)
 
-    def bilinear(self, chart: ChartSpec, *, symmetric: bool = True) -> Bilinear:
+    def bilinear(self, chart: ChartSpec) -> Bilinear:
+        """Random symmetric bilinear form."""
         coords = [c for c in chart.coordinates() if c.kind != Kind.TIME]
         entries: dict[tuple[CoordId, CoordId], Expr] = {}
-        if symmetric:
-            for i, a in enumerate(coords):
-                for b in coords[i:]:
-                    v = self.expr(chart, allow_time=False)
-                    entries[(a, b)] = v
-                    if a != b:
-                        entries[(b, a)] = v
-        else:
-            for a in coords:
-                for b in coords:
-                    entries[(a, b)] = self.expr(chart, allow_time=False)
+        for i, a in enumerate(coords):
+            for b in coords[i:]:
+                v = self.expr(chart, allow_time=False)
+                entries[(a, b)] = v
+                entries[(b, a)] = v
         return Bilinear(chart, entries)
 
     def hermitian(self, chart: ChartSpec) -> Bilinear:
@@ -317,23 +313,25 @@ class CheckReport:
 class Clause:
     """A single checkable law.
 
-    ``run(ctx)`` returns ``(evaluated, witness)``: how many samples were
-    evaluated (evaluation stops at the first violation) and the first
-    counterexample in canonical text, or None.  A clause whose
-    ``conflict_note`` is set turns a violation into CONFLICT instead of
-    FAIL; the note explains the documented discrepancy.  Status is always
-    computed from the run — a flagged clause whose samples all pass
-    reports PASS."""
+    ``cases()`` yields one witness-or-None per case — a corpus sample, a
+    deterministic probe or a row of a fixed table — in evaluation order,
+    where a witness is a counterexample in canonical text.  The clause does
+    not count its cases or stop itself: :func:`_evaluate` counts them and
+    stops at the first witness, so no case after it is built or drawn.  A
+    clause whose ``conflict_note`` is set turns a violation into CONFLICT
+    instead of FAIL; the note explains the documented discrepancy.  Status
+    is always computed from the run — a flagged clause whose cases all
+    pass reports PASS."""
 
     clause_id: str
     locus: str
-    run: Callable[["SuiteContext"], tuple[int, str | None]]
+    cases: Callable[[], Iterable[str | None]]
     conflict_note: str | None = None
 
 
 @dataclass
 class SuiteContext:
-    """Everything a clause runner needs: chart pair, sample budget, the
+    """Everything a clause builder needs: chart pair, sample budget, the
     shared generator, and (on product charts) one random connection."""
 
     m: int
@@ -345,8 +343,13 @@ class SuiteContext:
     conn: ConnectionCoeffs | None = None
 
 
-def _evaluate(clause: Clause, ctx: SuiteContext) -> ClauseOutcome:
-    evaluated, witness = clause.run(ctx)
+def _evaluate(clause: Clause) -> ClauseOutcome:
+    """Run a clause's cases up to and including the first witness."""
+    evaluated, witness = 0, None
+    for witness in clause.cases():
+        evaluated += 1
+        if witness is not None:
+            break
     if witness is None:
         return ClauseOutcome(clause.clause_id, clause.locus, "PASS", evaluated)
     if clause.conflict_note is not None:
@@ -354,6 +357,27 @@ def _evaluate(clause: Clause, ctx: SuiteContext) -> ClauseOutcome:
                              evaluated, witness, clause.conflict_note)
     return ClauseOutcome(clause.clause_id, clause.locus, "FAIL",
                          evaluated, witness)
+
+
+def _sampled(ctx: SuiteContext, one: Callable[[], str | None],
+             probes: Sequence[Callable[[], str | None]] = ()
+             ) -> Callable[[], Iterator[str | None]]:
+    """Cases of a sampled clause: the canonical t-dependent ``probes``, run
+    only when the corpus itself may contain t, then ``ctx.samples`` random
+    draws of ``one``."""
+    def cases():
+        if ctx.chart0.has_time and not ctx.gen.t_free:
+            for probe in probes:
+                yield probe()
+        for _ in range(ctx.samples):
+            yield one()
+    return cases
+
+
+def _first(witnesses: Iterable[str | None]) -> str | None:
+    """The first witness of a lazy run of checks, or None; the checks after
+    it are not run."""
+    return next((w for w in witnesses if w is not None), None)
 
 
 # ---------------------------------------------------------------------------
@@ -397,26 +421,6 @@ def _sf_lift(f: ScalarField, kind: str, k: int) -> ScalarField:
     raise VerifyError(f"unknown scalar lift kind {kind!r}")
 
 
-def _sample_loop(ctx: SuiteContext,
-                 one: Callable[[], str | None],
-                 probes: Sequence[Callable[[], str | None]] = (),
-                 ) -> tuple[int, str | None]:
-    """Run optional deterministic probes, then up to ``ctx.samples`` random
-    draws; stop at the first witness.  Returns (evaluated, witness)."""
-    draws = [*probes, *[one] * ctx.samples]
-    for evaluated, draw in enumerate(draws, start=1):
-        witness = draw()
-        if witness is not None:
-            return evaluated, witness
-    return len(draws), None
-
-
-def _t_probe_allowed(ctx: SuiteContext) -> bool:
-    """Whether the canonical t-dependent probes should run: only when the
-    corpus itself is allowed to contain t."""
-    return ctx.chart0.has_time and not ctx.gen.t_free
-
-
 _T_NOTE = ("documented conflict: the identity holds only for inputs free "
            "of t")
 _PAIR_NOTE = ("documented conflict: the (r,s) and (s,r) lifts are "
@@ -427,147 +431,116 @@ def _cv_splits(k: int) -> list[tuple[int, int]]:
     return [(r, k - r) for r in range(k + 1)]
 
 
+def _level0_pairs(m: int) -> list[tuple[CoordId, CoordId]]:
+    """The level-0 coordinate pairs (z0_i, zb0_i), i = 1..m."""
+    return [(CoordId(Kind.HOLO, 0, i), CoordId(Kind.ANTI, 0, i))
+            for i in range(1, m + 1)]
+
+
 # ---------------------------------------------------------------------------
 # functions suite
 
 
 def _functions_clauses(ctx: SuiteContext) -> list[Clause]:
-    k = ctx.k
-    chart0 = ctx.chart0
+    k, chart0, chartk, gen = ctx.k, ctx.chart0, ctx.chartk, ctx.gen
+    zero = ScalarField(chartk, Expr.zero())
 
     def probe_t_z() -> ScalarField:
         z = next(iter(chart0.holo_coords(0)))
         return ScalarField(chart0, Expr.atom(TIME) * Expr.atom(z))
 
-    def run_homomorphism(lift, op):
+    def homomorphism(lift, op):
         """lift(f op g) == lift(f) op lift(g) on random scalar pairs."""
-        def run(ctx: SuiteContext):
-            def one():
-                f, g = ctx.gen.scalar(chart0), ctx.gen.scalar(chart0)
-                return _check([("f", _sf_str(f)), ("g", _sf_str(g))],
-                              lift(op(f, g), k), op(lift(f, k), lift(g, k)))
-            return _sample_loop(ctx, one)
-        return run
-
-    def run_mul_complete(ctx: SuiteContext):
         def one():
-            f, g = ctx.gen.scalar(chart0), ctx.gen.scalar(chart0)
-            left = fn_complete(f * g, k)
-            right = ScalarField(ctx.chartk, Expr.zero())
-            for j in range(k + 1):
-                term = fn_complete_vertical(f, k - j, j) \
-                    * fn_complete_vertical(g, j, k - j)
-                right = right + ScalarField(ctx.chartk,
-                                            term.value * binomial(k, j))
+            f, g = gen.scalar(chart0), gen.scalar(chart0)
             return _check([("f", _sf_str(f)), ("g", _sf_str(g))],
-                          left, right)
-        return _sample_loop(ctx, one)
+                          lift(op(f, g), k), op(lift(f, k), lift(g, k)))
+        return _sampled(ctx, one)
 
-    def run_dz_exchange(kind: str):
-        def run(ctx: SuiteContext):
-            def one():
-                f = ctx.gen.scalar(chart0)
-                lifted = fn_complete(f, k)
-                for i in range(1, ctx.m + 1):
-                    for c0 in (CoordId(Kind.HOLO, 0, i),
-                               CoordId(Kind.ANTI, 0, i)):
-                        ck = CoordId(c0.kind, k if kind == "v" else 0, i)
-                        left = _sf_lift(
-                            ScalarField(chart0, f.value.diff(c0)), kind, k)
-                        right = ScalarField(ctx.chartk,
-                                            lifted.value.diff(ck))
-                        w = _check(
-                            [("f", _sf_str(f)), ("coordinate", c0.name)],
-                            left, right)
-                        if w is not None:
-                            return w
-                return None
-            return _sample_loop(ctx, one)
-        return run
+    def mul_complete():
+        f, g = gen.scalar(chart0), gen.scalar(chart0)
+        left = fn_complete(f * g, k)
+        right = zero
+        for j in range(k + 1):
+            term = fn_complete_vertical(f, k - j, j) \
+                * fn_complete_vertical(g, j, k - j)
+            right = right + ScalarField(chartk, term.value * binomial(k, j))
+        return _check([("f", _sf_str(f)), ("g", _sf_str(g))], left, right)
 
-    def run_dt_exchange(kind: str):
-        def run(ctx: SuiteContext):
-            def check(f: ScalarField):
-                left = _sf_lift(ScalarField(chart0, f.value.diff(TIME)),
-                                kind, k)
-                right = ScalarField(ctx.chartk,
-                                    fn_complete(f, k).value.diff(TIME))
-                return _check([("f", _sf_str(f))], left, right)
-            probes = [lambda: check(probe_t_z())] if _t_probe_allowed(ctx) \
-                else []
-            return _sample_loop(ctx, lambda: check(ctx.gen.scalar(chart0)),
-                                probes)
-        return run
+    def dz_exchange(kind: str):
+        def one():
+            f = gen.scalar(chart0)
+            lifted = fn_complete(f, k)
+            return _first(
+                _check([("f", _sf_str(f)), ("coordinate", c0.name)],
+                       _sf_lift(ScalarField(chart0, f.value.diff(c0)),
+                                kind, k),
+                       ScalarField(chartk, lifted.value.diff(CoordId(
+                           c0.kind, k if kind == "v" else 0, c0.index))))
+                for pair in _level0_pairs(ctx.m) for c0 in pair)
+        return _sampled(ctx, one)
 
-    def run_horizontal_zero(ctx: SuiteContext):
+    def dt_exchange(kind: str):
         def check(f: ScalarField):
-            left = fn_horizontal(f, k)
-            return _check([("f", _sf_str(f))], left,
-                          ScalarField(ctx.chartk, Expr.zero()))
-        probes = [lambda: check(ScalarField(chart0, Expr.atom(TIME)))] \
-            if _t_probe_allowed(ctx) else []
-        return _sample_loop(ctx, lambda: check(ctx.gen.scalar(chart0)),
-                            probes)
+            left = _sf_lift(ScalarField(chart0, f.value.diff(TIME)), kind, k)
+            right = ScalarField(chartk, fn_complete(f, k).value.diff(TIME))
+            return _check([("f", _sf_str(f))], left, right)
+        return _sampled(ctx, lambda: check(gen.scalar(chart0)),
+                        [lambda: check(probe_t_z())])
 
-    def run_mul_horizontal_zero(ctx: SuiteContext):
-        def check(f: ScalarField, g: ScalarField):
-            return _check([("f", _sf_str(f)), ("g", _sf_str(g))],
-                          fn_horizontal(f * g, k),
-                          ScalarField(ctx.chartk, Expr.zero()))
-        def probe():
-            z = next(iter(chart0.holo_coords(0)))
-            return check(ScalarField(chart0, Expr.atom(TIME)),
-                         ScalarField(chart0, Expr.atom(z)))
-        probes = [probe] if _t_probe_allowed(ctx) else []
-        return _sample_loop(
-            ctx, lambda: check(ctx.gen.scalar(chart0),
-                               ctx.gen.scalar(chart0)), probes)
+    def horizontal_zero(f: ScalarField):
+        return _check([("f", _sf_str(f))], fn_horizontal(f, k), zero)
 
-    def run_cv_order_swap(ctx: SuiteContext):
-        def one():
-            f = ctx.gen.scalar(chart0)
-            for r, s in _cv_splits(k):
-                left = fn_vertical(fn_complete(f, r), s)
-                right = fn_complete(fn_vertical(f, s), r)
-                w = _check([("f", _sf_str(f)), ("split", f"({r},{s})")],
-                           left, right)
-                if w is not None:
-                    return w
-            return None
-        return _sample_loop(ctx, one)
+    def mul_horizontal_zero(f: ScalarField, g: ScalarField):
+        return _check([("f", _sf_str(f)), ("g", _sf_str(g))],
+                      fn_horizontal(f * g, k), zero)
 
-    def run_cv_endpoints(ctx: SuiteContext):
-        def one():
-            f = ctx.gen.scalar(chart0)
-            w = _check([("f", _sf_str(f)), ("split", f"({k},0)")],
-                       fn_complete_vertical(f, k, 0), fn_complete(f, k))
-            if w is not None:
-                return w
-            return _check([("f", _sf_str(f)), ("split", f"(0,{k})")],
-                          fn_complete_vertical(f, 0, k), fn_vertical(f, k))
-        return _sample_loop(ctx, one)
+    def mul_horizontal_probe():
+        z = next(iter(chart0.holo_coords(0)))
+        return mul_horizontal_zero(ScalarField(chart0, Expr.atom(TIME)),
+                                   ScalarField(chart0, Expr.atom(z)))
+
+    def cv_order_swap():
+        f = gen.scalar(chart0)
+        return _first(
+            _check([("f", _sf_str(f)), ("split", f"({r},{s})")],
+                   fn_vertical(fn_complete(f, r), s),
+                   fn_complete(fn_vertical(f, s), r))
+            for r, s in _cv_splits(k))
+
+    def cv_endpoints():
+        f = gen.scalar(chart0)
+        return _first(
+            _check([("f", _sf_str(f)), ("split", f"({r},{s})")],
+                   fn_complete_vertical(f, r, s), lift(f, k))
+            for r, s, lift in ((k, 0, fn_complete), (0, k, fn_vertical)))
 
     return [
-        Clause("F1", "fn-add-vertical", run_homomorphism(fn_vertical, add)),
-        Clause("F2", "fn-mul-vertical", run_homomorphism(fn_vertical, mul)),
-        Clause("F3", "fn-add-complete", run_homomorphism(fn_complete, add)),
-        Clause("F4", "fn-mul-complete-binomial", run_mul_complete),
-        Clause("F5", "fn-dz-exchange-vertical", run_dz_exchange("v"),
+        Clause("F1", "fn-add-vertical", homomorphism(fn_vertical, add)),
+        Clause("F2", "fn-mul-vertical", homomorphism(fn_vertical, mul)),
+        Clause("F3", "fn-add-complete", homomorphism(fn_complete, add)),
+        Clause("F4", "fn-mul-complete-binomial", _sampled(ctx, mul_complete)),
+        Clause("F5", "fn-dz-exchange-vertical", dz_exchange("v"),
                conflict_note=_T_NOTE),
-        Clause("F6", "fn-dz-exchange-complete", run_dz_exchange("c"),
+        Clause("F6", "fn-dz-exchange-complete", dz_exchange("c"),
                conflict_note=_T_NOTE),
-        Clause("F7", "fn-dt-exchange-vertical", run_dt_exchange("v"),
+        Clause("F7", "fn-dt-exchange-vertical", dt_exchange("v"),
                conflict_note=_T_NOTE),
-        Clause("F8", "fn-dt-exchange-complete", run_dt_exchange("c"),
+        Clause("F8", "fn-dt-exchange-complete", dt_exchange("c"),
                conflict_note=_T_NOTE),
-        Clause("F9", "fn-horizontal-zero", run_horizontal_zero,
+        Clause("F9", "fn-horizontal-zero",
+               _sampled(ctx, lambda: horizontal_zero(gen.scalar(chart0)),
+                        [lambda: horizontal_zero(
+                            ScalarField(chart0, Expr.atom(TIME)))]),
                conflict_note=_T_NOTE),
-        Clause("F10", "fn-add-horizontal",
-               run_homomorphism(fn_horizontal, add)),
-        Clause("F11", "fn-mul-horizontal-zero", run_mul_horizontal_zero,
+        Clause("F10", "fn-add-horizontal", homomorphism(fn_horizontal, add)),
+        Clause("F11", "fn-mul-horizontal-zero",
+               _sampled(ctx, lambda: mul_horizontal_zero(gen.scalar(chart0),
+                                                         gen.scalar(chart0)),
+                        [mul_horizontal_probe]),
                conflict_note=_T_NOTE),
-        Clause("F12", "fn-cv-order-swap", run_cv_order_swap),
-        Clause("F13", "fn-cv-endpoints", run_cv_endpoints),
+        Clause("F12", "fn-cv-order-swap", _sampled(ctx, cv_order_swap)),
+        Clause("F13", "fn-cv-endpoints", _sampled(ctx, cv_endpoints)),
     ]
 
 
@@ -637,17 +610,15 @@ _ONEFORMS = _Rank1Family(
     pair_names=("u", "w"), name="w")
 
 
-def _rank1_add(fam: _Rank1Family, kind: str):
-    def run(ctx: SuiteContext):
-        def one():
-            X = fam.draw(ctx.gen, ctx.chart0, kind)
-            Y = fam.draw(ctx.gen, ctx.chart0, kind)
-            x, y = fam.pair_names
-            return _check([(x, X._inline()), (y, Y._inline())],
-                          fam.lift(X + Y, kind, ctx),
-                          fam.lift(X, kind, ctx) + fam.lift(Y, kind, ctx))
-        return _sample_loop(ctx, one)
-    return run
+def _rank1_add(ctx: SuiteContext, fam: _Rank1Family, kind: str):
+    def one():
+        X = fam.draw(ctx.gen, ctx.chart0, kind)
+        Y = fam.draw(ctx.gen, ctx.chart0, kind)
+        x, y = fam.pair_names
+        return _check([(x, X._inline()), (y, Y._inline())],
+                      fam.lift(X + Y, kind, ctx),
+                      fam.lift(X, kind, ctx) + fam.lift(Y, kind, ctx))
+    return _sampled(ctx, one)
 
 
 def _cv_expansion(fam: _Rank1Family, f: ScalarField, X, r: int, s: int,
@@ -663,102 +634,81 @@ def _cv_expansion(fam: _Rank1Family, f: ScalarField, X, r: int, s: int,
     return right
 
 
-def _rank1_scale(fam: _Rank1Family, kind: str):
+def _rank1_scale(ctx: SuiteContext, fam: _Rank1Family, kind: str):
     """(fX)^v = f^v X^v; (fX)^c and every (fX)^{cv(r,s)} expand into
     complete-vertical lifts of f and X, drawn with no t-component.  The
     factor f never involves t, whatever ``t_free`` says: it multiplies into
     component expressions, which stay t-free by the generator's contract."""
-    def run(ctx: SuiteContext):
-        k = ctx.k
+    k = ctx.k
 
-        def one():
-            f = ScalarField(ctx.chart0,
-                            ctx.gen.expr(ctx.chart0, allow_time=False))
-            X = fam.draw(ctx.gen, ctx.chart0, "v" if kind == "v" else "cv")
-            inputs = [("f", _sf_str(f)), (fam.name, X._inline())]
-            if kind == "v":
-                return _check(inputs, fam.solve(X.scaled(f.value), "v", k),
-                              fam.solve(X, "v", k).scaled(
-                                  fn_vertical(f, k).value))
-            if kind == "c":
-                return _check(inputs, fam.solve(X.scaled(f.value), "c", k),
-                              _cv_expansion(fam, f, X, k, 0, ctx))
-            for r, s in _cv_splits(k):
-                left = fam.solve(X.scaled(f.value), "cv", k, r=r, s=s)
-                w = _check(inputs + [("split", f"({r},{s})")], left,
-                           _cv_expansion(fam, f, X, r, s, ctx))
-                if w is not None:
-                    return w
-            return None
-        return _sample_loop(ctx, one)
-    return run
+    def one():
+        f = ScalarField(ctx.chart0, ctx.gen.expr(ctx.chart0, allow_time=False))
+        X = fam.draw(ctx.gen, ctx.chart0, "v" if kind == "v" else "cv")
+        inputs = [("f", _sf_str(f)), (fam.name, X._inline())]
+        if kind == "v":
+            return _check(inputs, fam.solve(X.scaled(f.value), "v", k),
+                          fam.solve(X, "v", k).scaled(fn_vertical(f, k).value))
+        if kind == "c":
+            return _check(inputs, fam.solve(X.scaled(f.value), "c", k),
+                          _cv_expansion(fam, f, X, k, 0, ctx))
+        return _first(
+            _check(inputs + [("split", f"({r},{s})")],
+                   fam.solve(X.scaled(f.value), "cv", k, r=r, s=s),
+                   _cv_expansion(fam, f, X, r, s, ctx))
+            for r, s in _cv_splits(k))
+    return _sampled(ctx, one)
 
 
-def _rank1_basis_table(fam: _Rank1Family, kind: str, to_level_k: bool,
-                       t_route: str):
+def _rank1_basis_table(ctx: SuiteContext, fam: _Rank1Family, kind: str,
+                       to_level_k: bool, t_route: str):
     """Each level-0 basis element lifts to the same element at level 0 (or
     at level k), along the defining route and the closed-form route; the t
-    row is checked along ``t_route``."""
-    def run(ctx: SuiteContext):
-        k, chart0 = ctx.k, ctx.chart0
-        route = {"defining": lambda X: fam.solve(X, kind, k),
-                 "closed": lambda X: fam.closed(X, kind, k)}
-        rows = 0
+    row is checked along ``t_route``.  One case per row."""
+    k, chart0 = ctx.k, ctx.chart0
+    route = {"defining": lambda X: fam.solve(X, kind, k),
+             "closed": lambda X: fam.closed(X, kind, k)}
+
+    def cases():
         for c0 in chart0.holo_coords(0) + chart0.anti_coords(0):
             X = fam.element(chart0, c0)
             expect = fam.element(
                 ctx.chartk, CoordId(c0.kind, k, c0.index) if to_level_k else c0)
             for label in ("defining", "closed"):
-                rows += 1
-                w = _check([("input", fam.label(c0)), ("route", label)],
-                           route[label](X), expect)
-                if w is not None:
-                    return rows, w
+                yield _check([("input", fam.label(c0)), ("route", label)],
+                             route[label](X), expect)
         T = fam.element(chart0, TIME)
-        return rows + 1, _check([("input", fam.label(TIME)), ("route", t_route)],
-                                route[t_route](T), fam.element(ctx.chartk, TIME))
-    return run
+        yield _check([("input", fam.label(TIME)), ("route", t_route)],
+                     route[t_route](T), fam.element(ctx.chartk, TIME))
+    return cases
 
 
-def _rank1_basis_horizontal(fam: _Rank1Family):
+def _rank1_basis_horizontal(ctx: SuiteContext, fam: _Rank1Family):
     """The horizontal lift of each level-0 basis element is the level-0
-    member of the matching adapted-frame half."""
-    def run(ctx: SuiteContext):
+    member of the matching adapted-frame half.  One case per element."""
+    def cases():
         frame = adapted_frame(ctx.chartk, ctx.conn)
         holo, anti = (getattr(frame, half) for half in fam.halves)
-        rows = 0
-        for i in range(1, ctx.m + 1):
-            for c0, guide in ((CoordId(Kind.HOLO, 0, i), holo[(0, i)]),
-                              (CoordId(Kind.ANTI, 0, i), anti[(0, i)])):
-                rows += 1
-                w = _check([("input", fam.label(c0))],
-                           fam.horizontal(fam.element(ctx.chart0, c0),
-                                          ctx.conn), guide)
-                if w is not None:
-                    return rows, w
-        return rows, None
-    return run
+        for z, zb in _level0_pairs(ctx.m):
+            for c0, guide in ((z, holo[(0, z.index)]),
+                              (zb, anti[(0, zb.index)])):
+                yield _check([("input", fam.label(c0))],
+                             fam.horizontal(fam.element(ctx.chart0, c0),
+                                            ctx.conn), guide)
+    return cases
 
 
-def _rank1_cv_pair_swap(fam: _Rank1Family):
-    def run(ctx: SuiteContext):
-        k = ctx.k
+def _rank1_cv_pair_swap(ctx: SuiteContext, fam: _Rank1Family):
+    k = ctx.k
 
-        def one():
-            X = fam.draw(ctx.gen, ctx.chart0, "cv")
-            for r, s in _cv_splits(k):
-                if r >= s:
-                    continue
-                w = _check(
-                    [(fam.name, X._inline()),
-                     ("split", f"({r},{s}) vs ({s},{r})")],
-                    fam.solve(X, "cv", k, r=r, s=s),
-                    fam.solve(X, "cv", k, r=s, s=r))
-                if w is not None:
-                    return w
-            return None
-        return _sample_loop(ctx, one)
-    return run
+    def one():
+        X = fam.draw(ctx.gen, ctx.chart0, "cv")
+        return _first(
+            _check([(fam.name, X._inline()),
+                    ("split", f"({r},{s}) vs ({s},{r})")],
+                   fam.solve(X, "cv", k, r=r, s=s),
+                   fam.solve(X, "cv", k, r=s, s=r))
+            for r, s in _cv_splits(k) if r < s)
+    return _sampled(ctx, one)
 
 
 # ---------------------------------------------------------------------------
@@ -766,69 +716,60 @@ def _rank1_cv_pair_swap(fam: _Rank1Family):
 
 
 def _vectors_clauses(ctx: SuiteContext) -> list[Clause]:
-    k = ctx.k
-    chart0 = ctx.chart0
+    k, chart0, chartk, gen = ctx.k, ctx.chart0, ctx.chartk, ctx.gen
     F = _VECTORS
 
-    def run_action(lift_kind: str, fn_kind: str, zero_rhs: bool = False,
-                   probe_expr: Callable[[], Expr] | None = None):
-        def run(ctx: SuiteContext):
-            def check(f: ScalarField, Z: VectorField):
-                Zl = F.lift(Z, lift_kind, ctx)
-                left = ScalarField(ctx.chartk,
-                                   Zl.apply(_sf_lift(f, fn_kind, k).value))
-                if zero_rhs:
-                    right = ScalarField(ctx.chartk, Expr.zero())
-                else:
-                    out_kind = "v" if "v" in (lift_kind, fn_kind) else "c"
-                    right = _sf_lift(ScalarField(chart0, Z.apply(f.value)),
-                                     out_kind, k)
-                return _check([("f", _sf_str(f)), ("Z", Z._inline())],
-                              left, right)
-            probes = []
-            if probe_expr is not None and _t_probe_allowed(ctx):
-                probes = [lambda: check(ScalarField(chart0, probe_expr()),
-                                        ctx.gen.vector(chart0))]
-            return _sample_loop(
-                ctx, lambda: check(ctx.gen.scalar(chart0),
-                                   ctx.gen.vector(chart0)), probes)
-        return run
+    def action(lift_kind: str, fn_kind: str, zero_rhs: bool = False,
+               probe_expr: Callable[[], Expr] | None = None):
+        def check(f: ScalarField, Z: VectorField):
+            Zl = F.lift(Z, lift_kind, ctx)
+            left = ScalarField(chartk, Zl.apply(_sf_lift(f, fn_kind, k).value))
+            if zero_rhs:
+                right = ScalarField(chartk, Expr.zero())
+            else:
+                out_kind = "v" if "v" in (lift_kind, fn_kind) else "c"
+                right = _sf_lift(ScalarField(chart0, Z.apply(f.value)),
+                                 out_kind, k)
+            return _check([("f", _sf_str(f)), ("Z", Z._inline())], left, right)
+        probes = [] if probe_expr is None else \
+            [lambda: check(ScalarField(chart0, probe_expr()),
+                           gen.vector(chart0))]
+        return _sampled(
+            ctx, lambda: check(gen.scalar(chart0), gen.vector(chart0)), probes)
 
-    def run_basis_horizontal_time(ctx: SuiteContext):
+    def basis_horizontal_time():
         T = VectorField.basis(chart0, TIME)
-        w = _check([("input", "d/dt")], vf_horizontal(T, ctx.conn),
-                   VectorField.basis(ctx.chartk, TIME))
-        return 1, w
+        yield _check([("input", "d/dt")], vf_horizontal(T, ctx.conn),
+                     VectorField.basis(chartk, TIME))
 
     return [
-        Clause("V1", "vf-add-vertical", _rank1_add(F, "v")),
-        Clause("V2", "vf-add-complete", _rank1_add(F, "c")),
-        Clause("V3", "vf-add-horizontal", _rank1_add(F, "h")),
-        Clause("V4", "vf-scale-vertical", _rank1_scale(F, "v")),
-        Clause("V5", "vf-scale-complete-binomial", _rank1_scale(F, "c")),
+        Clause("V1", "vf-add-vertical", _rank1_add(ctx, F, "v")),
+        Clause("V2", "vf-add-complete", _rank1_add(ctx, F, "c")),
+        Clause("V3", "vf-add-horizontal", _rank1_add(ctx, F, "h")),
+        Clause("V4", "vf-scale-vertical", _rank1_scale(ctx, F, "v")),
+        Clause("V5", "vf-scale-complete-binomial", _rank1_scale(ctx, F, "c")),
         Clause("V6", "vf-action-vv-zero",
-               run_action("v", "v", zero_rhs=True,
-                          probe_expr=lambda: Expr.atom(TIME)),
+               action("v", "v", zero_rhs=True,
+                      probe_expr=lambda: Expr.atom(TIME)),
                conflict_note=_T_NOTE),
-        Clause("V7", "vf-action-cv", run_action("c", "v")),
+        Clause("V7", "vf-action-cv", action("c", "v")),
         Clause("V8", "vf-action-vc",
-               run_action("v", "c",
-                          probe_expr=lambda: Expr.atom(TIME, 2)),
+               action("v", "c", probe_expr=lambda: Expr.atom(TIME, 2)),
                conflict_note=_T_NOTE),
         Clause("V9", "vf-action-cc",
-               run_action("c", "c",
-                          probe_expr=lambda: Expr.atom(TIME, 2)),
+               action("c", "c", probe_expr=lambda: Expr.atom(TIME, 2)),
                conflict_note=_T_NOTE),
-        Clause("V10", "vf-action-hv", run_action("h", "v")),
+        Clause("V10", "vf-action-hv", action("h", "v")),
         Clause("V11", "vf-basis-complete-table",
-               _rank1_basis_table(F, "c", False, "defining")),
+               _rank1_basis_table(ctx, F, "c", False, "defining")),
         Clause("V12", "vf-basis-vertical-table",
-               _rank1_basis_table(F, "v", True, "defining")),
-        Clause("V13", "vf-basis-horizontal-time", run_basis_horizontal_time),
-        Clause("V14", "vf-basis-horizontal-table", _rank1_basis_horizontal(F)),
-        Clause("V15", "vf-cv-pair-swap", _rank1_cv_pair_swap(F),
+               _rank1_basis_table(ctx, F, "v", True, "defining")),
+        Clause("V13", "vf-basis-horizontal-time", basis_horizontal_time),
+        Clause("V14", "vf-basis-horizontal-table",
+               _rank1_basis_horizontal(ctx, F)),
+        Clause("V15", "vf-cv-pair-swap", _rank1_cv_pair_swap(ctx, F),
                conflict_note=_PAIR_NOTE),
-        Clause("V16", "vf-scale-cv-expansion", _rank1_scale(F, "cv")),
+        Clause("V16", "vf-scale-cv-expansion", _rank1_scale(ctx, F, "cv")),
     ]
 
 
@@ -837,8 +778,7 @@ def _vectors_clauses(ctx: SuiteContext) -> list[Clause]:
 
 
 def _oneforms_clauses(ctx: SuiteContext) -> list[Clause]:
-    k = ctx.k
-    chart0 = ctx.chart0
+    k, chart0, chartk, gen = ctx.k, ctx.chart0, ctx.chartk, ctx.gen
     F = _ONEFORMS
     level_note = ("documented conflict: the engine's horizontal covector "
                   "uses the top transition level; the tabulated row names "
@@ -847,56 +787,56 @@ def _oneforms_clauses(ctx: SuiteContext) -> list[Clause]:
                   "nontrivially with horizontal fields across levels once "
                   "k >= 2")
 
-    def run_action(form_kind: str, vec_kind: str, zero_rhs: bool = False):
-        def run(ctx: SuiteContext):
-            def one():
-                w = F.draw(ctx.gen, chart0, form_kind)
-                Z = ctx.gen.vector(chart0)
-                wl = F.lift(w, form_kind, ctx)
-                Zl = _VECTORS.lift(Z, vec_kind, ctx)
-                left = ScalarField(ctx.chartk, wl.pair(Zl))
-                if zero_rhs:
-                    right = ScalarField(ctx.chartk, Expr.zero())
-                else:
-                    base = ScalarField(chart0, w.pair(Z))
-                    out_kind = "c" if (form_kind == "c" and vec_kind == "c") \
-                        else "v"
-                    right = _sf_lift(base, out_kind, k)
-                return _check([("w", w._inline()), ("Z", Z._inline())],
-                              left, right)
-            return _sample_loop(ctx, one)
-        return run
+    def action(form_kind: str, vec_kind: str, zero_rhs: bool = False):
+        def one():
+            w = F.draw(gen, chart0, form_kind)
+            Z = gen.vector(chart0)
+            wl = F.lift(w, form_kind, ctx)
+            Zl = _VECTORS.lift(Z, vec_kind, ctx)
+            left = ScalarField(chartk, wl.pair(Zl))
+            if zero_rhs:
+                right = ScalarField(chartk, Expr.zero())
+            else:
+                base = ScalarField(chart0, w.pair(Z))
+                out_kind = "c" if (form_kind == "c" and vec_kind == "c") \
+                    else "v"
+                right = _sf_lift(base, out_kind, k)
+            return _check([("w", w._inline()), ("Z", Z._inline())],
+                          left, right)
+        return _sampled(ctx, one)
 
-    def run_rejects_dt(ctx: SuiteContext):
+    def rejects_dt():
         dt = OneForm.differential_of(chart0, TIME)
         try:
             of_horizontal(dt, ctx.conn)
         except LiftError:
-            return 1, None
-        return 1, "input = dt; a horizontal lift was produced instead of " \
-                  "the expected rejection"
+            yield None
+        else:
+            yield ("input = dt; a horizontal lift was produced instead of "
+                   "the expected rejection")
 
     return [
-        Clause("O1", "of-add-vertical", _rank1_add(F, "v")),
-        Clause("O2", "of-add-complete", _rank1_add(F, "c")),
-        Clause("O3", "of-add-horizontal", _rank1_add(F, "h")),
-        Clause("O4", "of-scale-vertical", _rank1_scale(F, "v")),
-        Clause("O5", "of-scale-complete-binomial", _rank1_scale(F, "c")),
-        Clause("O6", "of-action-vc", run_action("v", "c")),
-        Clause("O7", "of-action-cc", run_action("c", "c")),
-        Clause("O8", "of-action-hh-zero", run_action("h", "h", zero_rhs=True),
+        Clause("O1", "of-add-vertical", _rank1_add(ctx, F, "v")),
+        Clause("O2", "of-add-complete", _rank1_add(ctx, F, "c")),
+        Clause("O3", "of-add-horizontal", _rank1_add(ctx, F, "h")),
+        Clause("O4", "of-scale-vertical", _rank1_scale(ctx, F, "v")),
+        Clause("O5", "of-scale-complete-binomial", _rank1_scale(ctx, F, "c")),
+        Clause("O6", "of-action-vc", action("v", "c")),
+        Clause("O7", "of-action-cc", action("c", "c")),
+        Clause("O8", "of-action-hh-zero", action("h", "h", zero_rhs=True),
                conflict_note=cross_note if k >= 2 else None),
-        Clause("O9", "of-action-hv", run_action("h", "v")),
+        Clause("O9", "of-action-hv", action("h", "v")),
         Clause("O10", "of-basis-vertical-table",
-               _rank1_basis_table(F, "v", False, "defining")),
+               _rank1_basis_table(ctx, F, "v", False, "defining")),
         Clause("O11", "of-basis-complete-table",
-               _rank1_basis_table(F, "c", True, "closed")),
-        Clause("O12", "of-basis-horizontal-table", _rank1_basis_horizontal(F),
+               _rank1_basis_table(ctx, F, "c", True, "closed")),
+        Clause("O12", "of-basis-horizontal-table",
+               _rank1_basis_horizontal(ctx, F),
                conflict_note=level_note if k >= 2 else None),
-        Clause("O13", "of-horizontal-rejects-time", run_rejects_dt),
-        Clause("O14", "of-cv-pair-swap", _rank1_cv_pair_swap(F),
+        Clause("O13", "of-horizontal-rejects-time", rejects_dt),
+        Clause("O14", "of-cv-pair-swap", _rank1_cv_pair_swap(ctx, F),
                conflict_note=_PAIR_NOTE),
-        Clause("O15", "of-scale-cv-expansion", _rank1_scale(F, "cv")),
+        Clause("O15", "of-scale-cv-expansion", _rank1_scale(ctx, F, "cv")),
     ]
 
 
@@ -905,66 +845,59 @@ def _oneforms_clauses(ctx: SuiteContext) -> list[Clause]:
 
 
 def _tensors_clauses(ctx: SuiteContext) -> list[Clause]:
-    k = ctx.k
-    chart0 = ctx.chart0
+    k, chart0, gen = ctx.k, ctx.chart0, ctx.gen
     vert_note = ("documented conflict: the vertical covector pairing "
                  "annihilates every level-0 component, so the composition "
                  "law cannot survive the vertical lift")
     mixed_note = ("documented conflict: pairing two complete lifts does "
                   "not drop to a vertical lift")
 
-    def run_defining(kind: str, out_kind: str | None = None):
+    def defining(kind: str, out_kind: str | None = None):
         """phi^kind(xi^c) == (phi xi)^out_kind; out_kind defaults to kind."""
-        def run(ctx: SuiteContext):
-            def one():
-                phi = ctx.gen.endo(chart0)
-                xi = ctx.gen.vector(chart0)
-                lifted = t11_lift_solve(phi, kind, k)
-                left = lifted.apply_vector(vf_lift_solve(xi, "c", k))
-                right = vf_lift_solve(phi.apply_vector(xi), out_kind or kind, k)
-                return _check([("phi entries", _endo_str(phi)),
-                               ("xi", xi._inline())], left, right)
-            return _sample_loop(ctx, one)
-        return run
+        def one():
+            phi = gen.endo(chart0)
+            xi = gen.vector(chart0)
+            lifted = t11_lift_solve(phi, kind, k)
+            left = lifted.apply_vector(vf_lift_solve(xi, "c", k))
+            right = vf_lift_solve(phi.apply_vector(xi), out_kind or kind, k)
+            return _check([("phi entries", _endo_str(phi)),
+                           ("xi", xi._inline())], left, right)
+        return _sampled(ctx, one)
 
-    def run_form_pairing(kind: str):
-        def run(ctx: SuiteContext):
-            def one():
-                phi = ctx.gen.endo(chart0)
-                eta = ctx.gen.oneform(chart0)
-                lifted = t11_lift_solve(phi, kind, k)
-                left = lifted.apply_form(of_lift_solve(eta, kind, k))
-                right = of_lift_solve(phi.apply_form(eta), kind, k)
-                return _check([("phi entries", _endo_str(phi)),
-                               ("eta", eta._inline())], left, right)
-            return _sample_loop(ctx, one)
-        return run
+    def form_pairing(kind: str):
+        def one():
+            phi = gen.endo(chart0)
+            eta = gen.oneform(chart0)
+            lifted = t11_lift_solve(phi, kind, k)
+            left = lifted.apply_form(of_lift_solve(eta, kind, k))
+            right = of_lift_solve(phi.apply_form(eta), kind, k)
+            return _check([("phi entries", _endo_str(phi)),
+                           ("eta", eta._inline())], left, right)
+        return _sampled(ctx, one)
 
-    def run_t02(kind: str):
-        def run(ctx: SuiteContext):
-            def one():
-                G = ctx.gen.bilinear(chart0)
-                X, Y = ctx.gen.vector(chart0), ctx.gen.vector(chart0)
-                lifted = t02_lift_solve(G, kind, k)
-                left = lifted.evaluate(vf_lift_solve(X, "c", k),
-                                       vf_lift_solve(Y, "c", k))
-                right = _sf_lift(ScalarField(chart0, G.evaluate(X, Y)),
-                                 kind, k).value
-                return _check([("X", X._inline()), ("Y", Y._inline())],
-                              left, right)
-            return _sample_loop(ctx, one)
-        return run
+    def t02(kind: str):
+        def one():
+            G = gen.bilinear(chart0)
+            X, Y = gen.vector(chart0), gen.vector(chart0)
+            lifted = t02_lift_solve(G, kind, k)
+            left = lifted.evaluate(vf_lift_solve(X, "c", k),
+                                   vf_lift_solve(Y, "c", k))
+            right = _sf_lift(ScalarField(chart0, G.evaluate(X, Y)),
+                             kind, k).value
+            return _check([("X", X._inline()), ("Y", Y._inline())],
+                          left, right)
+        return _sampled(ctx, one)
 
     return [
-        Clause("T1", "t11-vertical-defining", run_defining("v")),
-        Clause("T2", "t11-vertical-form-pairing", run_form_pairing("v"),
+        Clause("T1", "t11-vertical-defining", defining("v")),
+        Clause("T2", "t11-vertical-form-pairing", form_pairing("v"),
                conflict_note=vert_note),
-        Clause("T3", "t11-complete-defining", run_defining("c")),
-        Clause("T4", "t11-complete-form-pairing", run_form_pairing("c")),
-        Clause("T5", "t11-complete-mixed-pairing", run_defining("c", "v"),
+        Clause("T3", "t11-complete-defining", defining("c")),
+        Clause("T4", "t11-complete-form-pairing", form_pairing("c")),
+        Clause("T5", "t11-complete-mixed-pairing", defining("c", "v"),
                conflict_note=mixed_note),
-        Clause("T6", "t02-vertical-defining", run_t02("v")),
-        Clause("T7", "t02-complete-defining", run_t02("c")),
+        Clause("T6", "t02-vertical-defining", t02("v")),
+        Clause("T7", "t02-complete-defining", t02("c")),
     ]
 
 
@@ -981,117 +914,106 @@ def _endo_str(phi: EndoField) -> str:
 
 
 def _structures_clauses(ctx: SuiteContext) -> list[Clause]:
-    k = ctx.k
-    m = ctx.m
-    chart0 = ctx.chart0
-    chartk = ctx.chartk
+    k, m, chart0, chartk, gen = ctx.k, ctx.m, ctx.chart0, ctx.chartk, ctx.gen
     chart_inputs = [("chart", f"m={m} k={k}")]
     coincide_note = ("recorded comparison: agreement between the solved "
                      "lift and the direct diagonal construction is "
                      "reported, not assumed")
 
-    def run_square(structure: Callable[[], EndoField],
-                   inputs: Sequence[tuple[str, str]]):
-        def run(ctx: SuiteContext):
+    def square(structure: Callable[[], EndoField],
+               inputs: Sequence[tuple[str, str]]):
+        def cases():
             S = structure()
-            w = _check(inputs, S.compose(S),
-                       EndoField.identity(chartk).scaled(Expr.zero()
-                                                         - Expr.one()))
-            return 1, w
-        return run
+            yield _check(inputs, S.compose(S),
+                         EndoField.identity(chartk).scaled(Expr.zero()
+                                                           - Expr.one()))
+        return cases
 
-    def run_lift_residuals(ctx: SuiteContext):
+    def lift_residuals():
+        # The two kinds count as two cases whichever kind fails first.
         J0 = build_Jk(chart0)
-        for kind in ("v", "c"):
+
+        def residual(kind: str) -> str | None:
             residuals = t11_defining_residuals(J0, lift_J0(m, kind, k),
                                                kind, k)
             bad = [e for e in residuals if not e.is_zero()]
-            if bad:
-                return 2, f"kind = {kind}; residual = {format_expr(bad[0])}"
-        return 2, None
+            return f"kind = {kind}; residual = {format_expr(bad[0])}" \
+                if bad else None
+        yield None
+        yield _first(residual(kind) for kind in ("v", "c"))
 
-    def run_lift_coincides(ctx: SuiteContext):
-        w = _check([("kind", "c")], lift_J0(m, "c", k),
-                   build_Jk(chartk))
-        return 1, w
+    def lift_coincides():
+        yield _check([("kind", "c")], lift_J0(m, "c", k), build_Jk(chartk))
 
-    def run_star_duality(ctx: SuiteContext):
+    def star_duality():
         J = build_Jk(chartk)
         Jstar = build_Jk_star(chartk)
+
         def one():
-            alpha = OneForm(chartk, {c: ctx.gen.expr(chartk)
+            alpha = OneForm(chartk, {c: gen.expr(chartk)
                                      for c in chartk.coordinates()})
-            xi = VectorField(chartk, {c: ctx.gen.expr(chartk)
+            xi = VectorField(chartk, {c: gen.expr(chartk)
                                       for c in chartk.coordinates()})
             left = star_apply(Jstar, alpha).pair(xi)
             right = alpha.pair(J.apply_vector(xi))
             return _check([("alpha", alpha._inline()),
                            ("xi", xi._inline())], left, right)
-        return _sample_loop(ctx, one)
+        yield from _sampled(ctx, one)()
 
-    def run_metric_compat(kind: str):
-        def run(ctx: SuiteContext):
-            def one():
-                g = ctx.gen.hermitian(chart0)
-                gk = t02_lift_solve(g, kind, k)
-                Jk = lift_J0(m, "c", k)
-                if hermitian_check(gk, Jk):
-                    return None
-                return _check([("metric", "mixed-entry symmetric")],
-                              gk.pullback_endo(Jk), gk)
-            return _sample_loop(ctx, one)
-        return run
-
-    def run_form_exchange(ctx: SuiteContext):
+    def metric_compat(kind: str):
         def one():
-            g = ctx.gen.hermitian(chart0)
-            phi0 = fundamental_bilinear(g, build_Jk(chart0))
+            g = gen.hermitian(chart0)
+            gk = t02_lift_solve(g, kind, k)
             Jk = lift_J0(m, "c", k)
-            for kind in ("v", "c"):
-                left = t02_lift_solve(phi0, kind, k)
-                right = fundamental_bilinear(t02_lift_solve(g, kind, k), Jk)
-                w = _check([("kind", kind)], left, right)
-                if w is not None:
-                    return w
-            return None
-        return _sample_loop(ctx, one)
+            if hermitian_check(gk, Jk):
+                return None
+            return _check([("metric", "mixed-entry symmetric")],
+                          gk.pullback_endo(Jk), gk)
+        return _sampled(ctx, one)
 
-    def run_closedness(ctx: SuiteContext):
+    def form_exchange():
+        g = gen.hermitian(chart0)
+        phi0 = fundamental_bilinear(g, build_Jk(chart0))
+        Jk = lift_J0(m, "c", k)
+        return _first(
+            _check([("kind", kind)], t02_lift_solve(phi0, kind, k),
+                   fundamental_bilinear(t02_lift_solve(g, kind, k), Jk))
+            for kind in ("v", "c"))
+
+    def closedness():
+        # Every metric is drawn before any is checked; one case per
+        # two-form (the base form, then its v and c lifts).
         J0 = build_Jk(chart0)
         metrics = [("flat", HermitianPackage.flat(m).metric)]
         for idx in range(ctx.samples):
             metrics.append((f"potential[{idx + 1}]",
-                            ctx.gen.potential_metric(chart0)))
-        rows = 0
+                            gen.potential_metric(chart0)))
         for label, g in metrics:
             phi0 = fundamental_bilinear(g, J0)
-            rows += 1
-            if not kaehler_closed(kaehler_form(g, J0)):
-                return rows, f"metric = {label}; the base two-form is " \
-                             f"not closed"
+            yield None if kaehler_closed(kaehler_form(g, J0)) else \
+                f"metric = {label}; the base two-form is not closed"
             for kind in ("v", "c"):
-                rows += 1
                 lifted = t02_lift_solve(phi0, kind, k)
-                if not kaehler_closed(AltForm.from_bilinear(lifted)):
-                    return rows, f"metric = {label}; kind = {kind}; the " \
-                                 f"lifted two-form has nonzero differential"
-        return rows, None
+                yield None if kaehler_closed(AltForm.from_bilinear(lifted)) \
+                    else (f"metric = {label}; kind = {kind}; the lifted "
+                          f"two-form has nonzero differential")
 
     return [
         Clause("S1", "structure-square",
-               run_square(lambda: build_Jk(chartk), chart_inputs)),
+               square(lambda: build_Jk(chartk), chart_inputs)),
         Clause("S2", "costructure-square",
-               run_square(lambda: build_Jk_star(chartk), chart_inputs)),
-        Clause("S3", "structure-lift-defining", run_lift_residuals),
+               square(lambda: build_Jk_star(chartk), chart_inputs)),
+        Clause("S3", "structure-lift-defining", lift_residuals),
         Clause("S4", "structure-lift-square",
-               run_square(lambda: lift_J0(m, "c", k), [("kind", "c")])),
-        Clause("S5", "structure-lift-coincides-diagonal", run_lift_coincides,
+               square(lambda: lift_J0(m, "c", k), [("kind", "c")])),
+        Clause("S5", "structure-lift-coincides-diagonal", lift_coincides,
                conflict_note=coincide_note),
-        Clause("S6", "costructure-duality", run_star_duality),
-        Clause("S7", "metric-compat-vertical", run_metric_compat("v")),
-        Clause("S8", "metric-compat-complete", run_metric_compat("c")),
-        Clause("S9", "fundamental-form-exchange", run_form_exchange),
-        Clause("S10", "fundamental-form-closed", run_closedness),
+        Clause("S6", "costructure-duality", star_duality),
+        Clause("S7", "metric-compat-vertical", metric_compat("v")),
+        Clause("S8", "metric-compat-complete", metric_compat("c")),
+        Clause("S9", "fundamental-form-exchange",
+               _sampled(ctx, form_exchange)),
+        Clause("S10", "fundamental-form-closed", closedness),
     ]
 
 
@@ -1100,48 +1022,36 @@ def _structures_clauses(ctx: SuiteContext) -> list[Clause]:
 
 
 def _brackets_clauses(ctx: SuiteContext) -> list[Clause]:
-    k = ctx.k
-    chart0 = ctx.chart0
+    k, chart0, gen = ctx.k, ctx.chart0, ctx.gen
 
-    def run_vv(ctx: SuiteContext):
-        def one():
-            Z, W = ctx.gen.vector(chart0), ctx.gen.vector(chart0)
-            bracket = lie_bracket(vf_lift_solve(Z, "v", k),
-                                  vf_lift_solve(W, "v", k))
-            return _check([("Z", Z._inline()), ("W", W._inline())],
-                          bracket, VectorField.zero(ctx.chartk))
-        return _sample_loop(ctx, one)
+    def vv():
+        Z, W = gen.vector(chart0), gen.vector(chart0)
+        bracket = lie_bracket(vf_lift_solve(Z, "v", k),
+                              vf_lift_solve(W, "v", k))
+        return _check([("Z", Z._inline()), ("W", W._inline())],
+                      bracket, VectorField.zero(ctx.chartk))
 
-    def run_cc(ctx: SuiteContext):
-        def one():
-            Z, W = ctx.gen.vector(chart0), ctx.gen.vector(chart0)
-            left = lie_bracket(vf_lift_solve(Z, "c", k),
-                               vf_lift_solve(W, "c", k))
-            right = vf_lift_solve(lie_bracket(Z, W), "c", k)
-            return _check([("Z", Z._inline()), ("W", W._inline())],
-                          left, right)
-        return _sample_loop(ctx, one)
+    def cc():
+        Z, W = gen.vector(chart0), gen.vector(chart0)
+        left = lie_bracket(vf_lift_solve(Z, "c", k), vf_lift_solve(W, "c", k))
+        right = vf_lift_solve(lie_bracket(Z, W), "c", k)
+        return _check([("Z", Z._inline()), ("W", W._inline())], left, right)
 
-    def run_mixed(ctx: SuiteContext):
-        def one():
-            Z, W = ctx.gen.vector(chart0), ctx.gen.vector(chart0)
-            Zv, Zc = vf_lift_solve(Z, "v", k), vf_lift_solve(Z, "c", k)
-            Wv, Wc = vf_lift_solve(W, "v", k), vf_lift_solve(W, "c", k)
-            expect = vf_lift_solve(lie_bracket(Z, W), "v", k)
-            w = _check([("Z", Z._inline()), ("W", W._inline()),
-                        ("order", "[Z^v, W^c]")],
-                       lie_bracket(Zv, Wc), expect)
-            if w is not None:
-                return w
-            return _check([("Z", Z._inline()), ("W", W._inline()),
-                           ("order", "[Z^c, W^v]")],
-                          lie_bracket(Zc, Wv), expect)
-        return _sample_loop(ctx, one)
+    def mixed():
+        Z, W = gen.vector(chart0), gen.vector(chart0)
+        Zv, Zc = vf_lift_solve(Z, "v", k), vf_lift_solve(Z, "c", k)
+        Wv, Wc = vf_lift_solve(W, "v", k), vf_lift_solve(W, "c", k)
+        expect = vf_lift_solve(lie_bracket(Z, W), "v", k)
+        return _first(
+            _check([("Z", Z._inline()), ("W", W._inline()), ("order", order)],
+                   lie_bracket(A, B), expect)
+            for order, A, B in (("[Z^v, W^c]", Zv, Wc),
+                                ("[Z^c, W^v]", Zc, Wv)))
 
     return [
-        Clause("B1", "bracket-vertical-vanishes", run_vv),
-        Clause("B2", "bracket-complete-complete", run_cc),
-        Clause("B3", "bracket-mixed-vertical", run_mixed),
+        Clause("B1", "bracket-vertical-vanishes", _sampled(ctx, vv)),
+        Clause("B2", "bracket-complete-complete", _sampled(ctx, cc)),
+        Clause("B3", "bracket-mixed-vertical", _sampled(ctx, mixed)),
     ]
 
 
@@ -1150,109 +1060,88 @@ def _brackets_clauses(ctx: SuiteContext) -> list[Clause]:
 
 
 def _frames_clauses(ctx: SuiteContext) -> list[Clause]:
-    k = ctx.k
-    chart0 = ctx.chart0
+    k, m, chart0, chartk, gen = ctx.k, ctx.m, ctx.chart0, ctx.chartk, ctx.gen
+    levels = [(r, i) for r in range(k) for i in range(1, m + 1)]
     cross_note = ("documented conflict: transition covectors pair "
                   "nontrivially with guide fields at other levels once "
                   "k >= 2")
 
-    def frame(ctx: SuiteContext):
-        return adapted_frame(ctx.chartk, ctx.conn)
+    def frame():
+        return adapted_frame(chartk, ctx.conn)
 
-    def levels_idx(ctx: SuiteContext):
-        return [(r, i) for r in range(ctx.k)
-                for i in range(1, ctx.m + 1)]
-
-    def run_time_rows(ctx: SuiteContext):
-        fr = frame(ctx)
-        dt = OneForm.differential_of(ctx.chartk, TIME)
-        T = VectorField.basis(ctx.chartk, TIME)
-        rows = 1
-        if dt.pair(T) != Expr.one():
-            return rows, "dt(d/dt): left = " + format_expr(dt.pair(T)) + \
-                "; right = 1"
-        for (r, i) in levels_idx(ctx):
+    def time_rows():
+        fr = frame()
+        dt = OneForm.differential_of(chartk, TIME)
+        got = dt.pair(VectorField.basis(chartk, TIME))
+        yield None if got == Expr.one() else \
+            f"dt(d/dt): left = {format_expr(got)}; right = 1"
+        for (r, i) in levels:
             for family, name in ((fr.D, "D"), (fr.Dbar, "Dbar"),
                                  (fr.V, "V"), (fr.Vbar, "Vbar")):
-                rows += 1
                 got = dt.pair(family[(r, i)])
-                if not got.is_zero():
-                    return rows, f"dt({name}[{r},{i}]): left = " \
-                        f"{format_expr(got)}; right = 0"
-        return rows, None
+                yield None if got.is_zero() else (
+                    f"dt({name}[{r},{i}]): left = {format_expr(got)}; "
+                    f"right = 0")
 
-    def run_pairing(theta_of, fields_of, expect_diag: bool, label: str):
-        def run(ctx: SuiteContext):
-            fr = frame(ctx)
+    def pairing(theta_of, fields_of, expect_diag: bool, label: str):
+        def cases():
+            fr = frame()
             thetas, fields = theta_of(fr), fields_of(fr)
-            rows = 0
-            for (r, i) in levels_idx(ctx):
-                for j in range(1, ctx.m + 1):
-                    rows += 1
+            for (r, i) in levels:
+                for j in range(1, m + 1):
                     got = thetas[(r, i)].pair(fields[(r, j)])
                     want = Expr.one() if (expect_diag and i == j) \
                         else Expr.zero()
-                    if got != want:
-                        return rows, (f"{label} at level {r}, "
-                                      f"indices ({i},{j}): left = "
-                                      f"{format_expr(got)}; "
-                                      f"right = {format_expr(want)}")
-            return rows, None
-        return run
+                    yield None if got == want else (
+                        f"{label} at level {r}, indices ({i},{j}): left = "
+                        f"{format_expr(got)}; right = {format_expr(want)}")
+        return cases
 
-    def run_reconstruction(ctx: SuiteContext):
-        fr = frame(ctx)
+    def reconstruction():
+        fr = frame()
+
+        def theta_rows(Z: VectorField, lifted: VectorField):
+            for z, _ in _level0_pairs(m):
+                got, want = fr.theta[(0, z.index)].pair(lifted), Z.component(z)
+                yield None if got == want else (
+                    f"Z = {Z._inline()}; theta[0,{z.index}](Z^H): left = "
+                    f"{format_expr(got)}; right = {format_expr(want)}")
+
         def one():
-            Z = ctx.gen.vector(chart0)
+            Z = gen.vector(chart0)
             lifted = vf_horizontal(Z, ctx.conn)
-            rebuilt = VectorField(ctx.chartk, {TIME: Z.component(TIME)})
-            for i in range(1, ctx.m + 1):
-                zc = CoordId(Kind.HOLO, 0, i)
-                zbc = CoordId(Kind.ANTI, 0, i)
-                rebuilt = rebuilt + fr.D[(0, i)].scaled(Z.component(zc)) \
-                    + fr.Dbar[(0, i)].scaled(Z.component(zbc))
-            w = _check([("Z", Z._inline())], lifted, rebuilt)
-            if w is not None:
-                return w
-            for i in range(1, ctx.m + 1):
-                zc = CoordId(Kind.HOLO, 0, i)
-                got = fr.theta[(0, i)].pair(lifted)
-                if got != Z.component(zc):
-                    return (f"Z = {Z._inline()}; theta[0,{i}](Z^H): left = "
-                            f"{format_expr(got)}; "
-                            f"right = {format_expr(Z.component(zc))}")
-            return None
-        return _sample_loop(ctx, one)
+            rebuilt = VectorField(chartk, {TIME: Z.component(TIME)})
+            for z, zb in _level0_pairs(m):
+                rebuilt = rebuilt \
+                    + fr.D[(0, z.index)].scaled(Z.component(z)) \
+                    + fr.Dbar[(0, zb.index)].scaled(Z.component(zb))
+            return _check([("Z", Z._inline())], lifted, rebuilt) \
+                or _first(theta_rows(Z, lifted))
+        yield from _sampled(ctx, one)()
 
-    def run_cross_level(ctx: SuiteContext):
-        fr = frame(ctx)
-        rows = 0
-        for (r, i) in levels_idx(ctx):
-            for (s, j) in levels_idx(ctx):
-                rows += 1
+    def cross_level():
+        fr = frame()
+        for (r, i) in levels:
+            for (s, j) in levels:
                 got = fr.eta[(r, i)].pair(fr.D[(s, j)])
-                want = Expr.zero()
-                if got != want:
-                    return rows, (f"eta[{r},{i}](D[{s},{j}]): left = "
-                                  f"{format_expr(got)}; right = 0")
-        return rows, None
+                yield None if got.is_zero() else (
+                    f"eta[{r},{i}](D[{s},{j}]): left = {format_expr(got)}; "
+                    f"right = 0")
 
     return [
-        Clause("FR1", "frame-time-duality", run_time_rows),
+        Clause("FR1", "frame-time-duality", time_rows),
         Clause("FR2", "frame-theta-guide-diagonal",
-               run_pairing(lambda fr: fr.theta, lambda fr: fr.D, True,
-                           "theta(D)")),
+               pairing(lambda fr: fr.theta, lambda fr: fr.D, True,
+                       "theta(D)")),
         Clause("FR3", "frame-theta-upright-zero",
-               run_pairing(lambda fr: fr.theta, lambda fr: fr.V, False,
-                           "theta(V)")),
+               pairing(lambda fr: fr.theta, lambda fr: fr.V, False,
+                       "theta(V)")),
         Clause("FR4", "frame-eta-upright-diagonal",
-               run_pairing(lambda fr: fr.eta, lambda fr: fr.V, True,
-                           "eta(V)")),
+               pairing(lambda fr: fr.eta, lambda fr: fr.V, True, "eta(V)")),
         Clause("FR5", "frame-eta-guide-same-level",
-               run_pairing(lambda fr: fr.eta, lambda fr: fr.D, False,
-                           "eta(D)")),
-        Clause("FR6", "frame-horizontal-reconstruction", run_reconstruction),
-        Clause("FR7", "frame-full-biorthogonality", run_cross_level,
+               pairing(lambda fr: fr.eta, lambda fr: fr.D, False, "eta(D)")),
+        Clause("FR6", "frame-horizontal-reconstruction", reconstruction),
+        Clause("FR7", "frame-full-biorthogonality", cross_level,
                conflict_note=cross_note if k >= 2 else None),
     ]
 
@@ -1285,7 +1174,8 @@ def run_suite(suite: str, m: int, k: int, gen: FieldGen | None = None,
 
     Identical arguments produce byte-identical reports.  ``gen`` overrides
     the default generator built from ``seed``/``t_free``; ``samples``
-    overrides the per-suite default sample count."""
+    overrides the per-suite default sample count.  ``suite="all"`` runs
+    each suite through this function in turn, on one shared generator."""
     if suite not in SUITES and suite != "all":
         raise VerifyError(f"unknown suite {suite!r}; expected one of "
                           f"{', '.join(SUITES)} or all")
@@ -1312,8 +1202,7 @@ def run_suite(suite: str, m: int, k: int, gen: FieldGen | None = None,
     chartk = chart0.extend(k)
     conn = gen.connection(chartk) if suite in _CONNECTION_SUITES else None
     ctx = SuiteContext(m, k, n, gen, chart0, chartk, conn)
-    clauses = _SUITE_BUILDERS[suite](ctx)
-    outcomes = tuple(_evaluate(c, ctx) for c in clauses)
+    outcomes = tuple(_evaluate(c) for c in _SUITE_BUILDERS[suite](ctx))
     title = (f"suite={suite} m={m} k={k} seed={gen.seed} samples={n} "
              f"t_free={gen.t_free}")
     return CheckReport(title, outcomes)
@@ -1381,15 +1270,15 @@ def _compare_diff(label: str, defining, closed) -> CompareCase:
     return CompareCase(label, "MISMATCH", w.lstrip("; "))
 
 
-def compare_proposition(prop: str, m: int, k: int,
-                        gen: FieldGen | None = None, *, seed: int = 0,
+def compare_proposition(prop: str, m: int, k: int, *, seed: int = 0,
                         samples: int = 2,
                         fields: Sequence[VectorField | OneForm] | None = None,
                         ) -> CompareReport:
     """Build a lift twice — through the defining-equation solver and through
     the closed-form constructor — and report the first differing component
     per case.  ``fields`` overrides the random corpus with explicit base
-    fields (vector fields for P32x, one-forms for P33x)."""
+    fields: vector fields for P32x, one-forms for P33x, each on the base
+    chart ``ChartSpec(m, 0, True)``."""
     if prop not in COMPARISONS:
         raise VerifyError(f"unknown comparison {prop!r}; expected one of "
                           f"{', '.join(COMPARISONS)}")
@@ -1399,13 +1288,20 @@ def compare_proposition(prop: str, m: int, k: int,
         raise VerifyError("comparisons are limited to k <= 4 (solver cost)")
     if samples < 1:
         raise VerifyError("samples must be at least 1")
-    if gen is None:
-        gen = FieldGen(seed)
     chart0 = ChartSpec(m, 0, True)
 
     fam, kind = _PROPOSITIONS[prop]
-    corpus = list(fields) if fields is not None \
-        else [fam.draw(gen, chart0, kind) for _ in range(samples)]
+    if fields is None:
+        gen = FieldGen(seed)
+        corpus = [fam.draw(gen, chart0, kind) for _ in range(samples)]
+    else:
+        corpus = list(fields)
+        for idx, field in enumerate(corpus, start=1):
+            if not (isinstance(field, fam.cls) and field.chart == chart0):
+                raise VerifyError(
+                    f"{prop} compares {fam.cls.__name__} fields on "
+                    f"{chart0!r}; field {idx} is a {type(field).__name__} "
+                    f"on {getattr(field, 'chart', None)!r}")
     splits = _cv_splits(k) if kind == "cv" else [(None, None)]
     cases: list[CompareCase] = []
     for idx, field in enumerate(corpus, start=1):
@@ -1418,6 +1314,6 @@ def compare_proposition(prop: str, m: int, k: int,
                 fam.closed(field, kind, k, r=r, s=s)))
 
     subject = COMPARISON_SUBJECTS[prop]
-    title = (f"compare={prop} subject={subject} m={m} k={k} seed={gen.seed} "
+    title = (f"compare={prop} subject={subject} m={m} k={k} seed={seed} "
              f"samples={len(corpus)}")
     return CompareReport(title, tuple(cases))

@@ -340,3 +340,32 @@ def test_all_runs_each_suite_through_run_suite(monkeypatch):
     monkeypatch.setattr(verify, "run_suite", recorder)
     verify.run_suite("all", 1, 1, samples=1)
     assert seen == ["all", *SUITES]
+
+
+def test_compare_refuses_fields_of_another_class_or_chart():
+    from liftcalc.charts import ChartSpec
+    from liftcalc.fields import OneForm, VectorField
+    from liftcalc.symkernel import Expr, holo
+    z = holo(0, 1)
+    base = ChartSpec(1, 0, True)
+    w = OneForm(base, {z: Expr.atom(z)})
+    with pytest.raises(VerifyError) as err:
+        compare_proposition("P322", 1, 2, fields=[w])
+    assert str(err.value) == (
+        "P322 compares VectorField fields on ChartSpec(m=1, k=0, "
+        "has_time=True); field 1 is a OneForm on ChartSpec(m=1, k=0, "
+        "has_time=True)")
+    Z = VectorField(base, {z: Expr.atom(z)})
+    Z2 = VectorField(ChartSpec(2, 0, False), {z: Expr.atom(z)})
+    with pytest.raises(VerifyError) as err:
+        compare_proposition("P322", 1, 2, fields=[Z, Z2])
+    assert str(err.value) == (
+        "P322 compares VectorField fields on ChartSpec(m=1, k=0, "
+        "has_time=True); field 2 is a VectorField on ChartSpec(m=2, k=0, "
+        "has_time=False)")
+    with pytest.raises(VerifyError) as err:
+        compare_proposition("P331", 1, 1, fields=[Z])
+    assert str(err.value) == (
+        "P331 compares OneForm fields on ChartSpec(m=1, k=0, "
+        "has_time=True); field 1 is a VectorField on ChartSpec(m=1, k=0, "
+        "has_time=True)")
