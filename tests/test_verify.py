@@ -6,6 +6,8 @@ conflict inventory at small sizes, and they check that reports are
 deterministic functions of their arguments.
 """
 
+import pathlib
+
 import pytest
 
 from liftcalc.verify import (
@@ -256,7 +258,7 @@ def test_first_difference_witness(inputs, left, right, witness):
 
 # -- evaluation policy -------------------------------------------------------------
 
-GOLDEN = __import__("pathlib").Path(__file__).parent / "golden"
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def _break_lifts(monkeypatch):
