@@ -7,14 +7,17 @@ rank-2 objects against coordinate pairs.  Components are kernel expressions;
 zero components are never stored, so structural equality of two fields is
 equality of their component maps.
 
-The four frame fields share one component-map core.  ``_Rank1``
-(:class:`VectorField`, :class:`OneForm`; map ``components`` keyed by a
-coordinate) and ``_Rank2`` (:class:`EndoField`, :class:`Bilinear`; map
-``entries`` keyed by a coordinate pair) hold the validation and the
-componentwise algebra; each concrete class adds only its own actions.  Each
-class names its basis element once, in ``_LABEL`` (``d/d{}``, ``d{}``,
-``d/d{} <- d/d{}``, ``d{} (x) d{}``), and every text form of a field is
-derived from it in coordinate order:
+All five tensor types share one component-map core, ``_ComponentMap``,
+which holds the componentwise algebra.  ``_Rank1`` (:class:`VectorField`,
+:class:`OneForm`; ``components`` keyed by a coordinate) and ``_Rank2``
+(:class:`EndoField`, :class:`Bilinear`; ``entries`` keyed by a coordinate
+pair) add validation and text forms; :class:`AltForm` adds its degree.
+The rank-2 products are written once, in ``_contract`` (rank-2 against
+rank-1 over one index) and ``_matmul`` (rank-2 by rank-2); only the hot
+evaluations to a scalar keep their own loops.  Each frame field names its
+basis element once, in ``_LABEL`` (``d/d{}``, ``d{}``, ``d/d{} <- d/d{}``,
+``d{} (x) d{}``), and every text form of a field is derived from it in
+coordinate order:
 
 * lines ``<label>: <value>``, or ``0`` (the ``format_*`` functions);
 * the inline form ``(<value>)*<label> + ...``, or ``0`` (witness inputs and
@@ -101,27 +104,28 @@ class ScalarField(_Frozen):
 class _ComponentMap(_Frozen):
     """A chart and a map from coordinate keys to nonzero expressions.
 
-    A rank base supplies the map (``_map``), the coordinate order of its
-    keys (``_order``), the basis label of a key (``_slot``) and the word a
-    difference names a key by (``_KEY_WORD``); a concrete class sets
-    ``_LABEL`` and the ``_WHAT`` its errors name.
+    A subclass supplies the map (``_map``); ``_like`` rebuilds a field of
+    the same class (and degree) from another map.
     """
 
     __slots__ = ()
 
+    def _like(self, values):
+        return type(self)(self.chart, values)
+
     def scaled(self, factor: ExprLike):
         f = Expr.from_value(factor)
-        return type(self)(self.chart, {k: f * v for k, v in self._map().items()})
+        return self._like({k: f * v for k, v in self._map().items()})
 
     def __add__(self, other):
         _same_chart(self, other)
         merged = dict(self._map())
         for key, value in other._map().items():
             merged[key] = merged.get(key, Expr.zero()) + value
-        return type(self)(self.chart, merged)
+        return self._like(merged)
 
     def __neg__(self):
-        return type(self)(self.chart, {k: -v for k, v in self._map().items()})
+        return self._like({k: -v for k, v in self._map().items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -130,6 +134,21 @@ class _ComponentMap(_Frozen):
         if not isinstance(other, type(self)):
             return NotImplemented
         return self.chart == other.chart and self._map() == other._map()
+
+    def is_zero(self) -> bool:
+        return not self._map()
+
+
+class _Labelled(_ComponentMap):
+    """A component map against the coordinate frame, with its text forms.
+
+    A rank base supplies the coordinate order of its keys (``_order``), the
+    basis label of a key (``_slot``) and the word a difference names a key
+    by (``_KEY_WORD``); a concrete class sets ``_LABEL`` and the ``_WHAT``
+    its errors name.
+    """
+
+    __slots__ = ()
 
     # -- text forms, all derived from the basis label -------------------------
 
@@ -169,7 +188,7 @@ class _ComponentMap(_Frozen):
         return None
 
 
-class _Rank1(_ComponentMap):
+class _Rank1(_Labelled):
     """Components against one coordinate frame, keyed by coordinate."""
 
     __slots__ = ("chart", "components")
@@ -211,9 +230,6 @@ class _Rank1(_ComponentMap):
 
     def __rmul__(self, factor):
         return self.scaled(factor)
-
-    def is_zero(self) -> bool:
-        return not self.components
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self._inline()})"
@@ -261,7 +277,7 @@ class OneForm(_Rank1):
         return out
 
 
-class _Rank2(_ComponentMap):
+class _Rank2(_Labelled):
     """Entries on ordered coordinate pairs."""
 
     __slots__ = ("chart", "entries")
@@ -272,6 +288,8 @@ class _Rank2(_ComponentMap):
         what = self._WHAT
         clean: dict[tuple[CoordId, CoordId], Expr] = {}
         for key, raw in entries.items():
+            if not isinstance(key, tuple) or len(key) != 2:
+                raise FieldError(f"{what} entry key {key} is not a pair of coordinates")
             a, b = key
             for c in (a, b):
                 if not isinstance(c, CoordId) or not chart.contains(c):
@@ -300,6 +318,33 @@ class _Rank2(_ComponentMap):
         return f"{type(self).__name__}({len(self.entries)} entries)"
 
 
+def _contract(entries: Mapping[tuple, Expr], vector: Mapping[CoordId, Expr],
+              at: int) -> dict[CoordId, Expr]:
+    """A rank-2 map summed against a rank-1 map over key index ``at``:
+    ``out[key[1 - at]] += entries[key] * vector[key[at]]``."""
+    out: dict[CoordId, Expr] = {}
+    for key, value in entries.items():
+        v = vector.get(key[at])
+        if v is not None:
+            free = key[1 - at]
+            out[free] = out.get(free, Expr.zero()) + value * v
+    return out
+
+
+def _matmul(left: Mapping[tuple, Expr], right: Mapping[tuple, Expr]
+            ) -> dict[tuple, Expr]:
+    """The product of two rank-2 maps: ``out[(a, c)]`` is the sum over b of
+    ``left[(a, b)] * right[(b, c)]``."""
+    rows: dict[CoordId, list[tuple[CoordId, Expr]]] = {}
+    for (b, c), value in right.items():
+        rows.setdefault(b, []).append((c, value))
+    out: dict[tuple, Expr] = {}
+    for (a, b), value in left.items():
+        for c, r in rows.get(b, ()):
+            out[(a, c)] = out.get((a, c), Expr.zero()) + value * r
+    return out
+
+
 class EndoField(_Rank2):
     """A (1,1)-tensor field: entries[(out, in)] against the coordinate frame.
 
@@ -317,34 +362,16 @@ class EndoField(_Rank2):
 
     def apply_vector(self, Z: VectorField) -> VectorField:
         _same_chart(self, Z)
-        comps: dict[CoordId, Expr] = {}
-        for (out_c, in_c), value in self.entries.items():
-            zc = Z.components.get(in_c)
-            if zc is not None:
-                comps[out_c] = comps.get(out_c, Expr.zero()) + value * zc
-        return VectorField(self.chart, comps)
+        return VectorField(self.chart, _contract(self.entries, Z.components, 1))
 
     def apply_form(self, w: OneForm) -> OneForm:
         _same_chart(self, w)
-        comps: dict[CoordId, Expr] = {}
-        for (out_c, in_c), value in self.entries.items():
-            wc = w.components.get(out_c)
-            if wc is not None:
-                comps[in_c] = comps.get(in_c, Expr.zero()) + value * wc
-        return OneForm(self.chart, comps)
+        return OneForm(self.chart, _contract(self.entries, w.components, 0))
 
     def compose(self, other: "EndoField") -> "EndoField":
         """Matrix product: (self . other) Z = self(other(Z))."""
         _same_chart(self, other)
-        entries: dict[tuple[CoordId, CoordId], Expr] = {}
-        by_in: dict[CoordId, list[tuple[CoordId, Expr]]] = {}
-        for (out_c, mid_c), value in self.entries.items():
-            by_in.setdefault(mid_c, []).append((out_c, value))
-        for (mid_c, in_c), value in other.entries.items():
-            for out_c, left in by_in.get(mid_c, ()):
-                key = (out_c, in_c)
-                entries[key] = entries.get(key, Expr.zero()) + left * value
-        return EndoField(self.chart, entries)
+        return EndoField(self.chart, _matmul(self.entries, other.entries))
 
     def square(self) -> "EndoField":
         return self.compose(self)
@@ -370,18 +397,11 @@ class Bilinear(_Rank2):
         return out
 
     def pullback_endo(self, J: EndoField) -> "Bilinear":
-        """The bilinear (X, Y) -> self(J X, J Y), componentwise."""
+        """The bilinear (X, Y) -> self(J X, J Y): the matrix J^T . self . J."""
         _same_chart(self, J)
-        by_out: dict[CoordId, list[tuple[CoordId, Expr]]] = {}
-        for (out_c, in_c), value in J.entries.items():
-            by_out.setdefault(out_c, []).append((in_c, value))
-        entries: dict[tuple[CoordId, CoordId], Expr] = {}
-        for (c, d), g in self.entries.items():
-            for a, jca in by_out.get(c, ()):
-                for b, jdb in by_out.get(d, ()):
-                    key = (a, b)
-                    entries[key] = entries.get(key, Expr.zero()) + jca * g * jdb
-        return Bilinear(self.chart, entries)
+        transpose = {(b, a): v for (a, b), v in J.entries.items()}
+        return Bilinear(self.chart,
+                        _matmul(transpose, _matmul(self.entries, J.entries)))
 
     def is_symmetric(self) -> bool:
         return all(self.entry(b, a) == v for (a, b), v in self.entries.items())
@@ -390,12 +410,13 @@ class Bilinear(_Rank2):
         return all(self.entry(b, a) == -v for (a, b), v in self.entries.items())
 
 
-class AltForm(_Frozen):
+class AltForm(_ComponentMap):
     """An alternating form of degree 0..3.
 
     Components are stored on strictly increasing coordinate tuples (canonical
     coordinate order); a degree-p component at (c1 < ... < cp) is the value on
-    (d/dc1, ..., d/dcp).
+    (d/dc1, ..., d/dcp).  The degree is part of the form: forms of different
+    degree never add, and two zero forms of different degree are unequal.
     """
 
     __slots__ = ("chart", "degree", "components")
@@ -424,6 +445,12 @@ class AltForm(_Frozen):
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "components", clean)
 
+    def _map(self) -> dict[tuple, Expr]:
+        return self.components
+
+    def _like(self, values) -> "AltForm":
+        return AltForm(self.chart, self.degree, values)
+
     @staticmethod
     def from_oneform(w: OneForm) -> "AltForm":
         return AltForm(w.chart, 1, {(c,): v for c, v in w.components.items()})
@@ -434,14 +461,8 @@ class AltForm(_Frozen):
         same values: component at (a < b) is B(d/da, d/db)."""
         if not B.is_antisymmetric():
             raise FieldError("from_bilinear requires an antisymmetric bilinear")
-        comps: dict[tuple, Expr] = {}
-        for (a, b), value in B.entries.items():
-            if a.sort_key() < b.sort_key():
-                comps[(a, b)] = comps.get((a, b), Expr.zero()) + value
-        return AltForm(B.chart, 2, comps)
-
-    def is_zero(self) -> bool:
-        return not self.components
+        return AltForm(B.chart, 2, {(a, b): v for (a, b), v in B.entries.items()
+                                    if a.sort_key() < b.sort_key()})
 
     def wedge(self, other: "AltForm") -> "AltForm":
         _same_chart(self, other)
@@ -451,11 +472,7 @@ class AltForm(_Frozen):
         comps: dict[tuple, Expr] = {}
         for s1, v1 in self.components.items():
             for s2, v2 in other.components.items():
-                sign, merged = _merge_ordered(s1, s2)
-                if sign == 0:
-                    continue
-                value = v1 * v2 if sign > 0 else -(v1 * v2)
-                comps[merged] = comps.get(merged, Expr.zero()) + value
+                _add_wedge(comps, s1, s2, v1 * v2)
         return AltForm(self.chart, degree, comps)
 
     def exterior_derivative(self) -> "AltForm":
@@ -466,13 +483,8 @@ class AltForm(_Frozen):
         for key, value in self.components.items():
             for c in coords:
                 dv = value.diff(c)
-                if dv.is_zero():
-                    continue
-                sign, merged = _merge_ordered((c,), key)
-                if sign == 0:
-                    continue
-                add = dv if sign > 0 else -dv
-                comps[merged] = comps.get(merged, Expr.zero()) + add
+                if not dv.is_zero():
+                    _add_wedge(comps, (c,), key, dv)
         return AltForm(self.chart, self.degree + 1, comps)
 
     def evaluate(self, *vectors: VectorField) -> Expr:
@@ -480,63 +492,37 @@ class AltForm(_Frozen):
             raise FieldError(f"degree-{self.degree} form takes {self.degree} vectors")
         if self.degree > 2:
             raise FieldError("evaluation beyond degree 2 is not supported")
-        for Z in vectors:
-            _same_chart(self, Z)
-        out = Expr.zero()
+        # pair and Bilinear.evaluate check the vectors' charts
         if self.degree == 0:
             return self.components.get((), Expr.zero())
         if self.degree == 1:
-            (X,) = vectors
-            for (a,), value in self.components.items():
-                xa = X.components.get(a)
-                if xa is not None:
-                    out = out + value * xa
-            return out
-        X, Y = vectors
-        for (a, b), value in self.components.items():
-            xa, xb = X.components.get(a), X.components.get(b)
-            ya, yb = Y.components.get(a), Y.components.get(b)
-            if xa is not None and yb is not None:
-                out = out + value * xa * yb
-            if xb is not None and ya is not None:
-                out = out - value * xb * ya
-        return out
-
-    def scaled(self, factor: ExprLike) -> "AltForm":
-        f = Expr.from_value(factor)
-        return AltForm(self.chart, self.degree,
-                       {k: f * v for k, v in self.components.items()})
+            w = OneForm(self.chart, {a: v for (a,), v in self.components.items()})
+            return w.pair(*vectors)
+        # the increasing-key half B of the form: w(X, Y) = B(X, Y) - B(Y, X)
+        upper = Bilinear(self.chart, self.components)
+        return upper.evaluate(*vectors) - upper.evaluate(*reversed(vectors))
 
     def __add__(self, other: "AltForm") -> "AltForm":
         _same_chart(self, other)
         if self.degree != other.degree:
             raise FieldError("cannot add alternating forms of different degree")
-        merged = dict(self.components)
-        for key, value in other.components.items():
-            merged[key] = merged.get(key, Expr.zero()) + value
-        return AltForm(self.chart, self.degree, merged)
-
-    def __neg__(self) -> "AltForm":
-        return self.scaled(-1)
-
-    def __sub__(self, other: "AltForm") -> "AltForm":
-        return self + (-other)
+        return super().__add__(other)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AltForm):
             return NotImplemented
-        return (self.chart == other.chart and self.degree == other.degree
-                and self.components == other.components)
+        return self.degree == other.degree and super().__eq__(other)
 
     def __repr__(self) -> str:
         return f"AltForm(degree={self.degree}, {len(self.components)} components)"
 
 
-def _merge_ordered(s1: Sequence[CoordId], s2: Sequence[CoordId]):
-    """Merge two strictly increasing coordinate tuples.
-
-    Returns (sign, merged): the permutation sign taking the concatenation
-    s1 + s2 to the sorted merge, or (0, None) when a coordinate repeats.
+def _add_wedge(comps: dict[tuple, Expr], s1: Sequence[CoordId],
+               s2: Sequence[CoordId], value: Expr) -> None:
+    """Add ``value`` times the wedge of the basis forms on two strictly
+    increasing coordinate tuples into ``comps``: at their sorted merge, with
+    the sign of the permutation taking s1 + s2 there.  Nothing is added
+    when a coordinate repeats.
     """
     sign = 1
     merged: list[CoordId] = []
@@ -545,7 +531,7 @@ def _merge_ordered(s1: Sequence[CoordId], s2: Sequence[CoordId]):
     while i < n1 and j < n2:
         k1, k2 = s1[i].sort_key(), s2[j].sort_key()
         if k1 == k2:
-            return 0, None
+            return
         if k1 < k2:
             merged.append(s1[i])
             i += 1
@@ -557,7 +543,8 @@ def _merge_ordered(s1: Sequence[CoordId], s2: Sequence[CoordId]):
             j += 1
     merged.extend(s1[i:])
     merged.extend(s2[j:])
-    return sign, tuple(merged)
+    key = tuple(merged)
+    comps[key] = comps.get(key, Expr.zero()) + (value if sign > 0 else -value)
 
 
 class ConnectionCoeffs(_Frozen):
@@ -590,6 +577,8 @@ class ConnectionCoeffs(_Frozen):
                what: str) -> dict[tuple[int, int, int], Expr]:
         clean: dict[tuple[int, int, int], Expr] = {}
         for key, raw in table.items():
+            if not isinstance(key, tuple) or len(key) != 3:
+                raise FieldError(f"{what} key {key} is not a (level, i, j) triple")
             r, i, j = key
             if not 0 <= r <= chart.k - 1:
                 raise FieldError(

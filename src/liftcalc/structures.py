@@ -12,8 +12,10 @@ of the lifted data can be checked mechanically:
   antisymmetric before conversion.
 * ``kaehler_closed(phi)``: exterior derivative vanishes.
 
-Nothing here assumes the checks succeed; every predicate is computed from
-the exact entries.
+Every product here is one call into the rank-2 algebra of ``fields``
+(``_contract``, ``_matmul`` or ``Bilinear.pullback_endo``).  Nothing here
+assumes the checks succeed; every predicate is computed from the exact
+entries.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .charts import ChartSpec
-from .fields import AltForm, Bilinear, EndoField, OneForm
+from .fields import AltForm, Bilinear, EndoField, OneForm, _contract, _matmul
 from .lifts import t11_lift_solve
 from .symkernel import CoordId, Expr, Kind
 
@@ -30,7 +32,12 @@ class StructureError(Exception):
     """A structure constructor was used outside its domain."""
 
 
-def _diagonal(chart: ChartSpec) -> EndoField:
+def _diagonal(chart: ChartSpec, name: str) -> EndoField:
+    """i on every holomorphic direction, -i on every antiholomorphic one;
+    ``name`` is the structure a time chart's refusal names."""
+    if chart.has_time:
+        raise StructureError(
+            f"the {name} complex structure lives on time-free charts")
     i = Expr.imag_unit()
     return EndoField(chart, {(coord, coord): i if coord.kind == Kind.HOLO else -i
                              for coord in chart.coordinates()})
@@ -40,20 +47,14 @@ def build_Jk(chart: ChartSpec) -> EndoField:
     """The diagonal complex structure of an extension chart: i on every
     holomorphic direction, -i on every antiholomorphic one.  Time-free
     charts only — a time direction has no consistent eigenvalue."""
-    if chart.has_time:
-        raise StructureError(
-            "the diagonal complex structure lives on time-free charts")
-    return _diagonal(chart)
+    return _diagonal(chart, "diagonal")
 
 
 def build_Jk_star(chart: ChartSpec) -> EndoField:
     """The cobasis twin of :func:`build_Jk`: the same diagonal matrix, read
     as acting on one-form components (i on each dz slot, -i on each dzb
     slot).  Apply it to a one-form with :func:`star_apply`."""
-    if chart.has_time:
-        raise StructureError(
-            "the cobasis complex structure lives on time-free charts")
-    return _diagonal(chart)
+    return _diagonal(chart, "cobasis")
 
 
 def star_apply(S: EndoField, w: OneForm) -> OneForm:
@@ -61,13 +62,7 @@ def star_apply(S: EndoField, w: OneForm) -> OneForm:
     sum_b S[a, b] * w_b (matrix times component vector)."""
     if S.chart != w.chart:
         raise StructureError("operator and form live on different charts")
-    comps: dict[CoordId, Expr] = {}
-    for (a, b), value in S.entries.items():
-        wb = w.components.get(b)
-        if wb is None:
-            continue
-        comps[a] = comps.get(a, Expr.zero()) + value * wb
-    return OneForm(S.chart, comps)
+    return OneForm(S.chart, _contract(S.entries, w.components, 1))
 
 
 def lift_J0(m: int, kind: str, k: int) -> EndoField:
@@ -86,14 +81,7 @@ def fundamental_bilinear(G: Bilinear, J: EndoField) -> Bilinear:
     """The bilinear (X, Y) -> G(X, J Y), with no symmetry requirement."""
     if G.chart != J.chart:
         raise StructureError("metric and operator live on different charts")
-    entries: dict[tuple[CoordId, CoordId], Expr] = {}
-    for (a, c), g in G.entries.items():
-        for (cc, b), j in J.entries.items():
-            if cc != c:
-                continue
-            key = (a, b)
-            entries[key] = entries.get(key, Expr.zero()) + g * j
-    return Bilinear(G.chart, entries)
+    return Bilinear(G.chart, _matmul(G.entries, J.entries))
 
 
 def kaehler_form(G: Bilinear, J: EndoField) -> AltForm:
@@ -135,7 +123,7 @@ class HermitianPackage:
             entries[(z, zb)] = one
             entries[(zb, z)] = one
         metric = Bilinear(chart, entries)
-        J = _diagonal(chart)
+        J = _diagonal(chart, "diagonal")
         return HermitianPackage(chart, metric, J, fundamental_bilinear(metric, J))
 
     def fundamental_form(self) -> AltForm:

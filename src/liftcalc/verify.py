@@ -1278,7 +1278,7 @@ def compare_proposition(prop: str, m: int, k: int, *, seed: int = 0,
     the closed-form constructor — and report the first differing component
     per case.  ``fields`` overrides the random corpus with explicit base
     fields: vector fields for P32x, one-forms for P33x, each on the base
-    chart ``ChartSpec(m, 0, True)``."""
+    chart ``ChartSpec(m, 0, True)``; the title then names no seed."""
     if prop not in COMPARISONS:
         raise VerifyError(f"unknown comparison {prop!r}; expected one of "
                           f"{', '.join(COMPARISONS)}")
@@ -1314,6 +1314,7 @@ def compare_proposition(prop: str, m: int, k: int, *, seed: int = 0,
                 fam.closed(field, kind, k, r=r, s=s)))
 
     subject = COMPARISON_SUBJECTS[prop]
-    title = (f"compare={prop} subject={subject} m={m} k={k} seed={seed} "
+    drawn = f"seed={seed} " if fields is None else ""
+    title = (f"compare={prop} subject={subject} m={m} k={k} {drawn}"
              f"samples={len(corpus)}")
     return CompareReport(title, tuple(cases))

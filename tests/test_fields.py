@@ -324,3 +324,22 @@ def test_fields_are_immutable(obj):
         obj.chart = C2
     assert str(err.value) == f"{type(obj).__name__} is immutable"
     assert obj.chart == C0
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: EndoField(C0, {(Z,): 1}),
+     "endo entry key (CoordId(z0_1),) is not a pair of coordinates"),
+    (lambda: Bilinear(C0, {(Z, ZB, Z): 1}),
+     "bilinear entry key (CoordId(z0_1), CoordId(zb0_1), CoordId(z0_1)) "
+     "is not a pair of coordinates"),
+    (lambda: Bilinear(C0, {Z: 1}),
+     "bilinear entry key CoordId(z0_1) is not a pair of coordinates"),
+    (lambda: ConnectionCoeffs(ChartSpec(1, 1, True), {(0, 1): 1}),
+     "gamma key (0, 1) is not a (level, i, j) triple"),
+    (lambda: ConnectionCoeffs(ChartSpec(1, 1, True), {}, {0: 1}),
+     "gammabar key 0 is not a (level, i, j) triple"),
+], ids=["endo-short", "bilinear-long", "bilinear-bare", "gamma", "gammabar"])
+def test_malformed_keys_are_field_errors(make, message):
+    with pytest.raises(FieldError) as err:
+        make()
+    assert str(err.value) == message

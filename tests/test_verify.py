@@ -217,6 +217,17 @@ def test_compare_is_deterministic():
     assert a == b
 
 
+def test_compare_title_names_the_seed_only_when_it_draws():
+    from liftcalc.charts import ChartSpec
+    from liftcalc.fields import VectorField
+    from liftcalc.symkernel import Expr, holo
+    Z = VectorField(ChartSpec(1, 0, True), {holo(0, 1): Expr.atom(holo(0, 1))})
+    assert compare_proposition("P322", 1, 2, seed=9, fields=[Z]).title == \
+        "compare=P322 subject=vector-complete m=1 k=2 samples=1"
+    assert compare_proposition("P322", 1, 2, seed=9, samples=1).title == \
+        "compare=P322 subject=vector-complete m=1 k=2 seed=9 samples=1"
+
+
 # -- first-difference witnesses ---------------------------------------------------
 
 def _witness_cases():
