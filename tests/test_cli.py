@@ -19,9 +19,12 @@ from liftcalc.lifts import (
     of_complete_closed,
     of_cv_closed,
     of_horizontal,
+    of_lift_solve,
     of_vertical_closed,
     t02_lift_solve,
+    t11_lift_solve,
     vf_cv_closed,
+    vf_lift_solve,
     vf_vertical_closed,
 )
 from liftcalc.symkernel import format_expr, parse
@@ -79,8 +82,9 @@ field h:
 """
 
 
-# One field of each rank-0/1 type on a product chart, t-dependent where the
-# route allows it, and a connection with both transition levels of k = 2.
+# One field of each rank-0/1 type and one endo field on a product chart,
+# t-dependent where the route allows it, and a connection with both
+# transition levels of k = 2.
 ROUTES = """\
 m: 1
 k: 2
@@ -99,6 +103,11 @@ field w:
   type: oneform
   z0_1: z0_1^2
   zb0_1: t*z0_1
+
+field J:
+  type: endo
+  z0_1, z0_1: i
+  zb0_1, zb0_1: -i
 
 connection:
   gamma 0 1 1: z0_1
@@ -267,20 +276,27 @@ def _printed(name, symbol, res):
     ("f", ("--kind", "cv", "--r", "1", "--s", "1"), "c^1 v^1",
      lambda f, conn: fn_complete_vertical(f, 1, 1)),
     ("f", ("--kind", "h"), "H^2", lambda f, conn: fn_horizontal(f, 2)),
+    ("Z", ("--kind", "v"), "v^2", lambda Z, conn: vf_lift_solve(Z, "v", 2)),
+    ("Z", ("--kind", "cv", "--r", "1", "--s", "1"), "c^1 v^1",
+     lambda Z, conn: vf_lift_solve(Z, "cv", 2, r=1, s=1)),
     ("Z", ("--kind", "v", "--closed-form"), "v^2",
      lambda Z, conn: vf_vertical_closed(Z, 2)),
     ("Z", ("--kind", "cv", "--r", "1", "--s", "1", "--closed-form"),
      "c^1 v^1", lambda Z, conn: vf_cv_closed(Z, 1, 1)),
     ("w", ("--kind", "h"), "H^2", lambda w, conn: of_horizontal(w, conn)),
+    ("w", ("--kind", "v"), "v^2", lambda w, conn: of_lift_solve(w, "v", 2)),
+    ("w", ("--kind", "c"), "c^2", lambda w, conn: of_lift_solve(w, "c", 2)),
     ("w", ("--kind", "v", "--closed-form"), "v^2",
      lambda w, conn: of_vertical_closed(w, 2)),
     ("w", ("--kind", "c", "--closed-form"), "c^2",
      lambda w, conn: of_complete_closed(w, 2)),
     ("w", ("--kind", "cv", "--r", "1", "--s", "1", "--closed-form"),
      "c^1 v^1", lambda w, conn: of_cv_closed(w, 1, 1)),
-], ids=["scalar-v", "scalar-cv", "scalar-h", "vector-closed-v",
-        "vector-closed-cv", "oneform-h", "oneform-closed-v",
-        "oneform-closed-c", "oneform-closed-cv"])
+    ("J", ("--kind", "v"), "v^2", lambda J, conn: t11_lift_solve(J, "v", 2)),
+], ids=["scalar-v", "scalar-cv", "scalar-h", "vector-v", "vector-cv",
+        "vector-closed-v", "vector-closed-cv", "oneform-h", "oneform-v",
+        "oneform-c", "oneform-closed-v", "oneform-closed-c",
+        "oneform-closed-cv", "endo-v"])
 def test_lift_prints_the_library_route(routes, capsys, name, argv_tail,
                                        symbol, route):
     manifest = load_manifest(routes)
