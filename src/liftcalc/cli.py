@@ -29,6 +29,7 @@ README for the full grammar.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from typing import Sequence
 
@@ -44,18 +45,13 @@ from .fields import (
 )
 from .lifts import (
     LiftError,
+    _lift,
+    _lift_closed,
     adapted_frame,
     basis_lift_rows,
-    fn_complete,
-    fn_complete_vertical,
-    fn_horizontal,
-    fn_vertical,
-    t02_lift_solve,
-    t11_lift_solve,
 )
 from .structures import StructureError
 from .symkernel import (
-    TIME,
     CoordId,
     Expr,
     LinearSolveError,
@@ -65,8 +61,6 @@ from .symkernel import (
     parse,
 )
 from .verify import (
-    _ONEFORMS,
-    _VECTORS,
     COMPARISONS,
     SUITES,
     VerifyError,
@@ -164,11 +158,12 @@ def _coord_lookup(chart: ChartSpec) -> dict[str, CoordId]:
 
 
 def _parse_int(value: str, lineno: int, what: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
+    """An optionally signed run of ASCII digits (``int()`` would also take
+    other scripts' digits and underscores)."""
+    if re.fullmatch(r"[+-]?[0-9]+", value) is None:
         raise ManifestError(
-            f"line {lineno}: {what} must be an integer, got {value!r}") from None
+            f"line {lineno}: {what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _parse_bool(value: str, lineno: int, what: str) -> bool:
@@ -263,9 +258,9 @@ def _build_connection(entries: list[tuple[str, str, int]]
 
 def load_manifest(path: str) -> Manifest:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ManifestError(f"cannot read manifest {path!r}: {exc}") from exc
     simple, blocks = _parse_blocks(text)
 
@@ -367,34 +362,20 @@ def cmd_lift(args) -> int:
                           "(the horizontal lift is already a direct "
                           "construction)")
 
+    if isinstance(obj, (EndoField, Bilinear)) and kind not in ("v", "c"):
+        noun = "endo" if isinstance(obj, EndoField) else "bilinear"
+        raise _UsageError(f"{noun} fields lift with --kind v or c only")
+    # Only a horizontal rank-1 lift reads the connection, so a connection
+    # block that does not fit order k fails no other lift.
+    conn = None
+    if kind == "h" and isinstance(obj, (VectorField, OneForm)):
+        conn = manifest.connection(manifest.base_chart().extend(k))
+    res = _lift_closed(obj, kind, k, r=r, s=s) if args.closed_form \
+        else _lift(obj, kind, k, r=r, s=s, conn=conn)
     if isinstance(obj, ScalarField):
-        if kind == "v":
-            res = fn_vertical(obj, k)
-        elif kind == "c":
-            res = fn_complete(obj, k)
-        elif kind == "cv":
-            res = fn_complete_vertical(obj, r, s)
-        else:
-            res = fn_horizontal(obj, k)
         print(f"{args.field}^{{{_lift_symbol(kind, k, r, s)}}} = "
               f"{format_expr(res.value)}")
         return 0
-
-    if isinstance(obj, (VectorField, OneForm)):
-        family = _VECTORS if isinstance(obj, VectorField) else _ONEFORMS
-        if kind == "h":
-            res = family.horizontal(
-                obj, manifest.connection(manifest.base_chart().extend(k)))
-        elif args.closed_form:
-            res = family.closed(obj, kind, k, r=r, s=s)
-        else:
-            res = family.solve(obj, kind, k, r=r, s=s)
-    else:
-        endo = isinstance(obj, EndoField)
-        if kind not in ("v", "c"):
-            raise _UsageError(f"{'endo' if endo else 'bilinear'} fields "
-                              f"lift with --kind v or c only")
-        res = (t11_lift_solve if endo else t02_lift_solve)(obj, kind, k)
     lines = res._lines()   # before the header: formatting can refuse
 
     print(f"{args.field}^{{{_lift_symbol(kind, k, r, s)}}}:")

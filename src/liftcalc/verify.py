@@ -25,7 +25,10 @@ them); :func:`compare_proposition` builds the same lift twice — once
 through the defining-equation solver, once through the closed-form
 constructor — and reports the first differing component.  Vector fields
 and one-forms share one rank-1 family record (``_Rank1Family``), so every
-clause and comparison the two have in common is written once.
+clause and comparison the two have in common is written once.  Lifts a
+clause does not name directly go through :func:`liftcalc.lifts._lift` and
+:func:`liftcalc.lifts._lift_closed`; one record per suite (``_SUITES``) and
+per comparison (``_PROPOSITIONS``) holds what the runner needs to know.
 """
 
 from __future__ import annotations
@@ -49,24 +52,20 @@ from .fields import (
 )
 from .lifts import (
     LiftError,
+    _lift,
+    _lift_closed,
     adapted_frame,
     fn_complete,
     fn_complete_vertical,
     fn_horizontal,
     fn_vertical,
-    of_complete_closed,
-    of_cv_closed,
     of_horizontal,
     of_lift_solve,
-    of_vertical_closed,
     t02_lift_solve,
     t11_defining_residuals,
     t11_lift_solve,
-    vf_complete_closed,
-    vf_cv_closed,
     vf_horizontal,
     vf_lift_solve,
-    vf_vertical_closed,
 )
 from .structures import (
     HermitianPackage,
@@ -85,31 +84,6 @@ from .symkernel import TIME, CoordId, Expr, ExprLike, GRat, Kind, binomial, form
 class VerifyError(Exception):
     """Bad arguments to the suite runner or comparator."""
 
-
-SUITES = ("functions", "vectors", "oneforms", "tensors", "structures",
-          "brackets", "frames")
-
-DEFAULT_SAMPLES = {
-    "functions": 25,
-    "vectors": 5,
-    "oneforms": 5,
-    "tensors": 3,
-    "structures": 3,
-    "brackets": 5,
-    "frames": 5,
-}
-
-COMPARISONS = ("P321", "P322", "P323", "P331", "P332", "P333")
-
-#: Behavioral name shown in comparison report headers.
-COMPARISON_SUBJECTS = {
-    "P321": "vector-vertical",
-    "P322": "vector-complete",
-    "P323": "vector-complete-vertical",
-    "P331": "oneform-vertical",
-    "P332": "oneform-complete",
-    "P333": "oneform-complete-vertical",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -410,15 +384,7 @@ def _check(inputs: Sequence[tuple[str, str]], left, right) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# small lift helpers shared by several suites
-
-
-def _sf_lift(f: ScalarField, kind: str, k: int) -> ScalarField:
-    if kind == "v":
-        return fn_vertical(f, k)
-    if kind == "c":
-        return fn_complete(f, k)
-    raise VerifyError(f"unknown scalar lift kind {kind!r}")
+# small helpers shared by several suites
 
 
 _T_NOTE = ("documented conflict: the identity holds only for inputs free "
@@ -473,8 +439,7 @@ def _functions_clauses(ctx: SuiteContext) -> list[Clause]:
             lifted = fn_complete(f, k)
             return _first(
                 _check([("f", _sf_str(f)), ("coordinate", c0.name)],
-                       _sf_lift(ScalarField(chart0, f.value.diff(c0)),
-                                kind, k),
+                       _lift(ScalarField(chart0, f.value.diff(c0)), kind, k),
                        ScalarField(chartk, lifted.value.diff(CoordId(
                            c0.kind, k if kind == "v" else 0, c0.index))))
                 for pair in _level0_pairs(ctx.m) for c0 in pair)
@@ -482,7 +447,7 @@ def _functions_clauses(ctx: SuiteContext) -> list[Clause]:
 
     def dt_exchange(kind: str):
         def check(f: ScalarField):
-            left = _sf_lift(ScalarField(chart0, f.value.diff(TIME)), kind, k)
+            left = _lift(ScalarField(chart0, f.value.diff(TIME)), kind, k)
             right = ScalarField(chartk, fn_complete(f, k).value.diff(TIME))
             return _check([("f", _sf_str(f))], left, right)
         return _sampled(ctx, lambda: check(gen.scalar(chart0)),
@@ -554,16 +519,12 @@ class _Rank1Family:
 
     The lifts of vector fields and of one-forms are dual constructions, so
     every clause and comparison the two share is written once against this
-    record.  The lift functions sit in lambdas, which look them up in this
-    module at call time: a wrapper installed on the module's name (as the
-    benchmark's layer trace installs one) then sees every call."""
+    record.  The lifts themselves are routed by the field's class
+    (:func:`liftcalc.lifts._lift`), so the record holds none."""
 
     cls: type                           # VectorField | OneForm
     draw_method: str                    # the FieldGen method of a corpus draw
     dt_free_kinds: frozenset[str]       # lift kinds drawn with no t-component
-    solve: Callable                     # (field, kind, k, *, r, s) -> field
-    horizontal: Callable                # (field, connection) -> field
-    closed_forms: dict[str, Callable]   # kind -> closed-form constructor
     element: Callable                   # (chart, coordinate) -> basis element
     halves: tuple[str, str]             # adapted-frame fields of holo / anti
     pair_names: tuple[str, str]         # witness names of a drawn pair
@@ -577,35 +538,13 @@ class _Rank1Family:
     def label(self, coord: CoordId) -> str:
         return self.cls._LABEL.format(coord.name)
 
-    def lift(self, field, kind: str, ctx: SuiteContext):
-        if kind == "h":
-            return self.horizontal(field, ctx.conn)
-        return self.solve(field, kind, ctx.k)
-
-    def closed(self, field, kind: str, k: int, *,
-               r: int | None = None, s: int | None = None):
-        if kind == "cv":
-            return self.closed_forms["cv"](field, r, s)
-        return self.closed_forms[kind](field, k)
-
 
 _VECTORS = _Rank1Family(
-    VectorField, "vector", frozenset({"cv"}),
-    solve=lambda *args, **split: vf_lift_solve(*args, **split),
-    horizontal=lambda Z, conn: vf_horizontal(Z, conn),
-    closed_forms={"v": lambda Z, k: vf_vertical_closed(Z, k),
-                  "c": lambda Z, k: vf_complete_closed(Z, k),
-                  "cv": lambda Z, r, s: vf_cv_closed(Z, r, s)},
-    element=VectorField.basis, halves=("D", "Dbar"), pair_names=("Z", "W"),
-    name="Z")
+    VectorField, "vector", frozenset({"cv"}), element=VectorField.basis,
+    halves=("D", "Dbar"), pair_names=("Z", "W"), name="Z")
 
 _ONEFORMS = _Rank1Family(
     OneForm, "oneform", frozenset({"c", "cv", "h"}),
-    solve=lambda *args, **split: of_lift_solve(*args, **split),
-    horizontal=lambda w, conn: of_horizontal(w, conn),
-    closed_forms={"v": lambda w, k: of_vertical_closed(w, k),
-                  "c": lambda w, k: of_complete_closed(w, k),
-                  "cv": lambda w, r, s: of_cv_closed(w, r, s)},
     element=OneForm.differential_of, halves=("eta", "etabar"),
     pair_names=("u", "w"), name="w")
 
@@ -616,8 +555,9 @@ def _rank1_add(ctx: SuiteContext, fam: _Rank1Family, kind: str):
         Y = fam.draw(ctx.gen, ctx.chart0, kind)
         x, y = fam.pair_names
         return _check([(x, X._inline()), (y, Y._inline())],
-                      fam.lift(X + Y, kind, ctx),
-                      fam.lift(X, kind, ctx) + fam.lift(Y, kind, ctx))
+                      _lift(X + Y, kind, ctx.k, conn=ctx.conn),
+                      _lift(X, kind, ctx.k, conn=ctx.conn)
+                      + _lift(Y, kind, ctx.k, conn=ctx.conn))
     return _sampled(ctx, one)
 
 
@@ -629,7 +569,7 @@ def _cv_expansion(fam: _Rank1Family, f: ScalarField, X, r: int, s: int,
     right = fam.cls.zero(ctx.chartk)
     for h in range(r + 1):
         fl = fn_complete_vertical(f, r - h, s + h).value
-        Xl = fam.solve(X, "cv", k, r=h, s=k - h)
+        Xl = _lift(X, "cv", k, r=h, s=k - h)
         right = right + Xl.scaled(fl * binomial(r, h))
     return right
 
@@ -646,14 +586,14 @@ def _rank1_scale(ctx: SuiteContext, fam: _Rank1Family, kind: str):
         X = fam.draw(ctx.gen, ctx.chart0, "v" if kind == "v" else "cv")
         inputs = [("f", _sf_str(f)), (fam.name, X._inline())]
         if kind == "v":
-            return _check(inputs, fam.solve(X.scaled(f.value), "v", k),
-                          fam.solve(X, "v", k).scaled(fn_vertical(f, k).value))
+            return _check(inputs, _lift(X.scaled(f.value), "v", k),
+                          _lift(X, "v", k).scaled(fn_vertical(f, k).value))
         if kind == "c":
-            return _check(inputs, fam.solve(X.scaled(f.value), "c", k),
+            return _check(inputs, _lift(X.scaled(f.value), "c", k),
                           _cv_expansion(fam, f, X, k, 0, ctx))
         return _first(
             _check(inputs + [("split", f"({r},{s})")],
-                   fam.solve(X.scaled(f.value), "cv", k, r=r, s=s),
+                   _lift(X.scaled(f.value), "cv", k, r=r, s=s),
                    _cv_expansion(fam, f, X, r, s, ctx))
             for r, s in _cv_splits(k))
     return _sampled(ctx, one)
@@ -665,8 +605,9 @@ def _rank1_basis_table(ctx: SuiteContext, fam: _Rank1Family, kind: str,
     at level k), along the defining route and the closed-form route; the t
     row is checked along ``t_route``.  One case per row."""
     k, chart0 = ctx.k, ctx.chart0
-    route = {"defining": lambda X: fam.solve(X, kind, k),
-             "closed": lambda X: fam.closed(X, kind, k)}
+
+    def route(label: str, X):
+        return (_lift if label == "defining" else _lift_closed)(X, kind, k)
 
     def cases():
         for c0 in chart0.holo_coords(0) + chart0.anti_coords(0):
@@ -675,10 +616,10 @@ def _rank1_basis_table(ctx: SuiteContext, fam: _Rank1Family, kind: str,
                 ctx.chartk, CoordId(c0.kind, k, c0.index) if to_level_k else c0)
             for label in ("defining", "closed"):
                 yield _check([("input", fam.label(c0)), ("route", label)],
-                             route[label](X), expect)
+                             route(label, X), expect)
         T = fam.element(chart0, TIME)
         yield _check([("input", fam.label(TIME)), ("route", t_route)],
-                     route[t_route](T), fam.element(ctx.chartk, TIME))
+                     route(t_route, T), fam.element(ctx.chartk, TIME))
     return cases
 
 
@@ -692,8 +633,8 @@ def _rank1_basis_horizontal(ctx: SuiteContext, fam: _Rank1Family):
             for c0, guide in ((z, holo[(0, z.index)]),
                               (zb, anti[(0, zb.index)])):
                 yield _check([("input", fam.label(c0))],
-                             fam.horizontal(fam.element(ctx.chart0, c0),
-                                            ctx.conn), guide)
+                             _lift(fam.element(ctx.chart0, c0), "h", ctx.k,
+                                   conn=ctx.conn), guide)
     return cases
 
 
@@ -705,8 +646,8 @@ def _rank1_cv_pair_swap(ctx: SuiteContext, fam: _Rank1Family):
         return _first(
             _check([(fam.name, X._inline()),
                     ("split", f"({r},{s}) vs ({s},{r})")],
-                   fam.solve(X, "cv", k, r=r, s=s),
-                   fam.solve(X, "cv", k, r=s, s=r))
+                   _lift(X, "cv", k, r=r, s=s),
+                   _lift(X, "cv", k, r=s, s=r))
             for r, s in _cv_splits(k) if r < s)
     return _sampled(ctx, one)
 
@@ -722,14 +663,14 @@ def _vectors_clauses(ctx: SuiteContext) -> list[Clause]:
     def action(lift_kind: str, fn_kind: str, zero_rhs: bool = False,
                probe_expr: Callable[[], Expr] | None = None):
         def check(f: ScalarField, Z: VectorField):
-            Zl = F.lift(Z, lift_kind, ctx)
-            left = ScalarField(chartk, Zl.apply(_sf_lift(f, fn_kind, k).value))
+            Zl = _lift(Z, lift_kind, k, conn=ctx.conn)
+            left = ScalarField(chartk, Zl.apply(_lift(f, fn_kind, k).value))
             if zero_rhs:
                 right = ScalarField(chartk, Expr.zero())
             else:
                 out_kind = "v" if "v" in (lift_kind, fn_kind) else "c"
-                right = _sf_lift(ScalarField(chart0, Z.apply(f.value)),
-                                 out_kind, k)
+                right = _lift(ScalarField(chart0, Z.apply(f.value)),
+                              out_kind, k)
             return _check([("f", _sf_str(f)), ("Z", Z._inline())], left, right)
         probes = [] if probe_expr is None else \
             [lambda: check(ScalarField(chart0, probe_expr()),
@@ -791,8 +732,8 @@ def _oneforms_clauses(ctx: SuiteContext) -> list[Clause]:
         def one():
             w = F.draw(gen, chart0, form_kind)
             Z = gen.vector(chart0)
-            wl = F.lift(w, form_kind, ctx)
-            Zl = _VECTORS.lift(Z, vec_kind, ctx)
+            wl = _lift(w, form_kind, k, conn=ctx.conn)
+            Zl = _lift(Z, vec_kind, k, conn=ctx.conn)
             left = ScalarField(chartk, wl.pair(Zl))
             if zero_rhs:
                 right = ScalarField(chartk, Expr.zero())
@@ -800,7 +741,7 @@ def _oneforms_clauses(ctx: SuiteContext) -> list[Clause]:
                 base = ScalarField(chart0, w.pair(Z))
                 out_kind = "c" if (form_kind == "c" and vec_kind == "c") \
                     else "v"
-                right = _sf_lift(base, out_kind, k)
+                right = _lift(base, out_kind, k)
             return _check([("w", w._inline()), ("Z", Z._inline())],
                           left, right)
         return _sampled(ctx, one)
@@ -882,8 +823,8 @@ def _tensors_clauses(ctx: SuiteContext) -> list[Clause]:
             lifted = t02_lift_solve(G, kind, k)
             left = lifted.evaluate(vf_lift_solve(X, "c", k),
                                    vf_lift_solve(Y, "c", k))
-            right = _sf_lift(ScalarField(chart0, G.evaluate(X, Y)),
-                             kind, k).value
+            right = _lift(ScalarField(chart0, G.evaluate(X, Y)), kind,
+                          k).value
             return _check([("X", X._inline()), ("Y", Y._inline())],
                           left, right)
         return _sampled(ctx, one)
@@ -1150,21 +1091,21 @@ def _frames_clauses(ctx: SuiteContext) -> list[Clause]:
 # run_suite
 
 
-_SUITE_BUILDERS = {
-    "functions": _functions_clauses,
-    "vectors": _vectors_clauses,
-    "oneforms": _oneforms_clauses,
-    "tensors": _tensors_clauses,
-    "structures": _structures_clauses,
-    "brackets": _brackets_clauses,
-    "frames": _frames_clauses,
+#: Suite name -> (clause builder, default sample count, whether its chart
+#: is the product chart with the shared t, whether it draws a random
+#: connection up front).  The order is the order of ``suite="all"``.
+_SUITES = {
+    "functions": (_functions_clauses, 25, True, False),
+    "vectors": (_vectors_clauses, 5, True, True),
+    "oneforms": (_oneforms_clauses, 5, True, True),
+    "tensors": (_tensors_clauses, 3, False, False),
+    "structures": (_structures_clauses, 3, False, False),
+    "brackets": (_brackets_clauses, 5, False, False),
+    "frames": (_frames_clauses, 5, True, True),
 }
 
-#: Suites whose identities live on the product chart (with the shared t).
-_PRODUCT_SUITES = frozenset({"functions", "vectors", "oneforms", "frames"})
-
-#: Suites that need a random connection drawn up front.
-_CONNECTION_SUITES = frozenset({"vectors", "oneforms", "frames"})
+SUITES = tuple(_SUITES)
+DEFAULT_SAMPLES = {name: row[1] for name, row in _SUITES.items()}
 
 
 def run_suite(suite: str, m: int, k: int, gen: FieldGen | None = None,
@@ -1196,13 +1137,13 @@ def run_suite(suite: str, m: int, k: int, gen: FieldGen | None = None,
                  f"t_free={gen.t_free}")
         return CheckReport(title, tuple(outcomes))
 
-    n = samples if samples is not None else DEFAULT_SAMPLES[suite]
-    has_time = suite in _PRODUCT_SUITES
+    builder, default, has_time, drawn_connection = _SUITES[suite]
+    n = samples if samples is not None else default
     chart0 = ChartSpec(m, 0, has_time)
     chartk = chart0.extend(k)
-    conn = gen.connection(chartk) if suite in _CONNECTION_SUITES else None
+    conn = gen.connection(chartk) if drawn_connection else None
     ctx = SuiteContext(m, k, n, gen, chart0, chartk, conn)
-    outcomes = tuple(_evaluate(c) for c in _SUITE_BUILDERS[suite](ctx))
+    outcomes = tuple(_evaluate(c) for c in builder(ctx))
     title = (f"suite={suite} m={m} k={k} seed={gen.seed} samples={n} "
              f"t_free={gen.t_free}")
     return CheckReport(title, outcomes)
@@ -1254,11 +1195,19 @@ class CompareReport:
         return "\n".join(lines)
 
 
-#: The family and lift kind each comparison builds along both routes.
+#: Comparison id -> (the family and lift kind it builds along both routes,
+#: the behavioural name shown in its report header).
 _PROPOSITIONS = {
-    "P321": (_VECTORS, "v"), "P322": (_VECTORS, "c"), "P323": (_VECTORS, "cv"),
-    "P331": (_ONEFORMS, "v"), "P332": (_ONEFORMS, "c"), "P333": (_ONEFORMS, "cv"),
+    "P321": (_VECTORS, "v", "vector-vertical"),
+    "P322": (_VECTORS, "c", "vector-complete"),
+    "P323": (_VECTORS, "cv", "vector-complete-vertical"),
+    "P331": (_ONEFORMS, "v", "oneform-vertical"),
+    "P332": (_ONEFORMS, "c", "oneform-complete"),
+    "P333": (_ONEFORMS, "cv", "oneform-complete-vertical"),
 }
+
+COMPARISONS = tuple(_PROPOSITIONS)
+COMPARISON_SUBJECTS = {prop: row[2] for prop, row in _PROPOSITIONS.items()}
 
 
 def _compare_diff(label: str, defining, closed) -> CompareCase:
@@ -1290,12 +1239,15 @@ def compare_proposition(prop: str, m: int, k: int, *, seed: int = 0,
         raise VerifyError("samples must be at least 1")
     chart0 = ChartSpec(m, 0, True)
 
-    fam, kind = _PROPOSITIONS[prop]
+    fam, kind, subject = _PROPOSITIONS[prop]
     if fields is None:
         gen = FieldGen(seed)
         corpus = [fam.draw(gen, chart0, kind) for _ in range(samples)]
     else:
         corpus = list(fields)
+        if not corpus:
+            raise VerifyError(f"{prop} compares at least one field; fields "
+                              f"is empty")
         for idx, field in enumerate(corpus, start=1):
             if not (isinstance(field, fam.cls) and field.chart == chart0):
                 raise VerifyError(
@@ -1310,10 +1262,9 @@ def compare_proposition(prop: str, m: int, k: int, *, seed: int = 0,
             if r is not None:
                 label += f" split=({r},{s})"
             cases.append(_compare_diff(
-                label, fam.solve(field, kind, k, r=r, s=s),
-                fam.closed(field, kind, k, r=r, s=s)))
+                label, _lift(field, kind, k, r=r, s=s),
+                _lift_closed(field, kind, k, r=r, s=s)))
 
-    subject = COMPARISON_SUBJECTS[prop]
     drawn = f"seed={seed} " if fields is None else ""
     title = (f"compare={prop} subject={subject} m={m} k={k} {drawn}"
              f"samples={len(corpus)}")

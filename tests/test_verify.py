@@ -273,8 +273,10 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def _break_lifts(monkeypatch):
-    """Break five names that the clause bodies and the rank-1 family records
-    look up in liftcalc.verify at call time."""
+    """Break five names that the clause bodies look up in liftcalc.verify at
+    call time, and send the lifts routed through ``verify._lift`` that
+    reach three of them (scalar c, vector non-h, one-form h) to the same
+    broken functions."""
     import dataclasses
 
     from liftcalc import verify
@@ -285,6 +287,7 @@ def _break_lifts(monkeypatch):
     fn_complete, adapted_frame = verify.fn_complete, verify.adapted_frame
     lift_J0, of_horizontal = verify.lift_J0, verify.of_horizontal
     vf_lift_solve = verify.vf_lift_solve
+    lift = verify._lift
 
     def complete(f, k):
         # wrong only on inputs of three or more terms: fails mid-corpus
@@ -318,11 +321,21 @@ def _break_lifts(monkeypatch):
             out = out + VectorField.basis(out.chart, TIME)
         return out
 
+    def routed(obj, kind, k, *, r=None, s=None, conn=None):
+        if isinstance(obj, ScalarField) and kind == "c":
+            return complete(obj, k)
+        if isinstance(obj, VectorField) and kind != "h":
+            return solve(obj, kind, k, r=r, s=s)
+        if isinstance(obj, OneForm) and kind == "h":
+            return horizontal(obj, conn)
+        return lift(obj, kind, k, r=r, s=s, conn=conn)
+
     monkeypatch.setattr(verify, "fn_complete", complete)
     monkeypatch.setattr(verify, "adapted_frame", frame)
     monkeypatch.setattr(verify, "lift_J0", structure)
     monkeypatch.setattr(verify, "of_horizontal", horizontal)
     monkeypatch.setattr(verify, "vf_lift_solve", solve)
+    monkeypatch.setattr(verify, "_lift", routed)
 
 
 def test_failures_report_counts_and_later_draws(monkeypatch):
