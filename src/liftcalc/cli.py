@@ -152,14 +152,8 @@ def _parse_blocks(text: str) -> tuple[dict[str, tuple[str, int]],
     return simple, blocks
 
 
-def _coord_lookup(chart: ChartSpec) -> dict[str, CoordId]:
-    table = {c.name: c for c in chart.coordinates()}
-    return table
-
-
 def _parse_int(value: str, lineno: int, what: str) -> int:
-    """An optionally signed run of ASCII digits (``int()`` would also take
-    other scripts' digits and underscores)."""
+    """Signed ASCII digits only: ``int()`` also takes non-ASCII digits, '1_0'."""
     if re.fullmatch(r"[+-]?[0-9]+", value) is None:
         raise ManifestError(
             f"line {lineno}: {what} must be an integer, got {value!r}")
@@ -191,7 +185,7 @@ def _build_field(name: str, chart: ChartSpec,
         raise ManifestError(
             f"field {name!r}: unknown type {ftype!r} "
             f"(expected one of {', '.join(_FIELD_TYPES)})")
-    coords = _coord_lookup(chart)
+    coords = {c.name: c for c in chart.coordinates()}
 
     def coord(token: str, lineno: int) -> CoordId:
         c = coords.get(token)
@@ -372,13 +366,12 @@ def cmd_lift(args) -> int:
         conn = manifest.connection(manifest.base_chart().extend(k))
     res = _lift_closed(obj, kind, k, r=r, s=s) if args.closed_form \
         else _lift(obj, kind, k, r=r, s=s, conn=conn)
+    head = f"{args.field}^{{{_lift_symbol(kind, k, r, s)}}}"
     if isinstance(obj, ScalarField):
-        print(f"{args.field}^{{{_lift_symbol(kind, k, r, s)}}} = "
-              f"{format_expr(res.value)}")
+        print(f"{head} = {format_expr(res.value)}")
         return 0
     lines = res._lines()   # before the header: formatting can refuse
-
-    print(f"{args.field}^{{{_lift_symbol(kind, k, r, s)}}}:")
+    print(f"{head}:")
     for line in lines:
         print(f"  {line}")
     return 0
@@ -545,10 +538,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.run(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except VerifyError as exc:
+    except (_UsageError, VerifyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ManifestError, ParseError, ChartError, FieldError) as exc:

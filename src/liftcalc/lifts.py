@@ -53,10 +53,10 @@ equation of its system and, per input, against the defining equation on a
 disjoint holdout family; any nonzero residual raises, so a returned lift
 carries a machine-checked certificate.
 
-**Lift routes.**  :func:`_lift` (the defining route) and :func:`_lift_closed`
-(the closed forms) are the one table from a field's class and a lift kind to
-the constructor above that builds it; the command line and the identity
-suites route every lift they do not name directly through them.
+**Lift routes.**  :func:`_lift` (defining) and :func:`_lift_closed` (closed
+form) are the one map from a field's class and a lift kind to the
+constructor that builds it; the command line and the identity suites route
+every lift they do not name directly through them.
 """
 
 from __future__ import annotations
@@ -1163,16 +1163,10 @@ def t02_defining_residuals(G: Bilinear, lifted: Bilinear, kind: str, k: int, *,
 
 def _lift(obj, kind: str, k: int, *, r: int | None = None,
           s: int | None = None, conn: ConnectionCoeffs | None = None):
-    """The defining lift of kind `kind` (``v``, ``c``, ``cv`` at split
-    (r, s), or ``h`` along `conn`) of a base scalar, vector field,
-    one-form, (1,1)- or (0,2)-tensor field.  Scalars take the function
-    lifts, vector fields and one-forms the solver (or their horizontal lift
-    for ``h``) and tensor fields their solver, which refuses kinds other
-    than ``v`` and ``c``.
-
-    Each route is looked up by its module-level name at call time, never
-    through a table built at import: a wrapper installed on that name (as
-    the benchmark's layer trace installs one) then sees every routed call."""
+    """The defining lift of kind `kind` of a base field of any class.  Each
+    route is called through its module-level name, not a table built at
+    import, so a wrapper installed on that name (as the benchmark's layer
+    trace installs one) sees the call."""
     if isinstance(obj, ScalarField):
         if kind == "v":
             return fn_vertical(obj, k)
@@ -1182,40 +1176,29 @@ def _lift(obj, kind: str, k: int, *, r: int | None = None,
             return fn_complete_vertical(obj, r, s)
         if kind == "h":
             return fn_horizontal(obj, k)
-    elif isinstance(obj, VectorField):
+    elif isinstance(obj, (VectorField, OneForm)):
+        vector = isinstance(obj, VectorField)
         if kind == "h":
-            return vf_horizontal(obj, conn)
-        return vf_lift_solve(obj, kind, k, r=r, s=s)
-    elif isinstance(obj, OneForm):
-        if kind == "h":
-            return of_horizontal(obj, conn)
-        return of_lift_solve(obj, kind, k, r=r, s=s)
-    elif isinstance(obj, EndoField):
-        return t11_lift_solve(obj, kind, k)
-    elif isinstance(obj, Bilinear):
-        return t02_lift_solve(obj, kind, k)
+            return (vf_horizontal if vector else of_horizontal)(obj, conn)
+        return (vf_lift_solve if vector else of_lift_solve)(obj, kind, k,
+                                                            r=r, s=s)
+    elif isinstance(obj, (EndoField, Bilinear)):
+        endo = isinstance(obj, EndoField)
+        return (t11_lift_solve if endo else t02_lift_solve)(obj, kind, k)
     raise LiftError(f"no {kind!r}-lift of a {type(obj).__name__}")
 
 
 def _lift_closed(obj, kind: str, k: int, *, r: int | None = None,
                  s: int | None = None):
-    """The closed-form lift of kind `kind` (``v``, ``c`` or ``cv`` at split
-    (r, s)) of a base vector field or one-form, routed like :func:`_lift`."""
-    if isinstance(obj, VectorField):
-        if kind == "v":
-            return vf_vertical_closed(obj, k)
-        if kind == "c":
-            return vf_complete_closed(obj, k)
-        if kind == "cv":
-            return vf_cv_closed(obj, r, s)
-    elif isinstance(obj, OneForm):
-        if kind == "v":
-            return of_vertical_closed(obj, k)
-        if kind == "c":
-            return of_complete_closed(obj, k)
-        if kind == "cv":
-            return of_cv_closed(obj, r, s)
-    raise LiftError(f"no closed-form {kind!r}-lift of a {type(obj).__name__}")
+    """The closed-form lift of a base vector field or one-form."""
+    vector = isinstance(obj, VectorField)
+    if kind == "v":
+        return (vf_vertical_closed if vector else of_vertical_closed)(obj, k)
+    if kind == "c":
+        return (vf_complete_closed if vector else of_complete_closed)(obj, k)
+    if kind == "cv":
+        return (vf_cv_closed if vector else of_cv_closed)(obj, r, s)
+    raise LiftError(f"no closed-form {kind!r}-lift")
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,9 @@ them); :func:`compare_proposition` builds the same lift twice — once
 through the defining-equation solver, once through the closed-form
 constructor — and reports the first differing component.  Vector fields
 and one-forms share one rank-1 family record (``_Rank1Family``), so every
-clause and comparison the two have in common is written once.  Lifts a
-clause does not name directly go through :func:`liftcalc.lifts._lift` and
-:func:`liftcalc.lifts._lift_closed`; one record per suite (``_SUITES``) and
-per comparison (``_PROPOSITIONS``) holds what the runner needs to know.
+clause and comparison the two have in common is written once.  A lift
+that a clause does not name is routed by :mod:`liftcalc.lifts` (``_lift``,
+``_lift_closed``); ``_SUITES`` and ``_PROPOSITIONS`` hold one record each.
 """
 
 from __future__ import annotations
@@ -83,7 +82,6 @@ from .symkernel import TIME, CoordId, Expr, ExprLike, GRat, Kind, binomial, form
 
 class VerifyError(Exception):
     """Bad arguments to the suite runner or comparator."""
-
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +517,7 @@ class _Rank1Family:
 
     The lifts of vector fields and of one-forms are dual constructions, so
     every clause and comparison the two share is written once against this
-    record.  The lifts themselves are routed by the field's class
-    (:func:`liftcalc.lifts._lift`), so the record holds none."""
+    record."""
 
     cls: type                           # VectorField | OneForm
     draw_method: str                    # the FieldGen method of a corpus draw
@@ -605,9 +602,7 @@ def _rank1_basis_table(ctx: SuiteContext, fam: _Rank1Family, kind: str,
     at level k), along the defining route and the closed-form route; the t
     row is checked along ``t_route``.  One case per row."""
     k, chart0 = ctx.k, ctx.chart0
-
-    def route(label: str, X):
-        return (_lift if label == "defining" else _lift_closed)(X, kind, k)
+    route = {"defining": _lift, "closed": _lift_closed}
 
     def cases():
         for c0 in chart0.holo_coords(0) + chart0.anti_coords(0):
@@ -616,10 +611,10 @@ def _rank1_basis_table(ctx: SuiteContext, fam: _Rank1Family, kind: str,
                 ctx.chartk, CoordId(c0.kind, k, c0.index) if to_level_k else c0)
             for label in ("defining", "closed"):
                 yield _check([("input", fam.label(c0)), ("route", label)],
-                             route(label, X), expect)
+                             route[label](X, kind, k), expect)
         T = fam.element(chart0, TIME)
         yield _check([("input", fam.label(TIME)), ("route", t_route)],
-                     route(t_route, T), fam.element(ctx.chartk, TIME))
+                     route[t_route](T, kind, k), fam.element(ctx.chartk, TIME))
     return cases
 
 
@@ -1091,9 +1086,8 @@ def _frames_clauses(ctx: SuiteContext) -> list[Clause]:
 # run_suite
 
 
-#: Suite name -> (clause builder, default sample count, whether its chart
-#: is the product chart with the shared t, whether it draws a random
-#: connection up front).  The order is the order of ``suite="all"``.
+#: Suite name -> (clause builder, default sample count, chart has the shared
+#: t, draws a random connection up front), in the order ``suite="all"`` runs.
 _SUITES = {
     "functions": (_functions_clauses, 25, True, False),
     "vectors": (_vectors_clauses, 5, True, True),

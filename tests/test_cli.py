@@ -185,6 +185,12 @@ def test_manifest_no_time(tensors):
     ("m: 1\n  stray: 1\n", "outside any block"),
     ("m: 1\nnocolon\n", "expected 'key: value'"),
     ("m: 1\n\nconnection:\n  gamma 0 1: 1\n", "connection entries"),
+    ("m: \u0661\n", "line 1: m must be an integer, got '\u0661'"),
+    ("m: 1\nk: 1_0\n", "line 2: k must be an integer, got '1_0'"),
+    ("m: 1\n\nconnection:\n  gamma \u0660 1 1: 1\n",
+     "line 4: connection level must be an integer, got '\u0660'"),
+    ("m: -1\n", "manifest key 'm' must be >= 1"),
+    ("m: 1\nk: -1\n", "manifest key 'k' must be >= 1"),
 ])
 def test_manifest_errors(tmp_path, text, fragment):
     p = tmp_path / "bad.manifest"
@@ -197,6 +203,30 @@ def test_manifest_errors(tmp_path, text, fragment):
 def test_manifest_missing_file():
     with pytest.raises(ManifestError):
         load_manifest("/nonexistent/path.manifest")
+
+
+@pytest.mark.parametrize("argv_tail", [
+    ("lift", "--field", "f", "--kind", "v", "--k", "1"),
+    ("frame", "--k", "1"),
+], ids=["lift", "frame"])
+def test_manifest_that_is_not_utf8_is_exit_3(tmp_path, capsys, argv_tail):
+    p = tmp_path / "m.manifest"
+    p.write_bytes(b"m: 1\n\xff\n")
+    code, out, err = run(capsys, argv_tail[0], "--manifest", str(p),
+                         *argv_tail[1:])
+    assert (code, out) == (3, "")
+    assert err == (f"error: cannot read manifest {str(p)!r}: 'utf-8' codec "
+                   f"can't decode byte 0xff in position 5: invalid start "
+                   f"byte\n")
+
+
+def test_manifest_ignores_a_leading_bom(tmp_path, capsys):
+    p = tmp_path / "m.manifest"
+    p.write_bytes("\ufeffm: 1\n\nfield f:\n  type: scalar\n  value: z0_1\n"
+                  .encode("utf-8"))
+    code, out, err = run(capsys, "lift", "--manifest", str(p),
+                         "--field", "f", "--kind", "v", "--k", "1")
+    assert (code, out, err) == (0, "f^{v^1} = z0_1\n", "")
 
 
 # -- lift ---------------------------------------------------------------------------

@@ -209,6 +209,10 @@ def test_compare_argument_validation():
         compare_proposition("P999", 1, 1)
     with pytest.raises(VerifyError):
         compare_proposition("P321", 1, 5)  # k capped at 4
+    with pytest.raises(VerifyError) as err:
+        compare_proposition("P321", 1, 1, fields=[])
+    assert str(err.value) == \
+        "P321 compares at least one field; fields is empty"
 
 
 def test_compare_is_deterministic():
