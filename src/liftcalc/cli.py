@@ -153,7 +153,7 @@ def _parse_blocks(text: str) -> tuple[dict[str, tuple[str, int]],
 
 
 def _parse_int(value: str, lineno: int, what: str) -> int:
-    """Signed ASCII digits only: ``int()`` also takes non-ASCII digits, '1_0'."""
+    """Signed ASCII digits only (``int()`` also takes '1_0' and non-ASCII)."""
     if re.fullmatch(r"[+-]?[0-9]+", value) is None:
         raise ManifestError(
             f"line {lineno}: {what} must be an integer, got {value!r}")
