@@ -876,23 +876,41 @@ def format_expr(e: Expr) -> str:
 # One match per token, with the whitespace before it.  Tokens are whole
 # factors where they can be: a coordinate carries its power ("z0_1^3"), a
 # number its denominator ("3/2"), and a parenthesized Gaussian constant such
-# as format_expr writes ("(10 + 15/2*i)") is one factor.  That group matches
-# only where nothing inside it can be refused: its denominators and its
-# imaginary part are nonzero, and its integers have at most 640 digits, so
-# no sum or fold in it passes the coefficient budget and int() reads them
-# under the lowest int-to-str limit Python allows.  Any other group is read
-# through "(" as a sum.
+# as format_expr writes ("(10 + 15/2*i)") is one factor.  A whole term as
+# format_expr writes it, "[coefficient*][i*]z..^e*z..*...", is one "term"
+# token: an optional number or such a constant, then coordinate factors,
+# with format_expr's spacing (none but the constant's " + ").  The group
+# and term tokens match only where nothing inside them can be refused:
+# denominators and a group's imaginary part are nonzero, integers have at
+# most 640 digits (so no fold passes the coefficient budget and int() reads
+# them under the lowest int-to-str limit Python allows), and a term's
+# exponents are 0 to 64, never the prefix of a longer digit run.  A term's
+# levels and indices have at most 7 digits; one over the limit is refused
+# where its factor starts, as a coordinate token is.  Other text (other
+# spacing, "^65", a "^" with no exponent, leading zeros in a term's index,
+# denominator or imaginary part) is read through the smaller tokens, and
+# any other group through "(" as a sum.
 # Digits are ASCII only and a coordinate index is nonzero; whitespace and
 # the word boundary after "t" and "i" keep the Unicode meaning of
 # str.isspace and str.isalnum.  Any other character is a "bad" token.
-_TOKEN_RE = re.compile(r"""
+_INT = r"[0-9]{1,640}"
+_NONZERO = r"(?=0*[1-9])[0-9]{1,640}"
+_POSITIVE = r"[1-9][0-9]{0,639}"
+_FACTOR = r"""(?: zb?[0-9]{1,7}_[1-9][0-9]{0,6}(?![0-9]) | t(?!\w) )
+              (?: \^(?:6[0-4]|[1-5][0-9]|[0-9])(?![0-9]) | (?!\s*\^) )"""
+_TOKEN_RE = re.compile(rf"""
     \s* (?:
-      (?P<coord> zb?[0-9]+_0*[1-9][0-9]* | t(?!\w) ) (?: \s*\^\s* (?P<cexp>[0-9]+) )?
+      (?P<term>
+        (?: (?P<tn>{_INT}) (?: / (?P<td>{_POSITIVE}) )? \*
+          | \( (?P<tre>{_INT}) (?: / (?P<tred>{_POSITIVE}) )? \x20(?P<tsign>[-+])\x20
+               (?: (?P<tim>{_POSITIVE}) (?: / (?P<timd>{_POSITIVE}) )? \* )? i \) \* )?
+        (?P<ti> i\* )?
+        (?P<tf> {_FACTOR} (?: \* {_FACTOR} )* ) )
+    | (?P<coord> zb?[0-9]+_0*[1-9][0-9]* | t(?!\w) ) (?: \s*\^\s* (?P<cexp>[0-9]+) )?
     | (?P<num>[0-9]+) (?: \s*/\s* (?P<den>[0-9]+) )?
-    | (?P<gauss> \( \s* (?P<gre>[0-9]{1,640}) (?: \s*/\s* (?P<gred>(?=0*[1-9])[0-9]{1,640}) )?
+    | (?P<gauss> \( \s* (?P<gre>{_INT}) (?: \s*/\s* (?P<gred>{_NONZERO}) )?
         \s* (?P<gsign>[-+]) \s*
-        (?: (?P<gim>(?=0*[1-9])[0-9]{1,640}) (?: \s*/\s* (?P<gimd>(?=0*[1-9])[0-9]{1,640}) )?
-            \s*\*\s* )?
+        (?: (?P<gim>{_NONZERO}) (?: \s*/\s* (?P<gimd>{_NONZERO}) )? \s*\*\s* )?
         i \s* \) )
     | (?P<pow>\^) \s* (?P<exp>[0-9]+)
     | (?P<imag> i(?!\w) )
@@ -952,21 +970,73 @@ def _token_coord(m: re.Match) -> CoordId:
     return coord
 
 
+@lru_cache(maxsize=_COORD_CACHE_SIZE)
+def _factor(text: str) -> tuple[int, int] | None:
+    """The ``(code, exponent)`` of a factor of a term token, such as
+    ``z2_3^2``; None when its level or index is out of range."""
+    name, _, exp = text.partition("^")
+    coord = _coord(name)
+    return None if coord is None else (coord._code, int(exp) if exp else 1)
+
+
+def _factor_position(text: str, pos: int, n: int) -> int:
+    """Where factor `n` of the term token at `pos` in `text` starts.  The
+    token is matched again: this is for error messages only."""
+    m = _TOKEN_RE.match(text, pos)
+    start = m.start("tf")
+    return start + sum(len(f) + 1 for f in m["tf"].split("*")[:n])
+
+
+def _gauss(p: str, q, sign: str, r, s) -> tuple[int, int, int]:
+    """The reduced triple of a parenthesized constant ``(p/q +- r/s*i)``;
+    a missing denominator or imaginary numerator is 1."""
+    p, q = int(p), int(q) if q else 1
+    r, s = int(r) if r else 1, int(s) if s else 1
+    a, b, d = p * s, r * q if sign == "+" else -r * q, q * s
+    g = math.gcd(a, b, d)
+    return a // g, b // g, d // g
+
+
 def _tokens(text: str) -> list[tuple]:
     """The tokens of `text`, then an end token.  Each token is a tuple whose
-    first two fields are its kind and position: ``("c", pos, coord, exponent
-    or None, exponent position)``, ``("n", pos, numerator, denominator or
-    None, denominator position)``, ``("g", pos, a, b, d)`` for a
-    parenthesized Gaussian constant with its reduced triple, ``("p", pos,
-    exponent, exponent position)`` for a ``^`` with its exponent, ``("i",
-    pos)``, ``(op, pos)`` and ``("end", pos)``.  Lexical errors come before
-    any syntax error."""
+    first two fields are its kind and position: ``("m", pos, a, b, d,
+    factors)`` for a term token, with the reduced triple of its coefficient
+    (1 when it has none) and its ``(code, exponent)`` factors in text
+    order, ``("c", pos, coord, exponent or None,
+    exponent position)``, ``("n", pos, numerator, denominator or None,
+    denominator position)``, ``("g", pos, a, b, d)`` for a parenthesized
+    Gaussian constant with its reduced triple, ``("p", pos, exponent,
+    exponent position)`` for a ``^`` with its exponent, ``("i", pos)``,
+    ``(op, pos)`` and ``("end", pos)``.  Lexical errors come before any
+    syntax error."""
     toks: list[tuple] = []
     append = toks.append
     try:
         for m in _TOKEN_RE.finditer(text):
             kind = m.lastgroup
-            if kind == "op":
+            if kind == "term":
+                n, q, p, pd, sign, r, rd, imag, factors = m.group(
+                    "tn", "td", "tre", "tred", "tsign", "tim", "timd", "ti", "tf")
+                if n is not None:
+                    a, b, d = int(n), 0, 1
+                    if q:
+                        d = int(q)
+                        g = math.gcd(a, d)
+                        a, d = a // g, d // g
+                elif p is not None:
+                    a, b, d = _gauss(p, pd, sign, r, rd)
+                else:
+                    a, b, d = 1, 0, 1
+                if imag:
+                    a, b = -b, a
+                pairs = tuple(map(_factor, factors.split("*")))
+                if None in pairs:
+                    raise ParseError(f"coordinate level or index exceeds the limit "
+                                     f"{_FIELD_MASK}",
+                                     _factor_position(text, m.start(kind),
+                                                      pairs.index(None)))
+                append(("m", m.start(kind), a, b, d, pairs))
+            elif kind == "op":
                 append((m[kind], m.start(kind)))
             elif kind == "coord":
                 append(("c", m.start(kind), _token_coord(m), None, 0))
@@ -983,12 +1053,8 @@ def _tokens(text: str) -> list[tuple]:
             elif kind == "imag":
                 append(("i", m.start(kind)))
             elif kind == "gauss":
-                p, q, sign, r, s = m.group("gre", "gred", "gsign", "gim", "gimd")
-                p, q = int(p), int(q) if q else 1
-                r, s = int(r) if r else 1, int(s) if s else 1
-                a, b, d = p * s, r * q if sign == "+" else -r * q, q * s
-                g = math.gcd(a, b, d)
-                append(("g", m.start(kind), a // g, b // g, d // g))
+                append(("g", m.start(kind),
+                        *_gauss(*m.group("gre", "gred", "gsign", "gim", "gimd"))))
             else:
                 pos = m.start(kind)
                 raise ParseError(f"unexpected character {text[pos:pos + 4]!r}", pos)
@@ -1041,6 +1107,37 @@ def _fold(a: int, b: int, d: int, fa: int, fb: int, fd: int, power,
     return a, b, d
 
 
+def _pairs_mono(pairs: tuple) -> Monomial:
+    """The monomial of a term token's ``(code, exponent)`` factors: the
+    factors themselves when they are already in canonical form."""
+    prev = -1
+    for code, e in pairs:
+        if code <= prev or not e:
+            exps: dict = {}
+            for code, e in pairs:
+                if e:
+                    exps[code] = exps.get(code, 0) + e
+            return _mono_sorted(exps)
+        prev = code
+    return pairs
+
+
+def _add_term(acc: dict, mono: Monomial, c: GRat, pos: int) -> None:
+    """Add the nonzero term ``c * mono`` into the term map `acc`.  Like
+    terms added up can outgrow their parts, so a sum is held to the
+    coefficient budget at `pos`."""
+    s = acc.get(mono)
+    if s is None:
+        acc[mono] = c
+        return
+    s = s + c
+    if s:
+        acc[mono] = s
+        _fit_coefficient(s._a, s._b, s._d, pos)
+    else:
+        del acc[mono]
+
+
 def _check_terms(count: int, pos: int) -> None:
     if count > _MAX_TERMS:
         raise ParseError(f"expansion of {count} terms exceeds the limit "
@@ -1069,11 +1166,13 @@ class _Parser:
     only for a parenthesized sum, and each term is added into its
     expression's term map as it is read.  A parenthesized Gaussian constant
     such as ``(10 + 15/2*i)`` is one factor token, folded like a number.
+    A term token that is a whole term goes into the term map in one step.
     Powers, expansions, coefficients and nesting depth are held to the
     budgets above.
     """
 
     def __init__(self, text: str, chart=None):
+        self.text = text
         self.toks = _tokens(text)
         self.at = 0
         self.depth = 0
@@ -1087,14 +1186,27 @@ class _Parser:
         return value
 
     def _expr(self) -> Expr:
-        toks = self.toks
+        toks, chart = self.toks, self.chart
         acc: dict[Monomial, GRat] = {}
         sign = 1
         if toks[self.at][0] == "-":
             self.at += 1
             sign = -1
         while True:
-            self._term(acc, sign)
+            tok = toks[self.at]
+            if tok[0] == "m" and toks[self.at + 1][0] != "*":
+                # A whole term in one token: no budget can fire inside it.
+                self.at += 1
+                if chart is not None:
+                    self._check_chart(tok)
+                a, b = tok[2], tok[3]
+                if a or b:
+                    if sign < 0:
+                        a, b = -a, -b
+                    _add_term(acc, _pairs_mono(tok[5]), _grat_normal(a, b, tok[4]),
+                              tok[1])
+            else:
+                self._term(acc, sign)
             op = toks[self.at][0]
             if op == "+":
                 sign = 1
@@ -1118,6 +1230,15 @@ class _Parser:
             raise ParseError("expected a natural-number exponent", nxt[1])
         return None
 
+    def _check_chart(self, tok: tuple) -> None:
+        """Refuse a factor of the term token `tok` that is not in the chart."""
+        contains = self.chart.contains
+        for n, (code, _) in enumerate(tok[5]):
+            coord = _decode(code)
+            if not contains(coord):
+                raise ParseError(f"coordinate {coord.name} is not in the chart",
+                                 _factor_position(self.text, tok[1], n))
+
     def _term(self, acc: dict, sign: int) -> None:
         """Read one term and add ``sign`` times it into the term map `acc`."""
         toks, chart = self.toks, self.chart
@@ -1129,7 +1250,16 @@ class _Parser:
             tok = toks[self.at]
             self.at += 1
             kind = tok[0]
-            if kind == "c":
+            if kind == "m":
+                # A term token that a "*" follows: its coefficient folds
+                # like a number's, and its coordinates add up.
+                a, b, d = _fold(a, b, d, tok[2], tok[3], tok[4], None, tok[1])
+                if chart is not None:
+                    self._check_chart(tok)
+                for code, e in tok[5]:
+                    if e:
+                        exps[code] = exps.get(code, 0) + e
+            elif kind == "c":
                 coord = tok[2]
                 if chart is not None and not chart.contains(coord):
                     raise ParseError(
@@ -1215,12 +1345,11 @@ class _Parser:
             return
         mono = _mono_sorted(exps)
         if sums is None:
-            touched = (mono,) if mono in acc else ()
-            _accumulate(acc, ((mono, _grat(a, b, d)),))
-        else:
-            touched = (_expr({mono: _grat(a, b, d)}) * sums)._terms
-            _accumulate(acc, touched.items())
-        # Like terms added up, or a product of sums, can outgrow their parts.
+            _add_term(acc, mono, _grat(a, b, d), start)
+            return
+        touched = (_expr({mono: _grat(a, b, d)}) * sums)._terms
+        _accumulate(acc, touched.items())
+        # A product of sums, added to like terms, can outgrow its parts.
         for m in touched:
             c = acc.get(m)
             if c is not None:

@@ -3,13 +3,16 @@ parsing/printing, differentiation, conjugation, and the exact linear solver.
 """
 
 import math
+import re
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liftcalc import symkernel
 from liftcalc.charts import ChartSpec
 from liftcalc.symkernel import (
     TIME,
@@ -26,6 +29,7 @@ from liftcalc.symkernel import (
     _decode,
     _mono_decode,
     _mono_order_key,
+    _TOKEN_RE,
     _tokens,
     anti,
     binomial,
@@ -754,13 +758,145 @@ _mixed_exprs = st.lists(st.tuples(st.builds(GRat, _gauss_rats, _gauss_rats),
 def test_mixed_coefficients_round_trip(e):
     text = format_expr(e)
     assert parse(text) == e
-    # Each mixed coefficient prints as one group: a token when its integers
-    # have at most 640 digits, else a sum read through "(".
-    kinds = [tok[0] for tok in _tokens(text)]
+    # Each mixed coefficient prints as one group: a token ("g" alone, "mg"
+    # as a term token's coefficient) when its integers have at most 640
+    # digits, else a sum read through "(".  Each term with coordinates
+    # holds one term token, which holds all of them.
+    kinds = [("mg" if text[tok[1]] == "(" else "m") if tok[0] == "m" else tok[0]
+             for tok in _tokens(text)]
     coeffs = e._terms.values()
-    assert kinds.count("g") + kinds.count("(") == sum(bool(c._a and c._b) for c in coeffs)
+    assert kinds.count("g") + kinds.count("mg") + kinds.count("(") \
+        == sum(bool(c._a and c._b) for c in coeffs)
+    assert kinds.count("m") + kinds.count("mg") == sum(bool(m) for m in e._terms)
+    assert "c" not in kinds
     if all(max(abs(c._a), abs(c._b), c._d) < 10 ** 640 for c in coeffs):
         assert "(" not in kinds
+
+
+# -- term tokens ----------------------------------------------------------------
+#
+# A term as format_expr writes it ("(1 + 2*i)*z0_1^2*zb0_1") is one token.
+# The reference is the same lexer with that alternative switched off, so
+# that every term is read through the smaller tokens: values, term-map
+# order and errors must be the same either way.
+
+_SMALL_TOKEN_RE = re.compile(_TOKEN_RE.pattern.replace("(?P<term>", "(?P<term>(?!)", 1),
+                             _TOKEN_RE.flags)
+
+
+def _outcome(text, chart=None):
+    """The term map of `text` in order, or its error's class, text and position."""
+    try:
+        return list(parse(text, chart)._terms.items())
+    except ParseError as exc:
+        return (type(exc).__name__, str(exc), exc.position)
+
+
+def _small_outcome(text, chart=None):
+    assert all(m.lastgroup != "term" for m in _SMALL_TOKEN_RE.finditer(text))
+    with mock.patch.object(symkernel, "_TOKEN_RE", _SMALL_TOKEN_RE):
+        return _outcome(text, chart)
+
+
+_BIG_641 = "1" * 641
+
+_TERM_EDGES = [
+    # An exponent over 64, with or without leading zeros, and a "^" with no
+    # exponent after it are read through the coordinate token.
+    ("2*z0_1*z0_2^65", None, 12, "power of degree 65 exceeds the limit 64"),
+    ("2*z0_1*z0_2^0065", None, 12, "power of degree 65 exceeds the limit 64"),
+    ("2*z0_1*z0_2^", None, 12, "expected a natural-number exponent"),
+    ("2*z0_1*z0_2^ + 1", None, 13, "expected a natural-number exponent"),
+    ("2*z0_1*z0_2^-1", None, 12, "negative exponent"),
+    # A level or index over the limit is refused where its coordinate starts.
+    ("2*z0_1*z1048576_1", None, 7, "coordinate level or index exceeds the limit 1048575"),
+    ("(1 + i)*t*zb0_1048576^2", None, 10,
+     "coordinate level or index exceeds the limit 1048575"),
+    ("z9999999_1 + 1/0", None, 0, "coordinate level or index exceeds the limit 1048575"),
+    # Lexical errors before syntax errors, and a chart refusal at its factor.
+    ("2*z0_1*z2_1 + 1/x", _ERROR_CHART, 16, "unexpected character 'x'"),
+    ("2*z0_1*zb0_1*z2_1", _ERROR_CHART, 13, "coordinate z2_1 is not in the chart"),
+    ("(3/2 - 5*i)*i*t*z1_1^2*zb02_01 + 1", _ERROR_CHART, 23,
+     "coordinate zb2_1 is not in the chart"),
+    ("z0_1 + 0*z0_1*z3_1^0", _ERROR_CHART, 14, "coordinate z3_1 is not in the chart"),
+    ("2*z0_1*zb0_1*z2_1*(z0_1 + 1)", _ERROR_CHART, 13,
+     "coordinate z2_1 is not in the chart"),
+    ("z0_1*i^5000", _ERROR_CHART, 7, "power of 5000 coefficient bits exceeds the limit 4096"),
+    # A 641-digit coefficient is not part of the term token.
+    (_BIG_641 + "/0*z0_1", None, 642, "zero denominator"),
+]
+
+
+@pytest.mark.parametrize("bad,chart,pos,message", _TERM_EDGES,
+                         ids=[f"term-edge-{n}" for n in range(len(_TERM_EDGES))])
+def test_term_token_errors_keep_their_text_and_position(bad, chart, pos, message):
+    expected = ("ParseError", f"{message} (at position {pos})", pos)
+    assert _outcome(bad, chart) == expected
+    assert _small_outcome(bad, chart) == expected
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit in this interpreter")
+def test_term_token_coefficients_hold_under_the_lowest_int_digit_limit():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        fits = parse("1" * 640 + "*z0_1*z0_2")
+        kinds = [tok[0] for tok in _tokens("1" * 640 + "*z0_1*z0_2")]
+        too_long = [_outcome(text) for text in (
+            _BIG_641 + "*z0_1*z0_2", "1/" + _BIG_641 + "*z0_1",
+            "(1 + " + _BIG_641 + "*i)*z0_1", "(1 - 2/" + _BIG_641 + "*i)*z0_1")]
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert kinds == ["m", "end"]
+    assert fits == parse("z0_1*z0_2").scale(int("1" * 640))
+    assert too_long == [("ParseError", f"number too long (at position {pos})", pos)
+                        for pos in (0, 2, 5, 7)]
+
+
+@pytest.mark.parametrize("text,kinds,same_as", [
+    ("2 * z0_1", ["n", "*", "m", "end"], "2*z0_1"),
+    ("z0_2*z0_1*z0_2", ["m", "end"], "z0_1*z0_2^2"),
+    ("2*z0_1*(z0_1 + 1)", ["m", "*", "(", "m", "+", "n", ")", "end"],
+     "2*z0_1^2 + 2*z0_1"),
+    ("2*z0_1*z0_2^064", ["m", "*", "c", "end"], "2*z0_1*z0_2^64"),
+    ("z0_1^0*t*z0_1^2*z0_1^0", ["m", "end"], "t*z0_1^2"),
+    ("3/6*i*z0_1*zb00_1", ["m", "end"], "1/2*i*z0_1*zb0_1"),
+    ("2/04*z0_01*t", ["n", "*", "c", "*", "m", "end"], "1/2*t*z0_1"),
+    ("z0_1^2^3", ["m", "p", "end"], None),
+    ("(1 + i)^2*z0_1 - 0*t", ["g", "p", "*", "m", "-", "m", "end"], "2*i*z0_1"),
+])
+def test_term_token_reads_like_its_small_tokens(text, kinds, same_as):
+    assert [tok[0] for tok in _tokens(text)] == kinds
+    value = _outcome(text, ChartSpec(2, 1, True))
+    assert value == _small_outcome(text, ChartSpec(2, 1, True))
+    if same_as is not None:
+        assert value == _outcome(same_as)
+
+
+_term_coeffs = st.sampled_from(["", "", "2*", "0*", "3/6*", "07/2*", "3/0*", "i*", "2*i*",
+                                "(1 + 2*i)*", "(3/2 - 5/4*i)*", "(0 + i)*", "(1 + 0*i)*",
+                                "(1 + i)^2*", "(2+i)*", "2 *", "1" * 640 + "*",
+                                _BIG_641 + "*", "-", "i^3*"])
+_term_factors = st.tuples(
+    st.sampled_from(["t", "z0_1", "z0_2", "zb0_1", "z1_1", "zb1_1", "z2_1", "z0_01",
+                     "z1048575_1", "z1048576_1", "z0_1048576", "z0000001_1", "i", "q"]),
+    st.sampled_from(["", "", "", "^0", "^1", "^2", "^064", "^64", "^65", "^",
+                     "^ 2", "^99999", "^-1"]),
+).map("".join)
+_term_texts = st.lists(
+    st.tuples(_term_coeffs,
+              st.lists(_term_factors, max_size=4).map("*".join),
+              st.sampled_from([" + ", " - ", " + ", "*", " * ", "+", ")", "(", "*("])),
+    min_size=1, max_size=5,
+).map(lambda parts: "".join(c + f + sep for c, f, sep in parts)[:-1])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(_term_texts, _mixed_exprs.map(format_expr)),
+       st.sampled_from([None, _ERROR_CHART]))
+def test_term_token_matches_the_small_token_path(text, chart):
+    assert _outcome(text, chart) == _small_outcome(text, chart)
 
 
 # -- hypothesis: printed grammar trees ------------------------------------------
