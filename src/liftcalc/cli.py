@@ -152,12 +152,25 @@ def _parse_blocks(text: str) -> tuple[dict[str, tuple[str, int]],
     return simple, blocks
 
 
-def _parse_int(value: str, lineno: int, what: str) -> int:
-    """Signed ASCII digits only (``int()`` also takes '1_0' and non-ASCII)."""
+def _ascii_int(value: str) -> int:
+    """The integer of signed ASCII digits (``int()`` also takes '1_0' and
+    non-ASCII digits); a ValueError for any other text.  Manifest integers
+    and the integer flags both read through it."""
     if re.fullmatch(r"[+-]?[0-9]+", value) is None:
-        raise ManifestError(
-            f"line {lineno}: {what} must be an integer, got {value!r}")
+        raise ValueError(f"not an integer: {value!r}")
     return int(value)
+
+
+# argparse names the type in its refusal ("invalid int value: 'x'").
+_ascii_int.__name__ = "int"
+
+
+def _parse_int(value: str, lineno: int, what: str) -> int:
+    try:
+        return _ascii_int(value)
+    except ValueError:
+        raise ManifestError(
+            f"line {lineno}: {what} must be an integer, got {value!r}") from None
 
 
 def _parse_bool(value: str, lineno: int, what: str) -> bool:
@@ -481,10 +494,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", required=True, help="field name to lift")
     p.add_argument("--kind", required=True, choices=("v", "c", "cv", "h"),
                    help="vertical, complete, complete-vertical, horizontal")
-    p.add_argument("--k", type=int, help="extension order "
+    p.add_argument("--k", type=_ascii_int, help="extension order "
                    "(default: manifest k)")
-    p.add_argument("--r", type=int, help="complete steps (kind cv)")
-    p.add_argument("--s", type=int, help="vertical steps (kind cv)")
+    p.add_argument("--r", type=_ascii_int, help="complete steps (kind cv)")
+    p.add_argument("--s", type=_ascii_int, help="vertical steps (kind cv)")
     p.add_argument("--closed-form", action="store_true", dest="closed_form",
                    help="use the direct closed-form constructor instead "
                    "of the defining-equation solver")
@@ -492,10 +505,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run an identity suite")
     p.add_argument("suite", choices=SUITES + ("all",))
-    p.add_argument("--m", type=int, required=True, help="base dimension")
-    p.add_argument("--k", type=int, required=True, help="extension order")
-    p.add_argument("--seed", type=int, default=0, help="corpus seed")
-    p.add_argument("--samples", type=int, help="samples per clause "
+    p.add_argument("--m", type=_ascii_int, required=True, help="base dimension")
+    p.add_argument("--k", type=_ascii_int, required=True, help="extension order")
+    p.add_argument("--seed", type=_ascii_int, default=0, help="corpus seed")
+    p.add_argument("--samples", type=_ascii_int, help="samples per clause "
                    "(default: per-suite)")
     p.add_argument("--with-time", action="store_true", dest="with_time",
                    help="draw t-dependent scalars (default corpora are "
@@ -504,23 +517,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="defining equations vs closed form")
     p.add_argument("prop", choices=COMPARISONS)
-    p.add_argument("--m", type=int, required=True, help="base dimension")
-    p.add_argument("--k", type=int, required=True, help="extension order")
-    p.add_argument("--seed", type=int, default=0, help="corpus seed")
-    p.add_argument("--samples", type=int, default=2,
+    p.add_argument("--m", type=_ascii_int, required=True, help="base dimension")
+    p.add_argument("--k", type=_ascii_int, required=True, help="extension order")
+    p.add_argument("--seed", type=_ascii_int, default=0, help="corpus seed")
+    p.add_argument("--samples", type=_ascii_int, default=2,
                    help="fields per comparison")
     p.set_defaults(run=cmd_compare)
 
     p = sub.add_parser("frame", help="print the adapted frame and coframe")
-    p.add_argument("--m", type=int, help="base dimension")
-    p.add_argument("--k", type=int, help="extension order")
+    p.add_argument("--m", type=_ascii_int, help="base dimension")
+    p.add_argument("--k", type=_ascii_int, help="extension order")
     p.add_argument("--manifest", help="manifest supplying m / k / "
                    "connection coefficients")
     p.set_defaults(run=cmd_frame)
 
     p = sub.add_parser("table", help="print the coordinate-basis lift table")
-    p.add_argument("--m", type=int, required=True, help="base dimension")
-    p.add_argument("--k", type=int, required=True, help="extension order")
+    p.add_argument("--m", type=_ascii_int, required=True, help="base dimension")
+    p.add_argument("--k", type=_ascii_int, required=True, help="extension order")
     p.add_argument("--no-time", action="store_true", dest="no_time",
                    help="drop the time coordinate (and horizontal rows)")
     p.add_argument("--manifest", help="manifest supplying connection "

@@ -691,6 +691,31 @@ def test_usage_exit_codes(capsys):
     capsys.readouterr()
 
 
+# int() also reads non-ASCII digits and underscores; the integer flags, like
+# manifest integers, take signed ASCII digits only.
+@pytest.mark.parametrize("argv,flag,value", [
+    (("table", "--m", "\u0661", "--k", "1_0"), "--m", "\u0661"),
+    (("table", "--m", "1", "--k", "1_0"), "--k", "1_0"),
+    (("check", "functions", "--m", "1", "--k", "1", "--seed", "\u0663"), "--seed", "\u0663"),
+    (("check", "functions", "--m", "1", "--k", "1", "--samples", "1_0"), "--samples", "1_0"),
+    (("compare", "P321", "--m", "+\u0661", "--k", "1"), "--m", "+\u0661"),
+    (("frame", "--m", "1", "--k", " 1"), "--k", " 1"),
+    (("lift", "--manifest", "m", "--field", "f", "--kind", "cv", "--r", "1_0"), "--r", "1_0"),
+    (("lift", "--manifest", "m", "--field", "f", "--kind", "cv", "--s", "\u0662"), "--s", "\u0662"),
+], ids=["table-m", "table-k", "seed", "samples", "compare-m", "frame-k", "r", "s"])
+def test_integer_flags_take_ascii_digits_only(capsys, argv, flag, value):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"argument {flag}: invalid int value: {value!r}" in err
+
+
+def test_integer_flags_take_signed_ascii_digits(capsys):
+    assert run(capsys, "table", "--m", "+1", "--k", "02")[:2] == \
+        run(capsys, "table", "--m", "1", "--k", "2")[:2]
+    assert run(capsys, "frame", "--m", "1", "--k", "-1") == \
+        (2, "", "error: --k must be >= 1\n")
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
