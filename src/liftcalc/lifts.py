@@ -921,6 +921,8 @@ def _field_key(Z: VectorField) -> tuple:
 
 
 def _vf_solve_cached(Z: VectorField, kind: str, k: int) -> VectorField:
+    """Memoized determined lift of a vector field; tensor solves use these
+    as right-hand sides so every ingredient stays definitional."""
     return _bounded(_VF_SOLVE_CACHE, _VF_SOLVE_CACHE_SIZE,
                     (Z.chart, kind, k, _field_key(Z)),
                     lambda: vf_lift_solve(Z, kind, k))
@@ -1022,7 +1024,7 @@ def t11_lift_solve_certified(phi: EndoField, kind: str, k: int
     engine = _Engine("endo", kind, k, labels)
 
     def rests(tests: Sequence[VectorField]) -> list[list[Expr]]:
-        lifted = [_lift_vf_definitional(phi.apply_vector(X), kind, k)
+        lifted = [_vf_solve_cached(phi.apply_vector(X), kind, k)
                   for X in tests]
         return [[-Y.component(a) for Y in lifted] for a in coords]
 
@@ -1076,17 +1078,11 @@ def t11_defining_residuals(phi: EndoField, lifted: EndoField, kind: str,
     target = lifted.chart
     for X in vectors:
         Xc = complete_vf_cached(X, k)
-        rhs = _lift_vf_definitional(phi.apply_vector(X), kind, k)
+        rhs = _vf_solve_cached(phi.apply_vector(X), kind, k)
         diff = lifted.apply_vector(Xc) - rhs
         for coord in target.coordinates():
             out.append(diff.component(coord))
     return out
-
-
-def _lift_vf_definitional(Z: VectorField, kind: str, k: int) -> VectorField:
-    """Memoized determined lift of a vector field; tensor solves use these
-    as right-hand sides so every ingredient stays definitional."""
-    return _vf_solve_cached(Z, kind, k)
 
 
 # -- (0,2)-tensors -------------------------------------------------------------

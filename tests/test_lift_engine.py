@@ -89,7 +89,7 @@ def test_endo_lift_checks_stay_live(monkeypatch):
     first = EndoField(C0, {(Z, Z): Expr.one()})
     second = EndoField(C0, {(ZB, Z): zb})
     held_out = VectorField(C0, {Z: z ** 3})    # phi(X) for a holdout X
-    right = L._lift_vf_definitional
+    right = L._vf_solve_cached
 
     def corrupt(patch):
         def lift(Y, kind, k):
@@ -97,7 +97,7 @@ def test_endo_lift_checks_stay_live(monkeypatch):
             if Y == held_out:
                 return out + VectorField(out.chart, {TIME: 1})
             return out
-        patch.setattr(L, "_lift_vf_definitional", lift)
+        patch.setattr(L, "_vf_solve_cached", lift)
 
     _assert_cached_solve_survives(
         monkeypatch, lambda phi: L.t11_lift_solve_certified(phi, "v", K),
