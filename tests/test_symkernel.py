@@ -822,6 +822,10 @@ _TERM_EDGES = [
     ("2*z0_1*zb0_1*z2_1*(z0_1 + 1)", _ERROR_CHART, 13,
      "coordinate z2_1 is not in the chart"),
     ("z0_1*i^5000", _ERROR_CHART, 7, "power of 5000 coefficient bits exceeds the limit 4096"),
+    # A zero denominator is refused where it is written.
+    ("z0_1 - 3/0*z0_1", None, 9, "zero denominator"),
+    ("(2 + 3/0*i)*z0_1", None, 7, "zero denominator"),
+    ("(2/00 - i)*z0_1", None, 3, "zero denominator"),
     # A 641-digit coefficient is not part of the term token.
     (_BIG_641 + "/0*z0_1", None, 642, "zero denominator"),
 ]
@@ -857,13 +861,16 @@ def test_term_token_coefficients_hold_under_the_lowest_int_digit_limit():
 @pytest.mark.parametrize("text,kinds,same_as", [
     ("2 * z0_1", ["n", "*", "m", "end"], "2*z0_1"),
     ("z0_2*z0_1*z0_2", ["m", "end"], "z0_1*z0_2^2"),
-    ("2*z0_1*(z0_1 + 1)", ["m", "*", "(", "m", "+", "n", ")", "end"],
+    ("2*z0_1*(z0_1 + 1)", ["n", "*", "c", "*", "(", "m", "+", "n", ")", "end"],
      "2*z0_1^2 + 2*z0_1"),
-    ("2*z0_1*z0_2^064", ["m", "*", "c", "end"], "2*z0_1*z0_2^64"),
+    ("2*z0_1*z0_2^064", ["n", "*", "c", "*", "c", "end"], "2*z0_1*z0_2^64"),
+    # A term token after a "*" is one more factor of its term.
+    ("3 * 2*z0_1 - (1 + i)*z0_1", ["n", "*", "m", "-", "m", "end"], "(5 - i)*z0_1"),
+    ("z0_1^ 2*(3/2 + i)*zb0_1", ["c", "*", "m", "end"], "(3/2 + i)*z0_1^2*zb0_1"),
     ("z0_1^0*t*z0_1^2*z0_1^0", ["m", "end"], "t*z0_1^2"),
     ("3/6*i*z0_1*zb00_1", ["m", "end"], "1/2*i*z0_1*zb0_1"),
     ("2/04*z0_01*t", ["n", "*", "c", "*", "m", "end"], "1/2*t*z0_1"),
-    ("z0_1^2^3", ["m", "p", "end"], None),
+    ("z0_1^2^3", ["c", "p", "end"], None),
     ("(1 + i)^2*z0_1 - 0*t", ["g", "p", "*", "m", "-", "m", "end"], "2*i*z0_1"),
 ])
 def test_term_token_reads_like_its_small_tokens(text, kinds, same_as):
