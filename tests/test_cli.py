@@ -200,6 +200,15 @@ def test_manifest_errors(tmp_path, text, fragment):
     assert fragment in str(err.value)
 
 
+def test_manifest_integer_past_the_int_limit_is_refused(tmp_path):
+    # int() refuses more than 4,300 digits; that is the manifest's refusal
+    # too, not a traceback.
+    p = tmp_path / "huge.manifest"
+    p.write_text("m: " + "1" * 5000 + "\n")
+    with pytest.raises(ManifestError, match="^line 1: m must be an integer, got '1111"):
+        load_manifest(str(p))
+
+
 def test_manifest_missing_file():
     with pytest.raises(ManifestError):
         load_manifest("/nonexistent/path.manifest")
