@@ -879,17 +879,18 @@ def format_expr(e: Expr) -> str:
 # as format_expr writes ("(10 + 15/2*i)") is one factor.  A whole term as
 # format_expr writes it, "[coefficient*][i*]z..^e*z..*...", is one "term"
 # token: an optional number or such a constant, then coordinate factors,
-# with format_expr's spacing (none but the constant's " + "), followed by a
-# sign, a ")" or the end.  The group and term tokens match only where
-# nothing inside them can be refused: denominators and a group's imaginary
-# part are nonzero, integers have at most 640 digits (so no fold passes the
-# coefficient budget and int() reads them under the lowest int-to-str limit
-# Python allows), and a term's exponents are 0 to 64.  A term's levels and
-# indices have at most 7 digits; one over the limit is refused where its
-# factor starts, as a coordinate token is.  Other text (other spacing,
-# "^65", a "^" with no exponent, leading zeros in a term's index,
-# denominator or imaginary part, a term that a "*" follows) is read through
-# the smaller tokens, and any other group through "(" as a sum.
+# with format_expr's spacing (none but the constant's " + ").  It is not
+# read after a "*", and a sign, a ")" or the end follows it.
+# The group and term tokens match only where nothing inside them can be
+# refused: denominators and a group's imaginary part are nonzero, integers
+# have at most 640 digits (so no fold passes the coefficient budget and
+# int() reads them under the lowest int-to-str limit Python allows), and a
+# term's exponents are 0 to 64.  A term's levels and indices have at most 7
+# digits; one over the limit is refused where its factor starts, as a
+# coordinate token is.  Other text (other spacing, "^65", a "^" with no
+# exponent, leading zeros in a term's index, denominator or imaginary part)
+# is read through the smaller tokens, and any other group through "(" as a
+# sum.
 # Digits are ASCII only and a coordinate index is nonzero; whitespace and
 # the word boundary after "t" and "i" keep the Unicode meaning of
 # str.isspace and str.isalnum.  Any other character is a "bad" token.
@@ -898,14 +899,15 @@ _NONZERO = r"(?=0*[1-9])[0-9]{1,640}"
 _POSITIVE = r"[1-9][0-9]{0,639}"
 _FACTOR = r"(?: zb?[0-9]{1,7}_[1-9][0-9]{0,6} | t ) (?: \^(?:6[0-4]|[1-5][0-9]|[0-9]) )?"
 _TOKEN_RE = re.compile(rf"""
-    \s* (?:
+    (?<! \* ) \s* (?= [(0-9itz] )
       (?P<term>
         (?: (?P<tn>{_INT}) (?: / (?P<td>{_POSITIVE}) )? \*
           | \( (?P<tre>{_INT}) (?: / (?P<tred>{_POSITIVE}) )? \x20(?P<tsign>[-+])\x20
                (?: (?P<tim>{_POSITIVE}) (?: / (?P<timd>{_POSITIVE}) )? \* )? i \) \* )?
         (?P<ti> i\* )?
         (?P<tf> {_FACTOR} (?: \* {_FACTOR} )* ) (?= \s*[-+)] | \s*\Z ) )
-    | (?P<coord> zb?[0-9]+_0*[1-9][0-9]* | t(?!\w) ) (?: \s*\^\s* (?P<cexp>[0-9]+) )?
+    | \s* (?:
+      (?P<coord> zb?[0-9]+_0*[1-9][0-9]* | t(?!\w) ) (?: \s*\^\s* (?P<cexp>[0-9]+) )?
     | (?P<num>[0-9]+) (?: \s*/\s* (?P<den>[0-9]+) )?
     | (?P<gauss> \( \s* (?P<gre>{_INT}) (?: \s*/\s* (?P<gred>{_NONZERO}) )?
         \s* (?P<gsign>[-+]) \s*
@@ -1001,13 +1003,12 @@ def _tokens(text: str) -> list[tuple]:
     first two fields are its kind and position: ``("m", pos, a, b, d,
     factors)`` for a term token, with the reduced triple of its coefficient
     (1 when it has none) and its ``(code, exponent)`` factors in text
-    order, ``("c", pos, coord, exponent or None,
-    exponent position)``, ``("n", pos, numerator, denominator or None,
-    denominator position)``, ``("g", pos, a, b, d)`` for a parenthesized
-    Gaussian constant with its reduced triple, ``("p", pos, exponent,
-    exponent position)`` for a ``^`` with its exponent, ``("i", pos)``,
-    ``(op, pos)`` and ``("end", pos)``.  Lexical errors come before any
-    syntax error."""
+    order, ``("c", pos, coord, exponent or None, exponent position)``,
+    ``("n", pos, numerator, denominator or None, denominator position)``,
+    ``("g", pos, a, b, d)`` for a parenthesized Gaussian constant with its
+    reduced triple, ``("p", pos, exponent, exponent position)`` for a ``^``
+    with its exponent, ``("i", pos)``, ``(op, pos)`` and ``("end", pos)``.
+    Lexical errors come before any syntax error."""
     toks: list[tuple] = []
     append = toks.append
     try:
@@ -1106,15 +1107,19 @@ def _fold(a: int, b: int, d: int, fa: int, fb: int, fd: int, power,
     return a, b, d
 
 
-def _is_monomial(pairs: tuple) -> bool:
-    """Whether a term token's ``(code, exponent)`` factors are a monomial
-    as they stand: codes increasing and exponents positive."""
+def _pairs_mono(pairs: tuple) -> Monomial:
+    """The monomial of a term token's ``(code, exponent)`` factors: the
+    factors themselves when they are already in canonical form."""
     prev = -1
     for code, e in pairs:
         if code <= prev or not e:
-            return False
+            exps: dict = {}
+            for code, e in pairs:
+                if e:
+                    exps[code] = exps.get(code, 0) + e
+            return _mono_sorted(exps)
         prev = code
-    return True
+    return pairs
 
 
 def _add_term(acc: dict, mono: Monomial, c: GRat, pos: int) -> None:
@@ -1161,7 +1166,7 @@ class _Parser:
     only for a parenthesized sum, and each term is added into its
     expression's term map as it is read.  A parenthesized Gaussian constant
     such as ``(10 + 15/2*i)`` is one factor token, folded like a number.
-    A term token that is a whole term goes into the term map in one step.
+    A term token is a whole term and goes into the term map in one step.
     Powers, expansions, coefficients and nesting depth are held to the
     budgets above.
     """
@@ -1189,7 +1194,7 @@ class _Parser:
             sign = -1
         while True:
             tok = toks[self.at]
-            if tok[0] == "m" and _is_monomial(tok[5]):
+            if tok[0] == "m":
                 # A whole term in one token: no budget can fire inside it.
                 self.at += 1
                 if chart is not None:
@@ -1198,7 +1203,8 @@ class _Parser:
                 if a or b:
                     if sign < 0:
                         a, b = -a, -b
-                    _add_term(acc, tok[5], _grat_normal(a, b, tok[4]), tok[1])
+                    _add_term(acc, _pairs_mono(tok[5]), _grat_normal(a, b, tok[4]),
+                              tok[1])
             else:
                 self._term(acc, sign)
             op = toks[self.at][0]
@@ -1244,17 +1250,7 @@ class _Parser:
             tok = toks[self.at]
             self.at += 1
             kind = tok[0]
-            if kind == "m":
-                # A term token after a "*", or one whose factors repeat or
-                # are out of order: its coefficient folds like a number's,
-                # and its coordinates add up.
-                a, b, d = _fold(a, b, d, tok[2], tok[3], tok[4], None, tok[1])
-                if chart is not None:
-                    self._check_chart(tok)
-                for code, e in tok[5]:
-                    if e:
-                        exps[code] = exps.get(code, 0) + e
-            elif kind == "c":
+            if kind == "c":
                 coord = tok[2]
                 if chart is not None and not chart.contains(coord):
                     raise ParseError(

@@ -760,17 +760,16 @@ def test_mixed_coefficients_round_trip(e):
     assert parse(text) == e
     # Each mixed coefficient prints as one group: a token ("g" alone, "mg"
     # as a term token's coefficient) when its integers have at most 640
-    # digits, else a sum read through "(".  Each term with coordinates
-    # holds one term token, which holds all of them.
+    # digits, else a sum read through "(".  Then each term with coordinates
+    # is one term token.
     kinds = [("mg" if text[tok[1]] == "(" else "m") if tok[0] == "m" else tok[0]
              for tok in _tokens(text)]
     coeffs = e._terms.values()
     assert kinds.count("g") + kinds.count("mg") + kinds.count("(") \
         == sum(bool(c._a and c._b) for c in coeffs)
-    assert kinds.count("m") + kinds.count("mg") == sum(bool(m) for m in e._terms)
-    assert "c" not in kinds
     if all(max(abs(c._a), abs(c._b), c._d) < 10 ** 640 for c in coeffs):
-        assert "(" not in kinds
+        assert "(" not in kinds and "c" not in kinds
+        assert kinds.count("m") + kinds.count("mg") == sum(bool(m) for m in e._terms)
 
 
 # -- term tokens ----------------------------------------------------------------
@@ -859,19 +858,23 @@ def test_term_token_coefficients_hold_under_the_lowest_int_digit_limit():
 
 
 @pytest.mark.parametrize("text,kinds,same_as", [
-    ("2 * z0_1", ["n", "*", "m", "end"], "2*z0_1"),
+    ("2 * z0_1", ["n", "*", "c", "end"], "2*z0_1"),
     ("z0_2*z0_1*z0_2", ["m", "end"], "z0_1*z0_2^2"),
     ("2*z0_1*(z0_1 + 1)", ["n", "*", "c", "*", "(", "m", "+", "n", ")", "end"],
      "2*z0_1^2 + 2*z0_1"),
     ("2*z0_1*z0_2^064", ["n", "*", "c", "*", "c", "end"], "2*z0_1*z0_2^64"),
-    # A term token after a "*" is one more factor of its term.
-    ("3 * 2*z0_1 - (1 + i)*z0_1", ["n", "*", "m", "-", "m", "end"], "(5 - i)*z0_1"),
-    ("z0_1^ 2*(3/2 + i)*zb0_1", ["c", "*", "m", "end"], "(3/2 + i)*z0_1^2*zb0_1"),
+    # A term token starts a term: after a "*" the smaller tokens are read.
+    ("3 * 2*z0_1 - (1 + i)*z0_1", ["n", "*", "n", "*", "c", "-", "m", "end"],
+     "(5 - i)*z0_1"),
+    ("z0_1^ 2*(3/2 + i)*zb0_1", ["c", "*", "g", "*", "c", "end"],
+     "(3/2 + i)*z0_1^2*zb0_1"),
+    ("(2*z0_1 - 3/2*i*t^2)^2", ["(", "m", "-", "m", ")", "p", "end"],
+     "4*z0_1^2 - 6*i*t^2*z0_1 - 9/4*t^4"),
     ("z0_1^0*t*z0_1^2*z0_1^0", ["m", "end"], "t*z0_1^2"),
     ("3/6*i*z0_1*zb00_1", ["m", "end"], "1/2*i*z0_1*zb0_1"),
-    ("2/04*z0_01*t", ["n", "*", "c", "*", "m", "end"], "1/2*t*z0_1"),
+    ("2/04*z0_01*t", ["n", "*", "c", "*", "c", "end"], "1/2*t*z0_1"),
     ("z0_1^2^3", ["c", "p", "end"], None),
-    ("(1 + i)^2*z0_1 - 0*t", ["g", "p", "*", "m", "-", "m", "end"], "2*i*z0_1"),
+    ("(1 + i)^2*z0_1 - 0*t", ["g", "p", "*", "c", "-", "m", "end"], "2*i*z0_1"),
 ])
 def test_term_token_reads_like_its_small_tokens(text, kinds, same_as):
     assert [tok[0] for tok in _tokens(text)] == kinds
