@@ -891,6 +891,8 @@ def format_expr(e: Expr) -> str:
 # exponent, leading zeros in a term's index, denominator or imaginary part)
 # is read through the smaller tokens, and any other group through "(" as a
 # sum.
+# An operator that starts no other token is read first ("op"); "(" and a
+# "^" with no exponent after it are operators too ("op2").
 # Digits are ASCII only and a coordinate index is nonzero; whitespace and
 # the word boundary after "t" and "i" keep the Unicode meaning of
 # str.isspace and str.isalnum.  Any other character is a "bad" token.
@@ -899,7 +901,8 @@ _NONZERO = r"(?=0*[1-9])[0-9]{1,640}"
 _POSITIVE = r"[1-9][0-9]{0,639}"
 _FACTOR = r"(?: zb?[0-9]{1,7}_[1-9][0-9]{0,6} | t ) (?: \^(?:6[0-4]|[1-5][0-9]|[0-9]) )?"
 _TOKEN_RE = re.compile(rf"""
-    (?<! \* ) \s* (?= [(0-9itz] )
+    \s* (?P<op> [-+*/)] )
+    | (?<! \* ) \s* (?= [(0-9itz] )
       (?P<term>
         (?: (?P<tn>{_INT}) (?: / (?P<td>{_POSITIVE}) )? \*
           | \( (?P<tre>{_INT}) (?: / (?P<tred>{_POSITIVE}) )? \x20(?P<tsign>[-+])\x20
@@ -915,7 +918,7 @@ _TOKEN_RE = re.compile(rf"""
         i \s* \) )
     | (?P<pow>\^) \s* (?P<exp>[0-9]+)
     | (?P<imag> i(?!\w) )
-    | (?P<op> [-+*^/()] )
+    | (?P<op2> [(^] )
     | (?P<bad> \S )
     )""", re.VERBOSE)
 
@@ -1036,7 +1039,7 @@ def _tokens(text: str) -> list[tuple]:
                                      _factor_position(text, m.start(kind),
                                                       pairs.index(None)))
                 append(("m", m.start(kind), a, b, d, pairs))
-            elif kind == "op":
+            elif kind == "op" or kind == "op2":
                 append((m[kind], m.start(kind)))
             elif kind == "coord":
                 append(("c", m.start(kind), _token_coord(m), None, 0))
