@@ -721,8 +721,6 @@ def test_integer_flags_take_ascii_digits_only(capsys, argv, flag, value):
 def test_integer_flags_take_signed_ascii_digits(capsys):
     assert run(capsys, "table", "--m", "+1", "--k", "02")[:2] == \
         run(capsys, "table", "--m", "1", "--k", "2")[:2]
-    assert run(capsys, "frame", "--m", "1", "--k", "-1") == \
-        (2, "", "error: --k must be >= 1\n")
 
 
 def test_help_exits_zero(capsys):
