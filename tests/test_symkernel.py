@@ -815,7 +815,7 @@ _TERM_EDGES = [
     # Lexical errors before syntax errors, and a chart refusal at its factor.
     ("2*z0_1*z2_1 + 1/x", _ERROR_CHART, 16, "unexpected character 'x'"),
     ("2*z0_1*zb0_1*z2_1", _ERROR_CHART, 13, "coordinate z2_1 is not in the chart"),
-    ("(3/2 - 5*i)*i*t*z1_1^2*zb02_01 + 1", _ERROR_CHART, 23,
+    ("(3/2 - 5*i)*i*t*z1_1^2*zb02_1 + 1", _ERROR_CHART, 23,
      "coordinate zb2_1 is not in the chart"),
     ("z0_1 + 0*z0_1*z3_1^0", _ERROR_CHART, 14, "coordinate z3_1 is not in the chart"),
     ("2*z0_1*zb0_1*z2_1*(z0_1 + 1)", _ERROR_CHART, 13,
