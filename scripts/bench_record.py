@@ -2,8 +2,9 @@
 
 usage: python3 scripts/bench_record.py --seed N --out BENCH_<n>.json
 
-Runs ``perfbench/run.py --workload all --seconds 36 --trace 0`` for one
-seed from the root of this checkout, at the benchmark's own run length, and
+Runs ``perfbench/run.py --workload all --seconds S --trace 0`` for one
+seed from the root of this checkout, at the benchmark's own run length S
+(``run_seconds`` in ``BENCHMARK.json``, read at each run), and
 writes a JSON file holding each workload's result line (its metrics,
 ``correct``, ``attempted`` and ``failed``) keyed by workload name, with the
 commit, the interpreter and the host as run.py reports them under each
@@ -22,7 +23,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 HEADER = "liftcalc benchmark: workload="
-SECONDS = 36
 CONTEXT_KEYS = ("commit", "dirty", "python", "platform", "nproc")
 
 
@@ -57,8 +57,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))[
+        "run_seconds"]
     command = [sys.executable, "perfbench/run.py", "--workload", "all",
-               "--seed", str(args.seed), "--seconds", str(SECONDS), "--trace", "0"]
+               "--seed", str(args.seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
     sys.stderr.write(proc.stderr)
     workloads, context = results(proc.stdout)
@@ -68,7 +70,7 @@ def main(argv=None) -> int:
         print(f"error: run exited {proc.returncode} with {len(workloads)} "
               f"result lines; nothing written", file=sys.stderr)
         return 1
-    record = {**context, "seed": args.seed, "seconds": SECONDS,
+    record = {**context, "seed": args.seed, "seconds": seconds,
               "command": " ".join(["python3", *command[1:]]),
               "workloads": workloads}
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

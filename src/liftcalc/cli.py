@@ -340,7 +340,8 @@ def _resolve_order(args, manifest: Manifest) -> tuple[int, int | None, int | Non
         if k is None:
             k = r + s
         elif k != r + s:
-            raise _UsageError(f"--k {k} contradicts --r {r} + --s {s}")
+            given = f"--k {k}" if args.k is not None else f"manifest k={k}"
+            raise _UsageError(f"{given} contradicts --r {r} + --s {s}")
     if k is None:
         raise _UsageError("no extension order: pass --k or declare k in "
                           "the manifest")

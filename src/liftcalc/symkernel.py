@@ -874,9 +874,10 @@ def format_expr(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 
 # One match per token, with the whitespace before it.  Tokens are whole
-# factors where they can be: a coordinate carries its power ("z0_1^3"), a
-# number its denominator ("3/2"), and a parenthesized Gaussian constant such
-# as format_expr writes ("(10 + 15/2*i)") is one factor.  A whole term as
+# bases where they can be: a number carries its denominator ("3/2"), and
+# "i" and a parenthesized Gaussian constant such as format_expr writes
+# ("(10 + 15/2*i)") are one constant each.  A power ("^3") is its own token
+# after any base, a coordinate included.  A whole term as
 # format_expr writes it, "[coefficient*][i*]z..^e*z..*...", is one "term"
 # token: an optional number or such a constant, then coordinate factors,
 # with format_expr's spacing (none but the constant's " + ").  It is not
@@ -910,7 +911,7 @@ _TOKEN_RE = re.compile(rf"""
         (?P<ti> i\* )?
         (?P<tf> {_FACTOR} (?: \* {_FACTOR} )* ) (?= \s*[-+)] | \s*\Z ) )
     | \s* (?:
-      (?P<coord> zb?[0-9]+_0*[1-9][0-9]* | t(?!\w) ) (?: \s*\^\s* (?P<cexp>[0-9]+) )?
+      (?P<coord> zb?[0-9]+_0*[1-9][0-9]* | t(?!\w) )
     | (?P<num>[0-9]+) (?: \s*/\s* (?P<den>[0-9]+) )?
     | (?P<gauss> \( \s* (?P<gre>{_INT}) (?: \s*/\s* (?P<gred>{_NONZERO}) )?
         \s* (?P<gsign>[-+]) \s*
@@ -965,15 +966,6 @@ def _coord(name: str) -> CoordId | None:
     return CoordId(kind, level, index)
 
 
-def _token_coord(m: re.Match) -> CoordId:
-    """The coordinate of a matched coordinate token, or a ParseError."""
-    coord = _coord(m["coord"])
-    if coord is None:
-        raise ParseError(f"coordinate level or index exceeds the limit "
-                         f"{_FIELD_MASK}", m.start("coord"))
-    return coord
-
-
 @lru_cache(maxsize=_COORD_CACHE_SIZE)
 def _factor(text: str) -> tuple[int, int] | None:
     """The ``(code, exponent)`` of a factor of a term token, such as
@@ -1006,11 +998,11 @@ def _tokens(text: str) -> list[tuple]:
     first two fields are its kind and position: ``("m", pos, a, b, d,
     factors)`` for a term token, with the reduced triple of its coefficient
     (1 when it has none) and its ``(code, exponent)`` factors in text
-    order, ``("c", pos, coord, exponent or None, exponent position)``,
-    ``("n", pos, numerator, denominator or None, denominator position)``,
-    ``("g", pos, a, b, d)`` for a parenthesized Gaussian constant with its
-    reduced triple, ``("p", pos, exponent, exponent position)`` for a ``^``
-    with its exponent, ``("i", pos)``, ``(op, pos)`` and ``("end", pos)``.
+    order, ``("c", pos, coord)``, ``("n", pos, numerator, denominator or
+    None, denominator position)``, ``("g", pos, a, b, d)`` for ``i`` or a
+    parenthesized Gaussian constant with its reduced triple, ``("p", pos,
+    exponent, exponent position)`` for a ``^`` with its exponent, ``(op,
+    pos)`` and ``("end", pos)``.
     Lexical errors come before any syntax error."""
     toks: list[tuple] = []
     append = toks.append
@@ -1042,19 +1034,20 @@ def _tokens(text: str) -> list[tuple]:
             elif kind == "op" or kind == "op2":
                 append((m[kind], m.start(kind)))
             elif kind == "coord":
-                append(("c", m.start(kind), _token_coord(m), None, 0))
+                coord = _coord(m[kind])
+                if coord is None:
+                    raise ParseError(f"coordinate level or index exceeds the limit "
+                                     f"{_FIELD_MASK}", m.start(kind))
+                append(("c", m.start(kind), coord))
             elif kind == "num":
                 append(("n", m.start(kind), int(m[kind]), None, 0))
-            elif kind == "cexp":
-                append(("c", m.start("coord"), _token_coord(m), int(m[kind]),
-                        m.start(kind)))
             elif kind == "den":
                 append(("n", m.start("num"), int(m["num"]), int(m[kind]),
                         m.start(kind)))
             elif kind == "exp":
                 append(("p", m.start("pow"), int(m[kind]), m.start(kind)))
             elif kind == "imag":
-                append(("i", m.start(kind)))
+                append(("g", m.start(kind), 0, 1, 1))
             elif kind == "gauss":
                 append(("g", m.start(kind),
                         *_gauss(*m.group("gre", "gred", "gsign", "gim", "gimd"))))
@@ -1167,8 +1160,9 @@ class _Parser:
     A term's factors fold into one Gaussian-rational coefficient, held as
     an integer triple ``(a, b, d)``, and one exponent map; an Expr is built
     only for a parenthesized sum, and each term is added into its
-    expression's term map as it is read.  A parenthesized Gaussian constant
-    such as ``(10 + 15/2*i)`` is one factor token, folded like a number.
+    expression's term map as it is read.  ``i`` and a parenthesized
+    Gaussian constant such as ``(10 + 15/2*i)`` are one constant token each,
+    folded like a number, and every base reads its power the same way.
     A term token is a whole term and goes into the term map in one step.
     Powers, expansions, coefficients and nesting depth are held to the
     budgets above.
@@ -1258,14 +1252,11 @@ class _Parser:
                 if chart is not None and not chart.contains(coord):
                     raise ParseError(
                         f"coordinate {coord.name} is not in the chart", tok[1])
-                e = tok[3]
-                if e is None:
-                    # A power after a coordinate is part of its token, so
-                    # this only refuses a "^" with no exponent.
-                    self._power()
-                    e = 1
-                else:
-                    _check_power(1, 1, e, tok[4])
+                p = self._power()
+                e = 1
+                if p is not None:
+                    e = p[2]
+                    _check_power(1, 1, e, p[3])
                 if e:
                     code = coord._code
                     exps[code] = exps.get(code, 0) + e
@@ -1280,17 +1271,9 @@ class _Parser:
                     raise ParseError("zero denominator", tok[4])
                 a, b, d = _fold(a, b, d, n, 0, q, self._power(), tok[1])
             elif kind == "g":
-                # A parenthesized constant (never zero), folded like a number.
+                # "i" or a parenthesized constant (never zero), folded like a number.
                 a, b, d = _fold(a, b, d, tok[2], tok[3], tok[4], self._power(),
                                 tok[1])
-            elif kind == "i":
-                p = self._power()
-                e = 1
-                if p is not None:
-                    e = p[2]
-                    _check_power(0, 1, e, p[3])
-                for _ in range(e % 4):
-                    a, b = -b, a
             elif kind == "(":
                 if self.depth == _MAX_DEPTH:
                     raise ParseError(f"nesting depth {_MAX_DEPTH + 1} exceeds "

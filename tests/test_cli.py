@@ -484,7 +484,11 @@ def test_lift_endo_rejects_cv(tensors, capsys):
     ("routes", ("--field", "Z", "--kind", "h", "--closed-form"),
      "error: --closed-form does not combine with --kind h (the horizontal "
      "lift is already a direct construction)\n"),
-], ids=["bilinear-cv", "closed-form-h"])
+    ("basic", ("--field", "w", "--kind", "cv", "--r", "1", "--s", "2"),
+     "error: manifest k=2 contradicts --r 1 + --s 2\n"),
+    ("basic", ("--field", "w", "--kind", "cv", "--k", "3", "--r", "1", "--s", "1"),
+     "error: --k 3 contradicts --r 1 + --s 1\n"),
+], ids=["bilinear-cv", "closed-form-h", "cv-against-manifest-k", "cv-against-flag-k"])
 def test_lift_route_usage_errors(request, capsys, fixture, argv_tail, text):
     code, out, err = run(capsys, "lift", "--manifest",
                          request.getfixturevalue(fixture), *argv_tail)

@@ -444,11 +444,14 @@ def test_parse_refuses_coordinates_out_of_range(bad, pos):
 
 
 def test_parse_refuses_powers_beyond_the_degree_limit():
-    assert parse("z0_1^64").degree() == 64
-    assert parse("(z0_1^8*zb0_1^8)^4").degree() == 64
-    for text in ("z0_1^65", "(z0_1^8*zb0_1^8)^5", "(z0_1+zb0_1^2)^33"):
-        with pytest.raises(ParseError, match="exceeds the limit 64"):
+    for text in ("z0_1^64", "(z0_1^8*zb0_1^8)^4", "z0_1 ^ 64"):
+        assert parse(text).degree() == 64
+    for text, pos, degree in [("z0_1^65", 5, 65), ("(z0_1^8*zb0_1^8)^5", 17, 80),
+                              ("(z0_1+zb0_1^2)^33", 15, 66), ("z0_1 ^ 65", 7, 65)]:
+        with pytest.raises(ParseError) as err:
             parse(text)
+        assert (err.value.position, str(err.value)) == (
+            pos, f"power of degree {degree} exceeds the limit 64 (at position {pos})")
     assert parse("(1+i)^200") == parse("(2*i)^100")
 
 
@@ -458,6 +461,7 @@ def test_parse_refuses_powers_beyond_the_degree_limit():
     ("2^2049", 2, "power of 4098 coefficient bits exceeds the limit 4096"),
     ("((3/2)^2000)^3", 13, "power of 9510 coefficient bits exceeds the limit 4096"),
     ("i^5000", 2, "power of 5000 coefficient bits exceeds the limit 4096"),
+    ("i^4097", 2, "power of 4097 coefficient bits exceeds the limit 4096"),
 ])
 def test_parse_refuses_constant_powers_beyond_the_bit_limit(bad, pos, message):
     with pytest.raises(ParseError) as err:
@@ -470,6 +474,8 @@ def test_parse_accepts_constant_powers_within_the_bit_limit():
     assert parse("(3/2)^2048") == Expr.constant(Fraction(3 ** 2048, 2 ** 2048))
     assert parse("2^2048") == Expr.constant(2 ** 2048)
     assert parse("i^4095") == parse("-i")
+    assert parse("i^4096*z0_1") == parse("z0_1")
+    assert parse("2*i ^ 3") == parse("-2*i")
     # The largest accepted powers still print.
     for text in ("(3/2)^2048", "(1 + i)^4096", "(3/2 + 5/4*i)^1365"):
         assert parse(format_expr(parse(text))) == parse(text)
@@ -603,7 +609,9 @@ _GROUP_CONTEXTS = ["{g}", "-{g}*z0_1 + zb0_1", "z0_1 + {g}*zb0_1*{g} - {g}*z0_1"
 
 
 def _group_kinds(text):
-    return [tok[0] for tok in _tokens(text) if tok[0] in ("g", "(")]
+    # "i" is a "g" token too; a group starts with its "(".
+    return [tok[0] for tok in _tokens(text)
+            if tok[0] in ("g", "(") and text[tok[1]] == "("]
 
 
 @pytest.mark.parametrize("shape", _GROUP_SHAPES,
@@ -760,9 +768,11 @@ def test_mixed_coefficients_round_trip(e):
     assert parse(text) == e
     # Each mixed coefficient prints as one group: a token ("g" alone, "mg"
     # as a term token's coefficient) when its integers have at most 640
-    # digits, else a sum read through "(".  Then each term with coordinates
-    # is one term token.
-    kinds = [("mg" if text[tok[1]] == "(" else "m") if tok[0] == "m" else tok[0]
+    # digits, else a sum read through "(".  A lone "i" is a "g" token too,
+    # counted here as "i".  Then each term with coordinates is one term
+    # token.
+    kinds = [tok[0] + "g" * (text[tok[1]] == "(") if tok[0] == "m"
+             else "i" if tok[0] == "g" and text[tok[1]] == "i" else tok[0]
              for tok in _tokens(text)]
     coeffs = e._terms.values()
     assert kinds.count("g") + kinds.count("mg") + kinds.count("(") \
@@ -801,7 +811,7 @@ _BIG_641 = "1" * 641
 
 _TERM_EDGES = [
     # An exponent over 64, with or without leading zeros, and a "^" with no
-    # exponent after it are read through the coordinate token.
+    # exponent after it are read through the coordinate and "^" tokens.
     ("2*z0_1*z0_2^65", None, 12, "power of degree 65 exceeds the limit 64"),
     ("2*z0_1*z0_2^0065", None, 12, "power of degree 65 exceeds the limit 64"),
     ("2*z0_1*z0_2^", None, 12, "expected a natural-number exponent"),
@@ -857,24 +867,44 @@ def test_term_token_coefficients_hold_under_the_lowest_int_digit_limit():
                         for pos in (0, 2, 5, 7)]
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit in this interpreter")
+@pytest.mark.parametrize("limit", [640, 4300])
+def test_parse_refuses_a_long_coordinate_where_it_starts(limit):
+    # A level or index too long for int() is refused at its coordinate,
+    # whether or not a power follows it.
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        outcomes = [_outcome(text) for text in (
+            "z" + "1" * 4400 + "_1^2", "z" + "1" * 4400 + "_1",
+            "1 + z0_" + "2" * 4400 + "^3")]
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert outcomes == [("ParseError", f"number too long (at position {pos})", pos)
+                        for pos in (0, 0, 4)]
+
+
 @pytest.mark.parametrize("text,kinds,same_as", [
     ("2 * z0_1", ["n", "*", "c", "end"], "2*z0_1"),
     ("z0_2*z0_1*z0_2", ["m", "end"], "z0_1*z0_2^2"),
     ("2*z0_1*(z0_1 + 1)", ["n", "*", "c", "*", "(", "m", "+", "n", ")", "end"],
      "2*z0_1^2 + 2*z0_1"),
-    ("2*z0_1*z0_2^064", ["n", "*", "c", "*", "c", "end"], "2*z0_1*z0_2^64"),
+    ("2*z0_1*z0_2^064", ["n", "*", "c", "*", "c", "p", "end"], "2*z0_1*z0_2^64"),
     # A term token starts a term: after a "*" the smaller tokens are read.
     ("3 * 2*z0_1 - (1 + i)*z0_1", ["n", "*", "n", "*", "c", "-", "m", "end"],
      "(5 - i)*z0_1"),
-    ("z0_1^ 2*(3/2 + i)*zb0_1", ["c", "*", "g", "*", "c", "end"],
+    ("z0_1^ 2*(3/2 + i)*zb0_1", ["c", "p", "*", "g", "*", "c", "end"],
      "(3/2 + i)*z0_1^2*zb0_1"),
     ("(2*z0_1 - 3/2*i*t^2)^2", ["(", "m", "-", "m", ")", "p", "end"],
      "4*z0_1^2 - 6*i*t^2*z0_1 - 9/4*t^4"),
     ("z0_1^0*t*z0_1^2*z0_1^0", ["m", "end"], "t*z0_1^2"),
     ("3/6*i*z0_1*zb00_1", ["m", "end"], "1/2*i*z0_1*zb0_1"),
     ("2/04*z0_01*t", ["n", "*", "c", "*", "c", "end"], "1/2*t*z0_1"),
-    ("z0_1^2^3", ["c", "p", "end"], None),
+    ("z0_1^2^3", ["c", "p", "p", "end"], None),
     ("(1 + i)^2*z0_1 - 0*t", ["g", "p", "*", "c", "-", "m", "end"], "2*i*z0_1"),
+    # "i" is a Gaussian constant token, and its power a "^" token.
+    ("2 * i^3*z0_1", ["n", "*", "g", "p", "*", "c", "end"], "-2*i*z0_1"),
 ])
 def test_term_token_reads_like_its_small_tokens(text, kinds, same_as):
     assert [tok[0] for tok in _tokens(text)] == kinds
