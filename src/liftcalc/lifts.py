@@ -618,11 +618,10 @@ def vector_test_holdout(chart0: ChartSpec) -> tuple[VectorField, ...]:
 
 @dataclass(frozen=True)
 class SolveCertificate:
-    """Record of a certified determined-lift solve.
-
-    ``notes`` carries post-verification observations that are reported
-    rather than enforced (currently: the covector-pairing law checked after
-    every (1,1)-tensor solve)."""
+    """Record of a certified determined-lift solve: which lift, how many
+    defining equations it met (``family_size``) and on how many holdout
+    equations it was checked (``holdout_size``).  A nonzero residual raises,
+    so ``residuals_zero`` is always True; other laws are the suites' to check."""
 
     op: str
     kind: str
@@ -632,7 +631,6 @@ class SolveCertificate:
     family_size: int
     holdout_size: int
     residuals_zero: bool
-    notes: tuple[str, ...] = ()
 
 
 def _check_kind(kind: str, k: int, r: int | None, s: int | None
@@ -783,10 +781,10 @@ class _Engine:
             raise LiftError(
                 f"{self.what} holdout residual nonzero: {format_expr(bad)}")
 
-    def certificate(self, family_size: int, holdout_size: int,
-                    notes: tuple[str, ...] = ()) -> SolveCertificate:
+    def certificate(self, family_size: int, holdout_size: int
+                    ) -> SolveCertificate:
         return SolveCertificate(self.op, self.kind, self.k, self.r, self.s,
-                                family_size, holdout_size, True, notes)
+                                family_size, holdout_size, True)
 
 
 # -- vector fields -----------------------------------------------------------
@@ -928,12 +926,6 @@ def _vf_solve_cached(Z: VectorField, kind: str, k: int) -> VectorField:
                     lambda: vf_lift_solve(Z, kind, k))
 
 
-def complete_vf_cached(Z: VectorField, k: int) -> VectorField:
-    """Memoized determined complete lift; the one-form and tensor solves pair
-    their ansatz against these."""
-    return _vf_solve_cached(Z, "c", k)
-
-
 # -- one-forms ----------------------------------------------------------------
 
 def _pairing(chart0: ChartSpec, k: int, stage: int) -> _System:
@@ -942,7 +934,7 @@ def _pairing(chart0: ChartSpec, k: int, stage: int) -> _System:
     tests = vector_test_family(chart0, stage)
     position = {c: p for p, c in enumerate(chart0.extend(k).coordinates())}
     rows = [{position[c]: comp
-             for c, comp in complete_vf_cached(X, k).components.items()}
+             for c, comp in _vf_solve_cached(X, "c", k).components.items()}
             for X in tests]
     return _System(tests, rows, len(position))
 
@@ -994,7 +986,7 @@ def of_defining_residuals(w: OneForm, lifted: OneForm, kind: str, k: int, *,
         vectors = vector_test_holdout(chart0)
     out = []
     for X in vectors:
-        Xc = complete_vf_cached(X, k)
+        Xc = _vf_solve_cached(X, "c", k)
         rhs = _lift_scalar_expr(w.pair(X), kind, k, r, s)
         out.append(lifted.pair(Xc) - rhs)
     return out
@@ -1015,7 +1007,10 @@ def t11_lift_solve_certified(phi: EndoField, kind: str, k: int
 
     Row-wise: the output component at coordinate a couples only the unknowns
     E[a, .], and every row has the one-form lift's coefficient rows, so the
-    rows are right-hand sides replayed on one factorisation."""
+    rows are right-hand sides replayed on one factorisation.  As for every
+    determined lift, the certificate records the defining equations solved
+    and the holdout checked; the covector half of the (1,1) law is the
+    tensors suite's to check (clauses T2 and T4)."""
     chart0 = _require_base_chart(phi, "determined lift input")
     _t_kind(kind, k)
     target = chart0.extend(k)
@@ -1036,29 +1031,7 @@ def t11_lift_solve_certified(phi: EndoField, kind: str, k: int
                                 for b, v in zip(coords, row) if not v.is_zero()})
     holdout = vector_test_holdout(chart0)
     engine.holdout(t11_defining_residuals(phi, result, kind, k, vectors=holdout))
-    notes = t11_form_clause_notes(phi, result, kind, k)
-    return result, engine.certificate(len(system.items), len(holdout), notes)
-
-
-def t11_form_clause_notes(phi: EndoField, lifted: EndoField, kind: str,
-                          k: int) -> tuple[str, ...]:
-    """Post-verify the covector half of the tensor-lift law: composing each
-    lifted basis covector with the lifted tensor should reproduce the lift
-    of the composition.  A nonzero residual is reported (never raised): for
-    vertical lifts the pairing annihilates every level-0 covector, so this
-    half of the law cannot hold whenever the base composition is nonzero."""
-    chart0 = phi.chart
-    for coord in _base_coords(chart0):
-        eta = OneForm(chart0, {coord: Expr.one()})
-        composed = phi.apply_form(eta)
-        lifted_eta = of_lift_solve(eta, kind, k)
-        expected = of_lift_solve(composed, kind, k)
-        if lifted.apply_form(lifted_eta) != expected:
-            return (
-                f"covector pairing fails at d{coord.name}: the {kind}-lifted "
-                f"covector composed with the lifted tensor differs from the "
-                f"lifted composition",)
-    return ()
+    return result, engine.certificate(len(system.items), len(holdout))
 
 
 def t11_lift_solve(phi: EndoField, kind: str, k: int) -> EndoField:
@@ -1077,7 +1050,7 @@ def t11_defining_residuals(phi: EndoField, lifted: EndoField, kind: str,
     out: list[Expr] = []
     target = lifted.chart
     for X in vectors:
-        Xc = complete_vf_cached(X, k)
+        Xc = _vf_solve_cached(X, "c", k)
         rhs = _vf_solve_cached(phi.apply_vector(X), kind, k)
         diff = lifted.apply_vector(Xc) - rhs
         for coord in target.coordinates():
@@ -1148,7 +1121,8 @@ def t02_defining_residuals(G: Bilinear, lifted: Bilinear, kind: str, k: int, *,
     basis = _vector_stage(chart0, 0)
     pairs = [pair for X in vectors for Y in basis for pair in ((X, Y), (Y, X))]
     pairs += [(X, Y) for i, X in enumerate(vectors) for Y in vectors[i:]]
-    return [lifted.evaluate(complete_vf_cached(X, k), complete_vf_cached(Y, k))
+    return [lifted.evaluate(_vf_solve_cached(X, "c", k),
+                            _vf_solve_cached(Y, "c", k))
             - _lift_scalar_expr(G.evaluate(X, Y), kind, k, None, None)
             for X, Y in pairs]
 

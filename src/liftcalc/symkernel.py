@@ -42,6 +42,7 @@ from __future__ import annotations
 import heapq
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
@@ -218,6 +219,19 @@ _RatLike = Union[int, Fraction]
 _new = object.__new__
 
 
+def _power(base, exponent: int, one):
+    """``base ** exponent`` by square-and-multiply from `one`, the unit of
+    the base's ring; the base is not squared after the top bit."""
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
+
+
 class GRat:
     """An exact Gaussian rational ``(a + b*i)/d`` held as three integers.
 
@@ -336,15 +350,7 @@ class GRat:
     def __pow__(self, exponent: int) -> "GRat":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("GRat powers take non-negative integer exponents")
-        result = GR_ONE
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, exponent, GR_ONE)
 
     def conjugate(self) -> "GRat":
         return _grat_normal(self._a, -self._b, self._d)
@@ -662,15 +668,7 @@ class Expr:
     def __pow__(self, exponent: int) -> "Expr":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("Expr powers take non-negative integer exponents")
-        result = _EXPR_ONE
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return _power(self, exponent, _EXPR_ONE)
 
     def scale(self, c: GRatLike) -> "Expr":
         cv = GRat.from_value(c)
@@ -952,27 +950,32 @@ _MAX_DEPTH = 100
 _COORD_CACHE_SIZE = 4096
 
 
+class _OutOfRange(Exception):
+    """A coordinate name whose level or index is over the limit."""
+
+
 @lru_cache(maxsize=_COORD_CACHE_SIZE)
-def _coord(name: str) -> CoordId | None:
+def _coord(name: str) -> CoordId:
     """The coordinate of a token: ``t``, ``z<level>_<index>`` or
-    ``zb<level>_<index>``; None when its level or index is out of range."""
+    ``zb<level>_<index>``.  A level or index out of range raises
+    _OutOfRange (and one too long for int() ValueError), so no refusal is
+    cached."""
     if name == "t":
         return TIME
     head, index = name.split("_")
     kind, start = (Kind.ANTI, 2) if head[1:2] == "b" else (Kind.HOLO, 1)
     level, index = int(head[start:]), int(index)
     if level > _FIELD_MASK or index > _FIELD_MASK:
-        return None
+        raise _OutOfRange(name)
     return CoordId(kind, level, index)
 
 
 @lru_cache(maxsize=_COORD_CACHE_SIZE)
-def _factor(text: str) -> tuple[int, int] | None:
+def _factor(text: str) -> tuple[int, int]:
     """The ``(code, exponent)`` of a factor of a term token, such as
-    ``z2_3^2``; None when its level or index is out of range."""
+    ``z2_3^2``; raises as `_coord` does."""
     name, _, exp = text.partition("^")
-    coord = _coord(name)
-    return None if coord is None else (coord._code, int(exp) if exp else 1)
+    return _coord(name)._code, int(exp) if exp else 1
 
 
 def _factor_position(text: str, pos: int, n: int) -> int:
@@ -1024,21 +1027,16 @@ def _tokens(text: str) -> list[tuple]:
                     a, b, d = 1, 0, 1
                 if imag:
                     a, b = -b, a
-                pairs = tuple(map(_factor, factors.split("*")))
-                if None in pairs:
-                    raise ParseError(f"coordinate level or index exceeds the limit "
-                                     f"{_FIELD_MASK}",
-                                     _factor_position(text, m.start(kind),
-                                                      pairs.index(None)))
-                append(("m", m.start(kind), a, b, d, pairs))
+                append(("m", m.start(kind), a, b, d,
+                        tuple(map(_factor, factors.split("*")))))
             elif kind == "op" or kind == "op2":
                 append((m[kind], m.start(kind)))
             elif kind == "coord":
-                coord = _coord(m[kind])
-                if coord is None:
-                    raise ParseError(f"coordinate level or index exceeds the limit "
-                                     f"{_FIELD_MASK}", m.start(kind))
-                append(("c", m.start(kind), coord))
+                # A name the lowest int-to-str limit (640 digits) may refuse
+                # is not cached: whether int() reads it depends on the limit.
+                name = m[kind]
+                append(("c", m.start(kind), _coord(name) if len(name) <= 640
+                        else _coord.__wrapped__(name)))
             elif kind == "num":
                 append(("n", m.start(kind), int(m[kind]), None, 0))
             elif kind == "den":
@@ -1055,8 +1053,19 @@ def _tokens(text: str) -> list[tuple]:
                 pos = m.start(kind)
                 raise ParseError(f"unexpected character {text[pos:pos + 4]!r}", pos)
     except ValueError:
-        # int() refuses digit strings beyond the interpreter's limit.
-        raise ParseError("number too long", m.start(m.lastgroup)) from None
+        # int() refuses digit strings beyond the interpreter's limit.  A
+        # fraction's match is named for its denominator, but its numerator
+        # is read first.
+        if kind == "den" and len(m["num"]) > sys.get_int_max_str_digits():
+            kind = "num"
+        raise ParseError("number too long", m.start(kind)) from None
+    except _OutOfRange as err:
+        pos = m.start(kind)
+        if kind == "term":
+            names = [f.partition("^")[0] for f in m["tf"].split("*")]
+            pos = _factor_position(text, pos, names.index(err.args[0]))
+        raise ParseError(f"coordinate level or index exceeds the limit "
+                         f"{_FIELD_MASK}", pos) from None
     append(("end", len(text)))
     return toks
 

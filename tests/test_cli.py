@@ -295,6 +295,18 @@ def test_lift_endo(tensors, capsys):
     assert "  d/dz1_1 <- d/dz1_1: i" in out.splitlines()
 
 
+def test_lift_endo_with_a_time_input(tmp_path, capsys):
+    # The (1,1) lift solves its own defining equations only; a dt part of
+    # the tensor composed with a covector is no reason to refuse it.
+    p = tmp_path / "timed.manifest"
+    p.write_text("m: 1\nk: 1\n\nfield P:\n  type: endo\n  z0_1, t: z0_1\n")
+    code, out, _ = run(capsys, "lift", "--manifest", str(p),
+                       "--field", "P", "--kind", "c")
+    assert code == 0
+    assert out.splitlines() == ["P^{c^1}:", "  d/dz0_1 <- d/dt: z0_1",
+                                "  d/dz1_1 <- d/dt: z1_1"]
+
+
 def test_lift_output_components_reparse(basic, capsys):
     _, out, _ = run(capsys, "lift", "--manifest", basic,
                     "--field", "g", "--kind", "c", "--k", "2")

@@ -1,16 +1,18 @@
 """Determined lifts of (1,1)- and (0,2)-tensor fields.
 
 Both solve against complete lifts of a base vector family; the certificate
-carries a note whenever the covector half of the (1,1) law cannot hold
-(always the case for vertical lifts of nonzero tensors).
+records the defining equations and the holdout.  The covector half of the
+(1,1) law holds for complete lifts and fails for vertical ones (it is the
+tensors suite's clauses T4 and T2).
 """
 
 import pytest
 
 from liftcalc.charts import ChartSpec
-from liftcalc.fields import Bilinear, EndoField, VectorField
+from liftcalc.fields import Bilinear, EndoField, OneForm, VectorField
 from liftcalc.lifts import (
     LiftError,
+    of_lift_solve,
     t02_defining_residuals,
     t02_lift_solve,
     t02_lift_solve_certified,
@@ -18,7 +20,7 @@ from liftcalc.lifts import (
     t11_lift_solve,
     t11_lift_solve_certified,
 )
-from liftcalc.symkernel import Expr, anti, holo, parse
+from liftcalc.symkernel import TIME, Expr, anti, holo, parse
 
 C0 = ChartSpec(1, 0, False)
 C2 = ChartSpec(2, 0, False)
@@ -65,12 +67,15 @@ def test_t11_vertical_lift_pushes_to_top():
         == VectorField(C0.extend(1), {Z11: parse("i")})
 
 
-def test_t11_certificate_notes_fire_only_for_vertical():
-    _, cert_c = t11_lift_solve_certified(diag_J(), "c", 1)
-    assert cert_c.notes == ()
-    _, cert_v = t11_lift_solve_certified(diag_J(), "v", 1)
-    assert len(cert_v.notes) == 1
-    assert "covector pairing fails" in cert_v.notes[0]
+@pytest.mark.parametrize("kind,holds", [("c", True), ("v", False)])
+def test_t11_covector_pairing_holds_for_complete_only(kind, holds):
+    # The lifted J composed with the lifted dz is the lift of J composed
+    # with dz for the complete lift; the vertical pairing annihilates every
+    # level-0 covector, so there the law fails.
+    J, dz = diag_J(), OneForm(C0, {Z01: Expr.one()})
+    lifted = t11_lift_solve(J, kind, 1)
+    assert (lifted.apply_form(of_lift_solve(dz, kind, 1))
+            == of_lift_solve(J.apply_form(dz), kind, 1)) is holds
 
 
 def test_t11_residuals_vanish_on_fresh_vectors():
@@ -82,6 +87,20 @@ def test_t11_residuals_vanish_on_fresh_vectors():
         residuals = t11_defining_residuals(phi, lifted, kind, 2,
                                            vectors=probes)
         assert all(e.is_zero() for e in residuals)
+
+
+def test_t11_complete_lift_of_a_time_coupled_tensor():
+    # phi(d/dt) = z0_1 d/dz0_1.  Its complete lift meets its defining
+    # equations.  The covector law is the tensors suite's, and here it has
+    # no right-hand side: phi composed with dz0_1 has a dt part, which no
+    # complete one-form lift takes.
+    chart = ChartSpec(1, 0, True)
+    phi = EndoField(chart, {(Z01, TIME): parse("z0_1")})
+    lifted, cert = t11_lift_solve_certified(phi, "c", 1)
+    assert (cert.op, cert.kind, cert.residuals_zero) == ("endo", "c", True)
+    assert all(e.is_zero() for e in t11_defining_residuals(phi, lifted, "c", 1))
+    with pytest.raises(LiftError, match="zero time component"):
+        of_lift_solve(phi.apply_form(OneForm(chart, {Z01: Expr.one()})), "c", 1)
 
 
 def test_t11_rejects_unsupported_kinds():

@@ -1,16 +1,19 @@
 """The package's public surface: every exported name resolves, and the
-names of the retired solver-unknown API are gone."""
+names of the retired solver-unknown API and lift helpers are gone."""
 
 import ast
 import pathlib
 
 import liftcalc
-from liftcalc import symkernel
+from liftcalc import lifts, symkernel
 
 # Solver unknowns were a second kind of atom; positions now carry plain
 # string names, and coordinates are the only atoms.
 REMOVED = ("UnknownId", "Atom", "ConjugationError", "NonlinearSystemError",
            "solve_poly_linear")
+# The (1,1) solve checked the covector-pairing law after every solve, which
+# the tensors suite owns; the complete-lift alias had one-line callers.
+RETIRED_LIFTS = ("t11_form_clause_notes", "complete_vf_cached")
 
 
 def test_every_public_name_resolves():
@@ -29,6 +32,11 @@ def test_removed_names_are_gone():
         assert not hasattr(symkernel, name)
     for method in ("linear_split", "substitute_unknowns", "unknowns", "atoms"):
         assert not hasattr(symkernel.Expr, method)
+    for name in RETIRED_LIFTS:
+        assert name not in liftcalc.__all__
+        assert not hasattr(liftcalc, name)
+        assert not hasattr(lifts, name)
+    assert "notes" not in lifts.SolveCertificate.__dataclass_fields__
 
 
 def test_no_unused_imports():

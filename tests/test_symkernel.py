@@ -542,8 +542,16 @@ def test_parse_accepts_expansions_within_the_term_limit():
     ("1/\u0663", 2, "unexpected character '\u0663'"),
     ("z0_0 + 1", 0, "unexpected character 'z0_0'"),
     ("1" * 5000, 0, "number too long"),
+    # A number too long is refused where its digits start, with or without
+    # a denominator after it.
+    ("1" * 5000 + "/2*z0_1", 0, "number too long"),
+    ("1" * 5000 + "*z0_1", 0, "number too long"),
+    ("2/" + "1" * 5000, 2, "number too long"),
+    ("z0_1^" + "1" * 5000, 5, "number too long"),
 ], ids=["superscript-digit", "arabic-indic-level", "superscript-exponent",
-        "arabic-indic-denominator", "zero-index", "5000-digit-number"])
+        "arabic-indic-denominator", "zero-index", "5000-digit-number",
+        "5000-digit-numerator", "5000-digit-coefficient",
+        "5000-digit-denominator", "5000-digit-exponent"])
 def test_parse_refuses_non_ascii_digits_and_malformed_numbers(bad, pos, message):
     with pytest.raises(ParseError) as err:
         parse(bad)
@@ -883,6 +891,26 @@ def test_parse_refuses_a_long_coordinate_where_it_starts(limit):
         sys.set_int_max_str_digits(old)
     assert outcomes == [("ParseError", f"number too long (at position {pos})", pos)
                         for pos in (0, 0, 4)]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit in this interpreter")
+def test_a_long_coordinate_reads_the_same_after_a_parse_under_another_limit():
+    # Out of range under the default limit, too long for int() under 640: a
+    # parse under 640 answers as in a fresh process, whatever came before.
+    # The zero-padded name is z0_1 under the default limit.
+    texts = ("z" + "1" * 700 + "_1", "z" + "0" * 700 + "_1")
+    first = [_outcome(text) for text in texts]
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        second = [_outcome(text) for text in texts]
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert first[0] == ("ParseError", "coordinate level or index exceeds the "
+                        "limit 1048575 (at position 0)", 0)
+    assert first[1] == _outcome("z0_1")
+    assert second == [("ParseError", "number too long (at position 0)", 0)] * 2
 
 
 @pytest.mark.parametrize("text,kinds,same_as", [
