@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .charts import ChartSpec
-from .symkernel import CoordId, Expr, ExprLike, format_expr
+from .symkernel import CoordId, Expr, ExprLike, _add_product, _expr, format_expr
 
 
 class FieldError(Exception):
@@ -249,10 +249,10 @@ class VectorField(_Rank1):
     def apply(self, f: ExprLike) -> Expr:
         """Directional derivative of a function: sum of comp * df/dcoord."""
         expr = Expr.from_value(f)
-        out = Expr.zero()
+        acc: dict = {}
         for coord, comp in self.components.items():
-            out = out + comp * expr.diff(coord)
-        return out
+            _add_product(acc, comp, expr.diff(coord))
+        return _expr(acc)
 
 
 class OneForm(_Rank1):
@@ -269,12 +269,12 @@ class OneForm(_Rank1):
     def pair(self, Z: VectorField) -> Expr:
         """Natural pairing with a vector field."""
         _same_chart(self, Z)
-        out = Expr.zero()
+        acc: dict = {}
         for coord, comp in self.components.items():
             zc = Z.components.get(coord)
             if zc is not None:
-                out = out + comp * zc
-        return out
+                _add_product(acc, comp, zc)
+        return _expr(acc)
 
 
 class _Rank2(_Labelled):
@@ -322,13 +322,12 @@ def _contract(entries: Mapping[tuple, Expr], vector: Mapping[CoordId, Expr],
               at: int) -> dict[CoordId, Expr]:
     """A rank-2 map summed against a rank-1 map over key index ``at``:
     ``out[key[1 - at]] += entries[key] * vector[key[at]]``."""
-    out: dict[CoordId, Expr] = {}
+    out: dict[CoordId, dict] = {}
     for key, value in entries.items():
         v = vector.get(key[at])
         if v is not None:
-            free = key[1 - at]
-            out[free] = out.get(free, Expr.zero()) + value * v
-    return out
+            _add_product(out.setdefault(key[1 - at], {}), value, v)
+    return {free: _expr(acc) for free, acc in out.items()}
 
 
 def _matmul(left: Mapping[tuple, Expr], right: Mapping[tuple, Expr]
@@ -338,11 +337,11 @@ def _matmul(left: Mapping[tuple, Expr], right: Mapping[tuple, Expr]
     rows: dict[CoordId, list[tuple[CoordId, Expr]]] = {}
     for (b, c), value in right.items():
         rows.setdefault(b, []).append((c, value))
-    out: dict[tuple, Expr] = {}
+    out: dict[tuple, dict] = {}
     for (a, b), value in left.items():
         for c, r in rows.get(b, ()):
-            out[(a, c)] = out.get((a, c), Expr.zero()) + value * r
-    return out
+            _add_product(out.setdefault((a, c), {}), value, r)
+    return {key: _expr(acc) for key, acc in out.items()}
 
 
 class EndoField(_Rank2):
@@ -388,13 +387,13 @@ class Bilinear(_Rank2):
     def evaluate(self, X: VectorField, Y: VectorField) -> Expr:
         _same_chart(self, X)
         _same_chart(self, Y)
-        out = Expr.zero()
+        acc: dict = {}
         for (a, b), value in self.entries.items():
             xa = X.components.get(a)
             yb = Y.components.get(b)
             if xa is not None and yb is not None:
-                out = out + value * xa * yb
-        return out
+                _add_product(acc, value * xa, yb)
+        return _expr(acc)
 
     def pullback_endo(self, J: EndoField) -> "Bilinear":
         """The bilinear (X, Y) -> self(J X, J Y): the matrix J^T . self . J."""

@@ -45,7 +45,12 @@ through the right-hand sides.  So one engine serves all four ops: it factors
 each system's coefficient rows once per key (fraction-free elimination,
 :class:`liftcalc.symkernel.PolyLinearFactor`, kept in a bounded cache) and,
 per input, computes the right-hand sides, replays the recorded elimination
-on them and back-substitutes.  The one-form, (1,1) and (0,2) lifts share
+on them and back-substitutes.  A vector lift solves one level ladder at a
+time, with the ladder's unknowns laid out top level first: the complete
+lift of the base coordinate x is the top-level coordinate, so the first
+pivot is a constant and every later one a single term.  Bottom level
+first, the fraction-free pivots grow with each level and multiply every
+right-hand side they meet.  The one-form, (1,1) and (0,2) lifts share
 one set of rows P (test fields against their complete lifts); the (0,2)
 pair equations ``P B P^T = R``, i.e. ``(P (x) P) vec(B) = vec(R)``, are two
 rounds of replays on P.  Every solution is then checked against every
@@ -73,6 +78,7 @@ from .fields import (
     Bilinear,
     ConnectionCoeffs,
     EndoField,
+    FieldError,
     OneForm,
     ScalarField,
     VectorField,
@@ -87,6 +93,7 @@ from .symkernel import (
     PolyLinearFactor,
     UnderdeterminedError,
     _accumulate,
+    _add_product,
     _expr,
     _level_up,
     binomial,
@@ -664,7 +671,8 @@ def _bounded(cache: OrderedDict, bound: int, key, make):
 class _System:
     """The test items of one defining system, each item's coefficient row
     ``{position: Expr}``, and the factorisation of the rows, built on first
-    use (a vector lift's whole family is only checked, never factored)."""
+    use (a vector lift's whole family and holdout are only evaluated, never
+    factored)."""
 
     __slots__ = ("items", "rows", "width", "_factor")
 
@@ -678,6 +686,16 @@ class _System:
         if self._factor is None:
             self._factor = PolyLinearFactor(self.rows, self.width)
         return self._factor
+
+    def evaluate(self, rests: Sequence[Expr], values: Sequence[Expr]
+                 ) -> Iterable[Expr]:
+        """Each equation's left-hand side ``sum(row_n[p] * values[p]) +
+        rest_n``, one equation at a time."""
+        for row, rest in zip(self.rows, rests):
+            acc = dict(rest._terms)
+            for p, c in row.items():
+                _add_product(acc, c, values[p])
+            yield _expr(acc)
 
 
 # Systems by key.  A key is a builder followed by its arguments (chart,
@@ -736,10 +754,7 @@ class _Engine:
 
     def check(self, system: _System, rests: list[Expr],
               values: Sequence[Expr]) -> None:
-        for n, (row, rest) in enumerate(zip(system.rows, rests)):
-            total = rest
-            for p, c in row.items():
-                total = total + c * values[p]
+        for n, total in enumerate(system.evaluate(rests, values)):
             if not total.is_zero():
                 raise LiftError(
                     f"{self.what} solve: solution fails its own equation {n}")
@@ -799,21 +814,38 @@ def _vf_layout(chart0: ChartSpec, k: int, include_time: bool) -> list[CoordId]:
 def _vf_system(functions: Sequence[Expr], coords: Sequence[CoordId],
                k: int) -> _System:
     """Rows of ``Z^lift(f^{c^k}) = sum over c of Z^c * d(f^{c^k})/dc``.  No
-    function carries t when the time component is pinned, so every
-    coordinate met is one of `coords`."""
+    family function carries t when the time component is pinned; any
+    coordinate outside `coords` has no component and gets no entry."""
     position = {c: p for p, c in enumerate(coords)}
     rows = []
     for f in functions:
         fck = _complete_expr(f, k)
-        rows.append({position[c]: fck.diff(c) for c in fck.coords()})
+        rows.append({position[c]: fck.diff(c) for c in fck.coords()
+                     if c in position})
     return _System(functions, rows, len(coords))
 
 
 def _vf_ladder(ladder: tuple[CoordId, ...], k: int) -> _System:
     """A level ladder (or the time line) against the pure powers of its
-    base coordinate, which reach no other coordinate."""
-    x = Expr.atom(ladder[0])
+    level-0 coordinate x, which reach no other coordinate.
+
+    Ladders run top level first: ``x^{c^k}`` then gives a constant first
+    pivot and every later pivot is one term, so the fraction-free replay
+    stays narrow.  Bottom level first, the pivots grow with every level
+    (40 terms at k = 5) and multiply each right-hand side they meet."""
+    x = Expr.atom(next(c for c in ladder if c.level == 0))
     return _vf_system([x ** d for d in range(1, len(ladder) + 1)], ladder, k)
+
+
+def _vf_ladders(chart0: ChartSpec, k: int, include_time: bool
+                ) -> list[tuple[CoordId, ...]]:
+    """The time line when its component is unknown, then each base
+    coordinate's levels, top level first."""
+    ladders = [(TIME,)] if include_time else []
+    ladders += [tuple(CoordId(base.kind, level, base.index)
+                      for level in range(k, -1, -1))
+                for base in _base_coords(chart0)]
+    return ladders
 
 
 def _vf_family(chart0: ChartSpec, k: int, include_time: bool) -> _System:
@@ -863,12 +895,8 @@ def vf_lift_solve_certified(Z: VectorField, kind: str, k: int, *,
             out.append(rest)
         return out
 
-    ladders = [(TIME,)] if include_time else []
-    ladders += [tuple(CoordId(base.kind, level, base.index)
-                      for level in range(k + 1))
-                for base in _base_coords(chart0)]
     values: list = [None] * len(coords)
-    for ladder in ladders:
+    for ladder in _vf_ladders(chart0, k, include_time):
         system = _system((_vf_ladder, ladder, k))
         solved = engine.replay(system, rests(system.items),
                                [names[position[c]] for c in ladder])
@@ -897,16 +925,18 @@ def vf_defining_residuals(Z: VectorField, lifted: VectorField, kind: str,
                           k: int, *, r: int | None = None, s: int | None = None,
                           functions: Sequence[Expr] | None = None) -> list[Expr]:
     """Residuals lifted(f^{c^k}) - (Z f)^lift over the given functions
-    (default: the holdout family)."""
+    (default: the holdout family), evaluated on cached rows as the family
+    check is."""
     chart0 = Z.chart
-    if functions is None:
-        functions = function_holdout(chart0)
-    out = []
-    for f in functions:
-        fck = _complete_expr(f, k)
-        rhs = _lift_scalar_expr(Z.apply(f), kind, k, r, s)
-        out.append(lifted.apply(fck) - rhs)
-    return out
+    target = chart0.extend(k)
+    if lifted.chart != target:
+        raise FieldError(f"chart mismatch: {lifted.chart} vs {target}")
+    functions = (function_holdout(chart0) if functions is None
+                 else tuple(functions))
+    coords = target.coordinates()
+    system = _system((_vf_system, functions, coords, k))
+    rests = [-_lift_scalar_expr(Z.apply(f), kind, k, r, s) for f in functions]
+    return list(system.evaluate(rests, [lifted.component(c) for c in coords]))
 
 
 # -- cached complete lifts of test vector fields ------------------------------

@@ -647,20 +647,7 @@ class Expr:
             return _expr({mono_mul(m1, m2): c1 * c2
                           for m1, c1 in left.items() for m2, c2 in right.items()})
         acc: dict[Monomial, GRat] = {}
-        get = acc.get
-        right_items = right.items()
-        for m1, c1 in left.items():
-            for m2, c2 in right_items:
-                m = mono_mul(m1, m2)
-                s = get(m)
-                if s is None:
-                    acc[m] = c1 * c2
-                else:
-                    s = s + c1 * c2
-                    if s:
-                        acc[m] = s
-                    else:
-                        del acc[m]
+        _add_product(acc, self, o)
         return _expr(acc)
 
     __rmul__ = __mul__
@@ -777,6 +764,29 @@ def _accumulate(acc: dict, terms: Iterable[tuple[Monomial, GRat]]) -> None:
                 acc[m] = s
             else:
                 del acc[m]
+
+
+def _add_product(acc: dict, a: Expr, b: Expr, negate: bool = False) -> None:
+    """Add ``a*b``, or ``-a*b`` when `negate`, into the term map ``acc`` in
+    place, dropping cancellations; no product polynomial is built."""
+    if not b._terms:
+        return
+    get = acc.get
+    right = b._terms.items()
+    for m1, c1 in a._terms.items():
+        if negate:
+            c1 = -c1
+        for m2, c2 in right:
+            m = mono_mul(m1, m2)
+            s = get(m)
+            if s is None:
+                acc[m] = c1 * c2
+            else:
+                s = s + c1 * c2
+                if s:
+                    acc[m] = s
+                else:
+                    del acc[m]
 
 
 _EXPR_ZERO = _expr({})
@@ -1492,9 +1502,14 @@ class PolyLinearFactor:
                 rp = rests[prow] = rp.scale(inv)
             for n, c in updates:
                 if pc is not None:
-                    rests[n] = pc * rests[n] - c * rp
+                    acc: dict = {}
+                    _add_product(acc, pc, rests[n])
                 elif rp._terms:
-                    rests[n] = rests[n] - c * rp
+                    acc = dict(rests[n]._terms)
+                else:
+                    continue
+                _add_product(acc, c, rp, True)
+                rests[n] = _expr(acc)
         for n in self._unpivoted:
             if not rests[n].is_zero():
                 raise InconsistentSystemError(
@@ -1503,9 +1518,10 @@ class PolyLinearFactor:
             raise UnderdeterminedError([names[u] for u in self.free])
         values: list = [None] * self.width
         for u, coeffs, pc, prow in self._pivots:
-            numer = -rests[prow]
+            acc = {m: -c for m, c in rests[prow]._terms.items()}
             for v, c in coeffs:
-                numer = numer - c * values[v]
+                _add_product(acc, c, values[v], True)
+            numer = _expr(acc)
             if pc is None:
                 values[u] = numer
             else:

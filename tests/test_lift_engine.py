@@ -14,7 +14,13 @@ import pytest
 
 from liftcalc import lifts as L
 from liftcalc.charts import ChartSpec
-from liftcalc.fields import Bilinear, EndoField, OneForm, VectorField
+from liftcalc.fields import (
+    Bilinear,
+    EndoField,
+    OneForm,
+    ScalarField,
+    VectorField,
+)
 from liftcalc.symkernel import TIME, CoordId, Expr, PolyLinearFactor, anti, holo
 from liftcalc.verify import FieldGen
 
@@ -59,8 +65,8 @@ def _assert_cached_solve_survives(monkeypatch, solve, first, second, corrupt,
     # Z applied to z^2, a ladder function: the ladder replay itself fails,
     # and no whole-family solve is tried after it.
     pytest.param(2 * z ** 2, "^" + re.escape(
-        "vector v-lift solve: no polynomial solution for U_z1_1 "
-        "[equation 2]: -24*z1_1^3 does not divide -6*z0_1*z2_1 - 6*z1_1^2")
+        "vector v-lift solve: no polynomial solution for U_z0_1 "
+        "[equation 2]: 24*z1_1^3 does not divide -12*z0_1*z1_1")
         + "$", id="value2-ladder replay"),
 ])
 def test_vector_lift_checks_stay_live(monkeypatch, value, message):
@@ -159,6 +165,58 @@ def test_vector_ladder_functions_are_family_members(chart0, include_time, k):
         assert set(functions) <= family
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_ladder_pivots_and_back_substitution_stay_narrow(k):
+    """Top level first, a ladder's first pivot is a constant, every later
+    pivot is one term and every back-substitution coefficient has at most
+    two terms; bottom level first, the pivots reach 40 terms at k = 5."""
+    for ladder in L._vf_ladders(C0, k, True):      # t, then z and zb
+        factor = L._vf_ladder(ladder, k).factor
+        assert not factor.free
+        pivots = [pc for _, _, pc, _ in factor._steps]
+        assert pivots[0] is None                   # constant, normalised
+        assert all(len(pc.term_map()) == 1 for pc in pivots if pc is not None)
+        assert all(len(c.term_map()) <= 2
+                   for _, coeffs, _, _ in factor._pivots for _, c in coeffs)
+
+
+def _residuals_by_hand(Z, lifted, kind, k, functions, r=None, s=None):
+    """lifted(f^{c^k}) - (Z f)^lift, through the public function lifts."""
+    chart0 = Z.chart
+    return [lifted.apply(L.fn_complete(ScalarField(chart0, f), k).value)
+            - L._lift(ScalarField(chart0, Z.apply(f)), kind, k,
+                      r=r, s=s).value
+            for f in functions]
+
+
+@pytest.mark.parametrize("kind,r,s", [("v", None, None), ("c", None, None),
+                                      ("cv", 1, 1)])
+def test_vector_residuals_equal_the_lift_applied_by_hand(kind, r, s):
+    L.clear_lift_cache()
+    chart0 = ChartSpec(2, 0, True)
+    t = Expr.atom(TIME)
+    with_t = [t * z, t ** 2 + zb * z, t * zb ** 2]
+    for seed in (0, 7):
+        Z = FieldGen(seed).vector(chart0)
+        lifted = L.vf_lift_solve(Z, kind, K, r=r, s=s)
+        holdout = _residuals_by_hand(Z, lifted, kind, K,
+                                     L.function_holdout(chart0), r, s)
+        assert all(e.is_zero() for e in holdout)
+        assert L.vf_defining_residuals(Z, lifted, kind, K, r=r, s=s) == holdout
+        # The defining equations need not hold off the family when t enters.
+        assert L.vf_defining_residuals(Z, lifted, kind, K, r=r, s=s,
+                                       functions=with_t) == _residuals_by_hand(
+            Z, lifted, kind, K, with_t, r, s)
+        # A corrupted lift: wrong on one level and on the time direction.
+        bad = lifted + VectorField(lifted.chart, {holo(1, 1): z * zb,
+                                                  TIME: 3})
+        for functions in (L.function_holdout(chart0), with_t):
+            expected = _residuals_by_hand(Z, bad, kind, K, functions, r, s)
+            assert any(not e.is_zero() for e in expected)
+            assert L.vf_defining_residuals(Z, bad, kind, K, r=r, s=s,
+                                           functions=functions) == expected
+
+
 @pytest.mark.parametrize("family,args", [
     (L.function_family, (C0, True, 3)),
     (L.function_family, (ChartSpec(2, 0, False), False, 1)),
@@ -217,9 +275,11 @@ def test_each_op_names_its_positions(monkeypatch):
     coords = C0.extend(K).coordinates()
     tests = L.vector_test_family(C0, 1)
     cases = [
-        # One replay per level ladder; the time component is pinned.
+        # One replay per level ladder, top level first; the time component
+        # is pinned.
         (lambda Y: L.vf_lift_solve(Y, "c", K), gen.vector(C0), ("U_",),
-         [tuple(f"U_{base}{r}_1" for r in range(K + 1)) for base in ("z", "zb")]),
+         [tuple(f"U_{base}{r}_1" for r in range(K, -1, -1))
+          for base in ("z", "zb")]),
         (lambda w: L.of_lift_solve(w, "v", K), gen.oneform(C0), ("W_",),
          [tuple(f"W_{c.name}" for c in coords)]),
         (lambda p: L.t11_lift_solve(p, "v", K), gen.endo(C0), ("E_",),

@@ -4,10 +4,18 @@ constructors, and where the two routes part ways (k >= 2)."""
 import pytest
 
 from liftcalc.charts import ChartSpec
-from liftcalc.fields import ConnectionCoeffs, VectorField, format_vector
+from liftcalc.fields import (
+    ConnectionCoeffs,
+    FieldError,
+    OneForm,
+    VectorField,
+    format_vector,
+)
 from liftcalc.lifts import (
     LiftError,
     basis_lift_rows,
+    of_defining_residuals,
+    of_lift_solve,
     vf_complete_closed,
     vf_cv_closed,
     vf_defining_residuals,
@@ -126,6 +134,20 @@ def test_defining_residuals_vanish_on_fresh_functions(kind, r, s):
     residuals = vf_defining_residuals(Z, lifted, kind, 2, r=r, s=s,
                                       functions=probes)
     assert all(e.is_zero() for e in residuals)
+
+
+def test_defining_residuals_refuse_a_lift_on_another_chart():
+    """A k = 1 lift checked at k = 2 is refused with the text the one-form
+    residuals give for the same mistake."""
+    Z = euler()
+    with pytest.raises(FieldError) as info:
+        vf_defining_residuals(Z, vf_lift_solve(Z, "c", 1), "c", 2)
+    assert str(info.value) == (
+        f"chart mismatch: {C0.extend(1)} vs {C0.extend(2)}")
+    w = OneForm(C0, {Z01: Expr.atom(Z01)})
+    with pytest.raises(FieldError) as of_info:
+        of_defining_residuals(w, of_lift_solve(w, "c", 1), "c", 2)
+    assert str(of_info.value) == str(info.value)
 
 
 def test_closed_complete_fails_defining_equations_at_k2():

@@ -26,7 +26,9 @@ from liftcalc.symkernel import (
     PolyLinearFactor,
     SymKernelError,
     UnderdeterminedError,
+    _add_product,
     _decode,
+    _expr,
     _mono_decode,
     _mono_order_key,
     _TOKEN_RE,
@@ -743,6 +745,39 @@ def test_ring_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+
+
+def _assert_same_expr(fused, plain):
+    """The multiply-accumulate result equals the plain one, keeps no zero
+    coefficient and hashes equal to it."""
+    assert all(c for c in fused._terms.values())
+    assert fused == plain and hash(fused) == hash(plain)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_exprs, st.lists(st.tuples(_exprs, _exprs), max_size=4), st.booleans())
+def test_multiply_accumulate_matches_plain_arithmetic(rest, pairs, cancel):
+    products = sum((a * b for a, b in pairs), Expr.zero())
+    if cancel:
+        rest = -products            # every sum below cancels to zero
+    # rest + sum(a * b): an equation's left-hand side
+    acc = dict(rest._terms)
+    for a, b in pairs:
+        _add_product(acc, a, b)
+    _assert_same_expr(_expr(acc), rest + products)
+    # -r - sum(c * v): a back-substitution numerator
+    acc = {m: -c for m, c in rest._terms.items()}
+    for c, v in pairs:
+        _add_product(acc, c, v, True)
+    _assert_same_expr(_expr(acc), -rest - products)
+    # pc*r - c*rp: a fraction-free elimination update
+    for (pc, r), (c, rp) in zip(pairs, pairs[::-1]):
+        if cancel:
+            c, rp = r, pc
+        acc = {}
+        _add_product(acc, pc, r)
+        _add_product(acc, c, rp, True)
+        _assert_same_expr(_expr(acc), pc * r - c * rp)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
