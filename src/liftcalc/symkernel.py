@@ -238,7 +238,14 @@ class GRat:
     The triple is kept in normal form: ``d > 0`` and ``gcd(a, b, d) == 1``,
     so zero is ``(0, 0, 1)`` and equal values have equal triples.  Every
     operation reduces its result with at most one gcd, none when the
-    denominator is 1.  ``re`` and ``im`` are read-only ``Fraction`` views.
+    denominator is 1.  ``re`` and ``im`` are read-only ``Fraction`` views;
+    the constructor takes ``int`` and ``Fraction`` parts only.
+
+    The kernel's loops that build term maps (``_add_product``,
+    ``_accumulate``, ``Expr`` products, negation, scaling and ``diff``, and
+    ``divide_exact`` by one term) do not call these operators: they
+    multiply and add the triples as integers, and each touch of a monomial
+    makes one normalised GRat.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -247,6 +254,9 @@ class GRat:
         if type(re) is int and type(im) is int:
             self._a, self._b, self._d = re, im, 1
             return
+        for part in (re, im):
+            if not isinstance(part, (int, Fraction)):
+                raise TypeError(f"cannot interpret {part!r} as a Gaussian rational")
         re, im = Fraction(re), Fraction(im)
         rd, imd = re.denominator, im.denominator
         d = math.lcm(rd, imd)
@@ -613,24 +623,15 @@ class Expr:
     __radd__ = __add__
 
     def __neg__(self) -> "Expr":
-        return _expr({m: -c for m, c in self._terms.items()})
+        return _expr({m: _grat_normal(-c._a, -c._b, c._d)
+                      for m, c in self._terms.items()})
 
     def __sub__(self, other: ExprLike) -> "Expr":
         o = other if other.__class__ is Expr else Expr.from_value(other)
         if not o._terms:
             return self
         merged = dict(self._terms)
-        get = merged.get
-        for m, c in o._terms.items():
-            s = get(m)
-            if s is None:
-                merged[m] = -c
-            else:
-                s = s - c
-                if s:
-                    merged[m] = s
-                else:
-                    del merged[m]
+        _accumulate(merged, (-o)._terms.items())
         return _expr(merged)
 
     def __rsub__(self, other: ExprLike) -> "Expr":
@@ -644,7 +645,9 @@ class Expr:
         if len(left) == 1 or len(right) == 1:
             # Multiplying by one term is injective on monomials and the
             # coefficients are nonzero, so nothing collides or cancels.
-            return _expr({mono_mul(m1, m2): c1 * c2
+            return _expr({mono_mul(m1, m2): _grat(c1._a * c2._a - c1._b * c2._b,
+                                                  c1._a * c2._b + c1._b * c2._a,
+                                                  c1._d * c2._d)
                           for m1, c1 in left.items() for m2, c2 in right.items()})
         acc: dict[Monomial, GRat] = {}
         _add_product(acc, self, o)
@@ -661,7 +664,9 @@ class Expr:
         cv = GRat.from_value(c)
         if not cv:
             return _EXPR_ZERO
-        return _expr({m: coef * cv for m, coef in self._terms.items()})
+        a, b, d = cv._a, cv._b, cv._d
+        return _expr({m: _grat(x._a * a - x._b * b, x._a * b + x._b * a, x._d * d)
+                      for m, x in self._terms.items()})
 
     # -- calculus ------------------------------------------------------------
     def diff(self, coord: CoordId) -> "Expr":
@@ -676,9 +681,10 @@ class Expr:
             for pos, (code, exp) in enumerate(m):
                 if code == key:
                     if exp == 1:
-                        acc[m[:pos] + m[pos + 1:]] = c * exp
+                        acc[m[:pos] + m[pos + 1:]] = c
                     else:
-                        acc[m[:pos] + ((code, exp - 1),) + m[pos + 1:]] = c * exp
+                        acc[m[:pos] + ((code, exp - 1),) + m[pos + 1:]] = _grat(
+                            c._a * exp, c._b * exp, c._d)
                     break
         return _expr(acc)
 
@@ -752,41 +758,72 @@ def _expr(terms: dict) -> Expr:
 
 
 def _accumulate(acc: dict, terms: Iterable[tuple[Monomial, GRat]]) -> None:
-    """Add terms into the term map ``acc`` in place, dropping cancellations."""
+    """Add terms into the term map ``acc`` in place, dropping cancellations.
+
+    A term whose monomial is new is stored as it is.  Otherwise the sum is
+    computed on the integer triples, tested for zero on the raw sum and
+    stored as one normalised GRat, as in :func:`_add_product`."""
     get = acc.get
     for m, c in terms:
-        s = get(m)
-        if s is None:
+        old = get(m)
+        if old is None:
             acc[m] = c
+            continue
+        x, y, z = c._a, c._b, c._d
+        oa, ob, od = old._a, old._b, old._d
+        if od == z:
+            x += oa
+            y += ob
         else:
-            s = s + c
-            if s:
-                acc[m] = s
-            else:
-                del acc[m]
+            x, y, z = x * od + oa * z, y * od + ob * z, z * od
+        if not (x or y):
+            del acc[m]
+            continue
+        acc[m] = _grat(x, y, z)
 
 
 def _add_product(acc: dict, a: Expr, b: Expr, negate: bool = False) -> None:
     """Add ``a*b``, or ``-a*b`` when `negate`, into the term map ``acc`` in
-    place, dropping cancellations; no product polynomial is built."""
+    place, dropping cancellations; no product polynomial is built.
+
+    Each coefficient's triple is read once, and each ``±c1*c2`` and its sum
+    with the running coefficient are computed on integers, so every touch
+    of a monomial makes one normalised GRat and no temporary.  The raw sum
+    is zero exactly when its ``a`` and ``b`` are, and it is reduced with
+    one gcd only when its denominator is not 1."""
     if not b._terms:
         return
     get = acc.get
     right = b._terms.items()
     for m1, c1 in a._terms.items():
+        p, q, e = c1._a, c1._b, c1._d
         if negate:
-            c1 = -c1
+            p, q = -p, -q
         for m2, c2 in right:
             m = mono_mul(m1, m2)
-            s = get(m)
-            if s is None:
-                acc[m] = c1 * c2
-            else:
-                s = s + c1 * c2
-                if s:
-                    acc[m] = s
+            r, s = c2._a, c2._b
+            x, y, z = p * r - q * s, p * s + q * r, e * c2._d
+            old = get(m)
+            if old is not None:
+                oa, ob, od = old._a, old._b, old._d
+                if od == z:
+                    x += oa
+                    y += ob
                 else:
+                    x, y, z = x * od + oa * z, y * od + ob * z, z * od
+                if not (x or y):
                     del acc[m]
+                    continue
+            if z != 1:
+                g = math.gcd(x, y, z)
+                if g != 1:
+                    x //= g
+                    y //= g
+                    z //= g
+            old = acc[m] = _new(GRat)
+            old._a = x
+            old._b = y
+            old._d = z
 
 
 _EXPR_ZERO = _expr({})
@@ -1370,12 +1407,29 @@ def divide_exact(f: Expr, g: Expr) -> Expr:
     remainder zero or detects non-divisibility.
 
     The remainder is one mutable term map, and a heap of order keys finds its
-    leading term, so each monomial's key is computed once.
+    leading term, so each monomial's key is computed once.  A one-term
+    divisor needs neither: each term of f divides by it alone, in the order
+    the heap would pop them.
     """
     if g.is_zero():
         raise ExactDivisionError("division by the zero polynomial")
     if f.is_zero():
         return Expr.zero()
+    if len(g._terms) == 1:
+        ((g_mono, g_coeff),) = g._terms.items()
+        inv = g_coeff.inverse()
+        a, b, d = inv._a, inv._b, inv._d
+        terms = f._terms
+        quotient = {}
+        for m in sorted(terms, key=_mono_order_key):
+            q_mono = mono_div(m, g_mono)
+            if q_mono is None:
+                raise ExactDivisionError(
+                    f"{format_expr(g)} does not divide {format_expr(f)}")
+            c = terms[m]
+            quotient[q_mono] = _grat(c._a * a - c._b * b, c._a * b + c._b * a,
+                                     c._d * d)
+        return _expr(quotient)
     g_mono = _leading(g._terms)
     g_coeff = g._terms[g_mono]
     g_items = g._terms.items()
@@ -1518,7 +1572,7 @@ class PolyLinearFactor:
             raise UnderdeterminedError([names[u] for u in self.free])
         values: list = [None] * self.width
         for u, coeffs, pc, prow in self._pivots:
-            acc = {m: -c for m, c in rests[prow]._terms.items()}
+            acc = (-rests[prow])._terms     # a fresh map
             for v, c in coeffs:
                 _add_product(acc, c, values[v], True)
             numer = _expr(acc)

@@ -2,6 +2,7 @@
 parsing/printing, differentiation, conjugation, and the exact linear solver.
 """
 
+import heapq
 import math
 import re
 import sys
@@ -26,6 +27,7 @@ from liftcalc.symkernel import (
     PolyLinearFactor,
     SymKernelError,
     UnderdeterminedError,
+    _accumulate,
     _add_product,
     _decode,
     _expr,
@@ -38,6 +40,8 @@ from liftcalc.symkernel import (
     divide_exact,
     format_expr,
     holo,
+    mono_div,
+    mono_mul,
     parse,
 )
 
@@ -103,6 +107,22 @@ def test_grat_refuses_foreign_operands(op):
                         (GRat(1), 1.5), (1.5, GRat(1))]:
         with pytest.raises(TypeError):
             apply(left, right)
+
+
+@pytest.mark.parametrize("value", [0.1, 0.5, 1j, "1/2", None],
+                         ids=["float", "exact float", "complex", "str", "None"])
+def test_grat_takes_only_int_and_fraction_parts(value):
+    """A float is not read as its binary fraction, nor a string parsed: the
+    constructor refuses what ``from_value`` refuses, with the same text."""
+    text = f"cannot interpret {value!r} as a Gaussian rational"
+    for make in (lambda: GRat(value), lambda: GRat(1, value),
+                 lambda: GRat(Fraction(1, 2), value), lambda: GRat.from_value(value),
+                 lambda: Expr.from_value(value)):
+        with pytest.raises(TypeError) as err:
+            make()
+        assert str(err.value) == text
+    assert GRat(True, Fraction(3, 6)) == GRat(1, Fraction(1, 2))
+    assert (GRat(3, -4)._a, GRat(3, -4)._b, GRat(3, -4)._d) == (3, -4, 1)
 
 
 # -- GRat against a two-Fraction reference -------------------------------------
@@ -747,37 +767,141 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-def _assert_same_expr(fused, plain):
-    """The multiply-accumulate result equals the plain one, keeps no zero
-    coefficient and hashes equal to it."""
-    assert all(c for c in fused._terms.values())
-    assert fused == plain and hash(fused) == hash(plain)
+# The reference for the kernel's term-map loops: GRat's own operators, one
+# term at a time, in the order the loops visit them.  A sum that cancels
+# leaves the map; one that reappears is inserted again at the end.
+
+def _ref_add(acc, m, c):
+    s = acc.get(m)
+    if s is None:
+        acc[m] = c
+    else:
+        s = s + c
+        if s:
+            acc[m] = s
+        else:
+            del acc[m]
+
+
+def _ref_add_product(acc, a, b, negate=False):
+    for m1, c1 in a._terms.items():
+        for m2, c2 in b._terms.items():
+            p = c1 * c2
+            _ref_add(acc, mono_mul(m1, m2), -p if negate else p)
+
+
+def _ref_sum(*exprs):
+    acc = {}
+    for e in exprs:
+        for m, c in e._terms.items():
+            _ref_add(acc, m, c)
+    return acc
+
+
+def _assert_same_terms(got, ref):
+    """Equal term maps, insertion order included, with every coefficient
+    nonzero and in normal form."""
+    terms = got._terms if isinstance(got, Expr) else got
+    assert list(terms.items()) == list(ref.items())
+    for c in terms.values():
+        assert c.__class__ is GRat and c
+        _assert_normal(c)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_exprs, st.lists(st.tuples(_exprs, _exprs), max_size=4), st.booleans())
 def test_multiply_accumulate_matches_plain_arithmetic(rest, pairs, cancel):
-    products = sum((a * b for a, b in pairs), Expr.zero())
     if cancel:
-        rest = -products            # every sum below cancels to zero
+        # every sum below cancels to zero
+        acc = {}
+        for a, b in pairs:
+            _ref_add_product(acc, a, b, True)
+        rest = _expr(acc)
     # rest + sum(a * b): an equation's left-hand side
-    acc = dict(rest._terms)
+    acc, ref = dict(rest._terms), dict(rest._terms)
     for a, b in pairs:
         _add_product(acc, a, b)
-    _assert_same_expr(_expr(acc), rest + products)
+        _ref_add_product(ref, a, b)
+    _assert_same_terms(acc, ref)
+    if cancel:
+        assert not acc
     # -r - sum(c * v): a back-substitution numerator
-    acc = {m: -c for m, c in rest._terms.items()}
+    acc, ref = dict((-rest)._terms), {m: -c for m, c in rest._terms.items()}
     for c, v in pairs:
         _add_product(acc, c, v, True)
-    _assert_same_expr(_expr(acc), -rest - products)
+        _ref_add_product(ref, c, v, True)
+    _assert_same_terms(acc, ref)
     # pc*r - c*rp: a fraction-free elimination update
     for (pc, r), (c, rp) in zip(pairs, pairs[::-1]):
         if cancel:
             c, rp = r, pc
-        acc = {}
-        _add_product(acc, pc, r)
-        _add_product(acc, c, rp, True)
-        _assert_same_expr(_expr(acc), pc * r - c * rp)
+        acc, ref = {}, {}
+        for out, add in ((acc, _add_product), (ref, _ref_add_product)):
+            add(out, pc, r)
+            add(out, c, rp, True)
+        _assert_same_terms(acc, ref)
+        # The same difference through Expr's product and difference
+        products, ref = {}, {}
+        _ref_add_product(ref, pc, r)
+        _ref_add_product(products, c, rp)
+        for m, x in products.items():
+            _ref_add(ref, m, -x)
+        _assert_same_terms(pc * r - c * rp, ref)
+
+
+# Coefficients over unequal denominators, so that sums rescale before they
+# reduce.
+_fraction_coeffs = st.builds(
+    GRat,
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+)
+_fraction_exprs = st.lists(st.tuples(_fraction_coeffs, _monomials), max_size=4).map(
+    lambda ts: sum((m.scale(c) for c, m in ts), Expr.zero()))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_fraction_exprs, min_size=1, max_size=4), st.booleans())
+def test_sums_match_plain_arithmetic(exprs, cancel):
+    if cancel:
+        exprs = exprs + [-e for e in exprs[::-1]]
+    acc = dict(exprs[0]._terms)
+    for e in exprs[1:]:
+        _accumulate(acc, e._terms.items())
+    _assert_same_terms(acc, _ref_sum(*exprs))
+    if cancel:
+        assert not acc
+    total = exprs[0]
+    for e in exprs[1:]:
+        total = total + e
+    _assert_same_terms(total, _ref_sum(*exprs))
+    a, b = exprs[0], exprs[-1]
+    _assert_same_terms(a - b, _ref_sum(a, _expr({m: -c for m, c in b._terms.items()})))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_fraction_exprs, _fraction_coeffs, _monomials)
+def test_one_term_products_negation_and_derivatives_match_plain_arithmetic(
+        e, c, mono):
+    if c:
+        term = mono.scale(c)
+        ref = {mono_mul(m, tm): x * tc
+               for m, x in e._terms.items() for tm, tc in term._terms.items()}
+        _assert_same_terms(e * term, ref)
+        ref = {mono_mul(tm, m): tc * x
+               for tm, tc in term._terms.items() for m, x in e._terms.items()}
+        _assert_same_terms(term * e, ref)
+        _assert_same_terms(e.scale(c), {m: x * c for m, x in e._terms.items()})
+    _assert_same_terms(-e, {m: -x for m, x in e._terms.items()})
+    for coord in _COORDS:
+        code, ref = coord._code, {}
+        for m, x in e._terms.items():
+            exps = dict(m)
+            exp = exps.get(code)
+            if exp:
+                exps[code] = exp - 1
+                ref[tuple((k, v) for k, v in exps.items() if v)] = x * exp
+        _assert_same_terms(e.diff(coord), ref)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -1179,6 +1303,72 @@ def test_divide_exact():
 def test_divide_exact_rejects_remainder():
     with pytest.raises(ExactDivisionError):
         divide_exact(parse("z0_1^2 + 1"), parse("z0_1 + 1"))
+
+
+def _divide_by_heap(f, g):
+    """divide_exact's general algorithm for any divisor, kept here as the
+    reference for its one-term path: the leading term of the remainder,
+    popped from a heap of order keys, is divided by g's leading term until
+    nothing remains."""
+    g_mono = min(g._terms, key=_mono_order_key)
+    g_coeff = g._terms[g_mono]
+    rest = dict(f._terms)
+    heap = [(_mono_order_key(m), m) for m in rest]
+    heapq.heapify(heap)
+    quotient = {}
+    while rest:
+        r_mono = heapq.heappop(heap)[1]
+        r_coeff = rest.get(r_mono)
+        if r_coeff is None:
+            continue
+        q_mono = mono_div(r_mono, g_mono)
+        if q_mono is None:
+            raise ExactDivisionError(
+                f"{format_expr(g)} does not divide {format_expr(f)}")
+        q = r_coeff / g_coeff
+        quotient[q_mono] = q
+        for gm, gc in g._terms.items():
+            m = mono_mul(q_mono, gm)
+            s = rest.get(m)
+            if s is None:
+                rest[m] = -(q * gc)
+                heapq.heappush(heap, (_mono_order_key(m), m))
+            else:
+                s = s - q * gc
+                if s:
+                    rest[m] = s
+                else:
+                    del rest[m]
+    return _expr(quotient)
+
+
+def _division_outcome(divide, f, g):
+    try:
+        return list(divide(f, g).term_map().items())
+    except ExactDivisionError as exc:
+        return str(exc)
+
+
+_one_term_divisors = st.one_of(
+    _fraction_coeffs.filter(bool).map(Expr.constant),      # Gaussian constants
+    _monomials,                                            # pure monomials
+    st.tuples(_fraction_coeffs.filter(bool), _monomials).map(
+        lambda cm: cm[1].scale(cm[0])))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_fraction_exprs, _one_term_divisors, _fraction_exprs)
+def test_one_term_division_matches_the_general_algorithm(q, g, r):
+    """Dividing by one term gives the general algorithm's quotient, in the
+    same term-map order, or its error text."""
+    (g_mono,) = g._terms
+    assert divide_exact(q * g, g) == q
+    for f, divisible in ((q * g, True),
+                         (q * g + r, all(mono_div(m, g_mono) is not None
+                                         for m in r._terms))):
+        got = _division_outcome(divide_exact, f, g)
+        assert got == _division_outcome(_divide_by_heap, f, g)
+        assert isinstance(got, list) == divisible
 
 
 # -- linear solver ------------------------------------------------------------
