@@ -814,16 +814,17 @@ def _add_product(acc: dict, a: Expr, b: Expr, negate: bool = False) -> None:
                 if not (x or y):
                     del acc[m]
                     continue
+            # _grat inlined: this is the kernel's hottest loop.
             if z != 1:
                 g = math.gcd(x, y, z)
                 if g != 1:
                     x //= g
                     y //= g
                     z //= g
-            old = acc[m] = _new(GRat)
-            old._a = x
-            old._b = y
-            old._d = z
+            out = acc[m] = _new(GRat)
+            out._a = x
+            out._b = y
+            out._d = z
 
 
 _EXPR_ZERO = _expr({})
