@@ -10,7 +10,7 @@ an extra real time line (the product case).  The chart's coordinates are
 
 Level 0 coordinates are the base-manifold coordinates; level ``r`` carries the
 r-th extension data.  ChartSpec is a frozen value object: operations that
-"move" between orders (extend, project) return new specs.
+"move" between orders (extend, base) return new specs.
 """
 
 from __future__ import annotations
@@ -79,9 +79,6 @@ class ChartSpec:
             raise ChartError("chart has no time coordinate")
         return TIME
 
-    def dimension(self) -> int:
-        return (1 if self.has_time else 0) + 2 * self.m * (self.k + 1)
-
     # -- membership ----------------------------------------------------------
     def contains(self, coord: CoordId) -> bool:
         return self._has(coord._code)
@@ -98,9 +95,6 @@ class ChartSpec:
         has = self._has
         return [code for code in codes if not has(code)]
 
-    def in_chart(self, e: Expr) -> bool:
-        return not self._outside(_codes(e._terms))
-
     def validate_expr(self, e: Expr, context: str = "expression") -> Expr:
         bad = self._outside(_codes(e._terms))
         if bad:
@@ -114,21 +108,6 @@ class ChartSpec:
             raise ChartError("extend takes a non-negative step count")
         return ChartSpec(self.m, self.k + steps, self.has_time)
 
-    def project(self) -> "ChartSpec":
-        if self.k == 0:
-            raise ChartError("cannot project below extension order 0")
-        return ChartSpec(self.m, self.k - 1, self.has_time)
-
     def base(self) -> "ChartSpec":
         return ChartSpec(self.m, 0, self.has_time)
 
-    def dot(self, coord: CoordId) -> CoordId:
-        """Shift a z/zb coordinate one level up (the formal velocity map)."""
-        if coord.kind == Kind.TIME:
-            raise ChartError("the time coordinate has no level shift")
-        if not self.contains(coord):
-            raise ChartError(f"{coord.name} is not in the chart")
-        if coord.level >= self.k:
-            raise ChartError(
-                f"cannot shift {coord.name} beyond the top level {self.k}")
-        return CoordId(coord.kind, coord.level + 1, coord.index)

@@ -33,7 +33,7 @@ of the chart's.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .charts import ChartSpec
 from .symkernel import CoordId, Expr, ExprLike, _add_product, _expr, format_expr
@@ -416,6 +416,8 @@ class AltForm(_ComponentMap):
     coordinate order); a degree-p component at (c1 < ... < cp) is the value on
     (d/dc1, ..., d/dcp).  The degree is part of the form: forms of different
     degree never add, and two zero forms of different degree are unequal.
+    The exterior derivative puts each dc in front of a key with ``_add_wedge``,
+    which inserts c in order and flips the sign once per entry it passes.
     """
 
     __slots__ = ("chart", "degree", "components")
@@ -451,10 +453,6 @@ class AltForm(_ComponentMap):
         return AltForm(self.chart, self.degree, values)
 
     @staticmethod
-    def from_oneform(w: OneForm) -> "AltForm":
-        return AltForm(w.chart, 1, {(c,): v for c, v in w.components.items()})
-
-    @staticmethod
     def from_bilinear(B: Bilinear) -> "AltForm":
         """Convert an antisymmetric bilinear into the degree-2 form with the
         same values: component at (a < b) is B(d/da, d/db)."""
@@ -462,17 +460,6 @@ class AltForm(_ComponentMap):
             raise FieldError("from_bilinear requires an antisymmetric bilinear")
         return AltForm(B.chart, 2, {(a, b): v for (a, b), v in B.entries.items()
                                     if a.sort_key() < b.sort_key()})
-
-    def wedge(self, other: "AltForm") -> "AltForm":
-        _same_chart(self, other)
-        degree = self.degree + other.degree
-        if degree > 3:
-            raise FieldError("wedge beyond degree 3 is not supported")
-        comps: dict[tuple, Expr] = {}
-        for s1, v1 in self.components.items():
-            for s2, v2 in other.components.items():
-                _add_wedge(comps, s1, s2, v1 * v2)
-        return AltForm(self.chart, degree, comps)
 
     def exterior_derivative(self) -> "AltForm":
         if self.degree > 2:
@@ -483,7 +470,7 @@ class AltForm(_ComponentMap):
             for c in coords:
                 dv = value.diff(c)
                 if not dv.is_zero():
-                    _add_wedge(comps, (c,), key, dv)
+                    _add_wedge(comps, c, key, dv)
         return AltForm(self.chart, self.degree + 1, comps)
 
     def evaluate(self, *vectors: VectorField) -> Expr:
@@ -516,34 +503,19 @@ class AltForm(_ComponentMap):
         return f"AltForm(degree={self.degree}, {len(self.components)} components)"
 
 
-def _add_wedge(comps: dict[tuple, Expr], s1: Sequence[CoordId],
-               s2: Sequence[CoordId], value: Expr) -> None:
-    """Add ``value`` times the wedge of the basis forms on two strictly
-    increasing coordinate tuples into ``comps``: at their sorted merge, with
-    the sign of the permutation taking s1 + s2 there.  Nothing is added
-    when a coordinate repeats.
+def _add_wedge(comps: dict[tuple, Expr], c: CoordId, key: tuple,
+               value: Expr) -> None:
+    """Add ``value`` times dc ^ (the basis form on the strictly increasing
+    ``key``) into ``comps``: c goes in at its place in the key, and the sign
+    flips once per entry it passes.  Nothing is added when c is in the key.
     """
-    sign = 1
-    merged: list[CoordId] = []
-    i, j = 0, 0
-    n1, n2 = len(s1), len(s2)
-    while i < n1 and j < n2:
-        k1, k2 = s1[i].sort_key(), s2[j].sort_key()
-        if k1 == k2:
-            return
-        if k1 < k2:
-            merged.append(s1[i])
-            i += 1
-        else:
-            # s2[j] moves left past the remaining n1 - i entries of s1
-            if (n1 - i) % 2:
-                sign = -sign
-            merged.append(s2[j])
-            j += 1
-    merged.extend(s1[i:])
-    merged.extend(s2[j:])
-    key = tuple(merged)
-    comps[key] = comps.get(key, Expr.zero()) + (value if sign > 0 else -value)
+    ck = c.sort_key()
+    keys = [a.sort_key() for a in key]
+    if ck in keys:
+        return
+    pos = sum(k < ck for k in keys)
+    merged = key[:pos] + (c,) + key[pos:]
+    comps[merged] = comps.get(merged, Expr.zero()) + (-value if pos % 2 else value)
 
 
 class ConnectionCoeffs(_Frozen):

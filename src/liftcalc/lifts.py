@@ -249,11 +249,6 @@ def fn_vertical(f: ScalarField, steps: int = 1) -> ScalarField:
     return ScalarField(f.chart.extend(steps), f.value)
 
 
-def fn_complete_step(f: ScalarField) -> ScalarField:
-    """One complete-lift step: chart order j -> j+1."""
-    return ScalarField(f.chart.extend(1), _complete_expr(f.value, 1))
-
-
 def fn_complete(f: ScalarField, steps: int) -> ScalarField:
     if steps < 0:
         raise LiftError("complete lift takes a non-negative step count")

@@ -125,6 +125,3 @@ class HermitianPackage:
         metric = Bilinear(chart, entries)
         J = _diagonal(chart, "diagonal")
         return HermitianPackage(chart, metric, J, fundamental_bilinear(metric, J))
-
-    def fundamental_form(self) -> AltForm:
-        return kaehler_form(self.metric, self.J)

@@ -16,10 +16,10 @@ Inside the kernel a coordinate is its packed code, one int built once per
 codes is the canonical coordinate order, so a monomial is a tuple of
 ``(code, exponent)`` pairs and hashing, comparing and sorting it run on
 plain ints.  Codes are decoded back to ``CoordId`` only at the API and text
-boundary: ``terms``, ``term_map``, ``leading_term``, ``coords`` and
-``coefficient`` speak ``CoordId``, and ``format_expr`` reads names from a
-bounded code -> name cache.  Level and index must stay below ``2**20``;
-``CoordId`` refuses anything larger.
+boundary: ``terms``, ``term_map``, ``coords`` and ``coefficient`` speak
+``CoordId``, and ``format_expr`` reads names from a bounded code -> name
+cache.  Level and index must stay below ``2**20``; ``CoordId`` refuses
+anything larger.
 
 Polynomials are kept in a canonical normal form (a map from monomials to
 nonzero coefficients, with a fixed total order on atoms and on monomials), so
@@ -285,9 +285,6 @@ class GRat:
     # -- predicates ---------------------------------------------------------
     def is_zero(self) -> bool:
         return not self._a and not self._b
-
-    def is_real(self) -> bool:
-        return not self._b
 
     def __bool__(self) -> bool:
         return bool(self._a or self._b)
@@ -599,12 +596,6 @@ class Expr:
     def coords(self) -> set:
         return {_decode(code) for code in _codes(self._terms)}
 
-    def leading_term(self) -> tuple[Monomial, GRat]:
-        if not self._terms:
-            raise ValueError("zero polynomial has no leading term")
-        m = _leading(self._terms)
-        return _mono_decode(m), self._terms[m]
-
     def coefficient(self, m: Monomial) -> GRat:
         """The coefficient of a ``(CoordId, exponent)`` monomial."""
         return self._terms.get(_mono_encode(m), GR_ZERO)
@@ -695,33 +686,6 @@ class Expr:
         return _expr({tuple(sorted([(code ^ _SWAP_KINDS if code else 0, exp)
                                     for code, exp in m])):
                       c.conjugate() for m, c in self._terms.items()})
-
-    def substitute(self, mapping: Mapping[CoordId, "Expr"]) -> "Expr":
-        """Simultaneous substitution of coordinates by expressions."""
-        coded = {}
-        for key, value in mapping.items():
-            if not isinstance(key, CoordId):
-                raise TypeError("substitute keys must be CoordId")
-            coded[key._code] = value
-        if not coded:
-            return self
-        acc: dict[Monomial, GRat] = {}
-        powers: dict[tuple[int, int], Expr] = {}
-        for m, c in self._terms.items():
-            kept = tuple(pair for pair in m if pair[0] not in coded)
-            if len(kept) == len(m):
-                _accumulate(acc, ((m, c),))
-                continue
-            piece = _expr({kept: c})
-            for pair in m:
-                if pair[0] in coded:
-                    power = powers.get(pair)
-                    if power is None:
-                        power = powers[pair] = (
-                            Expr.from_value(coded[pair[0]]) ** pair[1])
-                    piece = piece * power
-            _accumulate(acc, piece._terms.items())
-        return _expr(acc)
 
     # -- identity ------------------------------------------------------------
     def __eq__(self, other) -> bool:

@@ -44,6 +44,7 @@ from liftcalc.structures import (
     build_Jk_star,
     hermitian_check,
     kaehler_closed,
+    kaehler_form,
     lift_J0,
 )
 from liftcalc.symkernel import (
@@ -220,7 +221,7 @@ def test_criterion_08_flat_hermitian_lifts():
     for m in (1, 2):
         pkg = HermitianPackage.flat(m)
         assert hermitian_check(pkg.metric, pkg.J)
-        assert kaehler_closed(pkg.fundamental_form())
+        assert kaehler_closed(kaehler_form(pkg.metric, pkg.J))
         for k in (1, 2):
             J = lift_J0(m, "c", k)
             for kind in ("v", "c"):

@@ -20,17 +20,6 @@ def test_coordinate_order_without_time():
     assert chart.coordinates() == (holo(0, 1), anti(0, 1))
 
 
-@pytest.mark.parametrize("m,k,has_time,dim", [
-    (1, 0, False, 2),
-    (1, 0, True, 3),
-    (2, 1, False, 8),
-    (2, 1, True, 9),
-    (1, 3, True, 9),
-])
-def test_dimension(m, k, has_time, dim):
-    assert ChartSpec(m, k, has_time).dimension() == dim
-
-
 def test_invalid_parameters():
     with pytest.raises(ChartError):
         ChartSpec(0, 0, False)
@@ -51,7 +40,7 @@ def test_chart_refuses_m_and_k_beyond_the_code_range(m, k, text):
 
 def test_chart_range_edges():
     top = ChartSpec(2 ** 20 - 1, 2 ** 20 - 1, False)
-    assert top.dimension() == 2 * (2 ** 20 - 1) * 2 ** 20
+    assert top.contains(anti(2 ** 20 - 1, 2 ** 20 - 1))
     with pytest.raises(ChartError):
         ChartSpec(1, 2 ** 20 - 1, True).extend(1)
 
@@ -61,7 +50,6 @@ def test_extend_and_base():
     big = base.extend(3)
     assert big == ChartSpec(2, 3, True)
     assert big.base() == base
-    assert big.project() == ChartSpec(2, 2, True)
     assert base.extend(0) == base
 
 
@@ -94,17 +82,10 @@ def test_validate_expr():
 ])
 def test_validate_expr_names_the_outside_coordinates_in_order(chart, text, names):
     e = parse(text)
-    assert not chart.in_chart(e)
     with pytest.raises(ChartError) as err:
         chart.validate_expr(e, "vector component at z0_1")
     assert str(err.value) == ("vector component at z0_1 uses coordinates "
                               f"outside the chart: {names}")
-
-
-def test_in_chart():
-    chart = ChartSpec(1, 1, True)
-    assert chart.in_chart(parse("t + z1_1"))
-    assert not chart.in_chart(parse("z2_1"))
 
 
 def test_time_coord():
@@ -122,12 +103,3 @@ def test_level_slices():
     with pytest.raises(ChartError):
         chart.holo_coords(2)
 
-
-def test_dot_raises_level():
-    chart = ChartSpec(1, 2, False)
-    assert chart.dot(holo(0, 1)) == holo(1, 1)
-    assert chart.dot(anti(1, 1)) == anti(2, 1)
-    with pytest.raises(ChartError):
-        chart.dot(holo(2, 1))  # already at the top level
-    with pytest.raises(ChartError):
-        chart.dot(TIME)

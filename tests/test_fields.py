@@ -1,6 +1,9 @@
 """Tensor-field containers on a fixed chart: componentwise algebra,
 pairings, the exterior calculus, connection coefficients, brackets."""
 
+import itertools
+import random
+
 import pytest
 
 from liftcalc.charts import ChartSpec
@@ -19,7 +22,7 @@ from liftcalc.fields import (
     format_vector,
     lie_bracket,
 )
-from liftcalc.symkernel import TIME, Expr, anti, holo, parse
+from liftcalc.symkernel import TIME, Expr, GRat, anti, holo, parse
 
 C0 = ChartSpec(1, 0, False)
 C2 = ChartSpec(2, 0, False)
@@ -142,17 +145,46 @@ def test_bilinear_pullback_endo():
 
 # -- alternating forms ---------------------------------------------------------
 
-def test_wedge_antisymmetry():
-    dz = AltForm.from_oneform(OneForm.differential_of(C0, Z))
-    dzb = AltForm.from_oneform(OneForm.differential_of(C0, ZB))
-    assert (dz.wedge(dz)).is_zero()
-    assert dz.wedge(dzb) == -(dzb.wedge(dz))
-
-
 def test_exterior_derivative_squares_to_zero():
-    w = AltForm.from_oneform(OneForm(C2, {Z: x(Z2) * x(ZB), Z2: x(ZB2, 2)}))
+    w = AltForm(C2, 1, {(Z,): x(Z2) * x(ZB), (Z2,): x(ZB2, 2)})
     dw = w.exterior_derivative()
     assert dw.exterior_derivative().is_zero()
+
+
+def _random_poly(rng, coords):
+    out = Expr.zero()
+    for _ in range(rng.randint(1, 3)):
+        term = Expr.constant(GRat(rng.randint(-3, 3), rng.randint(-2, 2)))
+        for coord in rng.sample(coords, rng.randint(0, 3)):
+            term = term * x(coord, rng.randint(1, 2))
+        out = out + term
+    return out
+
+
+def _reference_d(form):
+    """(d w)_{a0..ap} = sum_i (-1)^i d/da_i w_{a0..(no a_i)..ap}, over the
+    increasing (p+1)-tuples of the chart's coordinates."""
+    comps = {}
+    for key in itertools.combinations(form.chart.coordinates(), form.degree + 1):
+        value = Expr.zero()
+        for i, a in enumerate(key):
+            rest = form.components.get(key[:i] + key[i + 1:], Expr.zero())
+            value = value + (-1) ** i * rest.diff(a)
+        comps[key] = value
+    return AltForm(form.chart, form.degree + 1, comps)
+
+
+@pytest.mark.parametrize("chart", [ChartSpec(2, 1, True), ChartSpec(1, 1, False)],
+                         ids=["time", "time-free"])
+@pytest.mark.parametrize("degree", [0, 1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_exterior_derivative_matches_the_alternating_sum(chart, degree, seed):
+    rng = random.Random(seed)
+    coords = list(chart.coordinates())
+    keys = list(itertools.combinations(coords, degree))
+    form = AltForm(chart, degree, {key: _random_poly(rng, coords)
+                                   for key in rng.sample(keys, min(3, len(keys)))})
+    assert form.exterior_derivative() == _reference_d(form)
 
 
 def test_exterior_derivative_of_product_chart_function():

@@ -14,7 +14,6 @@ from liftcalc.lifts import (
     LiftError,
     _derive,
     fn_complete,
-    fn_complete_step,
     fn_complete_vertical,
     fn_horizontal,
     fn_vertical,
@@ -53,16 +52,6 @@ def test_vertical_keeps_the_polynomial():
 def test_complete_frozen(text, k, expected):
     assert format_expr(fn_complete(sf(text), k).value) == \
         format_expr(parse(expected))
-
-
-@pytest.mark.parametrize("text,chart", [
-    ("z0_1^2*zb0_1 + 3", C0),
-    ("t^2*z0_1 + (1 + i)*zb0_1 - t", CT),
-    ("z1_1*zb0_2^2 + t*z0_1*z1_2", CT2.extend(1)),
-])
-def test_complete_step_is_the_one_step_complete_lift(text, chart):
-    f = sf(text, chart)
-    assert fn_complete_step(f) == fn_complete(f, 1)
 
 
 def test_complete_on_time_chart_scales_t():

@@ -82,7 +82,7 @@ def test_vertical_lift_of_J0_does_not_square():
 def test_flat_package_is_hermitian_and_closed():
     pkg = HermitianPackage.flat(2)
     assert hermitian_check(pkg.metric, pkg.J)
-    form = pkg.fundamental_form()
+    form = kaehler_form(pkg.metric, pkg.J)
     assert kaehler_closed(form)
 
 

@@ -79,7 +79,7 @@ def test_grat_conjugate():
     a = GRat(Fraction(1, 2), Fraction(3, 4))
     assert a.conjugate() == GRat(Fraction(1, 2), Fraction(-3, 4))
     assert a.conjugate().conjugate() == a
-    assert (a * a.conjugate()).is_real()
+    assert (a * a.conjugate()).im == 0
 
 
 # GRat arithmetic hands an operand it does not know to that operand's
@@ -191,7 +191,7 @@ def test_grat_matches_fraction_reference(x, y, e):
     _assert_normal(x)
     assert (x == y) == (rx == ry)
     assert bool(x) == any(rx)
-    assert x.is_real() == (not rx[1])
+    assert (x.im == 0) == (not rx[1])
 
 
 def test_grat_normal_form_examples():
@@ -357,12 +357,6 @@ def test_expr_conjugate_reorders_mixed_monomials():
     assert g == parse("zb0_1*z0_2 + t*zb1_1^2*z0_1 + i*z2_1*zb0_3")
     assert format_expr(g) == "t*z0_1*zb1_1^2 + z0_2*zb0_1 + i*z2_1*zb0_3"
     assert all(list(m) == sorted(m) for m in g._terms)
-
-
-def test_expr_substitute():
-    f = parse("z0_1^2 + z0_2")
-    g = f.substitute({Z01: Expr.atom(Z11)})
-    assert g == parse("z1_1^2 + z0_2")
 
 
 # -- parse / format ----------------------------------------------------------
@@ -1196,8 +1190,8 @@ def test_parse_evaluates_printed_grammar_trees(tree, space):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_exprs)
 def test_conjugation_involution(e):
-    if any(c.kind == Kind.TIME for c in e.coords()):
-        e = e.substitute({TIME: Expr.atom(Z02)})
+    e = Expr({m: c for m, c in e.term_map().items()
+              if all(coord.kind != Kind.TIME for coord, _ in m)})
     assert e.conjugate().conjugate() == e
 
 
@@ -1265,10 +1259,6 @@ def test_term_order_matches_the_tuple_keyed_reference(e):
     assert list(Expr(term_map)._terms) == list(e._terms)
     assert all(type(coord) is CoordId for coord in e.coords())
     assert e.coords() == {coord for m in term_map for coord, _ in m}
-    if term_map:
-        lead = e.leading_term()
-        assert lead[0] == min(term_map, key=_reference_order_key)
-        assert lead[1] == term_map[lead[0]]
     internal = sorted(e._terms, key=_mono_order_key)
     assert [_mono_decode(m) for m in internal] == [m for m, _ in terms]
 

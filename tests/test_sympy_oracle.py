@@ -2,11 +2,10 @@
 
 sympy is an optional, independent oracle: when it is not installed the whole
 module is skipped, and liftcalc itself never imports it.  Small polynomials
-drawn by hypothesis are multiplied, differentiated, substituted into and
-divided both ways, and sympy's expanded result must equal liftcalc's.  Small
-polynomial linear systems are solved through one factorisation for several
-right-hand sides, and each solution, or each failure, must agree with
-sympy's ``linsolve``.
+drawn by hypothesis are multiplied, differentiated and divided both ways, and
+sympy's expanded result must equal liftcalc's.  Small polynomial linear
+systems are solved through one factorisation for several right-hand sides,
+and each solution, or each failure, must agree with sympy's ``linsolve``.
 """
 
 from fractions import Fraction
@@ -85,16 +84,6 @@ def test_mul_and_sub_match_sympy(a, b):
 @given(_polys, st.sampled_from(_COORDS))
 def test_diff_matches_sympy(a, coord):
     assert _same(a.diff(coord), sympy.diff(to_sympy(a), _SYMBOLS[coord]))
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(_polys, _polys, _polys)
-def test_substitute_matches_sympy(a, b, c):
-    z, zb = holo(0, 1), anti(0, 1)
-    ours = a.substitute({z: b, zb: c})
-    theirs = to_sympy(a).subs({_SYMBOLS[z]: to_sympy(b), _SYMBOLS[zb]: to_sympy(c)},
-                              simultaneous=True)
-    assert _same(ours, sympy.expand(theirs))
 
 
 def _sympy_quotient(f, g):
