@@ -56,7 +56,9 @@ pair equations ``P B P^T = R``, i.e. ``(P (x) P) vec(B) = vec(R)``, are two
 rounds of replays on P.  Every solution is then checked against every
 equation of its system and, per input, against the defining equation on a
 disjoint holdout family; any nonzero residual raises, so a returned lift
-carries a machine-checked certificate.
+carries a machine-checked certificate.  Equation n reads ``sum(row_n[p] *
+x_p) == rhs_n``.  The replay reads only the rows that pivot, so the check
+against every equation is the only consistency check.
 
 **Lift routes.**  :func:`_lift` (defining) and :func:`_lift_closed` (closed
 form) are the one map from a field's class and a lift kind to the
@@ -91,7 +93,6 @@ from .symkernel import (
     Kind,
     LinearSolveError,
     PolyLinearFactor,
-    UnderdeterminedError,
     _accumulate,
     _add_product,
     _expr,
@@ -682,12 +683,12 @@ class _System:
             self._factor = PolyLinearFactor(self.rows, self.width)
         return self._factor
 
-    def evaluate(self, rests: Sequence[Expr], values: Sequence[Expr]
+    def evaluate(self, rhs: Sequence[Expr], values: Sequence[Expr]
                  ) -> Iterable[Expr]:
-        """Each equation's left-hand side ``sum(row_n[p] * values[p]) +
-        rest_n``, one equation at a time."""
-        for row, rest in zip(self.rows, rests):
-            acc = dict(rest._terms)
+        """Each equation's left-hand side minus its right-hand side,
+        ``sum(row_n[p] * values[p]) - rhs_n``, one equation at a time."""
+        for row, b in zip(self.rows, rhs):
+            acc = (-b)._terms       # a fresh map
             for p, c in row.items():
                 _add_product(acc, c, values[p])
             yield _expr(acc)
@@ -717,11 +718,12 @@ _OPS = {"vector": ("vector", "components"),
 class _Engine:
     """The defining equations of one determined lift of one input.
 
-    Equation n of a system reads ``sum(row_n[p] * x_p) + rest_n == 0``.  The
-    rows come from the system cache; the input enters only through the
-    rests, on which the cached factorisation is replayed.  The engine checks
-    every solution against every equation of its system, checks the holdout
-    residuals, and owns the error texts and the certificate."""
+    Equation n of a system reads ``sum(row_n[p] * x_p) == rhs_n``.  The rows
+    come from the system cache; the input enters only through the right-hand
+    sides, on which the cached factorisation is replayed (pivot rows only).
+    The engine checks every solution against every equation of its system,
+    the one consistency check, checks the holdout residuals, and owns the
+    error texts and the certificate."""
 
     def __init__(self, op: str, kind: str, k: int, labels: Sequence[str],
                  r: int | None = None, s: int | None = None):
@@ -730,51 +732,46 @@ class _Engine:
         self.what = f"{what} {kind}-lift"
         self.labels = labels
 
-    def replay(self, system: _System, rests: list[Expr],
+    def replay(self, system: _System, rhs: list[Expr],
                names: Sequence[str]) -> list[Expr]:
-        """Replay the factorisation; the caller handles underdetermination."""
+        """Replay the factorisation on the pivot rows; the values are
+        unchecked until :meth:`check` evaluates every equation."""
         try:
-            return system.factor.solve(rests, names)
-        except UnderdeterminedError:
-            raise
+            return system.factor.solve(rhs, names)
         except LinearSolveError as exc:
             raise LiftError(f"{self.what} solve: {exc}") from exc
 
-    def solve(self, system: _System, rests: list[Expr],
+    def solve(self, system: _System, rhs: list[Expr],
               names: Sequence[str]) -> list[Expr]:
         """Replay and self-check."""
-        values = self.replay(system, rests, names)
-        self.check(system, rests, values)
+        values = self.replay(system, rhs, names)
+        self.check(system, rhs, values)
         return values
 
-    def check(self, system: _System, rests: list[Expr],
+    def check(self, system: _System, rhs: list[Expr],
               values: Sequence[Expr]) -> None:
-        for n, total in enumerate(system.evaluate(rests, values)):
+        for n, total in enumerate(system.evaluate(rhs, values)):
             if not total.is_zero():
                 raise LiftError(
                     f"{self.what} solve: solution fails its own equation {n}")
 
-    def solve_stages(self, chart0: ChartSpec, k: int, rests,
+    def solve_stages(self, chart0: ChartSpec, k: int, rhs,
                      names: Sequence[Sequence[str]]
                      ) -> tuple[_System, list[list[Expr]]]:
         """Solve on the pairing rows of test stage 1 (coefficient degree
-        <= 1), or of stage 2 (<= 2) when stage 1 leaves an unknown free.
-        ``rests(items)`` gives one list of rests per right-hand side; the
-        first right-hand side decides the stage, and the others are then
-        replayed on the same factorisation, whose free positions the first
-        replay has shown to be none."""
+        <= 1), or of stage 2 (<= 2) when stage 1's rows leave an unknown
+        free; the rows alone choose the stage.  ``rhs(items)`` gives one
+        list of right-hand sides per column, and each column is replayed
+        and checked on the chosen factorisation."""
         for stage in (1, 2):
             system = _system((_pairing, chart0, k, stage))
-            columns = rests(system.items)
-            try:
-                values = [self.solve(system, columns[0], names[0])]
+            if not system.factor.free:
                 break
-            except UnderdeterminedError as exc:
-                if stage == 2:
-                    raise self._underdetermined(system) from exc
-        values += [self.solve(system, column, column_names)
-                   for column, column_names in zip(columns[1:], names[1:])]
-        return system, values
+        else:
+            raise self._underdetermined(system)
+        return system, [self.solve(system, column, column_names)
+                        for column, column_names in zip(rhs(system.items),
+                                                        names)]
 
     def _free(self, system: _System) -> Sequence[int]:
         """The label positions left free by the system's factorisation."""
@@ -881,24 +878,24 @@ def vf_lift_solve_certified(Z: VectorField, kind: str, k: int, *,
     position = {c: p for p, c in enumerate(coords)}
     memo: dict[Expr, Expr] = {}
 
-    def rests(functions: Sequence[Expr]) -> list[Expr]:
+    def rhs(functions: Sequence[Expr]) -> list[Expr]:
         out = []
         for f in functions:
-            rest = memo.get(f)
-            if rest is None:
-                rest = memo[f] = -_lift_scalar_expr(Z.apply(f), kind, k, r, s)
-            out.append(rest)
+            value = memo.get(f)
+            if value is None:
+                value = memo[f] = _lift_scalar_expr(Z.apply(f), kind, k, r, s)
+            out.append(value)
         return out
 
     values: list = [None] * len(coords)
     for ladder in _vf_ladders(chart0, k, include_time):
         system = _system((_vf_ladder, ladder, k))
-        solved = engine.replay(system, rests(system.items),
+        solved = engine.replay(system, rhs(system.items),
                                [names[position[c]] for c in ladder])
         for c, value in zip(ladder, solved):
             values[position[c]] = value
     family = _system((_vf_family, chart0, k, include_time))
-    engine.check(family, rests(family.items), values)
+    engine.check(family, rhs(family.items), values)
 
     comps = dict(pinned)
     for coord, value in zip(coords, values):
@@ -930,8 +927,8 @@ def vf_defining_residuals(Z: VectorField, lifted: VectorField, kind: str,
                  else tuple(functions))
     coords = target.coordinates()
     system = _system((_vf_system, functions, coords, k))
-    rests = [-_lift_scalar_expr(Z.apply(f), kind, k, r, s) for f in functions]
-    return list(system.evaluate(rests, [lifted.component(c) for c in coords]))
+    rhs = [_lift_scalar_expr(Z.apply(f), kind, k, r, s) for f in functions]
+    return list(system.evaluate(rhs, [lifted.component(c) for c in coords]))
 
 
 # -- cached complete lifts of test vector fields ------------------------------
@@ -984,7 +981,7 @@ def of_lift_solve_certified(w: OneForm, kind: str, k: int, *,
     engine = _Engine("oneform", kind, k, [c.name for c in coords], r, s)
     system, (values,) = engine.solve_stages(
         chart0, k,
-        lambda tests: [[-_lift_scalar_expr(w.pair(X), kind, k, r, s)
+        lambda tests: [[_lift_scalar_expr(w.pair(X), kind, k, r, s)
                         for X in tests]],
         [[f"W_{c.name}" for c in coords]])
     result = OneForm(target, {c: v for c, v in zip(coords, values)
@@ -1043,13 +1040,13 @@ def t11_lift_solve_certified(phi: EndoField, kind: str, k: int
     labels = [c.name for c in coords]
     engine = _Engine("endo", kind, k, labels)
 
-    def rests(tests: Sequence[VectorField]) -> list[list[Expr]]:
+    def rhs(tests: Sequence[VectorField]) -> list[list[Expr]]:
         lifted = [_vf_solve_cached(phi.apply_vector(X), kind, k)
                   for X in tests]
-        return [[-Y.component(a) for Y in lifted] for a in coords]
+        return [[Y.component(a) for Y in lifted] for a in coords]
 
     system, rows = engine.solve_stages(
-        chart0, k, rests,
+        chart0, k, rhs,
         [[f"E_{a.name}__{b}" for b in labels] for a in coords])
     result = EndoField(target, {(a, b): v
                                 for a, row in zip(coords, rows)
@@ -1116,10 +1113,10 @@ def t02_lift_solve_certified(G: Bilinear, kind: str, k: int
     n_tests = len(vector_test_family(chart0, 2))
     system, C = engine.solve_stages(
         chart0, k,
-        lambda tests: [[-_lift_scalar_expr(G.evaluate(X, Y), kind, k, None, None)
+        lambda tests: [[_lift_scalar_expr(G.evaluate(X, Y), kind, k, None, None)
                         for X in tests] for Y in tests],
         [[f"C_{a}__{j}" for a in labels] for j in range(n_tests)])
-    rows = [engine.solve(system, [-col[p] for col in C],
+    rows = [engine.solve(system, [col[p] for col in C],
                          [f"B_{a}__{b}" for b in labels])
             for p, a in enumerate(labels)]
     result = Bilinear(target, {(a, b): v

@@ -32,9 +32,10 @@ lifts, where each unknown is an entire component function of the lifted
 field: fraction-free elimination over the polynomial ring with
 exact-division back-substitution. :class:`PolyLinearFactor` records the
 elimination of a set of coefficient rows once and replays it on any number
-of right-hand sides.  Unknowns never enter an expression: a row maps
-positions to coefficients, and an unknown's name is only a label in error
-texts.
+of right-hand sides; equation n reads ``sum(row_n[p] * x_p) == rhs_n``.  A
+solve reads the pivot rows only, so the caller checks every equation at the
+values.  Unknowns never enter an expression: a row maps positions to
+coefficients, and an unknown's name is only a label in error texts.
 """
 
 from __future__ import annotations
@@ -1440,15 +1441,17 @@ class PolyLinearFactor:
 
     Row ``n`` is a map ``{position: Expr}`` of nonzero coefficients over the
     positions ``0 .. width-1`` and stands for the equation
-    ``sum(row[p] * x_p) + rest_n == 0``.  Each ``x_p`` stands for a whole
+    ``sum(row[p] * x_p) == rhs_n``.  Each ``x_p`` stands for a whole
     polynomial.  Forward elimination cross-multiplies instead of dividing,
     so the rows stay polynomial, and pivots prefer constant coefficients,
     then the lowest degree.  The pivot sequence depends on the rows alone,
-    so :meth:`solve` only repeats the elimination's updates of the rests and
-    the exact-division back-substitution.
+    so :meth:`solve` only repeats the elimination's updates of the pivot
+    rows' right-hand sides and the exact-division back-substitution.  Rows
+    that never pivot are eliminated only to find the later pivots; solve
+    never reads them, so the caller checks every equation at the values.
     """
 
-    __slots__ = ("width", "free", "_steps", "_pivots", "_unpivoted")
+    __slots__ = ("width", "free", "_steps", "_pivots")
 
     def __init__(self, rows: Sequence[Mapping[int, Expr]], width: int):
         live = [(n, dict(row)) for n, row in enumerate(rows) if row]
@@ -1501,43 +1504,41 @@ class PolyLinearFactor:
         used = {p[3] for p in pivots}
         self.width = width
         self.free = tuple(u for u in range(width) if u not in pivoted)
-        self._steps = steps
+        self._steps = [(prow, inv, pc, [(n, c) for n, c in updates if n in used])
+                       for prow, inv, pc, updates in steps]
         self._pivots = pivots[::-1]
-        self._unpivoted = [n for n in range(len(rows)) if n not in used]
 
-    def solve(self, rests: Sequence[Expr], names: Sequence[str]) -> list[Expr]:
-        """The values ``x_p`` for the given rests, one rest per row.
+    def solve(self, rhs: Sequence[Expr], names: Sequence[str]) -> list[Expr]:
+        """The values ``x_p`` for the given right-hand sides, one per row,
+        read from the pivot rows alone.
 
         ``names[p]`` labels position ``p`` in the errors: an
-        InconsistentSystemError (with the row as ``equation_index``) when
-        an unpivoted rest is nonzero or a pivot does not divide exactly,
-        else an UnderdeterminedError whose ``free`` lists the names of the
-        unpivoted positions.
+        UnderdeterminedError whose ``free`` lists the names of the
+        unpivoted positions, raised before any replay, or an
+        InconsistentSystemError (with the row as ``equation_index``) when a
+        pivot does not divide exactly.  The equations of rows that never
+        pivot are not checked; the caller checks every equation.
         """
-        rests = list(rests)
+        if self.free:
+            raise UnderdeterminedError([names[u] for u in self.free])
+        rhs = list(rhs)
         for prow, inv, pc, updates in self._steps:
-            rp = rests[prow]
+            rp = rhs[prow]
             if inv is not None:
-                rp = rests[prow] = rp.scale(inv)
+                rp = rhs[prow] = rp.scale(inv)
             for n, c in updates:
                 if pc is not None:
                     acc: dict = {}
-                    _add_product(acc, pc, rests[n])
+                    _add_product(acc, pc, rhs[n])
                 elif rp._terms:
-                    acc = dict(rests[n]._terms)
+                    acc = dict(rhs[n]._terms)
                 else:
                     continue
                 _add_product(acc, c, rp, True)
-                rests[n] = _expr(acc)
-        for n in self._unpivoted:
-            if not rests[n].is_zero():
-                raise InconsistentSystemError(
-                    "no solution", n, f"residual {format_expr(rests[n])} == 0")
-        if self.free:
-            raise UnderdeterminedError([names[u] for u in self.free])
+                rhs[n] = _expr(acc)
         values: list = [None] * self.width
         for u, coeffs, pc, prow in self._pivots:
-            acc = (-rests[prow])._terms     # a fresh map
+            acc = dict(rhs[prow]._terms)
             for v, c in coeffs:
                 _add_product(acc, c, values[v], True)
             numer = _expr(acc)

@@ -91,6 +91,44 @@ def test_oneform_lift_checks_stay_live(monkeypatch):
     assert L.of_lift_solve(second, "v", K) == L.of_vertical_closed(second, K)
 
 
+def test_oneform_lift_is_refused_on_a_row_that_never_pivots(monkeypatch):
+    """At k = 3 stage 1 leaves positions free, so stage 2 solves, and its
+    rows 9 to 12 never pivot.  The replay never reads them; the engine's
+    check of every equation refuses a wrong right-hand side there."""
+    k = 3
+    first = OneForm(C0, {c: v for c, v in FieldGen(0).oneform(C0)
+                         .components.items() if c != TIME})
+    second = OneForm(C0, {ZB: z * zb})
+    factor = L._pairing(C0, k, 2).factor
+    assert 9 not in {p[3] for p in factor._pivots}
+    test_field = L.vector_test_family(C0, 2)[9]
+    pair = OneForm.pair
+
+    def corrupt(patch):
+        def paired(self, X):
+            out = pair(self, X)
+            return out + 1 if self == first and X == test_field else out
+        patch.setattr(OneForm, "pair", paired)
+
+    _assert_cached_solve_survives(
+        monkeypatch, lambda w: L.of_lift_solve_certified(w, "v", k),
+        first, second, corrupt,
+        "^" + re.escape("one-form v-lift solve: solution fails its own "
+                        "equation 9") + "$")
+
+
+def test_pairing_replay_updates_only_pivot_rows():
+    """Back-substitution reads the pivot rows alone, so the recorded
+    elimination updates no other row's right-hand side (the m = 2, k = 3
+    stage-1 pairing has 21 rows for 17 unknowns)."""
+    system = L._pairing(ChartSpec(2, 0, True), 3, 1)
+    factor = system.factor
+    assert not factor.free and len(system.rows) > factor.width
+    pivot_rows = {p[3] for p in factor._pivots}
+    updated = {n for _, _, _, updates in factor._steps for n, _ in updates}
+    assert updated and updated <= pivot_rows
+
+
 def test_endo_lift_checks_stay_live(monkeypatch):
     first = EndoField(C0, {(Z, Z): Expr.one()})
     second = EndoField(C0, {(ZB, Z): zb})
@@ -132,8 +170,8 @@ def test_bilinear_rounds_check_their_own_equations(monkeypatch, prefix):
     replay of either round must fail that replay's own equations."""
     replay = PolyLinearFactor.solve
 
-    def wrong(self, rests, names):
-        values = replay(self, rests, names)
+    def wrong(self, rhs, names):
+        values = replay(self, rhs, names)
         if names[0].startswith(prefix):
             values[0] = values[0] + 1
         return values
@@ -258,9 +296,9 @@ def _solver_names(monkeypatch, solve, field):
     calls = []
     replay = PolyLinearFactor.solve
 
-    def recording(self, rests, names):
+    def recording(self, rhs, names):
         calls.append(tuple(names))
-        return replay(self, rests, names)
+        return replay(self, rhs, names)
 
     L.clear_lift_cache()
     with monkeypatch.context() as patch:
@@ -282,6 +320,10 @@ def test_each_op_names_its_positions(monkeypatch):
           for base in ("z", "zb")]),
         (lambda w: L.of_lift_solve(w, "v", K), gen.oneform(C0), ("W_",),
          [tuple(f"W_{c.name}" for c in coords)]),
+        # At k = 3 stage 1's rows leave positions free, so stage 2 is
+        # chosen from the rows alone and replayed once.
+        (lambda w: L.of_lift_solve(w, "v", 3), gen.oneform(C0), ("W_",),
+         [tuple(f"W_{c.name}" for c in C0.extend(3).coordinates())]),
         (lambda p: L.t11_lift_solve(p, "v", K), gen.endo(C0), ("E_",),
          [tuple(f"E_{a.name}__{b.name}" for b in coords) for a in coords]),
         # One replay per stage-1 test column of C = B P^T, then one per row

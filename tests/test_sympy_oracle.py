@@ -6,6 +6,8 @@ drawn by hypothesis are multiplied, differentiated and divided both ways, and
 sympy's expanded result must equal liftcalc's.  Small polynomial linear
 systems are solved through one factorisation for several right-hand sides,
 and each solution, or each failure, must agree with sympy's ``linsolve``.
+A solve reads only the pivot rows, so on overdetermined systems an
+inconsistent right-hand side may return values; the raw rows refute them.
 """
 
 from fractions import Fraction
@@ -152,14 +154,14 @@ def _rows(matrix):
             for row in matrix]
 
 
-def _rests_of(matrix, values):
-    """The rests that make `values` a solution: -(A x)."""
+def _rhs_of(matrix, values):
+    """The right-hand sides that make `values` a solution: A x."""
     out = []
     for row in matrix:
         total = Expr.zero()
         for c, v in zip(row, values):
             total = total + c * v
-        out.append(-total)
+        out.append(total)
     return out
 
 
@@ -168,10 +170,10 @@ def _det(matrix):
         [[to_sympy(c) for c in row] for row in matrix]).det(method="berkowitz"))
 
 
-def _linsolve(matrix, rests):
+def _linsolve(matrix, rhs):
     xs = sympy.symbols(f"x0:{len(matrix[0])}")
-    eqs = [sum((to_sympy(c) * x for c, x in zip(row, xs)), to_sympy(rest))
-           for row, rest in zip(matrix, rests)]
+    eqs = [sum((to_sympy(c) * x for c, x in zip(row, xs)), -to_sympy(b))
+           for row, b in zip(matrix, rhs)]
     return xs, sympy.linsolve(eqs, xs)
 
 
@@ -184,8 +186,8 @@ def _raised(fn):
     raise AssertionError("the system solved")
 
 
-def _same_solution(ours, matrix, rests):
-    _, theirs = _linsolve(matrix, rests)
+def _same_solution(ours, matrix, rhs):
+    _, theirs = _linsolve(matrix, rhs)
     (theirs,) = theirs
     return all(sympy.cancel(to_sympy(mine) - their) == 0
                for mine, their in zip(ours, theirs))
@@ -203,19 +205,19 @@ def _is_polynomial(solution):
                                  min_size=1, max_size=3),
                         st.lists(_values, min_size=n, max_size=n))))
 def test_one_factorisation_solves_many_right_hand_sides(case):
-    """Rests built from a known polynomial solution give it back; arbitrary
-    rests solve like sympy's unique solution when it is a polynomial, and
-    fail to divide exactly when it is not."""
+    """Right-hand sides built from a known polynomial solution give it back;
+    arbitrary ones solve like sympy's unique solution when it is a
+    polynomial, and fail to divide exactly when it is not."""
     matrix, solutions, arbitrary = case
     if _det(matrix) == 0:
         return
     names = _names(len(matrix))
     factor = PolyLinearFactor(_rows(matrix), len(names))
     for values in solutions:
-        rests = _rests_of(matrix, values)
-        ours = factor.solve(rests, names)
+        rhs = _rhs_of(matrix, values)
+        ours = factor.solve(rhs, names)
         assert ours == values
-        assert _same_solution(ours, matrix, rests)
+        assert _same_solution(ours, matrix, rhs)
     (theirs,) = _linsolve(matrix, arbitrary)[1]
     if _is_polynomial(theirs):
         assert _same_solution(factor.solve(arbitrary, names), matrix, arbitrary)
@@ -232,29 +234,66 @@ def test_one_factorisation_solves_many_right_hand_sides(case):
                         st.booleans())))
 def test_singular_and_inconsistent_systems_fail_like_the_one_shot_solve(case):
     """A last row that is a multiple of the first makes the system
-    singular; its rest either follows (underdetermined, where sympy's
-    solution is parametric) or is off by one (inconsistent, where sympy
-    finds no solution)."""
+    singular, and the solve names its free unknowns before reading any
+    right-hand side.  The last right-hand side either follows (sympy's
+    solution is parametric) or is off by one (sympy finds none)."""
     top, factor_poly, values, consistent = case
     matrix = top + [[factor_poly * c for c in top[0]]]
-    rests = _rests_of(matrix, values)
+    rhs = _rhs_of(matrix, values)
     if not consistent:
-        rests[-1] = rests[-1] + 1
+        rhs[-1] = rhs[-1] + 1
     names = _names(len(values))
     failed = _raised(lambda: PolyLinearFactor(_rows(matrix), len(values))
-                     .solve(rests, names))
-    xs, theirs = _linsolve(matrix, rests)
-    if theirs == sympy.S.EmptySet:
-        assert not consistent
-        assert isinstance(failed, InconsistentSystemError)
-        assert 0 <= failed.equation_index < len(matrix)
-        assert str(failed).startswith(
-            f"no solution [equation {failed.equation_index}]: residual ")
-    else:
-        assert consistent
-        assert isinstance(failed, UnderdeterminedError)
-        assert failed.free and set(failed.free) <= set(names)
-        assert str(failed) == ("underdetermined system; free unknowns: "
-                               + ", ".join(failed.free))
+                     .solve(rhs, names))
+    assert isinstance(failed, UnderdeterminedError)
+    assert failed.free and set(failed.free) <= set(names)
+    assert str(failed) == ("underdetermined system; free unknowns: "
+                           + ", ".join(failed.free))
+    xs, theirs = _linsolve(matrix, rhs)
+    if consistent:
         (theirs,) = theirs
         assert set(xs) & set().union(*(t.free_symbols for t in theirs))
+    else:
+        assert theirs == sympy.S.EmptySet
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(_matrices(n, n),
+                        st.lists(_entries, min_size=n, max_size=n),
+                        st.integers(0, n),
+                        st.lists(_values, min_size=n, max_size=n),
+                        st.booleans())))
+def test_overdetermined_systems_are_checked_on_their_raw_rows(case):
+    """n nonsingular rows plus one polynomial combination of them, inserted
+    anywhere: full column rank, so nothing is free.  A consistent right-hand
+    side solves like sympy and every raw row vanishes at the values.  With
+    the combination's right-hand side off by one sympy finds no solution,
+    and either the solve raises or some raw row does not vanish at the
+    values it returns."""
+    top, weights, at, values, consistent = case
+    if _det(top) == 0:
+        return
+    combination = [sum((w * row[p] for w, row in zip(weights, top)),
+                       Expr.zero()) for p in range(len(values))]
+    matrix = top[:at] + [combination] + top[at:]
+    rhs = _rhs_of(matrix, values)
+    if not consistent:
+        rhs[at] = rhs[at] + 1
+    names = _names(len(values))
+    factor = PolyLinearFactor(_rows(matrix), len(values))
+    assert not factor.free
+    _, theirs = _linsolve(matrix, rhs)
+    try:
+        ours = factor.solve(rhs, names)
+    except InconsistentSystemError:
+        assert not consistent and theirs == sympy.S.EmptySet
+        return
+    residuals = [ax - b for ax, b in zip(_rhs_of(matrix, ours), rhs)]
+    if consistent:
+        assert ours == values
+        assert _same_solution(ours, matrix, rhs)
+        assert all(r.is_zero() for r in residuals)
+    else:
+        assert theirs == sympy.S.EmptySet
+        assert any(not r.is_zero() for r in residuals)
