@@ -16,7 +16,7 @@ Layers, bottom to top:
     k-th extension of an m-dimensional base, with or without a time line;
 :mod:`liftcalc.fields`
     coordinate fields over a chart: scalars, vectors, one-forms,
-    (1,1)- and (0,2)-tensors, alternating forms, connections;
+    (1,1)- and (0,2)-tensors, connections;
 :mod:`liftcalc.lifts`
     the lift operations themselves — closed forms where they exist and a
     certified defining-equation solver everywhere;
@@ -31,7 +31,6 @@ Layers, bottom to top:
 
 from .charts import ChartError, ChartSpec
 from .fields import (
-    AltForm,
     Bilinear,
     ConnectionCoeffs,
     EndoField,
@@ -123,7 +122,7 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptedFrame", "AltForm", "Bilinear", "ChartError", "ChartSpec",
+    "AdaptedFrame", "Bilinear", "ChartError", "ChartSpec",
     "CheckReport", "Clause", "ClauseOutcome", "CompareCase", "CompareReport",
     "COMPARISONS", "ConnectionCoeffs", "CoordId", "DEFAULT_SAMPLES",
     "EndoField", "ExactDivisionError", "Expr", "FieldError", "FieldGen",

@@ -7,11 +7,12 @@ rank-2 objects against coordinate pairs.  Components are kernel expressions;
 zero components are never stored, so structural equality of two fields is
 equality of their component maps.
 
-All five tensor types share one component-map core, ``_ComponentMap``,
-which holds the componentwise algebra.  ``_Rank1`` (:class:`VectorField`,
+All four tensor types share one component-map base, ``_Labelled``, which
+holds the componentwise algebra and the text forms; arithmetic takes only
+a field of the same class.  ``_Rank1`` (:class:`VectorField`,
 :class:`OneForm`; ``components`` keyed by a coordinate) and ``_Rank2``
 (:class:`EndoField`, :class:`Bilinear`; ``entries`` keyed by a coordinate
-pair) add validation and text forms; :class:`AltForm` adds its degree.
+pair) add validation.  A two-form is an antisymmetric :class:`Bilinear`.
 The rank-2 products are written once, in ``_contract`` (rank-2 against
 rank-1 over one index) and ``_matmul`` (rank-2 by rank-2); only the hot
 evaluations to a scalar keep their own loops.  Each frame field names its
@@ -72,6 +73,8 @@ class ScalarField(_Frozen):
         return ScalarField(self.chart, self.value.conjugate())
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
+        if not isinstance(other, ScalarField):
+            return NotImplemented
         _same_chart(self, other)
         return ScalarField(self.chart, self.value + other.value)
 
@@ -87,6 +90,8 @@ class ScalarField(_Frozen):
         return ScalarField(self.chart, -self.value)
 
     def __sub__(self, other: "ScalarField") -> "ScalarField":
+        if not isinstance(other, ScalarField):
+            return NotImplemented
         return self + (-other)
 
     def __eq__(self, other) -> bool:
@@ -101,33 +106,39 @@ class ScalarField(_Frozen):
         return f"ScalarField({format_expr(self.value)})"
 
 
-class _ComponentMap(_Frozen):
-    """A chart and a map from coordinate keys to nonzero expressions.
+class _Labelled(_Frozen):
+    """A chart and a map from coordinate keys to nonzero expressions,
+    against the coordinate frame, with its componentwise algebra and text
+    forms.
 
-    A subclass supplies the map (``_map``); ``_like`` rebuilds a field of
-    the same class (and degree) from another map.
+    A rank base supplies the map (``_map``), the coordinate order of its
+    keys (``_order``), the basis label of a key (``_slot``) and the word a
+    difference names a key by (``_KEY_WORD``); a concrete class sets
+    ``_LABEL`` and the ``_WHAT`` its errors name.  Arithmetic takes only a
+    field of the same class.
     """
 
     __slots__ = ()
 
-    def _like(self, values):
-        return type(self)(self.chart, values)
-
     def scaled(self, factor: ExprLike):
         f = Expr.from_value(factor)
-        return self._like({k: f * v for k, v in self._map().items()})
+        return type(self)(self.chart, {k: f * v for k, v in self._map().items()})
 
     def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
         _same_chart(self, other)
         merged = dict(self._map())
         for key, value in other._map().items():
             merged[key] = merged.get(key, Expr.zero()) + value
-        return self._like(merged)
+        return type(self)(self.chart, merged)
 
     def __neg__(self):
-        return self._like({k: -v for k, v in self._map().items()})
+        return type(self)(self.chart, {k: -v for k, v in self._map().items()})
 
     def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
         return self + (-other)
 
     def __eq__(self, other) -> bool:
@@ -137,18 +148,6 @@ class _ComponentMap(_Frozen):
 
     def is_zero(self) -> bool:
         return not self._map()
-
-
-class _Labelled(_ComponentMap):
-    """A component map against the coordinate frame, with its text forms.
-
-    A rank base supplies the coordinate order of its keys (``_order``), the
-    basis label of a key (``_slot``) and the word a difference names a key
-    by (``_KEY_WORD``); a concrete class sets ``_LABEL`` and the ``_WHAT``
-    its errors name.
-    """
-
-    __slots__ = ()
 
     # -- text forms, all derived from the basis label -------------------------
 
@@ -372,9 +371,6 @@ class EndoField(_Rank2):
         _same_chart(self, other)
         return EndoField(self.chart, _matmul(self.entries, other.entries))
 
-    def square(self) -> "EndoField":
-        return self.compose(self)
-
 
 class Bilinear(_Rank2):
     """A (0,2)-tensor field: entries[(a, b)] = value of the tensor on the
@@ -407,115 +403,6 @@ class Bilinear(_Rank2):
 
     def is_antisymmetric(self) -> bool:
         return all(self.entry(b, a) == -v for (a, b), v in self.entries.items())
-
-
-class AltForm(_ComponentMap):
-    """An alternating form of degree 0..3.
-
-    Components are stored on strictly increasing coordinate tuples (canonical
-    coordinate order); a degree-p component at (c1 < ... < cp) is the value on
-    (d/dc1, ..., d/dcp).  The degree is part of the form: forms of different
-    degree never add, and two zero forms of different degree are unequal.
-    The exterior derivative puts each dc in front of a key with ``_add_wedge``,
-    which inserts c in order and flips the sign once per entry it passes.
-    """
-
-    __slots__ = ("chart", "degree", "components")
-
-    def __init__(self, chart: ChartSpec, degree: int,
-                 components: Mapping[tuple, ExprLike]):
-        if not 0 <= degree <= 3:
-            raise FieldError(f"alternating forms support degree 0..3, got {degree}")
-        clean: dict[tuple, Expr] = {}
-        for key, raw in components.items():
-            key = tuple(key)
-            if len(key) != degree:
-                raise FieldError(f"component key {key} has wrong arity for degree {degree}")
-            for c in key:
-                if not isinstance(c, CoordId) or not chart.contains(c):
-                    raise FieldError("alternating-form component keys must be chart coordinates")
-            keys = [c.sort_key() for c in key]
-            if any(keys[i] >= keys[i + 1] for i in range(len(keys) - 1)):
-                raise FieldError(
-                    "component keys must be strictly increasing in the coordinate order")
-            value = Expr.from_value(raw)
-            chart.validate_expr(value, "alternating-form component")
-            if not value.is_zero():
-                clean[key] = value
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "components", clean)
-
-    def _map(self) -> dict[tuple, Expr]:
-        return self.components
-
-    def _like(self, values) -> "AltForm":
-        return AltForm(self.chart, self.degree, values)
-
-    @staticmethod
-    def from_bilinear(B: Bilinear) -> "AltForm":
-        """Convert an antisymmetric bilinear into the degree-2 form with the
-        same values: component at (a < b) is B(d/da, d/db)."""
-        if not B.is_antisymmetric():
-            raise FieldError("from_bilinear requires an antisymmetric bilinear")
-        return AltForm(B.chart, 2, {(a, b): v for (a, b), v in B.entries.items()
-                                    if a.sort_key() < b.sort_key()})
-
-    def exterior_derivative(self) -> "AltForm":
-        if self.degree > 2:
-            raise FieldError("exterior derivative beyond degree 2 is not supported")
-        comps: dict[tuple, Expr] = {}
-        coords = self.chart.coordinates()
-        for key, value in self.components.items():
-            for c in coords:
-                dv = value.diff(c)
-                if not dv.is_zero():
-                    _add_wedge(comps, c, key, dv)
-        return AltForm(self.chart, self.degree + 1, comps)
-
-    def evaluate(self, *vectors: VectorField) -> Expr:
-        if len(vectors) != self.degree:
-            raise FieldError(f"degree-{self.degree} form takes {self.degree} vectors")
-        if self.degree > 2:
-            raise FieldError("evaluation beyond degree 2 is not supported")
-        # pair and Bilinear.evaluate check the vectors' charts
-        if self.degree == 0:
-            return self.components.get((), Expr.zero())
-        if self.degree == 1:
-            w = OneForm(self.chart, {a: v for (a,), v in self.components.items()})
-            return w.pair(*vectors)
-        # the increasing-key half B of the form: w(X, Y) = B(X, Y) - B(Y, X)
-        upper = Bilinear(self.chart, self.components)
-        return upper.evaluate(*vectors) - upper.evaluate(*reversed(vectors))
-
-    def __add__(self, other: "AltForm") -> "AltForm":
-        _same_chart(self, other)
-        if self.degree != other.degree:
-            raise FieldError("cannot add alternating forms of different degree")
-        return super().__add__(other)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AltForm):
-            return NotImplemented
-        return self.degree == other.degree and super().__eq__(other)
-
-    def __repr__(self) -> str:
-        return f"AltForm(degree={self.degree}, {len(self.components)} components)"
-
-
-def _add_wedge(comps: dict[tuple, Expr], c: CoordId, key: tuple,
-               value: Expr) -> None:
-    """Add ``value`` times dc ^ (the basis form on the strictly increasing
-    ``key``) into ``comps``: c goes in at its place in the key, and the sign
-    flips once per entry it passes.  Nothing is added when c is in the key.
-    """
-    ck = c.sort_key()
-    keys = [a.sort_key() for a in key]
-    if ck in keys:
-        return
-    pos = sum(k < ck for k in keys)
-    merged = key[:pos] + (c,) + key[pos:]
-    comps[merged] = comps.get(merged, Expr.zero()) + (-value if pos % 2 else value)
 
 
 class ConnectionCoeffs(_Frozen):

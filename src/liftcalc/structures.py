@@ -8,9 +8,10 @@ packages hermitian metrics with their fundamental two-forms so compatibility
 of the lifted data can be checked mechanically:
 
 * ``hermitian_check(G, J)``: does G(J., J.) equal G entrywise?
-* ``kaehler_form(G, J)``: the two-form (X, Y) -> G(X, J Y), validated to be
-  antisymmetric before conversion.
-* ``kaehler_closed(phi)``: exterior derivative vanishes.
+* ``kaehler_form(G, J)``: the two-form (X, Y) -> G(X, J Y), an
+  antisymmetric ``Bilinear``; refused when G(., J.) is not antisymmetric.
+* ``kaehler_closed(phi)``: whether the two-form's differential vanishes,
+  summed from its entries into each increasing coordinate triple.
 
 Every product here is one call into the rank-2 algebra of ``fields``
 (``_contract``, ``_matmul`` or ``Bilinear.pullback_endo``).  Nothing here
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .charts import ChartSpec
-from .fields import AltForm, Bilinear, EndoField, OneForm, _contract, _matmul
+from .fields import Bilinear, EndoField, FieldError, OneForm, _contract, _matmul
 from .lifts import t11_lift_solve
 from .symkernel import CoordId, Expr, Kind
 
@@ -84,7 +85,7 @@ def fundamental_bilinear(G: Bilinear, J: EndoField) -> Bilinear:
     return Bilinear(G.chart, _matmul(G.entries, J.entries))
 
 
-def kaehler_form(G: Bilinear, J: EndoField) -> AltForm:
+def kaehler_form(G: Bilinear, J: EndoField) -> Bilinear:
     """The fundamental two-form (X, Y) -> G(X, J Y).  Raises unless the
     resulting bilinear is antisymmetric (i.e. unless G is hermitian-
     symmetric for J)."""
@@ -92,12 +93,29 @@ def kaehler_form(G: Bilinear, J: EndoField) -> AltForm:
     if not phi.is_antisymmetric():
         raise StructureError(
             "G(., J.) is not antisymmetric; no fundamental two-form")
-    return AltForm.from_bilinear(phi)
+    return phi
 
 
-def kaehler_closed(phi: AltForm) -> bool:
-    """Whether the two-form is closed (exterior derivative vanishes)."""
-    return phi.exterior_derivative().is_zero()
+def kaehler_closed(phi: Bilinear) -> bool:
+    """Whether the antisymmetric bilinear phi is a closed two-form.
+
+    d phi = sum over a < b of d(phi_ab) ^ da ^ db, so each entry (a, b) with
+    a before b adds, for each coordinate c it contains other than a and b,
+    the partial of phi_ab by c into the increasing triple on {a, b, c}:
+    with sign + when c sorts first or last, - when it sorts between."""
+    if not phi.is_antisymmetric():
+        raise FieldError("kaehler_closed requires an antisymmetric bilinear")
+    dphi: dict[tuple, Expr] = {}
+    for (a, b), value in phi.entries.items():
+        ka, kb = a.sort_key(), b.sort_key()
+        if ka > kb:
+            continue
+        for c in value.coords() - {a, b}:
+            triple = tuple(sorted((a, b, c), key=CoordId.sort_key))
+            dv = value.diff(c)
+            dphi[triple] = dphi.get(triple, Expr.zero()) + \
+                (-dv if ka < c.sort_key() < kb else dv)
+    return all(v.is_zero() for v in dphi.values())
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .charts import ChartSpec
 from .fields import (
-    AltForm,
     Bilinear,
     ConnectionCoeffs,
     EndoField,
@@ -925,12 +924,12 @@ def _structures_clauses(ctx: SuiteContext) -> list[Clause]:
             metrics.append((f"potential[{idx + 1}]",
                             gen.potential_metric(chart0)))
         for label, g in metrics:
-            phi0 = fundamental_bilinear(g, J0)
-            yield None if kaehler_closed(kaehler_form(g, J0)) else \
+            phi0 = kaehler_form(g, J0)
+            yield None if kaehler_closed(phi0) else \
                 f"metric = {label}; the base two-form is not closed"
             for kind in ("v", "c"):
                 lifted = t02_lift_solve(phi0, kind, k)
-                yield None if kaehler_closed(AltForm.from_bilinear(lifted)) \
+                yield None if kaehler_closed(lifted) \
                     else (f"metric = {label}; kind = {kind}; the lifted "
                           f"two-form has nonzero differential")
 
@@ -1173,10 +1172,6 @@ class CompareReport:
     @property
     def n_mismatch(self) -> int:
         return sum(1 for c in self.cases if c.status == "MISMATCH")
-
-    @property
-    def verdict(self) -> str:
-        return "MATCH" if self.n_mismatch == 0 else "MISMATCH"
 
     def render(self) -> str:
         lines = [self.title]

@@ -1,14 +1,12 @@
 """Tensor-field containers on a fixed chart: componentwise algebra,
-pairings, the exterior calculus, connection coefficients, brackets."""
+pairings, connection coefficients, brackets."""
 
-import itertools
-import random
+import operator
 
 import pytest
 
 from liftcalc.charts import ChartSpec
 from liftcalc.fields import (
-    AltForm,
     Bilinear,
     ConnectionCoeffs,
     EndoField,
@@ -22,7 +20,7 @@ from liftcalc.fields import (
     format_vector,
     lie_bracket,
 )
-from liftcalc.symkernel import TIME, Expr, GRat, anti, holo, parse
+from liftcalc.symkernel import TIME, Expr, anti, holo, parse
 
 C0 = ChartSpec(1, 0, False)
 C2 = ChartSpec(2, 0, False)
@@ -87,6 +85,26 @@ def test_vector_algebra_and_basis():
     assert 2 * e == e + e
 
 
+@pytest.mark.parametrize("left,op,right", [
+    (VectorField.basis(C0, Z), operator.add, OneForm.differential_of(C0, Z)),
+    (VectorField.basis(C0, Z), operator.sub, OneForm.differential_of(C0, Z)),
+    (EndoField.identity(C0), operator.add, Bilinear(C0, {(Z, ZB): 1})),
+    (VectorField.basis(C0, Z), operator.add, 1),
+    (ScalarField(C0, 1), operator.add, 1),
+    (ScalarField(C0, 1), operator.sub, VectorField.basis(C0, Z)),
+], ids=["vector+oneform", "vector-oneform", "endo+bilinear", "vector+int",
+        "scalar+int", "scalar-vector"])
+def test_field_arithmetic_takes_only_its_own_class(left, op, right):
+    # a field of another class is refused by Python, naming the operator,
+    # instead of summed componentwise into the left operand's class
+    symbol = {operator.add: "+", operator.sub: "-"}[op]
+    with pytest.raises(TypeError) as err:
+        op(left, right)
+    assert str(err.value) == (
+        f"unsupported operand type(s) for {symbol}: "
+        f"'{type(left).__name__}' and '{type(right).__name__}'")
+
+
 def test_vector_conjugate():
     Zf = VectorField(C0, {Z: parse("i*z0_1")})
     assert Zf.conjugate().component(ZB) == parse("-i*zb0_1")
@@ -114,7 +132,7 @@ def test_endo_apply_and_compose():
     J = EndoField(C0, {(Z, Z): parse("i"), (ZB, ZB): parse("-i")})
     e = VectorField.basis(C0, Z)
     assert J.apply_vector(e) == e.scaled(parse("i"))
-    assert J.square() == EndoField.identity(C0).scaled(-1)
+    assert J.compose(J) == EndoField.identity(C0).scaled(-1)
     assert J.compose(J).apply_vector(e) == e.scaled(-1)
 
 
@@ -141,74 +159,6 @@ def test_bilinear_pullback_endo():
     J = EndoField(C0, {(Z, Z): parse("i"), (ZB, ZB): parse("-i")})
     # g(JX, JY) = g(X, Y) for the diagonal complex structure
     assert g.pullback_endo(J) == g
-
-
-# -- alternating forms ---------------------------------------------------------
-
-def test_exterior_derivative_squares_to_zero():
-    w = AltForm(C2, 1, {(Z,): x(Z2) * x(ZB), (Z2,): x(ZB2, 2)})
-    dw = w.exterior_derivative()
-    assert dw.exterior_derivative().is_zero()
-
-
-def _random_poly(rng, coords):
-    out = Expr.zero()
-    for _ in range(rng.randint(1, 3)):
-        term = Expr.constant(GRat(rng.randint(-3, 3), rng.randint(-2, 2)))
-        for coord in rng.sample(coords, rng.randint(0, 3)):
-            term = term * x(coord, rng.randint(1, 2))
-        out = out + term
-    return out
-
-
-def _reference_d(form):
-    """(d w)_{a0..ap} = sum_i (-1)^i d/da_i w_{a0..(no a_i)..ap}, over the
-    increasing (p+1)-tuples of the chart's coordinates."""
-    comps = {}
-    for key in itertools.combinations(form.chart.coordinates(), form.degree + 1):
-        value = Expr.zero()
-        for i, a in enumerate(key):
-            rest = form.components.get(key[:i] + key[i + 1:], Expr.zero())
-            value = value + (-1) ** i * rest.diff(a)
-        comps[key] = value
-    return AltForm(form.chart, form.degree + 1, comps)
-
-
-@pytest.mark.parametrize("chart", [ChartSpec(2, 1, True), ChartSpec(1, 1, False)],
-                         ids=["time", "time-free"])
-@pytest.mark.parametrize("degree", [0, 1, 2])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_exterior_derivative_matches_the_alternating_sum(chart, degree, seed):
-    rng = random.Random(seed)
-    coords = list(chart.coordinates())
-    keys = list(itertools.combinations(coords, degree))
-    form = AltForm(chart, degree, {key: _random_poly(rng, coords)
-                                   for key in rng.sample(keys, min(3, len(keys)))})
-    assert form.exterior_derivative() == _reference_d(form)
-
-
-def test_exterior_derivative_of_product_chart_function():
-    # d(t*z0_1) = z0_1 dt + t dz0_1
-    f = parse("t*z0_1")
-    w = AltForm(CT, 0, {(): f}).exterior_derivative()
-    assert w.evaluate(VectorField.basis(CT, TIME)) == x(Z)
-    assert w.evaluate(VectorField.basis(CT, Z)) == Expr.atom(TIME)
-
-
-def test_altform_evaluate_alternates():
-    g = Bilinear(C2, {(Z, Z2): Expr.one(), (Z2, Z): Expr.from_value(-1)})
-    w = AltForm.from_bilinear(g)
-    X = VectorField.basis(C2, Z)
-    Y = VectorField.basis(C2, Z2)
-    assert w.evaluate(X, Y) == Expr.one()
-    assert w.evaluate(Y, X) == Expr.from_value(-1)
-    assert w.evaluate(X, X).is_zero()
-
-
-def test_from_bilinear_rejects_symmetric_part():
-    g = Bilinear(C0, {(Z, ZB): Expr.one(), (ZB, Z): Expr.one()})
-    with pytest.raises(FieldError):
-        AltForm.from_bilinear(g)
 
 
 # -- connection coefficients ----------------------------------------------------
@@ -348,7 +298,7 @@ def test_off_chart_keys_are_field_errors(make, message):
 
 @pytest.mark.parametrize("obj", [
     ScalarField(C0, 1), VectorField.zero(C0), OneForm.zero(C0),
-    EndoField(C0, {}), Bilinear(C0, {}), AltForm(C0, 0, {}),
+    EndoField(C0, {}), Bilinear(C0, {}),
     ConnectionCoeffs.zero(C0),
 ], ids=lambda obj: type(obj).__name__)
 def test_fields_are_immutable(obj):

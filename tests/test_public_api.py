@@ -4,21 +4,23 @@ function and method has a caller."""
 
 import ast
 import pathlib
-import re
 
 import liftcalc
 from liftcalc import lifts, symkernel
 from liftcalc.charts import ChartSpec
-from liftcalc.fields import AltForm
+from liftcalc.fields import EndoField
 from liftcalc.structures import HermitianPackage
+from liftcalc.verify import CompareReport
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = REPO / "src" / "liftcalc"
 
 # Solver unknowns were a second kind of atom; positions now carry plain
 # string names, and coordinates are the only atoms.
+# The fundamental two-form is an antisymmetric Bilinear, so the general
+# alternating-form type went too.
 REMOVED = ("UnknownId", "Atom", "ConjugationError", "NonlinearSystemError",
-           "solve_poly_linear")
+           "solve_poly_linear", "AltForm")
 # The (1,1) solve checked the covector-pairing law after every solve, which
 # the tensors suite owns; the complete-lift alias had one-line callers.
 # fn_complete_step equalled fn_complete(f, 1).
@@ -30,8 +32,9 @@ RETIRED_METHODS = {
     symkernel.GRat: ("is_real",),
     symkernel.Expr: ("leading_term", "substitute"),
     ChartSpec: ("dimension", "in_chart", "project", "dot"),
-    AltForm: ("from_oneform", "wedge"),
     HermitianPackage: ("fundamental_form",),
+    EndoField: ("square",),
+    CompareReport: ("verdict",),
 }
 # Public names with no caller outside the tests, each kept for a reason.
 KEPT = {
@@ -39,6 +42,12 @@ KEPT = {
     "format_bilinear": "the Bilinear renderer, beside format_vector, "
                        "format_oneform and format_endo",
     "clear_lift_cache": "tests use it to reset the process caches",
+    "Expr.terms": "the decode boundary of packed monomials (ROADMAP item 2)",
+    "Expr.term_map": "the decode boundary of packed monomials (ROADMAP item 2)",
+    "holo": "the tests' coordinate constructor",
+    "anti": "the tests' coordinate constructor",
+    "_CompleteTable.cache_info": "the benchmark's layer trace reads it "
+                                 "through getattr",
 }
 
 
@@ -79,29 +88,124 @@ def _public_defs(tree):
                 yield prefix + item.name, item
 
 
+def _bound(scope):
+    """The names a function or lambda binds locally: its parameters and
+    every name stored, defined or imported in its body."""
+    names = {a.arg for a in ast.walk(scope.args) if isinstance(a, ast.arg)}
+    stack = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+            continue
+        if isinstance(node, ast.Lambda):
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _free_loads(tree):
+    """(name, line) of each name load that no enclosing function's local
+    name shadows."""
+    out = set()
+
+    def visit(node, shadowed):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            shadowed = shadowed | _bound(node)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
+                and node.id not in shadowed:
+            out.add((node.id, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, shadowed)
+
+    visit(tree, frozenset())
+    return out
+
+
+def _uncalled(texts, modules):
+    """{qualified name: file name} of each public function and method
+    defined in ``modules`` with no caller in ``texts`` (path -> source).
+
+    Only code counts, never a docstring, string or comment: a method is
+    called through an attribute access, and a function through an import
+    of its name, an attribute access or a load in its own module that no
+    local name shadows.  A use inside the definition itself is not a
+    caller."""
+    trees = {p: ast.parse(text) for p, text in texts.items()}
+    attributes = {(node.attr, p, node.lineno) for p, tree in trees.items()
+                  for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    imported = {alias.name for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    uncalled = {}
+    for path in modules:
+        loads = {(name, path, line) for name, line in _free_loads(trees[path])}
+        for qualname, node in _public_defs(trees[path]):
+            if "." in qualname:
+                uses = attributes
+            elif node.name in imported:
+                continue
+            else:
+                uses = attributes | loads
+            if not any(name == node.name
+                       and not (p == path and node.lineno <= line <= node.end_lineno)
+                       for name, p, line in uses):
+                uncalled[qualname] = path.name
+    return uncalled
+
+
 def test_every_public_callable_has_a_caller():
-    """Each public name appears as a whole word outside its own definition,
-    in the package (``__init__`` re-exports are not callers), the demos, the
-    scripts or the benchmark.  perfbench/layertrace.py names functions in
-    string tables to trace them, which is not a call."""
+    """Each public function and method has a caller in the package
+    (``__init__`` re-exports are not callers), the demos, the scripts or
+    the benchmark.  perfbench/layertrace.py names functions in string
+    tables to trace them, which is not a call."""
     modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     sources = modules + sorted((REPO / "demos").glob("*.py"))
     sources += sorted((REPO / "scripts").glob("*.py"))
     sources += [p for p in sorted((REPO / "perfbench").glob("*.py"))
                 if p.name != "layertrace.py"]
-    lines = {p: p.read_text(encoding="utf-8").splitlines() for p in sources}
-    uncalled = {}
-    for path in modules:
-        for qualname, node in _public_defs(ast.parse("\n".join(lines[path]))):
-            word = re.compile(rf"\b{node.name}\b")
-            if not any(word.search(line)
-                       for p, text in lines.items()
-                       for n, line in enumerate(text, 1)
-                       if not (p == path and node.lineno <= n <= node.end_lineno)):
-                uncalled[qualname] = path.name
+    texts = {p: p.read_text(encoding="utf-8") for p in sources}
+    uncalled = _uncalled(texts, modules)
     assert {q: f for q, f in uncalled.items() if q not in KEPT} == {}
     # a kept name that gains a caller leaves the table
     assert set(KEPT) <= set(uncalled)
+
+
+def test_a_mention_outside_code_is_not_a_caller():
+    # a docstring, a comment, a string, a local name that shadows a function
+    # and a recursive call are no callers; an import, an attribute access
+    # and an unshadowed load are
+    module = pathlib.Path("mod.py")
+    texts = {module: '''
+def helper():
+    """Unlike square(), this has callers."""
+    return 1
+
+def square():
+    return square()
+
+def shadowed(helper=None):
+    square = helper
+    return square
+
+class Report:
+    def verdict(self):
+        return "verdict: " + str(helper())
+
+    def render(self, verdict=None):
+        return verdict
+''', pathlib.Path("user.py"): '''
+# Report.render is called below; square is not
+from mod import Report, shadowed
+print(Report().render())
+'''}
+    assert _uncalled(texts, [module]) == {"square": "mod.py",
+                                          "Report.verdict": "mod.py"}
 
 
 def test_no_unused_imports():

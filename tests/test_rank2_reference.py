@@ -6,22 +6,19 @@ with ``entry()``/``component()``.  The fields are seeded and their rank-2
 maps are not symmetric, so a transposed index in any product fails.
 """
 
-import itertools
 import random
 
 import pytest
 
 from liftcalc.charts import ChartSpec
 from liftcalc.fields import (
-    AltForm,
     Bilinear,
     EndoField,
-    FieldError,
     OneForm,
     VectorField,
 )
 from liftcalc.structures import fundamental_bilinear, star_apply
-from liftcalc.symkernel import Expr, holo
+from liftcalc.symkernel import Expr
 
 CASES = [(chart, seed) for chart in (ChartSpec(2, 1, False), ChartSpec(1, 1, True))
          for seed in (0, 1, 2)]
@@ -113,33 +110,3 @@ def test_fundamental_bilinear_is_G_times_J(chart, seed):
     assert fundamental_bilinear(G, J) == Bilinear(chart, {
         (a, b): _sum(G.entry(a, c) * J.entry(c, b) for c in coords)
         for a in coords for b in coords})
-
-
-@pytest.mark.parametrize("chart,seed", CASES, ids=IDS)
-def test_altform_evaluate_sums_over_increasing_keys(chart, seed):
-    rng = random.Random(seed)
-    coords = chart.coordinates()
-    X, Y = _rank1(VectorField, rng, chart), _rank1(VectorField, rng, chart)
-    f = _poly(rng, chart)
-    w1 = {(a,): _poly(rng, chart) for a in coords if rng.random() < 0.7}
-    w2 = {key: _poly(rng, chart) for key in itertools.combinations(coords, 2)
-          if rng.random() < 0.7}
-    assert AltForm(chart, 0, {(): f}).evaluate() == f
-    assert AltForm(chart, 1, w1).evaluate(X) == _sum(
-        v * X.component(a) for (a,), v in w1.items())
-    assert AltForm(chart, 2, w2).evaluate(X, Y) == _sum(
-        v * (X.component(a) * Y.component(b) - X.component(b) * Y.component(a))
-        for (a, b), v in w2.items())
-
-
-def test_altform_keeps_its_degree():
-    chart = ChartSpec(1, 0, False)
-    z = holo(0, 1)
-    assert AltForm(chart, 1, {}) != AltForm(chart, 2, {})
-    w = AltForm(chart, 1, {(z,): Expr.atom(z)})
-    with pytest.raises(FieldError) as err:
-        w + AltForm(chart, 2, {})
-    assert str(err.value) == "cannot add alternating forms of different degree"
-    assert -w == w.scaled(-1)
-    assert (w - w).is_zero()
-    assert (w - w) == AltForm(chart, 1, {})

@@ -164,20 +164,18 @@ def test_comparison_inventory():
 @pytest.mark.parametrize("prop", COMPARISONS)
 def test_all_match_at_k1(prop):
     report = compare_proposition(prop, 1, 1, seed=0)
-    assert report.verdict == "MATCH"
     assert report.n_mismatch == 0
 
 
 @pytest.mark.parametrize("prop", ["P322", "P323", "P332", "P333"])
 def test_weighted_routes_mismatch_at_k2(prop):
     report = compare_proposition(prop, 1, 2, seed=0)
-    assert report.verdict == "MISMATCH"
     assert report.n_mismatch > 0
 
 
 @pytest.mark.parametrize("prop", ["P321", "P331"])
 def test_unweighted_routes_match_at_k2(prop):
-    assert compare_proposition(prop, 1, 2, seed=0).verdict == "MATCH"
+    assert compare_proposition(prop, 1, 2, seed=0).n_mismatch == 0
 
 
 def test_compare_render_frozen():
@@ -199,7 +197,7 @@ def test_compare_explicit_field_witness():
     chart = ChartSpec(1, 0, True)
     Z = VectorField(chart, {holo(0, 1): Expr.atom(holo(0, 1))})
     report = compare_proposition("P322", 1, 2, fields=[Z])
-    assert report.verdict == "MISMATCH"
+    assert report.n_mismatch == 1
     assert report.cases[0].witness == ("component d/dz1_1: "
                                        "defining = z1_1; closed = 2*z1_1")
 
