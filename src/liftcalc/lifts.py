@@ -53,12 +53,14 @@ first, the fraction-free pivots grow with each level and multiply every
 right-hand side they meet.  The one-form, (1,1) and (0,2) lifts share
 one set of rows P (test fields against their complete lifts); the (0,2)
 pair equations ``P B P^T = R``, i.e. ``(P (x) P) vec(B) = vec(R)``, are two
-rounds of replays on P.  Every solution is then checked against every
-equation of its system and, per input, against the defining equation on a
-disjoint holdout family; any nonzero residual raises, so a returned lift
-carries a machine-checked certificate.  Equation n reads ``sum(row_n[p] *
-x_p) == rhs_n``.  The replay reads only the rows that pivot, so the check
-against every equation is the only consistency check.
+rounds of replays on P.  Each test family's complete lifts are solved once
+per chart and order and cached beside the rows built from them.  Every
+solution is then checked against every equation of its system and, per
+input, against the defining equation on a disjoint holdout family (the
+``*_defining_residuals`` functions); any nonzero residual raises, so a
+returned lift carries a machine-checked certificate.  Equation n reads
+``sum(row_n[p] * x_p) == rhs_n``.  The replay reads only the rows that
+pivot, so the check against every equation is the only consistency check.
 
 **Lift routes.**  :func:`_lift` (defining) and :func:`_lift_closed` (closed
 form) are the one map from a field's class and a lift kind to the
@@ -115,7 +117,6 @@ VF_KINDS = ("v", "c", "cv")
 # charts and orders without evicting.
 _COMPLETE_CACHE_SIZE = 8192
 _SYSTEM_CACHE_SIZE = 256
-_VF_SOLVE_CACHE_SIZE = 1024
 # Test families depend only on their arguments (chart, order or stage), so
 # each is built once per argument tuple and shared as a tuple.
 _FAMILY_CACHE_SIZE = 128
@@ -239,7 +240,6 @@ def _lift_scalar_expr(expr: Expr, kind: str, k: int, r: int | None,
 
 def clear_lift_cache() -> None:
     _complete_expr.cache_clear()
-    _VF_SOLVE_CACHE.clear()
     _SYSTEM_CACHE.clear()
 
 
@@ -651,19 +651,6 @@ def _check_kind(kind: str, k: int, r: int | None, s: int | None
     return None, None
 
 
-def _bounded(cache: OrderedDict, bound: int, key, make):
-    """Least-recently-used lookup: ``make()`` fills a miss, and the oldest
-    entry goes once the cache holds more than `bound`."""
-    value = cache.get(key)
-    if value is None:
-        value = cache[key] = make()
-        if len(cache) > bound:
-            cache.popitem(last=False)
-    else:
-        cache.move_to_end(key)
-    return value
-
-
 class _System:
     """The test items of one defining system, each item's coefficient row
     ``{position: Expr}``, and the factorisation of the rows, built on first
@@ -694,15 +681,24 @@ class _System:
             yield _expr(acc)
 
 
-# Systems by key.  A key is a builder followed by its arguments (chart,
-# order, unknown layout, test stage); the rows depend on nothing else, so
-# every input with the same key shares them and their factorisation.
+# Systems, and the complete lifts of the test families their rows are built
+# from, by key.  A key is a builder followed by its arguments (chart, order,
+# unknown layout, test family or stage); the value depends on nothing else,
+# so every input with the same key shares it (and a system's factorisation).
 _SYSTEM_CACHE: OrderedDict = OrderedDict()
 
 
-def _system(key: tuple) -> _System:
-    return _bounded(_SYSTEM_CACHE, _SYSTEM_CACHE_SIZE, key,
-                    lambda: key[0](*key[1:]))
+def _system(key: tuple):
+    """``key[0](*key[1:])``, built on a miss; the least recently used entry
+    goes once the cache holds more than `_SYSTEM_CACHE_SIZE`."""
+    value = _SYSTEM_CACHE.get(key)
+    if value is None:
+        value = _SYSTEM_CACHE[key] = key[0](*key[1:])
+        if len(_SYSTEM_CACHE) > _SYSTEM_CACHE_SIZE:
+            _SYSTEM_CACHE.popitem(last=False)
+    else:
+        _SYSTEM_CACHE.move_to_end(key)
+    return value
 
 
 # op -> (name in messages, what its free positions are called).  The solver's
@@ -755,14 +751,14 @@ class _Engine:
                 raise LiftError(
                     f"{self.what} solve: solution fails its own equation {n}")
 
-    def solve_stages(self, chart0: ChartSpec, k: int, rhs,
-                     names: Sequence[Sequence[str]]
+    def solve_stages(self, chart0: ChartSpec, k: int, rhs, names
                      ) -> tuple[_System, list[list[Expr]]]:
         """Solve on the pairing rows of test stage 1 (coefficient degree
         <= 1), or of stage 2 (<= 2) when stage 1's rows leave an unknown
         free; the rows alone choose the stage.  ``rhs(items)`` gives one
-        list of right-hand sides per column, and each column is replayed
-        and checked on the chosen factorisation."""
+        list of right-hand sides per column and ``names(items)`` one list
+        of position names per column; each column is replayed and checked
+        on the chosen factorisation."""
         for stage in (1, 2):
             system = _system((_pairing, chart0, k, stage))
             if not system.factor.free:
@@ -771,7 +767,7 @@ class _Engine:
             raise self._underdetermined(system)
         return system, [self.solve(system, column, column_names)
                         for column, column_names in zip(rhs(system.items),
-                                                        names)]
+                                                        names(system.items))]
 
     def _free(self, system: _System) -> Sequence[int]:
         """The label positions left free by the system's factorisation."""
@@ -902,10 +898,9 @@ def vf_lift_solve_certified(Z: VectorField, kind: str, k: int, *,
         if not value.is_zero():
             comps[coord] = value
     result = VectorField(chart0.extend(k), comps)
-    holdout = function_holdout(chart0)
-    engine.holdout(vf_defining_residuals(Z, result, kind, k, r=r, s=s,
-                                         functions=holdout))
-    return result, engine.certificate(len(family.items), len(holdout))
+    engine.holdout(vf_defining_residuals(Z, result, kind, k, r=r, s=s))
+    return result, engine.certificate(len(family.items),
+                                      len(function_holdout(chart0)))
 
 
 def vf_lift_solve(Z: VectorField, kind: str, k: int, *,
@@ -914,52 +909,53 @@ def vf_lift_solve(Z: VectorField, kind: str, k: int, *,
 
 
 def vf_defining_residuals(Z: VectorField, lifted: VectorField, kind: str,
-                          k: int, *, r: int | None = None, s: int | None = None,
-                          functions: Sequence[Expr] | None = None) -> list[Expr]:
-    """Residuals lifted(f^{c^k}) - (Z f)^lift over the given functions
-    (default: the holdout family), evaluated on cached rows as the family
-    check is."""
+                          k: int, *, r: int | None = None, s: int | None = None
+                          ) -> list[Expr]:
+    """Residuals lifted(f^{c^k}) - (Z f)^lift over the holdout functions,
+    evaluated on cached rows as the family check is."""
+    r, s = _check_kind(kind, k, r, s)
     chart0 = Z.chart
     target = chart0.extend(k)
     if lifted.chart != target:
         raise FieldError(f"chart mismatch: {lifted.chart} vs {target}")
-    functions = (function_holdout(chart0) if functions is None
-                 else tuple(functions))
+    functions = function_holdout(chart0)
     coords = target.coordinates()
     system = _system((_vf_system, functions, coords, k))
     rhs = [_lift_scalar_expr(Z.apply(f), kind, k, r, s) for f in functions]
     return list(system.evaluate(rhs, [lifted.component(c) for c in coords]))
 
 
-# -- cached complete lifts of test vector fields ------------------------------
+# -- test vector fields and their complete lifts ------------------------------
 
-_VF_SOLVE_CACHE: OrderedDict = OrderedDict()
-
-
-def _field_key(Z: VectorField) -> tuple:
-    return tuple(sorted(Z.components.items(), key=lambda kv: kv[0].sort_key()))
-
-
-def _vf_solve_cached(Z: VectorField, kind: str, k: int) -> VectorField:
-    """Memoized determined lift of a vector field; tensor solves use these
-    as right-hand sides so every ingredient stays definitional."""
-    return _bounded(_VF_SOLVE_CACHE, _VF_SOLVE_CACHE_SIZE,
-                    (Z.chart, kind, k, _field_key(Z)),
-                    lambda: vf_lift_solve(Z, kind, k))
+def _test_lifts(family, chart0: ChartSpec, k: int, *args
+                ) -> tuple[VectorField, ...]:
+    """The determined complete lifts of ``family(chart0, *args)``, the
+    left-hand sides of the one-form, (1,1) and (0,2) defining equations;
+    cached through :func:`_system`."""
+    return tuple(vf_lift_solve(X, "c", k) for X in family(chart0, *args))
 
 
-# -- one-forms ----------------------------------------------------------------
+def _holdout(chart0: ChartSpec, k: int
+             ) -> list[tuple[VectorField, VectorField]]:
+    """Each holdout test field with its complete lift."""
+    return list(zip(vector_test_holdout(chart0),
+                    _system((_test_lifts, vector_test_holdout, chart0, k))))
+
 
 def _pairing(chart0: ChartSpec, k: int, stage: int) -> _System:
     """Test vector fields against the components of their complete lifts:
-    the rows of the one-form, (1,1)-tensor and (0,2)-tensor lifts."""
+    the rows of the one-form, (1,1)-tensor and (0,2)-tensor lifts.  The
+    lifts are read stage by stage, so stage 2 reuses those of stages 0
+    and 1."""
     tests = vector_test_family(chart0, stage)
     position = {c: p for p, c in enumerate(chart0.extend(k).coordinates())}
-    rows = [{position[c]: comp
-             for c, comp in _vf_solve_cached(X, "c", k).components.items()}
-            for X in tests]
+    rows = [{position[c]: comp for c, comp in Xc.components.items()}
+            for level in range(stage + 1)
+            for Xc in _system((_test_lifts, _vector_stage, chart0, k, level))]
     return _System(tests, rows, len(position))
 
+
+# -- one-forms ----------------------------------------------------------------
 
 def of_lift_solve_certified(w: OneForm, kind: str, k: int, *,
                             r: int | None = None, s: int | None = None
@@ -983,13 +979,12 @@ def of_lift_solve_certified(w: OneForm, kind: str, k: int, *,
         chart0, k,
         lambda tests: [[_lift_scalar_expr(w.pair(X), kind, k, r, s)
                         for X in tests]],
-        [[f"W_{c.name}" for c in coords]])
+        lambda tests: [[f"W_{c.name}" for c in coords]])
     result = OneForm(target, {c: v for c, v in zip(coords, values)
                               if not v.is_zero()})
-    holdout = vector_test_holdout(chart0)
-    engine.holdout(of_defining_residuals(w, result, kind, k, r=r, s=s,
-                                         vectors=holdout))
-    return result, engine.certificate(len(system.items), len(holdout))
+    engine.holdout(of_defining_residuals(w, result, kind, k, r=r, s=s))
+    return result, engine.certificate(len(system.items),
+                                      len(vector_test_holdout(chart0)))
 
 
 def of_lift_solve(w: OneForm, kind: str, k: int, *,
@@ -998,20 +993,13 @@ def of_lift_solve(w: OneForm, kind: str, k: int, *,
 
 
 def of_defining_residuals(w: OneForm, lifted: OneForm, kind: str, k: int, *,
-                          r: int | None = None, s: int | None = None,
-                          vectors: Sequence[VectorField] | None = None
+                          r: int | None = None, s: int | None = None
                           ) -> list[Expr]:
-    """Residuals lifted(X^{c^k}) - (w X)^lift over the given base vector
-    fields (default: the holdout family)."""
-    chart0 = w.chart
-    if vectors is None:
-        vectors = vector_test_holdout(chart0)
-    out = []
-    for X in vectors:
-        Xc = _vf_solve_cached(X, "c", k)
-        rhs = _lift_scalar_expr(w.pair(X), kind, k, r, s)
-        out.append(lifted.pair(Xc) - rhs)
-    return out
+    """Residuals lifted(X^{c^k}) - (w X)^lift over the holdout vector
+    fields."""
+    r, s = _check_kind(kind, k, r, s)
+    return [lifted.pair(Xc) - _lift_scalar_expr(w.pair(X), kind, k, r, s)
+            for X, Xc in _holdout(w.chart, k)]
 
 
 # -- (1,1)-tensors -------------------------------------------------------------
@@ -1041,19 +1029,18 @@ def t11_lift_solve_certified(phi: EndoField, kind: str, k: int
     engine = _Engine("endo", kind, k, labels)
 
     def rhs(tests: Sequence[VectorField]) -> list[list[Expr]]:
-        lifted = [_vf_solve_cached(phi.apply_vector(X), kind, k)
-                  for X in tests]
+        lifted = [vf_lift_solve(phi.apply_vector(X), kind, k) for X in tests]
         return [[Y.component(a) for Y in lifted] for a in coords]
 
     system, rows = engine.solve_stages(
         chart0, k, rhs,
-        [[f"E_{a.name}__{b}" for b in labels] for a in coords])
+        lambda tests: [[f"E_{a.name}__{b}" for b in labels] for a in coords])
     result = EndoField(target, {(a, b): v
                                 for a, row in zip(coords, rows)
                                 for b, v in zip(coords, row) if not v.is_zero()})
-    holdout = vector_test_holdout(chart0)
-    engine.holdout(t11_defining_residuals(phi, result, kind, k, vectors=holdout))
-    return result, engine.certificate(len(system.items), len(holdout))
+    engine.holdout(t11_defining_residuals(phi, result, kind, k))
+    return result, engine.certificate(len(system.items),
+                                      len(vector_test_holdout(chart0)))
 
 
 def t11_lift_solve(phi: EndoField, kind: str, k: int) -> EndoField:
@@ -1061,20 +1048,15 @@ def t11_lift_solve(phi: EndoField, kind: str, k: int) -> EndoField:
 
 
 def t11_defining_residuals(phi: EndoField, lifted: EndoField, kind: str,
-                           k: int, *,
-                           vectors: Sequence[VectorField] | None = None
-                           ) -> list[Expr]:
-    """Component residuals of lifted(X^{c^k}) - (phi X)^lift over the given
-    base vector fields (default: the holdout family)."""
-    chart0 = phi.chart
-    if vectors is None:
-        vectors = vector_test_holdout(chart0)
+                           k: int) -> list[Expr]:
+    """Component residuals of lifted(X^{c^k}) - (phi X)^lift over the
+    holdout vector fields."""
+    _t_kind(kind, k)
     out: list[Expr] = []
     target = lifted.chart
-    for X in vectors:
-        Xc = _vf_solve_cached(X, "c", k)
-        rhs = _vf_solve_cached(phi.apply_vector(X), kind, k)
-        diff = lifted.apply_vector(Xc) - rhs
+    for X, Xc in _holdout(phi.chart, k):
+        diff = lifted.apply_vector(Xc) - vf_lift_solve(phi.apply_vector(X),
+                                                        kind, k)
         for coord in target.coordinates():
             out.append(diff.component(coord))
     return out
@@ -1110,43 +1092,42 @@ def t02_lift_solve_certified(G: Bilinear, kind: str, k: int
     labels = [c.name for c in coords]
     engine = _PairEngine("bilinear", kind, k,
                          [f"{a}__{b}" for a in labels for b in labels])
-    n_tests = len(vector_test_family(chart0, 2))
     system, C = engine.solve_stages(
         chart0, k,
         lambda tests: [[_lift_scalar_expr(G.evaluate(X, Y), kind, k, None, None)
                         for X in tests] for Y in tests],
-        [[f"C_{a}__{j}" for a in labels] for j in range(n_tests)])
+        lambda tests: [[f"C_{a}__{j}" for a in labels]
+                       for j in range(len(tests))])
     rows = [engine.solve(system, [col[p] for col in C],
                          [f"B_{a}__{b}" for b in labels])
             for p, a in enumerate(labels)]
     result = Bilinear(target, {(a, b): v
                                for a, row in zip(coords, rows)
                                for b, v in zip(coords, row) if not v.is_zero()})
-    holdout = vector_test_holdout(chart0)
-    engine.holdout(t02_defining_residuals(G, result, kind, k, vectors=holdout))
-    return result, engine.certificate(len(system.items) ** 2, len(holdout))
+    engine.holdout(t02_defining_residuals(G, result, kind, k))
+    return result, engine.certificate(len(system.items) ** 2,
+                                      len(vector_test_holdout(chart0)))
 
 
 def t02_lift_solve(G: Bilinear, kind: str, k: int) -> Bilinear:
     return t02_lift_solve_certified(G, kind, k)[0]
 
 
-def t02_defining_residuals(G: Bilinear, lifted: Bilinear, kind: str, k: int, *,
-                           vectors: Sequence[VectorField] | None = None
+def t02_defining_residuals(G: Bilinear, lifted: Bilinear, kind: str, k: int
                            ) -> list[Expr]:
     """Residuals lifted(X^{c^k}, Y^{c^k}) - (G(X,Y))^lift over ordered pairs
-    (X, Y) drawn from the given fields paired with themselves and with the
-    stage-0 basis fields (default fields: the holdout family)."""
+    (X, Y) drawn from the holdout vector fields paired with themselves and
+    with the stage-0 basis fields."""
+    _t_kind(kind, k)
     chart0 = G.chart
-    if vectors is None:
-        vectors = vector_test_holdout(chart0)
-    basis = _vector_stage(chart0, 0)
-    pairs = [pair for X in vectors for Y in basis for pair in ((X, Y), (Y, X))]
-    pairs += [(X, Y) for i, X in enumerate(vectors) for Y in vectors[i:]]
-    return [lifted.evaluate(_vf_solve_cached(X, "c", k),
-                            _vf_solve_cached(Y, "c", k))
+    holdout = _holdout(chart0, k)
+    basis = list(zip(_vector_stage(chart0, 0),
+                     _system((_test_lifts, _vector_stage, chart0, k, 0))))
+    pairs = [pair for X in holdout for Y in basis for pair in ((X, Y), (Y, X))]
+    pairs += [(X, Y) for i, X in enumerate(holdout) for Y in holdout[i:]]
+    return [lifted.evaluate(Xc, Yc)
             - _lift_scalar_expr(G.evaluate(X, Y), kind, k, None, None)
-            for X, Y in pairs]
+            for (X, Xc), (Y, Yc) in pairs]
 
 
 # ---------------------------------------------------------------------------

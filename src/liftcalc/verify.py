@@ -854,6 +854,8 @@ def _structures_clauses(ctx: SuiteContext) -> list[Clause]:
     coincide_note = ("recorded comparison: agreement between the solved "
                      "lift and the direct diagonal construction is "
                      "reported, not assumed")
+    # The determined lifts of the base structure, solved once per run.
+    lifted = {kind: lift_J0(m, kind, k) for kind in ("v", "c")}
 
     def square(structure: Callable[[], EndoField],
                inputs: Sequence[tuple[str, str]]):
@@ -869,8 +871,7 @@ def _structures_clauses(ctx: SuiteContext) -> list[Clause]:
         J0 = build_Jk(chart0)
 
         def residual(kind: str) -> str | None:
-            residuals = t11_defining_residuals(J0, lift_J0(m, kind, k),
-                                               kind, k)
+            residuals = t11_defining_residuals(J0, lifted[kind], kind, k)
             bad = [e for e in residuals if not e.is_zero()]
             return f"kind = {kind}; residual = {format_expr(bad[0])}" \
                 if bad else None
@@ -878,7 +879,7 @@ def _structures_clauses(ctx: SuiteContext) -> list[Clause]:
         yield _first(residual(kind) for kind in ("v", "c"))
 
     def lift_coincides():
-        yield _check([("kind", "c")], lift_J0(m, "c", k), build_Jk(chartk))
+        yield _check([("kind", "c")], lifted["c"], build_Jk(chartk))
 
     def star_duality():
         J = build_Jk(chartk)
@@ -899,20 +900,19 @@ def _structures_clauses(ctx: SuiteContext) -> list[Clause]:
         def one():
             g = gen.hermitian(chart0)
             gk = t02_lift_solve(g, kind, k)
-            Jk = lift_J0(m, "c", k)
-            if hermitian_check(gk, Jk):
+            if hermitian_check(gk, lifted["c"]):
                 return None
             return _check([("metric", "mixed-entry symmetric")],
-                          gk.pullback_endo(Jk), gk)
+                          gk.pullback_endo(lifted["c"]), gk)
         return _sampled(ctx, one)
 
     def form_exchange():
         g = gen.hermitian(chart0)
         phi0 = fundamental_bilinear(g, build_Jk(chart0))
-        Jk = lift_J0(m, "c", k)
         return _first(
             _check([("kind", kind)], t02_lift_solve(phi0, kind, k),
-                   fundamental_bilinear(t02_lift_solve(g, kind, k), Jk))
+                   fundamental_bilinear(t02_lift_solve(g, kind, k),
+                                        lifted["c"]))
             for kind in ("v", "c"))
 
     def closedness():
@@ -940,7 +940,7 @@ def _structures_clauses(ctx: SuiteContext) -> list[Clause]:
                square(lambda: build_Jk_star(chartk), chart_inputs)),
         Clause("S3", "structure-lift-defining", lift_residuals),
         Clause("S4", "structure-lift-square",
-               square(lambda: lift_J0(m, "c", k), [("kind", "c")])),
+               square(lambda: lifted["c"], [("kind", "c")])),
         Clause("S5", "structure-lift-coincides-diagonal", lift_coincides,
                conflict_note=coincide_note),
         Clause("S6", "costructure-duality", star_duality),

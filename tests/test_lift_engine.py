@@ -8,7 +8,6 @@ cache, and the failure must not spoil the cache for the next input.
 """
 
 import re
-from collections import OrderedDict
 
 import pytest
 
@@ -133,15 +132,17 @@ def test_endo_lift_checks_stay_live(monkeypatch):
     first = EndoField(C0, {(Z, Z): Expr.one()})
     second = EndoField(C0, {(ZB, Z): zb})
     held_out = VectorField(C0, {Z: z ** 3})    # phi(X) for a holdout X
-    right = L._vf_solve_cached
+    right = L.vf_lift_solve
 
+    # The holdout fields' own lifts are cached by the first solve of
+    # `second`, so only the right-hand side (phi X)^lift is corrupted.
     def corrupt(patch):
         def lift(Y, kind, k):
             out = right(Y, kind, k)
             if Y == held_out:
                 return out + VectorField(out.chart, {TIME: 1})
             return out
-        patch.setattr(L, "_vf_solve_cached", lift)
+        patch.setattr(L, "vf_lift_solve", lift)
 
     _assert_cached_solve_survives(
         monkeypatch, lambda phi: L.t11_lift_solve_certified(phi, "v", K),
@@ -232,27 +233,44 @@ def _residuals_by_hand(Z, lifted, kind, k, functions, r=None, s=None):
 def test_vector_residuals_equal_the_lift_applied_by_hand(kind, r, s):
     L.clear_lift_cache()
     chart0 = ChartSpec(2, 0, True)
-    t = Expr.atom(TIME)
-    with_t = [t * z, t ** 2 + zb * z, t * zb ** 2]
+    holdout = L.function_holdout(chart0)
     for seed in (0, 7):
         Z = FieldGen(seed).vector(chart0)
         lifted = L.vf_lift_solve(Z, kind, K, r=r, s=s)
-        holdout = _residuals_by_hand(Z, lifted, kind, K,
-                                     L.function_holdout(chart0), r, s)
-        assert all(e.is_zero() for e in holdout)
-        assert L.vf_defining_residuals(Z, lifted, kind, K, r=r, s=s) == holdout
-        # The defining equations need not hold off the family when t enters.
-        assert L.vf_defining_residuals(Z, lifted, kind, K, r=r, s=s,
-                                       functions=with_t) == _residuals_by_hand(
-            Z, lifted, kind, K, with_t, r, s)
+        expected = _residuals_by_hand(Z, lifted, kind, K, holdout, r, s)
+        assert all(e.is_zero() for e in expected)
+        assert (L.vf_defining_residuals(Z, lifted, kind, K, r=r, s=s)
+                == expected)
         # A corrupted lift: wrong on one level and on the time direction.
         bad = lifted + VectorField(lifted.chart, {holo(1, 1): z * zb,
                                                   TIME: 3})
-        for functions in (L.function_holdout(chart0), with_t):
-            expected = _residuals_by_hand(Z, bad, kind, K, functions, r, s)
-            assert any(not e.is_zero() for e in expected)
-            assert L.vf_defining_residuals(Z, bad, kind, K, r=r, s=s,
-                                           functions=functions) == expected
+        expected = _residuals_by_hand(Z, bad, kind, K, holdout, r, s)
+        assert any(not e.is_zero() for e in expected)
+        assert L.vf_defining_residuals(Z, bad, kind, K, r=r, s=s) == expected
+
+
+@pytest.mark.parametrize("residuals, field, split, message", [
+    (L.vf_defining_residuals, VectorField(C0, {Z: z}), {},
+     "complete-vertical lifts need a split r, s >= 0"),
+    (L.of_defining_residuals, OneForm(C0, {Z: z}), {},
+     "complete-vertical lifts need a split r, s >= 0"),
+    (L.of_defining_residuals, OneForm(C0, {Z: z}), {"r": 5, "s": 0},
+     "split must satisfy r + s = k, got 5 + 0 != 2"),
+    (L.t11_defining_residuals, EndoField(C0, {(Z, Z): Expr.one()}), {},
+     "tensor lifts support kinds 'v' and 'c', got 'cv'"),
+    (L.t02_defining_residuals, Bilinear(C0, {(Z, ZB): Expr.one()}), {},
+     "tensor lifts support kinds 'v' and 'c', got 'cv'"),
+], ids=["vector", "oneform", "oneform-split", "endo", "bilinear"])
+def test_defining_residuals_refuse_what_the_solvers_refuse(residuals, field,
+                                                           split, message):
+    """Each residual function checks the kind and split before any other
+    work, and refuses with the text its solver gives."""
+    lifted = L._lift(field, "v", K)
+    with pytest.raises(L.LiftError) as info:
+        residuals(field, lifted, "cv", K, **split)
+    with pytest.raises(L.LiftError) as solver:
+        L._lift(field, "cv", K, **split)
+    assert str(info.value) == str(solver.value) == message
 
 
 @pytest.mark.parametrize("family,args", [
@@ -275,11 +293,15 @@ def test_test_families_are_built_once_as_tuples(family, args):
 def test_bilinear_underdetermined_names_free_pairs(monkeypatch):
     """A pairing row that misses a coordinate leaves every pair through that
     coordinate free; the text lists the pairs in row-major order."""
-    family = L.vector_test_family
+    pairing = L._pairing
+
+    def without_time_row(chart0, k, stage):
+        system = pairing(chart0, k, stage)
+        return L._System(system.items[1:], system.rows[1:], system.width)
+
     L.clear_lift_cache()
     try:
-        monkeypatch.setattr(L, "vector_test_family",
-                            lambda chart0, stage: family(chart0, stage)[1:])
+        monkeypatch.setattr(L, "_pairing", without_time_row)
         with pytest.raises(L.LiftError) as info:
             L.t02_lift_solve(Bilinear(C0, {(Z, ZB): Expr.one()}), "v", 1)
     finally:
@@ -339,28 +361,37 @@ def test_each_op_names_its_positions(monkeypatch):
         assert all(n[0].startswith(prefixes + ("U_", "W_")) for n in names)
 
 
-def test_bounded_cache_evicts_the_least_recently_used():
-    cache: OrderedDict = OrderedDict()
-    for key in range(5):
-        L._bounded(cache, 3, key, lambda: object())
-    assert list(cache) == [2, 3, 4]
-    hit = cache[2]
-    assert L._bounded(cache, 3, 2, lambda: pytest.fail("2 is cached")) is hit
-    L._bounded(cache, 3, 5, lambda: object())
-    assert list(cache) == [4, 2, 5]
+def test_bounded_cache_evicts_the_least_recently_used(monkeypatch):
+    built = []
+
+    def build(n):
+        built.append(n)
+        return object()
+
+    L.clear_lift_cache()
+    monkeypatch.setattr(L, "_SYSTEM_CACHE_SIZE", 3)
+    try:
+        for n in range(5):
+            L._system((build, n))
+        assert list(L._SYSTEM_CACHE) == [(build, n) for n in (2, 3, 4)]
+        hit = L._SYSTEM_CACHE[(build, 2)]
+        assert L._system((build, 2)) is hit and built == [0, 1, 2, 3, 4]
+        L._system((build, 5))
+        assert list(L._SYSTEM_CACHE) == [(build, n) for n in (4, 2, 5)]
+    finally:
+        L.clear_lift_cache()
 
 
 def test_lift_caches_hold_their_bound_and_clear(monkeypatch):
+    """The test fields' complete lifts share the system cache's bound."""
     L.clear_lift_cache()
     monkeypatch.setattr(L, "_SYSTEM_CACHE_SIZE", 2)
-    monkeypatch.setattr(L, "_VF_SOLVE_CACHE_SIZE", 2)
     w = OneForm(C0, {Z: z, ZB: z * zb})
     for k in (1, 2, 3):
         assert L.of_lift_solve(w, "v", k) == L.of_vertical_closed(w, k)
         assert len(L._SYSTEM_CACHE) == 2
-        assert len(L._VF_SOLVE_CACHE) == 2
     L.clear_lift_cache()
-    assert not L._SYSTEM_CACHE and not L._VF_SOLVE_CACHE
+    assert not L._SYSTEM_CACHE
     assert L._complete_expr.cache_info().currsize == 0
 
 

@@ -4,9 +4,10 @@ constructors and the horizontal coframe route."""
 import pytest
 
 from liftcalc.charts import ChartSpec
-from liftcalc.fields import ConnectionCoeffs, OneForm, VectorField
+from liftcalc.fields import ConnectionCoeffs, OneForm, ScalarField, VectorField
 from liftcalc.lifts import (
     LiftError,
+    fn_complete,
     of_complete_closed,
     of_cv_closed,
     of_defining_residuals,
@@ -94,8 +95,11 @@ def test_defining_residuals_vanish_on_fresh_vectors():
     # probe vectors the solver never saw
     probes = [VectorField(C0, {Z01: parse("z0_1^2*zb0_1")}),
               VectorField(C0, {Z01: parse("i"), ZB01: parse("zb0_1^2")})]
-    residuals = of_defining_residuals(w, lifted, "c", 2, vectors=probes)
+    residuals = [lifted.pair(vf_lift_solve(X, "c", 2))
+                 - fn_complete(ScalarField(C0, w.pair(X)), 2).value
+                 for X in probes]
     assert all(e.is_zero() for e in residuals)
+    assert all(e.is_zero() for e in of_defining_residuals(w, lifted, "c", 2))
 
 
 # -- pairing duality ----------------------------------------------------------------

@@ -9,9 +9,16 @@ tensors suite's clauses T4 and T2).
 import pytest
 
 from liftcalc.charts import ChartSpec
-from liftcalc.fields import Bilinear, EndoField, OneForm, VectorField
+from liftcalc.fields import (
+    Bilinear,
+    EndoField,
+    OneForm,
+    ScalarField,
+    VectorField,
+)
 from liftcalc.lifts import (
     LiftError,
+    fn_complete,
     of_lift_solve,
     t02_defining_residuals,
     t02_lift_solve,
@@ -19,6 +26,7 @@ from liftcalc.lifts import (
     t11_defining_residuals,
     t11_lift_solve,
     t11_lift_solve_certified,
+    vf_lift_solve,
 )
 from liftcalc.symkernel import TIME, Expr, anti, holo, parse
 
@@ -84,9 +92,11 @@ def test_t11_residuals_vanish_on_fresh_vectors():
         lifted = t11_lift_solve(phi, kind, 2)
         probes = [VectorField(C0, {Z01: parse("z0_1*zb0_1^2")}),
                   VectorField(C0, {ZB01: parse("z0_1^3 + 1")})]
-        residuals = t11_defining_residuals(phi, lifted, kind, 2,
-                                           vectors=probes)
-        assert all(e.is_zero() for e in residuals)
+        assert all((lifted.apply_vector(vf_lift_solve(X, "c", 2))
+                    - vf_lift_solve(phi.apply_vector(X), kind, 2)).is_zero()
+                   for X in probes)
+        assert all(e.is_zero()
+                   for e in t11_defining_residuals(phi, lifted, kind, 2))
 
 
 def test_t11_complete_lift_of_a_time_coupled_tensor():
@@ -166,5 +176,9 @@ def test_t02_residuals_vanish_on_fresh_vectors():
     lifted = t02_lift_solve(g, "c", 2)
     probes = [VectorField(C0, {Z01: parse("z0_1^2")}),
               VectorField(C0, {ZB01: parse("i*zb0_1")})]
-    residuals = t02_defining_residuals(g, lifted, "c", 2, vectors=probes)
+    residuals = [lifted.evaluate(vf_lift_solve(X, "c", 2),
+                                 vf_lift_solve(Y, "c", 2))
+                 - fn_complete(ScalarField(C0, g.evaluate(X, Y)), 2).value
+                 for X in probes for Y in probes]
     assert all(e.is_zero() for e in residuals)
+    assert all(e.is_zero() for e in t02_defining_residuals(g, lifted, "c", 2))

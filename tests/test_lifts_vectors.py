@@ -8,12 +8,15 @@ from liftcalc.fields import (
     ConnectionCoeffs,
     FieldError,
     OneForm,
+    ScalarField,
     VectorField,
     format_vector,
 )
 from liftcalc.lifts import (
     LiftError,
+    _lift,
     basis_lift_rows,
+    fn_complete,
     of_defining_residuals,
     of_lift_solve,
     vf_complete_closed,
@@ -131,9 +134,12 @@ def test_defining_residuals_vanish_on_fresh_functions(kind, r, s):
     # a probe basket the solver never saw: mixed cubics
     probes = [parse("z0_1^2*zb0_1"), parse("z0_1*zb0_1^2"),
               parse("z0_1^3 + zb0_1")]
-    residuals = vf_defining_residuals(Z, lifted, kind, 2, r=r, s=s,
-                                      functions=probes)
+    residuals = [lifted.apply(fn_complete(ScalarField(C0, f), 2).value)
+                 - _lift(ScalarField(C0, Z.apply(f)), kind, 2, r=r, s=s).value
+                 for f in probes]
     assert all(e.is_zero() for e in residuals)
+    assert all(e.is_zero()
+               for e in vf_defining_residuals(Z, lifted, kind, 2, r=r, s=s))
 
 
 def test_defining_residuals_refuse_a_lift_on_another_chart():

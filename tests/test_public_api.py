@@ -3,6 +3,7 @@ of the retired solver-unknown API and helpers are gone, and every public
 function and method has a caller."""
 
 import ast
+import inspect
 import pathlib
 
 import liftcalc
@@ -24,8 +25,11 @@ REMOVED = ("UnknownId", "Atom", "ConjugationError", "NonlinearSystemError",
 # The (1,1) solve checked the covector-pairing law after every solve, which
 # the tensors suite owns; the complete-lift alias had one-line callers.
 # fn_complete_step equalled fn_complete(f, 1).
+# The determined lifts read their test fields' complete lifts from the
+# system cache, so the second cache of any vector lift went.
 RETIRED_LIFTS = ("t11_form_clause_notes", "complete_vf_cached",
-                 "fn_complete_step")
+                 "fn_complete_step", "_VF_SOLVE_CACHE", "_VF_SOLVE_CACHE_SIZE",
+                 "_field_key", "_vf_solve_cached", "_bounded")
 # Methods that nothing in the package, the demos, the scripts or the
 # benchmark called.
 RETIRED_METHODS = {
@@ -75,6 +79,17 @@ def test_removed_names_are_gone():
     for cls, methods in RETIRED_METHODS.items():
         for method in methods:
             assert not hasattr(cls, method), f"{cls.__name__}.{method}"
+
+
+def test_defining_residuals_check_the_holdout_only():
+    """The residual functions take no test family: each checks the holdout
+    family its solver checks."""
+    names = [name for name in dir(lifts)
+             if name.endswith("_defining_residuals")]
+    assert len(names) == 4
+    for name in names:
+        params = inspect.signature(getattr(lifts, name)).parameters
+        assert not {"functions", "vectors"} & set(params), name
 
 
 def _public_defs(tree):

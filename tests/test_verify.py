@@ -397,3 +397,19 @@ def test_compare_refuses_fields_of_another_class_or_chart():
         "P331 compares OneForm fields on ChartSpec(m=1, k=0, "
         "has_time=True); field 1 is a VectorField on ChartSpec(m=1, k=0, "
         "has_time=True)")
+
+
+def test_structures_suite_solves_each_lift_of_j0_once(monkeypatch):
+    """S3, S4, S5, S7, S8 and S9 share one determined lift of the base
+    structure per kind."""
+    from liftcalc import verify
+
+    lift_J0, kinds = verify.lift_J0, []
+
+    def counted(m, kind, k):
+        kinds.append(kind)
+        return lift_J0(m, kind, k)
+
+    monkeypatch.setattr(verify, "lift_J0", counted)
+    verify.run_suite("structures", 1, 2)
+    assert kinds == ["v", "c"]
