@@ -45,16 +45,17 @@ through the right-hand sides.  So one engine serves all four ops: it factors
 each system's coefficient rows once per key (fraction-free elimination,
 :class:`liftcalc.symkernel.PolyLinearFactor`, kept in a bounded cache) and,
 per input, computes the right-hand sides, replays the recorded elimination
-on them and back-substitutes.  A vector lift solves one level ladder at a
-time, with the ladder's unknowns laid out top level first: the complete
-lift of the base coordinate x is the top-level coordinate, so the first
-pivot is a constant and every later one a single term.  Bottom level
-first, the fraction-free pivots grow with each level and multiply every
-right-hand side they meet.  The one-form, (1,1) and (0,2) lifts share
-one set of rows P (test fields against their complete lifts); the (0,2)
-pair equations ``P B P^T = R``, i.e. ``(P (x) P) vec(B) = vec(R)``, are two
-rounds of replays on P.  Each test family's complete lifts are solved once
-per chart and order and cached beside the rows built from them.  Every
+on them and back-substitutes.  A vector lift solves its level ladders as one
+block-diagonal system, in one replay, with each ladder's unknowns laid out
+top level first: the complete lift of the base coordinate x is the top-level
+coordinate, so each ladder's first pivot is a constant and every later one a
+single term.  Bottom level first, the fraction-free pivots grow with each
+level and multiply every right-hand side they meet.  The one-form, (1,1) and
+(0,2) lifts share one set of rows P (test fields against their complete
+lifts); the (0,2) pair equations ``P B P^T = R``, i.e.
+``(P (x) P) vec(B) = vec(R)``, are two rounds of replays on P.  Test
+families are kept only in that cache, with their complete lifts, beside the
+rows built from them, so :func:`clear_lift_cache` drops them.  Every
 solution is then checked against every equation of its system and, per
 input, against the defining equation on a disjoint holdout family (the
 ``*_defining_residuals`` functions); any nonzero residual raises, so a
@@ -73,7 +74,6 @@ from __future__ import annotations
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
@@ -117,9 +117,6 @@ VF_KINDS = ("v", "c", "cv")
 # charts and orders without evicting.
 _COMPLETE_CACHE_SIZE = 8192
 _SYSTEM_CACHE_SIZE = 256
-# Test families depend only on their arguments (chart, order or stage), so
-# each is built once per argument tuple and shared as a tuple.
-_FAMILY_CACHE_SIZE = 128
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +538,6 @@ def _base_coords(chart0: ChartSpec) -> list[CoordId]:
     return list(chart0.holo_coords(0) + chart0.anti_coords(0))
 
 
-@lru_cache(maxsize=_FAMILY_CACHE_SIZE)
 def function_family(chart0: ChartSpec, include_time: bool, k: int
                     ) -> tuple[Expr, ...]:
     """Functions whose defining equations pin a lifted vector field: the
@@ -561,7 +557,6 @@ def function_family(chart0: ChartSpec, include_time: bool, k: int
     return tuple(fam)
 
 
-@lru_cache(maxsize=_FAMILY_CACHE_SIZE)
 def function_holdout(chart0: ChartSpec) -> tuple[Expr, ...]:
     """Degree-3 mixed products — disjoint from the solving family, whose
     degree-3 members are pure cubes."""
@@ -576,7 +571,6 @@ def function_holdout(chart0: ChartSpec) -> tuple[Expr, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=_FAMILY_CACHE_SIZE)
 def _vector_stage(chart0: ChartSpec, stage: int) -> tuple[VectorField, ...]:
     """Test vector fields with coefficient degree == stage (stage 0 also
     contributes the time direction on product charts)."""
@@ -596,14 +590,6 @@ def _vector_stage(chart0: ChartSpec, stage: int) -> tuple[VectorField, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=_FAMILY_CACHE_SIZE)
-def vector_test_family(chart0: ChartSpec, max_stage: int
-                       ) -> tuple[VectorField, ...]:
-    return tuple(X for stage in range(max_stage + 1)
-                 for X in _vector_stage(chart0, stage))
-
-
-@lru_cache(maxsize=_FAMILY_CACHE_SIZE)
 def vector_test_holdout(chart0: ChartSpec) -> tuple[VectorField, ...]:
     """Cube-coefficient fields; coefficient degrees used for solving stop at 2."""
     coords0 = _base_coords(chart0)
@@ -681,10 +667,11 @@ class _System:
             yield _expr(acc)
 
 
-# Systems, and the complete lifts of the test families their rows are built
-# from, by key.  A key is a builder followed by its arguments (chart, order,
-# unknown layout, test family or stage); the value depends on nothing else,
-# so every input with the same key shares it (and a system's factorisation).
+# Systems, and the test fields with their complete lifts, by key: the only
+# place test families are kept.  A key is a builder followed by its arguments
+# (chart, order, whether t is an unknown, test family or stage); the value
+# depends on nothing else, so every input with the same key shares it (and a
+# system's factorisation).
 _SYSTEM_CACHE: OrderedDict = OrderedDict()
 
 
@@ -793,10 +780,13 @@ class _Engine:
 # -- vector fields -----------------------------------------------------------
 
 def _vf_layout(chart0: ChartSpec, k: int, include_time: bool) -> list[CoordId]:
-    """The unknown components: the time component is one only for
-    vertical lifts (other kinds pin it to the input's constant)."""
-    return [c for c in chart0.extend(k).coordinates()
-            if include_time or c != TIME]
+    """The unknown components, ladder by ladder: the time component when it
+    is one (only for vertical lifts; other kinds pin it to the input's
+    constant), then each base coordinate's levels, top level first."""
+    coords = [TIME] if include_time else []
+    coords += [CoordId(base.kind, level, base.index)
+               for base in _base_coords(chart0) for level in range(k, -1, -1)]
+    return coords
 
 
 def _vf_system(functions: Sequence[Expr], coords: Sequence[CoordId],
@@ -813,27 +803,18 @@ def _vf_system(functions: Sequence[Expr], coords: Sequence[CoordId],
     return _System(functions, rows, len(coords))
 
 
-def _vf_ladder(ladder: tuple[CoordId, ...], k: int) -> _System:
-    """A level ladder (or the time line) against the pure powers of its
-    level-0 coordinate x, which reach no other coordinate.
-
-    Ladders run top level first: ``x^{c^k}`` then gives a constant first
-    pivot and every later pivot is one term, so the fraction-free replay
-    stays narrow.  Bottom level first, the pivots grow with every level
-    (40 terms at k = 5) and multiply each right-hand side they meet."""
-    x = Expr.atom(next(c for c in ladder if c.level == 0))
-    return _vf_system([x ** d for d in range(1, len(ladder) + 1)], ladder, k)
-
-
-def _vf_ladders(chart0: ChartSpec, k: int, include_time: bool
-                ) -> list[tuple[CoordId, ...]]:
-    """The time line when its component is unknown, then each base
-    coordinate's levels, top level first."""
-    ladders = [(TIME,)] if include_time else []
-    ladders += [tuple(CoordId(base.kind, level, base.index)
-                      for level in range(k, -1, -1))
-                for base in _base_coords(chart0)]
-    return ladders
+def _vf_ladders(chart0: ChartSpec, k: int, include_time: bool) -> _System:
+    """The level ladders as one square block-diagonal system: t when its
+    component is unknown, then the pure powers x ... x^{k+1} of each base
+    coordinate x, which reach only x's own levels.  With the levels top
+    first, ``x^{c^k}`` gives each ladder a constant first pivot and every
+    later pivot is one term, so the fraction-free replay stays narrow;
+    bottom level first, the pivots grow with every level (40 terms at
+    k = 5) and multiply each right-hand side they meet."""
+    functions = [Expr.atom(TIME)] if include_time else []
+    functions += [Expr.atom(x) ** d for x in _base_coords(chart0)
+                  for d in range(1, k + 2)]
+    return _vf_system(functions, _vf_layout(chart0, k, include_time), k)
 
 
 def _vf_family(chart0: ChartSpec, k: int, include_time: bool) -> _System:
@@ -841,19 +822,26 @@ def _vf_family(chart0: ChartSpec, k: int, include_time: bool) -> _System:
                       _vf_layout(chart0, k, include_time), k)
 
 
+def _vf_holdout(chart0: ChartSpec, k: int) -> _System:
+    """The holdout functions' rows over every coordinate of the chart."""
+    return _vf_system(function_holdout(chart0),
+                      chart0.extend(k).coordinates(), k)
+
+
 def vf_lift_solve_certified(Z: VectorField, kind: str, k: int, *,
                             r: int | None = None, s: int | None = None
                             ) -> tuple[VectorField, SolveCertificate]:
     """Determined lift of a vector field, with its solve certificate.
 
-    The defining equations decouple into one small square system per level
+    The defining equations decouple into one small square block per level
     ladder (the pure powers of a base coordinate only ever reach that
-    coordinate's higher levels), so each ladder is solved separately and
-    the whole family is then checked against the ladder solution.  Every
-    ladder function is a family member, so that check covers every ladder
-    equation too.  A ladder system is square and nonsingular and its
-    equations are a subset of the family's, so when a ladder has no
-    solution neither has the family, and the ladder's error is raised."""
+    coordinate's higher levels).  The ladders are solved as one
+    block-diagonal system by one replay, and the whole family is then
+    checked against that solution.  Every ladder function is a family
+    member, so that check covers every ladder equation too.  The ladder
+    system is square and nonsingular and its equations are a subset of the
+    family's, so when it has no solution neither has the family, and its
+    error is raised."""
     chart0 = _require_base_chart(Z, "determined lift input")
     r, s = _check_kind(kind, k, r, s)
     pinned: dict[CoordId, Expr] = {}
@@ -870,8 +858,6 @@ def vf_lift_solve_certified(Z: VectorField, kind: str, k: int, *,
             pinned[TIME] = tc
     coords = _vf_layout(chart0, k, include_time)
     engine = _Engine("vector", kind, k, [c.name for c in coords], r, s)
-    names = [f"U_{c.name}" for c in coords]
-    position = {c: p for p, c in enumerate(coords)}
     memo: dict[Expr, Expr] = {}
 
     def rhs(functions: Sequence[Expr]) -> list[Expr]:
@@ -883,24 +869,21 @@ def vf_lift_solve_certified(Z: VectorField, kind: str, k: int, *,
             out.append(value)
         return out
 
-    values: list = [None] * len(coords)
-    for ladder in _vf_ladders(chart0, k, include_time):
-        system = _system((_vf_ladder, ladder, k))
-        solved = engine.replay(system, rhs(system.items),
-                               [names[position[c]] for c in ladder])
-        for c, value in zip(ladder, solved):
-            values[position[c]] = value
+    ladders = _system((_vf_ladders, chart0, k, include_time))
+    values = engine.replay(ladders, rhs(ladders.items),
+                           [f"U_{c.name}" for c in coords])
     family = _system((_vf_family, chart0, k, include_time))
     engine.check(family, rhs(family.items), values)
 
-    comps = dict(pinned)
-    for coord, value in zip(coords, values):
+    comps = dict(pinned)          # in chart order, not the ladder layout
+    for coord, value in sorted(zip(coords, values),
+                               key=lambda item: item[0].sort_key()):
         if not value.is_zero():
             comps[coord] = value
     result = VectorField(chart0.extend(k), comps)
-    engine.holdout(vf_defining_residuals(Z, result, kind, k, r=r, s=s))
-    return result, engine.certificate(len(family.items),
-                                      len(function_holdout(chart0)))
+    residuals = vf_defining_residuals(Z, result, kind, k, r=r, s=s)
+    engine.holdout(residuals)
+    return result, engine.certificate(len(family.items), len(residuals))
 
 
 def vf_lift_solve(Z: VectorField, kind: str, k: int, *,
@@ -913,45 +896,44 @@ def vf_defining_residuals(Z: VectorField, lifted: VectorField, kind: str,
                           ) -> list[Expr]:
     """Residuals lifted(f^{c^k}) - (Z f)^lift over the holdout functions,
     evaluated on cached rows as the family check is."""
+    chart0 = _require_base_chart(Z, "determined lift input")
     r, s = _check_kind(kind, k, r, s)
-    chart0 = Z.chart
     target = chart0.extend(k)
     if lifted.chart != target:
         raise FieldError(f"chart mismatch: {lifted.chart} vs {target}")
-    functions = function_holdout(chart0)
-    coords = target.coordinates()
-    system = _system((_vf_system, functions, coords, k))
-    rhs = [_lift_scalar_expr(Z.apply(f), kind, k, r, s) for f in functions]
-    return list(system.evaluate(rhs, [lifted.component(c) for c in coords]))
+    system = _system((_vf_holdout, chart0, k))
+    rhs = [_lift_scalar_expr(Z.apply(f), kind, k, r, s) for f in system.items]
+    return list(system.evaluate(rhs, [lifted.component(c)
+                                      for c in target.coordinates()]))
 
 
 # -- test vector fields and their complete lifts ------------------------------
 
 def _test_lifts(family, chart0: ChartSpec, k: int, *args
-                ) -> tuple[VectorField, ...]:
-    """The determined complete lifts of ``family(chart0, *args)``, the
-    left-hand sides of the one-form, (1,1) and (0,2) defining equations;
-    cached through :func:`_system`."""
-    return tuple(vf_lift_solve(X, "c", k) for X in family(chart0, *args))
+                ) -> tuple[tuple[VectorField, VectorField], ...]:
+    """Each field of ``family(chart0, *args)`` with its determined complete
+    lift (the one-form, (1,1) and (0,2) left-hand sides), cached through
+    :func:`_system`, the one place the family is kept."""
+    return tuple((X, vf_lift_solve(X, "c", k)) for X in family(chart0, *args))
 
 
 def _holdout(chart0: ChartSpec, k: int
-             ) -> list[tuple[VectorField, VectorField]]:
+             ) -> tuple[tuple[VectorField, VectorField], ...]:
     """Each holdout test field with its complete lift."""
-    return list(zip(vector_test_holdout(chart0),
-                    _system((_test_lifts, vector_test_holdout, chart0, k))))
+    return _system((_test_lifts, vector_test_holdout, chart0, k))
 
 
 def _pairing(chart0: ChartSpec, k: int, stage: int) -> _System:
     """Test vector fields against the components of their complete lifts:
     the rows of the one-form, (1,1)-tensor and (0,2)-tensor lifts.  The
-    lifts are read stage by stage, so stage 2 reuses those of stages 0
-    and 1."""
-    tests = vector_test_family(chart0, stage)
+    fields and lifts are read stage by stage, so stage 2 reuses those of
+    stages 0 and 1."""
+    stages = [_system((_test_lifts, _vector_stage, chart0, k, level))
+              for level in range(stage + 1)]
+    tests, lifted = zip(*(pair for pairs in stages for pair in pairs))
     position = {c: p for p, c in enumerate(chart0.extend(k).coordinates())}
     rows = [{position[c]: comp for c, comp in Xc.components.items()}
-            for level in range(stage + 1)
-            for Xc in _system((_test_lifts, _vector_stage, chart0, k, level))]
+            for Xc in lifted]
     return _System(tests, rows, len(position))
 
 
@@ -984,7 +966,7 @@ def of_lift_solve_certified(w: OneForm, kind: str, k: int, *,
                               if not v.is_zero()})
     engine.holdout(of_defining_residuals(w, result, kind, k, r=r, s=s))
     return result, engine.certificate(len(system.items),
-                                      len(vector_test_holdout(chart0)))
+                                      len(_holdout(chart0, k)))
 
 
 def of_lift_solve(w: OneForm, kind: str, k: int, *,
@@ -997,9 +979,10 @@ def of_defining_residuals(w: OneForm, lifted: OneForm, kind: str, k: int, *,
                           ) -> list[Expr]:
     """Residuals lifted(X^{c^k}) - (w X)^lift over the holdout vector
     fields."""
+    chart0 = _require_base_chart(w, "determined lift input")
     r, s = _check_kind(kind, k, r, s)
     return [lifted.pair(Xc) - _lift_scalar_expr(w.pair(X), kind, k, r, s)
-            for X, Xc in _holdout(w.chart, k)]
+            for X, Xc in _holdout(chart0, k)]
 
 
 # -- (1,1)-tensors -------------------------------------------------------------
@@ -1040,7 +1023,7 @@ def t11_lift_solve_certified(phi: EndoField, kind: str, k: int
                                 for b, v in zip(coords, row) if not v.is_zero()})
     engine.holdout(t11_defining_residuals(phi, result, kind, k))
     return result, engine.certificate(len(system.items),
-                                      len(vector_test_holdout(chart0)))
+                                      len(_holdout(chart0, k)))
 
 
 def t11_lift_solve(phi: EndoField, kind: str, k: int) -> EndoField:
@@ -1051,10 +1034,11 @@ def t11_defining_residuals(phi: EndoField, lifted: EndoField, kind: str,
                            k: int) -> list[Expr]:
     """Component residuals of lifted(X^{c^k}) - (phi X)^lift over the
     holdout vector fields."""
+    chart0 = _require_base_chart(phi, "determined lift input")
     _t_kind(kind, k)
     out: list[Expr] = []
     target = lifted.chart
-    for X, Xc in _holdout(phi.chart, k):
+    for X, Xc in _holdout(chart0, k):
         diff = lifted.apply_vector(Xc) - vf_lift_solve(phi.apply_vector(X),
                                                         kind, k)
         for coord in target.coordinates():
@@ -1106,7 +1090,7 @@ def t02_lift_solve_certified(G: Bilinear, kind: str, k: int
                                for b, v in zip(coords, row) if not v.is_zero()})
     engine.holdout(t02_defining_residuals(G, result, kind, k))
     return result, engine.certificate(len(system.items) ** 2,
-                                      len(vector_test_holdout(chart0)))
+                                      len(_holdout(chart0, k)))
 
 
 def t02_lift_solve(G: Bilinear, kind: str, k: int) -> Bilinear:
@@ -1118,11 +1102,10 @@ def t02_defining_residuals(G: Bilinear, lifted: Bilinear, kind: str, k: int
     """Residuals lifted(X^{c^k}, Y^{c^k}) - (G(X,Y))^lift over ordered pairs
     (X, Y) drawn from the holdout vector fields paired with themselves and
     with the stage-0 basis fields."""
+    chart0 = _require_base_chart(G, "determined lift input")
     _t_kind(kind, k)
-    chart0 = G.chart
     holdout = _holdout(chart0, k)
-    basis = list(zip(_vector_stage(chart0, 0),
-                     _system((_test_lifts, _vector_stage, chart0, k, 0))))
+    basis = _system((_test_lifts, _vector_stage, chart0, k, 0))
     pairs = [pair for X in holdout for Y in basis for pair in ((X, Y), (Y, X))]
     pairs += [(X, Y) for i, X in enumerate(holdout) for Y in holdout[i:]]
     return [lifted.evaluate(Xc, Yc)

@@ -1196,7 +1196,6 @@ _PROPOSITIONS = {
 }
 
 COMPARISONS = tuple(_PROPOSITIONS)
-COMPARISON_SUBJECTS = {prop: row[2] for prop, row in _PROPOSITIONS.items()}
 
 
 def _compare_diff(label: str, defining, closed) -> CompareCase:

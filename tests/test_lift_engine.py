@@ -20,7 +20,7 @@ from liftcalc.fields import (
     ScalarField,
     VectorField,
 )
-from liftcalc.symkernel import TIME, CoordId, Expr, PolyLinearFactor, anti, holo
+from liftcalc.symkernel import TIME, Expr, PolyLinearFactor, anti, holo
 from liftcalc.verify import FieldGen
 
 C0 = ChartSpec(1, 0, True)
@@ -62,10 +62,11 @@ def _assert_cached_solve_survives(monkeypatch, solve, first, second, corrupt,
     (z * zb, "fails its own equation"),         # a family member off the ladders
     (2 * z ** 2 * zb, "holdout residual nonzero"),  # Z applied to z^2*zb
     # Z applied to z^2, a ladder function: the ladder replay itself fails,
-    # and no whole-family solve is tried after it.
+    # and no whole-family solve is tried after it.  The equation counts the
+    # rows of the one ladder system, the t row first.
     pytest.param(2 * z ** 2, "^" + re.escape(
         "vector v-lift solve: no polynomial solution for U_z0_1 "
-        "[equation 2]: 24*z1_1^3 does not divide -12*z0_1*z1_1")
+        "[equation 3]: 24*z1_1^3 does not divide -12*z0_1*z1_1")
         + "$", id="value2-ladder replay"),
 ])
 def test_vector_lift_checks_stay_live(monkeypatch, value, message):
@@ -98,9 +99,9 @@ def test_oneform_lift_is_refused_on_a_row_that_never_pivots(monkeypatch):
     first = OneForm(C0, {c: v for c, v in FieldGen(0).oneform(C0)
                          .components.items() if c != TIME})
     second = OneForm(C0, {ZB: z * zb})
-    factor = L._pairing(C0, k, 2).factor
-    assert 9 not in {p[3] for p in factor._pivots}
-    test_field = L.vector_test_family(C0, 2)[9]
+    system = L._pairing(C0, k, 2)
+    assert 9 not in {p[3] for p in system.factor._pivots}
+    test_field = system.items[9]
     pair = OneForm.pair
 
     def corrupt(patch):
@@ -193,30 +194,59 @@ def test_vector_ladder_functions_are_family_members(chart0, include_time, k):
     """The whole-family check of a vector lift certifies its ladder
     solves, and with them every ladder equation, only because each ladder
     function is a member of the family."""
-    family = set(L.function_family(chart0, include_time, k))
-    ladders = [(TIME,)] if include_time and chart0.has_time else []
-    ladders += [tuple(CoordId(base.kind, level, base.index)
-                      for level in range(k + 1))
-                for base in L._base_coords(chart0)]
-    for ladder in ladders:
-        functions = L._vf_ladder(ladder, k).items
-        assert len(functions) == len(ladder)
-        assert set(functions) <= family
+    system = L._vf_ladders(chart0, k, include_time and chart0.has_time)
+    assert len(system.items) == system.width
+    assert set(system.items) <= set(L.function_family(chart0, include_time, k))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_ladder_pivots_and_back_substitution_stay_narrow(k):
-    """Top level first, a ladder's first pivot is a constant, every later
-    pivot is one term and every back-substitution coefficient has at most
-    two terms; bottom level first, the pivots reach 40 terms at k = 5."""
-    for ladder in L._vf_ladders(C0, k, True):      # t, then z and zb
-        factor = L._vf_ladder(ladder, k).factor
-        assert not factor.free
-        pivots = [pc for _, _, pc, _ in factor._steps]
-        assert pivots[0] is None                   # constant, normalised
-        assert all(len(pc.term_map()) == 1 for pc in pivots if pc is not None)
-        assert all(len(c.term_map()) <= 2
-                   for _, coeffs, _, _ in factor._pivots for _, c in coeffs)
+    """Top level first, each ladder's one constant pivot is its first, every
+    other pivot is one term and every back-substitution coefficient has at
+    most two terms; bottom level first, the pivots reach 40 terms at k = 5."""
+    factor = L._vf_ladders(C0, k, True).factor     # t, then z and zb
+    assert not factor.free
+    layout = L._vf_layout(C0, k, True)
+    tops = {u for u, c in enumerate(layout) if c == TIME or c.level == k}
+    assert len(tops) == 3
+    # a constant pivot is normalised to None
+    assert {u for u, _, pc, _ in factor._pivots if pc is None} == tops
+    assert all(len(pc.term_map()) == 1
+               for _, _, pc, _ in factor._pivots if pc is not None)
+    assert all(len(c.term_map()) <= 2
+               for _, coeffs, _, _ in factor._pivots for _, c in coeffs)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("include_time", [False, True])
+@pytest.mark.parametrize("m", [1, 2])
+def test_one_ladder_system_factors_as_its_ladders_alone(m, include_time, k):
+    """The ladder blocks share no position, so the one system records, per
+    ladder, the pivots and updates of that ladder's rows factored alone."""
+    system = L._vf_ladders(ChartSpec(m, 0, True), k, include_time)
+    layout = L._vf_layout(ChartSpec(m, 0, True), k, include_time)
+
+    def ladder(u):
+        return layout[u].kind, layout[u].index      # the t line is one too
+
+    rows_of: dict = {}
+    for n, row in enumerate(system.rows):
+        (name,) = {ladder(u) for u in row}
+        rows_of.setdefault(name, []).append(n)
+    assert len(rows_of) == 2 * m + include_time
+    steps, pivots = system.factor._steps, system.factor._pivots
+    for name, rows in rows_of.items():
+        positions = [u for u in range(system.width) if ladder(u) == name]
+        local = {u: i for i, u in enumerate(positions)}
+        row_no = {n: i for i, n in enumerate(rows)}
+        alone = PolyLinearFactor([{local[u]: c for u, c in system.rows[n].items()}
+                                  for n in rows], len(positions))
+        assert [(row_no[prow], inv, pc, [(row_no[n], c) for n, c in updates])
+                for prow, inv, pc, updates in steps
+                if prow in row_no] == alone._steps
+        assert [(local[u], tuple((local[v], c) for v, c in coeffs), pc,
+                 row_no[prow])
+                for u, coeffs, pc, prow in pivots if u in local] == alone._pivots
 
 
 def _residuals_by_hand(Z, lifted, kind, k, functions, r=None, s=None):
@@ -249,45 +279,93 @@ def test_vector_residuals_equal_the_lift_applied_by_hand(kind, r, s):
         assert L.vf_defining_residuals(Z, bad, kind, K, r=r, s=s) == expected
 
 
-@pytest.mark.parametrize("residuals, field, split, message", [
-    (L.vf_defining_residuals, VectorField(C0, {Z: z}), {},
+C1 = ChartSpec(1, 1, True)
+ON_C1 = "determined lift input must live on an order-0 chart"
+
+
+@pytest.mark.parametrize("residuals, field, kind, split, message", [
+    (L.vf_defining_residuals, VectorField(C0, {Z: z}), "cv", {},
      "complete-vertical lifts need a split r, s >= 0"),
-    (L.of_defining_residuals, OneForm(C0, {Z: z}), {},
+    (L.of_defining_residuals, OneForm(C0, {Z: z}), "cv", {},
      "complete-vertical lifts need a split r, s >= 0"),
-    (L.of_defining_residuals, OneForm(C0, {Z: z}), {"r": 5, "s": 0},
+    (L.of_defining_residuals, OneForm(C0, {Z: z}), "cv", {"r": 5, "s": 0},
      "split must satisfy r + s = k, got 5 + 0 != 2"),
-    (L.t11_defining_residuals, EndoField(C0, {(Z, Z): Expr.one()}), {},
+    (L.t11_defining_residuals, EndoField(C0, {(Z, Z): Expr.one()}), "cv", {},
      "tensor lifts support kinds 'v' and 'c', got 'cv'"),
-    (L.t02_defining_residuals, Bilinear(C0, {(Z, ZB): Expr.one()}), {},
+    (L.t02_defining_residuals, Bilinear(C0, {(Z, ZB): Expr.one()}), "cv", {},
      "tensor lifts support kinds 'v' and 'c', got 'cv'"),
-], ids=["vector", "oneform", "oneform-split", "endo", "bilinear"])
+    # an input off the base chart, with a kind the solver takes
+    (L.vf_defining_residuals, VectorField(C1, {Z: z}), "v", {}, ON_C1),
+    (L.of_defining_residuals, OneForm(C1, {Z: z}), "v", {}, ON_C1),
+    (L.t11_defining_residuals, EndoField(C1, {(Z, Z): Expr.one()}), "v", {},
+     ON_C1),
+    (L.t02_defining_residuals, Bilinear(C1, {(Z, ZB): Expr.one()}), "v", {},
+     ON_C1),
+], ids=["vector", "oneform", "oneform-split", "endo", "bilinear",
+        "vector-chart", "oneform-chart", "endo-chart", "bilinear-chart"])
 def test_defining_residuals_refuse_what_the_solvers_refuse(residuals, field,
-                                                           split, message):
-    """Each residual function checks the kind and split before any other
-    work, and refuses with the text its solver gives."""
-    lifted = L._lift(field, "v", K)
+                                                           kind, split,
+                                                           message):
+    """Each residual function checks the chart, then the kind and split,
+    before any other work, and refuses with the text its solver gives."""
+    lifted = type(field)(field.chart.extend(K), {})
     with pytest.raises(L.LiftError) as info:
-        residuals(field, lifted, "cv", K, **split)
+        residuals(field, lifted, kind, K, **split)
     with pytest.raises(L.LiftError) as solver:
-        L._lift(field, "cv", K, **split)
+        L._lift(field, kind, K, **split)
     assert str(info.value) == str(solver.value) == message
 
 
-@pytest.mark.parametrize("family,args", [
-    (L.function_family, (C0, True, 3)),
-    (L.function_family, (ChartSpec(2, 0, False), False, 1)),
-    (L.function_holdout, (ChartSpec(2, 0, True),)),
-    (L._vector_stage, (C0, 0)),
-    (L._vector_stage, (ChartSpec(2, 0, True), 2)),
-    (L.vector_test_family, (ChartSpec(2, 0, True), 2)),
-    (L.vector_test_holdout, (C0,)),
+M2 = ChartSpec(2, 0, True)
+M2_NO_TIME = ChartSpec(2, 0, False)
+
+
+@pytest.mark.parametrize("name,args,solve", [
+    ("function_family", (C0, True, 3),
+     lambda gen: L.vf_lift_solve(gen.vector(C0), "v", 3)),
+    ("function_family", (M2_NO_TIME, False, 1),
+     lambda gen: L.vf_lift_solve(gen.vector(M2_NO_TIME), "c", 1)),
+    ("function_holdout", (M2,),
+     lambda gen: L.vf_lift_solve(gen.vector(M2), "v", 1)),
+    ("_vector_stage", (C0, 0),
+     lambda gen: L.of_lift_solve(gen.oneform(C0), "v", K)),
+    # at k = 3 the one-form lift solves on the stage-2 pairing
+    ("_vector_stage", (C0, 2),
+     lambda gen: L.of_lift_solve(gen.oneform(C0), "v", 3)),
+    # the pairing's items are the vector test family up to its stage
+    ("_pairing", (C0, K, 1),
+     lambda gen: L.of_lift_solve(gen.oneform(C0), "v", K)),
+    ("vector_test_holdout", (C0,),
+     lambda gen: L.of_lift_solve(gen.oneform(C0), "v", K)),
 ], ids=["functions", "functions-no-time", "function-holdout", "stage-0",
         "stage-2", "vector-family", "vector-holdout"])
-def test_test_families_are_built_once_as_tuples(family, args):
-    cached = family(*args)
-    assert type(cached) is tuple and cached
-    assert family(*args) is cached
-    assert list(cached) == list(family.__wrapped__(*args))
+def test_test_families_are_built_once_as_tuples(monkeypatch, name, args,
+                                                solve):
+    """A test family is built, as a tuple, once per system key: two solves
+    build it once, and a solve after clear_lift_cache() builds it again, so
+    no cache but the system cache keeps it."""
+    builder = getattr(L, name)
+    built = []
+
+    def counted(*call):
+        value = builder(*call)
+        if call == args:
+            built.append(value)
+        return value
+
+    L.clear_lift_cache()
+    monkeypatch.setattr(L, name, counted)
+    try:
+        solve(FieldGen(0))
+        solve(FieldGen(1))
+        assert len(built) == 1
+        L.clear_lift_cache()
+        solve(FieldGen(2))
+        assert len(built) == 2
+    finally:
+        L.clear_lift_cache()
+    first, again = (b.items if name == "_pairing" else b for b in built)
+    assert type(first) is tuple and first and again == first
 
 
 def test_bilinear_underdetermined_names_free_pairs(monkeypatch):
@@ -333,13 +411,13 @@ def _solver_names(monkeypatch, solve, field):
 def test_each_op_names_its_positions(monkeypatch):
     gen = FieldGen(5)
     coords = C0.extend(K).coordinates()
-    tests = L.vector_test_family(C0, 1)
+    tests = L._pairing(C0, K, 1).items
     cases = [
-        # One replay per level ladder, top level first; the time component
-        # is pinned.
+        # One replay of the ladder system, each ladder top level first; the
+        # time component is pinned.
         (lambda Y: L.vf_lift_solve(Y, "c", K), gen.vector(C0), ("U_",),
-         [tuple(f"U_{base}{r}_1" for r in range(K, -1, -1))
-          for base in ("z", "zb")]),
+         [tuple(f"U_{base}{r}_1" for base in ("z", "zb")
+                for r in range(K, -1, -1))]),
         (lambda w: L.of_lift_solve(w, "v", K), gen.oneform(C0), ("W_",),
          [tuple(f"W_{c.name}" for c in coords)]),
         # At k = 3 stage 1's rows leave positions free, so stage 2 is

@@ -7,7 +7,7 @@ import inspect
 import pathlib
 
 import liftcalc
-from liftcalc import lifts, symkernel
+from liftcalc import lifts, symkernel, verify
 from liftcalc.charts import ChartSpec
 from liftcalc.fields import EndoField
 from liftcalc.structures import HermitianPackage
@@ -26,10 +26,15 @@ REMOVED = ("UnknownId", "Atom", "ConjugationError", "NonlinearSystemError",
 # the tensors suite owns; the complete-lift alias had one-line callers.
 # fn_complete_step equalled fn_complete(f, 1).
 # The determined lifts read their test fields' complete lifts from the
-# system cache, so the second cache of any vector lift went.
+# system cache, so the second cache of any vector lift went.  The test
+# families are kept in the system cache alone, and a vector lift solves its
+# level ladders as one system.
 RETIRED_LIFTS = ("t11_form_clause_notes", "complete_vf_cached",
                  "fn_complete_step", "_VF_SOLVE_CACHE", "_VF_SOLVE_CACHE_SIZE",
-                 "_field_key", "_vf_solve_cached", "_bounded")
+                 "_field_key", "_vf_solve_cached", "_bounded",
+                 "vector_test_family", "_vf_ladder", "_FAMILY_CACHE_SIZE")
+# A table nothing read.
+RETIRED_VERIFY = ("COMPARISON_SUBJECTS",)
 # Methods that nothing in the package, the demos, the scripts or the
 # benchmark called.
 RETIRED_METHODS = {
@@ -75,6 +80,9 @@ def test_removed_names_are_gone():
         assert name not in liftcalc.__all__
         assert not hasattr(liftcalc, name)
         assert not hasattr(lifts, name)
+    for name in RETIRED_VERIFY:
+        assert name not in liftcalc.__all__
+        assert not hasattr(verify, name)
     assert "notes" not in lifts.SolveCertificate.__dataclass_fields__
     for cls, methods in RETIRED_METHODS.items():
         for method in methods:
