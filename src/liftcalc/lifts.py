@@ -40,24 +40,29 @@ finite spanning family of test objects:
   ordered pairs.
 
 Each unknown component is a whole polynomial.  The left-hand sides depend
-only on the chart, ``k``, the op and the test stage; the input enters only
-through the right-hand sides.  So one engine serves all four ops: it factors
-each system's coefficient rows once per key (fraction-free elimination,
+only on the chart, ``k`` and the op; the input enters only through the
+right-hand sides.  So one engine serves all four ops: it factors the
+leading rows of each system once per key (fraction-free elimination,
 :class:`liftcalc.symkernel.PolyLinearFactor`, kept in a bounded cache) and,
 per input, computes the right-hand sides, replays the recorded elimination
-on them and back-substitutes.  A vector lift solves its level ladders as one
-block-diagonal system, in one replay, with each ladder's unknowns laid out
-top level first: the complete lift of the base coordinate x is the top-level
-coordinate, so each ladder's first pivot is a constant and every later one a
-single term.  Bottom level first, the fraction-free pivots grow with each
-level and multiply every right-hand side they meet.  The one-form, (1,1) and
-(0,2) lifts share one set of rows P (test fields against their complete
-lifts); the (0,2) pair equations ``P B P^T = R``, i.e.
-``(P (x) P) vec(B) = vec(R)``, are two rounds of replays on P.  Test
-families are kept only in that cache, with their complete lifts, beside the
-rows built from them, so :func:`clear_lift_cache` drops them.  Every
-solution is then checked against every equation of its system and, per
-input, against the defining equation on a disjoint holdout family (the
+on the solved rows and back-substitutes.  Which rows are solved and which
+are only checked is the system builder's choice alone.  A vector lift solves
+its level ladders, the leading rows of its family, as one block-diagonal
+system, with each ladder's unknowns laid out top level first: the complete
+lift of the base coordinate x is the top-level coordinate, so each ladder's
+first pivot is a constant and every later one a single term.  Bottom level
+first, the fraction-free pivots grow with each level and multiply every
+right-hand side they meet.  The one-form, (1,1) and (0,2) lifts share one
+set of rows P (test fields against their complete lifts): every field of
+coefficient degree <= 1, all solved, when they are at least as many as the
+unknowns (k <= 2m); otherwise a square ladder of fields x^d d/dx, solved,
+then every other field of coefficient degree <= 2, checked.  The (0,2) pair
+equations ``P B P^T = R``, i.e. ``(P (x) P) vec(B) = vec(R)``, are two
+rounds of replays on P.  Test families are kept only in that cache, with
+their complete lifts, beside the rows built from them, so
+:func:`clear_lift_cache` drops them.  Every solution is then checked against
+every equation of its system, solved or checked, and, per input, against
+the defining equation on a disjoint holdout family (the
 ``*_defining_residuals`` functions); any nonzero residual raises, so a
 returned lift carries a machine-checked certificate.  Equation n reads
 ``sum(row_n[p] * x_p) == rhs_n``.  The replay reads only the rows that
@@ -590,6 +595,19 @@ def _vector_stage(chart0: ChartSpec, stage: int) -> tuple[VectorField, ...]:
     return tuple(out)
 
 
+def _vector_ladder(chart0: ChartSpec, k: int) -> tuple[VectorField, ...]:
+    """The time direction on product charts, then per base coordinate x the
+    k+1 fields ``x^d d/dx`` for d = 0, 1, 2, 4, 5, ...  A field ``f d/dx``
+    reaches only x's levels, so their pairing rows are square and block
+    diagonal, and in chart order every pivot is one monomial.  d = 3 is
+    skipped: ``x^3 d/dx`` is a holdout field."""
+    degrees = [d for d in range(k + 2) if d != 3][:k + 1]
+    out = [VectorField.basis(chart0, TIME)] if chart0.has_time else []
+    out += [VectorField(chart0, {x: Expr.atom(x) ** d})
+            for x in _base_coords(chart0) for d in degrees]
+    return tuple(out)
+
+
 def vector_test_holdout(chart0: ChartSpec) -> tuple[VectorField, ...]:
     """Cube-coefficient fields; coefficient degrees used for solving stop at 2."""
     coords0 = _base_coords(chart0)
@@ -639,21 +657,23 @@ def _check_kind(kind: str, k: int, r: int | None, s: int | None
 
 class _System:
     """The test items of one defining system, each item's coefficient row
-    ``{position: Expr}``, and the factorisation of the rows, built on first
-    use (a vector lift's whole family and holdout are only evaluated, never
-    factored)."""
+    ``{position: Expr}``, and the factorisation of its first `solved` rows
+    (all rows by default), built on first use.  The rows after them are only
+    checked, never factored (a vector lift's holdout is only evaluated)."""
 
-    __slots__ = ("items", "rows", "width", "_factor")
+    __slots__ = ("items", "rows", "width", "solved", "_factor")
 
     def __init__(self, items: Sequence, rows: list[dict[int, Expr]],
-                 width: int):
+                 width: int, solved: int | None = None):
         self.items, self.rows, self.width = items, rows, width
+        self.solved = len(rows) if solved is None else solved
         self._factor = None
 
     @property
     def factor(self) -> PolyLinearFactor:
         if self._factor is None:
-            self._factor = PolyLinearFactor(self.rows, self.width)
+            self._factor = PolyLinearFactor(self.rows[:self.solved],
+                                            self.width)
         return self._factor
 
     def evaluate(self, rhs: Sequence[Expr], values: Sequence[Expr]
@@ -688,82 +708,43 @@ def _system(key: tuple):
     return value
 
 
-# op -> (name in messages, what its free positions are called).  The solver's
-# own errors name a position by a plain label instead: U_<coord> (vector),
-# W_<coord> (one-form), E_<a>__<b> ((1,1)), or for (0,2) C_<a>__<test> in
-# the first round and B_<a>__<b> in the second.
-_OPS = {"vector": ("vector", "components"),
-        "oneform": ("one-form", "components"),
-        "endo": ("(1,1)-tensor", "entries"),
-        "bilinear": ("(0,2)-tensor", "entries")}
+# op -> its name in messages.  The solver's own errors name a position by a
+# plain label instead: U_<coord> (vector), W_<coord> (one-form),
+# E_<a>__<b> ((1,1)), or for (0,2) C_<a>__<test> in the first round and
+# B_<a>__<b> in the second.
+_OPS = {"vector": "vector", "oneform": "one-form", "endo": "(1,1)-tensor",
+        "bilinear": "(0,2)-tensor"}
 
 
 class _Engine:
     """The defining equations of one determined lift of one input.
 
     Equation n of a system reads ``sum(row_n[p] * x_p) == rhs_n``.  The rows
-    come from the system cache; the input enters only through the right-hand
-    sides, on which the cached factorisation is replayed (pivot rows only).
-    The engine checks every solution against every equation of its system,
-    the one consistency check, checks the holdout residuals, and owns the
-    error texts and the certificate."""
+    come from the system cache, and the builder of each system alone decides
+    how many leading rows are solved.  The input enters only through the
+    right-hand sides: the cached factorisation of the solved rows is
+    replayed on theirs (pivot rows only), and the solution is then checked
+    against every equation of the system, solved or only checked, the one
+    consistency check.  The engine also checks the holdout residuals and
+    owns the error texts and the certificate."""
 
-    def __init__(self, op: str, kind: str, k: int, labels: Sequence[str],
-                 r: int | None = None, s: int | None = None):
-        what, self.noun = _OPS[op]
+    def __init__(self, op: str, kind: str, k: int, r: int | None = None,
+                 s: int | None = None):
         self.op, self.kind, self.k, self.r, self.s = op, kind, k, r, s
-        self.what = f"{what} {kind}-lift"
-        self.labels = labels
+        self.what = f"{_OPS[op]} {kind}-lift"
 
-    def replay(self, system: _System, rhs: list[Expr],
-               names: Sequence[str]) -> list[Expr]:
-        """Replay the factorisation on the pivot rows; the values are
-        unchecked until :meth:`check` evaluates every equation."""
+    def solve(self, system: _System, rhs: Sequence[Expr],
+              names: Sequence[str]) -> list[Expr]:
+        """Replay on the solved rows, then check every row."""
         try:
-            return system.factor.solve(rhs, names)
+            values = system.factor.solve(rhs[:system.solved], names)
         except LinearSolveError as exc:
             raise LiftError(f"{self.what} solve: {exc}") from exc
-
-    def solve(self, system: _System, rhs: list[Expr],
-              names: Sequence[str]) -> list[Expr]:
-        """Replay and self-check."""
-        values = self.replay(system, rhs, names)
-        self.check(system, rhs, values)
-        return values
-
-    def check(self, system: _System, rhs: list[Expr],
-              values: Sequence[Expr]) -> None:
         for n, total in enumerate(system.evaluate(rhs, values)):
             if not total.is_zero():
                 raise LiftError(
                     f"{self.what} solve: solution fails its own equation {n}")
-
-    def solve_stages(self, chart0: ChartSpec, k: int, rhs, names
-                     ) -> tuple[_System, list[list[Expr]]]:
-        """Solve on the pairing rows of test stage 1 (coefficient degree
-        <= 1), or of stage 2 (<= 2) when stage 1's rows leave an unknown
-        free; the rows alone choose the stage.  ``rhs(items)`` gives one
-        list of right-hand sides per column and ``names(items)`` one list
-        of position names per column; each column is replayed and checked
-        on the chosen factorisation."""
-        for stage in (1, 2):
-            system = _system((_pairing, chart0, k, stage))
-            if not system.factor.free:
-                break
-        else:
-            raise self._underdetermined(system)
-        return system, [self.solve(system, column, column_names)
-                        for column, column_names in zip(rhs(system.items),
-                                                        names(system.items))]
-
-    def _free(self, system: _System) -> Sequence[int]:
-        """The label positions left free by the system's factorisation."""
-        return system.factor.free
-
-    def _underdetermined(self, system: _System) -> LiftError:
-        free = ", ".join(self.labels[p] for p in self._free(system))
-        return LiftError(
-            f"{self.what} solve underdetermined; free {self.noun}: {free}")
+        return values
 
     def holdout(self, residuals: Iterable[Expr]) -> None:
         bad = next((res for res in residuals if not res.is_zero()), None)
@@ -790,7 +771,7 @@ def _vf_layout(chart0: ChartSpec, k: int, include_time: bool) -> list[CoordId]:
 
 
 def _vf_system(functions: Sequence[Expr], coords: Sequence[CoordId],
-               k: int) -> _System:
+               k: int, solved: int | None = None) -> _System:
     """Rows of ``Z^lift(f^{c^k}) = sum over c of Z^c * d(f^{c^k})/dc``.  No
     family function carries t when the time component is pinned; any
     coordinate outside `coords` has no component and gets no entry."""
@@ -800,26 +781,27 @@ def _vf_system(functions: Sequence[Expr], coords: Sequence[CoordId],
         fck = _complete_expr(f, k)
         rows.append({position[c]: fck.diff(c) for c in fck.coords()
                      if c in position})
-    return _System(functions, rows, len(coords))
-
-
-def _vf_ladders(chart0: ChartSpec, k: int, include_time: bool) -> _System:
-    """The level ladders as one square block-diagonal system: t when its
-    component is unknown, then the pure powers x ... x^{k+1} of each base
-    coordinate x, which reach only x's own levels.  With the levels top
-    first, ``x^{c^k}`` gives each ladder a constant first pivot and every
-    later pivot is one term, so the fraction-free replay stays narrow;
-    bottom level first, the pivots grow with every level (40 terms at
-    k = 5) and multiply each right-hand side they meet."""
-    functions = [Expr.atom(TIME)] if include_time else []
-    functions += [Expr.atom(x) ** d for x in _base_coords(chart0)
-                  for d in range(1, k + 2)]
-    return _vf_system(functions, _vf_layout(chart0, k, include_time), k)
+    return _System(functions, rows, len(coords), solved)
 
 
 def _vf_family(chart0: ChartSpec, k: int, include_time: bool) -> _System:
-    return _vf_system(function_family(chart0, include_time, k),
-                      _vf_layout(chart0, k, include_time), k)
+    """The function family's rows, level ladders first, and only the
+    ladders solved: t when its component is unknown, then the pure powers
+    x ... x^{k+1} of each base coordinate x, which reach only x's own
+    levels, so the ladder rows are one square block-diagonal system.  With
+    the levels top first, ``x^{c^k}`` gives each ladder a constant first
+    pivot and every later pivot is one term, so the fraction-free replay
+    stays narrow; bottom level first, the pivots grow with every level (40
+    terms at k = 5) and multiply each right-hand side they meet.  Every
+    ladder function is a family member; the rest of the family is checked."""
+    ladders = [Expr.atom(TIME)] if include_time else []
+    ladders += [Expr.atom(x) ** d for x in _base_coords(chart0)
+                for d in range(1, k + 2)]
+    lead = set(ladders)
+    functions = tuple(ladders) + tuple(
+        f for f in function_family(chart0, include_time, k) if f not in lead)
+    return _vf_system(functions, _vf_layout(chart0, k, include_time), k,
+                      len(ladders))
 
 
 def _vf_holdout(chart0: ChartSpec, k: int) -> _System:
@@ -835,13 +817,12 @@ def vf_lift_solve_certified(Z: VectorField, kind: str, k: int, *,
 
     The defining equations decouple into one small square block per level
     ladder (the pure powers of a base coordinate only ever reach that
-    coordinate's higher levels).  The ladders are solved as one
-    block-diagonal system by one replay, and the whole family is then
-    checked against that solution.  Every ladder function is a family
-    member, so that check covers every ladder equation too.  The ladder
-    system is square and nonsingular and its equations are a subset of the
-    family's, so when it has no solution neither has the family, and its
-    error is raised."""
+    coordinate's higher levels).  The family's rows are laid out ladders
+    first, and the ladders alone are solved, as one block-diagonal system
+    by one replay; the engine then checks every family equation against
+    that solution.  The ladder system is square and nonsingular and its
+    equations are a subset of the family's, so when it has no solution
+    neither has the family, and its error is raised."""
     chart0 = _require_base_chart(Z, "determined lift input")
     r, s = _check_kind(kind, k, r, s)
     pinned: dict[CoordId, Expr] = {}
@@ -857,23 +838,12 @@ def vf_lift_solve_certified(Z: VectorField, kind: str, k: int, *,
                     f"time component, got {format_expr(tc)}")
             pinned[TIME] = tc
     coords = _vf_layout(chart0, k, include_time)
-    engine = _Engine("vector", kind, k, [c.name for c in coords], r, s)
-    memo: dict[Expr, Expr] = {}
-
-    def rhs(functions: Sequence[Expr]) -> list[Expr]:
-        out = []
-        for f in functions:
-            value = memo.get(f)
-            if value is None:
-                value = memo[f] = _lift_scalar_expr(Z.apply(f), kind, k, r, s)
-            out.append(value)
-        return out
-
-    ladders = _system((_vf_ladders, chart0, k, include_time))
-    values = engine.replay(ladders, rhs(ladders.items),
-                           [f"U_{c.name}" for c in coords])
+    engine = _Engine("vector", kind, k, r, s)
     family = _system((_vf_family, chart0, k, include_time))
-    engine.check(family, rhs(family.items), values)
+    values = engine.solve(
+        family, [_lift_scalar_expr(Z.apply(f), kind, k, r, s)
+                 for f in family.items],
+        [f"U_{c.name}" for c in coords])
 
     comps = dict(pinned)          # in chart order, not the ladder layout
     for coord, value in sorted(zip(coords, values),
@@ -923,18 +893,30 @@ def _holdout(chart0: ChartSpec, k: int
     return _system((_test_lifts, vector_test_holdout, chart0, k))
 
 
-def _pairing(chart0: ChartSpec, k: int, stage: int) -> _System:
+def _pairing(chart0: ChartSpec, k: int) -> _System:
     """Test vector fields against the components of their complete lifts:
-    the rows of the one-form, (1,1)-tensor and (0,2)-tensor lifts.  The
-    fields and lifts are read stage by stage, so stage 2 reuses those of
-    stages 0 and 1."""
-    stages = [_system((_test_lifts, _vector_stage, chart0, k, level))
-              for level in range(stage + 1)]
-    tests, lifted = zip(*(pair for pairs in stages for pair in pairs))
+    the rows of the one-form, (1,1)-tensor and (0,2)-tensor lifts.  When the
+    fields of coefficient degree <= 1 are at least as many as the unknowns
+    (k <= 2m), they are all solved.  Otherwise the square ladder
+    (:func:`_vector_ladder`) leads and is the only part solved, and every
+    other field of coefficient degree <= 2 is checked, so the fields of
+    degree <= 1 are always among the rows.  Each family's fields and lifts
+    come from the system cache, so the (0,2) holdout shares stage 0's."""
     position = {c: p for p, c in enumerate(chart0.extend(k).coordinates())}
+    pairs = [pair for stage in (0, 1) for pair in
+             _system((_test_lifts, _vector_stage, chart0, k, stage))]
+    solved = len(pairs)
+    if solved < len(position):
+        ladder = _system((_test_lifts, _vector_ladder, chart0, k, k))
+        fields = [X for X, _ in ladder]
+        pairs += _system((_test_lifts, _vector_stage, chart0, k, 2))
+        pairs = list(ladder) + [pair for pair in pairs
+                                if pair[0] not in fields]
+        solved = len(ladder)
+    tests, lifted = zip(*pairs)
     rows = [{position[c]: comp for c, comp in Xc.components.items()}
             for Xc in lifted]
-    return _System(tests, rows, len(position))
+    return _System(tests, rows, len(position), solved)
 
 
 # -- one-forms ----------------------------------------------------------------
@@ -956,12 +938,12 @@ def of_lift_solve_certified(w: OneForm, kind: str, k: int, *,
             f"{format_expr(w.component(TIME))}")
     target = chart0.extend(k)
     coords = list(target.coordinates())
-    engine = _Engine("oneform", kind, k, [c.name for c in coords], r, s)
-    system, (values,) = engine.solve_stages(
-        chart0, k,
-        lambda tests: [[_lift_scalar_expr(w.pair(X), kind, k, r, s)
-                        for X in tests]],
-        lambda tests: [[f"W_{c.name}" for c in coords]])
+    engine = _Engine("oneform", kind, k, r, s)
+    system = _system((_pairing, chart0, k))
+    values = engine.solve(
+        system, [_lift_scalar_expr(w.pair(X), kind, k, r, s)
+                 for X in system.items],
+        [f"W_{c.name}" for c in coords])
     result = OneForm(target, {c: v for c, v in zip(coords, values)
                               if not v.is_zero()})
     engine.holdout(of_defining_residuals(w, result, kind, k, r=r, s=s))
@@ -1008,16 +990,13 @@ def t11_lift_solve_certified(phi: EndoField, kind: str, k: int
     _t_kind(kind, k)
     target = chart0.extend(k)
     coords = list(target.coordinates())
-    labels = [c.name for c in coords]
-    engine = _Engine("endo", kind, k, labels)
-
-    def rhs(tests: Sequence[VectorField]) -> list[list[Expr]]:
-        lifted = [vf_lift_solve(phi.apply_vector(X), kind, k) for X in tests]
-        return [[Y.component(a) for Y in lifted] for a in coords]
-
-    system, rows = engine.solve_stages(
-        chart0, k, rhs,
-        lambda tests: [[f"E_{a.name}__{b}" for b in labels] for a in coords])
+    engine = _Engine("endo", kind, k)
+    system = _system((_pairing, chart0, k))
+    lifted = [vf_lift_solve(phi.apply_vector(X), kind, k)
+              for X in system.items]
+    rows = [engine.solve(system, [Y.component(a) for Y in lifted],
+                         [f"E_{a.name}__{b.name}" for b in coords])
+            for a in coords]
     result = EndoField(target, {(a, b): v
                                 for a, row in zip(coords, rows)
                                 for b, v in zip(coords, row) if not v.is_zero()})
@@ -1048,15 +1027,6 @@ def t11_defining_residuals(phi: EndoField, lifted: EndoField, kind: str,
 
 # -- (0,2)-tensors -------------------------------------------------------------
 
-class _PairEngine(_Engine):
-    """The (0,2)-tensor engine.  Its unknowns are pairs of positions of the
-    pairing rows, so a pair is free when either of its positions is."""
-
-    def _free(self, system: _System) -> list[int]:
-        free, n = set(system.factor.free), system.width
-        return [p for p in range(n * n) if p // n in free or p % n in free]
-
-
 def t02_lift_solve_certified(G: Bilinear, kind: str, k: int
                              ) -> tuple[Bilinear, SolveCertificate]:
     """Determined lift of a (0,2)-tensor field against ordered pairs of test
@@ -1067,21 +1037,21 @@ def t02_lift_solve_certified(G: Bilinear, kind: str, k: int
     They are solved in two rounds of replays on P's factorisation: one per
     test field Y for the column Y of ``C = B P^T`` (``P C = R``), then one per
     coordinate a for the row a of B (``P B^T = C^T``).  Each replay checks
-    its own equations, and together the two rounds give ``P B P^T = P C = R``
-    exactly, so no separate check of the pair equations is made."""
+    its own equations, every row of P, solved or only checked, so together
+    the two rounds give ``P B P^T = P C = R`` exactly over all ordered pairs
+    of P's fields, and no separate check of the pair equations is made."""
     chart0 = _require_base_chart(G, "determined lift input")
     _t_kind(kind, k)
     target = chart0.extend(k)
     coords = list(target.coordinates())
     labels = [c.name for c in coords]
-    engine = _PairEngine("bilinear", kind, k,
-                         [f"{a}__{b}" for a in labels for b in labels])
-    system, C = engine.solve_stages(
-        chart0, k,
-        lambda tests: [[_lift_scalar_expr(G.evaluate(X, Y), kind, k, None, None)
-                        for X in tests] for Y in tests],
-        lambda tests: [[f"C_{a}__{j}" for a in labels]
-                       for j in range(len(tests))])
+    engine = _Engine("bilinear", kind, k)
+    system = _system((_pairing, chart0, k))
+    tests = system.items
+    R = [[_lift_scalar_expr(G.evaluate(X, Y), kind, k, None, None)
+          for X in tests] for Y in tests]
+    C = [engine.solve(system, column, [f"C_{a}__{j}" for a in labels])
+         for j, column in enumerate(R)]
     rows = [engine.solve(system, [col[p] for col in C],
                          [f"B_{a}__{b}" for b in labels])
             for p, a in enumerate(labels)]

@@ -559,6 +559,15 @@ def test_check_all_golden_at_m2(capsys):
     assert out == (GOLDEN / "check_all_m2_k2_seed3_time.txt").read_text()
 
 
+def test_check_oneforms_above_the_degree_one_fields(capsys):
+    # At m = 1, k = 6 the pairing solves its square ladder; both stages of
+    # degree <= 2 fields used to leave the top level free (exit 4).
+    code, out, err = run(capsys, "check", "oneforms", "--m", "1", "--k", "6",
+                         "--seed", "0")
+    assert (code, err) == (0, "")
+    assert "0 FAIL" in out.splitlines()[-2]
+
+
 def test_check_warns_on_conflicts(capsys):
     code, out, _ = run(capsys, "check", "functions", "--m", "1", "--k", "1",
                        "--with-time")

@@ -92,16 +92,19 @@ def test_oneform_lift_checks_stay_live(monkeypatch):
 
 
 def test_oneform_lift_is_refused_on_a_row_that_never_pivots(monkeypatch):
-    """At k = 3 stage 1 leaves positions free, so stage 2 solves, and its
-    rows 9 to 12 never pivot.  The replay never reads them; the engine's
-    check of every equation refuses a wrong right-hand side there."""
+    """At m = 1, k = 3 the pairing solves its 9 ladder rows and only checks
+    the other fields of coefficient degree <= 2, so row 12, z*zb d/dz0_1,
+    never pivots.  The replay never reads it; the engine's check of every
+    equation refuses a wrong right-hand side there."""
     k = 3
     first = OneForm(C0, {c: v for c, v in FieldGen(0).oneform(C0)
                          .components.items() if c != TIME})
     second = OneForm(C0, {ZB: z * zb})
-    system = L._pairing(C0, k, 2)
-    assert 9 not in {p[3] for p in system.factor._pivots}
-    test_field = system.items[9]
+    system = L._pairing(C0, k)
+    assert system.solved == 9 and len(system.rows) == 15
+    assert 12 not in {p[3] for p in system.factor._pivots}
+    test_field = system.items[12]
+    assert test_field == VectorField(C0, {Z: z * zb})
     pair = OneForm.pair
 
     def corrupt(patch):
@@ -114,16 +117,17 @@ def test_oneform_lift_is_refused_on_a_row_that_never_pivots(monkeypatch):
         monkeypatch, lambda w: L.of_lift_solve_certified(w, "v", k),
         first, second, corrupt,
         "^" + re.escape("one-form v-lift solve: solution fails its own "
-                        "equation 9") + "$")
+                        "equation 12") + "$")
 
 
 def test_pairing_replay_updates_only_pivot_rows():
     """Back-substitution reads the pivot rows alone, so the recorded
     elimination updates no other row's right-hand side (the m = 2, k = 3
-    stage-1 pairing has 21 rows for 17 unknowns)."""
-    system = L._pairing(ChartSpec(2, 0, True), 3, 1)
+    pairing solves all its 21 rows for 17 unknowns)."""
+    system = L._pairing(ChartSpec(2, 0, True), 3)
     factor = system.factor
-    assert not factor.free and len(system.rows) > factor.width
+    assert system.solved == len(system.rows) > factor.width
+    assert not factor.free
     pivot_rows = {p[3] for p in factor._pivots}
     updated = {n for _, _, _, updates in factor._steps for n, _ in updates}
     assert updated and updated <= pivot_rows
@@ -193,10 +197,13 @@ def test_bilinear_rounds_check_their_own_equations(monkeypatch, prefix):
 def test_vector_ladder_functions_are_family_members(chart0, include_time, k):
     """The whole-family check of a vector lift certifies its ladder
     solves, and with them every ladder equation, only because each ladder
-    function is a member of the family."""
-    system = L._vf_ladders(chart0, k, include_time and chart0.has_time)
-    assert len(system.items) == system.width
-    assert set(system.items) <= set(L.function_family(chart0, include_time, k))
+    function is a member of the family: the family system's solved prefix
+    is square and the system holds the function family, no more."""
+    system = L._vf_family(chart0, k, include_time and chart0.has_time)
+    family = L.function_family(chart0, include_time, k)
+    assert system.solved == system.width
+    assert len(system.items) == len(family)
+    assert set(system.items) == set(family)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -204,7 +211,7 @@ def test_ladder_pivots_and_back_substitution_stay_narrow(k):
     """Top level first, each ladder's one constant pivot is its first, every
     other pivot is one term and every back-substitution coefficient has at
     most two terms; bottom level first, the pivots reach 40 terms at k = 5."""
-    factor = L._vf_ladders(C0, k, True).factor     # t, then z and zb
+    factor = L._vf_family(C0, k, True).factor      # t, then z and zb
     assert not factor.free
     layout = L._vf_layout(C0, k, True)
     tops = {u for u, c in enumerate(layout) if c == TIME or c.level == k}
@@ -221,16 +228,17 @@ def test_ladder_pivots_and_back_substitution_stay_narrow(k):
 @pytest.mark.parametrize("include_time", [False, True])
 @pytest.mark.parametrize("m", [1, 2])
 def test_one_ladder_system_factors_as_its_ladders_alone(m, include_time, k):
-    """The ladder blocks share no position, so the one system records, per
-    ladder, the pivots and updates of that ladder's rows factored alone."""
-    system = L._vf_ladders(ChartSpec(m, 0, True), k, include_time)
+    """The ladder blocks share no position, so the family's solved prefix
+    records, per ladder, the pivots and updates of that ladder's rows
+    factored alone."""
+    system = L._vf_family(ChartSpec(m, 0, True), k, include_time)
     layout = L._vf_layout(ChartSpec(m, 0, True), k, include_time)
 
     def ladder(u):
         return layout[u].kind, layout[u].index      # the t line is one too
 
     rows_of: dict = {}
-    for n, row in enumerate(system.rows):
+    for n, row in enumerate(system.rows[:system.solved]):
         (name,) = {ladder(u) for u in row}
         rows_of.setdefault(name, []).append(n)
     assert len(rows_of) == 2 * m + include_time
@@ -247,6 +255,64 @@ def test_one_ladder_system_factors_as_its_ladders_alone(m, include_time, k):
         assert [(local[u], tuple((local[v], c) for v, c in coeffs), pc,
                  row_no[prow])
                 for u, coeffs, pc, prow in pivots if u in local] == alone._pivots
+
+
+def _fields_up_to(chart0, degree):
+    return [X for stage in range(degree + 1)
+            for X in L._vector_stage(chart0, stage)]
+
+
+PAIRING_CASES = [(m, has_time, k) for m, top in ((1, 7), (2, 5))
+                 for has_time in (True, False) for k in range(1, top + 1)]
+
+
+@pytest.mark.parametrize("m,has_time,k", PAIRING_CASES)
+def test_pairing_holds_the_low_degree_fields(m, has_time, k):
+    """At k <= 2m the fields of coefficient degree <= 1 are at least as
+    many as the unknowns and are all solved; above, the square ladder is
+    solved and every field of degree <= 2 is among the rows, so no
+    certificate holds fewer equations than the degree <= 1 fields give."""
+    chart0 = ChartSpec(m, 0, has_time)
+    system = L._pairing(chart0, k)
+    items = list(system.items)
+    low = _fields_up_to(chart0, 1)
+    if k <= 2 * m:
+        assert items == low and system.solved == len(items) >= system.width
+    else:
+        ladder = list(L._vector_ladder(chart0, k))
+        up_to_2 = _fields_up_to(chart0, 2)
+        assert items[:system.solved] == ladder
+        assert system.solved == system.width
+        assert all(X in items for X in up_to_2)
+        assert all(X in ladder or X in up_to_2 for X in items)
+
+
+@pytest.mark.parametrize("m,has_time,k", PAIRING_CASES)
+def test_pairing_factor_leaves_no_position_free(m, has_time, k):
+    """Every pairing pins every position, so no lift is refused as
+    underdetermined; on the ladder every pivot is one monomial."""
+    system = L._pairing(ChartSpec(m, 0, has_time), k)
+    factor = system.factor
+    assert factor.free == ()
+    if k > 2 * m:
+        assert all(pc is None or len(pc.term_map()) == 1
+                   for _, _, pc, _ in factor._pivots)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+@pytest.mark.parametrize("chart0", [C0, ChartSpec(1, 0, False),
+                                    ChartSpec(2, 0, True),
+                                    ChartSpec(2, 0, False)],
+                         ids=["m1-time", "m1", "m2-time", "m2"])
+def test_test_families_miss_the_holdout(chart0, k):
+    """A holdout certifies only equations the solve did not see: no test
+    function is a holdout function and no test field a holdout field."""
+    holdout = L.function_holdout(chart0)
+    for include_time in (True, False):
+        family = L._vf_family(chart0, k, include_time and chart0.has_time)
+        assert not set(family.items) & set(holdout)
+    fields = list(L._vector_ladder(chart0, k)) + _fields_up_to(chart0, 2)
+    assert not any(X in fields for X in L.vector_test_holdout(chart0))
 
 
 def _residuals_by_hand(Z, lifted, kind, k, functions, r=None, s=None):
@@ -329,16 +395,19 @@ M2_NO_TIME = ChartSpec(2, 0, False)
      lambda gen: L.vf_lift_solve(gen.vector(M2), "v", 1)),
     ("_vector_stage", (C0, 0),
      lambda gen: L.of_lift_solve(gen.oneform(C0), "v", K)),
-    # at k = 3 the one-form lift solves on the stage-2 pairing
+    # at k = 3 the one-form lift solves the pairing's ladder and checks
+    # the fields of coefficient degree 2
     ("_vector_stage", (C0, 2),
      lambda gen: L.of_lift_solve(gen.oneform(C0), "v", 3)),
-    # the pairing's items are the vector test family up to its stage
-    ("_pairing", (C0, K, 1),
+    ("_vector_ladder", (C0, 3),
+     lambda gen: L.of_lift_solve(gen.oneform(C0), "v", 3)),
+    # the pairing's items are the vector test family
+    ("_pairing", (C0, K),
      lambda gen: L.of_lift_solve(gen.oneform(C0), "v", K)),
     ("vector_test_holdout", (C0,),
      lambda gen: L.of_lift_solve(gen.oneform(C0), "v", K)),
 ], ids=["functions", "functions-no-time", "function-holdout", "stage-0",
-        "stage-2", "vector-family", "vector-holdout"])
+        "stage-2", "vector-ladder", "vector-family", "vector-holdout"])
 def test_test_families_are_built_once_as_tuples(monkeypatch, name, args,
                                                 solve):
     """A test family is built, as a tuple, once per system key: two solves
@@ -368,28 +437,6 @@ def test_test_families_are_built_once_as_tuples(monkeypatch, name, args,
     assert type(first) is tuple and first and again == first
 
 
-def test_bilinear_underdetermined_names_free_pairs(monkeypatch):
-    """A pairing row that misses a coordinate leaves every pair through that
-    coordinate free; the text lists the pairs in row-major order."""
-    pairing = L._pairing
-
-    def without_time_row(chart0, k, stage):
-        system = pairing(chart0, k, stage)
-        return L._System(system.items[1:], system.rows[1:], system.width)
-
-    L.clear_lift_cache()
-    try:
-        monkeypatch.setattr(L, "_pairing", without_time_row)
-        with pytest.raises(L.LiftError) as info:
-            L.t02_lift_solve(Bilinear(C0, {(Z, ZB): Expr.one()}), "v", 1)
-    finally:
-        L.clear_lift_cache()
-    assert str(info.value) == (
-        "(0,2)-tensor v-lift solve underdetermined; free entries: t__t, "
-        "t__z0_1, t__z1_1, t__zb0_1, t__zb1_1, z0_1__t, z1_1__t, zb0_1__t, "
-        "zb1_1__t")
-
-
 def _solver_names(monkeypatch, solve, field):
     """The position names of every factorisation replay `solve(field)`
     makes, in order, from cold caches."""
@@ -411,23 +458,22 @@ def _solver_names(monkeypatch, solve, field):
 def test_each_op_names_its_positions(monkeypatch):
     gen = FieldGen(5)
     coords = C0.extend(K).coordinates()
-    tests = L._pairing(C0, K, 1).items
+    tests = L._pairing(C0, K).items
     cases = [
-        # One replay of the ladder system, each ladder top level first; the
-        # time component is pinned.
+        # One replay of the family's ladder rows, each ladder top level
+        # first; the time component is pinned.
         (lambda Y: L.vf_lift_solve(Y, "c", K), gen.vector(C0), ("U_",),
          [tuple(f"U_{base}{r}_1" for base in ("z", "zb")
                 for r in range(K, -1, -1))]),
         (lambda w: L.of_lift_solve(w, "v", K), gen.oneform(C0), ("W_",),
          [tuple(f"W_{c.name}" for c in coords)]),
-        # At k = 3 stage 1's rows leave positions free, so stage 2 is
-        # chosen from the rows alone and replayed once.
+        # At k = 3 the pairing's square ladder is the part solved, and it
+        # is replayed once.
         (lambda w: L.of_lift_solve(w, "v", 3), gen.oneform(C0), ("W_",),
          [tuple(f"W_{c.name}" for c in C0.extend(3).coordinates())]),
         (lambda p: L.t11_lift_solve(p, "v", K), gen.endo(C0), ("E_",),
          [tuple(f"E_{a.name}__{b.name}" for b in coords) for a in coords]),
-        # One replay per stage-1 test column of C = B P^T, then one per row
-        # of B.
+        # One replay per test column of C = B P^T, then one per row of B.
         (lambda G: L.t02_lift_solve(G, "v", K), gen.bilinear(C0), ("C_", "B_"),
          [tuple(f"C_{c.name}__{j}" for c in coords) for j in range(len(tests))]
          + [tuple(f"B_{a.name}__{b.name}" for b in coords) for a in coords]),

@@ -33,6 +33,15 @@ def test_vertical_solve_keeps_level_zero():
     assert of_lift_solve(dz, "v", 2) == OneForm.differential_of(C0.extend(2), Z01)
 
 
+def test_vertical_solve_above_the_degree_one_fields():
+    """At m = 1, k = 6 the degree <= 1 test fields are fewer than the
+    unknowns, so the pairing solves its square ladder; the lift is the
+    closed-form vertical lift."""
+    w = OneForm(CT, {Z01: parse("z0_1*zb0_1 + 2"), ZB01: parse("z0_1^2"),
+                     TIME: parse("t*z0_1")})
+    assert of_lift_solve(w, "v", 6) == of_vertical_closed(w, 6)
+
+
 def test_complete_solve_moves_basis_to_top():
     dz = OneForm.differential_of(C0, Z01)
     assert of_lift_solve(dz, "c", 2) == OneForm.differential_of(C0.extend(2), Z21)

@@ -28,15 +28,18 @@ REMOVED = ("UnknownId", "Atom", "ConjugationError", "NonlinearSystemError",
 # The determined lifts read their test fields' complete lifts from the
 # system cache, so the second cache of any vector lift went.  The test
 # families are kept in the system cache alone, and a vector lift solves its
-# level ladders as one system.
+# level ladders as one system.  Every determined lift solves the leading
+# rows its system builder chose and checks every row, so the staged pairing
+# and the vector ladders' separate system went.
 RETIRED_LIFTS = ("t11_form_clause_notes", "complete_vf_cached",
                  "fn_complete_step", "_VF_SOLVE_CACHE", "_VF_SOLVE_CACHE_SIZE",
                  "_field_key", "_vf_solve_cached", "_bounded",
-                 "vector_test_family", "_vf_ladder", "_FAMILY_CACHE_SIZE")
+                 "vector_test_family", "_vf_ladder", "_FAMILY_CACHE_SIZE",
+                 "_vf_ladders", "_PairEngine")
 # A table nothing read.
 RETIRED_VERIFY = ("COMPARISON_SUBJECTS",)
 # Methods that nothing in the package, the demos, the scripts or the
-# benchmark called.
+# benchmark called, and the engine's steps around its one solve.
 RETIRED_METHODS = {
     symkernel.GRat: ("is_real",),
     symkernel.Expr: ("leading_term", "substitute"),
@@ -44,6 +47,8 @@ RETIRED_METHODS = {
     HermitianPackage: ("fundamental_form",),
     EndoField: ("square",),
     CompareReport: ("verdict",),
+    lifts._Engine: ("replay", "check", "solve_stages", "_free",
+                    "_underdetermined"),
 }
 # Public names with no caller outside the tests, each kept for a reason.
 KEPT = {
@@ -84,6 +89,7 @@ def test_removed_names_are_gone():
         assert name not in liftcalc.__all__
         assert not hasattr(verify, name)
     assert "notes" not in lifts.SolveCertificate.__dataclass_fields__
+    assert not hasattr(lifts._Engine("vector", "v", 1), "labels")
     for cls, methods in RETIRED_METHODS.items():
         for method in methods:
             assert not hasattr(cls, method), f"{cls.__name__}.{method}"
