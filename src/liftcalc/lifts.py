@@ -41,28 +41,30 @@ finite spanning family of test objects:
 
 Each unknown component is a whole polynomial.  The left-hand sides depend
 only on the chart, ``k`` and the op; the input enters only through the
-right-hand sides.  So one engine serves all four ops: it factors the
-leading rows of each system once per key (fraction-free elimination,
-:class:`liftcalc.symkernel.PolyLinearFactor`, kept in a bounded cache) and,
-per input, computes the right-hand sides, replays the recorded elimination
-on the solved rows and back-substitutes.  Which rows are solved and which
-are only checked is the system builder's choice alone.  A vector lift solves
-its level ladders, the leading rows of its family, as one block-diagonal
-system, with each ladder's unknowns laid out top level first: the complete
-lift of the base coordinate x is the top-level coordinate, so each ladder's
-first pivot is a constant and every later one a single term.  Bottom level
-first, the fraction-free pivots grow with each level and multiply every
-right-hand side they meet.  The one-form, (1,1) and (0,2) lifts share one
-set of rows P (test fields against their complete lifts): every field of
-coefficient degree <= 1, all solved, when they are at least as many as the
-unknowns (k <= 2m); otherwise a square ladder of fields x^d d/dx, solved,
-then every other field of coefficient degree <= 2, checked.  The (0,2) pair
-equations ``P B P^T = R``, i.e. ``(P (x) P) vec(B) = vec(R)``, are two
-rounds of replays on P.  Test families are kept only in that cache, with
-their complete lifts, beside the rows built from them, so
-:func:`clear_lift_cache` drops them.  Every solution is then checked against
-every equation of its system, solved or checked, and, per input, against
-the defining equation on a disjoint holdout family (the
+right-hand sides.  So each defining system (:class:`_System`) is built once
+per key and kept in a bounded cache: its test items, their coefficient rows
+and the factorisation of its leading rows (fraction-free elimination,
+:class:`liftcalc.symkernel.PolyLinearFactor`).  Per input, the system
+solves itself: it replays the recorded elimination on the solved rows'
+right-hand sides and back-substitutes.  Which rows are solved and which
+are only checked is the system builder's choice alone.  A vector lift
+solves its level ladders, the leading rows of its family, as one
+block-diagonal system, with each ladder's unknowns laid out top level
+first: the complete lift of the base coordinate x is the top-level
+coordinate, so each ladder's first pivot is a constant and every later one
+a single term.  Bottom level first, the fraction-free pivots grow with each
+level and multiply every right-hand side they meet.  The one-form, (1,1)
+and (0,2) lifts share one system P (test fields against their complete
+lifts): every field of coefficient degree <= 1, all solved, when they are
+at least as many as the unknowns (k <= 2m); otherwise a square ladder of
+fields x^d d/dx, solved, then every other field of coefficient degree <= 2,
+checked.  The (0,2) pair equations ``P B P^T = R``, i.e. ``(P (x) P)
+vec(B) = vec(R)``, are two rounds of replays on P.  Each test field is
+lifted once per chart and order, by the system of its family (the pairing
+or the holdout), which keeps the lifts beside its rows, so
+:func:`clear_lift_cache` drops them with it.  Every solution is then
+checked against every equation of its system, solved or checked, and, per
+input, against the defining equation on a disjoint holdout family (the
 ``*_defining_residuals`` functions); any nonzero residual raises, so a
 returned lift carries a machine-checked certificate.  Equation n reads
 ``sum(row_n[p] * x_p) == rhs_n``.  The replay reads only the rows that
@@ -241,6 +243,9 @@ def _lift_scalar_expr(expr: Expr, kind: str, k: int, r: int | None,
 
 
 def clear_lift_cache() -> None:
+    """Empty the process's lift caches: the per-monomial complete-lift
+    table and the defining systems, with the test families and their
+    lifts."""
     _complete_expr.cache_clear()
     _SYSTEM_CACHE.clear()
 
@@ -620,15 +625,18 @@ def vector_test_holdout(chart0: ChartSpec) -> tuple[VectorField, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Determined lifts: the defining-system engine
+# Determined lifts: defining systems
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SolveCertificate:
     """Record of a certified determined-lift solve: which lift, how many
     defining equations it met (``family_size``) and on how many holdout
-    equations it was checked (``holdout_size``).  A nonzero residual raises,
-    so ``residuals_zero`` is always True; other laws are the suites' to check."""
+    equations it was checked (``holdout_size``).  Both count in the op's
+    unit: scalar equations for vector and one-form lifts, test fields
+    (vector equations) for (1,1) lifts and ordered pairs of test fields for
+    (0,2) lifts.  A nonzero residual raises, so ``residuals_zero`` is always
+    True; other laws are the suites' to check."""
 
     op: str
     kind: str
@@ -656,16 +664,19 @@ def _check_kind(kind: str, k: int, r: int | None, s: int | None
 
 
 class _System:
-    """The test items of one defining system, each item's coefficient row
-    ``{position: Expr}``, and the factorisation of its first `solved` rows
-    (all rows by default), built on first use.  The rows after them are only
-    checked, never factored (a vector lift's holdout is only evaluated)."""
+    """One defining system: its test items, each item's coefficient row
+    ``{position: Expr}``, for test vector fields their complete lifts
+    (`lifted`), and the factorisation of its first `solved` rows (all rows
+    by default), built on first use.  The rows after them are only checked,
+    never factored (a holdout's are only evaluated)."""
 
-    __slots__ = ("items", "rows", "width", "solved", "_factor")
+    __slots__ = ("items", "lifted", "rows", "width", "solved", "_factor")
 
     def __init__(self, items: Sequence, rows: list[dict[int, Expr]],
-                 width: int, solved: int | None = None):
-        self.items, self.rows, self.width = items, rows, width
+                 width: int, solved: int | None = None,
+                 lifted: Sequence = ()):
+        self.items, self.lifted = items, lifted
+        self.rows, self.width = rows, width
         self.solved = len(rows) if solved is None else solved
         self._factor = None
 
@@ -675,6 +686,23 @@ class _System:
             self._factor = PolyLinearFactor(self.rows[:self.solved],
                                             self.width)
         return self._factor
+
+    def solve(self, rhs: Sequence[Expr], names: Sequence[str], what: str
+              ) -> list[Expr]:
+        """Equation n reads ``sum(row_n[p] * x_p) == rhs_n``.  Replay the
+        factorisation on the solved rows' right-hand sides (pivot rows
+        only), then check the solution against every equation, solved or
+        only checked, the one consistency check; `what` names the lift in
+        the error texts."""
+        try:
+            values = self.factor.solve(rhs[:self.solved], names)
+        except LinearSolveError as exc:
+            raise LiftError(f"{what} solve: {exc}") from exc
+        for n, total in enumerate(self.evaluate(rhs, values)):
+            if not total.is_zero():
+                raise LiftError(
+                    f"{what} solve: solution fails its own equation {n}")
+        return values
 
     def evaluate(self, rhs: Sequence[Expr], values: Sequence[Expr]
                  ) -> Iterable[Expr]:
@@ -687,15 +715,14 @@ class _System:
             yield _expr(acc)
 
 
-# Systems, and the test fields with their complete lifts, by key: the only
-# place test families are kept.  A key is a builder followed by its arguments
-# (chart, order, whether t is an unknown, test family or stage); the value
-# depends on nothing else, so every input with the same key shares it (and a
-# system's factorisation).
+# Systems by key: the only place test families, and the test fields'
+# complete lifts, are kept.  A key is a builder followed by its arguments
+# (chart, order, whether t is an unknown); the system depends on nothing
+# else, so every input with the same key shares it and its factorisation.
 _SYSTEM_CACHE: OrderedDict = OrderedDict()
 
 
-def _system(key: tuple):
+def _system(key: tuple) -> _System:
     """``key[0](*key[1:])``, built on a miss; the least recently used entry
     goes once the cache holds more than `_SYSTEM_CACHE_SIZE`."""
     value = _SYSTEM_CACHE.get(key)
@@ -708,54 +735,11 @@ def _system(key: tuple):
     return value
 
 
-# op -> its name in messages.  The solver's own errors name a position by a
-# plain label instead: U_<coord> (vector), W_<coord> (one-form),
-# E_<a>__<b> ((1,1)), or for (0,2) C_<a>__<test> in the first round and
-# B_<a>__<b> in the second.
-_OPS = {"vector": "vector", "oneform": "one-form", "endo": "(1,1)-tensor",
-        "bilinear": "(0,2)-tensor"}
-
-
-class _Engine:
-    """The defining equations of one determined lift of one input.
-
-    Equation n of a system reads ``sum(row_n[p] * x_p) == rhs_n``.  The rows
-    come from the system cache, and the builder of each system alone decides
-    how many leading rows are solved.  The input enters only through the
-    right-hand sides: the cached factorisation of the solved rows is
-    replayed on theirs (pivot rows only), and the solution is then checked
-    against every equation of the system, solved or only checked, the one
-    consistency check.  The engine also checks the holdout residuals and
-    owns the error texts and the certificate."""
-
-    def __init__(self, op: str, kind: str, k: int, r: int | None = None,
-                 s: int | None = None):
-        self.op, self.kind, self.k, self.r, self.s = op, kind, k, r, s
-        self.what = f"{_OPS[op]} {kind}-lift"
-
-    def solve(self, system: _System, rhs: Sequence[Expr],
-              names: Sequence[str]) -> list[Expr]:
-        """Replay on the solved rows, then check every row."""
-        try:
-            values = system.factor.solve(rhs[:system.solved], names)
-        except LinearSolveError as exc:
-            raise LiftError(f"{self.what} solve: {exc}") from exc
-        for n, total in enumerate(system.evaluate(rhs, values)):
-            if not total.is_zero():
-                raise LiftError(
-                    f"{self.what} solve: solution fails its own equation {n}")
-        return values
-
-    def holdout(self, residuals: Iterable[Expr]) -> None:
-        bad = next((res for res in residuals if not res.is_zero()), None)
-        if bad is not None:
-            raise LiftError(
-                f"{self.what} holdout residual nonzero: {format_expr(bad)}")
-
-    def certificate(self, family_size: int, holdout_size: int
-                    ) -> SolveCertificate:
-        return SolveCertificate(self.op, self.kind, self.k, self.r, self.s,
-                                family_size, holdout_size, True)
+def _refuse_nonzero(what: str, residuals: Iterable[Expr]) -> None:
+    """Refuse a lift whose holdout leaves a nonzero residual."""
+    bad = next((res for res in residuals if not res.is_zero()), None)
+    if bad is not None:
+        raise LiftError(f"{what} holdout residual nonzero: {format_expr(bad)}")
 
 
 # -- vector fields -----------------------------------------------------------
@@ -819,7 +803,7 @@ def vf_lift_solve_certified(Z: VectorField, kind: str, k: int, *,
     ladder (the pure powers of a base coordinate only ever reach that
     coordinate's higher levels).  The family's rows are laid out ladders
     first, and the ladders alone are solved, as one block-diagonal system
-    by one replay; the engine then checks every family equation against
+    by one replay, and every family equation is then checked against
     that solution.  The ladder system is square and nonsingular and its
     equations are a subset of the family's, so when it has no solution
     neither has the family, and its error is raised."""
@@ -838,12 +822,11 @@ def vf_lift_solve_certified(Z: VectorField, kind: str, k: int, *,
                     f"time component, got {format_expr(tc)}")
             pinned[TIME] = tc
     coords = _vf_layout(chart0, k, include_time)
-    engine = _Engine("vector", kind, k, r, s)
+    what = f"vector {kind}-lift"
     family = _system((_vf_family, chart0, k, include_time))
-    values = engine.solve(
-        family, [_lift_scalar_expr(Z.apply(f), kind, k, r, s)
-                 for f in family.items],
-        [f"U_{c.name}" for c in coords])
+    values = family.solve([_lift_scalar_expr(Z.apply(f), kind, k, r, s)
+                           for f in family.items],
+                          [f"U_{c.name}" for c in coords], what)
 
     comps = dict(pinned)          # in chart order, not the ladder layout
     for coord, value in sorted(zip(coords, values),
@@ -852,8 +835,9 @@ def vf_lift_solve_certified(Z: VectorField, kind: str, k: int, *,
             comps[coord] = value
     result = VectorField(chart0.extend(k), comps)
     residuals = vf_defining_residuals(Z, result, kind, k, r=r, s=s)
-    engine.holdout(residuals)
-    return result, engine.certificate(len(family.items), len(residuals))
+    _refuse_nonzero(what, residuals)
+    return result, SolveCertificate("vector", kind, k, r, s, len(family.items),
+                                    len(residuals), True)
 
 
 def vf_lift_solve(Z: VectorField, kind: str, k: int, *,
@@ -879,44 +863,36 @@ def vf_defining_residuals(Z: VectorField, lifted: VectorField, kind: str,
 
 # -- test vector fields and their complete lifts ------------------------------
 
-def _test_lifts(family, chart0: ChartSpec, k: int, *args
-                ) -> tuple[tuple[VectorField, VectorField], ...]:
-    """Each field of ``family(chart0, *args)`` with its determined complete
-    lift (the one-form, (1,1) and (0,2) left-hand sides), cached through
-    :func:`_system`, the one place the family is kept."""
-    return tuple((X, vf_lift_solve(X, "c", k)) for X in family(chart0, *args))
+def _field_system(fields: tuple[VectorField, ...], chart0: ChartSpec, k: int,
+                  solved: int | None = None) -> _System:
+    """Test vector fields against the components of their complete lifts,
+    each field lifted once and its lift kept beside its row."""
+    position = {c: p for p, c in enumerate(chart0.extend(k).coordinates())}
+    lifted = tuple(vf_lift_solve(X, "c", k) for X in fields)
+    rows = [{position[c]: comp for c, comp in Xc.components.items()}
+            for Xc in lifted]
+    return _System(fields, rows, len(position), solved, lifted)
 
 
-def _holdout(chart0: ChartSpec, k: int
-             ) -> tuple[tuple[VectorField, VectorField], ...]:
-    """Each holdout test field with its complete lift."""
-    return _system((_test_lifts, vector_test_holdout, chart0, k))
+def _holdout(chart0: ChartSpec, k: int) -> _System:
+    """The holdout test fields with their complete lifts, only checked."""
+    return _field_system(vector_test_holdout(chart0), chart0, k, 0)
 
 
 def _pairing(chart0: ChartSpec, k: int) -> _System:
-    """Test vector fields against the components of their complete lifts:
-    the rows of the one-form, (1,1)-tensor and (0,2)-tensor lifts.  When the
-    fields of coefficient degree <= 1 are at least as many as the unknowns
-    (k <= 2m), they are all solved.  Otherwise the square ladder
+    """The rows of the one-form, (1,1)-tensor and (0,2)-tensor lifts.  When
+    the fields of coefficient degree <= 1 are at least as many as the
+    unknowns (k <= 2m), they are all solved.  Otherwise the square ladder
     (:func:`_vector_ladder`) leads and is the only part solved, and every
     other field of coefficient degree <= 2 is checked, so the fields of
-    degree <= 1 are always among the rows.  Each family's fields and lifts
-    come from the system cache, so the (0,2) holdout shares stage 0's."""
-    position = {c: p for p, c in enumerate(chart0.extend(k).coordinates())}
-    pairs = [pair for stage in (0, 1) for pair in
-             _system((_test_lifts, _vector_stage, chart0, k, stage))]
-    solved = len(pairs)
-    if solved < len(position):
-        ladder = _system((_test_lifts, _vector_ladder, chart0, k, k))
-        fields = [X for X, _ in ladder]
-        pairs += _system((_test_lifts, _vector_stage, chart0, k, 2))
-        pairs = list(ladder) + [pair for pair in pairs
-                                if pair[0] not in fields]
-        solved = len(ladder)
-    tests, lifted = zip(*pairs)
-    rows = [{position[c]: comp for c, comp in Xc.components.items()}
-            for Xc in lifted]
-    return _System(tests, rows, len(position), solved)
+    degree <= 1 are always among the rows."""
+    fields = _vector_stage(chart0, 0) + _vector_stage(chart0, 1)
+    if len(fields) >= len(chart0.extend(k).coordinates()):
+        return _field_system(fields, chart0, k)
+    ladder = _vector_ladder(chart0, k)
+    fields = ladder + tuple(X for X in fields + _vector_stage(chart0, 2)
+                            if X not in ladder)
+    return _field_system(fields, chart0, k, len(ladder))
 
 
 # -- one-forms ----------------------------------------------------------------
@@ -938,17 +914,17 @@ def of_lift_solve_certified(w: OneForm, kind: str, k: int, *,
             f"{format_expr(w.component(TIME))}")
     target = chart0.extend(k)
     coords = list(target.coordinates())
-    engine = _Engine("oneform", kind, k, r, s)
+    what = f"one-form {kind}-lift"
     system = _system((_pairing, chart0, k))
-    values = engine.solve(
-        system, [_lift_scalar_expr(w.pair(X), kind, k, r, s)
-                 for X in system.items],
-        [f"W_{c.name}" for c in coords])
+    values = system.solve([_lift_scalar_expr(w.pair(X), kind, k, r, s)
+                           for X in system.items],
+                          [f"W_{c.name}" for c in coords], what)
     result = OneForm(target, {c: v for c, v in zip(coords, values)
                               if not v.is_zero()})
-    engine.holdout(of_defining_residuals(w, result, kind, k, r=r, s=s))
-    return result, engine.certificate(len(system.items),
-                                      len(_holdout(chart0, k)))
+    residuals = of_defining_residuals(w, result, kind, k, r=r, s=s)
+    _refuse_nonzero(what, residuals)
+    return result, SolveCertificate("oneform", kind, k, r, s,
+                                    len(system.items), len(residuals), True)
 
 
 def of_lift_solve(w: OneForm, kind: str, k: int, *,
@@ -960,11 +936,16 @@ def of_defining_residuals(w: OneForm, lifted: OneForm, kind: str, k: int, *,
                           r: int | None = None, s: int | None = None
                           ) -> list[Expr]:
     """Residuals lifted(X^{c^k}) - (w X)^lift over the holdout vector
-    fields."""
+    fields, evaluated on their cached rows as the family check is."""
     chart0 = _require_base_chart(w, "determined lift input")
     r, s = _check_kind(kind, k, r, s)
-    return [lifted.pair(Xc) - _lift_scalar_expr(w.pair(X), kind, k, r, s)
-            for X, Xc in _holdout(chart0, k)]
+    target = chart0.extend(k)
+    if lifted.chart != target:
+        raise FieldError(f"chart mismatch: {lifted.chart} vs {target}")
+    system = _system((_holdout, chart0, k))
+    rhs = [_lift_scalar_expr(w.pair(X), kind, k, r, s) for X in system.items]
+    return list(system.evaluate(rhs, [lifted.component(c)
+                                      for c in target.coordinates()]))
 
 
 # -- (1,1)-tensors -------------------------------------------------------------
@@ -990,19 +971,21 @@ def t11_lift_solve_certified(phi: EndoField, kind: str, k: int
     _t_kind(kind, k)
     target = chart0.extend(k)
     coords = list(target.coordinates())
-    engine = _Engine("endo", kind, k)
+    what = f"(1,1)-tensor {kind}-lift"
     system = _system((_pairing, chart0, k))
     lifted = [vf_lift_solve(phi.apply_vector(X), kind, k)
               for X in system.items]
-    rows = [engine.solve(system, [Y.component(a) for Y in lifted],
-                         [f"E_{a.name}__{b.name}" for b in coords])
+    rows = [system.solve([Y.component(a) for Y in lifted],
+                         [f"E_{a.name}__{b.name}" for b in coords], what)
             for a in coords]
     result = EndoField(target, {(a, b): v
                                 for a, row in zip(coords, rows)
                                 for b, v in zip(coords, row) if not v.is_zero()})
-    engine.holdout(t11_defining_residuals(phi, result, kind, k))
-    return result, engine.certificate(len(system.items),
-                                      len(_holdout(chart0, k)))
+    _refuse_nonzero(what, t11_defining_residuals(phi, result, kind, k))
+    holdout = _system((_holdout, chart0, k))
+    return result, SolveCertificate("endo", kind, k, None, None,
+                                    len(system.items), len(holdout.items),
+                                    True)
 
 
 def t11_lift_solve(phi: EndoField, kind: str, k: int) -> EndoField:
@@ -1017,7 +1000,8 @@ def t11_defining_residuals(phi: EndoField, lifted: EndoField, kind: str,
     _t_kind(kind, k)
     out: list[Expr] = []
     target = lifted.chart
-    for X, Xc in _holdout(chart0, k):
+    holdout = _system((_holdout, chart0, k))
+    for X, Xc in zip(holdout.items, holdout.lifted):
         diff = lifted.apply_vector(Xc) - vf_lift_solve(phi.apply_vector(X),
                                                         kind, k)
         for coord in target.coordinates():
@@ -1045,22 +1029,23 @@ def t02_lift_solve_certified(G: Bilinear, kind: str, k: int
     target = chart0.extend(k)
     coords = list(target.coordinates())
     labels = [c.name for c in coords]
-    engine = _Engine("bilinear", kind, k)
+    what = f"(0,2)-tensor {kind}-lift"
     system = _system((_pairing, chart0, k))
     tests = system.items
     R = [[_lift_scalar_expr(G.evaluate(X, Y), kind, k, None, None)
           for X in tests] for Y in tests]
-    C = [engine.solve(system, column, [f"C_{a}__{j}" for a in labels])
+    C = [system.solve(column, [f"C_{a}__{j}" for a in labels], what)
          for j, column in enumerate(R)]
-    rows = [engine.solve(system, [col[p] for col in C],
-                         [f"B_{a}__{b}" for b in labels])
+    rows = [system.solve([col[p] for col in C],
+                         [f"B_{a}__{b}" for b in labels], what)
             for p, a in enumerate(labels)]
     result = Bilinear(target, {(a, b): v
                                for a, row in zip(coords, rows)
                                for b, v in zip(coords, row) if not v.is_zero()})
-    engine.holdout(t02_defining_residuals(G, result, kind, k))
-    return result, engine.certificate(len(system.items) ** 2,
-                                      len(_holdout(chart0, k)))
+    residuals = t02_defining_residuals(G, result, kind, k)
+    _refuse_nonzero(what, residuals)
+    return result, SolveCertificate("bilinear", kind, k, None, None,
+                                    len(tests) ** 2, len(residuals), True)
 
 
 def t02_lift_solve(G: Bilinear, kind: str, k: int) -> Bilinear:
@@ -1071,11 +1056,15 @@ def t02_defining_residuals(G: Bilinear, lifted: Bilinear, kind: str, k: int
                            ) -> list[Expr]:
     """Residuals lifted(X^{c^k}, Y^{c^k}) - (G(X,Y))^lift over ordered pairs
     (X, Y) drawn from the holdout vector fields paired with themselves and
-    with the stage-0 basis fields."""
+    with the stage-0 basis fields, the pairing's fields of constant
+    coefficients."""
     chart0 = _require_base_chart(G, "determined lift input")
     _t_kind(kind, k)
-    holdout = _holdout(chart0, k)
-    basis = _system((_test_lifts, _vector_stage, chart0, k, 0))
+    held = _system((_holdout, chart0, k))
+    holdout = list(zip(held.items, held.lifted))
+    pairing = _system((_pairing, chart0, k))
+    basis = [(X, Xc) for X, Xc in zip(pairing.items, pairing.lifted)
+             if all(c.is_constant() for c in X.components.values())]
     pairs = [pair for X in holdout for Y in basis for pair in ((X, Y), (Y, X))]
     pairs += [(X, Y) for i, X in enumerate(holdout) for Y in holdout[i:]]
     return [lifted.evaluate(Xc, Yc)

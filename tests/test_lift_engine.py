@@ -437,6 +437,57 @@ def test_test_families_are_built_once_as_tuples(monkeypatch, name, args,
     assert type(first) is tuple and first and again == first
 
 
+@pytest.mark.parametrize("chart0,k,solves", [(C0, 2, 11), (C0, 3, 19),
+                                            (M2, 5, 89)],
+                         ids=["m1-k2", "m1-k3", "m2-k5"])
+def test_each_test_field_is_lifted_once(monkeypatch, chart0, k, solves):
+    """A cold one-form lift solves the complete lift of each field of its
+    pairing and of its holdout once, and no other vector lift, though above
+    k = 2m the ladder's fields are also fields of coefficient degree <= 2."""
+    right = L.vf_lift_solve
+    lifted = []
+
+    def counted(Y, kind, k, **split):
+        lifted.append(Y)
+        return right(Y, kind, k, **split)
+
+    L.clear_lift_cache()
+    monkeypatch.setattr(L, "vf_lift_solve", counted)
+    L.of_lift_solve(FieldGen(0).oneform(chart0), "v", k)
+    pairing = L._system((L._pairing, chart0, k))
+    holdout = L._system((L._holdout, chart0, k))
+    assert lifted == list(pairing.items) + list(holdout.items)
+    assert len(lifted) == solves
+    assert not any(Y in lifted[:n] for n, Y in enumerate(lifted))
+
+
+def test_bilinear_holdout_size_counts_its_pair_equations():
+    """Each certificate counts equations in its family's unit: for (0,2)
+    lifts both sizes count ordered pairs of test fields."""
+    L.clear_lift_cache()
+    G = FieldGen(0).bilinear(C0)
+    lifted, cert = L.t02_lift_solve_certified(G, "c", K)
+    residuals = L.t02_defining_residuals(G, lifted, "c", K)
+    assert (cert.family_size, cert.holdout_size) == (49, 34)
+    assert cert.holdout_size == len(residuals)
+
+
+def test_system_cache_holds_only_systems():
+    """After a lift of each op, every cache entry is one defining system:
+    a vector lift's family and holdout, the pairing and its holdout."""
+    L.clear_lift_cache()
+    gen = FieldGen(0)
+    for k in (2, 3):
+        L.vf_lift_solve(gen.vector(C0), "v", k)
+        L.of_lift_solve(gen.oneform(C0), "v", k)
+        L.t11_lift_solve(gen.endo(C0), "v", k)
+        L.t02_lift_solve(gen.bilinear(C0), "v", k)
+    assert all(type(system) is L._System
+               for system in L._SYSTEM_CACHE.values())
+    assert {key[0] for key in L._SYSTEM_CACHE} == {
+        L._vf_family, L._vf_holdout, L._pairing, L._holdout}
+
+
 def _solver_names(monkeypatch, solve, field):
     """The position names of every factorisation replay `solve(field)`
     makes, in order, from cold caches."""

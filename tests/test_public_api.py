@@ -30,16 +30,20 @@ REMOVED = ("UnknownId", "Atom", "ConjugationError", "NonlinearSystemError",
 # families are kept in the system cache alone, and a vector lift solves its
 # level ladders as one system.  Every determined lift solves the leading
 # rows its system builder chose and checks every row, so the staged pairing
-# and the vector ladders' separate system went.
+# and the vector ladders' separate system went.  A defining system solves
+# itself, so the engine around it and its op-name table went, and each test
+# family is one system holding its fields' lifts, so the per-stage
+# test-lift entries went.
 RETIRED_LIFTS = ("t11_form_clause_notes", "complete_vf_cached",
                  "fn_complete_step", "_VF_SOLVE_CACHE", "_VF_SOLVE_CACHE_SIZE",
                  "_field_key", "_vf_solve_cached", "_bounded",
                  "vector_test_family", "_vf_ladder", "_FAMILY_CACHE_SIZE",
-                 "_vf_ladders", "_PairEngine")
+                 "_vf_ladders", "_PairEngine", "_Engine", "_OPS",
+                 "_test_lifts")
 # A table nothing read.
 RETIRED_VERIFY = ("COMPARISON_SUBJECTS",)
 # Methods that nothing in the package, the demos, the scripts or the
-# benchmark called, and the engine's steps around its one solve.
+# benchmark called.
 RETIRED_METHODS = {
     symkernel.GRat: ("is_real",),
     symkernel.Expr: ("leading_term", "substitute"),
@@ -47,8 +51,6 @@ RETIRED_METHODS = {
     HermitianPackage: ("fundamental_form",),
     EndoField: ("square",),
     CompareReport: ("verdict",),
-    lifts._Engine: ("replay", "check", "solve_stages", "_free",
-                    "_underdetermined"),
 }
 # Public names with no caller outside the tests, each kept for a reason.
 KEPT = {
@@ -89,7 +91,7 @@ def test_removed_names_are_gone():
         assert name not in liftcalc.__all__
         assert not hasattr(verify, name)
     assert "notes" not in lifts.SolveCertificate.__dataclass_fields__
-    assert not hasattr(lifts._Engine("vector", "v", 1), "labels")
+    assert not hasattr(lifts._System((), [], 0), "labels")
     for cls, methods in RETIRED_METHODS.items():
         for method in methods:
             assert not hasattr(cls, method), f"{cls.__name__}.{method}"
