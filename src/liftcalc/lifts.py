@@ -62,7 +62,16 @@ checked.  The (0,2) pair equations ``P B P^T = R``, i.e. ``(P (x) P)
 vec(B) = vec(R)``, are two rounds of replays on P.  Each test field is
 lifted once per chart and order, by the system of its family (the pairing
 or the holdout), which keeps the lifts beside its rows, so
-:func:`clear_lift_cache` drops them with it.  Every solution is then
+:func:`clear_lift_cache` drops them with it.  The determined vector lift
+is linear over the Gaussian rationals too, so one bounded table
+(``_VF_TERM_CACHE``) keeps the certified lifts of the one-term fields
+``m d/dx_j`` with coefficient 1, each made by one public vector solve, and
+three consumers sum theirs from it: the test fields' complete lifts and
+the (1,1) right-hand sides and holdout residuals.  Each consumer certifies
+its own result against its own equations and holdout.  The public vector
+solve, and the identity suites' vector clauses, still solve the whole
+field: a sum carries no certificate of its own, and a linearity clause
+would test the table against itself.  Every solution is then
 checked against every equation of its system, solved or checked, and, per
 input, against the defining equation on a disjoint holdout family (the
 ``*_defining_residuals`` functions); any nonzero residual raises, so a
@@ -121,9 +130,13 @@ VF_KINDS = ("v", "c", "cv")
 
 # Cache bounds.  One `check all --m 1 --k 2` run (seeds 3 and 11) leaves 92
 # per-monomial entries in `_complete_expr`, so its bound holds far larger
-# charts and orders without evicting.
+# charts and orders without evicting.  The one-term vector lifts number 91
+# after `check all --m 1 --k 2 --seed 0`, 608 after `check tensors --m 2
+# --k 4` and 1,360 after `check all --m 2 --k 5`, the largest run CI makes,
+# which their bound holds without evicting.
 _COMPLETE_CACHE_SIZE = 8192
 _SYSTEM_CACHE_SIZE = 256
+_VF_TERM_CACHE_SIZE = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +257,11 @@ def _lift_scalar_expr(expr: Expr, kind: str, k: int, r: int | None,
 
 def clear_lift_cache() -> None:
     """Empty the process's lift caches: the per-monomial complete-lift
-    table and the defining systems, with the test families and their
-    lifts."""
+    table, the defining systems, with the test families and their lifts,
+    and the table of one-term vector lifts (``_VF_TERM_CACHE``)."""
     _complete_expr.cache_clear()
     _SYSTEM_CACHE.clear()
+    _VF_TERM_CACHE.clear()
 
 
 def fn_vertical(f: ScalarField, steps: int = 1) -> ScalarField:
@@ -722,17 +736,24 @@ class _System:
 _SYSTEM_CACHE: OrderedDict = OrderedDict()
 
 
-def _system(key: tuple) -> _System:
-    """``key[0](*key[1:])``, built on a miss; the least recently used entry
-    goes once the cache holds more than `_SYSTEM_CACHE_SIZE`."""
-    value = _SYSTEM_CACHE.get(key)
+def _lru(cache: OrderedDict, bound: int, key: tuple, build, *args):
+    """``cache[key]``, or ``build(*args)`` stored there on a miss; the least
+    recently used entry goes once the cache holds more than `bound`.  A
+    build that raises stores nothing."""
+    value = cache.get(key)
     if value is None:
-        value = _SYSTEM_CACHE[key] = key[0](*key[1:])
-        if len(_SYSTEM_CACHE) > _SYSTEM_CACHE_SIZE:
-            _SYSTEM_CACHE.popitem(last=False)
+        value = cache[key] = build(*args)
+        if len(cache) > bound:
+            cache.popitem(last=False)
     else:
-        _SYSTEM_CACHE.move_to_end(key)
+        cache.move_to_end(key)
     return value
+
+
+def _system(key: tuple) -> _System:
+    """``key[0](*key[1:])``, built on a miss and kept in `_SYSTEM_CACHE`
+    (bound `_SYSTEM_CACHE_SIZE`)."""
+    return _lru(_SYSTEM_CACHE, _SYSTEM_CACHE_SIZE, key, key[0], *key[1:])
 
 
 def _refuse_nonzero(what: str, residuals: Iterable[Expr]) -> None:
@@ -794,6 +815,19 @@ def _vf_holdout(chart0: ChartSpec, k: int) -> _System:
                       chart0.extend(k).coordinates(), k)
 
 
+def _pinned_time(Z: VectorField, kind: str) -> dict[CoordId, Expr]:
+    """The time component that a complete or complete-vertical lift keeps
+    as it is, which must be constant; a vertical lift solves for it."""
+    if kind == "v" or not Z.chart.has_time:
+        return {}
+    tc = Z.component(TIME)
+    if not tc.is_constant():
+        raise LiftError(
+            "complete and complete-vertical lifts require a constant "
+            f"time component, got {format_expr(tc)}")
+    return {TIME: tc}
+
+
 def vf_lift_solve_certified(Z: VectorField, kind: str, k: int, *,
                             r: int | None = None, s: int | None = None
                             ) -> tuple[VectorField, SolveCertificate]:
@@ -809,18 +843,8 @@ def vf_lift_solve_certified(Z: VectorField, kind: str, k: int, *,
     neither has the family, and its error is raised."""
     chart0 = _require_base_chart(Z, "determined lift input")
     r, s = _check_kind(kind, k, r, s)
-    pinned: dict[CoordId, Expr] = {}
-    include_time = False
-    if chart0.has_time:
-        if kind == "v":
-            include_time = True
-        else:
-            tc = Z.component(TIME)
-            if not tc.is_constant():
-                raise LiftError(
-                    "complete and complete-vertical lifts require a constant "
-                    f"time component, got {format_expr(tc)}")
-            pinned[TIME] = tc
+    pinned = _pinned_time(Z, kind)
+    include_time = chart0.has_time and kind == "v"
     coords = _vf_layout(chart0, k, include_time)
     what = f"vector {kind}-lift"
     family = _system((_vf_family, chart0, k, include_time))
@@ -861,14 +885,58 @@ def vf_defining_residuals(Z: VectorField, lifted: VectorField, kind: str,
                                       for c in target.coordinates()]))
 
 
+# -- vector lifts composed from one-term lifts --------------------------------
+
+# The determined lifts of coefficient-1 one-term fields ``m d/dx_j``, keyed
+# (chart, direction, monomial, kind, order).  Each entry is one certified
+# `vf_lift_solve`; a refused solve stores nothing.
+_VF_TERM_CACHE: OrderedDict = OrderedDict()
+
+
+def _vf_term_lift(chart0: ChartSpec, direction: CoordId, m: tuple, kind: str,
+                  k: int) -> VectorField:
+    """The certified lift of ``m d/d(direction)``, called through the public
+    solve's module-level name so a wrapper installed on it sees the call."""
+    return vf_lift_solve(VectorField(chart0, {direction: _expr({m: GR_ONE})}),
+                         kind, k)
+
+
+def _vf_lift_composed(Z: VectorField, kind: str, k: int) -> VectorField:
+    """The determined `kind`-lift ("v" or "c") of `Z`, summed as ``sum c *
+    (m d/dx_j)^lift`` over the terms ``c*m`` of its components from
+    `_VF_TERM_CACHE` (bound `_VF_TERM_CACHE_SIZE`).  `Z` is checked as a
+    whole first, as the public solve checks it, so every refusal keeps its
+    text.  The sum has no certificate of its own; only consumers that
+    certify their own results call this (see the module docstring)."""
+    chart0 = _require_base_chart(Z, "determined lift input")
+    _check_kind(kind, k, None, None)
+    _pinned_time(Z, kind)
+    lifts = [(c, _lru(_VF_TERM_CACHE, _VF_TERM_CACHE_SIZE,
+                      (chart0, j, m, kind, k), _vf_term_lift,
+                      chart0, j, m, kind, k))
+             for j, comp in Z.components.items() for m, c in comp._terms.items()]
+    if len(lifts) == 1 and lifts[0][0] == GR_ONE:
+        return lifts[0][1]
+    acc: dict[CoordId, dict] = {}
+    for c, lifted in lifts:
+        for a, comp in lifted.components.items():
+            terms = comp._terms.items()
+            if c != GR_ONE:
+                terms = [(m, x * c) for m, x in terms]
+            _accumulate(acc.setdefault(a, {}), terms)
+    return VectorField(chart0.extend(k), {a: _expr(acc[a]) for a in
+                                          sorted(acc, key=CoordId.sort_key)})
+
+
 # -- test vector fields and their complete lifts ------------------------------
 
 def _field_system(fields: tuple[VectorField, ...], chart0: ChartSpec, k: int,
                   solved: int | None = None) -> _System:
     """Test vector fields against the components of their complete lifts,
-    each field lifted once and its lift kept beside its row."""
+    each field lifted once, through the one-term table, and its lift kept
+    beside its row."""
     position = {c: p for p, c in enumerate(chart0.extend(k).coordinates())}
-    lifted = tuple(vf_lift_solve(X, "c", k) for X in fields)
+    lifted = tuple(_vf_lift_composed(X, "c", k) for X in fields)
     rows = [{position[c]: comp for c, comp in Xc.components.items()}
             for Xc in lifted]
     return _System(fields, rows, len(position), solved, lifted)
@@ -973,7 +1041,7 @@ def t11_lift_solve_certified(phi: EndoField, kind: str, k: int
     coords = list(target.coordinates())
     what = f"(1,1)-tensor {kind}-lift"
     system = _system((_pairing, chart0, k))
-    lifted = [vf_lift_solve(phi.apply_vector(X), kind, k)
+    lifted = [_vf_lift_composed(phi.apply_vector(X), kind, k)
               for X in system.items]
     rows = [system.solve([Y.component(a) for Y in lifted],
                          [f"E_{a.name}__{b.name}" for b in coords], what)
@@ -1002,8 +1070,8 @@ def t11_defining_residuals(phi: EndoField, lifted: EndoField, kind: str,
     target = lifted.chart
     holdout = _system((_holdout, chart0, k))
     for X, Xc in zip(holdout.items, holdout.lifted):
-        diff = lifted.apply_vector(Xc) - vf_lift_solve(phi.apply_vector(X),
-                                                        kind, k)
+        diff = lifted.apply_vector(Xc) - _vf_lift_composed(
+            phi.apply_vector(X), kind, k)
         for coord in target.coordinates():
             out.append(diff.component(coord))
     return out

@@ -139,8 +139,11 @@ def test_endo_lift_checks_stay_live(monkeypatch):
     held_out = VectorField(C0, {Z: z ** 3})    # phi(X) for a holdout X
     right = L.vf_lift_solve
 
-    # The holdout fields' own lifts are cached by the first solve of
-    # `second`, so only the right-hand side (phi X)^lift is corrupted.
+    # The holdout fields' own complete lifts are kept in the holdout system
+    # by the first solve of `second`, so only the v-lift of z^3 d/dz0_1 is
+    # wrong: the one-term entry that (phi X)^lift is composed from.  The
+    # wrong entry goes into a throwaway one-term table, which the context
+    # drops, so no later solve can read it, whatever its terms.
     def corrupt(patch):
         def lift(Y, kind, k):
             out = right(Y, kind, k)
@@ -148,6 +151,7 @@ def test_endo_lift_checks_stay_live(monkeypatch):
                 return out + VectorField(out.chart, {TIME: 1})
             return out
         patch.setattr(L, "vf_lift_solve", lift)
+        patch.setattr(L, "_VF_TERM_CACHE", type(L._VF_TERM_CACHE)())
 
     _assert_cached_solve_survives(
         monkeypatch, lambda phi: L.t11_lift_solve_certified(phi, "v", K),
@@ -459,6 +463,129 @@ def test_each_test_field_is_lifted_once(monkeypatch, chart0, k, solves):
     assert lifted == list(pairing.items) + list(holdout.items)
     assert len(lifted) == solves
     assert not any(Y in lifted[:n] for n, Y in enumerate(lifted))
+
+
+def _one_terms(fields, kind):
+    """The (direction, monomial, kind) of every term of every field, the
+    monomial as the one-term table keys it."""
+    return {(j, m, kind) for Y in fields for j, v in Y.components.items()
+            for m in v._terms}
+
+
+def _outcome(lift, *args):
+    try:
+        return lift(*args)
+    except L.LiftError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("has_time", [True, False], ids=["time", "no-time"])
+@pytest.mark.parametrize("m,k", [(1, 2), (1, 3), (2, 2)])
+@pytest.mark.parametrize("kind", ["v", "c"])
+def test_composed_vector_lift_is_the_public_solve(kind, m, k, has_time):
+    """Summed from the one-term table, (phi X)^lift equals the public
+    solve's lift of phi X, or is refused with its text, for every pairing
+    and holdout field X.  The dt entry gives phi X a constant time
+    component; the d/dz0_1 one a non-constant one, which the c-lift
+    refuses."""
+    L.clear_lift_cache()
+    chart0 = ChartSpec(m, 0, has_time)
+    fields = (L._pairing(chart0, k).items
+              + L._system((L._holdout, chart0, k)).items)
+    for seed in (0, 3):
+        phi = FieldGen(seed).endo(chart0)
+        if has_time:
+            phi = phi + EndoField(chart0, {(TIME, TIME): 3, (TIME, Z): seed})
+        for X in fields:
+            Y = phi.apply_vector(X)
+            composed = _outcome(L._vf_lift_composed, Y, kind, k)
+            assert composed == _outcome(L.vf_lift_solve, Y, kind, k)
+    L.clear_lift_cache()
+
+
+@pytest.mark.parametrize("chart0,kind", [(C0, "v"), (C0, "c"),
+                                         (ChartSpec(2, 0, False), "c")],
+                         ids=["m1-time-v", "m1-time-c", "m2-c"])
+def test_endo_lift_solves_each_one_term_field_once(monkeypatch, chart0, kind):
+    """A cold (1,1) lift solves the lift of each distinct one-term field
+    once: the test fields' complete lifts and the terms of every phi X,
+    shared where they meet.  A second phi with the same terms solves
+    nothing new."""
+    right = L.vf_lift_solve
+    solved = []
+
+    def counted(Y, kind, k, **split):
+        ((j, v),) = Y.components.items()
+        ((m, c),) = v._terms.items()
+        assert c == 1
+        solved.append((j, m, kind))
+        return right(Y, kind, k, **split)
+
+    L.clear_lift_cache()
+    monkeypatch.setattr(L, "vf_lift_solve", counted)
+    phi = FieldGen(0).endo(chart0)
+    L.t11_lift_solve(phi, kind, K)
+    fields = (L._system((L._pairing, chart0, K)).items
+              + L._system((L._holdout, chart0, K)).items)
+    expected = (_one_terms(fields, "c")
+                | _one_terms([phi.apply_vector(X) for X in fields], kind))
+    assert len(solved) == len(set(solved)) and set(solved) == expected
+    assert set(L._VF_TERM_CACHE) == {(chart0, *key, K) for key in expected}
+    L.t11_lift_solve(phi.scaled(Expr.imag_unit() + 2), kind, K)
+    assert len(solved) == len(expected)
+    L.clear_lift_cache()
+    assert not L._VF_TERM_CACHE
+
+
+def test_one_term_table_evicts_the_least_recently_used(monkeypatch):
+    """The table keeps `_VF_TERM_CACHE_SIZE` entries; a hit is moved to the
+    end, an evicted entry is solved again, and clear_lift_cache() empties
+    it."""
+    right = L.vf_lift_solve
+    solved = []
+
+    def counted(Y, kind, k, **split):
+        solved.append(Y)
+        return right(Y, kind, k, **split)
+
+    L.clear_lift_cache()
+    monkeypatch.setattr(L, "_VF_TERM_CACHE_SIZE", 3)
+    monkeypatch.setattr(L, "vf_lift_solve", counted)
+    fields = [VectorField(C0, {ZB: z ** d}) for d in range(5)]
+    keys = [(C0, ZB, next(iter(X.component(ZB)._terms)), "v", K)
+            for X in fields]
+    for X in fields:
+        assert L._vf_lift_composed(X, "v", K) == right(X, "v", K)
+    assert list(L._VF_TERM_CACHE) == keys[2:]
+    L._vf_lift_composed(fields[2], "v", K)
+    assert list(L._VF_TERM_CACHE) == [keys[3], keys[4], keys[2]]
+    assert solved == fields
+    L._vf_lift_composed(fields[0], "v", K)
+    assert list(L._VF_TERM_CACHE) == [keys[4], keys[2], keys[0]]
+    assert solved == fields + fields[:1]
+    L.clear_lift_cache()
+    assert not L._VF_TERM_CACHE
+
+
+def test_a_refused_one_term_solve_stores_nothing(monkeypatch):
+    """A one-term lift that fails its own holdout raises through the
+    composed lift and leaves no entry; once the fault is gone the same
+    term is solved and kept."""
+    X = VectorField(C0, {Z: z})
+    key = (C0, Z, next(iter(z._terms)), "v", K)
+    L.clear_lift_cache()
+    with monkeypatch.context() as patch:
+        # Z applied to the holdout function z^2*zb
+        _wrong_scalar_lift(patch, "v", 2 * z ** 2 * zb)
+        with pytest.raises(L.LiftError, match="holdout residual nonzero"):
+            L._vf_lift_composed(X.scaled(2), "v", K)
+        with pytest.raises(L.LiftError, match="holdout residual nonzero"):
+            L.t11_lift_solve(EndoField(C0, {(Z, Z): Expr.one()}), "v", K)
+    assert key not in L._VF_TERM_CACHE
+    assert L._vf_lift_composed(X.scaled(2), "v", K) == L.vf_lift_solve(
+        X.scaled(2), "v", K)
+    assert key in L._VF_TERM_CACHE
+    L.clear_lift_cache()
 
 
 def test_bilinear_holdout_size_counts_its_pair_equations():

@@ -6,6 +6,8 @@ records the defining equations and the holdout.  The covector half of the
 tensors suite's clauses T4 and T2).
 """
 
+import re
+
 import pytest
 
 from liftcalc.charts import ChartSpec
@@ -111,6 +113,17 @@ def test_t11_complete_lift_of_a_time_coupled_tensor():
     assert all(e.is_zero() for e in t11_defining_residuals(phi, lifted, "c", 1))
     with pytest.raises(LiftError, match="zero time component"):
         of_lift_solve(phi.apply_form(OneForm(chart, {Z01: Expr.one()})), "c", 1)
+
+
+def test_t11_complete_lift_refuses_a_non_constant_time_component():
+    # phi(d/dz0_1) = z0_1 d/dt + d/dz0_1, whose complete lift the vector
+    # solver refuses; the (1,1) lift passes that text on whole.
+    chart = ChartSpec(1, 0, True)
+    phi = EndoField(chart, {(TIME, Z01): parse("z0_1"), (Z01, Z01): 1})
+    with pytest.raises(LiftError, match="^" + re.escape(
+            "complete and complete-vertical lifts require a constant time "
+            "component, got z0_1") + "$"):
+        t11_lift_solve(phi, "c", 2)
 
 
 def test_t11_rejects_unsupported_kinds():
