@@ -59,25 +59,25 @@ lifts): every field of coefficient degree <= 1, all solved, when they are
 at least as many as the unknowns (k <= 2m); otherwise a square ladder of
 fields x^d d/dx, solved, then every other field of coefficient degree <= 2,
 checked.  The (0,2) pair equations ``P B P^T = R``, i.e. ``(P (x) P)
-vec(B) = vec(R)``, are two rounds of replays on P.  Each test field is
-lifted once per chart and order, by the system of its family (the pairing
-or the holdout), which keeps the lifts beside its rows, so
-:func:`clear_lift_cache` drops them with it.  The determined vector lift
-is linear over the Gaussian rationals too, so one bounded table
-(``_VF_TERM_CACHE``) keeps the certified lifts of the one-term fields
+vec(B) = vec(R)``, are two rounds of replays on P.  The determined vector
+lift is linear over the Gaussian rationals too, so one bounded table
+(:func:`_vf_term_lift`) keeps the certified lifts of the one-term fields
 ``m d/dx_j`` with coefficient 1, each made by one public vector solve, and
 three consumers sum theirs from it: the test fields' complete lifts and
-the (1,1) right-hand sides and holdout residuals.  Each consumer certifies
-its own result against its own equations and holdout.  The public vector
-solve, and the identity suites' vector clauses, still solve the whole
-field: a sum carries no certificate of its own, and a linearity clause
-would test the table against itself.  Every solution is then
-checked against every equation of its system, solved or checked, and, per
-input, against the defining equation on a disjoint holdout family (the
-``*_defining_residuals`` functions); any nonzero residual raises, so a
-returned lift carries a machine-checked certificate.  Equation n reads
-``sum(row_n[p] * x_p) == rhs_n``.  The replay reads only the rows that
-pivot, so the check against every equation is the only consistency check.
+the (1,1) right-hand sides and holdout residuals.  Each test field is one
+such term, so it is lifted once per chart and order and its lift is kept
+in the one-term table, where the (1,1) and (0,2) residuals read it again.
+Each consumer certifies its own result against its own equations and
+holdout.  The public vector solve, and the identity suites' vector
+clauses, still solve the whole field: a sum carries no certificate of its
+own, and a linearity clause would test the table against itself.  Every
+solution is then checked against every equation of its system, solved or
+checked, and, per input, against the defining equation on a disjoint
+holdout family (the ``*_defining_residuals`` functions); any nonzero
+residual raises, so a returned lift carries a machine-checked
+certificate.  Equation n reads ``sum(row_n[p] * x_p) == rhs_n``.  The
+replay reads only the rows that pivot, so the check against every equation
+is the only consistency check.
 
 **Lift routes.**  :func:`_lift` (defining) and :func:`_lift_closed` (closed
 form) are the one map from a field's class and a lift kind to the
@@ -90,6 +90,7 @@ from __future__ import annotations
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
@@ -130,10 +131,10 @@ VF_KINDS = ("v", "c", "cv")
 
 # Cache bounds.  One `check all --m 1 --k 2` run (seeds 3 and 11) leaves 92
 # per-monomial entries in `_complete_expr`, so its bound holds far larger
-# charts and orders without evicting.  The one-term vector lifts number 91
-# after `check all --m 1 --k 2 --seed 0`, 608 after `check tensors --m 2
-# --k 4` and 1,360 after `check all --m 2 --k 5`, the largest run CI makes,
-# which their bound holds without evicting.
+# charts and orders without evicting.  The one-term vector lifts
+# (`_vf_term_lift`) number 91 after `check all --m 1 --k 2 --seed 0`, 608
+# after `check tensors --m 2 --k 4` and 1,360 after `check all --m 2 --k 5`,
+# the largest run CI makes, which their bound holds without evicting.
 _COMPLETE_CACHE_SIZE = 8192
 _SYSTEM_CACHE_SIZE = 256
 _VF_TERM_CACHE_SIZE = 2048
@@ -257,11 +258,12 @@ def _lift_scalar_expr(expr: Expr, kind: str, k: int, r: int | None,
 
 def clear_lift_cache() -> None:
     """Empty the process's lift caches: the per-monomial complete-lift
-    table, the defining systems, with the test families and their lifts,
-    and the table of one-term vector lifts (``_VF_TERM_CACHE``)."""
+    table, the defining systems with their test families (:func:`_system`)
+    and the table of one-term vector lifts, the test fields' complete lifts
+    among them (:func:`_vf_term_lift`)."""
     _complete_expr.cache_clear()
-    _SYSTEM_CACHE.clear()
-    _VF_TERM_CACHE.clear()
+    _system.cache_clear()
+    _vf_term_lift.cache_clear()
 
 
 def fn_vertical(f: ScalarField, steps: int = 1) -> ScalarField:
@@ -649,8 +651,7 @@ class SolveCertificate:
     equations it was checked (``holdout_size``).  Both count in the op's
     unit: scalar equations for vector and one-form lifts, test fields
     (vector equations) for (1,1) lifts and ordered pairs of test fields for
-    (0,2) lifts.  A nonzero residual raises, so ``residuals_zero`` is always
-    True; other laws are the suites' to check."""
+    (0,2) lifts.  Other laws are the suites' to check."""
 
     op: str
     kind: str
@@ -659,7 +660,12 @@ class SolveCertificate:
     s: int | None
     family_size: int
     holdout_size: int
-    residuals_zero: bool
+
+    @property
+    def residuals_zero(self) -> bool:
+        """Always True: a nonzero residual raises before a certificate
+        exists."""
+        return True
 
 
 def _check_kind(kind: str, k: int, r: int | None, s: int | None
@@ -679,27 +685,18 @@ def _check_kind(kind: str, k: int, r: int | None, s: int | None
 
 class _System:
     """One defining system: its test items, each item's coefficient row
-    ``{position: Expr}``, for test vector fields their complete lifts
-    (`lifted`), and the factorisation of its first `solved` rows (all rows
-    by default), built on first use.  The rows after them are only checked,
-    never factored (a holdout's are only evaluated)."""
-
-    __slots__ = ("items", "lifted", "rows", "width", "solved", "_factor")
+    ``{position: Expr}``, and the factorisation of its first `solved` rows
+    (all rows by default), built on first use.  The rows after them are
+    only checked, never factored (a holdout's are only evaluated)."""
 
     def __init__(self, items: Sequence, rows: list[dict[int, Expr]],
-                 width: int, solved: int | None = None,
-                 lifted: Sequence = ()):
-        self.items, self.lifted = items, lifted
-        self.rows, self.width = rows, width
+                 width: int, solved: int | None = None):
+        self.items, self.rows, self.width = items, rows, width
         self.solved = len(rows) if solved is None else solved
-        self._factor = None
 
-    @property
+    @cached_property
     def factor(self) -> PolyLinearFactor:
-        if self._factor is None:
-            self._factor = PolyLinearFactor(self.rows[:self.solved],
-                                            self.width)
-        return self._factor
+        return PolyLinearFactor(self.rows[:self.solved], self.width)
 
     def solve(self, rhs: Sequence[Expr], names: Sequence[str], what: str
               ) -> list[Expr]:
@@ -729,31 +726,14 @@ class _System:
             yield _expr(acc)
 
 
-# Systems by key: the only place test families, and the test fields'
-# complete lifts, are kept.  A key is a builder followed by its arguments
-# (chart, order, whether t is an unknown); the system depends on nothing
-# else, so every input with the same key shares it and its factorisation.
-_SYSTEM_CACHE: OrderedDict = OrderedDict()
-
-
-def _lru(cache: OrderedDict, bound: int, key: tuple, build, *args):
-    """``cache[key]``, or ``build(*args)`` stored there on a miss; the least
-    recently used entry goes once the cache holds more than `bound`.  A
-    build that raises stores nothing."""
-    value = cache.get(key)
-    if value is None:
-        value = cache[key] = build(*args)
-        if len(cache) > bound:
-            cache.popitem(last=False)
-    else:
-        cache.move_to_end(key)
-    return value
-
-
+@lru_cache(maxsize=_SYSTEM_CACHE_SIZE)
 def _system(key: tuple) -> _System:
-    """``key[0](*key[1:])``, built on a miss and kept in `_SYSTEM_CACHE`
-    (bound `_SYSTEM_CACHE_SIZE`)."""
-    return _lru(_SYSTEM_CACHE, _SYSTEM_CACHE_SIZE, key, key[0], *key[1:])
+    """The defining system ``key[0](*key[1:])``, the only place test
+    families are kept.  A key is a builder followed by its arguments
+    (chart, order, whether t is an unknown); the system depends on nothing
+    else, so every input with the same key shares it and its
+    factorisation.  A build that raises stores nothing."""
+    return key[0](*key[1:])
 
 
 def _refuse_nonzero(what: str, residuals: Iterable[Expr]) -> None:
@@ -861,7 +841,7 @@ def vf_lift_solve_certified(Z: VectorField, kind: str, k: int, *,
     residuals = vf_defining_residuals(Z, result, kind, k, r=r, s=s)
     _refuse_nonzero(what, residuals)
     return result, SolveCertificate("vector", kind, k, r, s, len(family.items),
-                                    len(residuals), True)
+                                    len(residuals))
 
 
 def vf_lift_solve(Z: VectorField, kind: str, k: int, *,
@@ -887,16 +867,14 @@ def vf_defining_residuals(Z: VectorField, lifted: VectorField, kind: str,
 
 # -- vector lifts composed from one-term lifts --------------------------------
 
-# The determined lifts of coefficient-1 one-term fields ``m d/dx_j``, keyed
-# (chart, direction, monomial, kind, order).  Each entry is one certified
-# `vf_lift_solve`; a refused solve stores nothing.
-_VF_TERM_CACHE: OrderedDict = OrderedDict()
-
-
+@lru_cache(maxsize=_VF_TERM_CACHE_SIZE)
 def _vf_term_lift(chart0: ChartSpec, direction: CoordId, m: tuple, kind: str,
                   k: int) -> VectorField:
-    """The certified lift of ``m d/d(direction)``, called through the public
-    solve's module-level name so a wrapper installed on it sees the call."""
+    """The certified lift of the coefficient-1 one-term field ``m
+    d/d(direction)``: one `vf_lift_solve`, kept per (chart, direction,
+    monomial, kind, order); a refused solve stores nothing.  The solve is
+    called through its module-level name so a wrapper installed on it sees
+    the call."""
     return vf_lift_solve(VectorField(chart0, {direction: _expr({m: GR_ONE})}),
                          kind, k)
 
@@ -904,16 +882,14 @@ def _vf_term_lift(chart0: ChartSpec, direction: CoordId, m: tuple, kind: str,
 def _vf_lift_composed(Z: VectorField, kind: str, k: int) -> VectorField:
     """The determined `kind`-lift ("v" or "c") of `Z`, summed as ``sum c *
     (m d/dx_j)^lift`` over the terms ``c*m`` of its components from
-    `_VF_TERM_CACHE` (bound `_VF_TERM_CACHE_SIZE`).  `Z` is checked as a
-    whole first, as the public solve checks it, so every refusal keeps its
-    text.  The sum has no certificate of its own; only consumers that
-    certify their own results call this (see the module docstring)."""
+    :func:`_vf_term_lift`.  `Z` is checked as a whole first, as the public
+    solve checks it, so every refusal keeps its text.  The sum has no
+    certificate of its own; only consumers that certify their own results
+    call this (see the module docstring)."""
     chart0 = _require_base_chart(Z, "determined lift input")
     _check_kind(kind, k, None, None)
     _pinned_time(Z, kind)
-    lifts = [(c, _lru(_VF_TERM_CACHE, _VF_TERM_CACHE_SIZE,
-                      (chart0, j, m, kind, k), _vf_term_lift,
-                      chart0, j, m, kind, k))
+    lifts = [(c, _vf_term_lift(chart0, j, m, kind, k))
              for j, comp in Z.components.items() for m, c in comp._terms.items()]
     if len(lifts) == 1 and lifts[0][0] == GR_ONE:
         return lifts[0][1]
@@ -933,13 +909,12 @@ def _vf_lift_composed(Z: VectorField, kind: str, k: int) -> VectorField:
 def _field_system(fields: tuple[VectorField, ...], chart0: ChartSpec, k: int,
                   solved: int | None = None) -> _System:
     """Test vector fields against the components of their complete lifts,
-    each field lifted once, through the one-term table, and its lift kept
-    beside its row."""
+    read from the one-term table, which keeps each lift."""
     position = {c: p for p, c in enumerate(chart0.extend(k).coordinates())}
-    lifted = tuple(_vf_lift_composed(X, "c", k) for X in fields)
-    rows = [{position[c]: comp for c, comp in Xc.components.items()}
-            for Xc in lifted]
-    return _System(fields, rows, len(position), solved, lifted)
+    rows = [{position[c]: comp for c, comp in
+             _vf_lift_composed(X, "c", k).components.items()}
+            for X in fields]
+    return _System(fields, rows, len(position), solved)
 
 
 def _holdout(chart0: ChartSpec, k: int) -> _System:
@@ -992,7 +967,7 @@ def of_lift_solve_certified(w: OneForm, kind: str, k: int, *,
     residuals = of_defining_residuals(w, result, kind, k, r=r, s=s)
     _refuse_nonzero(what, residuals)
     return result, SolveCertificate("oneform", kind, k, r, s,
-                                    len(system.items), len(residuals), True)
+                                    len(system.items), len(residuals))
 
 
 def of_lift_solve(w: OneForm, kind: str, k: int, *,
@@ -1052,8 +1027,7 @@ def t11_lift_solve_certified(phi: EndoField, kind: str, k: int
     _refuse_nonzero(what, t11_defining_residuals(phi, result, kind, k))
     holdout = _system((_holdout, chart0, k))
     return result, SolveCertificate("endo", kind, k, None, None,
-                                    len(system.items), len(holdout.items),
-                                    True)
+                                    len(system.items), len(holdout.items))
 
 
 def t11_lift_solve(phi: EndoField, kind: str, k: int) -> EndoField:
@@ -1068,8 +1042,8 @@ def t11_defining_residuals(phi: EndoField, lifted: EndoField, kind: str,
     _t_kind(kind, k)
     out: list[Expr] = []
     target = lifted.chart
-    holdout = _system((_holdout, chart0, k))
-    for X, Xc in zip(holdout.items, holdout.lifted):
+    for X in _system((_holdout, chart0, k)).items:
+        Xc = _vf_lift_composed(X, "c", k)
         diff = lifted.apply_vector(Xc) - _vf_lift_composed(
             phi.apply_vector(X), kind, k)
         for coord in target.coordinates():
@@ -1113,7 +1087,7 @@ def t02_lift_solve_certified(G: Bilinear, kind: str, k: int
     residuals = t02_defining_residuals(G, result, kind, k)
     _refuse_nonzero(what, residuals)
     return result, SolveCertificate("bilinear", kind, k, None, None,
-                                    len(tests) ** 2, len(residuals), True)
+                                    len(tests) ** 2, len(residuals))
 
 
 def t02_lift_solve(G: Bilinear, kind: str, k: int) -> Bilinear:
@@ -1128,10 +1102,10 @@ def t02_defining_residuals(G: Bilinear, lifted: Bilinear, kind: str, k: int
     coefficients."""
     chart0 = _require_base_chart(G, "determined lift input")
     _t_kind(kind, k)
-    held = _system((_holdout, chart0, k))
-    holdout = list(zip(held.items, held.lifted))
-    pairing = _system((_pairing, chart0, k))
-    basis = [(X, Xc) for X, Xc in zip(pairing.items, pairing.lifted)
+    holdout = [(X, _vf_lift_composed(X, "c", k))
+               for X in _system((_holdout, chart0, k)).items]
+    basis = [(X, _vf_lift_composed(X, "c", k))
+             for X in _system((_pairing, chart0, k)).items
              if all(c.is_constant() for c in X.components.values())]
     pairs = [pair for X in holdout for Y in basis for pair in ((X, Y), (Y, X))]
     pairs += [(X, Y) for i, X in enumerate(holdout) for Y in holdout[i:]]

@@ -8,6 +8,7 @@ cache, and the failure must not spoil the cache for the next input.
 """
 
 import re
+from functools import lru_cache
 
 import pytest
 
@@ -48,14 +49,14 @@ def _assert_cached_solve_survives(monkeypatch, solve, first, second, corrupt,
     L.clear_lift_cache()
     expected, cert = solve(second)
     assert cert.residuals_zero
-    entries = len(L._SYSTEM_CACHE)
+    entries = L._system.cache_info().currsize
     with monkeypatch.context() as patch:
         corrupt(patch)
         with pytest.raises(L.LiftError, match=message):
             solve(first)
     again, cert = solve(second)
     assert again == expected and cert.residuals_zero
-    assert len(L._SYSTEM_CACHE) == entries
+    assert L._system.cache_info().currsize == entries
 
 
 @pytest.mark.parametrize("value, message", [
@@ -139,19 +140,20 @@ def test_endo_lift_checks_stay_live(monkeypatch):
     held_out = VectorField(C0, {Z: z ** 3})    # phi(X) for a holdout X
     right = L.vf_lift_solve
 
-    # The holdout fields' own complete lifts are kept in the holdout system
-    # by the first solve of `second`, so only the v-lift of z^3 d/dz0_1 is
-    # wrong: the one-term entry that (phi X)^lift is composed from.  The
-    # wrong entry goes into a throwaway one-term table, which the context
-    # drops, so no later solve can read it, whatever its terms.
+    # Only the v-lift of z^3 d/dz0_1 is wrong: the one-term entry that
+    # (phi X)^lift is composed from; the complete lift of the same field, a
+    # holdout field, stays right.  The wrong entry goes into a throwaway
+    # one-term table, which the context drops, so no later solve can read
+    # it, whatever its terms.
     def corrupt(patch):
         def lift(Y, kind, k):
             out = right(Y, kind, k)
-            if Y == held_out:
+            if Y == held_out and kind == "v":
                 return out + VectorField(out.chart, {TIME: 1})
             return out
         patch.setattr(L, "vf_lift_solve", lift)
-        patch.setattr(L, "_VF_TERM_CACHE", type(L._VF_TERM_CACHE)())
+        patch.setattr(L, "_vf_term_lift", lru_cache(
+            maxsize=L._VF_TERM_CACHE_SIZE)(L._vf_term_lift.__wrapped__))
 
     _assert_cached_solve_survives(
         monkeypatch, lambda phi: L.t11_lift_solve_certified(phi, "v", K),
@@ -441,13 +443,26 @@ def test_test_families_are_built_once_as_tuples(monkeypatch, name, args,
     assert type(first) is tuple and first and again == first
 
 
-@pytest.mark.parametrize("chart0,k,solves", [(C0, 2, 11), (C0, 3, 19),
-                                            (M2, 5, 89)],
-                         ids=["m1-k2", "m1-k3", "m2-k5"])
-def test_each_test_field_is_lifted_once(monkeypatch, chart0, k, solves):
-    """A cold one-form lift solves the complete lift of each field of its
-    pairing and of its holdout once, and no other vector lift, though above
-    k = 2m the ladder's fields are also fields of coefficient degree <= 2."""
+def _oneform_v(chart0, k):
+    L.of_lift_solve(FieldGen(0).oneform(chart0), "v", k)
+
+
+def _bilinear_c(chart0, k):
+    L.t02_lift_solve(FieldGen(0).bilinear(chart0), "c", k)
+
+
+@pytest.mark.parametrize("lift,chart0,k,solves", [
+    (_oneform_v, C0, 2, 11), (_oneform_v, C0, 3, 19), (_oneform_v, M2, 5, 89),
+    (_bilinear_c, C0, 2, 11), (_bilinear_c, ChartSpec(1, 0, False), 3, 18),
+    (_bilinear_c, M2_NO_TIME, 3, 36),
+], ids=["m1-k2", "m1-k3", "m2-k5", "bilinear-m1-k2", "bilinear-m1-no-time-k3",
+        "bilinear-m2-no-time-k3"])
+def test_each_test_field_is_lifted_once(monkeypatch, lift, chart0, k, solves):
+    """A cold one-form or (0,2) lift solves the complete lift of each field
+    of its pairing and of its holdout once, and no other vector lift, though
+    above k = 2m the ladder's fields are also fields of coefficient degree
+    <= 2.  The (0,2) residuals read those lifts again from the one-term
+    table, and solve nothing."""
     right = L.vf_lift_solve
     lifted = []
 
@@ -457,7 +472,7 @@ def test_each_test_field_is_lifted_once(monkeypatch, chart0, k, solves):
 
     L.clear_lift_cache()
     monkeypatch.setattr(L, "vf_lift_solve", counted)
-    L.of_lift_solve(FieldGen(0).oneform(chart0), "v", k)
+    lift(chart0, k)
     pairing = L._system((L._pairing, chart0, k))
     holdout = L._system((L._holdout, chart0, k))
     assert lifted == list(pairing.items) + list(holdout.items)
@@ -518,7 +533,7 @@ def test_endo_lift_solves_each_one_term_field_once(monkeypatch, chart0, kind):
         ((j, v),) = Y.components.items()
         ((m, c),) = v._terms.items()
         assert c == 1
-        solved.append((j, m, kind))
+        solved.append((Y.chart, j, m, kind, k))
         return right(Y, kind, k, **split)
 
     L.clear_lift_cache()
@@ -527,20 +542,21 @@ def test_endo_lift_solves_each_one_term_field_once(monkeypatch, chart0, kind):
     L.t11_lift_solve(phi, kind, K)
     fields = (L._system((L._pairing, chart0, K)).items
               + L._system((L._holdout, chart0, K)).items)
-    expected = (_one_terms(fields, "c")
-                | _one_terms([phi.apply_vector(X) for X in fields], kind))
+    expected = {(chart0, *key, K) for key in (
+        _one_terms(fields, "c")
+        | _one_terms([phi.apply_vector(X) for X in fields], kind))}
     assert len(solved) == len(set(solved)) and set(solved) == expected
-    assert set(L._VF_TERM_CACHE) == {(chart0, *key, K) for key in expected}
+    assert L._vf_term_lift.cache_info().currsize == len(expected)
     L.t11_lift_solve(phi.scaled(Expr.imag_unit() + 2), kind, K)
     assert len(solved) == len(expected)
     L.clear_lift_cache()
-    assert not L._VF_TERM_CACHE
+    assert L._vf_term_lift.cache_info().currsize == 0
 
 
-def test_one_term_table_evicts_the_least_recently_used(monkeypatch):
-    """The table keeps `_VF_TERM_CACHE_SIZE` entries; a hit is moved to the
-    end, an evicted entry is solved again, and clear_lift_cache() empties
-    it."""
+def test_one_term_table_keeps_each_lift_until_cleared(monkeypatch):
+    """Each one-term field is solved once and read from the table after
+    that; once clear_lift_cache() empties the table, it is solved again.
+    The table's bound is `test_lift_caches_hold_their_bound_and_clear`'s."""
     right = L.vf_lift_solve
     solved = []
 
@@ -549,22 +565,19 @@ def test_one_term_table_evicts_the_least_recently_used(monkeypatch):
         return right(Y, kind, k, **split)
 
     L.clear_lift_cache()
-    monkeypatch.setattr(L, "_VF_TERM_CACHE_SIZE", 3)
     monkeypatch.setattr(L, "vf_lift_solve", counted)
     fields = [VectorField(C0, {ZB: z ** d}) for d in range(5)]
-    keys = [(C0, ZB, next(iter(X.component(ZB)._terms)), "v", K)
-            for X in fields]
     for X in fields:
         assert L._vf_lift_composed(X, "v", K) == right(X, "v", K)
-    assert list(L._VF_TERM_CACHE) == keys[2:]
-    L._vf_lift_composed(fields[2], "v", K)
-    assert list(L._VF_TERM_CACHE) == [keys[3], keys[4], keys[2]]
+    assert L._vf_lift_composed(fields[2].scaled(3), "v", K) == right(
+        fields[2].scaled(3), "v", K)
     assert solved == fields
+    assert L._vf_term_lift.cache_info().currsize == len(fields)
+    L.clear_lift_cache()
+    assert L._vf_term_lift.cache_info().currsize == 0
     L._vf_lift_composed(fields[0], "v", K)
-    assert list(L._VF_TERM_CACHE) == [keys[4], keys[2], keys[0]]
     assert solved == fields + fields[:1]
     L.clear_lift_cache()
-    assert not L._VF_TERM_CACHE
 
 
 def test_a_refused_one_term_solve_stores_nothing(monkeypatch):
@@ -572,20 +585,34 @@ def test_a_refused_one_term_solve_stores_nothing(monkeypatch):
     composed lift and leaves no entry; once the fault is gone the same
     term is solved and kept."""
     X = VectorField(C0, {Z: z})
-    key = (C0, Z, next(iter(z._terms)), "v", K)
     L.clear_lift_cache()
     with monkeypatch.context() as patch:
         # Z applied to the holdout function z^2*zb
         _wrong_scalar_lift(patch, "v", 2 * z ** 2 * zb)
         with pytest.raises(L.LiftError, match="holdout residual nonzero"):
             L._vf_lift_composed(X.scaled(2), "v", K)
+        assert L._vf_term_lift.cache_info().currsize == 0
         with pytest.raises(L.LiftError, match="holdout residual nonzero"):
             L.t11_lift_solve(EndoField(C0, {(Z, Z): Expr.one()}), "v", K)
-    assert key not in L._VF_TERM_CACHE
+    before = L._vf_term_lift.cache_info()
     assert L._vf_lift_composed(X.scaled(2), "v", K) == L.vf_lift_solve(
         X.scaled(2), "v", K)
-    assert key in L._VF_TERM_CACHE
+    after = L._vf_term_lift.cache_info()
+    assert (after.misses, after.currsize) == (before.misses + 1,
+                                              before.currsize + 1)
+    L._vf_lift_composed(X, "v", K)
+    assert L._vf_term_lift.cache_info().hits == after.hits + 1
     L.clear_lift_cache()
+
+
+def test_residuals_zero_is_read_only_and_true():
+    """A nonzero residual raises before a certificate exists, so a
+    certificate stores no flag for it and always reads True."""
+    assert "residuals_zero" not in L.SolveCertificate.__dataclass_fields__
+    _, cert = L.vf_lift_solve_certified(VectorField(C0, {Z: z}), "v", 1)
+    assert cert.residuals_zero is True
+    with pytest.raises(AttributeError):
+        cert.residuals_zero = False
 
 
 def test_bilinear_holdout_size_counts_its_pair_equations():
@@ -599,19 +626,27 @@ def test_bilinear_holdout_size_counts_its_pair_equations():
     assert cert.holdout_size == len(residuals)
 
 
-def test_system_cache_holds_only_systems():
+def test_system_cache_holds_only_systems(monkeypatch):
     """After a lift of each op, every cache entry is one defining system:
     a vector lift's family and holdout, the pairing and its holdout."""
     L.clear_lift_cache()
+    system = L._system
+    entries = {}
+
+    def recorded(key):
+        entries[key] = system(key)
+        return entries[key]
+
+    monkeypatch.setattr(L, "_system", recorded)
     gen = FieldGen(0)
     for k in (2, 3):
         L.vf_lift_solve(gen.vector(C0), "v", k)
         L.of_lift_solve(gen.oneform(C0), "v", k)
         L.t11_lift_solve(gen.endo(C0), "v", k)
         L.t02_lift_solve(gen.bilinear(C0), "v", k)
-    assert all(type(system) is L._System
-               for system in L._SYSTEM_CACHE.values())
-    assert {key[0] for key in L._SYSTEM_CACHE} == {
+    assert system.cache_info().currsize == len(entries)
+    assert all(type(value) is L._System for value in entries.values())
+    assert {key[0] for key in entries} == {
         L._vf_family, L._vf_holdout, L._pairing, L._holdout}
 
 
@@ -663,38 +698,46 @@ def test_each_op_names_its_positions(monkeypatch):
         assert all(n[0].startswith(prefixes + ("U_", "W_")) for n in names)
 
 
-def test_bounded_cache_evicts_the_least_recently_used(monkeypatch):
+def test_bounded_cache_evicts_the_least_recently_used():
+    """Filled past `_SYSTEM_CACHE_SIZE` by a cheap builder, the system
+    cache holds its bound: a hit builds nothing, and the entry left unused
+    longest is the one built again."""
     built = []
 
     def build(n):
         built.append(n)
         return object()
 
+    bound = L._SYSTEM_CACHE_SIZE
     L.clear_lift_cache()
-    monkeypatch.setattr(L, "_SYSTEM_CACHE_SIZE", 3)
     try:
-        for n in range(5):
+        for n in range(bound):
             L._system((build, n))
-        assert list(L._SYSTEM_CACHE) == [(build, n) for n in (2, 3, 4)]
-        hit = L._SYSTEM_CACHE[(build, 2)]
-        assert L._system((build, 2)) is hit and built == [0, 1, 2, 3, 4]
-        L._system((build, 5))
-        assert list(L._SYSTEM_CACHE) == [(build, n) for n in (4, 2, 5)]
+        hit = L._system((build, 0))
+        L._system((build, bound))
+        assert L._system.cache_info().currsize == bound
+        assert L._system((build, 0)) is hit and built == list(range(bound + 1))
+        L._system((build, 1))
+        assert built == list(range(bound + 1)) + [1]
     finally:
         L.clear_lift_cache()
 
 
-def test_lift_caches_hold_their_bound_and_clear(monkeypatch):
-    """The test fields' complete lifts share the system cache's bound."""
+def test_lift_caches_hold_their_bound_and_clear():
+    """Each lift memory reports its named bound, holds no more, and
+    clear_lift_cache() empties all three."""
     L.clear_lift_cache()
-    monkeypatch.setattr(L, "_SYSTEM_CACHE_SIZE", 2)
     w = OneForm(C0, {Z: z, ZB: z * zb})
     for k in (1, 2, 3):
         assert L.of_lift_solve(w, "v", k) == L.of_vertical_closed(w, k)
-        assert len(L._SYSTEM_CACHE) == 2
+    memories = {L._complete_expr: L._COMPLETE_CACHE_SIZE,
+                L._system: L._SYSTEM_CACHE_SIZE,
+                L._vf_term_lift: L._VF_TERM_CACHE_SIZE}
+    for memory, bound in memories.items():
+        info = memory.cache_info()
+        assert info.maxsize == bound and 0 < info.currsize <= bound
     L.clear_lift_cache()
-    assert not L._SYSTEM_CACHE
-    assert L._complete_expr.cache_info().currsize == 0
+    assert all(memory.cache_info().currsize == 0 for memory in memories)
 
 
 def test_complete_lift_caches_are_bounded_and_clear():

@@ -33,13 +33,15 @@ REMOVED = ("UnknownId", "Atom", "ConjugationError", "NonlinearSystemError",
 # and the vector ladders' separate system went.  A defining system solves
 # itself, so the engine around it and its op-name table went, and each test
 # family is one system holding its fields' lifts, so the per-stage
-# test-lift entries went.
+# test-lift entries went.  The systems and the one-term vector lifts are
+# `functools.lru_cache`s, so the hand-written LRU and its dicts went, and a
+# system no longer keeps its fields' lifts beside the one-term table.
 RETIRED_LIFTS = ("t11_form_clause_notes", "complete_vf_cached",
                  "fn_complete_step", "_VF_SOLVE_CACHE", "_VF_SOLVE_CACHE_SIZE",
                  "_field_key", "_vf_solve_cached", "_bounded",
                  "vector_test_family", "_vf_ladder", "_FAMILY_CACHE_SIZE",
                  "_vf_ladders", "_PairEngine", "_Engine", "_OPS",
-                 "_test_lifts")
+                 "_test_lifts", "_lru", "_SYSTEM_CACHE", "_VF_TERM_CACHE")
 # A table nothing read.
 RETIRED_VERIFY = ("COMPARISON_SUBJECTS",)
 # Methods that nothing in the package, the demos, the scripts or the
@@ -91,7 +93,8 @@ def test_removed_names_are_gone():
         assert name not in liftcalc.__all__
         assert not hasattr(verify, name)
     assert "notes" not in lifts.SolveCertificate.__dataclass_fields__
-    assert not hasattr(lifts._System((), [], 0), "labels")
+    assert not any(hasattr(lifts._System((), [], 0), name)
+                   for name in ("labels", "lifted"))
     for cls, methods in RETIRED_METHODS.items():
         for method in methods:
             assert not hasattr(cls, method), f"{cls.__name__}.{method}"
