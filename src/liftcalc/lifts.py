@@ -9,8 +9,10 @@ derivation, applied stepwise: each step sends f to
 the level of a z/zb coordinate by one (the time term only exists on charts
 with a time line).  The derivation is linear over the Gaussian rationals, so
 the k-step lift of ``sum c*m`` is ``sum c*D^k(m)``, read from one bounded
-table of coefficient-1 monomials keyed ``(m, k)``; a missing entry is derived
-stepwise from the largest cached step of its monomial below k.  Mixed lifts
+``lru_cache`` of coefficient-1 monomials keyed ``(m, k)``
+(:func:`_complete_term`).  Each lift reads its monomials' steps 1..k in
+order, so a missing step is one derivation of the cached step below it and
+nothing recurses on k.  Mixed lifts
 compose the two; the horizontal lift of a function is the complete lift minus
 the time-unscaled step (:func:`gamma_gradient`) of the previous complete
 lift, which vanishes identically for time-free functions.  The complete step
@@ -77,7 +79,8 @@ holdout family (the ``*_defining_residuals`` functions); any nonzero
 residual raises, so a returned lift carries a machine-checked
 certificate.  Equation n reads ``sum(row_n[p] * x_p) == rhs_n``.  The
 replay reads only the rows that pivot, so the check against every equation
-is the only consistency check.
+is the only consistency check.  Each op has one input check, which its
+solver and its residual function both make, so both refuse alike.
 
 **Lift routes.**  :func:`_lift` (defining) and :func:`_lift_closed` (closed
 form) are the one map from a field's class and a lift kind to the
@@ -87,7 +90,6 @@ every lift they do not name directly through them.
 
 from __future__ import annotations
 
-from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -130,7 +132,7 @@ class LiftError(Exception):
 VF_KINDS = ("v", "c", "cv")
 
 # Cache bounds.  One `check all --m 1 --k 2` run (seeds 3 and 11) leaves 92
-# per-monomial entries in `_complete_expr`, so its bound holds far larger
+# per-monomial steps in `_complete_term`, so its bound holds far larger
 # charts and orders without evicting.  The one-term vector lifts
 # (`_vf_term_lift`) number 91 after `check all --m 1 --k 2 --seed 0`, 608
 # after `check tensors --m 2 --k 4` and 1,360 after `check all --m 2 --k 5`,
@@ -179,69 +181,38 @@ def _derive(expr: Expr, time_scaled: bool) -> Expr:
     return _expr(acc)
 
 
-_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+@lru_cache(maxsize=_COMPLETE_CACHE_SIZE)
+def _complete_term(m: tuple, steps: int) -> Expr:
+    """``D^steps(m)`` of the coefficient-1 monomial `m` (``steps >= 1``),
+    one step from ``D^(steps-1)(m)``.  :func:`_complete_expr` reads a
+    monomial's steps upward, so the step below is a hit and no miss
+    recurses more than one level."""
+    below = _complete_term(m, steps - 1) if steps > 1 else _expr({m: GR_ONE})
+    return _derive(below, True)
 
 
-class _CompleteTable:
-    """The complete lift ``_complete_expr(expr, steps)`` as ``sum c *
-    D^steps(m)`` over the terms ``c*m`` of `expr`, with each ``D^steps(m)``
-    of a coefficient-1 monomial held in one table keyed ``(m, steps)``.
-    The least recently used entry goes once the table holds more than
-    `_COMPLETE_CACHE_SIZE`.  ``cache_info()`` and ``cache_clear()`` read and
-    empty it like an ``lru_cache``'s; a hit or miss is one monomial's lookup.
-
-    A missing entry is derived in a loop, never by recursion on `steps`,
-    from the largest cached step of its monomial below `steps`; every step
-    derived on the way is stored too."""
-
-    def __init__(self):
-        self._table: OrderedDict = OrderedDict()
-        self.hits = self.misses = 0
-
-    def __call__(self, expr: Expr, steps: int) -> Expr:
-        if steps <= 0:
-            return expr
-        terms = expr._terms
+def _complete_expr(expr: Expr, steps: int) -> Expr:
+    """The complete lift ``sum c * D^steps(m)`` over the terms ``c*m`` of
+    `expr`, each ``D^steps(m)`` read from :func:`_complete_term` after the
+    steps below it.  ``_complete_expr.cache_info()`` is that table's; the
+    benchmark's layer trace reads it."""
+    if steps <= 0:
+        return expr
+    terms = expr._terms
+    acc: dict = {}
+    for m, c in terms.items():
+        for step in range(1, steps + 1):
+            lifted = _complete_term(m, step)
         if len(terms) == 1:
-            ((m, c),) = terms.items()
-            lifted = self._lift(m, steps)
             return lifted if c == GR_ONE else lifted.scale(c)
-        acc: dict = {}
-        for m, c in terms.items():
-            lifted = self._lift(m, steps)._terms.items()
-            if c != GR_ONE:
-                lifted = [(lm, lc * c) for lm, lc in lifted]
-            _accumulate(acc, lifted)
-        return _expr(acc)
-
-    def _lift(self, m: tuple, steps: int) -> Expr:
-        table = self._table
-        out = table.get((m, steps))
-        if out is not None:
-            self.hits += 1
-            table.move_to_end((m, steps))
-            return out
-        self.misses += 1
-        start = steps - 1
-        while start and (m, start) not in table:
-            start -= 1
-        out = table[(m, start)] if start else _expr({m: GR_ONE})
-        for step in range(start + 1, steps + 1):
-            out = table[(m, step)] = _derive(out, True)
-            while len(table) > _COMPLETE_CACHE_SIZE:
-                table.popitem(last=False)
-        return out
-
-    def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(self.hits, self.misses, _COMPLETE_CACHE_SIZE,
-                         len(self._table))
-
-    def cache_clear(self) -> None:
-        self._table.clear()
-        self.hits = self.misses = 0
+        items = lifted._terms.items()
+        if c != GR_ONE:
+            items = [(lm, lc * c) for lm, lc in items]
+        _accumulate(acc, items)
+    return _expr(acc)
 
 
-_complete_expr = _CompleteTable()
+_complete_expr.cache_info = _complete_term.cache_info
 
 
 def _lift_scalar_expr(expr: Expr, kind: str, k: int, r: int | None,
@@ -261,7 +232,7 @@ def clear_lift_cache() -> None:
     table, the defining systems with their test families (:func:`_system`)
     and the table of one-term vector lifts, the test fields' complete lifts
     among them (:func:`_vf_term_lift`)."""
-    _complete_expr.cache_clear()
+    _complete_term.cache_clear()
     _system.cache_clear()
     _vf_term_lift.cache_clear()
 
@@ -795,17 +766,22 @@ def _vf_holdout(chart0: ChartSpec, k: int) -> _System:
                       chart0.extend(k).coordinates(), k)
 
 
-def _pinned_time(Z: VectorField, kind: str) -> dict[CoordId, Expr]:
-    """The time component that a complete or complete-vertical lift keeps
-    as it is, which must be constant; a vertical lift solves for it."""
-    if kind == "v" or not Z.chart.has_time:
-        return {}
+def _vf_input(Z: VectorField, kind: str, k: int, r: int | None = None,
+              s: int | None = None) -> tuple:
+    """The vector lift's one input check, made by its solver, its residuals
+    and :func:`_vf_lift_composed`.  Returns the base chart, the split and
+    the time component that kinds c and cv keep as it is, which must be
+    constant; a vertical lift solves for it."""
+    chart0 = _require_base_chart(Z, "determined lift input")
+    r, s = _check_kind(kind, k, r, s)
+    if kind == "v" or not chart0.has_time:
+        return chart0, r, s, {}
     tc = Z.component(TIME)
     if not tc.is_constant():
         raise LiftError(
             "complete and complete-vertical lifts require a constant "
             f"time component, got {format_expr(tc)}")
-    return {TIME: tc}
+    return chart0, r, s, {TIME: tc}
 
 
 def vf_lift_solve_certified(Z: VectorField, kind: str, k: int, *,
@@ -821,9 +797,7 @@ def vf_lift_solve_certified(Z: VectorField, kind: str, k: int, *,
     that solution.  The ladder system is square and nonsingular and its
     equations are a subset of the family's, so when it has no solution
     neither has the family, and its error is raised."""
-    chart0 = _require_base_chart(Z, "determined lift input")
-    r, s = _check_kind(kind, k, r, s)
-    pinned = _pinned_time(Z, kind)
+    chart0, r, s, pinned = _vf_input(Z, kind, k, r, s)
     include_time = chart0.has_time and kind == "v"
     coords = _vf_layout(chart0, k, include_time)
     what = f"vector {kind}-lift"
@@ -854,8 +828,7 @@ def vf_defining_residuals(Z: VectorField, lifted: VectorField, kind: str,
                           ) -> list[Expr]:
     """Residuals lifted(f^{c^k}) - (Z f)^lift over the holdout functions,
     evaluated on cached rows as the family check is."""
-    chart0 = _require_base_chart(Z, "determined lift input")
-    r, s = _check_kind(kind, k, r, s)
+    chart0, r, s, _ = _vf_input(Z, kind, k, r, s)
     target = chart0.extend(k)
     if lifted.chart != target:
         raise FieldError(f"chart mismatch: {lifted.chart} vs {target}")
@@ -886,9 +859,7 @@ def _vf_lift_composed(Z: VectorField, kind: str, k: int) -> VectorField:
     solve checks it, so every refusal keeps its text.  The sum has no
     certificate of its own; only consumers that certify their own results
     call this (see the module docstring)."""
-    chart0 = _require_base_chart(Z, "determined lift input")
-    _check_kind(kind, k, None, None)
-    _pinned_time(Z, kind)
+    chart0 = _vf_input(Z, kind, k)[0]
     lifts = [(c, _vf_term_lift(chart0, j, m, kind, k))
              for j, comp in Z.components.items() for m, c in comp._terms.items()]
     if len(lifts) == 1 and lifts[0][0] == GR_ONE:
@@ -940,6 +911,19 @@ def _pairing(chart0: ChartSpec, k: int) -> _System:
 
 # -- one-forms ----------------------------------------------------------------
 
+def _of_input(w: OneForm, kind: str, k: int, r: int | None, s: int | None
+              ) -> tuple:
+    """The one-form lift's one input check, made by its solver and its
+    residuals.  Returns the base chart and the split."""
+    chart0 = _require_base_chart(w, "determined lift input")
+    r, s = _check_kind(kind, k, r, s)
+    if kind != "v" and chart0.has_time and not w.component(TIME).is_zero():
+        raise LiftError(
+            f"one-form {kind}-lift requires a zero time component, got "
+            f"{format_expr(w.component(TIME))}")
+    return chart0, r, s
+
+
 def of_lift_solve_certified(w: OneForm, kind: str, k: int, *,
                             r: int | None = None, s: int | None = None
                             ) -> tuple[OneForm, SolveCertificate]:
@@ -949,12 +933,7 @@ def of_lift_solve_certified(w: OneForm, kind: str, k: int, *,
     with a dt term the defining equations contradict each other (pairing
     against the lifted time direction forces the dt coefficient to both
     survive and vanish)."""
-    chart0 = _require_base_chart(w, "determined lift input")
-    r, s = _check_kind(kind, k, r, s)
-    if kind != "v" and chart0.has_time and not w.component(TIME).is_zero():
-        raise LiftError(
-            f"one-form {kind}-lift requires a zero time component, got "
-            f"{format_expr(w.component(TIME))}")
+    chart0, r, s = _of_input(w, kind, k, r, s)
     target = chart0.extend(k)
     coords = list(target.coordinates())
     what = f"one-form {kind}-lift"
@@ -980,8 +959,7 @@ def of_defining_residuals(w: OneForm, lifted: OneForm, kind: str, k: int, *,
                           ) -> list[Expr]:
     """Residuals lifted(X^{c^k}) - (w X)^lift over the holdout vector
     fields, evaluated on their cached rows as the family check is."""
-    chart0 = _require_base_chart(w, "determined lift input")
-    r, s = _check_kind(kind, k, r, s)
+    chart0, r, s = _of_input(w, kind, k, r, s)
     target = chart0.extend(k)
     if lifted.chart != target:
         raise FieldError(f"chart mismatch: {lifted.chart} vs {target}")
@@ -993,11 +971,26 @@ def of_defining_residuals(w: OneForm, lifted: OneForm, kind: str, k: int, *,
 
 # -- (1,1)-tensors -------------------------------------------------------------
 
-def _t_kind(kind: str, k: int) -> None:
+def _t_input(T: EndoField | Bilinear, kind: str, k: int) -> ChartSpec:
+    """The (0,2) lift's one input check, made by its solver and its
+    residuals, and the first half of :func:`_t11_input`."""
+    chart0 = _require_base_chart(T, "determined lift input")
     if kind not in ("v", "c"):
         raise LiftError(f"tensor lifts support kinds 'v' and 'c', got {kind!r}")
     if k < 1:
         raise LiftError("determined lifts need k >= 1")
+    return chart0
+
+
+def _t11_input(phi: EndoField, kind: str, k: int) -> ChartSpec:
+    """The (1,1) lift's one input check, made by its solver and its
+    residuals: for a c-lift of a `phi` with a time row, the vector check of
+    each ``phi X`` in the solver's order, so both refuse with its text."""
+    chart0 = _t_input(phi, kind, k)
+    if kind == "c" and any(a == TIME for a, _ in phi.entries):
+        for X in _system((_pairing, chart0, k)).items:
+            _vf_input(phi.apply_vector(X), kind, k)
+    return chart0
 
 
 def t11_lift_solve_certified(phi: EndoField, kind: str, k: int
@@ -1010,8 +1003,7 @@ def t11_lift_solve_certified(phi: EndoField, kind: str, k: int
     determined lift, the certificate records the defining equations solved
     and the holdout checked; the covector half of the (1,1) law is the
     tensors suite's to check (clauses T2 and T4)."""
-    chart0 = _require_base_chart(phi, "determined lift input")
-    _t_kind(kind, k)
+    chart0 = _t11_input(phi, kind, k)
     target = chart0.extend(k)
     coords = list(target.coordinates())
     what = f"(1,1)-tensor {kind}-lift"
@@ -1038,8 +1030,7 @@ def t11_defining_residuals(phi: EndoField, lifted: EndoField, kind: str,
                            k: int) -> list[Expr]:
     """Component residuals of lifted(X^{c^k}) - (phi X)^lift over the
     holdout vector fields."""
-    chart0 = _require_base_chart(phi, "determined lift input")
-    _t_kind(kind, k)
+    chart0 = _t11_input(phi, kind, k)
     out: list[Expr] = []
     target = lifted.chart
     for X in _system((_holdout, chart0, k)).items:
@@ -1066,8 +1057,7 @@ def t02_lift_solve_certified(G: Bilinear, kind: str, k: int
     its own equations, every row of P, solved or only checked, so together
     the two rounds give ``P B P^T = P C = R`` exactly over all ordered pairs
     of P's fields, and no separate check of the pair equations is made."""
-    chart0 = _require_base_chart(G, "determined lift input")
-    _t_kind(kind, k)
+    chart0 = _t_input(G, kind, k)
     target = chart0.extend(k)
     coords = list(target.coordinates())
     labels = [c.name for c in coords]
@@ -1100,8 +1090,7 @@ def t02_defining_residuals(G: Bilinear, lifted: Bilinear, kind: str, k: int
     (X, Y) drawn from the holdout vector fields paired with themselves and
     with the stage-0 basis fields, the pairing's fields of constant
     coefficients."""
-    chart0 = _require_base_chart(G, "determined lift input")
-    _t_kind(kind, k)
+    chart0 = _t_input(G, kind, k)
     holdout = [(X, _vf_lift_composed(X, "c", k))
                for X in _system((_holdout, chart0, k)).items]
     basis = [(X, _vf_lift_composed(X, "c", k))

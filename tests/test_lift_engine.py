@@ -353,6 +353,8 @@ def test_vector_residuals_equal_the_lift_applied_by_hand(kind, r, s):
 
 C1 = ChartSpec(1, 1, True)
 ON_C1 = "determined lift input must live on an order-0 chart"
+PINNED_TIME = ("complete and complete-vertical lifts require a constant time "
+               "component, got z0_1")
 
 
 @pytest.mark.parametrize("residuals, field, kind, split, message", [
@@ -373,13 +375,28 @@ ON_C1 = "determined lift input must live on an order-0 chart"
      ON_C1),
     (L.t02_defining_residuals, Bilinear(C1, {(Z, ZB): Expr.one()}), "v", {},
      ON_C1),
+    # a time component the complete and complete-vertical lifts refuse
+    (L.vf_defining_residuals, VectorField(C0, {TIME: z, Z: z}), "c", {},
+     PINNED_TIME),
+    (L.vf_defining_residuals, VectorField(C0, {TIME: z, Z: z}), "cv",
+     {"r": 1, "s": 1}, PINNED_TIME),
+    (L.of_defining_residuals, OneForm(C0, {TIME: 1, Z: z}), "c", {},
+     "one-form c-lift requires a zero time component, got 1"),
+    (L.of_defining_residuals, OneForm(C0, {TIME: 1, Z: z}), "cv",
+     {"r": 1, "s": 1}, "one-form cv-lift requires a zero time component, got 1"),
+    # phi(d/dt) = z d/dt: the first pairing field's image, not a holdout's
+    (L.t11_defining_residuals, EndoField(C0, {(TIME, TIME): z, (Z, Z): 1}),
+     "c", {}, PINNED_TIME),
 ], ids=["vector", "oneform", "oneform-split", "endo", "bilinear",
-        "vector-chart", "oneform-chart", "endo-chart", "bilinear-chart"])
+        "vector-chart", "oneform-chart", "endo-chart", "bilinear-chart",
+        "vector-time", "vector-cv-time", "oneform-time", "oneform-cv-time",
+        "endo-time"])
 def test_defining_residuals_refuse_what_the_solvers_refuse(residuals, field,
                                                            kind, split,
                                                            message):
     """Each residual function checks the chart, then the kind and split,
-    before any other work, and refuses with the text its solver gives."""
+    then the time component, before any other work, and refuses with the
+    text its solver gives."""
     lifted = type(field)(field.chart.extend(K), {})
     with pytest.raises(L.LiftError) as info:
         residuals(field, lifted, kind, K, **split)
@@ -738,6 +755,24 @@ def test_lift_caches_hold_their_bound_and_clear():
         assert info.maxsize == bound and 0 < info.currsize <= bound
     L.clear_lift_cache()
     assert all(memory.cache_info().currsize == 0 for memory in memories)
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (3, 4), (2, 40)])
+def test_complete_lift_table_stores_one_entry_per_miss(n, k):
+    """A cold complete lift of z^n to order k misses once per step, stores
+    each step, and reads the step below once per miss; a repeat is all
+    hits.  So the table's evictions are its misses minus its size."""
+    L.clear_lift_cache()
+    e = Expr.atom(Z, n)
+    lifted = L._complete_expr(e, k)
+    cold = L._complete_expr.cache_info()
+    assert (cold.hits, cold.misses, cold.currsize) == (k - 1, k, k)
+    assert L._complete_expr(e, k) == lifted
+    warm = L._complete_expr.cache_info()
+    assert (warm.hits, warm.misses, warm.currsize) == (cold.hits + k, k, k)
+    L.clear_lift_cache()
+    assert tuple(L._complete_expr.cache_info()) == (
+        0, 0, L._COMPLETE_CACHE_SIZE, 0)
 
 
 def test_complete_lift_caches_are_bounded_and_clear():

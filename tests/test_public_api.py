@@ -41,7 +41,8 @@ RETIRED_LIFTS = ("t11_form_clause_notes", "complete_vf_cached",
                  "_field_key", "_vf_solve_cached", "_bounded",
                  "vector_test_family", "_vf_ladder", "_FAMILY_CACHE_SIZE",
                  "_vf_ladders", "_PairEngine", "_Engine", "_OPS",
-                 "_test_lifts", "_lru", "_SYSTEM_CACHE", "_VF_TERM_CACHE")
+                 "_test_lifts", "_lru", "_SYSTEM_CACHE", "_VF_TERM_CACHE",
+                 "_CompleteTable", "_CacheInfo")
 # A table nothing read.
 RETIRED_VERIFY = ("COMPARISON_SUBJECTS",)
 # Methods that nothing in the package, the demos, the scripts or the
@@ -64,8 +65,6 @@ KEPT = {
     "Expr.term_map": "the decode boundary of packed monomials (ROADMAP item 2)",
     "holo": "the tests' coordinate constructor",
     "anti": "the tests' coordinate constructor",
-    "_CompleteTable.cache_info": "the benchmark's layer trace reads it "
-                                 "through getattr",
 }
 
 
