@@ -4,20 +4,21 @@ Three layers live here.
 
 **Function lifts.**  The vertical lift of a function is the same polynomial
 read on a higher-order chart.  The complete lift is the level-shift
-derivation, applied stepwise: each step sends f to
+derivation D, applied stepwise: each step sends f to
 ``t*(df/dt) + sum over coords c of shift(c)*(df/dc)`` where ``shift`` raises
 the level of a z/zb coordinate by one (the time term only exists on charts
-with a time line).  The derivation is linear over the Gaussian rationals, so
-the k-step lift of ``sum c*m`` is ``sum c*D^k(m)``, read from one bounded
-``lru_cache`` of coefficient-1 monomials keyed ``(m, k)``
-(:func:`_complete_term`).  Each lift reads its monomials' steps 1..k in
-order, so a missing step is one derivation of the cached step below it and
-nothing recurses on k.  Mixed lifts
-compose the two; the horizontal lift of a function is the complete lift minus
-the time-unscaled step (:func:`gamma_gradient`) of the previous complete
-lift, which vanishes identically for time-free functions.  The complete step
-and the gradient share one derivation pass, which walks the polynomial's
-terms once and differs only in the time term.
+with a time line).  D lives in the kernel beside ``Expr.diff``
+(:func:`liftcalc.symkernel._derive`), so no monomial is built or taken
+apart here.  D is linear over the Gaussian rationals, so the k-step lift of
+``sum c*m`` is ``sum c*D^k(m)``, read from one bounded ``lru_cache`` of
+coefficient-1 monomials keyed ``(m, k)`` (:func:`_complete_term`).  Each
+lift reads its monomials' steps 1..k in order, so a missing step is one
+derivation of the cached step below it and nothing recurses on k.  Mixed
+lifts compose the two; the horizontal lift of a function is the complete
+lift minus the time-unscaled step (:func:`gamma_gradient`) of the previous
+complete lift, which vanishes identically for time-free functions.  The
+complete step and the gradient are one derivation pass, which differs only
+in the time term.
 
 **Horizontal lifts** of vector fields and one-forms are sums over the
 connection-adapted frame (:func:`adapted_frame`); they build only the frame
@@ -61,7 +62,9 @@ lifts): every field of coefficient degree <= 1, all solved, when they are
 at least as many as the unknowns (k <= 2m); otherwise a square ladder of
 fields x^d d/dx, solved, then every other field of coefficient degree <= 2,
 checked.  The (0,2) pair equations ``P B P^T = R``, i.e. ``(P (x) P)
-vec(B) = vec(R)``, are two rounds of replays on P.  The determined vector
+vec(B) = vec(R)``, are two rounds of replays on P; the second round and
+the (1,1) lift solve their rank-2 unknown row by row the same way
+(:func:`_row_solve`).  The determined vector
 lift is linear over the Gaussian rationals too, so one bounded table
 (:func:`_vf_term_lift`) keeps the certified lifts of the one-term fields
 ``m d/dx_j`` with coefficient 1, each made by one public vector solve, and
@@ -80,7 +83,9 @@ residual raises, so a returned lift carries a machine-checked
 certificate.  Equation n reads ``sum(row_n[p] * x_p) == rhs_n``.  The
 replay reads only the rows that pivot, so the check against every equation
 is the only consistency check.  Each op has one input check, which its
-solver and its residual function both make, so both refuse alike.
+solver and its residual function both make, so both refuse alike; the
+vector and one-form solvers make it once and then evaluate their holdout
+as their residual functions do (:func:`_holdout_residuals`).
 
 **Lift routes.**  :func:`_lift` (defining) and :func:`_lift_closed` (closed
 form) are the one map from a field's class and a lift kind to the
@@ -94,7 +99,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
-from typing import Iterable, Sequence
+from math import prod
+from typing import Callable, Iterable, Sequence
 
 from .charts import ChartSpec
 from .fields import (
@@ -116,11 +122,10 @@ from .symkernel import (
     PolyLinearFactor,
     _accumulate,
     _add_product,
+    _derive,
     _expr,
-    _level_up,
     binomial,
     format_expr,
-    mono_mul,
 )
 
 
@@ -145,41 +150,6 @@ _VF_TERM_CACHE_SIZE = 2048
 # ---------------------------------------------------------------------------
 # Function lifts
 # ---------------------------------------------------------------------------
-
-def _derive(expr: Expr, time_scaled: bool) -> Expr:
-    """The level-shift derivation: ``sum over coords c of shift(c)*(df/dc)``
-    plus the time term, ``t*(df/dt)`` when `time_scaled` (a complete step)
-    and ``df/dt`` otherwise (the gradient).
-
-    One walk over the term map puts each derivative term in its
-    coordinate's bucket; the buckets are then summed in sorted-coordinate
-    order, which leaves the same term map, insertion order included, as
-    adding ``shift(c) * f.diff(c)`` one coordinate at a time."""
-    buckets: dict = {}
-    for m, c in expr._terms.items():
-        for pos, (code, exp) in enumerate(m):
-            entry = buckets.get(code)
-            if entry is None:
-                if code == TIME._code:
-                    shift = None if time_scaled else ()
-                else:
-                    shift = ((_level_up(code), 1),)
-                entry = buckets[code] = (shift, [])
-            shift, terms = entry
-            coeff = c if exp == 1 else c * exp
-            if shift is None:
-                # t * d(t^e)/dt == e * t^e
-                terms.append((m, coeff))
-            elif exp == 1:
-                terms.append((mono_mul(m[:pos] + m[pos + 1:], shift), coeff))
-            else:
-                terms.append((mono_mul(m[:pos] + ((code, exp - 1),) + m[pos + 1:],
-                                       shift), coeff))
-    acc: dict = {}
-    for code in sorted(buckets):
-        _accumulate(acc, buckets[code][1])
-    return _expr(acc)
-
 
 @lru_cache(maxsize=_COMPLETE_CACHE_SIZE)
 def _complete_term(m: tuple, steps: int) -> Expr:
@@ -283,9 +253,12 @@ def fn_horizontal(f: ScalarField, k: int) -> ScalarField:
 # Closed-form lifts of vector fields and one-forms
 # ---------------------------------------------------------------------------
 
-def _require_base_chart(obj, what: str) -> ChartSpec:
+def _require_base_chart(obj, what: str, k: int = 0) -> ChartSpec:
+    """The order-0 chart of `obj`, which lifts to order `k` >= 0."""
     if obj.chart.k != 0:
         raise LiftError(f"{what} must live on an order-0 chart")
+    if k < 0:
+        raise LiftError("lift order must be non-negative")
     return obj.chart
 
 
@@ -299,9 +272,7 @@ def _constant_time_component(comp: Expr, what: str) -> Expr:
 def vf_vertical_closed(Z: VectorField, k: int) -> VectorField:
     """Closed-form vertical lift: level-0 components move to level k (the
     time component, if any, stays on the time direction)."""
-    chart0 = _require_base_chart(Z, "vertical lift input")
-    if k < 0:
-        raise LiftError("lift order must be non-negative")
+    chart0 = _require_base_chart(Z, "vertical lift input", k)
     target = chart0.extend(k)
     comps: dict[CoordId, Expr] = {}
     for coord, comp in Z.components.items():
@@ -343,9 +314,7 @@ def vf_complete_closed(Z: VectorField, k: int) -> VectorField:
     """Closed-form complete lift: the level-r slot of direction i carries
     C(k, r) times the mixed lift (Z-component)^{v^{k-r} c^r}.  Requires a
     constant time component."""
-    _require_base_chart(Z, "complete lift input")
-    if k < 0:
-        raise LiftError("lift order must be non-negative")
+    _require_base_chart(Z, "complete lift input", k)
     return _closed(Z, k, "closed-form complete lift",
                    [(r, r, binomial(k, r)) for r in range(k + 1)])
 
@@ -366,9 +335,7 @@ def vf_cv_closed(Z: VectorField, r: int, s: int) -> VectorField:
 def of_vertical_closed(w: OneForm, k: int) -> OneForm:
     """Closed-form vertical lift of a one-form: the same components on the
     same (level-0 and time) slots, read on the order-k chart."""
-    chart0 = _require_base_chart(w, "vertical lift input")
-    if k < 0:
-        raise LiftError("lift order must be non-negative")
+    chart0 = _require_base_chart(w, "vertical lift input", k)
     return OneForm(chart0.extend(k), dict(w.components))
 
 
@@ -376,9 +343,7 @@ def of_complete_closed(w: OneForm, k: int) -> OneForm:
     """Closed-form complete lift of a one-form: the level-r slot of index i
     carries (w-component)^{c^{k-r} v^r}, with no binomial weight.  The time
     component must be constant and stays on dt."""
-    _require_base_chart(w, "complete lift input")
-    if k < 0:
-        raise LiftError("lift order must be non-negative")
+    _require_base_chart(w, "complete lift input", k)
     return _closed(w, k, "closed-form complete lift",
                    [(r, k - r, 1) for r in range(k + 1)])
 
@@ -535,6 +500,16 @@ def _base_coords(chart0: ChartSpec) -> list[CoordId]:
     return list(chart0.holo_coords(0) + chart0.anti_coords(0))
 
 
+def _monomial(coords: Iterable[CoordId]) -> Expr:
+    """The product of `coords`, a coordinate once per factor."""
+    return prod(map(Expr.atom, coords), start=Expr.one())
+
+
+def _one_term_fields(chart0: ChartSpec, coeff: Expr) -> list[VectorField]:
+    """``coeff d/dx`` for each base coordinate x, in chart order."""
+    return [VectorField(chart0, {x: coeff}) for x in _base_coords(chart0)]
+
+
 def function_family(chart0: ChartSpec, include_time: bool, k: int
                     ) -> tuple[Expr, ...]:
     """Functions whose defining equations pin a lifted vector field: the
@@ -543,47 +518,30 @@ def function_family(chart0: ChartSpec, include_time: bool, k: int
     x, x^2, ..., x^{k+1} pin the whole level ladder above x; the mixed
     quadratics tie the ladders together."""
     coords0 = _base_coords(chart0)
-    fam: list[Expr] = []
-    if include_time and chart0.has_time:
-        fam.append(Expr.atom(TIME))
-    fam.extend(Expr.atom(c) for c in coords0)
-    for a, b in combinations_with_replacement(coords0, 2):
-        fam.append(Expr.atom(a) * Expr.atom(b))
-    for d in range(3, max(3, k + 1) + 1):
-        fam.extend(Expr.atom(c) ** d for c in coords0)
+    fam = [Expr.atom(TIME)] if include_time and chart0.has_time else []
+    fam += [_monomial(combo) for d in (1, 2)
+            for combo in combinations_with_replacement(coords0, d)]
+    fam += [_monomial((c,) * d) for d in range(3, max(3, k + 1) + 1)
+            for c in coords0]
     return tuple(fam)
 
 
 def function_holdout(chart0: ChartSpec) -> tuple[Expr, ...]:
     """Degree-3 mixed products — disjoint from the solving family, whose
     degree-3 members are pure cubes."""
-    coords0 = _base_coords(chart0)
-    out: list[Expr] = []
-    for combo in combinations_with_replacement(coords0, 3):
-        if len(set(combo)) > 1:
-            prod = Expr.one()
-            for c in combo:
-                prod = prod * Expr.atom(c)
-            out.append(prod)
-    return tuple(out)
+    return tuple(_monomial(combo) for combo in
+                 combinations_with_replacement(_base_coords(chart0), 3)
+                 if len(set(combo)) > 1)
 
 
 def _vector_stage(chart0: ChartSpec, stage: int) -> tuple[VectorField, ...]:
     """Test vector fields with coefficient degree == stage (stage 0 also
     contributes the time direction on product charts)."""
-    coords0 = _base_coords(chart0)
-    out: list[VectorField] = []
-    if stage == 0:
-        if chart0.has_time:
-            out.append(VectorField.basis(chart0, TIME))
-        out.extend(VectorField.basis(chart0, c) for c in coords0)
-        return tuple(out)
-    for coeffs in combinations_with_replacement(coords0, stage):
-        coeff = Expr.one()
-        for c in coeffs:
-            coeff = coeff * Expr.atom(c)
-        for direction in coords0:
-            out.append(VectorField(chart0, {direction: coeff}))
+    out = []
+    if stage == 0 and chart0.has_time:
+        out.append(VectorField.basis(chart0, TIME))
+    for combo in combinations_with_replacement(_base_coords(chart0), stage):
+        out += _one_term_fields(chart0, _monomial(combo))
     return tuple(out)
 
 
@@ -602,13 +560,8 @@ def _vector_ladder(chart0: ChartSpec, k: int) -> tuple[VectorField, ...]:
 
 def vector_test_holdout(chart0: ChartSpec) -> tuple[VectorField, ...]:
     """Cube-coefficient fields; coefficient degrees used for solving stop at 2."""
-    coords0 = _base_coords(chart0)
-    out: list[VectorField] = []
-    for c in coords0:
-        coeff = Expr.atom(c) ** 3
-        for direction in coords0:
-            out.append(VectorField(chart0, {direction: coeff}))
-    return tuple(out)
+    return tuple(X for c in _base_coords(chart0)
+                 for X in _one_term_fields(chart0, _monomial((c,) * 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -714,6 +667,21 @@ def _refuse_nonzero(what: str, residuals: Iterable[Expr]) -> None:
         raise LiftError(f"{what} holdout residual nonzero: {format_expr(bad)}")
 
 
+def _holdout_residuals(builder, chart0: ChartSpec, lifted, apply: Callable,
+                       kind: str, k: int, r: int | None, s: int | None
+                       ) -> list[Expr]:
+    """A vector or one-form lift's residuals on the holdout system of
+    `builder`: each row at `lifted`'s components less the `kind`-lift of
+    ``apply(item)``, the input applied to or paired with the test item."""
+    target = chart0.extend(k)
+    if lifted.chart != target:
+        raise FieldError(f"chart mismatch: {lifted.chart} vs {target}")
+    system = _system((builder, chart0, k))
+    return list(system.evaluate(
+        [_lift_scalar_expr(apply(x), kind, k, r, s) for x in system.items],
+        [lifted.component(c) for c in target.coordinates()]))
+
+
 # -- vector fields -----------------------------------------------------------
 
 def _vf_layout(chart0: ChartSpec, k: int, include_time: bool) -> list[CoordId]:
@@ -812,7 +780,8 @@ def vf_lift_solve_certified(Z: VectorField, kind: str, k: int, *,
         if not value.is_zero():
             comps[coord] = value
     result = VectorField(chart0.extend(k), comps)
-    residuals = vf_defining_residuals(Z, result, kind, k, r=r, s=s)
+    residuals = _holdout_residuals(_vf_holdout, chart0, result, Z.apply,
+                                   kind, k, r, s)
     _refuse_nonzero(what, residuals)
     return result, SolveCertificate("vector", kind, k, r, s, len(family.items),
                                     len(residuals))
@@ -829,13 +798,8 @@ def vf_defining_residuals(Z: VectorField, lifted: VectorField, kind: str,
     """Residuals lifted(f^{c^k}) - (Z f)^lift over the holdout functions,
     evaluated on cached rows as the family check is."""
     chart0, r, s, _ = _vf_input(Z, kind, k, r, s)
-    target = chart0.extend(k)
-    if lifted.chart != target:
-        raise FieldError(f"chart mismatch: {lifted.chart} vs {target}")
-    system = _system((_vf_holdout, chart0, k))
-    rhs = [_lift_scalar_expr(Z.apply(f), kind, k, r, s) for f in system.items]
-    return list(system.evaluate(rhs, [lifted.component(c)
-                                      for c in target.coordinates()]))
+    return _holdout_residuals(_vf_holdout, chart0, lifted, Z.apply,
+                              kind, k, r, s)
 
 
 # -- vector lifts composed from one-term lifts --------------------------------
@@ -943,7 +907,8 @@ def of_lift_solve_certified(w: OneForm, kind: str, k: int, *,
                           [f"W_{c.name}" for c in coords], what)
     result = OneForm(target, {c: v for c, v in zip(coords, values)
                               if not v.is_zero()})
-    residuals = of_defining_residuals(w, result, kind, k, r=r, s=s)
+    residuals = _holdout_residuals(_holdout, chart0, result, w.pair,
+                                   kind, k, r, s)
     _refuse_nonzero(what, residuals)
     return result, SolveCertificate("oneform", kind, k, r, s,
                                     len(system.items), len(residuals))
@@ -960,16 +925,27 @@ def of_defining_residuals(w: OneForm, lifted: OneForm, kind: str, k: int, *,
     """Residuals lifted(X^{c^k}) - (w X)^lift over the holdout vector
     fields, evaluated on their cached rows as the family check is."""
     chart0, r, s = _of_input(w, kind, k, r, s)
-    target = chart0.extend(k)
-    if lifted.chart != target:
-        raise FieldError(f"chart mismatch: {lifted.chart} vs {target}")
-    system = _system((_holdout, chart0, k))
-    rhs = [_lift_scalar_expr(w.pair(X), kind, k, r, s) for X in system.items]
-    return list(system.evaluate(rhs, [lifted.component(c)
-                                      for c in target.coordinates()]))
+    return _holdout_residuals(_holdout, chart0, lifted, w.pair, kind, k, r, s)
 
 
 # -- (1,1)-tensors -------------------------------------------------------------
+
+def _row_solve(system: _System, coords: list[CoordId],
+               sides: Sequence[Sequence[Expr]], letter: str, what: str
+               ) -> dict[tuple[CoordId, CoordId], Expr]:
+    """The nonzero entries ``{(a, b): value}`` of the rank-2 unknown X of
+    ``P X^T = S`` on the pairing system P, one replay per row: row a, the
+    p-th coordinate, solves P against ``S[j][p]``, test field j's side at
+    a, its unknowns named ``<letter>_<a>__<b>``."""
+    entries: dict = {}
+    for p, a in enumerate(coords):
+        row = system.solve([side[p] for side in sides],
+                           [f"{letter}_{a.name}__{b.name}" for b in coords],
+                           what)
+        entries.update(((a, b), v) for b, v in zip(coords, row)
+                       if not v.is_zero())
+    return entries
+
 
 def _t_input(T: EndoField | Bilinear, kind: str, k: int) -> ChartSpec:
     """The (0,2) lift's one input check, made by its solver and its
@@ -1010,16 +986,13 @@ def t11_lift_solve_certified(phi: EndoField, kind: str, k: int
     system = _system((_pairing, chart0, k))
     lifted = [_vf_lift_composed(phi.apply_vector(X), kind, k)
               for X in system.items]
-    rows = [system.solve([Y.component(a) for Y in lifted],
-                         [f"E_{a.name}__{b.name}" for b in coords], what)
-            for a in coords]
-    result = EndoField(target, {(a, b): v
-                                for a, row in zip(coords, rows)
-                                for b, v in zip(coords, row) if not v.is_zero()})
+    result = EndoField(target, _row_solve(
+        system, coords, [[Y.component(a) for a in coords] for Y in lifted],
+        "E", what))
     _refuse_nonzero(what, t11_defining_residuals(phi, result, kind, k))
-    holdout = _system((_holdout, chart0, k))
     return result, SolveCertificate("endo", kind, k, None, None,
-                                    len(system.items), len(holdout.items))
+                                    len(system.items),
+                                    len(_system((_holdout, chart0, k)).items))
 
 
 def t11_lift_solve(phi: EndoField, kind: str, k: int) -> EndoField:
@@ -1031,15 +1004,10 @@ def t11_defining_residuals(phi: EndoField, lifted: EndoField, kind: str,
     """Component residuals of lifted(X^{c^k}) - (phi X)^lift over the
     holdout vector fields."""
     chart0 = _t11_input(phi, kind, k)
-    out: list[Expr] = []
-    target = lifted.chart
-    for X in _system((_holdout, chart0, k)).items:
-        Xc = _vf_lift_composed(X, "c", k)
-        diff = lifted.apply_vector(Xc) - _vf_lift_composed(
-            phi.apply_vector(X), kind, k)
-        for coord in target.coordinates():
-            out.append(diff.component(coord))
-    return out
+    diffs = [lifted.apply_vector(_vf_lift_composed(X, "c", k))
+             - _vf_lift_composed(phi.apply_vector(X), kind, k)
+             for X in _system((_holdout, chart0, k)).items]
+    return [d.component(c) for d in diffs for c in lifted.chart.coordinates()]
 
 
 # -- (0,2)-tensors -------------------------------------------------------------
@@ -1060,20 +1028,14 @@ def t02_lift_solve_certified(G: Bilinear, kind: str, k: int
     chart0 = _t_input(G, kind, k)
     target = chart0.extend(k)
     coords = list(target.coordinates())
-    labels = [c.name for c in coords]
     what = f"(0,2)-tensor {kind}-lift"
     system = _system((_pairing, chart0, k))
     tests = system.items
     R = [[_lift_scalar_expr(G.evaluate(X, Y), kind, k, None, None)
           for X in tests] for Y in tests]
-    C = [system.solve(column, [f"C_{a}__{j}" for a in labels], what)
+    C = [system.solve(column, [f"C_{a.name}__{j}" for a in coords], what)
          for j, column in enumerate(R)]
-    rows = [system.solve([col[p] for col in C],
-                         [f"B_{a}__{b}" for b in labels], what)
-            for p, a in enumerate(labels)]
-    result = Bilinear(target, {(a, b): v
-                               for a, row in zip(coords, rows)
-                               for b, v in zip(coords, row) if not v.is_zero()})
+    result = Bilinear(target, _row_solve(system, coords, C, "B", what))
     residuals = t02_defining_residuals(G, result, kind, k)
     _refuse_nonzero(what, residuals)
     return result, SolveCertificate("bilinear", kind, k, None, None,
@@ -1187,13 +1149,7 @@ def basis_lift_rows(m: int, k: int, has_time: bool = True,
             rows.append((f"(d{name})^{{H^{k}}}",
                          of_horizontal(diff, conn)._compact()))
 
-    if has_time:
-        vf_rows(TIME)
-        of_rows(TIME)
-    for i in range(1, m + 1):
-        vf_rows(CoordId(Kind.HOLO, 0, i))
-        of_rows(CoordId(Kind.HOLO, 0, i))
-    for i in range(1, m + 1):
-        vf_rows(CoordId(Kind.ANTI, 0, i))
-        of_rows(CoordId(Kind.ANTI, 0, i))
+    for coord in chart0.coordinates():
+        vf_rows(coord)
+        of_rows(coord)
     return rows

@@ -284,9 +284,6 @@ class GRat:
         raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
 
     # -- predicates ---------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self._a and not self._b
-
     def __bool__(self) -> bool:
         return bool(self._a or self._b)
 
@@ -712,6 +709,41 @@ class Expr:
 
     def __repr__(self) -> str:
         return f"Expr({format_expr(self)})"
+
+
+def _derive(expr: Expr, time_scaled: bool) -> Expr:
+    """The complete lifts' level-shift derivation D: ``sum over coords c of
+    shift(c)*(df/dc)`` plus the time term, ``t*(df/dt)`` when `time_scaled`
+    (a complete step) and ``df/dt`` otherwise (the gradient).
+
+    One walk over the term map puts each derivative term in its
+    coordinate's bucket; the buckets are then summed in sorted-coordinate
+    order, which leaves the same term map, insertion order included, as
+    adding ``shift(c) * f.diff(c)`` one coordinate at a time."""
+    buckets: dict = {}
+    for m, c in expr._terms.items():
+        for pos, (code, exp) in enumerate(m):
+            entry = buckets.get(code)
+            if entry is None:
+                if code == TIME._code:
+                    shift = None if time_scaled else ()
+                else:
+                    shift = ((_level_up(code), 1),)
+                entry = buckets[code] = (shift, [])
+            shift, terms = entry
+            coeff = c if exp == 1 else c * exp
+            if shift is None:
+                # t * d(t^e)/dt == e * t^e
+                terms.append((m, coeff))
+            elif exp == 1:
+                terms.append((mono_mul(m[:pos] + m[pos + 1:], shift), coeff))
+            else:
+                terms.append((mono_mul(m[:pos] + ((code, exp - 1),) + m[pos + 1:],
+                                       shift), coeff))
+    acc: dict = {}
+    for code in sorted(buckets):
+        _accumulate(acc, buckets[code][1])
+    return _expr(acc)
 
 
 def _expr(terms: dict) -> Expr:

@@ -19,7 +19,6 @@ from liftcalc.charts import ChartSpec
 from liftcalc.fields import ConnectionCoeffs, OneForm, ScalarField, VectorField
 from liftcalc.lifts import (
     _complete_expr,
-    _derive,
     adapted_frame,
     clear_lift_cache,
     fn_complete,
@@ -27,7 +26,17 @@ from liftcalc.lifts import (
     of_horizontal,
     vf_horizontal,
 )
-from liftcalc.symkernel import TIME, CoordId, Expr, GRat, Kind, anti, holo, parse
+from liftcalc.symkernel import (
+    TIME,
+    CoordId,
+    Expr,
+    GRat,
+    Kind,
+    _derive,
+    anti,
+    holo,
+    parse,
+)
 
 
 def reference_complete_step(expr: Expr) -> Expr:

@@ -12,14 +12,21 @@ from hypothesis import strategies as st
 from liftcalc.charts import ChartSpec
 from liftcalc.lifts import (
     LiftError,
-    _derive,
     fn_complete,
     fn_complete_vertical,
     fn_horizontal,
     fn_vertical,
 )
 from liftcalc.fields import ScalarField
-from liftcalc.symkernel import Expr, TIME, binomial, format_expr, holo, parse
+from liftcalc.symkernel import (
+    Expr,
+    TIME,
+    _derive,
+    binomial,
+    format_expr,
+    holo,
+    parse,
+)
 
 C0 = ChartSpec(1, 0, False)
 CT = ChartSpec(1, 0, True)

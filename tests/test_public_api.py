@@ -48,7 +48,7 @@ RETIRED_VERIFY = ("COMPARISON_SUBJECTS",)
 # Methods that nothing in the package, the demos, the scripts or the
 # benchmark called.
 RETIRED_METHODS = {
-    symkernel.GRat: ("is_real",),
+    symkernel.GRat: ("is_real", "is_zero"),
     symkernel.Expr: ("leading_term", "substitute"),
     ChartSpec: ("dimension", "in_chart", "project", "dot"),
     HermitianPackage: ("fundamental_form",),
@@ -63,6 +63,12 @@ KEPT = {
     "clear_lift_cache": "tests use it to reset the process caches",
     "Expr.terms": "the decode boundary of packed monomials (ROADMAP item 2)",
     "Expr.term_map": "the decode boundary of packed monomials (ROADMAP item 2)",
+    "vf_defining_residuals": "the public holdout check of a given vector "
+                             "lift; its solver, having checked its input "
+                             "once, evaluates the same holdout directly",
+    "of_defining_residuals": "the public holdout check of a given one-form "
+                             "lift; its solver, having checked its input "
+                             "once, evaluates the same holdout directly",
     "holo": "the tests' coordinate constructor",
     "anti": "the tests' coordinate constructor",
 }
