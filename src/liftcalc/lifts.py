@@ -152,7 +152,7 @@ _VF_TERM_CACHE_SIZE = 2048
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=_COMPLETE_CACHE_SIZE)
-def _complete_term(m: tuple, steps: int) -> Expr:
+def _complete_term(m: int, steps: int) -> Expr:
     """``D^steps(m)`` of the coefficient-1 monomial `m` (``steps >= 1``),
     one step from ``D^(steps-1)(m)``.  :func:`_complete_expr` reads a
     monomial's steps upward, so the step below is a hit and no miss

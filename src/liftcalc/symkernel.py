@@ -13,13 +13,20 @@ with at most one gcd per operation.
 
 Inside the kernel a coordinate is its packed code, one int built once per
 :class:`CoordId`: ``kind << 40 | level << 20 | index``.  Integer order on
-codes is the canonical coordinate order, so a monomial is a tuple of
-``(code, exponent)`` pairs and hashing, comparing and sorting it run on
-plain ints.  Codes are decoded back to ``CoordId`` only at the API and text
-boundary: ``terms``, ``term_map``, ``coords`` and ``coefficient`` speak
-``CoordId``, and ``format_expr`` reads names from a bounded code -> name
-cache.  Level and index must stay below ``2**20``; ``CoordId`` refuses
-anything larger.
+codes is the canonical coordinate order.  Level and index must stay below
+``2**20``; ``CoordId`` refuses anything larger.
+
+A monomial is one int too: its total degree in the low bits, then one
+16-bit exponent field per coordinate slot, so a product of monomials is an
+integer add, a derivative subtracts a coordinate's unit, and a term map
+hashes ints.  Slots come from a process-wide registry in first-use order,
+at most 4,096 of them, and a total degree above 65,535 is refused, so no
+field overflows.  A monomial's coordinates are read back in canonical
+order through one bounded cache, the grlex order key, which the term
+order, ``format_expr``, ``coords`` and the API's ``terms`` and
+``term_map`` decode through; the ``Expr`` constructor and ``coefficient``
+take ``(CoordId, exponent)`` pairs and encode them.  So no output depends
+on the order the slots were handed out in.
 
 Polynomials are kept in a canonical normal form (a map from monomials to
 nonzero coefficients, with a fixed total order on atoms and on monomials), so
@@ -47,7 +54,9 @@ import sys
 from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import chain
+from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 
@@ -415,84 +424,138 @@ GR_I = GRat(0, 1)
 # Monomials
 # ---------------------------------------------------------------------------
 
-# A monomial is a tuple of (code, exponent) pairs, sorted by code, with all
-# exponents positive.  The empty tuple is the monomial 1.  The API speaks
-# (CoordId, exponent) pairs; the two helpers below cross that boundary.
-Monomial = tuple
+# A monomial is one non-negative int.  Its low bits hold the total degree
+# and above them each coordinate has a 16-bit exponent field, its slot, so
+# the product of two monomials is their sum and 0 is the monomial 1.  Slots
+# come from a process-wide registry, code -> unit, where a coordinate's unit
+# is its monomial to the first power (exponent 1 in its slot and degree 1);
+# a coordinate gets the next free slot the first time it enters a monomial.
+# Slot order is first-use order, not the canonical order, so a monomial's
+# coordinates are read in canonical order from its cached order key; only
+# the level-shift derivation, which buckets them, walks the fields.  A
+# coordinate past the _MAX_SLOTS-th is refused, and so is a total degree
+# above _MAX_DEGREE: no exponent can then overflow its field.  The degree
+# field has one bit more than a slot, a guard bit that is 0 in every
+# monomial; in a sum of two monomials it is set exactly when their degrees
+# add up past the limit, so a product is checked with one bitwise and.
+Monomial = int
 
-MONO_ONE: Monomial = ()
+MONO_ONE: Monomial = 0
 
+_FIELD_BITS = 16
+_MAX_DEGREE = (1 << _FIELD_BITS) - 1    # also the mask of a field
+_GUARD = 1 << _FIELD_BITS
+_SLOT0 = _FIELD_BITS + 1                # where slot 0 starts
+_DEGREE_FIELD = (1 << _SLOT0) - 1
+_MAX_SLOTS = 4096
+# The lowest bit of every slot: subtracting one monomial from another
+# borrows into one of these exactly when some exponent would go negative.
+_SLOT_LOWS = (((1 << _FIELD_BITS * _MAX_SLOTS) - 1) // _MAX_DEGREE) << _SLOT0
+_MONO_CACHE_SIZE = 8192
 
-def _mono_decode(m: Monomial) -> Monomial:
-    return tuple([(_decode(code), exp) for code, exp in m])
-
-
-def _mono_encode(m: Iterable) -> Monomial:
-    return tuple([(coord._code, exp) for coord, exp in m])
-
-
-def _mono_sorted(exps: dict) -> Monomial:
-    """The monomial of a code -> exponent map, in canonical order."""
-    return tuple(sorted(exps.items()))
-
-
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    if a[-1][0] < b[0][0]:
-        return a + b
-    if b[-1][0] < a[0][0]:
-        return b + a
-    merged = dict(a)
-    get = merged.get
-    fresh = False
-    for code, exp in b:
-        have = get(code)
-        if have is None:
-            merged[code] = exp
-            fresh = True
-        else:
-            merged[code] = have + exp
-    # Without a new code the dict keeps a's (canonical) order.
-    return _mono_sorted(merged) if fresh else tuple(merged.items())
+_UNITS: dict[int, int] = {}             # code -> unit
+_SLOT_CODES: list[int] = []             # slot -> code
 
 
-def mono_div(a: Monomial, b: Monomial) -> Monomial | None:
-    """Divide monomial a by b, or return None when b does not divide a."""
-    if not b:
-        return a
-    result = dict(a)
-    for code, exp in b:
-        have = result.get(code, 0)
-        if have < exp:
-            return None
-        if have == exp:
-            del result[code]
-        else:
-            result[code] = have - exp
-    # Removing codes keeps a's canonical order.
-    return tuple(result.items())
+class _SlotsFull(SymKernelError):
+    """Every slot is taken; parse re-raises this at the coordinate."""
+
+    def __init__(self, code: int):
+        super().__init__(f"coordinate {_code_name(code)} exceeds the limit of "
+                         f"{_MAX_SLOTS} distinct coordinates")
+        self.code = code
 
 
-def mono_degree(m: Monomial) -> int:
-    return sum(exp for _, exp in m)
+def _unit(code: int) -> int:
+    """The unit of a coordinate code, giving it a slot on first use."""
+    unit = _UNITS.get(code)
+    if unit is None:
+        if len(_SLOT_CODES) == _MAX_SLOTS:
+            raise _SlotsFull(code)
+        unit = _UNITS[code] = 1 << _SLOT0 + _FIELD_BITS * len(_SLOT_CODES) | 1
+        _SLOT_CODES.append(code)
+    return unit
 
 
+def _degree_error(degree: int) -> str:
+    return f"monomial of degree {degree} exceeds the limit {_MAX_DEGREE}"
+
+
+def _refuse_product(m: int) -> None:
+    """Refuse a sum of two monomials that has the guard bit set; its degree
+    field holds their degrees' sum."""
+    raise SymKernelError(_degree_error(m & _DEGREE_FIELD))
+
+
+def _mono_fields(m: Monomial) -> list[tuple[int, int]]:
+    """The code and the negated exponent of every nonzero exponent field of
+    `m`, top slot first: the pairs of its order key, unsorted."""
+    out = []
+    fields = m >> _SLOT0
+    while fields:
+        slot = (fields.bit_length() - 1) // _FIELD_BITS
+        exp = fields >> _FIELD_BITS * slot
+        out.append((_SLOT_CODES[slot], -exp))
+        fields ^= exp << _FIELD_BITS * slot
+    return out
+
+
+@lru_cache(maxsize=_MONO_CACHE_SIZE)
 def _mono_order_key(m: Monomial) -> tuple:
     """Sort key realizing the canonical term order (used for display too).
 
     Graded lexicographic, largest first: higher total degree sorts earlier;
     within a degree, the monomial with the larger exponent on the earliest
-    coordinate (canonical order) sorts earlier.  The key expands the
-    monomial into its code sequence so that plain tuple comparison
-    implements the lexicographic part.
-    """
-    expanded: tuple = ()
-    for code, exp in m:
-        expanded += (code,) * exp
-    return (-len(expanded), expanded)
+    coordinate (canonical order) sorts earlier.  The key is ``(-degree,
+    code, -exponent, code, -exponent, ...)`` over the monomial's
+    coordinates in canonical order, so plain tuple comparison implements
+    the lexicographic part.  It is decoded from the top exponent field
+    down, and the kernel reads a monomial's coordinates back from it
+    (:func:`_mono_pairs`)."""
+    pairs = _mono_fields(m)
+    pairs.sort()
+    return (-mono_degree(m), *chain.from_iterable(pairs))
+
+
+def _mono_pairs(m: Monomial) -> list[tuple[int, int]]:
+    """The ``(code, exponent)`` pairs of a monomial, in canonical order."""
+    key = _mono_order_key(m)
+    return [(code, -neg) for code, neg in zip(key[1::2], key[2::2])]
+
+
+def _mono_decode(m: Monomial) -> tuple:
+    """The API form of a monomial: ``(CoordId, exponent)`` pairs."""
+    return tuple([(_decode(code), exp) for code, exp in _mono_pairs(m)])
+
+
+def _mono_encode(pairs: Iterable) -> Monomial:
+    """The monomial of ``(CoordId, exponent)`` pairs."""
+    m = degree = 0
+    for coord, exp in pairs:
+        m += exp * _unit(coord._code)
+        degree += exp
+    if degree > _MAX_DEGREE:
+        raise SymKernelError(_degree_error(degree))
+    return m
+
+
+def mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    m = a + b
+    if m & _GUARD:
+        _refuse_product(m)
+    return m
+
+
+def mono_div(a: Monomial, b: Monomial) -> Monomial | None:
+    """Divide monomial a by b, or return None when b does not divide a."""
+    q = a - b
+    if q < 0 or (a ^ b ^ q) & _SLOT_LOWS:
+        return None
+    return q
+
+
+def mono_degree(m: Monomial) -> int:
+    return m & _MAX_DEGREE
 
 
 def _leading(terms: dict) -> Monomial:
@@ -502,7 +565,7 @@ def _leading(terms: dict) -> Monomial:
 
 def _codes(terms: dict) -> set:
     """The codes of every coordinate in a term map."""
-    return {code for m in terms for code, _ in m}
+    return {code for m in terms for code in _mono_order_key(m)[1::2]}
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +616,9 @@ class Expr:
             raise ValueError("negative exponent")
         if exponent == 0:
             return _EXPR_ONE
-        return _expr({((a._code, exponent),): GR_ONE})
+        if exponent > _MAX_DEGREE:
+            raise SymKernelError(_degree_error(exponent))
+        return _expr({exponent * _unit(a._code): GR_ONE})
 
     @staticmethod
     def from_value(value: ExprLike) -> "Expr":
@@ -589,7 +654,7 @@ class Expr:
         """Total degree; 0 for the zero polynomial."""
         if not self._terms:
             return 0
-        return max(mono_degree(m) for m in self._terms)
+        return max(map(_MAX_DEGREE.__and__, self._terms))
 
     def coords(self) -> set:
         return {_decode(code) for code in _codes(self._terms)}
@@ -633,11 +698,14 @@ class Expr:
             return _EXPR_ZERO
         if len(left) == 1 or len(right) == 1:
             # Multiplying by one term is injective on monomials and the
-            # coefficients are nonzero, so nothing collides or cancels.
-            return _expr({mono_mul(m1, m2): _grat(c1._a * c2._a - c1._b * c2._b,
-                                                  c1._a * c2._b + c1._b * c2._a,
-                                                  c1._d * c2._d)
-                          for m1, c1 in left.items() for m2, c2 in right.items()})
+            # coefficients are nonzero, so nothing collides or cancels, and a
+            # product past the degree limit is still there to be refused.
+            terms = {m1 + m2: _grat(c1._a * c2._a - c1._b * c2._b,
+                                    c1._a * c2._b + c1._b * c2._a, c1._d * c2._d)
+                     for m1, c1 in left.items() for m2, c2 in right.items()}
+            if reduce(or_, terms) & _GUARD:
+                _refuse_product(max(terms, key=_DEGREE_FIELD.__and__))
+            return _expr(terms)
         acc: dict[Monomial, GRat] = {}
         _add_product(acc, self, o)
         return _expr(acc)
@@ -647,6 +715,8 @@ class Expr:
     def __pow__(self, exponent: int) -> "Expr":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("Expr powers take non-negative integer exponents")
+        if self.degree() * exponent > _MAX_DEGREE:
+            raise SymKernelError(_degree_error(self.degree() * exponent))
         return _power(self, exponent, _EXPR_ONE)
 
     def scale(self, c: GRatLike) -> "Expr":
@@ -664,25 +734,26 @@ class Expr:
             raise TypeError("diff differentiates with respect to a CoordId")
         # Lowering the exponent of one coordinate is injective on the
         # monomials that contain it, so the derivative's terms never collide.
-        key = coord._code
+        # A coordinate with no slot is in no monomial.
+        unit = _UNITS.get(coord._code)
+        if unit is None:
+            return _EXPR_ZERO
+        shift = unit.bit_length() - 1
         acc: dict[Monomial, GRat] = {}
         for m, c in self._terms.items():
-            for pos, (code, exp) in enumerate(m):
-                if code == key:
-                    if exp == 1:
-                        acc[m[:pos] + m[pos + 1:]] = c
-                    else:
-                        acc[m[:pos] + ((code, exp - 1),) + m[pos + 1:]] = _grat(
-                            c._a * exp, c._b * exp, c._d)
-                    break
+            exp = m >> shift & _MAX_DEGREE
+            if exp == 1:
+                acc[m - unit] = c
+            elif exp:
+                acc[m - unit] = _grat(c._a * exp, c._b * exp, c._d)
         return _expr(acc)
 
     def conjugate(self) -> "Expr":
         """Complex conjugation: swap z <-> zb atoms, conjugate coefficients."""
         # Conjugation is injective on coordinates, so nothing merges.  It
         # flips the kind bits of every code but time's, which is 0.
-        return _expr({tuple(sorted([(code ^ _SWAP_KINDS if code else 0, exp)
-                                    for code, exp in m])):
+        return _expr({sum([exp * _unit(code ^ _SWAP_KINDS if code else 0)
+                           for code, exp in _mono_pairs(m)]):
                       c.conjugate() for m, c in self._terms.items()})
 
     # -- identity ------------------------------------------------------------
@@ -719,30 +790,27 @@ def _derive(expr: Expr, time_scaled: bool) -> Expr:
     One walk over the term map puts each derivative term in its
     coordinate's bucket; the buckets are then summed in sorted-coordinate
     order, which leaves the same term map, insertion order included, as
-    adding ``shift(c) * f.diff(c)`` one coordinate at a time."""
-    buckets: dict = {}
+    adding ``shift(c) * f.diff(c)`` one coordinate at a time.  A term's
+    monomial moves by its coordinate's ``delta``: the shifted coordinate's
+    unit minus the coordinate's, minus time's unit for ``df/dt``, and 0 for
+    ``t*(df/dt)``, since ``t * d(t^e)/dt == e * t^e``."""
+    buckets: dict = {}      # code -> [(monomial, coefficient)]
     for m, c in expr._terms.items():
-        for pos, (code, exp) in enumerate(m):
-            entry = buckets.get(code)
-            if entry is None:
-                if code == TIME._code:
-                    shift = None if time_scaled else ()
-                else:
-                    shift = ((_level_up(code), 1),)
-                entry = buckets[code] = (shift, [])
-            shift, terms = entry
-            coeff = c if exp == 1 else c * exp
-            if shift is None:
-                # t * d(t^e)/dt == e * t^e
-                terms.append((m, coeff))
-            elif exp == 1:
-                terms.append((mono_mul(m[:pos] + m[pos + 1:], shift), coeff))
-            else:
-                terms.append((mono_mul(m[:pos] + ((code, exp - 1),) + m[pos + 1:],
-                                       shift), coeff))
+        for code, neg in _mono_fields(m):
+            terms = buckets.get(code)
+            if terms is None:
+                terms = buckets[code] = []
+            terms.append((m, c if neg == -1 else c * -neg))
     acc: dict = {}
+    # In canonical order, so that when the slots run out the refusal names
+    # the same coordinate whatever order the slots were taken in.
     for code in sorted(buckets):
-        _accumulate(acc, buckets[code][1])
+        if code == TIME._code:
+            delta = 0 if time_scaled else -_UNITS[code]
+        else:
+            delta = _unit(_level_up(code)) - _UNITS[code]
+        terms = buckets[code]
+        _accumulate(acc, [(m + delta, c) for m, c in terms] if delta else terms)
     return _expr(acc)
 
 
@@ -797,7 +865,9 @@ def _add_product(acc: dict, a: Expr, b: Expr, negate: bool = False) -> None:
         if negate:
             p, q = -p, -q
         for m2, c2 in right:
-            m = mono_mul(m1, m2)
+            m = m1 + m2
+            if m & _GUARD:
+                _refuse_product(m)
             r, s = c2._a, c2._b
             x, y, z = p * r - q * s, p * s + q * r, e * c2._d
             old = get(m)
@@ -879,11 +949,9 @@ def _format_coeff_magnitude(a: int, b: int, d: int) -> str:
 
 
 def _format_monomial(m: Monomial) -> str:
-    parts = []
-    for code, exp in m:
-        name = _code_name(code)
-        parts.append(name if exp == 1 else f"{name}^{exp}")
-    return "*".join(parts)
+    key = _mono_order_key(m)
+    return "*".join([_code_name(code) if neg == -1 else f"{_code_name(code)}^{-neg}"
+                     for code, neg in zip(key[1::2], key[2::2])])
 
 
 def format_expr(e: Expr) -> str:
@@ -994,6 +1062,9 @@ _MAX_DEPTH = 100
 
 _COORD_CACHE_SIZE = 4096
 
+# A term token of more factors than this may be over the degree limit.
+_MAX_TOKEN_FACTORS = _MAX_DEGREE // _MAX_POWER_DEGREE
+
 
 class _OutOfRange(Exception):
     """A coordinate name whose level or index is over the limit."""
@@ -1016,11 +1087,13 @@ def _coord(name: str) -> CoordId:
 
 
 @lru_cache(maxsize=_COORD_CACHE_SIZE)
-def _factor(text: str) -> tuple[int, int]:
-    """The ``(code, exponent)`` of a factor of a term token, such as
-    ``z2_3^2``; raises as `_coord` does."""
+def _factor(text: str) -> Monomial:
+    """The monomial of a factor of a term token, such as ``z2_3^2``; raises
+    as `_coord` and `_unit` do."""
     name, _, exp = text.partition("^")
-    return _coord(name)._code, int(exp) if exp else 1
+    code = _coord(name)._code
+    exp = int(exp) if exp else 1
+    return exp * _unit(code) if exp else MONO_ONE
 
 
 def _factor_position(text: str, pos: int, n: int) -> int:
@@ -1044,9 +1117,9 @@ def _gauss(p: str, q, sign: str, r, s) -> tuple[int, int, int]:
 def _tokens(text: str) -> list[tuple]:
     """The tokens of `text`, then an end token.  Each token is a tuple whose
     first two fields are its kind and position: ``("m", pos, a, b, d,
-    factors)`` for a term token, with the reduced triple of its coefficient
-    (1 when it has none) and its ``(code, exponent)`` factors in text
-    order, ``("c", pos, coord)``, ``("n", pos, numerator, denominator or
+    factors, mono)`` for a term token, with the reduced triple of its
+    coefficient (1 when it has none), the text of its factors and their
+    product, ``("c", pos, coord)``, ``("n", pos, numerator, denominator or
     None, denominator position)``, ``("g", pos, a, b, d)`` for ``i`` or a
     parenthesized Gaussian constant with its reduced triple, ``("p", pos,
     exponent, exponent position)`` for a ``^`` with its exponent, ``(op,
@@ -1072,8 +1145,13 @@ def _tokens(text: str) -> list[tuple]:
                     a, b, d = 1, 0, 1
                 if imag:
                     a, b = -b, a
-                append(("m", m.start(kind), a, b, d,
-                        tuple(map(_factor, factors.split("*")))))
+                monos = tuple(map(_factor, factors.split("*")))
+                # A factor's exponent is at most _MAX_POWER_DEGREE.
+                if len(monos) > _MAX_TOKEN_FACTORS:
+                    degree = sum([f & _MAX_DEGREE for f in monos])
+                    if degree > _MAX_DEGREE:
+                        raise ParseError(_degree_error(degree), m.start(kind))
+                append(("m", m.start(kind), a, b, d, factors, sum(monos)))
             elif kind == "op" or kind == "op2":
                 append((m[kind], m.start(kind)))
             elif kind == "coord":
@@ -1111,6 +1189,11 @@ def _tokens(text: str) -> list[tuple]:
             pos = _factor_position(text, pos, names.index(err.args[0]))
         raise ParseError(f"coordinate level or index exceeds the limit "
                          f"{_FIELD_MASK}", pos) from None
+    except _SlotsFull as err:
+        # Only a term token's factors take a slot here.
+        codes = [_coord(f.partition("^")[0])._code for f in m["tf"].split("*")]
+        raise ParseError(str(err), _factor_position(text, m.start(kind),
+                                                    codes.index(err.code))) from None
     append(("end", len(text)))
     return toks
 
@@ -1155,21 +1238,6 @@ def _fold(a: int, b: int, d: int, fa: int, fb: int, fd: int, power,
     if (abs(a) | abs(b) | d).bit_length() > _MAX_COEFF_BITS:
         return _fit_coefficient(a, b, d, pos)
     return a, b, d
-
-
-def _pairs_mono(pairs: tuple) -> Monomial:
-    """The monomial of a term token's ``(code, exponent)`` factors: the
-    factors themselves when they are already in canonical form."""
-    prev = -1
-    for code, e in pairs:
-        if code <= prev or not e:
-            exps: dict = {}
-            for code, e in pairs:
-                if e:
-                    exps[code] = exps.get(code, 0) + e
-            return _mono_sorted(exps)
-        prev = code
-    return pairs
 
 
 def _add_term(acc: dict, mono: Monomial, c: GRat, pos: int) -> None:
@@ -1254,8 +1322,7 @@ class _Parser:
                 if a or b:
                     if sign < 0:
                         a, b = -a, -b
-                    _add_term(acc, _pairs_mono(tok[5]), _grat_normal(a, b, tok[4]),
-                              tok[1])
+                    _add_term(acc, tok[6], _grat_normal(a, b, tok[4]), tok[1])
             else:
                 self._term(acc, sign)
             op = toks[self.at][0]
@@ -1284,8 +1351,8 @@ class _Parser:
     def _check_chart(self, tok: tuple) -> None:
         """Refuse a factor of the term token `tok` that is not in the chart."""
         contains = self.chart.contains
-        for n, (code, _) in enumerate(tok[5]):
-            coord = _decode(code)
+        for n, factor in enumerate(tok[5].split("*")):
+            coord = _coord(factor.partition("^")[0])
             if not contains(coord):
                 raise ParseError(f"coordinate {coord.name} is not in the chart",
                                  _factor_position(self.text, tok[1], n))
@@ -1295,7 +1362,7 @@ class _Parser:
         toks, chart = self.toks, self.chart
         start = toks[self.at][1]
         a, b, d = sign, 0, 1
-        exps: dict = {}
+        mono = degree = 0
         sums = None     # the product of the term's parenthesized sums
         while True:
             tok = toks[self.at]
@@ -1312,8 +1379,11 @@ class _Parser:
                     e = p[2]
                     _check_power(1, 1, e, p[3])
                 if e:
-                    code = coord._code
-                    exps[code] = exps.get(code, 0) + e
+                    try:
+                        mono += e * _unit(coord._code)
+                    except _SlotsFull as err:
+                        raise ParseError(str(err), tok[1]) from None
+                    degree += e
             elif kind == "n":
                 n, q = tok[2], tok[3]
                 if q is None:
@@ -1354,14 +1424,17 @@ class _Parser:
                         sums = inner
                     else:
                         _check_terms(len(sums._terms) * len(terms), tok[1])
+                        top = sums.degree() + inner.degree()
+                        if top > _MAX_DEGREE:
+                            raise ParseError(_degree_error(top), tok[1])
                         sums = sums * inner
                         for c in sums._terms.values():
                             _fit_coefficient(c._a, c._b, c._d, tok[1])
                 elif terms:
                     ((m, c),) = terms.items()
                     a, b, d = _fold(a, b, d, c._a, c._b, c._d, None, tok[1])
-                    for code, e in m:
-                        exps[code] = exps.get(code, 0) + e
+                    mono += m
+                    degree += m & _MAX_DEGREE
                 else:
                     a = b = 0
             elif kind == "end":
@@ -1372,9 +1445,12 @@ class _Parser:
             if toks[self.at][0] != "*":
                 break
             self.at += 1
+        if sums is not None:
+            degree += sums.degree()
+        if degree > _MAX_DEGREE:
+            raise ParseError(_degree_error(degree), start)
         if not (a or b):
             return
-        mono = _mono_sorted(exps)
         if sums is None:
             _add_term(acc, mono, _grat(a, b, d), start)
             return
@@ -1448,8 +1524,9 @@ def divide_exact(f: Expr, g: Expr) -> Expr:
                 f"{format_expr(g)} does not divide {format_expr(f)}")
         q = r_coeff / g_coeff
         quotient[q_mono] = q
+        # The leading monomial has g's top degree, so no product carries.
         for gm, gc in g_items:
-            m = mono_mul(q_mono, gm)
+            m = q_mono + gm
             s = rest.get(m)
             if s is None:
                 rest[m] = -(q * gc)

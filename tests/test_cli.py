@@ -649,6 +649,40 @@ def test_check_output_does_not_depend_on_the_hash_seed():
     assert outs[0] == outs[1]
 
 
+# Coordinates in an order no run takes them in, some of them never used.
+SCRAMBLED = "zb7_3*z5_2*z0_2*t*zb0_1*z3_2*zb2_1*z1_1*zb0_2*z2_2*zb3_1*z0_1"
+
+# The CLI as `python -m liftcalc.cli` runs it, after `SCRAMBLED` has given
+# its coordinates their monomial slots first.
+WARMED_CLI = f"""\
+import runpy, sys
+from liftcalc.symkernel import parse
+parse({SCRAMBLED!r})
+sys.argv = ["liftcalc.cli", *sys.argv[1:]]
+runpy.run_module("liftcalc.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "all", "--m", "1", "--k", "2", "--seed", "0"),
+    ("compare", "P333", "--m", "2", "--k", "3", "--seed", "0"),
+], ids=["check", "compare"])
+def test_output_does_not_depend_on_the_monomial_slot_order(argv):
+    """A monomial is an int whose fields belong to coordinates in the order
+    they were first used; no output may follow that order."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    runs = []
+    for prefix in ([sys.executable, "-m", "liftcalc.cli"],
+                   [sys.executable, "-c", WARMED_CLI]):
+        done = subprocess.run([*prefix, *argv], cwd=root, env=env,
+                              capture_output=True, timeout=300)
+        runs.append((done.returncode, done.stdout, done.stderr))
+    assert runs[0][0] == 0 and runs[0][1]
+    assert runs[1] == runs[0]
+
 def test_check_rejects_bad_arguments(capsys):
     code, _, err = run(capsys, "check", "functions", "--m", "0", "--k", "1")
     assert code == 2

@@ -61,8 +61,13 @@ KEPT = {
     "format_bilinear": "the Bilinear renderer, beside format_vector, "
                        "format_oneform and format_endo",
     "clear_lift_cache": "tests use it to reset the process caches",
-    "Expr.terms": "the decode boundary of packed monomials (ROADMAP item 2)",
-    "Expr.term_map": "the decode boundary of packed monomials (ROADMAP item 2)",
+    "Expr.terms": "the decode boundary of packed-integer monomials: the "
+                  "public API speaks (CoordId, exponent) pairs",
+    "Expr.term_map": "the decode boundary of packed-integer monomials: the "
+                     "public API speaks (CoordId, exponent) pairs",
+    "mono_mul": "the degree-checked product of two packed monomials; the "
+                "kernel's loops inline it as one integer add and a test of "
+                "the degree field's guard bit",
     "vf_defining_residuals": "the public holdout check of a given vector "
                              "lift; its solver, having checked its input "
                              "once, evaluates the same holdout directly",

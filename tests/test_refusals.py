@@ -6,8 +6,16 @@ rank-2 entries, booleans, explicit ``gammabar`` entries) and the flag
 checks of ``lift``, ``frame`` and ``table``.  The library cases cover the
 step, order and split checks of the function lifts and the closed forms,
 their time-component check, the routes with no constructor, and the input
-checks of ``compare_proposition`` and of the structure operators.
+checks of ``compare_proposition`` and of the structure operators.  The
+monomial limits (total degree and distinct coordinates) are pinned both
+ways; the coordinate limit in fresh interpreters, since the monomial slots
+a process hands out are never given back.
 """
+
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -29,7 +37,15 @@ from liftcalc.structures import (
     fundamental_bilinear,
     star_apply,
 )
-from liftcalc.symkernel import TIME, Expr, anti, holo, parse
+from liftcalc.symkernel import (
+    TIME,
+    Expr,
+    ParseError,
+    SymKernelError,
+    anti,
+    holo,
+    parse,
+)
 from liftcalc.verify import VerifyError, compare_proposition
 
 C0 = ChartSpec(1, 0, True)
@@ -276,3 +292,117 @@ def test_structure_operators_refuse_a_chart_mismatch():
     with pytest.raises(StructureError) as err:
         fundamental_bilinear(Bilinear(other, {(Z0, ZB0): 1}), build_Jk(chart))
     assert str(err.value) == "metric and operator live on different charts"
+
+
+# -- monomial limits ----------------------------------------------------------
+
+# 1,025 factors of degree 64: one term of degree 65,600.
+DEEP = "*".join(["z0_1^64"] * 1025)
+TOO_DEEP = "monomial of degree 65600 exceeds the limit 65535"
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: Expr.atom(Z0, 65536),
+     "monomial of degree 65536 exceeds the limit 65535"),
+    (lambda: Expr.atom(Z0, 64) ** 1025, TOO_DEEP),
+    (lambda: Expr.atom(Z0, 65535) * Expr.atom(ZB0),
+     "monomial of degree 65536 exceeds the limit 65535"),
+    (lambda: (Expr.atom(Z0, 65535) + 1) * (Expr.atom(ZB0, 2) + Expr.atom(ZB0)),
+     "monomial of degree 65537 exceeds the limit 65535"),
+    (lambda: Expr({((Z0, 65535), (ZB0, 1)): 1}),
+     "monomial of degree 65536 exceeds the limit 65535"),
+], ids=["atom", "power", "one-term-product", "product", "constructor"])
+def test_degree_limit_refusals(call, message):
+    with pytest.raises(SymKernelError) as err:
+        call()
+    assert type(err.value) is SymKernelError
+    assert str(err.value) == message
+
+
+def test_degree_limit_is_inclusive():
+    top = Expr.atom(Z0, 65535)
+    assert (top * 1).degree() == 65535
+    assert parse("*".join(["z0_1^64"] * 1023) + "*z0_1^63") == top
+    assert (Expr.atom(Z0, 65534) * Expr.atom(ZB0)).degree() == 65535
+
+
+@pytest.mark.parametrize("text,position", [
+    (DEEP, 0),                              # one term token
+    ("1 + 2*" + DEEP, 4),
+    (DEEP.replace("*", " * "), 0),          # factor by factor
+    ("z0_1 - (" + DEEP + ")", 8),
+])
+def test_parse_refuses_a_term_over_the_degree_limit(text, position):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (str(err.value), err.value.position) == (
+        f"{TOO_DEEP} (at position {position})", position)
+
+
+def test_degree_limit_cli_exit_codes(capsys, tmp_path):
+    top = "*".join(["z0_1^64"] * 1023) + "*z0_1^63"
+    assert run(capsys, tmp_path,
+               f"m: 1\n\nfield f:\n  type: scalar\n  value: {DEEP}\n",
+               *LIFT_F) == refused(3, f"{TOO_DEEP} (at position 0)")
+    # The horizontal lift multiplies the component by a gamma entry.
+    text = (f"m: 1\nfield Z:\n  type: vector\n  z0_1: {top}\n"
+            f"connection:\n  gamma 0 1 1: z0_1\n")
+    assert run(capsys, tmp_path, text, "lift", "--field", "Z", "--kind", "h",
+               "--k", "1") == refused(
+        4, "monomial of degree 65536 exceeds the limit 65535")
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# Gives 4,096 coordinates their slots, then prints how the next one fares.
+FULL_SLOTS = """\
+from liftcalc.symkernel import Expr, ParseError, SymKernelError, holo, parse
+for i in range(1, 4097):
+    Expr.atom(holo(0, i))
+print(parse("z0_4096^2 + z0_1").degree())
+for call in (lambda: Expr.atom(holo(0, 4097)),
+             lambda: parse("z0_1 + z0_4097"),
+             lambda: parse("z0_1 + 2 * z0_4097^0 * z0_4097")):
+    try:
+        call()
+    except SymKernelError as exc:
+        print("ParseError" if isinstance(exc, ParseError) else "SymKernelError",
+              exc)
+"""
+
+
+def _fresh(*argv, cwd=ROOT):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_coordinate_limit_refusals():
+    assert _fresh("-c", FULL_SLOTS) == (0, (
+        "2\n"
+        "SymKernelError coordinate z0_4097 exceeds the limit of 4096 "
+        "distinct coordinates\n"
+        "ParseError coordinate z0_4097 exceeds the limit of 4096 distinct "
+        "coordinates (at position 7)\n"
+        "ParseError coordinate z0_4097 exceeds the limit of 4096 distinct "
+        "coordinates (at position 23)\n"), "")
+
+
+def test_coordinate_limit_cli_exit_codes(tmp_path):
+    # One term naming 4,097 coordinates: refused at the last one.
+    value = "*".join(f"z0_{i}" for i in range(1, 4098))
+    path = tmp_path / "m.manifest"
+    path.write_text(f"m: 4097\n\nfield f:\n  type: scalar\n  value: {value}\n")
+    assert _fresh("-m", "liftcalc.cli", *LIFT_F, "--manifest", str(path)) == (
+        3, "", "error: coordinate z0_4097 exceeds the limit of 4096 distinct "
+        f"coordinates (at position {len(value) - len('z0_4097')})\n")
+    # 4,096 coordinates parse; the complete lift needs the level-1 ones.
+    value = "*".join(f"z0_{i}*zb0_{i}" for i in range(1, 2049))
+    path.write_text(f"m: 2048\n\nfield f:\n  type: scalar\n  value: {value}\n")
+    assert _fresh("-m", "liftcalc.cli", "lift", "--field", "f", "--kind", "c",
+                  "--k", "1", "--manifest", str(path)) == (
+        4, "", "error: coordinate z1_1 exceeds the limit of 4096 distinct "
+        "coordinates\n")

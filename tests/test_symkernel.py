@@ -10,7 +10,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from liftcalc import symkernel
@@ -30,6 +30,7 @@ from liftcalc.symkernel import (
     _accumulate,
     _add_product,
     _decode,
+    _derive,
     _expr,
     _mono_decode,
     _mono_order_key,
@@ -40,6 +41,7 @@ from liftcalc.symkernel import (
     divide_exact,
     format_expr,
     holo,
+    mono_degree,
     mono_div,
     mono_mul,
     parse,
@@ -351,12 +353,16 @@ def test_expr_conjugate_fixes_time():
 
 def test_expr_conjugate_reorders_mixed_monomials():
     # Swapping kinds moves a coordinate past the other kind's, so each
-    # conjugated monomial is put back in canonical order.
+    # conjugated monomial decodes in canonical order and is the packed int
+    # its pairs encode to.
     f = parse("z0_1*zb0_2 + t*z1_1^2*zb0_1 - i*zb2_1*z0_3")
     g = f.conjugate()
     assert g == parse("zb0_1*z0_2 + t*zb1_1^2*z0_1 + i*z2_1*zb0_3")
     assert format_expr(g) == "t*z0_1*zb1_1^2 + z0_2*zb0_1 + i*z2_1*zb0_3"
-    assert all(list(m) == sorted(m) for m in g._terms)
+    for m in g._terms:
+        pairs = _mono_decode(m)
+        keys = [coord.sort_key() for coord, _ in pairs]
+        assert keys == sorted(keys) and symkernel._mono_encode(pairs) == m
 
 
 # -- parse / format ----------------------------------------------------------
@@ -888,13 +894,13 @@ def test_one_term_products_negation_and_derivatives_match_plain_arithmetic(
         _assert_same_terms(e.scale(c), {m: x * c for m, x in e._terms.items()})
     _assert_same_terms(-e, {m: -x for m, x in e._terms.items()})
     for coord in _COORDS:
-        code, ref = coord._code, {}
+        ref = {}
         for m, x in e._terms.items():
-            exps = dict(m)
-            exp = exps.get(code)
+            exps = dict(_mono_decode(m))
+            exp = exps.get(coord)
             if exp:
-                exps[code] = exp - 1
-                ref[tuple((k, v) for k, v in exps.items() if v)] = x * exp
+                exps[coord] = exp - 1
+                ref[symkernel._mono_encode((k, v) for k, v in exps.items() if v)] = x * exp
         _assert_same_terms(e.diff(coord), ref)
 
 
@@ -1263,6 +1269,122 @@ def test_term_order_matches_the_tuple_keyed_reference(e):
     assert [_mono_decode(m) for m in internal] == [m for m, _ in terms]
 
 
+
+# -- packed monomials against a tuple reference -------------------------------
+
+# The reference keeps a monomial the way the kernel did before monomials
+# were packed into ints: a tuple of (CoordId, exponent) pairs in (kind,
+# level, index) order.  The pool reaches both ends of the code range; a
+# level below the limit can still be shifted up by the derivation.
+_PACKED_POOL = [TIME, holo(0, 1), anti(0, 1), holo(2, 3), anti(_LIMIT - 1, _LIMIT),
+                holo(_LIMIT, _LIMIT), anti(_LIMIT, 1)]
+_SHIFTABLE_POOL = [c for c in _PACKED_POOL if c.level < _LIMIT]
+
+
+def _ref_mono(exps):
+    """The reference monomial of a coordinate -> exponent map."""
+    return tuple(sorted(((c, e) for c, e in exps.items() if e),
+                        key=lambda pair: _reference_key(pair[0])))
+
+
+def _ref_mono_mul(a, b):
+    exps = dict(a)
+    for c, e in b:
+        exps[c] = exps.get(c, 0) + e
+    return _ref_mono(exps)
+
+
+def _ref_mono_div(a, b):
+    exps = dict(a)
+    for c, e in b:
+        if exps.get(c, 0) < e:
+            return None
+        exps[c] -= e
+    return _ref_mono(exps)
+
+
+def _ref_terms(pairs):
+    """The reference term map of ``(coefficient, monomial)`` pairs."""
+    acc = {}
+    for c, m in pairs:
+        s = acc.get(m, GRat(0)) + c
+        if s:
+            acc[m] = s
+        else:
+            acc.pop(m, None)
+    return acc
+
+
+def _packed(ref):
+    """The kernel's monomial of a reference monomial, through the public
+    constructor."""
+    (m,) = Expr({ref: GRat(1)})._terms
+    return m
+
+
+def _packed_monos(pool, top):
+    return st.dictionaries(st.sampled_from(pool), st.integers(1, top),
+                           max_size=4).map(_ref_mono)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_packed_monos(_PACKED_POOL, 64), _packed_monos(_PACKED_POOL, 64))
+def test_packed_monomials_match_the_tuple_reference(a, b):
+    pa, pb = _packed(a), _packed(b)
+    assert (_mono_decode(pa), _mono_decode(pb)) == (a, b)
+    assert mono_degree(pa) == sum(e for _, e in a)
+    ab = _ref_mono_mul(a, b)
+    assert mono_mul(pa, pb) == _packed(ab) and _mono_decode(pa + pb) == ab
+    assert (mono_div(_packed(ab), pb), mono_div(_packed(ab), pa)) == (pa, pb)
+    q = _ref_mono_div(a, b)
+    assert mono_div(pa, pb) == (None if q is None else _packed(q))
+    ka, kb = _mono_order_key(pa), _mono_order_key(pb)
+    ra, rb = _reference_order_key(a), _reference_order_key(b)
+    assert ((ka < kb), (ka == kb)) == ((ra < rb), (ra == rb))
+
+
+def test_packed_division_refuses_a_short_field():
+    """b's degree fits under a's, but one of b's exponents does not."""
+    a, b = ((holo(0, 1), 5),), ((holo(0, 1), 2), (anti(0, 1), 1))
+    assert mono_div(_packed(a), _packed(b)) is None
+    assert mono_div(_packed(b), _packed(a)) is None
+    assert _mono_decode(mono_div(_packed(a), _packed(a[:1]))) == ()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_coeffs, _packed_monos(_SHIFTABLE_POOL, 64)), max_size=5))
+def test_packed_terms_diff_conjugate_and_derivation_match_the_tuple_reference(
+        pairs):
+    ref = _ref_terms(pairs)
+    e = Expr(ref)
+    assert list(e.terms()) == sorted(ref.items(),
+                                     key=lambda t: _reference_order_key(t[0]))
+    assert e.term_map() == ref
+    assert e.degree() == max((sum(x for _, x in m) for m in ref), default=0)
+    for coord in _PACKED_POOL + [holo(5, 5)]:
+        want = []
+        for m, c in ref.items():
+            exps = dict(m)
+            if exps.get(coord):
+                want.append((c * exps[coord], _ref_mono({**exps, coord: exps[coord] - 1})))
+        assert e.diff(coord).term_map() == _ref_terms(want)
+    assert e.conjugate().term_map() == {
+        _ref_mono({x.conjugate(): n for x, n in m}): c.conjugate()
+        for m, c in ref.items()}
+    for time_scaled in (True, False):
+        want = []
+        for m, c in ref.items():
+            exps = dict(m)
+            for coord, n in m:
+                lowered = {**exps, coord: n - 1}
+                if coord == TIME:
+                    want.append((c * n, m if time_scaled else _ref_mono(lowered)))
+                else:
+                    up = CoordId(coord.kind, coord.level + 1, coord.index)
+                    lowered[up] = lowered.get(up, 0) + 1
+                    want.append((c * n, _ref_mono(lowered)))
+        assert _derive(e, time_scaled).term_map() == _ref_terms(want)
+
 # -- binomial -----------------------------------------------------------------
 
 @pytest.mark.parametrize("r,j,value", [
@@ -1360,6 +1482,58 @@ def test_one_term_division_matches_the_general_algorithm(q, g, r):
         assert got == _division_outcome(_divide_by_heap, f, g)
         assert isinstance(got, list) == divisible
 
+
+
+def _reference_divide(f, g):
+    """divide_exact's algorithm on reference monomials: the least-keyed
+    monomial of the rest is divided by g's until nothing remains."""
+    g_terms = g.term_map()
+    g_mono = min(g_terms, key=_reference_order_key)
+    rest = f.term_map()
+    quotient = {}
+    while rest:
+        r_mono = min(rest, key=_reference_order_key)
+        q_mono = _ref_mono_div(r_mono, g_mono)
+        if q_mono is None:
+            raise ExactDivisionError(
+                f"{format_expr(g)} does not divide {format_expr(f)}")
+        q = rest[r_mono] / g_terms[g_mono]
+        quotient[q_mono] = q
+        for gm, gc in g_terms.items():
+            m = _ref_mono_mul(q_mono, gm)
+            left = rest.get(m, GRat(0)) - q * gc
+            if left:
+                rest[m] = left
+            else:
+                del rest[m]
+    return _expr({_packed(m): c for m, c in quotient.items()})
+
+
+# Pivots of two to six terms over five coordinates, two of them at the code
+# limits, like the pairing factorisation's multi-term pivots.
+_DIVISION_POOL = [TIME, holo(0, 1), anti(0, 1), holo(_LIMIT, _LIMIT), anti(3, _LIMIT)]
+_DIVISION_COEFFS = [GRat(1), GRat(-2), GRat(0, 1), GRat(Fraction(1, 3)),
+                    GRat(Fraction(-3, 2), 2)]
+
+
+def _division_exprs(most):
+    monos = st.lists(st.integers(0, 3), min_size=5, max_size=5).map(
+        lambda exps: _ref_mono(dict(zip(_DIVISION_POOL, exps))))
+    return st.lists(st.tuples(st.sampled_from(_DIVISION_COEFFS), monos),
+                    min_size=1, max_size=most).map(
+        lambda pairs: Expr(_ref_terms(pairs)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_division_exprs(3), _division_exprs(6), _division_exprs(3))
+def test_multi_term_division_matches_the_tuple_reference(q, g, r):
+    """Dividing by a pivot of several terms gives the reference's quotient,
+    in the same term-map order, or its error text."""
+    assume(len(g._terms) > 1 and len(g.coords()) > 2)
+    assert divide_exact(q * g, g) == q
+    for f in (q * g, q * g + r):
+        got = _division_outcome(divide_exact, f, g)
+        assert got == _division_outcome(_reference_divide, f, g)
 
 # -- linear solver ------------------------------------------------------------
 
