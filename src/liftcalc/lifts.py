@@ -28,7 +28,9 @@ the top level.
 **Closed-form lifts.**  Constructors named ``*_closed`` build the lifted
 vector fields and one-forms from explicit componentwise formulas (binomially
 weighted level placements).  They are kept strictly separate from the solver
-so the two can be compared; the package never assumes they agree.
+so the two can be compared; the package never assumes they agree.  The
+solver's candidates share their slot placement (:func:`_place`) but carry
+their own weights, and each is accepted only by check.
 
 **Determined lifts (the solver).**  Constructors named ``*_lift_solve`` treat
 the lifted object as unknown and impose its defining equations against a
@@ -47,10 +49,17 @@ only on the chart, ``k`` and the op; the input enters only through the
 right-hand sides.  So each defining system (:class:`_System`) is built once
 per key and kept in a bounded cache: its test items, their coefficient rows
 and the factorisation of its leading rows (fraction-free elimination,
-:class:`liftcalc.symkernel.PolyLinearFactor`).  Per input, the system
-solves itself: it replays the recorded elimination on the solved rows'
-right-hand sides and back-substitutes.  Which rows are solved and which
-are only checked is the system builder's choice alone.  A vector lift
+:class:`liftcalc.symkernel.PolyLinearFactor`).  Which rows are solved and
+which are only checked is the system builder's choice alone.  Per input,
+the system certifies a candidate: each lift builds its closed form, with D
+the level-shift derivation (``D x_l = x_{l+1}``, ``t -> t``; vector c-lift
+slot l is ``D^l Z``, one-form c-lift slot l is ``C(k,l) D^(k-l) w``, and
+so on, :func:`_lift_slots`), and the system accepts it when the
+factorisation leaves no position free, so the solved rows have at most one
+solution, and the candidate meets every equation, solved or only checked.
+Otherwise the system replays the recorded elimination on the solved rows'
+right-hand sides and back-substitutes, and the replay's errors are the
+refusal texts; a candidate never stands in for a refusal.  A vector lift
 solves its level ladders, the leading rows of its family, as one
 block-diagonal system, with each ladder's unknowns laid out top level
 first: the complete lift of the base coordinate x is the top-level
@@ -61,10 +70,11 @@ and (0,2) lifts share one system P (test fields against their complete
 lifts): every field of coefficient degree <= 1, all solved, when they are
 at least as many as the unknowns (k <= 2m); otherwise a square ladder of
 fields x^d d/dx, solved, then every other field of coefficient degree <= 2,
-checked.  The (0,2) pair equations ``P B P^T = R``, i.e. ``(P (x) P)
-vec(B) = vec(R)``, are two rounds of replays on P; the second round and
-the (1,1) lift solve their rank-2 unknown row by row the same way
-(:func:`_row_solve`).  The determined vector
+checked.  The (1,1) lift certifies its rank-2 unknown row by row
+(:func:`_row_solve`).  The (0,2) pair equations read ``P B P^T = R``: the
+candidate B is certified through ``C = B P^T``, column by column against
+``P C = R``.  A failing column is replayed, and then B is solved row by
+row against the columns, as the (1,1) rows are.  The determined vector
 lift is linear over the Gaussian rationals too, so one bounded table
 (:func:`_vf_term_lift`) keeps the certified lifts of the one-term fields
 ``m d/dx_j`` with coefficient 1, each made by one public vector solve, and
@@ -81,8 +91,10 @@ checked, and, per input, against the defining equation on a disjoint
 holdout family (the ``*_defining_residuals`` functions); any nonzero
 residual raises, so a returned lift carries a machine-checked
 certificate.  Equation n reads ``sum(row_n[p] * x_p) == rhs_n``.  The
-replay reads only the rows that pivot, so the check against every equation
-is the only consistency check.  Each op has one input check, which its
+check against every equation is the one consistency check, whether it
+accepts a candidate or follows a replay, which reads only the rows that
+pivot.  :func:`_certify_info` counts the lifts certified by check and the
+lifts replayed.  Each op has one input check, which its
 solver and its residual function both make, so both refuse alike; the
 vector and one-form solvers make it once and then evaluate their holdout
 as their residual functions do (:func:`_holdout_residuals`).
@@ -95,12 +107,13 @@ every lift they do not name directly through them.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from math import prod
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .charts import ChartSpec
 from .fields import (
@@ -111,6 +124,7 @@ from .fields import (
     OneForm,
     ScalarField,
     VectorField,
+    _contract,
 )
 from .symkernel import (
     GR_ONE,
@@ -145,6 +159,8 @@ VF_KINDS = ("v", "c", "cv")
 _COMPLETE_CACHE_SIZE = 8192
 _SYSTEM_CACHE_SIZE = 256
 _VF_TERM_CACHE_SIZE = 2048
+
+_ZERO = Expr.zero()
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +217,12 @@ def clear_lift_cache() -> None:
     """Empty the process's lift caches: the per-monomial complete-lift
     table, the defining systems with their test families (:func:`_system`)
     and the table of one-term vector lifts, the test fields' complete lifts
-    among them (:func:`_vf_term_lift`)."""
+    among them (:func:`_vf_term_lift`); and reset the counts of lifts
+    certified by check and replayed (:func:`_certify_info`)."""
     _complete_term.cache_clear()
     _system.cache_clear()
     _vf_term_lift.cache_clear()
+    _certified.clear()
 
 
 def fn_vertical(f: ScalarField, steps: int = 1) -> ScalarField:
@@ -283,19 +301,12 @@ def vf_vertical_closed(Z: VectorField, k: int) -> VectorField:
     return VectorField(target, comps)
 
 
-def _closed(obj, k: int, what: str,
-            slots: Sequence[tuple[int, int, int | Fraction]]):
-    """Closed-form complete or complete-vertical lift of a base vector field
-    or one-form to the order-k chart.  The time component must be constant
-    and stays on the time slot.  Each other component lands on every
-    ``(level, steps, weight)`` slot as ``weight`` times its ``steps``-fold
-    complete lift, at that level of the same direction."""
-    chart0 = obj.chart
-    comps: dict[CoordId, Expr] = {}
-    if chart0.has_time:
-        tc = _constant_time_component(obj.component(TIME), what)
-        if not tc.is_zero():
-            comps[TIME] = tc
+def _place(obj, slots: Sequence[tuple[int, int, int | Fraction]],
+           comps: dict[CoordId, Expr]) -> dict[CoordId, Expr]:
+    """Add to `comps`, and return it, each component of the base vector field
+    or one-form `obj` other than its time component on every ``(level,
+    steps, weight)`` slot: ``weight`` times its ``steps``-fold complete
+    lift, at that level of the same direction."""
     for coord, comp in obj.components.items():
         if coord.kind == Kind.TIME:
             continue
@@ -307,7 +318,22 @@ def _closed(obj, k: int, what: str,
                 value = value * weight
             slot = CoordId(coord.kind, level, coord.index)
             comps[slot] = comps.get(slot, Expr.zero()) + value
-    return type(obj)(chart0.extend(k), comps)
+    return comps
+
+
+def _closed(obj, k: int, what: str,
+            slots: Sequence[tuple[int, int, int | Fraction]]):
+    """Closed-form complete or complete-vertical lift of a base vector field
+    or one-form to the order-k chart.  The time component must be constant
+    and stays on the time slot; the other components land on `slots`
+    (:func:`_place`)."""
+    chart0 = obj.chart
+    comps: dict[CoordId, Expr] = {}
+    if chart0.has_time:
+        tc = _constant_time_component(obj.component(TIME), what)
+        if not tc.is_zero():
+            comps[TIME] = tc
+    return type(obj)(chart0.extend(k), _place(obj, slots, comps))
 
 
 def vf_complete_closed(Z: VectorField, k: int) -> VectorField:
@@ -611,7 +637,13 @@ class _System:
     """One defining system: its test items, each item's coefficient row
     ``{position: Expr}``, and the factorisation of its first `solved` rows
     (all rows by default), built on first use.  The rows after them are
-    only checked, never factored (a holdout's are only evaluated)."""
+    only checked, never factored (a holdout's are only evaluated).
+    Equation n reads ``sum(row_n[p] * x_p) == rhs_n``.
+
+    A lift hands :meth:`certify` its closed-form candidate, which is
+    accepted when the factorisation leaves no position free and the
+    candidate meets every equation; otherwise :meth:`solve` replays the
+    factorisation, and its errors are the refusal texts."""
 
     def __init__(self, items: Sequence, rows: list[dict[int, Expr]],
                  width: int, solved: int | None = None):
@@ -622,13 +654,24 @@ class _System:
     def factor(self) -> PolyLinearFactor:
         return PolyLinearFactor(self.rows[:self.solved], self.width)
 
+    def certify(self, rhs: Sequence[Expr], candidate: list[Expr],
+                names: Sequence[str], what: str) -> tuple[list[Expr], bool]:
+        """The solution and whether `candidate` is it.  With no position
+        free, the solved rows have at most one solution, so a candidate
+        that meets every equation, solved or only checked, is the one the
+        replay would return; any other candidate is dropped for
+        :meth:`solve`'s replay."""
+        if not self.factor.free and all(
+                total.is_zero() for total in self.evaluate(rhs, candidate)):
+            return candidate, True
+        return self.solve(rhs, names, what), False
+
     def solve(self, rhs: Sequence[Expr], names: Sequence[str], what: str
               ) -> list[Expr]:
-        """Equation n reads ``sum(row_n[p] * x_p) == rhs_n``.  Replay the
-        factorisation on the solved rows' right-hand sides (pivot rows
-        only), then check the solution against every equation, solved or
-        only checked, the one consistency check; `what` names the lift in
-        the error texts."""
+        """Replay the factorisation on the solved rows' right-hand sides
+        (pivot rows only), then check the solution against every equation,
+        solved or only checked, the one consistency check; `what` names the
+        lift in the error texts."""
         try:
             values = self.factor.solve(rhs[:self.solved], names)
         except LinearSolveError as exc:
@@ -642,12 +685,33 @@ class _System:
     def evaluate(self, rhs: Sequence[Expr], values: Sequence[Expr]
                  ) -> Iterable[Expr]:
         """Each equation's left-hand side minus its right-hand side,
-        ``sum(row_n[p] * values[p]) - rhs_n``, one equation at a time."""
+        ``sum(row_n[p] * values[p]) - rhs_n``, one equation at a time.  The
+        products are taken off ``rhs_n``, and the sign turned only on a
+        nonzero difference."""
         for row, b in zip(self.rows, rhs):
-            acc = (-b)._terms       # a fresh map
+            acc = dict(b._terms)
             for p, c in row.items():
-                _add_product(acc, c, values[p])
-            yield _expr(acc)
+                _add_product(acc, c, values[p], True)
+            yield -_expr(acc) if acc else _ZERO
+
+
+class _CertifyInfo(NamedTuple):
+    checked: int
+    replayed: int
+
+
+_certified = Counter()
+
+
+def _tally(checked: bool) -> None:
+    """Count one determined lift, certified by check or replayed."""
+    _certified["checked" if checked else "replayed"] += 1
+
+
+def _certify_info() -> _CertifyInfo:
+    """How many determined lifts since the last :func:`clear_lift_cache`
+    were certified by check and how many were replayed."""
+    return _CertifyInfo(_certified["checked"], _certified["replayed"])
 
 
 @lru_cache(maxsize=_SYSTEM_CACHE_SIZE)
@@ -680,6 +744,60 @@ def _holdout_residuals(builder, chart0: ChartSpec, lifted, apply: Callable,
     return list(system.evaluate(
         [_lift_scalar_expr(apply(x), kind, k, r, s) for x in system.items],
         [lifted.component(c) for c in target.coordinates()]))
+
+
+# -- closed-form candidates ------------------------------------------------------
+#
+# Each determined lift's candidate is its closed form, with D the level-shift
+# derivation (``D^n e`` is ``_complete_expr(e, n)``); the time coordinate
+# counts as level 0.  A candidate is only ever accepted by `_System.certify`.
+
+def _lift_slots(vector: bool, kind: str, k: int, r: int | None,
+                s: int | None) -> list[tuple[int, int, int | Fraction]]:
+    """The ``(level, steps, weight)`` slots (:func:`_place`) of a vector's
+    or one-form's determined `kind`-lift: the vertical lift moves a vector
+    component to level k and keeps a one-form's at level 0; complete
+    lifts put ``D^l`` (vectors) or ``C(k,l) D^(k-l)`` (one-forms) on level
+    l; complete-vertical ones ``C(r,l-s)/C(k,l) D^(l-s)`` on the levels
+    l >= s (vectors) or ``C(r,l) D^(r-l)`` on the levels l <= r
+    (one-forms)."""
+    if kind == "v":
+        return [(k if vector else 0, 0, 1)]
+    if kind == "c":
+        return [(l, l, 1) if vector else (l, k - l, binomial(k, l))
+                for l in range(k + 1)]
+    if vector:
+        return [(l, l - s, Fraction(binomial(r, l - s), binomial(k, l)))
+                for l in range(s, k + 1)]
+    return [(l, r - l, binomial(r, l)) for l in range(r + 1)]
+
+
+def _rank1_candidate(obj, coords: Sequence[CoordId], slots: list) -> list[Expr]:
+    """The components at `coords` of `obj` placed on `slots`, with its time
+    component on t."""
+    comps = _place(obj, slots, {TIME: obj.component(TIME)})
+    return [comps.get(c, _ZERO) for c in coords]
+
+
+def _rank2_candidate(T: EndoField | Bilinear, coords: Sequence[CoordId],
+                     slot: Callable) -> dict[tuple[CoordId, CoordId], Expr]:
+    """The nonzero entries ``weight * D^steps(T[a0, b0])``, a0 and b0 the
+    base coordinates of a and b, over the pairs (a, b) of `coords` for
+    which ``slot(a, b)`` gives ``(steps, weight)``, in the order
+    :func:`_row_solve` yields entries."""
+    entries: dict = {}
+    for a in coords:
+        for b in coords:
+            placed = slot(a, b)
+            if placed is None:
+                continue
+            value = T.entry(CoordId(a.kind, 0, a.index),
+                            CoordId(b.kind, 0, b.index))
+            steps, weight = placed
+            value = _complete_expr(value, steps)
+            if not value.is_zero():
+                entries[(a, b)] = value if weight == 1 else value * weight
+    return entries
 
 
 # -- vector fields -----------------------------------------------------------
@@ -760,19 +878,22 @@ def vf_lift_solve_certified(Z: VectorField, kind: str, k: int, *,
     The defining equations decouple into one small square block per level
     ladder (the pure powers of a base coordinate only ever reach that
     coordinate's higher levels).  The family's rows are laid out ladders
-    first, and the ladders alone are solved, as one block-diagonal system
-    by one replay, and every family equation is then checked against
-    that solution.  The ladder system is square and nonsingular and its
-    equations are a subset of the family's, so when it has no solution
-    neither has the family, and its error is raised."""
+    first, and the ladders alone are solved, as one block-diagonal system.
+    The closed-form candidate is checked against every family equation;
+    when it fails, the ladders are replayed and every family equation is
+    checked against that solution.  The ladder system is square and
+    nonsingular and its equations are a subset of the family's, so when it
+    has no solution neither has the family, and its error is raised."""
     chart0, r, s, pinned = _vf_input(Z, kind, k, r, s)
     include_time = chart0.has_time and kind == "v"
     coords = _vf_layout(chart0, k, include_time)
     what = f"vector {kind}-lift"
     family = _system((_vf_family, chart0, k, include_time))
-    values = family.solve([_lift_scalar_expr(Z.apply(f), kind, k, r, s)
-                           for f in family.items],
-                          [f"U_{c.name}" for c in coords], what)
+    values, checked = family.certify(
+        [_lift_scalar_expr(Z.apply(f), kind, k, r, s) for f in family.items],
+        _rank1_candidate(Z, coords, _lift_slots(True, kind, k, r, s)),
+        [f"U_{c.name}" for c in coords], what)
+    _tally(checked)
 
     comps = dict(pinned)          # in chart order, not the ladder layout
     for coord, value in sorted(zip(coords, values),
@@ -902,9 +1023,11 @@ def of_lift_solve_certified(w: OneForm, kind: str, k: int, *,
     coords = list(target.coordinates())
     what = f"one-form {kind}-lift"
     system = _system((_pairing, chart0, k))
-    values = system.solve([_lift_scalar_expr(w.pair(X), kind, k, r, s)
-                           for X in system.items],
-                          [f"W_{c.name}" for c in coords], what)
+    values, checked = system.certify(
+        [_lift_scalar_expr(w.pair(X), kind, k, r, s) for X in system.items],
+        _rank1_candidate(w, coords, _lift_slots(False, kind, k, r, s)),
+        [f"W_{c.name}" for c in coords], what)
+    _tally(checked)
     result = OneForm(target, {c: v for c, v in zip(coords, values)
                               if not v.is_zero()})
     residuals = _holdout_residuals(_holdout, chart0, result, w.pair,
@@ -931,20 +1054,25 @@ def of_defining_residuals(w: OneForm, lifted: OneForm, kind: str, k: int, *,
 # -- (1,1)-tensors -------------------------------------------------------------
 
 def _row_solve(system: _System, coords: list[CoordId],
-               sides: Sequence[Sequence[Expr]], letter: str, what: str
-               ) -> dict[tuple[CoordId, CoordId], Expr]:
+               sides: Sequence[Sequence[Expr]], letter: str, what: str,
+               candidate: dict[tuple[CoordId, CoordId], Expr]
+               ) -> tuple[dict[tuple[CoordId, CoordId], Expr], bool]:
     """The nonzero entries ``{(a, b): value}`` of the rank-2 unknown X of
-    ``P X^T = S`` on the pairing system P, one replay per row: row a, the
-    p-th coordinate, solves P against ``S[j][p]``, test field j's side at
-    a, its unknowns named ``<letter>_<a>__<b>``."""
+    ``P X^T = S`` on the pairing system P, and whether every row was
+    certified by check.  Row a, the p-th coordinate, certifies row a of
+    `candidate` (:meth:`_System.certify`) against ``S[j][p]``, test field
+    j's side at a, its unknowns named ``<letter>_<a>__<b>``."""
     entries: dict = {}
+    checked = True
     for p, a in enumerate(coords):
-        row = system.solve([side[p] for side in sides],
-                           [f"{letter}_{a.name}__{b.name}" for b in coords],
-                           what)
+        row, ok = system.certify(
+            [side[p] for side in sides],
+            [candidate.get((a, b), _ZERO) for b in coords],
+            [f"{letter}_{a.name}__{b.name}" for b in coords], what)
+        checked = checked and ok
         entries.update(((a, b), v) for b, v in zip(coords, row)
                        if not v.is_zero())
-    return entries
+    return entries, checked
 
 
 def _t_input(T: EndoField | Bilinear, kind: str, k: int) -> ChartSpec:
@@ -974,8 +1102,10 @@ def t11_lift_solve_certified(phi: EndoField, kind: str, k: int
     """Determined lift of a (1,1)-tensor field.
 
     Row-wise: the output component at coordinate a couples only the unknowns
-    E[a, .], and every row has the one-form lift's coefficient rows, so the
-    rows are right-hand sides replayed on one factorisation.  As for every
+    E[a, .], and every row has the one-form lift's coefficient rows, so each
+    row of the closed form, entry ``(a_q, b_r)`` = ``C(q,r) D^(q-r)
+    phi[a, b]`` (c) or ``(a_k, b_0)`` = ``phi[a, b]`` (v), is certified on
+    one factorisation, and a failing row is replayed on it.  As for every
     determined lift, the certificate records the defining equations solved
     and the holdout checked; the covector half of the (1,1) law is the
     tensors suite's to check (clauses T2 and T4)."""
@@ -986,9 +1116,19 @@ def t11_lift_solve_certified(phi: EndoField, kind: str, k: int
     system = _system((_pairing, chart0, k))
     lifted = [_vf_lift_composed(phi.apply_vector(X), kind, k)
               for X in system.items]
-    result = EndoField(target, _row_solve(
+    if kind == "v":
+        def slot(a, b):
+            return (0, 1) if not b.level and (a == TIME or a.level == k) \
+                else None
+    else:
+        def slot(a, b):
+            return (a.level - b.level, binomial(a.level, b.level)) \
+                if b.level <= a.level else None
+    entries, checked = _row_solve(
         system, coords, [[Y.component(a) for a in coords] for Y in lifted],
-        "E", what))
+        "E", what, _rank2_candidate(phi, coords, slot))
+    _tally(checked)
+    result = EndoField(target, entries)
     _refuse_nonzero(what, t11_defining_residuals(phi, result, kind, k))
     return result, SolveCertificate("endo", kind, k, None, None,
                                     len(system.items),
@@ -1019,12 +1159,19 @@ def t02_lift_solve_certified(G: Bilinear, kind: str, k: int
 
     With P the pairing rows (test fields against their complete lifts) and
     R[X, Y] the lifted G(X, Y), the pair equations read ``P B P^T = R``.
-    They are solved in two rounds of replays on P's factorisation: one per
-    test field Y for the column Y of ``C = B P^T`` (``P C = R``), then one per
-    coordinate a for the row a of B (``P B^T = C^T``).  Each replay checks
-    its own equations, every row of P, solved or only checked, so together
-    the two rounds give ``P B P^T = P C = R`` exactly over all ordered pairs
-    of P's fields, and no separate check of the pair equations is made."""
+    The candidate B is the closed form: entry ``(a_r, b_s)`` is
+    ``k!/(r! s! (k-r-s)!) D^(k-r-s) G[a, b]`` (c) or ``(a_0, b_0)`` is
+    ``G[a, b]`` (v).  It forms ``C := B P^T``, one column per test field
+    over every row of P, and ``P C = R`` is checked on every row of P,
+    solved or only checked, so ``P B P^T = R`` holds exactly over all
+    ordered pairs of P's fields.  P has full column rank (its factorisation
+    leaves no position free), so ``P C = R`` has at most one solution C and
+    ``B P^T = C`` at most one B: the candidate is the lift.  When a column
+    fails, that column is replayed, and B is solved row by row on P, one
+    row per coordinate a (``P B^T = C^T``), each row of the candidate
+    certified or replayed.  Each check and each replay's own check reads
+    every row of P, so together the two rounds give ``P B P^T = P C = R``,
+    and no separate check of the pair equations is made."""
     chart0 = _t_input(G, kind, k)
     target = chart0.extend(k)
     coords = list(target.coordinates())
@@ -1033,9 +1180,26 @@ def t02_lift_solve_certified(G: Bilinear, kind: str, k: int
     tests = system.items
     R = [[_lift_scalar_expr(G.evaluate(X, Y), kind, k, None, None)
           for X in tests] for Y in tests]
-    C = [system.solve(column, [f"C_{a.name}__{j}" for a in coords], what)
-         for j, column in enumerate(R)]
-    result = Bilinear(target, _row_solve(system, coords, C, "B", what))
+    if kind == "v":
+        def slot(a, b):
+            return (0, 1) if not a.level and not b.level else None
+    else:
+        def slot(a, b):
+            r, s = a.level, b.level
+            return (k - r - s, binomial(k, r) * binomial(k - r, s)) \
+                if r + s <= k else None
+    B = _rank2_candidate(G, coords, slot)
+    C, checked = [], True
+    for j, row in enumerate(system.rows):
+        column = _contract(B, {coords[p]: c for p, c in row.items()}, 1)
+        values, ok = system.certify(
+            R[j], [column.get(a, _ZERO) for a in coords],
+            [f"C_{a.name}__{j}" for a in coords], what)
+        C.append(values)
+        checked = checked and ok
+    _tally(checked)
+    result = Bilinear(target, B if checked
+                      else _row_solve(system, coords, C, "B", what, B)[0])
     residuals = t02_defining_residuals(G, result, kind, k)
     _refuse_nonzero(what, residuals)
     return result, SolveCertificate("bilinear", kind, k, None, None,

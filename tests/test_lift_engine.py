@@ -1,10 +1,12 @@
 """The determined-lift engine: cached factorisations stay certified.
 
 Each op's coefficient rows and their factorisation are cached per system
-key, and each input only replays the factorisation on its right-hand sides.
-A wrong right-hand side must still be caught -- by the self-check against
-every equation or by the holdout -- even when the system comes from the
-cache, and the failure must not spoil the cache for the next input.
+key.  Each input checks its closed-form candidate against every equation
+and replays the factorisation on its right-hand sides only when the
+candidate fails.  A wrong right-hand side must still be caught -- by the
+check against every equation, the replay's errors or the holdout -- even
+when the system comes from the cache, and the failure must not spoil the
+cache for the next input.
 """
 
 import re
@@ -176,9 +178,23 @@ def test_bilinear_lift_checks_stay_live(monkeypatch):
             lambda patch: _wrong_scalar_lift(patch, "v", value), message)
 
 
+def _wrong_candidates(patch):
+    """Make every closed-form candidate wrong in its first position, so
+    each lift falls back to the replay.  Every position pivots, so some
+    row reads the first one and fails."""
+    certify = L._System.certify
+
+    def wrong(self, rhs, candidate, names, what):
+        return certify(self, rhs, [candidate[0] + 1, *candidate[1:]], names,
+                       what)
+
+    patch.setattr(L._System, "certify", wrong)
+
+
 @pytest.mark.parametrize("prefix", ["C_", "B_"])
 def test_bilinear_rounds_check_their_own_equations(monkeypatch, prefix):
-    """No separate check of the pair equations is made: a wrong value from a
+    """When the candidate fails, the (0,2) lift replays in two rounds, and
+    no separate check of the pair equations is made: a wrong value from a
     replay of either round must fail that replay's own equations."""
     replay = PolyLinearFactor.solve
 
@@ -189,6 +205,7 @@ def test_bilinear_rounds_check_their_own_equations(monkeypatch, prefix):
         return values
 
     L.clear_lift_cache()
+    _wrong_candidates(monkeypatch)
     monkeypatch.setattr(PolyLinearFactor, "solve", wrong)
     with pytest.raises(L.LiftError, match="fails its own equation"):
         L.t02_lift_solve(Bilinear(C0, {(Z, ZB): Expr.one()}), "v", K)
@@ -669,7 +686,7 @@ def test_system_cache_holds_only_systems(monkeypatch):
 
 def _solver_names(monkeypatch, solve, field):
     """The position names of every factorisation replay `solve(field)`
-    makes, in order, from cold caches."""
+    makes, in order, from cold caches, with every candidate wrong."""
     calls = []
     replay = PolyLinearFactor.solve
 
@@ -679,6 +696,7 @@ def _solver_names(monkeypatch, solve, field):
 
     L.clear_lift_cache()
     with monkeypatch.context() as patch:
+        _wrong_candidates(patch)
         patch.setattr(PolyLinearFactor, "solve", recording)
         solve(field)
     assert all(type(name) is str for names in calls for name in names)
@@ -686,6 +704,8 @@ def _solver_names(monkeypatch, solve, field):
 
 
 def test_each_op_names_its_positions(monkeypatch):
+    """The replay that a failing candidate falls back to names each
+    position in its errors."""
     gen = FieldGen(5)
     coords = C0.extend(K).coordinates()
     tests = L._pairing(C0, K).items

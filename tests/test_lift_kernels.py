@@ -9,7 +9,11 @@ build only the frame fields they read; they must equal the same sums taken
 over the whole `adapted_frame`.
 """
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -21,7 +25,6 @@ from liftcalc.lifts import (
     _complete_expr,
     adapted_frame,
     clear_lift_cache,
-    fn_complete,
     gamma_gradient,
     of_horizontal,
     vf_horizontal,
@@ -136,17 +139,37 @@ def test_complete_lift_table_matches_repeated_derivation(e, steps):
         assert _complete_expr(e, k) == _derived(e, k)
 
 
-def test_complete_lift_of_1500_steps_needs_no_recursion():
-    chart0 = ChartSpec(1, 0, True)
-    f = ScalarField(chart0, parse("z0_1 + (2 - i)*zb0_1"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+LIFT_1500_STEPS = """\
+from liftcalc.charts import ChartSpec
+from liftcalc.fields import ScalarField
+from liftcalc.lifts import clear_lift_cache, fn_complete
+from liftcalc.symkernel import parse
+chart0 = ChartSpec(1, 0, True)
+f = ScalarField(chart0, parse("z0_1 + (2 - i)*zb0_1"))
+clear_lift_cache()
+try:
+    for steps in (1500, 1499, 1500):
+        lifted = fn_complete(f, steps)
+        assert lifted.chart == chart0.extend(steps)
+        assert lifted.value == parse(f"z{steps}_1 + (2 - i)*zb{steps}_1")
+finally:
     clear_lift_cache()
-    try:
-        for steps in (1500, 1499, 1500):
-            lifted = fn_complete(f, steps)
-            assert lifted.chart == chart0.extend(steps)
-            assert lifted.value == parse(f"z{steps}_1 + (2 - i)*zb{steps}_1")
-    finally:
-        clear_lift_cache()
+"""
+
+
+def test_complete_lift_of_1500_steps_needs_no_recursion():
+    """Run in a fresh interpreter: the lift names 3,000 coordinates, and
+    the monomial slot registry, which only grows, would keep them for
+    every later test in this process, near its limit of 4,096."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", LIFT_1500_STEPS], cwd=ROOT,
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
 
 
 def test_complete_lift_table_matches_derivation_out_of_order():
