@@ -48,20 +48,20 @@ Each unknown component is a whole polynomial.  The left-hand sides depend
 only on the chart, ``k`` and the op; the input enters only through the
 right-hand sides.  So each defining system (:class:`_System`) is built once
 per key and kept in a bounded cache: its test items, their coefficient rows
-and the factorisation of its leading rows (fraction-free elimination,
+and the rank proof of its leading rows (a fraction-free elimination,
 :class:`liftcalc.symkernel.PolyLinearFactor`).  Which rows are solved and
 which are only checked is the system builder's choice alone.  Per input,
 the system certifies a candidate: each lift builds its closed form, with D
 the level-shift derivation (``D x_l = x_{l+1}``, ``t -> t``; vector c-lift
 slot l is ``D^l Z``, one-form c-lift slot l is ``C(k,l) D^(k-l) w``, and
 so on, :func:`_lift_slots`), and the system accepts it when the
-factorisation leaves no position free, so the solved rows have at most one
+elimination leaves no position free, so the solved rows have at most one
 solution, and the candidate meets every equation, solved or only checked.
-Otherwise the system replays the recorded elimination on the solved rows'
-right-hand sides and back-substitutes, and the replay's errors are the
-refusal texts; a candidate never stands in for a refusal.  A vector lift
-solves its level ladders, the leading rows of its family, as one
-block-diagonal system, with each ladder's unknowns laid out top level
+Otherwise the fallback solve eliminates the solved rows again with the
+right-hand sides of the rows that pivot and back-substitutes; its errors
+are the refusal texts, and a candidate never stands in for a refusal.  A
+vector lift solves its level ladders, the leading rows of its family, as
+one block-diagonal system, with each ladder's unknowns laid out top level
 first: the complete lift of the base coordinate x is the top-level
 coordinate, so each ladder's first pivot is a constant and every later one
 a single term.  Bottom level first, the fraction-free pivots grow with each
@@ -73,15 +73,16 @@ fields x^d d/dx, solved, then every other field of coefficient degree <= 2,
 checked.  The (1,1) lift certifies its rank-2 unknown row by row
 (:func:`_row_solve`).  The (0,2) pair equations read ``P B P^T = R``: the
 candidate B is certified through ``C = B P^T``, column by column against
-``P C = R``.  A failing column is replayed, and then B is solved row by
-row against the columns, as the (1,1) rows are.  The determined vector
-lift is linear over the Gaussian rationals too, so one bounded table
-(:func:`_vf_term_lift`) keeps the certified lifts of the one-term fields
-``m d/dx_j`` with coefficient 1, each made by one public vector solve, and
-three consumers sum theirs from it: the test fields' complete lifts and
-the (1,1) right-hand sides and holdout residuals.  Each test field is one
-such term, so it is lifted once per chart and order and its lift is kept
-in the one-term table, where the (1,1) and (0,2) residuals read it again.
+``P C = R``.  A failing column falls back to a solve, and then B is
+solved row by row against the columns, as the (1,1) rows are.  The
+determined vector lift is linear over the Gaussian rationals too, so one
+bounded table (:func:`_vf_term_lift`) keeps the certified lifts of the
+one-term fields ``m d/dx_j`` with coefficient 1, each made by one public
+vector solve, and three consumers sum theirs from it: the test fields'
+complete lifts and the (1,1) right-hand sides and holdout residuals.  Each
+test field is one such term, so it is lifted once per chart and order and
+its lift is kept in the one-term table, where the (1,1) and (0,2)
+residuals read it again.
 Each consumer certifies its own result against its own equations and
 holdout.  The public vector solve, and the identity suites' vector
 clauses, still solve the whole field: a sum carries no certificate of its
@@ -92,12 +93,12 @@ holdout family (the ``*_defining_residuals`` functions); any nonzero
 residual raises, so a returned lift carries a machine-checked
 certificate.  Equation n reads ``sum(row_n[p] * x_p) == rhs_n``.  The
 check against every equation is the one consistency check, whether it
-accepts a candidate or follows a replay, which reads only the rows that
-pivot.  :func:`_certify_info` counts the lifts certified by check and the
-lifts replayed.  Each op has one input check, which its
-solver and its residual function both make, so both refuse alike; the
-vector and one-form solvers make it once and then evaluate their holdout
-as their residual functions do (:func:`_holdout_residuals`).
+accepts a candidate or follows a fallback solve, which reads only the rows
+that pivot.  :func:`_certify_info` counts the lifts certified by check and
+the lifts that fell back (``replayed``).  Each op has one input check,
+which its solver and its residual function both make, so both refuse
+alike; the vector and one-form solvers make it once and then evaluate
+their holdout as their residual functions do (:func:`_holdout_residuals`).
 
 **Lift routes.**  :func:`_lift` (defining) and :func:`_lift_closed` (closed
 form) are the one map from a field's class and a lift kind to the
@@ -218,7 +219,7 @@ def clear_lift_cache() -> None:
     table, the defining systems with their test families (:func:`_system`)
     and the table of one-term vector lifts, the test fields' complete lifts
     among them (:func:`_vf_term_lift`); and reset the counts of lifts
-    certified by check and replayed (:func:`_certify_info`)."""
+    certified by check and of lifts that fell back (:func:`_certify_info`)."""
     _complete_term.cache_clear()
     _system.cache_clear()
     _vf_term_lift.cache_clear()
@@ -291,14 +292,8 @@ def vf_vertical_closed(Z: VectorField, k: int) -> VectorField:
     """Closed-form vertical lift: level-0 components move to level k (the
     time component, if any, stays on the time direction)."""
     chart0 = _require_base_chart(Z, "vertical lift input", k)
-    target = chart0.extend(k)
-    comps: dict[CoordId, Expr] = {}
-    for coord, comp in Z.components.items():
-        if coord.kind == Kind.TIME:
-            comps[TIME] = comp
-        else:
-            comps[CoordId(coord.kind, k, coord.index)] = comp
-    return VectorField(target, comps)
+    comps = {TIME: Z.component(TIME)} if chart0.has_time else {}
+    return VectorField(chart0.extend(k), _place(Z, [(k, 0, 1)], comps))
 
 
 def _place(obj, slots: Sequence[tuple[int, int, int | Fraction]],
@@ -635,15 +630,15 @@ def _check_kind(kind: str, k: int, r: int | None, s: int | None
 
 class _System:
     """One defining system: its test items, each item's coefficient row
-    ``{position: Expr}``, and the factorisation of its first `solved` rows
-    (all rows by default), built on first use.  The rows after them are
-    only checked, never factored (a holdout's are only evaluated).
-    Equation n reads ``sum(row_n[p] * x_p) == rhs_n``.
+    ``{position: Expr}``, and the rank proof of its first `solved` rows
+    (all rows by default), an elimination built on first use.  The rows
+    after them are only checked, never eliminated (a holdout's are only
+    evaluated).  Equation n reads ``sum(row_n[p] * x_p) == rhs_n``.
 
     A lift hands :meth:`certify` its closed-form candidate, which is
-    accepted when the factorisation leaves no position free and the
-    candidate meets every equation; otherwise :meth:`solve` replays the
-    factorisation, and its errors are the refusal texts."""
+    accepted when the elimination leaves no position free and the
+    candidate meets every equation; otherwise :meth:`solve` is the
+    fallback, and its errors are the refusal texts."""
 
     def __init__(self, items: Sequence, rows: list[dict[int, Expr]],
                  width: int, solved: int | None = None):
@@ -658,9 +653,9 @@ class _System:
                 names: Sequence[str], what: str) -> tuple[list[Expr], bool]:
         """The solution and whether `candidate` is it.  With no position
         free, the solved rows have at most one solution, so a candidate
-        that meets every equation, solved or only checked, is the one the
-        replay would return; any other candidate is dropped for
-        :meth:`solve`'s replay."""
+        that meets every equation, solved or only checked, is the one a
+        solve would return; any other candidate is dropped for the
+        fallback :meth:`solve`."""
         if not self.factor.free and all(
                 total.is_zero() for total in self.evaluate(rhs, candidate)):
             return candidate, True
@@ -668,10 +663,11 @@ class _System:
 
     def solve(self, rhs: Sequence[Expr], names: Sequence[str], what: str
               ) -> list[Expr]:
-        """Replay the factorisation on the solved rows' right-hand sides
-        (pivot rows only), then check the solution against every equation,
-        solved or only checked, the one consistency check; `what` names the
-        lift in the error texts."""
+        """The fallback solve: eliminate the solved rows afresh, carrying
+        the pivot rows' right-hand sides, and back-substitute
+        (:meth:`PolyLinearFactor.solve`); then check the solution against
+        every equation, solved or only checked, the one consistency check.
+        `what` names the lift in the error texts."""
         try:
             values = self.factor.solve(rhs[:self.solved], names)
         except LinearSolveError as exc:
@@ -704,13 +700,13 @@ _certified = Counter()
 
 
 def _tally(checked: bool) -> None:
-    """Count one determined lift, certified by check or replayed."""
+    """Count one determined lift, certified by check or fallen back."""
     _certified["checked" if checked else "replayed"] += 1
 
 
 def _certify_info() -> _CertifyInfo:
     """How many determined lifts since the last :func:`clear_lift_cache`
-    were certified by check and how many were replayed."""
+    were certified by check and how many fell back to a solve."""
     return _CertifyInfo(_certified["checked"], _certified["replayed"])
 
 
@@ -832,10 +828,11 @@ def _vf_family(chart0: ChartSpec, k: int, include_time: bool) -> _System:
     x ... x^{k+1} of each base coordinate x, which reach only x's own
     levels, so the ladder rows are one square block-diagonal system.  With
     the levels top first, ``x^{c^k}`` gives each ladder a constant first
-    pivot and every later pivot is one term, so the fraction-free replay
-    stays narrow; bottom level first, the pivots grow with every level (40
-    terms at k = 5) and multiply each right-hand side they meet.  Every
-    ladder function is a family member; the rest of the family is checked."""
+    pivot and every later pivot is one term, so the fraction-free
+    elimination stays narrow; bottom level first, the pivots grow with
+    every level (40 terms at k = 5) and multiply each right-hand side they
+    meet.  Every ladder function is a family member; the rest of the
+    family is checked."""
     ladders = [Expr.atom(TIME)] if include_time else []
     ladders += [Expr.atom(x) ** d for x in _base_coords(chart0)
                 for d in range(1, k + 2)]
@@ -880,8 +877,8 @@ def vf_lift_solve_certified(Z: VectorField, kind: str, k: int, *,
     coordinate's higher levels).  The family's rows are laid out ladders
     first, and the ladders alone are solved, as one block-diagonal system.
     The closed-form candidate is checked against every family equation;
-    when it fails, the ladders are replayed and every family equation is
-    checked against that solution.  The ladder system is square and
+    when it fails, the fallback solves the ladders afresh and every family
+    equation is checked against that solution.  The ladder system is square and
     nonsingular and its equations are a subset of the family's, so when it
     has no solution neither has the family, and its error is raised."""
     chart0, r, s, pinned = _vf_input(Z, kind, k, r, s)
@@ -926,7 +923,7 @@ def vf_defining_residuals(Z: VectorField, lifted: VectorField, kind: str,
 # -- vector lifts composed from one-term lifts --------------------------------
 
 @lru_cache(maxsize=_VF_TERM_CACHE_SIZE)
-def _vf_term_lift(chart0: ChartSpec, direction: CoordId, m: tuple, kind: str,
+def _vf_term_lift(chart0: ChartSpec, direction: CoordId, m: int, kind: str,
                   k: int) -> VectorField:
     """The certified lift of the coefficient-1 one-term field ``m
     d/d(direction)``: one `vf_lift_solve`, kept per (chart, direction,
@@ -1105,7 +1102,7 @@ def t11_lift_solve_certified(phi: EndoField, kind: str, k: int
     E[a, .], and every row has the one-form lift's coefficient rows, so each
     row of the closed form, entry ``(a_q, b_r)`` = ``C(q,r) D^(q-r)
     phi[a, b]`` (c) or ``(a_k, b_0)`` = ``phi[a, b]`` (v), is certified on
-    one factorisation, and a failing row is replayed on it.  As for every
+    one rank proof, and a failing row falls back to a solve.  As for every
     determined lift, the certificate records the defining equations solved
     and the holdout checked; the covector half of the (1,1) law is the
     tensors suite's to check (clauses T2 and T4)."""
@@ -1164,14 +1161,15 @@ def t02_lift_solve_certified(G: Bilinear, kind: str, k: int
     ``G[a, b]`` (v).  It forms ``C := B P^T``, one column per test field
     over every row of P, and ``P C = R`` is checked on every row of P,
     solved or only checked, so ``P B P^T = R`` holds exactly over all
-    ordered pairs of P's fields.  P has full column rank (its factorisation
+    ordered pairs of P's fields.  P has full column rank (its elimination
     leaves no position free), so ``P C = R`` has at most one solution C and
     ``B P^T = C`` at most one B: the candidate is the lift.  When a column
-    fails, that column is replayed, and B is solved row by row on P, one
-    row per coordinate a (``P B^T = C^T``), each row of the candidate
-    certified or replayed.  Each check and each replay's own check reads
-    every row of P, so together the two rounds give ``P B P^T = P C = R``,
-    and no separate check of the pair equations is made."""
+    fails, that column falls back to a solve, and B is solved row by row on
+    P, one row per coordinate a (``P B^T = C^T``), each row of the
+    candidate certified or solved.  Each check and each fallback solve's
+    own check reads every row of P, so together the two rounds give
+    ``P B P^T = P C = R``, and no separate check of the pair equations is
+    made."""
     chart0 = _t_input(G, kind, k)
     target = chart0.extend(k)
     coords = list(target.coordinates())

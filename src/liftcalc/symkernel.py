@@ -34,15 +34,15 @@ equality of expressions is literal equality of term maps and every identity
 check in the package is exact and decidable. No floating point is used
 anywhere.
 
-The module also provides the exact linear solver behind the determined
+The module also provides the exact linear algebra behind the determined
 lifts, where each unknown is an entire component function of the lifted
 field: fraction-free elimination over the polynomial ring with
-exact-division back-substitution. :class:`PolyLinearFactor` records the
-elimination of a set of coefficient rows once and replays it on any number
-of right-hand sides; equation n reads ``sum(row_n[p] * x_p) == rhs_n``.  A
-solve reads the pivot rows only, so the caller checks every equation at the
-values.  Unknowns never enter an expression: a row maps positions to
-coefficients, and an unknown's name is only a label in error texts.
+exact-division back-substitution. :class:`PolyLinearFactor` eliminates the
+rows of ``sum(row_n[p] * x_p) == rhs_n`` once, as a rank proof; its
+fallback solve eliminates again with the pivot rows' right-hand sides and
+reads those rows only, so the caller checks every equation at the values.
+Unknowns never enter an expression: a row maps positions to coefficients,
+and an unknown's name is only a label in error texts.
 """
 
 from __future__ import annotations
@@ -252,10 +252,9 @@ class GRat:
     the constructor takes ``int`` and ``Fraction`` parts only.
 
     The kernel's loops that build term maps (``_add_product``,
-    ``_accumulate``, ``Expr`` products, negation, scaling and ``diff``, and
-    ``divide_exact`` by one term) do not call these operators: they
-    multiply and add the triples as integers, and each touch of a monomial
-    makes one normalised GRat.
+    ``_accumulate``, ``Expr`` products, negation, scaling and ``diff``) do
+    not call these operators: they multiply and add the triples as
+    integers, and each touch of a monomial makes one normalised GRat.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -1481,29 +1480,12 @@ def divide_exact(f: Expr, g: Expr) -> Expr:
     remainder zero or detects non-divisibility.
 
     The remainder is one mutable term map, and a heap of order keys finds its
-    leading term, so each monomial's key is computed once.  A one-term
-    divisor needs neither: each term of f divides by it alone, in the order
-    the heap would pop them.
+    leading term, so each monomial's key is computed once.
     """
     if g.is_zero():
         raise ExactDivisionError("division by the zero polynomial")
     if f.is_zero():
         return Expr.zero()
-    if len(g._terms) == 1:
-        ((g_mono, g_coeff),) = g._terms.items()
-        inv = g_coeff.inverse()
-        a, b, d = inv._a, inv._b, inv._d
-        terms = f._terms
-        quotient = {}
-        for m in sorted(terms, key=_mono_order_key):
-            q_mono = mono_div(m, g_mono)
-            if q_mono is None:
-                raise ExactDivisionError(
-                    f"{format_expr(g)} does not divide {format_expr(f)}")
-            c = terms[m]
-            quotient[q_mono] = _grat(c._a * a - c._b * b, c._a * b + c._b * a,
-                                     c._d * d)
-        return _expr(quotient)
     g_mono = _leading(g._terms)
     g_coeff = g._terms[g_mono]
     g_items = g._terms.items()
@@ -1544,77 +1526,85 @@ def divide_exact(f: Expr, g: Expr) -> Expr:
 # Linear solving, polynomial semantics
 # ---------------------------------------------------------------------------
 
+def _eliminate(rows: Sequence[Mapping[int, Expr]], width: int,
+               rhs: dict[int, Expr]) -> list:
+    """Fraction-free forward elimination of the coefficient rows; returns
+    the pivots ``(position, other coefficients, pc, row)`` in elimination
+    order, with ``pc`` None where a constant pivot was normalised to 1.
+
+    Pivots prefer constant coefficients, then the lowest degree, so the
+    pivot sequence depends on the rows alone.  `rhs` maps some rows to
+    their right-hand sides and is carried through the same updates in
+    place; a row it does not hold has no right-hand side to update."""
+    live = [(n, dict(row)) for n, row in enumerate(rows) if row]
+    pivots: list = []
+    for u in range(width):
+        best = best_rank = None
+        for idx, (_, coeffs) in enumerate(live):
+            c = coeffs.get(u)
+            if c is None:
+                continue
+            rank = (0, 0) if c.is_constant() else (1, c.degree())
+            if best_rank is None or rank < best_rank:
+                best, best_rank = idx, rank
+                if rank == (0, 0):
+                    break
+        if best is None:
+            continue
+        prow, pcoeffs = live.pop(best)
+        pc = pcoeffs.pop(u)
+        if pc.is_constant():
+            inv = pc.constant_value().inverse()
+            pcoeffs = {v: c.scale(inv) for v, c in pcoeffs.items()}
+            if prow in rhs:
+                rhs[prow] = rhs[prow].scale(inv)
+            pc = None
+        reduced = []
+        for n, coeffs in live:
+            c = coeffs.pop(u, None)
+            if c is not None:
+                # row' = pc*row - c*pivot  (eliminates u without division)
+                if pc is not None:
+                    coeffs = {v: pc * cv for v, cv in coeffs.items()}
+                for v, pv in pcoeffs.items():
+                    val = coeffs.get(v, _EXPR_ZERO) - c * pv
+                    if val.is_zero():
+                        coeffs.pop(v, None)
+                    else:
+                        coeffs[v] = val
+                if n in rhs:
+                    b = rhs[n] if pc is None else pc * rhs[n]
+                    rhs[n] = b - c * rhs[prow]
+            if coeffs:
+                reduced.append((n, coeffs))
+        live = reduced
+        pivots.append((u, tuple(pcoeffs.items()), pc, prow))
+    return pivots
+
+
 class PolyLinearFactor:
-    """A fraction-free elimination of polynomial coefficient rows, recorded
-    so that it can be replayed on any number of right-hand sides.
+    """A fraction-free elimination of polynomial coefficient rows: which
+    positions it leaves free, and its pivots.
 
     Row ``n`` is a map ``{position: Expr}`` of nonzero coefficients over the
     positions ``0 .. width-1`` and stands for the equation
     ``sum(row[p] * x_p) == rhs_n``.  Each ``x_p`` stands for a whole
-    polynomial.  Forward elimination cross-multiplies instead of dividing,
-    so the rows stay polynomial, and pivots prefer constant coefficients,
-    then the lowest degree.  The pivot sequence depends on the rows alone,
-    so :meth:`solve` only repeats the elimination's updates of the pivot
-    rows' right-hand sides and the exact-division back-substitution.  Rows
-    that never pivot are eliminated only to find the later pivots; solve
-    never reads them, so the caller checks every equation at the values.
+    polynomial.  The elimination (:func:`_eliminate`) runs once here; with
+    no position free it is a proof that the rows have at most one
+    solution.  :meth:`solve` runs it again on the right-hand sides of the
+    rows that pivot and back-substitutes; rows that never pivot are
+    eliminated only to find the later pivots, and solve never reads them,
+    so the caller checks every equation at the values.
     """
 
-    __slots__ = ("width", "free", "_steps", "_pivots")
+    __slots__ = ("width", "free", "_rows", "_pivots")
 
     def __init__(self, rows: Sequence[Mapping[int, Expr]], width: int):
-        live = [(n, dict(row)) for n, row in enumerate(rows) if row]
-        # Per elimination step: (pivot row, inverse of a constant pivot or
-        # None, cross-multiplier or None when normalised, [(row, coeff)]).
-        steps: list = []
-        # Per pivot: (position, other coefficients, pc or None, row).
-        pivots: list = []
-        for u in range(width):
-            best = best_rank = None
-            for idx, (_, coeffs) in enumerate(live):
-                c = coeffs.get(u)
-                if c is None:
-                    continue
-                rank = (0, 0) if c.is_constant() else (1, c.degree())
-                if best_rank is None or rank < best_rank:
-                    best, best_rank = idx, rank
-                    if rank == (0, 0):
-                        break
-            if best is None:
-                continue
-            prow, pcoeffs = live.pop(best)
-            pc = pcoeffs.pop(u)
-            inv = None
-            if pc.is_constant():
-                inv = pc.constant_value().inverse()
-                pcoeffs = {v: c.scale(inv) for v, c in pcoeffs.items()}
-                pc = None
-            updates = []
-            reduced = []
-            for n, coeffs in live:
-                c = coeffs.pop(u, None)
-                if c is not None:
-                    # row' = pc*row - c*pivot  (eliminates u without division)
-                    if pc is not None:
-                        coeffs = {v: pc * cv for v, cv in coeffs.items()}
-                    for v, pv in pcoeffs.items():
-                        val = coeffs.get(v, _EXPR_ZERO) - c * pv
-                        if val.is_zero():
-                            coeffs.pop(v, None)
-                        else:
-                            coeffs[v] = val
-                    updates.append((n, c))
-                if coeffs:
-                    reduced.append((n, coeffs))
-            live = reduced
-            steps.append((prow, inv, pc, updates))
-            pivots.append((u, tuple(pcoeffs.items()), pc, prow))
+        pivots = _eliminate(rows, width, {})
         pivoted = {p[0] for p in pivots}
-        used = {p[3] for p in pivots}
         self.width = width
         self.free = tuple(u for u in range(width) if u not in pivoted)
-        self._steps = [(prow, inv, pc, [(n, c) for n, c in updates if n in used])
-                       for prow, inv, pc, updates in steps]
+        self._rows = rows
         self._pivots = pivots[::-1]
 
     def solve(self, rhs: Sequence[Expr], names: Sequence[str]) -> list[Expr]:
@@ -1623,34 +1613,20 @@ class PolyLinearFactor:
 
         ``names[p]`` labels position ``p`` in the errors: an
         UnderdeterminedError whose ``free`` lists the names of the
-        unpivoted positions, raised before any replay, or an
+        unpivoted positions, raised before any elimination, or an
         InconsistentSystemError (with the row as ``equation_index``) when a
         pivot does not divide exactly.  The equations of rows that never
         pivot are not checked; the caller checks every equation.
         """
         if self.free:
             raise UnderdeterminedError([names[u] for u in self.free])
-        rhs = list(rhs)
-        for prow, inv, pc, updates in self._steps:
-            rp = rhs[prow]
-            if inv is not None:
-                rp = rhs[prow] = rp.scale(inv)
-            for n, c in updates:
-                if pc is not None:
-                    acc: dict = {}
-                    _add_product(acc, pc, rhs[n])
-                elif rp._terms:
-                    acc = dict(rhs[n]._terms)
-                else:
-                    continue
-                _add_product(acc, c, rp, True)
-                rhs[n] = _expr(acc)
+        sides = {prow: rhs[prow] for _, _, _, prow in self._pivots}
+        _eliminate(self._rows, self.width, sides)
         values: list = [None] * self.width
         for u, coeffs, pc, prow in self._pivots:
-            acc = dict(rhs[prow]._terms)
+            numer = sides[prow]
             for v, c in coeffs:
-                _add_product(acc, c, values[v], True)
-            numer = _expr(acc)
+                numer = numer - c * values[v]
             if pc is None:
                 values[u] = numer
             else:
@@ -1661,4 +1637,3 @@ class PolyLinearFactor:
                         f"no polynomial solution for {names[u]}", prow,
                         str(exc)) from exc
         return values
-

@@ -1,6 +1,6 @@
 """Certify, don't replay: each determined lift checks its closed-form
-candidate against every row of its system and replays the factorisation
-only when the candidate fails.
+candidate against every row of its system and falls back to a solve
+(called the replay below) only when the candidate fails.
 
 A candidate is accepted only when the factorisation leaves no position
 free, so the solved rows have at most one solution and a candidate that
@@ -12,10 +12,11 @@ replay's text whatever the candidate.
 
 import pytest
 
+from liftcalc import cli
 from liftcalc import lifts as L
 from liftcalc.charts import ChartSpec
 from liftcalc.fields import Bilinear, EndoField, OneForm, VectorField
-from liftcalc.symkernel import TIME, Expr, anti, holo
+from liftcalc.symkernel import TIME, Expr, PolyLinearFactor, anti, holo
 from liftcalc.verify import FieldGen
 
 C0 = ChartSpec(1, 0, True)
@@ -154,6 +155,30 @@ def test_a_system_with_a_free_position_never_accepts_a_candidate():
     assert str(certified.value) == str(replayed.value) == (
         "one-form c-lift solve: underdetermined system; free unknowns: "
         "W_z3_1, W_zb3_1")
+    L.clear_lift_cache()
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "all", "--m", "1", "--k", "2", "--seed", "0"],
+    ["compare", "P333", "--m", "2", "--k", "3"],
+], ids=["check-all", "compare"])
+def test_no_production_route_reaches_the_fallback_solve(monkeypatch, capsys,
+                                                       argv):
+    """From cold caches, every lift of a check run and of a compare run is
+    certified by check, so the fallback solve is never called: with it made
+    to raise, both runs exit 0.  CI's replay count covers check runs
+    only."""
+    calls = []
+
+    def refuse(self, rhs, names):
+        calls.append(tuple(names))
+        raise AssertionError("fallback solve reached")
+
+    L.clear_lift_cache()
+    monkeypatch.setattr(PolyLinearFactor, "solve", refuse)
+    assert cli.main(argv) == 0
+    assert calls == []
+    capsys.readouterr()
     L.clear_lift_cache()
 
 

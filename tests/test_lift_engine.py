@@ -2,11 +2,11 @@
 
 Each op's coefficient rows and their factorisation are cached per system
 key.  Each input checks its closed-form candidate against every equation
-and replays the factorisation on its right-hand sides only when the
-candidate fails.  A wrong right-hand side must still be caught -- by the
-check against every equation, the replay's errors or the holdout -- even
-when the system comes from the cache, and the failure must not spoil the
-cache for the next input.
+and falls back to a solve on its right-hand sides (called the replay
+below) only when the candidate fails.  A wrong right-hand side must still
+be caught -- by the check against every equation, the replay's errors or
+the holdout -- even when the system comes from the cache, and the failure
+must not spoil the cache for the next input.
 """
 
 import re
@@ -123,17 +123,26 @@ def test_oneform_lift_is_refused_on_a_row_that_never_pivots(monkeypatch):
                         "equation 12") + "$")
 
 
-def test_pairing_replay_updates_only_pivot_rows():
-    """Back-substitution reads the pivot rows alone, so the recorded
-    elimination updates no other row's right-hand side (the m = 2, k = 3
-    pairing solves all its 21 rows for 17 unknowns)."""
+def test_pairing_solve_ignores_rows_that_never_pivot():
+    """The fallback solve reads the pivot rows alone: on the m = 2, k = 3
+    pairing, which solves all its 21 rows for 17 unknowns, it returns the
+    same values whatever the right-hand sides of the rows that never
+    pivot."""
     system = L._pairing(ChartSpec(2, 0, True), 3)
     factor = system.factor
-    assert system.solved == len(system.rows) > factor.width
-    assert not factor.free
-    pivot_rows = {p[3] for p in factor._pivots}
-    updated = {n for _, _, _, updates in factor._steps for n, _ in updates}
-    assert updated and updated <= pivot_rows
+    assert (len(system.rows), factor.width) == (21, 17)
+    assert system.solved == len(system.rows) and not factor.free
+    gen = FieldGen(3)
+    values = [gen.expr(ChartSpec(2, 0, True)) for _ in range(factor.width)]
+    rhs = [sum((c * values[p] for p, c in row.items()), Expr.zero())
+           for row in system.rows]
+    names = [f"x{p}" for p in range(factor.width)]
+    assert factor.solve(rhs, names) == values
+    idle = sorted(set(range(len(rhs))) - {p[3] for p in factor._pivots})
+    assert len(idle) == len(rhs) - factor.width
+    for other in (Expr.zero(), Expr.one(), z * zb ** 2 + 3):
+        changed = [other if n in idle else b for n, b in enumerate(rhs)]
+        assert factor.solve(changed, names) == values
 
 
 def test_endo_lift_checks_stay_live(monkeypatch):
@@ -252,8 +261,7 @@ def test_ladder_pivots_and_back_substitution_stay_narrow(k):
 @pytest.mark.parametrize("m", [1, 2])
 def test_one_ladder_system_factors_as_its_ladders_alone(m, include_time, k):
     """The ladder blocks share no position, so the family's solved prefix
-    records, per ladder, the pivots and updates of that ladder's rows
-    factored alone."""
+    has, per ladder, the pivots of that ladder's rows factored alone."""
     system = L._vf_family(ChartSpec(m, 0, True), k, include_time)
     layout = L._vf_layout(ChartSpec(m, 0, True), k, include_time)
 
@@ -265,16 +273,13 @@ def test_one_ladder_system_factors_as_its_ladders_alone(m, include_time, k):
         (name,) = {ladder(u) for u in row}
         rows_of.setdefault(name, []).append(n)
     assert len(rows_of) == 2 * m + include_time
-    steps, pivots = system.factor._steps, system.factor._pivots
+    pivots = system.factor._pivots
     for name, rows in rows_of.items():
         positions = [u for u in range(system.width) if ladder(u) == name]
         local = {u: i for i, u in enumerate(positions)}
         row_no = {n: i for i, n in enumerate(rows)}
         alone = PolyLinearFactor([{local[u]: c for u, c in system.rows[n].items()}
                                   for n in rows], len(positions))
-        assert [(row_no[prow], inv, pc, [(row_no[n], c) for n, c in updates])
-                for prow, inv, pc, updates in steps
-                if prow in row_no] == alone._steps
         assert [(local[u], tuple((local[v], c) for v, c in coeffs), pc,
                  row_no[prow])
                 for u, coeffs, pc, prow in pivots if u in local] == alone._pivots

@@ -1418,10 +1418,10 @@ def test_divide_exact_rejects_remainder():
 
 
 def _divide_by_heap(f, g):
-    """divide_exact's general algorithm for any divisor, kept here as the
-    reference for its one-term path: the leading term of the remainder,
-    popped from a heap of order keys, is divided by g's leading term until
-    nothing remains."""
+    """divide_exact's one algorithm, copied here as the reference for
+    one-term divisors: the leading term of the remainder, popped from a
+    heap of order keys, is divided by g's leading term until nothing
+    remains."""
     g_mono = min(g._terms, key=_mono_order_key)
     g_coeff = g._terms[g_mono]
     rest = dict(f._terms)
