@@ -10,7 +10,8 @@ Layers, bottom to top:
 
 :mod:`liftcalc.symkernel`
     exact scalars (:class:`GRat`), canonical polynomial expressions
-    (:class:`Expr`), parsing/formatting, and a fraction-free linear solver;
+    (:class:`Expr`), parsing/formatting, and the fraction-free rank proof
+    of the determined lifts;
 :mod:`liftcalc.charts`
     chart descriptions (:class:`ChartSpec`) naming the coordinates of the
     k-th extension of an m-dimensional base, with or without a time line;
@@ -90,16 +91,12 @@ from .structures import (
 )
 from .symkernel import (
     CoordId,
-    ExactDivisionError,
     Expr,
     GRat,
-    InconsistentSystemError,
     Kind,
-    LinearSolveError,
     ParseError,
     SymKernelError,
     TIME,
-    UnderdeterminedError,
     binomial,
     format_expr,
     parse,
@@ -125,12 +122,11 @@ __all__ = [
     "AdaptedFrame", "Bilinear", "ChartError", "ChartSpec",
     "CheckReport", "Clause", "ClauseOutcome", "CompareCase", "CompareReport",
     "COMPARISONS", "ConnectionCoeffs", "CoordId", "DEFAULT_SAMPLES",
-    "EndoField", "ExactDivisionError", "Expr", "FieldError", "FieldGen",
-    "GRat", "HermitianPackage", "InconsistentSystemError", "Kind", "LiftError",
-    "LinearSolveError", "OneForm", "ParseError", "ScalarField",
+    "EndoField", "Expr", "FieldError", "FieldGen", "GRat", "HermitianPackage",
+    "Kind", "LiftError", "OneForm", "ParseError", "ScalarField",
     "SolveCertificate", "StructureError", "SUITES", "SymKernelError", "TIME",
-    "UnderdeterminedError", "VectorField", "VerifyError", "adapted_frame",
-    "basis_lift_rows", "binomial", "build_Jk", "build_Jk_star",
+    "VectorField", "VerifyError", "adapted_frame", "basis_lift_rows",
+    "binomial", "build_Jk", "build_Jk_star",
     "clear_lift_cache", "compare_proposition", "fn_complete",
     "fn_complete_vertical", "fn_horizontal", "fn_vertical", "format_bilinear",
     "format_endo", "format_expr", "format_oneform", "format_vector",

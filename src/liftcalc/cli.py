@@ -54,7 +54,6 @@ from .structures import StructureError
 from .symkernel import (
     CoordId,
     Expr,
-    LinearSolveError,
     ParseError,
     SymKernelError,
     format_expr,
@@ -558,8 +557,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ManifestError, ParseError, ChartError, FieldError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (LiftError, StructureError, LinearSolveError,
-            SymKernelError) as exc:
+    except (LiftError, StructureError, SymKernelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

@@ -48,35 +48,32 @@ Each unknown component is a whole polynomial.  The left-hand sides depend
 only on the chart, ``k`` and the op; the input enters only through the
 right-hand sides.  So each defining system (:class:`_System`) is built once
 per key and kept in a bounded cache: its test items, their coefficient rows
-and the rank proof of its leading rows (a fraction-free elimination,
-:class:`liftcalc.symkernel.PolyLinearFactor`).  Which rows are solved and
-which are only checked is the system builder's choice alone.  Per input,
-the system certifies a candidate: each lift builds its closed form, with D
-the level-shift derivation (``D x_l = x_{l+1}``, ``t -> t``; vector c-lift
-slot l is ``D^l Z``, one-form c-lift slot l is ``C(k,l) D^(k-l) w``, and
-so on, :func:`_lift_slots`), and the system accepts it when the
-elimination leaves no position free, so the solved rows have at most one
-solution, and the candidate meets every equation, solved or only checked.
-Otherwise the fallback solve eliminates the solved rows again with the
-right-hand sides of the rows that pivot and back-substitutes; its errors
-are the refusal texts, and a candidate never stands in for a refusal.  A
-vector lift solves its level ladders, the leading rows of its family, as
-one block-diagonal system, with each ladder's unknowns laid out top level
-first: the complete lift of the base coordinate x is the top-level
-coordinate, so each ladder's first pivot is a constant and every later one
-a single term.  Bottom level first, the fraction-free pivots grow with each
-level and multiply every right-hand side they meet.  The one-form, (1,1)
-and (0,2) lifts share one system P (test fields against their complete
-lifts): every field of coefficient degree <= 1, all solved, when they are
-at least as many as the unknowns (k <= 2m); otherwise a square ladder of
-fields x^d d/dx, solved, then every other field of coefficient degree <= 2,
-checked.  The (1,1) lift certifies its rank-2 unknown row by row
-(:func:`_row_solve`).  The (0,2) pair equations read ``P B P^T = R``: the
-candidate B is certified through ``C = B P^T``, column by column against
-``P C = R``.  A failing column falls back to a solve, and then B is
-solved row by row against the columns, as the (1,1) rows are.  The
-determined vector lift is linear over the Gaussian rationals too, so one
-bounded table (:func:`_vf_term_lift`) keeps the certified lifts of the
+and the rank proof of its leading rows, the positions a fraction-free
+elimination (:func:`liftcalc.symkernel._eliminate`) leaves free.  Which
+rows are eliminated ("solved") and which are only checked is the system
+builder's choice alone.  Per input, the system certifies a candidate: each
+lift builds its closed form, with D the level-shift derivation (``D x_l =
+x_{l+1}``, ``t -> t``; vector c-lift slot l is ``D^l Z``, one-form c-lift
+slot l is ``C(k,l) D^(k-l) w``, and so on, :func:`_lift_slots`), and the
+system accepts it when the elimination leaves no position free, so the
+solved rows have at most one solution, and the candidate meets every
+equation, solved or only checked.  Otherwise the lift is refused, with the
+free positions or the first equation the candidate fails; nothing is
+solved.  A vector lift's solved rows are its level ladders, the leading
+rows of its family, one block-diagonal system, with each ladder's unknowns
+laid out top level first: the complete lift of the base coordinate x is
+the top-level coordinate, so each ladder's first pivot is a constant,
+every later one a single term, and the rank proof stays narrow.  Bottom
+level first, the fraction-free pivots grow with each level.  The one-form,
+(1,1) and (0,2) lifts share one system P (test fields against their
+complete lifts): every field of coefficient degree <= 1, all solved, when
+they are at least as many as the unknowns (k <= 2m); otherwise a square
+ladder of fields x^d d/dx, solved, then every other field of coefficient
+degree <= 2, checked.  The (1,1) lift certifies its rank-2 unknown row by
+row.  The (0,2) pair equations read ``P B P^T = R``: the candidate B is
+certified through ``C = B P^T``, column by column against ``P C = R``.
+The determined vector lift is linear over the Gaussian rationals too, so
+one bounded table (:func:`_vf_term_lift`) keeps the certified lifts of the
 one-term fields ``m d/dx_j`` with coefficient 1, each made by one public
 vector solve, and three consumers sum theirs from it: the test fields'
 complete lifts and the (1,1) right-hand sides and holdout residuals.  Each
@@ -87,18 +84,15 @@ Each consumer certifies its own result against its own equations and
 holdout.  The public vector solve, and the identity suites' vector
 clauses, still solve the whole field: a sum carries no certificate of its
 own, and a linearity clause would test the table against itself.  Every
-solution is then checked against every equation of its system, solved or
-checked, and, per input, against the defining equation on a disjoint
-holdout family (the ``*_defining_residuals`` functions); any nonzero
-residual raises, so a returned lift carries a machine-checked
-certificate.  Equation n reads ``sum(row_n[p] * x_p) == rhs_n``.  The
-check against every equation is the one consistency check, whether it
-accepts a candidate or follows a fallback solve, which reads only the rows
-that pivot.  :func:`_certify_info` counts the lifts certified by check and
-the lifts that fell back (``replayed``).  Each op has one input check,
-which its solver and its residual function both make, so both refuse
-alike; the vector and one-form solvers make it once and then evaluate
-their holdout as their residual functions do (:func:`_holdout_residuals`).
+certified lift is then checked, per input, against the defining equation
+on a disjoint holdout family (the ``*_defining_residuals`` functions); any
+nonzero residual raises, so a returned lift carries a machine-checked
+certificate: the rank proof, every equation of its system and the
+holdout.  Equation n reads ``sum(row_n[p] * x_p) == rhs_n``.  Each op has
+one input check, which its solver and its residual function both make, so
+both refuse alike; the vector and one-form solvers make it once and then
+evaluate their holdout as their residual functions do
+(:func:`_holdout_residuals`).
 
 **Lift routes.**  :func:`_lift` (defining) and :func:`_lift_closed` (closed
 form) are the one map from a field's class and a lift kind to the
@@ -108,13 +102,12 @@ every lift they do not name directly through them.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from math import prod
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .charts import ChartSpec
 from .fields import (
@@ -133,11 +126,10 @@ from .symkernel import (
     CoordId,
     Expr,
     Kind,
-    LinearSolveError,
-    PolyLinearFactor,
     _accumulate,
     _add_product,
     _derive,
+    _eliminate,
     _expr,
     binomial,
     format_expr,
@@ -218,12 +210,10 @@ def clear_lift_cache() -> None:
     """Empty the process's lift caches: the per-monomial complete-lift
     table, the defining systems with their test families (:func:`_system`)
     and the table of one-term vector lifts, the test fields' complete lifts
-    among them (:func:`_vf_term_lift`); and reset the counts of lifts
-    certified by check and of lifts that fell back (:func:`_certify_info`)."""
+    among them (:func:`_vf_term_lift`)."""
     _complete_term.cache_clear()
     _system.cache_clear()
     _vf_term_lift.cache_clear()
-    _certified.clear()
 
 
 def fn_vertical(f: ScalarField, steps: int = 1) -> ScalarField:
@@ -630,15 +620,11 @@ def _check_kind(kind: str, k: int, r: int | None, s: int | None
 
 class _System:
     """One defining system: its test items, each item's coefficient row
-    ``{position: Expr}``, and the rank proof of its first `solved` rows
-    (all rows by default), an elimination built on first use.  The rows
-    after them are only checked, never eliminated (a holdout's are only
-    evaluated).  Equation n reads ``sum(row_n[p] * x_p) == rhs_n``.
-
-    A lift hands :meth:`certify` its closed-form candidate, which is
-    accepted when the elimination leaves no position free and the
-    candidate meets every equation; otherwise :meth:`solve` is the
-    fallback, and its errors are the refusal texts."""
+    ``{position: Expr}``, and the positions that an elimination of its
+    first `solved` rows (all rows by default), made on first use, leaves
+    free.  The rows after them are only checked, never eliminated (a
+    holdout's are only evaluated).  Equation n reads ``sum(row_n[p] * x_p)
+    == rhs_n``.  A lift hands :meth:`certify` its closed-form candidate."""
 
     def __init__(self, items: Sequence, rows: list[dict[int, Expr]],
                  width: int, solved: int | None = None):
@@ -646,37 +632,27 @@ class _System:
         self.solved = len(rows) if solved is None else solved
 
     @cached_property
-    def factor(self) -> PolyLinearFactor:
-        return PolyLinearFactor(self.rows[:self.solved], self.width)
+    def free(self) -> tuple[int, ...]:
+        """The positions no pivot of the solved rows reaches: the rank
+        proof, which holds when there are none."""
+        pivoted = {p[0] for p in _eliminate(self.rows[:self.solved],
+                                            self.width)}
+        return tuple(u for u in range(self.width) if u not in pivoted)
 
-    def certify(self, rhs: Sequence[Expr], candidate: list[Expr],
-                names: Sequence[str], what: str) -> tuple[list[Expr], bool]:
-        """The solution and whether `candidate` is it.  With no position
-        free, the solved rows have at most one solution, so a candidate
-        that meets every equation, solved or only checked, is the one a
-        solve would return; any other candidate is dropped for the
-        fallback :meth:`solve`."""
-        if not self.factor.free and all(
-                total.is_zero() for total in self.evaluate(rhs, candidate)):
-            return candidate, True
-        return self.solve(rhs, names, what), False
-
-    def solve(self, rhs: Sequence[Expr], names: Sequence[str], what: str
-              ) -> list[Expr]:
-        """The fallback solve: eliminate the solved rows afresh, carrying
-        the pivot rows' right-hand sides, and back-substitute
-        (:meth:`PolyLinearFactor.solve`); then check the solution against
-        every equation, solved or only checked, the one consistency check.
-        `what` names the lift in the error texts."""
-        try:
-            values = self.factor.solve(rhs[:self.solved], names)
-        except LinearSolveError as exc:
-            raise LiftError(f"{what} solve: {exc}") from exc
-        for n, total in enumerate(self.evaluate(rhs, values)):
+    def certify(self, rhs: Sequence[Expr], candidate: Sequence[Expr],
+                what: str, name: Callable[[int], str]) -> None:
+        """Refuse `candidate` unless it is the one solution for the
+        right-hand sides `rhs`: no position is free, so the solved rows
+        have at most one solution, and the candidate meets every equation,
+        solved or only checked.  `what` names the lift and ``name(p)``
+        position p in the refusal texts."""
+        if self.free:
+            raise LiftError(f"{what} solve: underdetermined system; free "
+                            f"unknowns: {', '.join(map(name, self.free))}")
+        for n, total in enumerate(self.evaluate(rhs, candidate)):
             if not total.is_zero():
                 raise LiftError(
-                    f"{what} solve: solution fails its own equation {n}")
-        return values
+                    f"{what} solve: closed form fails equation {n}")
 
     def evaluate(self, rhs: Sequence[Expr], values: Sequence[Expr]
                  ) -> Iterable[Expr]:
@@ -689,25 +665,6 @@ class _System:
             for p, c in row.items():
                 _add_product(acc, c, values[p], True)
             yield -_expr(acc) if acc else _ZERO
-
-
-class _CertifyInfo(NamedTuple):
-    checked: int
-    replayed: int
-
-
-_certified = Counter()
-
-
-def _tally(checked: bool) -> None:
-    """Count one determined lift, certified by check or fallen back."""
-    _certified["checked" if checked else "replayed"] += 1
-
-
-def _certify_info() -> _CertifyInfo:
-    """How many determined lifts since the last :func:`clear_lift_cache`
-    were certified by check and how many fell back to a solve."""
-    return _CertifyInfo(_certified["checked"], _certified["replayed"])
 
 
 @lru_cache(maxsize=_SYSTEM_CACHE_SIZE)
@@ -779,8 +736,8 @@ def _rank2_candidate(T: EndoField | Bilinear, coords: Sequence[CoordId],
                      slot: Callable) -> dict[tuple[CoordId, CoordId], Expr]:
     """The nonzero entries ``weight * D^steps(T[a0, b0])``, a0 and b0 the
     base coordinates of a and b, over the pairs (a, b) of `coords` for
-    which ``slot(a, b)`` gives ``(steps, weight)``, in the order
-    :func:`_row_solve` yields entries."""
+    which ``slot(a, b)`` gives ``(steps, weight)``, in row order: by a,
+    then by b."""
     entries: dict = {}
     for a in coords:
         for b in coords:
@@ -829,10 +786,9 @@ def _vf_family(chart0: ChartSpec, k: int, include_time: bool) -> _System:
     levels, so the ladder rows are one square block-diagonal system.  With
     the levels top first, ``x^{c^k}`` gives each ladder a constant first
     pivot and every later pivot is one term, so the fraction-free
-    elimination stays narrow; bottom level first, the pivots grow with
-    every level (40 terms at k = 5) and multiply each right-hand side they
-    meet.  Every ladder function is a family member; the rest of the
-    family is checked."""
+    elimination, the rank proof, stays narrow; bottom level first, the
+    pivots grow with every level (40 terms at k = 5).  Every ladder
+    function is a family member; the rest of the family is checked."""
     ladders = [Expr.atom(TIME)] if include_time else []
     ladders += [Expr.atom(x) ** d for x in _base_coords(chart0)
                 for d in range(1, k + 2)]
@@ -875,22 +831,18 @@ def vf_lift_solve_certified(Z: VectorField, kind: str, k: int, *,
     The defining equations decouple into one small square block per level
     ladder (the pure powers of a base coordinate only ever reach that
     coordinate's higher levels).  The family's rows are laid out ladders
-    first, and the ladders alone are solved, as one block-diagonal system.
-    The closed-form candidate is checked against every family equation;
-    when it fails, the fallback solves the ladders afresh and every family
-    equation is checked against that solution.  The ladder system is square and
-    nonsingular and its equations are a subset of the family's, so when it
-    has no solution neither has the family, and its error is raised."""
+    first, and the ladders alone are solved, as one block-diagonal system
+    with no position free, so the family has at most one solution.  The
+    closed-form candidate is certified against every family equation."""
     chart0, r, s, pinned = _vf_input(Z, kind, k, r, s)
     include_time = chart0.has_time and kind == "v"
     coords = _vf_layout(chart0, k, include_time)
     what = f"vector {kind}-lift"
     family = _system((_vf_family, chart0, k, include_time))
-    values, checked = family.certify(
+    values = _rank1_candidate(Z, coords, _lift_slots(True, kind, k, r, s))
+    family.certify(
         [_lift_scalar_expr(Z.apply(f), kind, k, r, s) for f in family.items],
-        _rank1_candidate(Z, coords, _lift_slots(True, kind, k, r, s)),
-        [f"U_{c.name}" for c in coords], what)
-    _tally(checked)
+        values, what, lambda p: f"U_{coords[p].name}")
 
     comps = dict(pinned)          # in chart order, not the ladder layout
     for coord, value in sorted(zip(coords, values),
@@ -1020,11 +972,10 @@ def of_lift_solve_certified(w: OneForm, kind: str, k: int, *,
     coords = list(target.coordinates())
     what = f"one-form {kind}-lift"
     system = _system((_pairing, chart0, k))
-    values, checked = system.certify(
+    values = _rank1_candidate(w, coords, _lift_slots(False, kind, k, r, s))
+    system.certify(
         [_lift_scalar_expr(w.pair(X), kind, k, r, s) for X in system.items],
-        _rank1_candidate(w, coords, _lift_slots(False, kind, k, r, s)),
-        [f"W_{c.name}" for c in coords], what)
-    _tally(checked)
+        values, what, lambda p: f"W_{coords[p].name}")
     result = OneForm(target, {c: v for c, v in zip(coords, values)
                               if not v.is_zero()})
     residuals = _holdout_residuals(_holdout, chart0, result, w.pair,
@@ -1049,28 +1000,6 @@ def of_defining_residuals(w: OneForm, lifted: OneForm, kind: str, k: int, *,
 
 
 # -- (1,1)-tensors -------------------------------------------------------------
-
-def _row_solve(system: _System, coords: list[CoordId],
-               sides: Sequence[Sequence[Expr]], letter: str, what: str,
-               candidate: dict[tuple[CoordId, CoordId], Expr]
-               ) -> tuple[dict[tuple[CoordId, CoordId], Expr], bool]:
-    """The nonzero entries ``{(a, b): value}`` of the rank-2 unknown X of
-    ``P X^T = S`` on the pairing system P, and whether every row was
-    certified by check.  Row a, the p-th coordinate, certifies row a of
-    `candidate` (:meth:`_System.certify`) against ``S[j][p]``, test field
-    j's side at a, its unknowns named ``<letter>_<a>__<b>``."""
-    entries: dict = {}
-    checked = True
-    for p, a in enumerate(coords):
-        row, ok = system.certify(
-            [side[p] for side in sides],
-            [candidate.get((a, b), _ZERO) for b in coords],
-            [f"{letter}_{a.name}__{b.name}" for b in coords], what)
-        checked = checked and ok
-        entries.update(((a, b), v) for b, v in zip(coords, row)
-                       if not v.is_zero())
-    return entries, checked
-
 
 def _t_input(T: EndoField | Bilinear, kind: str, k: int) -> ChartSpec:
     """The (0,2) lift's one input check, made by its solver and its
@@ -1102,10 +1031,10 @@ def t11_lift_solve_certified(phi: EndoField, kind: str, k: int
     E[a, .], and every row has the one-form lift's coefficient rows, so each
     row of the closed form, entry ``(a_q, b_r)`` = ``C(q,r) D^(q-r)
     phi[a, b]`` (c) or ``(a_k, b_0)`` = ``phi[a, b]`` (v), is certified on
-    one rank proof, and a failing row falls back to a solve.  As for every
-    determined lift, the certificate records the defining equations solved
-    and the holdout checked; the covector half of the (1,1) law is the
-    tensors suite's to check (clauses T2 and T4)."""
+    one rank proof, against the a-components of ``(phi X)^lift``.  As for
+    every determined lift, the certificate records the defining equations
+    solved and the holdout checked; the covector half of the (1,1) law is
+    the tensors suite's to check (clauses T2 and T4)."""
     chart0 = _t11_input(phi, kind, k)
     target = chart0.extend(k)
     coords = list(target.coordinates())
@@ -1121,10 +1050,11 @@ def t11_lift_solve_certified(phi: EndoField, kind: str, k: int
         def slot(a, b):
             return (a.level - b.level, binomial(a.level, b.level)) \
                 if b.level <= a.level else None
-    entries, checked = _row_solve(
-        system, coords, [[Y.component(a) for a in coords] for Y in lifted],
-        "E", what, _rank2_candidate(phi, coords, slot))
-    _tally(checked)
+    entries = _rank2_candidate(phi, coords, slot)
+    for a in coords:
+        system.certify([Y.component(a) for Y in lifted],
+                       [entries.get((a, b), _ZERO) for b in coords], what,
+                       lambda p: f"E_{a.name}__{coords[p].name}")
     result = EndoField(target, entries)
     _refuse_nonzero(what, t11_defining_residuals(phi, result, kind, k))
     return result, SolveCertificate("endo", kind, k, None, None,
@@ -1163,13 +1093,8 @@ def t02_lift_solve_certified(G: Bilinear, kind: str, k: int
     solved or only checked, so ``P B P^T = R`` holds exactly over all
     ordered pairs of P's fields.  P has full column rank (its elimination
     leaves no position free), so ``P C = R`` has at most one solution C and
-    ``B P^T = C`` at most one B: the candidate is the lift.  When a column
-    fails, that column falls back to a solve, and B is solved row by row on
-    P, one row per coordinate a (``P B^T = C^T``), each row of the
-    candidate certified or solved.  Each check and each fallback solve's
-    own check reads every row of P, so together the two rounds give
-    ``P B P^T = P C = R``, and no separate check of the pair equations is
-    made."""
+    ``B P^T = C`` at most one B: the candidate is the lift, and no
+    separate check of the pair equations is made."""
     chart0 = _t_input(G, kind, k)
     target = chart0.extend(k)
     coords = list(target.coordinates())
@@ -1187,17 +1112,11 @@ def t02_lift_solve_certified(G: Bilinear, kind: str, k: int
             return (k - r - s, binomial(k, r) * binomial(k - r, s)) \
                 if r + s <= k else None
     B = _rank2_candidate(G, coords, slot)
-    C, checked = [], True
     for j, row in enumerate(system.rows):
         column = _contract(B, {coords[p]: c for p, c in row.items()}, 1)
-        values, ok = system.certify(
-            R[j], [column.get(a, _ZERO) for a in coords],
-            [f"C_{a.name}__{j}" for a in coords], what)
-        C.append(values)
-        checked = checked and ok
-    _tally(checked)
-    result = Bilinear(target, B if checked
-                      else _row_solve(system, coords, C, "B", what, B)[0])
+        system.certify(R[j], [column.get(a, _ZERO) for a in coords], what,
+                       lambda p: f"C_{coords[p].name}__{j}")
+    result = Bilinear(target, B)
     residuals = t02_defining_residuals(G, result, kind, k)
     _refuse_nonzero(what, residuals)
     return result, SolveCertificate("bilinear", kind, k, None, None,

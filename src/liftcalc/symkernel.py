@@ -34,20 +34,18 @@ equality of expressions is literal equality of term maps and every identity
 check in the package is exact and decidable. No floating point is used
 anywhere.
 
-The module also provides the exact linear algebra behind the determined
-lifts, where each unknown is an entire component function of the lifted
-field: fraction-free elimination over the polynomial ring with
-exact-division back-substitution. :class:`PolyLinearFactor` eliminates the
-rows of ``sum(row_n[p] * x_p) == rhs_n`` once, as a rank proof; its
-fallback solve eliminates again with the pivot rows' right-hand sides and
-reads those rows only, so the caller checks every equation at the values.
-Unknowns never enter an expression: a row maps positions to coefficients,
-and an unknown's name is only a label in error texts.
+The module also provides the rank proof behind the determined lifts,
+where each unknown is an entire component function of the lifted field:
+:func:`_eliminate` runs a fraction-free elimination of the coefficient
+rows of ``sum(row_n[p] * x_p) == rhs_n`` over the polynomial ring and
+returns its pivots, so a position no pivot reaches is free.  With none
+free the rows have at most one solution, and the caller checks its
+candidate against every equation.  Unknowns never enter an expression: a
+row maps positions to coefficients.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import re
 import sys
@@ -70,38 +68,6 @@ class ParseError(SymKernelError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-class LinearSolveError(SymKernelError):
-    """Base class for linear-system failures."""
-
-
-class InconsistentSystemError(LinearSolveError):
-    """The system has no solution; carries a witness equation."""
-
-    def __init__(self, message: str, equation_index: int | None = None,
-                 witness: str | None = None):
-        detail = message
-        if equation_index is not None:
-            detail += f" [equation {equation_index}]"
-        if witness:
-            detail += f": {witness}"
-        super().__init__(detail)
-        self.equation_index = equation_index
-        self.witness = witness
-
-
-class UnderdeterminedError(LinearSolveError):
-    """The system does not determine all unknowns; lists the free ones."""
-
-    def __init__(self, free: Sequence[str]):
-        self.free = tuple(free)
-        super().__init__(
-            f"underdetermined system; free unknowns: {', '.join(self.free)}")
-
-
-class ExactDivisionError(SymKernelError):
-    """Polynomial division with a nonzero remainder was requested."""
 
 
 # ---------------------------------------------------------------------------
@@ -447,9 +413,6 @@ _GUARD = 1 << _FIELD_BITS
 _SLOT0 = _FIELD_BITS + 1                # where slot 0 starts
 _DEGREE_FIELD = (1 << _SLOT0) - 1
 _MAX_SLOTS = 4096
-# The lowest bit of every slot: subtracting one monomial from another
-# borrows into one of these exactly when some exponent would go negative.
-_SLOT_LOWS = (((1 << _FIELD_BITS * _MAX_SLOTS) - 1) // _MAX_DEGREE) << _SLOT0
 _MONO_CACHE_SIZE = 8192
 
 _UNITS: dict[int, int] = {}             # code -> unit
@@ -545,21 +508,8 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return m
 
 
-def mono_div(a: Monomial, b: Monomial) -> Monomial | None:
-    """Divide monomial a by b, or return None when b does not divide a."""
-    q = a - b
-    if q < 0 or (a ^ b ^ q) & _SLOT_LOWS:
-        return None
-    return q
-
-
 def mono_degree(m: Monomial) -> int:
     return m & _MAX_DEGREE
-
-
-def _leading(terms: dict) -> Monomial:
-    """The leading monomial of a nonempty term map."""
-    return min(terms, key=_mono_order_key)
 
 
 def _codes(terms: dict) -> set:
@@ -1468,74 +1418,18 @@ def parse(text: str, chart=None) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Exact polynomial division
+# Rank proof of polynomial linear systems
 # ---------------------------------------------------------------------------
 
-def divide_exact(f: Expr, g: Expr) -> Expr:
-    """Return q with f == q*g, or raise ExactDivisionError.
-
-    Standard single-divisor reduction under the canonical term order; when g
-    divides f exactly the leading term of every intermediate remainder is
-    divisible by the leading term of g, so the loop either completes with
-    remainder zero or detects non-divisibility.
-
-    The remainder is one mutable term map, and a heap of order keys finds its
-    leading term, so each monomial's key is computed once.
-    """
-    if g.is_zero():
-        raise ExactDivisionError("division by the zero polynomial")
-    if f.is_zero():
-        return Expr.zero()
-    g_mono = _leading(g._terms)
-    g_coeff = g._terms[g_mono]
-    g_items = g._terms.items()
-    rest = dict(f._terms)
-    # Heap entries are (order key, monomial); equal keys mean equal monomials.
-    # An entry whose monomial has since cancelled out of `rest` is skipped.
-    heap = [(_mono_order_key(m), m) for m in rest]
-    heapq.heapify(heap)
-    quotient: dict[Monomial, GRat] = {}
-    while rest:
-        r_mono = heapq.heappop(heap)[1]
-        r_coeff = rest.get(r_mono)
-        if r_coeff is None:
-            continue
-        q_mono = mono_div(r_mono, g_mono)
-        if q_mono is None:
-            raise ExactDivisionError(
-                f"{format_expr(g)} does not divide {format_expr(f)}")
-        q = r_coeff / g_coeff
-        quotient[q_mono] = q
-        # The leading monomial has g's top degree, so no product carries.
-        for gm, gc in g_items:
-            m = q_mono + gm
-            s = rest.get(m)
-            if s is None:
-                rest[m] = -(q * gc)
-                heapq.heappush(heap, (_mono_order_key(m), m))
-            else:
-                s = s - q * gc
-                if s:
-                    rest[m] = s
-                else:
-                    del rest[m]
-    return _expr(quotient)
-
-
-# ---------------------------------------------------------------------------
-# Linear solving, polynomial semantics
-# ---------------------------------------------------------------------------
-
-def _eliminate(rows: Sequence[Mapping[int, Expr]], width: int,
-               rhs: dict[int, Expr]) -> list:
-    """Fraction-free forward elimination of the coefficient rows; returns
-    the pivots ``(position, other coefficients, pc, row)`` in elimination
-    order, with ``pc`` None where a constant pivot was normalised to 1.
+def _eliminate(rows: Sequence[Mapping[int, Expr]], width: int) -> list:
+    """Fraction-free forward elimination of the coefficient rows ``{position:
+    Expr}`` over the positions ``0 .. width-1``; returns the pivots
+    ``(position, other coefficients, pc, row)`` in elimination order, with
+    ``pc`` None where a constant pivot was normalised to 1.  A position no
+    pivot reaches is free.
 
     Pivots prefer constant coefficients, then the lowest degree, so the
-    pivot sequence depends on the rows alone.  `rhs` maps some rows to
-    their right-hand sides and is carried through the same updates in
-    place; a row it does not hold has no right-hand side to update."""
+    pivot sequence depends on the rows alone."""
     live = [(n, dict(row)) for n, row in enumerate(rows) if row]
     pivots: list = []
     for u in range(width):
@@ -1556,8 +1450,6 @@ def _eliminate(rows: Sequence[Mapping[int, Expr]], width: int,
         if pc.is_constant():
             inv = pc.constant_value().inverse()
             pcoeffs = {v: c.scale(inv) for v, c in pcoeffs.items()}
-            if prow in rhs:
-                rhs[prow] = rhs[prow].scale(inv)
             pc = None
         reduced = []
         for n, coeffs in live:
@@ -1572,68 +1464,8 @@ def _eliminate(rows: Sequence[Mapping[int, Expr]], width: int,
                         coeffs.pop(v, None)
                     else:
                         coeffs[v] = val
-                if n in rhs:
-                    b = rhs[n] if pc is None else pc * rhs[n]
-                    rhs[n] = b - c * rhs[prow]
             if coeffs:
                 reduced.append((n, coeffs))
         live = reduced
         pivots.append((u, tuple(pcoeffs.items()), pc, prow))
     return pivots
-
-
-class PolyLinearFactor:
-    """A fraction-free elimination of polynomial coefficient rows: which
-    positions it leaves free, and its pivots.
-
-    Row ``n`` is a map ``{position: Expr}`` of nonzero coefficients over the
-    positions ``0 .. width-1`` and stands for the equation
-    ``sum(row[p] * x_p) == rhs_n``.  Each ``x_p`` stands for a whole
-    polynomial.  The elimination (:func:`_eliminate`) runs once here; with
-    no position free it is a proof that the rows have at most one
-    solution.  :meth:`solve` runs it again on the right-hand sides of the
-    rows that pivot and back-substitutes; rows that never pivot are
-    eliminated only to find the later pivots, and solve never reads them,
-    so the caller checks every equation at the values.
-    """
-
-    __slots__ = ("width", "free", "_rows", "_pivots")
-
-    def __init__(self, rows: Sequence[Mapping[int, Expr]], width: int):
-        pivots = _eliminate(rows, width, {})
-        pivoted = {p[0] for p in pivots}
-        self.width = width
-        self.free = tuple(u for u in range(width) if u not in pivoted)
-        self._rows = rows
-        self._pivots = pivots[::-1]
-
-    def solve(self, rhs: Sequence[Expr], names: Sequence[str]) -> list[Expr]:
-        """The values ``x_p`` for the given right-hand sides, one per row,
-        read from the pivot rows alone.
-
-        ``names[p]`` labels position ``p`` in the errors: an
-        UnderdeterminedError whose ``free`` lists the names of the
-        unpivoted positions, raised before any elimination, or an
-        InconsistentSystemError (with the row as ``equation_index``) when a
-        pivot does not divide exactly.  The equations of rows that never
-        pivot are not checked; the caller checks every equation.
-        """
-        if self.free:
-            raise UnderdeterminedError([names[u] for u in self.free])
-        sides = {prow: rhs[prow] for _, _, _, prow in self._pivots}
-        _eliminate(self._rows, self.width, sides)
-        values: list = [None] * self.width
-        for u, coeffs, pc, prow in self._pivots:
-            numer = sides[prow]
-            for v, c in coeffs:
-                numer = numer - c * values[v]
-            if pc is None:
-                values[u] = numer
-            else:
-                try:
-                    values[u] = divide_exact(numer, pc)
-                except ExactDivisionError as exc:
-                    raise InconsistentSystemError(
-                        f"no polynomial solution for {names[u]}", prow,
-                        str(exc)) from exc
-        return values

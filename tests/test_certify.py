@@ -1,39 +1,30 @@
-"""Certify, don't replay: each determined lift checks its closed-form
-candidate against every row of its system and falls back to a solve
-(called the replay below) only when the candidate fails.
+"""Certify or refuse: each determined lift checks its closed-form candidate
+against every row of its system, and is refused when it cannot be proven
+the one solution.
 
-A candidate is accepted only when the factorisation leaves no position
-free, so the solved rows have at most one solution and a candidate that
-meets every row is that solution.  These tests pin what follows from that:
-the candidate route returns what the replay returns, a wrong candidate is
-never returned, and a system with a free position refuses with the
-replay's text whatever the candidate.
+A candidate is accepted only when the elimination of the solved rows
+leaves no position free, so those rows have at most one solution, and the
+candidate meets every row, solved or only checked.  These tests pin what
+follows from that: a wrong candidate is never returned, it is refused with
+the first equation it fails, and a system with a free position refuses
+with its free positions' names whatever the candidate.  Each certified
+lift is checked against sympy's unique solution of the same rows in
+``tests/test_sympy_oracle.py``.
 """
+
+import re
 
 import pytest
 
-from liftcalc import cli
 from liftcalc import lifts as L
 from liftcalc.charts import ChartSpec
 from liftcalc.fields import Bilinear, EndoField, OneForm, VectorField
-from liftcalc.symkernel import TIME, Expr, PolyLinearFactor, anti, holo
+from liftcalc.symkernel import TIME, Expr, anti, holo
 from liftcalc.verify import FieldGen
 
 C0 = ChartSpec(1, 0, True)
 Z, ZB = holo(0, 1), anti(0, 1)
 z, zb, t = Expr.atom(Z), Expr.atom(ZB), Expr.atom(TIME)
-
-# (m, k, time line): k >= 5 once, t on two charts.
-CHARTS = [(1, 2, False), (1, 3, True), (2, 2, True), (1, 6, False)]
-CHART_IDS = [f"m{m}k{k}{'t' if has_time else ''}" for m, k, has_time in CHARTS]
-
-
-def _replay_only(patch):
-    """Send every lift to the replay, as if no candidate had passed."""
-    def replay(self, rhs, candidate, names, what):
-        return self.solve(rhs, names, what), False
-
-    patch.setattr(L._System, "certify", replay)
 
 
 def _inputs(chart0, seed):
@@ -52,43 +43,29 @@ def _inputs(chart0, seed):
     return Zf, w, phi, G
 
 
-def _lifts(chart0, k, seed):
-    """Every determined lift of the inputs, with its certificate: vectors
-    and one-forms of kinds v, c and cv (every split), tensors v and c.  The
+def _solves(chart0, k, seed):
+    """Every determined lift of the inputs as ``(what, call)``: vectors and
+    one-forms of kinds v, c and cv (every split), tensors v and c.  The
     v-lifts take a time component the c-lifts refuse."""
     Zf, w, phi, G = _inputs(chart0, seed)
     out = []
-    for solve, field in ((L.vf_lift_solve_certified, Zf),
-                         (L.of_lift_solve_certified, w)):
-        out.append(solve(field, "c", k))
-        out += [solve(field, "cv", k, r=r, s=k - r) for r in range(k + 1)]
+    for solve, field, op in ((L.vf_lift_solve_certified, Zf, "vector"),
+                             (L.of_lift_solve_certified, w, "one-form")):
+        def call(kind, field=field, solve=solve, **split):
+            return lambda: solve(field, kind, k, **split)
+
+        out.append((f"{op} c-lift", call("c")))
+        out += [(f"{op} cv-lift", call("cv", r=r, s=k - r))
+                for r in range(k + 1)]
         if chart0.has_time:
             field = field + type(field)(chart0, {TIME: 1 + t})
-        out.append(solve(field, "v", k))
+        out.append((f"{op} v-lift", call("v", field)))
     for kind in ("v", "c"):
-        out.append(L.t11_lift_solve_certified(phi, kind, k))
-        out.append(L.t02_lift_solve_certified(G, kind, k))
+        for op, solve, field in (("(1,1)", L.t11_lift_solve_certified, phi),
+                                 ("(0,2)", L.t02_lift_solve_certified, G)):
+            out.append((f"{op}-tensor {kind}-lift",
+                        lambda s=solve, f=field, kind=kind: s(f, kind, k)))
     return out
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("m,k,has_time", CHARTS, ids=CHART_IDS)
-def test_the_candidate_route_is_the_replay(monkeypatch, m, k, has_time,
-                                           seed):
-    """Values and certificates alike; the candidate route replays no lift,
-    and the forced route checks none."""
-    chart0 = ChartSpec(m, 0, has_time)
-    L.clear_lift_cache()
-    certified = _lifts(chart0, k, seed)
-    info = L._certify_info()
-    assert info.replayed == 0 and info.checked > len(certified)
-    L.clear_lift_cache()
-    with monkeypatch.context() as patch:
-        _replay_only(patch)
-        replayed = _lifts(chart0, k, seed)
-    assert L._certify_info() == (0, info.checked)
-    assert certified == replayed
-    L.clear_lift_cache()
 
 
 def _oneform_c_lift(system, k):
@@ -99,98 +76,69 @@ def _oneform_c_lift(system, k):
     rhs = [L._complete_expr(w.pair(X), k) for X in system.items]
     candidate = L._rank1_candidate(w, coords, L._lift_slots(False, "c", k,
                                                             None, None))
-    return rhs, candidate, [f"W_{c.name}" for c in coords]
+    return rhs, candidate, lambda p: f"W_{coords[p].name}"
 
 
 @pytest.mark.parametrize("k", [2, 3], ids=["all-solved", "ladder"])
 def test_a_candidate_wrong_in_one_slot_is_never_returned(k):
-    """Each slot in turn: the replay's values come back, not the
-    candidate's, and they are the true candidate's."""
+    """Each slot in turn: the true candidate is certified, and one wrong in
+    slot p is refused at the first row that reads p."""
     system = L._system((L._pairing, C0, k))
-    rhs, candidate, names = _oneform_c_lift(system, k)
-    values, checked = system.certify(rhs, candidate, names, "test")
-    assert values is candidate and checked
+    rhs, candidate, name = _oneform_c_lift(system, k)
+    assert system.certify(rhs, candidate, "test", name) is None
     for p in range(len(candidate)):
         wrong = list(candidate)
         wrong[p] = wrong[p] + z
-        values, checked = system.certify(rhs, wrong, names, "test")
-        assert not checked and values is not wrong
-        assert values == system.solve(rhs, names, "test") == candidate
+        first = min(n for n, row in enumerate(system.rows) if p in row)
+        with pytest.raises(L.LiftError) as refused:
+            system.certify(rhs, wrong, "test", name)
+        assert str(refused.value) == (
+            f"test solve: closed form fails equation {first}")
 
 
-def test_a_wrong_candidate_falls_back_in_every_solver(monkeypatch):
-    """Through each solver: with every candidate wrong in one slot, the
-    lifts are the candidate route's, and each one is counted replayed."""
+def test_a_wrong_candidate_is_refused_in_every_solver(monkeypatch):
+    """Through each solver, with every candidate wrong in its last slot:
+    each lift is refused with its own name and the equation it fails.  The
+    caches are warmed first, so the vector lifts that the other ops read
+    from the one-term table are not solved again."""
     chart0 = ChartSpec(1, 0, True)
     L.clear_lift_cache()
-    expected = _lifts(chart0, 2, 0)
-    L.clear_lift_cache()
+    solves = _solves(chart0, 2, 0)
+    for _, solve in solves:
+        solve()
     certify = L._System.certify
 
-    def wrong(self, rhs, candidate, names, what):
+    def wrong(self, rhs, candidate, what, name):
         return certify(self, rhs, [*candidate[:-1], candidate[-1] + 1],
-                       names, what)
+                       what, name)
 
     with monkeypatch.context() as patch:
         patch.setattr(L._System, "certify", wrong)
-        assert _lifts(chart0, 2, 0) == expected
-    assert L._certify_info().checked == 0
+        for what, solve in solves:
+            with pytest.raises(L.LiftError) as refused:
+                solve()
+            assert re.fullmatch(re.escape(what)
+                                + r" solve: closed form fails equation \d+",
+                                str(refused.value))
     L.clear_lift_cache()
 
 
 def test_a_system_with_a_free_position_never_accepts_a_candidate():
     """At m = 1, k = 3 the fields of coefficient degree <= 1 leave the top
     level free.  The one-form's closed form meets every one of their rows,
-    yet certify refuses it with the replay's text."""
+    yet certify refuses it and names the free positions."""
     k = 3
     fields = L._vector_stage(C0, 0) + L._vector_stage(C0, 1)
     system = L._field_system(fields, C0, k)
-    assert system.factor.free
-    rhs, candidate, names = _oneform_c_lift(system, k)
+    assert system.free
+    rhs, candidate, name = _oneform_c_lift(system, k)
     assert all(total.is_zero() for total in system.evaluate(rhs, candidate))
-    with pytest.raises(L.LiftError) as replayed:
-        system.solve(rhs, names, "one-form c-lift")
-    with pytest.raises(L.LiftError) as certified:
-        system.certify(rhs, candidate, names, "one-form c-lift")
-    assert str(certified.value) == str(replayed.value) == (
+    with pytest.raises(L.LiftError) as refused:
+        system.certify(rhs, candidate, "one-form c-lift", name)
+    assert str(refused.value) == (
         "one-form c-lift solve: underdetermined system; free unknowns: "
         "W_z3_1, W_zb3_1")
     L.clear_lift_cache()
-
-
-@pytest.mark.parametrize("argv", [
-    ["check", "all", "--m", "1", "--k", "2", "--seed", "0"],
-    ["compare", "P333", "--m", "2", "--k", "3"],
-], ids=["check-all", "compare"])
-def test_no_production_route_reaches_the_fallback_solve(monkeypatch, capsys,
-                                                       argv):
-    """From cold caches, every lift of a check run and of a compare run is
-    certified by check, so the fallback solve is never called: with it made
-    to raise, both runs exit 0.  CI's replay count covers check runs
-    only."""
-    calls = []
-
-    def refuse(self, rhs, names):
-        calls.append(tuple(names))
-        raise AssertionError("fallback solve reached")
-
-    L.clear_lift_cache()
-    monkeypatch.setattr(PolyLinearFactor, "solve", refuse)
-    assert cli.main(argv) == 0
-    assert calls == []
-    capsys.readouterr()
-    L.clear_lift_cache()
-
-
-def test_certify_counts_reset_with_the_caches():
-    L.clear_lift_cache()
-    assert L._certify_info() == (0, 0)
-    Y = VectorField(C0, {Z: z, TIME: 1})
-    L.vf_lift_solve(Y, "c", 2)
-    L.vf_lift_solve(Y, "c", 2)      # a public solve keeps nothing
-    assert L._certify_info() == (2, 0)
-    L.clear_lift_cache()
-    assert L._certify_info() == (0, 0)
 
 
 def test_evaluate_keeps_the_residual_sign():

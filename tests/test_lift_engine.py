@@ -1,12 +1,11 @@
-"""The determined-lift engine: cached factorisations stay certified.
+"""The determined-lift engine: cached rank proofs stay certified.
 
-Each op's coefficient rows and their factorisation are cached per system
-key.  Each input checks its closed-form candidate against every equation
-and falls back to a solve on its right-hand sides (called the replay
-below) only when the candidate fails.  A wrong right-hand side must still
-be caught -- by the check against every equation, the replay's errors or
-the holdout -- even when the system comes from the cache, and the failure
-must not spoil the cache for the next input.
+Each op's coefficient rows and their rank proof are cached per system key.
+Each input checks its closed-form candidate against every equation and is
+refused when the candidate fails.  A wrong right-hand side must still be
+caught -- by the check against every equation or by the holdout -- even
+when the system comes from the cache, and the failure must not spoil the
+cache for the next input.
 """
 
 import re
@@ -23,7 +22,7 @@ from liftcalc.fields import (
     ScalarField,
     VectorField,
 )
-from liftcalc.symkernel import TIME, Expr, PolyLinearFactor, anti, holo
+from liftcalc.symkernel import TIME, Expr, _eliminate, anti, holo
 from liftcalc.verify import FieldGen
 
 C0 = ChartSpec(1, 0, True)
@@ -61,16 +60,21 @@ def _assert_cached_solve_survives(monkeypatch, solve, first, second, corrupt,
     assert L._system.cache_info().currsize == entries
 
 
+def _fails(what, n):
+    """The exact refusal of a candidate that fails equation `n`."""
+    return ("^" + re.escape(f"{what} solve: closed form fails equation {n}")
+            + "$")
+
+
 @pytest.mark.parametrize("value, message", [
-    (z * zb, "fails its own equation"),         # a family member off the ladders
+    # Z applied to z*zb, a family member off the ladders
+    pytest.param(z * zb, _fails("vector v-lift", 7),
+                 id="value0-off-ladder row"),
     (2 * z ** 2 * zb, "holdout residual nonzero"),  # Z applied to z^2*zb
-    # Z applied to z^2, a ladder function: the ladder replay itself fails,
-    # and no whole-family solve is tried after it.  The equation counts the
-    # rows of the one ladder system, the t row first.
-    pytest.param(2 * z ** 2, "^" + re.escape(
-        "vector v-lift solve: no polynomial solution for U_z0_1 "
-        "[equation 3]: 24*z1_1^3 does not divide -12*z0_1*z1_1")
-        + "$", id="value2-ladder replay"),
+    # Z applied to z^2, a ladder function.  The equation counts the rows of
+    # the family, the t row first.
+    pytest.param(2 * z ** 2, _fails("vector v-lift", 2),
+                 id="value2-ladder row"),
 ])
 def test_vector_lift_checks_stay_live(monkeypatch, value, message):
     first = VectorField(C0, {Z: z, TIME: 1})
@@ -85,27 +89,32 @@ def test_vector_lift_checks_stay_live(monkeypatch, value, message):
 def test_oneform_lift_checks_stay_live(monkeypatch):
     first = OneForm(C0, {Z: z})
     second = OneForm(C0, {ZB: z * zb})
-    # z^4 is only paired against the holdout field z^3 d/dz0_1.
-    _assert_cached_solve_survives(
-        monkeypatch, lambda w: L.of_lift_solve_certified(w, "v", K),
-        first, second,
-        lambda patch: _wrong_scalar_lift(patch, "v", z ** 4),
-        "holdout residual nonzero")
+    for value, message in [
+        # z*zb is the pairing with the test field zb d/dz0_1, row 5.
+        (z * zb, _fails("one-form v-lift", 5)),
+        # z^4 is only paired against the holdout field z^3 d/dz0_1.
+        (z ** 4, "holdout residual nonzero"),
+    ]:
+        _assert_cached_solve_survives(
+            monkeypatch, lambda w: L.of_lift_solve_certified(w, "v", K),
+            first, second,
+            lambda patch: _wrong_scalar_lift(patch, "v", value), message)
     assert L.of_lift_solve(second, "v", K) == L.of_vertical_closed(second, K)
 
 
 def test_oneform_lift_is_refused_on_a_row_that_never_pivots(monkeypatch):
     """At m = 1, k = 3 the pairing solves its 9 ladder rows and only checks
     the other fields of coefficient degree <= 2, so row 12, z*zb d/dz0_1,
-    never pivots.  The replay never reads it; the engine's check of every
-    equation refuses a wrong right-hand side there."""
+    never pivots.  The rank proof never reads it; the engine's check of
+    every equation refuses a wrong right-hand side there."""
     k = 3
     first = OneForm(C0, {c: v for c, v in FieldGen(0).oneform(C0)
                          .components.items() if c != TIME})
     second = OneForm(C0, {ZB: z * zb})
     system = L._pairing(C0, k)
     assert system.solved == 9 and len(system.rows) == 15
-    assert 12 not in {p[3] for p in system.factor._pivots}
+    pivots = _eliminate(system.rows[:system.solved], system.width)
+    assert 12 not in {p[3] for p in pivots}
     test_field = system.items[12]
     assert test_field == VectorField(C0, {Z: z * zb})
     pair = OneForm.pair
@@ -118,66 +127,49 @@ def test_oneform_lift_is_refused_on_a_row_that_never_pivots(monkeypatch):
 
     _assert_cached_solve_survives(
         monkeypatch, lambda w: L.of_lift_solve_certified(w, "v", k),
-        first, second, corrupt,
-        "^" + re.escape("one-form v-lift solve: solution fails its own "
-                        "equation 12") + "$")
-
-
-def test_pairing_solve_ignores_rows_that_never_pivot():
-    """The fallback solve reads the pivot rows alone: on the m = 2, k = 3
-    pairing, which solves all its 21 rows for 17 unknowns, it returns the
-    same values whatever the right-hand sides of the rows that never
-    pivot."""
-    system = L._pairing(ChartSpec(2, 0, True), 3)
-    factor = system.factor
-    assert (len(system.rows), factor.width) == (21, 17)
-    assert system.solved == len(system.rows) and not factor.free
-    gen = FieldGen(3)
-    values = [gen.expr(ChartSpec(2, 0, True)) for _ in range(factor.width)]
-    rhs = [sum((c * values[p] for p, c in row.items()), Expr.zero())
-           for row in system.rows]
-    names = [f"x{p}" for p in range(factor.width)]
-    assert factor.solve(rhs, names) == values
-    idle = sorted(set(range(len(rhs))) - {p[3] for p in factor._pivots})
-    assert len(idle) == len(rhs) - factor.width
-    for other in (Expr.zero(), Expr.one(), z * zb ** 2 + 3):
-        changed = [other if n in idle else b for n, b in enumerate(rhs)]
-        assert factor.solve(changed, names) == values
+        first, second, corrupt, _fails("one-form v-lift", 12))
 
 
 def test_endo_lift_checks_stay_live(monkeypatch):
     first = EndoField(C0, {(Z, Z): Expr.one()})
     second = EndoField(C0, {(ZB, Z): zb})
-    held_out = VectorField(C0, {Z: z ** 3})    # phi(X) for a holdout X
     right = L.vf_lift_solve
 
-    # Only the v-lift of z^3 d/dz0_1 is wrong: the one-term entry that
-    # (phi X)^lift is composed from; the complete lift of the same field, a
-    # holdout field, stays right.  The wrong entry goes into a throwaway
-    # one-term table, which the context drops, so no later solve can read
-    # it, whatever its terms.
-    def corrupt(patch):
-        def lift(Y, kind, k):
-            out = right(Y, kind, k)
-            if Y == held_out and kind == "v":
-                return out + VectorField(out.chart, {TIME: 1})
-            return out
-        patch.setattr(L, "vf_lift_solve", lift)
-        patch.setattr(L, "_vf_term_lift", lru_cache(
-            maxsize=L._VF_TERM_CACHE_SIZE)(L._vf_term_lift.__wrapped__))
+    # Only the v-lift of `wrong` is off: the one-term entry that (phi X)^lift
+    # is composed from; the complete lift of the same field stays right.
+    # The wrong entry goes into a throwaway one-term table, which the
+    # context drops, so no later solve can read it, whatever its terms.
+    def corrupt(wrong):
+        def install(patch):
+            def lift(Y, kind, k):
+                out = right(Y, kind, k)
+                if Y == wrong and kind == "v":
+                    return out + VectorField(out.chart, {TIME: 1})
+                return out
+            patch.setattr(L, "vf_lift_solve", lift)
+            patch.setattr(L, "_vf_term_lift", lru_cache(
+                maxsize=L._VF_TERM_CACHE_SIZE)(L._vf_term_lift.__wrapped__))
+        return install
 
-    _assert_cached_solve_survives(
-        monkeypatch, lambda phi: L.t11_lift_solve_certified(phi, "v", K),
-        first, second, corrupt, "holdout residual nonzero")
+    for wrong, message in [
+        # phi(X) for the test field X = z d/dz0_1, row 3: the candidate's
+        # row at t fails there.
+        (VectorField(C0, {Z: z}), _fails("(1,1)-tensor v-lift", 3)),
+        # phi(X) for a holdout X
+        (VectorField(C0, {Z: z ** 3}), "holdout residual nonzero"),
+    ]:
+        _assert_cached_solve_survives(
+            monkeypatch, lambda phi: L.t11_lift_solve_certified(phi, "v", K),
+            first, second, corrupt(wrong), message)
 
 
 def test_bilinear_lift_checks_stay_live(monkeypatch):
     first = Bilinear(C0, {(Z, ZB): Expr.one()})
     second = Bilinear(C0, {(ZB, Z): z, (Z, Z): 1})
     for value, message in [
-        # G(z d/dz0_1, zb d/dzb0_1) = z*zb on a stage-1 pair: the first
-        # round of replays (the columns of B P^T) has no polynomial solution.
-        (z * zb, "no polynomial solution for C_"),
+        # G(z d/dz0_1, zb d/dzb0_1) = z*zb on a stage-1 pair: a column of
+        # B P^T fails its row 5.
+        (z * zb, _fails("(0,2)-tensor v-lift", 5)),
         # G(z^3 d/dz0_1, d/dzb0_1) = z^3 only on holdout pairs.
         (z ** 3, "holdout residual nonzero"),
     ]:
@@ -185,39 +177,6 @@ def test_bilinear_lift_checks_stay_live(monkeypatch):
             monkeypatch, lambda G: L.t02_lift_solve_certified(G, "v", K),
             first, second,
             lambda patch: _wrong_scalar_lift(patch, "v", value), message)
-
-
-def _wrong_candidates(patch):
-    """Make every closed-form candidate wrong in its first position, so
-    each lift falls back to the replay.  Every position pivots, so some
-    row reads the first one and fails."""
-    certify = L._System.certify
-
-    def wrong(self, rhs, candidate, names, what):
-        return certify(self, rhs, [candidate[0] + 1, *candidate[1:]], names,
-                       what)
-
-    patch.setattr(L._System, "certify", wrong)
-
-
-@pytest.mark.parametrize("prefix", ["C_", "B_"])
-def test_bilinear_rounds_check_their_own_equations(monkeypatch, prefix):
-    """When the candidate fails, the (0,2) lift replays in two rounds, and
-    no separate check of the pair equations is made: a wrong value from a
-    replay of either round must fail that replay's own equations."""
-    replay = PolyLinearFactor.solve
-
-    def wrong(self, rhs, names):
-        values = replay(self, rhs, names)
-        if names[0].startswith(prefix):
-            values[0] = values[0] + 1
-        return values
-
-    L.clear_lift_cache()
-    _wrong_candidates(monkeypatch)
-    monkeypatch.setattr(PolyLinearFactor, "solve", wrong)
-    with pytest.raises(L.LiftError, match="fails its own equation"):
-        L.t02_lift_solve(Bilinear(C0, {(Z, ZB): Expr.one()}), "v", K)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -241,19 +200,21 @@ def test_vector_ladder_functions_are_family_members(chart0, include_time, k):
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_ladder_pivots_and_back_substitution_stay_narrow(k):
     """Top level first, each ladder's one constant pivot is its first, every
-    other pivot is one term and every back-substitution coefficient has at
-    most two terms; bottom level first, the pivots reach 40 terms at k = 5."""
-    factor = L._vf_family(C0, k, True).factor      # t, then z and zb
-    assert not factor.free
+    other pivot is one term and every other coefficient of a pivot row has
+    at most two terms; bottom level first, the pivots reach 40 terms at
+    k = 5."""
+    system = L._vf_family(C0, k, True)          # t, then z and zb
+    assert not system.free
+    pivots = _eliminate(system.rows[:system.solved], system.width)
     layout = L._vf_layout(C0, k, True)
     tops = {u for u, c in enumerate(layout) if c == TIME or c.level == k}
     assert len(tops) == 3
     # a constant pivot is normalised to None
-    assert {u for u, _, pc, _ in factor._pivots if pc is None} == tops
+    assert {u for u, _, pc, _ in pivots if pc is None} == tops
     assert all(len(pc.term_map()) == 1
-               for _, _, pc, _ in factor._pivots if pc is not None)
+               for _, _, pc, _ in pivots if pc is not None)
     assert all(len(c.term_map()) <= 2
-               for _, coeffs, _, _ in factor._pivots for _, c in coeffs)
+               for _, coeffs, _, _ in pivots for _, c in coeffs)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -273,16 +234,16 @@ def test_one_ladder_system_factors_as_its_ladders_alone(m, include_time, k):
         (name,) = {ladder(u) for u in row}
         rows_of.setdefault(name, []).append(n)
     assert len(rows_of) == 2 * m + include_time
-    pivots = system.factor._pivots
+    pivots = _eliminate(system.rows[:system.solved], system.width)
     for name, rows in rows_of.items():
         positions = [u for u in range(system.width) if ladder(u) == name]
         local = {u: i for i, u in enumerate(positions)}
         row_no = {n: i for i, n in enumerate(rows)}
-        alone = PolyLinearFactor([{local[u]: c for u, c in system.rows[n].items()}
-                                  for n in rows], len(positions))
+        alone = _eliminate([{local[u]: c for u, c in system.rows[n].items()}
+                            for n in rows], len(positions))
         assert [(local[u], tuple((local[v], c) for v, c in coeffs), pc,
                  row_no[prow])
-                for u, coeffs, pc, prow in pivots if u in local] == alone._pivots
+                for u, coeffs, pc, prow in pivots if u in local] == alone
 
 
 def _fields_up_to(chart0, degree):
@@ -320,11 +281,10 @@ def test_pairing_factor_leaves_no_position_free(m, has_time, k):
     """Every pairing pins every position, so no lift is refused as
     underdetermined; on the ladder every pivot is one monomial."""
     system = L._pairing(ChartSpec(m, 0, has_time), k)
-    factor = system.factor
-    assert factor.free == ()
+    assert system.free == ()
     if k > 2 * m:
-        assert all(pc is None or len(pc.term_map()) == 1
-                   for _, _, pc, _ in factor._pivots)
+        assert all(pc is None or len(pc.term_map()) == 1 for _, _, pc, _ in
+                   _eliminate(system.rows[:system.solved], system.width))
 
 
 @pytest.mark.parametrize("k", range(1, 8))
@@ -689,55 +649,52 @@ def test_system_cache_holds_only_systems(monkeypatch):
         L._vf_family, L._vf_holdout, L._pairing, L._holdout}
 
 
-def _solver_names(monkeypatch, solve, field):
-    """The position names of every factorisation replay `solve(field)`
-    makes, in order, from cold caches, with every candidate wrong."""
-    calls = []
-    replay = PolyLinearFactor.solve
+def test_each_op_names_its_positions(monkeypatch):
+    """A system with a free position refuses each op with its positions'
+    names.  With every position made free, each op names them all (the
+    (1,1) and (0,2) lifts at their first row or column).  A certified lift
+    builds no name.  The caches are warmed first, so the refusal is the
+    op's own, not that of a vector lift it reads from the one-term table."""
+    gen = FieldGen(5)
+    coords = C0.extend(K).coordinates()
+    cases = [
+        # Each ladder top level first; the time component is pinned.
+        (lambda Y: L.vf_lift_solve(Y, "c", K), gen.vector(C0),
+         "vector c-lift", [f"U_{base}{r}_1" for base in ("z", "zb")
+                           for r in range(K, -1, -1)]),
+        (lambda w: L.of_lift_solve(w, "v", K), gen.oneform(C0),
+         "one-form v-lift", [f"W_{c.name}" for c in coords]),
+        (lambda w: L.of_lift_solve(w, "v", 3), gen.oneform(C0),
+         "one-form v-lift",
+         [f"W_{c.name}" for c in C0.extend(3).coordinates()]),
+        (lambda p: L.t11_lift_solve(p, "v", K), gen.endo(C0),
+         "(1,1)-tensor v-lift", [f"E_t__{b.name}" for b in coords]),
+        (lambda G: L.t02_lift_solve(G, "v", K), gen.bilinear(C0),
+         "(0,2)-tensor v-lift", [f"C_{c.name}__0" for c in coords]),
+    ]
+    certify = L._System.certify
+    built = []
 
-    def recording(self, rhs, names):
-        calls.append(tuple(names))
-        return replay(self, rhs, names)
+    def recording(self, rhs, candidate, what, name):
+        return certify(self, rhs, candidate, what,
+                       lambda p: built.append(p) or name(p))
 
     L.clear_lift_cache()
     with monkeypatch.context() as patch:
-        _wrong_candidates(patch)
-        patch.setattr(PolyLinearFactor, "solve", recording)
-        solve(field)
-    assert all(type(name) is str for names in calls for name in names)
-    return calls
-
-
-def test_each_op_names_its_positions(monkeypatch):
-    """The replay that a failing candidate falls back to names each
-    position in its errors."""
-    gen = FieldGen(5)
-    coords = C0.extend(K).coordinates()
-    tests = L._pairing(C0, K).items
-    cases = [
-        # One replay of the family's ladder rows, each ladder top level
-        # first; the time component is pinned.
-        (lambda Y: L.vf_lift_solve(Y, "c", K), gen.vector(C0), ("U_",),
-         [tuple(f"U_{base}{r}_1" for base in ("z", "zb")
-                for r in range(K, -1, -1))]),
-        (lambda w: L.of_lift_solve(w, "v", K), gen.oneform(C0), ("W_",),
-         [tuple(f"W_{c.name}" for c in coords)]),
-        # At k = 3 the pairing's square ladder is the part solved, and it
-        # is replayed once.
-        (lambda w: L.of_lift_solve(w, "v", 3), gen.oneform(C0), ("W_",),
-         [tuple(f"W_{c.name}" for c in C0.extend(3).coordinates())]),
-        (lambda p: L.t11_lift_solve(p, "v", K), gen.endo(C0), ("E_",),
-         [tuple(f"E_{a.name}__{b.name}" for b in coords) for a in coords]),
-        # One replay per test column of C = B P^T, then one per row of B.
-        (lambda G: L.t02_lift_solve(G, "v", K), gen.bilinear(C0), ("C_", "B_"),
-         [tuple(f"C_{c.name}__{j}" for c in coords) for j in range(len(tests))]
-         + [tuple(f"B_{a.name}__{b.name}" for b in coords) for a in coords]),
-    ]
-    for solve, field, prefixes, expected in cases:
-        names = _solver_names(monkeypatch, solve, field)
-        assert [n for n in names if n[0].startswith(prefixes)] == expected
-        # The other replays are the vector and one-form lifts the op uses.
-        assert all(n[0].startswith(prefixes + ("U_", "W_")) for n in names)
+        patch.setattr(L._System, "certify", recording)
+        for solve, field, _, _ in cases:
+            solve(field)
+    assert built == []
+    with monkeypatch.context() as patch:
+        patch.setattr(L._System, "free",
+                      property(lambda self: tuple(range(self.width))))
+        for solve, field, what, names in cases:
+            with pytest.raises(L.LiftError) as refused:
+                solve(field)
+            assert str(refused.value) == (
+                f"{what} solve: underdetermined system; free unknowns: "
+                + ", ".join(names))
+    L.clear_lift_cache()
 
 
 def test_bounded_cache_evicts_the_least_recently_used():

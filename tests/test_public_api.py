@@ -19,9 +19,13 @@ PACKAGE = REPO / "src" / "liftcalc"
 # Solver unknowns were a second kind of atom; positions now carry plain
 # string names, and coordinates are the only atoms.
 # The fundamental two-form is an antisymmetric Bilinear, so the general
-# alternating-form type went too.
+# alternating-form type went too.  Every determined lift certifies its
+# closed-form candidate or is refused, so the fallback solve went, with its
+# exact division and its error types.
 REMOVED = ("UnknownId", "Atom", "ConjugationError", "NonlinearSystemError",
-           "solve_poly_linear", "AltForm")
+           "solve_poly_linear", "AltForm", "PolyLinearFactor", "divide_exact",
+           "mono_div", "LinearSolveError", "InconsistentSystemError",
+           "UnderdeterminedError", "ExactDivisionError")
 # The (1,1) solve checked the covector-pairing law after every solve, which
 # the tensors suite owns; the complete-lift alias had one-line callers.
 # fn_complete_step equalled fn_complete(f, 1).
@@ -35,14 +39,17 @@ REMOVED = ("UnknownId", "Atom", "ConjugationError", "NonlinearSystemError",
 # family is one system holding its fields' lifts, so the per-stage
 # test-lift entries went.  The systems and the one-term vector lifts are
 # `functools.lru_cache`s, so the hand-written LRU and its dicts went, and a
-# system no longer keeps its fields' lifts beside the one-term table.
+# system no longer keeps its fields' lifts beside the one-term table.  With
+# no fallback solve there is no count of lifts that fell back to it, and the
+# (1,1) and (0,2) results are their candidates, with no row-by-row solve.
 RETIRED_LIFTS = ("t11_form_clause_notes", "complete_vf_cached",
                  "fn_complete_step", "_VF_SOLVE_CACHE", "_VF_SOLVE_CACHE_SIZE",
                  "_field_key", "_vf_solve_cached", "_bounded",
                  "vector_test_family", "_vf_ladder", "_FAMILY_CACHE_SIZE",
                  "_vf_ladders", "_PairEngine", "_Engine", "_OPS",
                  "_test_lifts", "_lru", "_SYSTEM_CACHE", "_VF_TERM_CACHE",
-                 "_CompleteTable", "_CacheInfo")
+                 "_CompleteTable", "_CacheInfo", "_CertifyInfo", "_tally",
+                 "_certified", "_certify_info", "_row_solve")
 # A table nothing read.
 RETIRED_VERIFY = ("COMPARISON_SUBJECTS",)
 # Methods that nothing in the package, the demos, the scripts or the
@@ -104,7 +111,7 @@ def test_removed_names_are_gone():
         assert not hasattr(verify, name)
     assert "notes" not in lifts.SolveCertificate.__dataclass_fields__
     assert not any(hasattr(lifts._System((), [], 0), name)
-                   for name in ("labels", "lifted"))
+                   for name in ("labels", "lifted", "factor", "solve"))
     for cls, methods in RETIRED_METHODS.items():
         for method in methods:
             assert not hasattr(cls, method), f"{cls.__name__}.{method}"

@@ -1,8 +1,8 @@
 """Kernel-level tests: Gaussian-rational arithmetic, the polynomial ring,
-parsing/printing, differentiation, conjugation, and the exact linear solver.
+parsing/printing, differentiation, conjugation, and the elimination that is
+the determined lifts' rank proof.
 """
 
-import heapq
 import math
 import re
 import sys
@@ -10,7 +10,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liftcalc import symkernel
@@ -18,19 +18,16 @@ from liftcalc.charts import ChartSpec
 from liftcalc.symkernel import (
     TIME,
     CoordId,
-    ExactDivisionError,
     Expr,
     GRat,
-    InconsistentSystemError,
     Kind,
     ParseError,
-    PolyLinearFactor,
     SymKernelError,
-    UnderdeterminedError,
     _accumulate,
     _add_product,
     _decode,
     _derive,
+    _eliminate,
     _expr,
     _mono_decode,
     _mono_order_key,
@@ -38,11 +35,9 @@ from liftcalc.symkernel import (
     _tokens,
     anti,
     binomial,
-    divide_exact,
     format_expr,
     holo,
     mono_degree,
-    mono_div,
     mono_mul,
     parse,
 )
@@ -1294,15 +1289,6 @@ def _ref_mono_mul(a, b):
     return _ref_mono(exps)
 
 
-def _ref_mono_div(a, b):
-    exps = dict(a)
-    for c, e in b:
-        if exps.get(c, 0) < e:
-            return None
-        exps[c] -= e
-    return _ref_mono(exps)
-
-
 def _ref_terms(pairs):
     """The reference term map of ``(coefficient, monomial)`` pairs."""
     acc = {}
@@ -1335,20 +1321,9 @@ def test_packed_monomials_match_the_tuple_reference(a, b):
     assert mono_degree(pa) == sum(e for _, e in a)
     ab = _ref_mono_mul(a, b)
     assert mono_mul(pa, pb) == _packed(ab) and _mono_decode(pa + pb) == ab
-    assert (mono_div(_packed(ab), pb), mono_div(_packed(ab), pa)) == (pa, pb)
-    q = _ref_mono_div(a, b)
-    assert mono_div(pa, pb) == (None if q is None else _packed(q))
     ka, kb = _mono_order_key(pa), _mono_order_key(pb)
     ra, rb = _reference_order_key(a), _reference_order_key(b)
     assert ((ka < kb), (ka == kb)) == ((ra < rb), (ra == rb))
-
-
-def test_packed_division_refuses_a_short_field():
-    """b's degree fits under a's, but one of b's exponents does not."""
-    a, b = ((holo(0, 1), 5),), ((holo(0, 1), 2), (anti(0, 1), 1))
-    assert mono_div(_packed(a), _packed(b)) is None
-    assert mono_div(_packed(b), _packed(a)) is None
-    assert _mono_decode(mono_div(_packed(a), _packed(a[:1]))) == ()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -1404,198 +1379,27 @@ def test_binomial_rejects_out_of_range(r, j):
         binomial(r, j)
 
 
-# -- exact division ----------------------------------------------------------
-
-def test_divide_exact():
-    f = parse("z0_1^2 - zb0_1^2")
-    g = parse("z0_1 - zb0_1")
-    assert divide_exact(f, g) == parse("z0_1 + zb0_1")
-
-
-def test_divide_exact_rejects_remainder():
-    with pytest.raises(ExactDivisionError):
-        divide_exact(parse("z0_1^2 + 1"), parse("z0_1 + 1"))
-
-
-def _divide_by_heap(f, g):
-    """divide_exact's one algorithm, copied here as the reference for
-    one-term divisors: the leading term of the remainder, popped from a
-    heap of order keys, is divided by g's leading term until nothing
-    remains."""
-    g_mono = min(g._terms, key=_mono_order_key)
-    g_coeff = g._terms[g_mono]
-    rest = dict(f._terms)
-    heap = [(_mono_order_key(m), m) for m in rest]
-    heapq.heapify(heap)
-    quotient = {}
-    while rest:
-        r_mono = heapq.heappop(heap)[1]
-        r_coeff = rest.get(r_mono)
-        if r_coeff is None:
-            continue
-        q_mono = mono_div(r_mono, g_mono)
-        if q_mono is None:
-            raise ExactDivisionError(
-                f"{format_expr(g)} does not divide {format_expr(f)}")
-        q = r_coeff / g_coeff
-        quotient[q_mono] = q
-        for gm, gc in g._terms.items():
-            m = mono_mul(q_mono, gm)
-            s = rest.get(m)
-            if s is None:
-                rest[m] = -(q * gc)
-                heapq.heappush(heap, (_mono_order_key(m), m))
-            else:
-                s = s - q * gc
-                if s:
-                    rest[m] = s
-                else:
-                    del rest[m]
-    return _expr(quotient)
-
-
-def _division_outcome(divide, f, g):
-    try:
-        return list(divide(f, g).term_map().items())
-    except ExactDivisionError as exc:
-        return str(exc)
-
-
-_one_term_divisors = st.one_of(
-    _fraction_coeffs.filter(bool).map(Expr.constant),      # Gaussian constants
-    _monomials,                                            # pure monomials
-    st.tuples(_fraction_coeffs.filter(bool), _monomials).map(
-        lambda cm: cm[1].scale(cm[0])))
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(_fraction_exprs, _one_term_divisors, _fraction_exprs)
-def test_one_term_division_matches_the_general_algorithm(q, g, r):
-    """Dividing by one term gives the general algorithm's quotient, in the
-    same term-map order, or its error text."""
-    (g_mono,) = g._terms
-    assert divide_exact(q * g, g) == q
-    for f, divisible in ((q * g, True),
-                         (q * g + r, all(mono_div(m, g_mono) is not None
-                                         for m in r._terms))):
-        got = _division_outcome(divide_exact, f, g)
-        assert got == _division_outcome(_divide_by_heap, f, g)
-        assert isinstance(got, list) == divisible
-
-
-
-def _reference_divide(f, g):
-    """divide_exact's algorithm on reference monomials: the least-keyed
-    monomial of the rest is divided by g's until nothing remains."""
-    g_terms = g.term_map()
-    g_mono = min(g_terms, key=_reference_order_key)
-    rest = f.term_map()
-    quotient = {}
-    while rest:
-        r_mono = min(rest, key=_reference_order_key)
-        q_mono = _ref_mono_div(r_mono, g_mono)
-        if q_mono is None:
-            raise ExactDivisionError(
-                f"{format_expr(g)} does not divide {format_expr(f)}")
-        q = rest[r_mono] / g_terms[g_mono]
-        quotient[q_mono] = q
-        for gm, gc in g_terms.items():
-            m = _ref_mono_mul(q_mono, gm)
-            left = rest.get(m, GRat(0)) - q * gc
-            if left:
-                rest[m] = left
-            else:
-                del rest[m]
-    return _expr({_packed(m): c for m, c in quotient.items()})
-
-
-# Pivots of two to six terms over five coordinates, two of them at the code
-# limits, like the pairing factorisation's multi-term pivots.
-_DIVISION_POOL = [TIME, holo(0, 1), anti(0, 1), holo(_LIMIT, _LIMIT), anti(3, _LIMIT)]
-_DIVISION_COEFFS = [GRat(1), GRat(-2), GRat(0, 1), GRat(Fraction(1, 3)),
-                    GRat(Fraction(-3, 2), 2)]
-
-
-def _division_exprs(most):
-    monos = st.lists(st.integers(0, 3), min_size=5, max_size=5).map(
-        lambda exps: _ref_mono(dict(zip(_DIVISION_POOL, exps))))
-    return st.lists(st.tuples(st.sampled_from(_DIVISION_COEFFS), monos),
-                    min_size=1, max_size=most).map(
-        lambda pairs: Expr(_ref_terms(pairs)))
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(_division_exprs(3), _division_exprs(6), _division_exprs(3))
-def test_multi_term_division_matches_the_tuple_reference(q, g, r):
-    """Dividing by a pivot of several terms gives the reference's quotient,
-    in the same term-map order, or its error text."""
-    assume(len(g._terms) > 1 and len(g.coords()) > 2)
-    assert divide_exact(q * g, g) == q
-    for f in (q * g, q * g + r):
-        got = _division_outcome(divide_exact, f, g)
-        assert got == _division_outcome(_reference_divide, f, g)
-
-# -- linear solver ------------------------------------------------------------
+# -- elimination ---------------------------------------------------------------
 
 _X, _XB = Expr.atom(Z01), Expr.atom(ZB01)
 
-# Rows ``{position: coefficient}`` and right-hand sides of ``sum(row[p]*x_p)
-# == rhs``, with the solution or the error raised (type, text, attribute and
-# its value).  Positions are named "a", "b".
-_FACTOR_CASES = {
-    # 2*a = z0_1^2: a whole polynomial, a = z0_1^2/2
-    "polynomial-unknown": ([{0: Expr.constant(2)}], [_X ** 2],
-                           [_X ** 2 * GRat(Fraction(1, 2))]),
-    # a + b = 2*z0_1 and a - b = 2
-    "square-system": ([{0: Expr.one(), 1: Expr.one()},
-                       {0: Expr.one(), 1: Expr.constant(-1)}],
-                      [2 * _X, Expr.constant(2)], [_X + 1, _X - 1]),
-    # z0_1*a = z0_1*zb0_1 needs an exact polynomial division
-    "nonconstant-pivot": ([{0: _X}], [_X * _XB], [_XB]),
-    # a*z0_1 + b = 0 has the polynomial family a = -p, b = p*z0_1
-    "underdetermined": ([{0: _X, 1: Expr.one()}], [Expr.zero()],
-                        (UnderdeterminedError,
-                         "underdetermined system; free unknowns: b",
-                         "free", ("b",))),
-    # a*z0_1 = 1 has no polynomial solution
-    "inconsistent": ([{0: _X}], [Expr.one()],
-                     (InconsistentSystemError,
-                      "no polynomial solution for a [equation 0]: "
-                      "z0_1 does not divide 1", "equation_index", 0)),
-}
 
-
-def _assert_factor_case(case):
-    rows, rhs, expected = _FACTOR_CASES[case]
-    width = 1 + max(p for row in rows for p in row)
-    factor = PolyLinearFactor(rows, width)
-    names = ["a", "b"][:width]
-    if isinstance(expected, list):
-        assert factor.solve(rhs, names) == expected
-        return
-    error, text, attribute, value = expected
-    with pytest.raises(error) as err:
-        factor.solve(rhs, names)
-    assert str(err.value) == text
-    assert getattr(err.value, attribute) == value
-
-
-# One test per case keeps each case's test id.
-def test_solve_poly_linear_polynomial_unknown():
-    _assert_factor_case("polynomial-unknown")
-
-
-def test_solve_poly_linear_square_system():
-    _assert_factor_case("square-system")
-
-
-def test_solve_poly_linear_nonconstant_pivot():
-    _assert_factor_case("nonconstant-pivot")
-
-
-def test_solve_poly_linear_underdetermined_family():
-    _assert_factor_case("underdetermined")
-
-
-def test_solve_poly_linear_inconsistent():
-    _assert_factor_case("inconsistent")
+@pytest.mark.parametrize("rows, width, pivots", [
+    # a + b and a - b: constant pivots, normalised to None
+    ([{0: Expr.one(), 1: Expr.one()}, {0: Expr.one(), 1: Expr.constant(-1)}],
+     2, [(0, ((1, Expr.one()),), None, 0), (1, (), None, 1)]),
+    # 2*a: the other coefficients are scaled by the constant pivot's inverse
+    ([{0: Expr.constant(2), 1: _X}], 2,
+     [(0, ((1, _X.scale(GRat(Fraction(1, 2)))),), None, 0)]),
+    # z0_1*a + b: a nonconstant pivot is kept, and b is left free
+    ([{0: _X, 1: Expr.one()}], 2, [(0, ((1, Expr.one()),), _X, 0)]),
+    # the pivot of lowest degree
+    ([{0: _X * _XB}, {0: _X}], 1, [(0, (), _X, 1)]),
+    # a zero row pivots nothing
+    ([{}, {0: _XB}], 1, [(0, (), _XB, 1)]),
+], ids=["square", "constant-pivot", "underdetermined", "lowest-degree",
+        "empty-row"])
+def test_eliminate_pivots(rows, width, pivots):
+    """Pivots prefer constants, then the lowest degree; a position no pivot
+    reaches is free."""
+    assert _eliminate(rows, width) == pivots

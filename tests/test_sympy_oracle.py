@@ -1,13 +1,13 @@
-"""Differential tests of the polynomial kernel against sympy.
+"""Differential tests of the polynomial kernel and the certified lifts
+against sympy.
 
 sympy is an optional, independent oracle: when it is not installed the whole
 module is skipped, and liftcalc itself never imports it.  Small polynomials
-drawn by hypothesis are multiplied, differentiated and divided both ways, and
-sympy's expanded result must equal liftcalc's.  Small polynomial linear
-systems are solved through one factorisation for several right-hand sides,
-and each solution, or each failure, must agree with sympy's ``linsolve``.
-A solve reads only the pivot rows, so on overdetermined systems an
-inconsistent right-hand side may return values; the raw rows refute them.
+drawn by hypothesis are multiplied and differentiated both ways, and
+sympy's expanded result must equal liftcalc's.  On small polynomial linear
+systems the elimination leaves no position free exactly when sympy's
+``linsolve`` finds one solution with no free symbol, and each certified
+vector and one-form lift is sympy's unique solution of its system's rows.
 """
 
 from fractions import Fraction
@@ -16,24 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liftcalc.symkernel import (
-    TIME,
-    ExactDivisionError,
-    Expr,
-    GRat,
-    InconsistentSystemError,
-    PolyLinearFactor,
-    UnderdeterminedError,
-    anti,
-    divide_exact,
-    holo,
-)
+from liftcalc import lifts as L
+from liftcalc.charts import ChartSpec
+from liftcalc.fields import OneForm, VectorField
+from liftcalc.symkernel import TIME, Expr, GRat, _eliminate, anti, holo
+from liftcalc.verify import FieldGen
 
 sympy = pytest.importorskip("sympy")
 
 _COORDS = [TIME, holo(0, 1), anti(0, 1), holo(1, 1)]
 _SYMBOLS = {c: sympy.Symbol(c.name) for c in _COORDS}
-_GENS = list(_SYMBOLS.values())
 
 _rats = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 _coeffs = st.builds(GRat, _rats, _rats).filter(bool)
@@ -66,7 +58,7 @@ def to_sympy(e: Expr):
     for mono, c in e.term_map().items():
         term = _rational(c.re) + sympy.I * _rational(c.im)
         for atom, n in mono:
-            term = term * _SYMBOLS[atom] ** n
+            term = term * sympy.Symbol(atom.name) ** n
         out = out + term
     return sympy.expand(out)
 
@@ -86,43 +78,6 @@ def test_mul_and_sub_match_sympy(a, b):
 @given(_polys, st.sampled_from(_COORDS))
 def test_diff_matches_sympy(a, coord):
     assert _same(a.diff(coord), sympy.diff(to_sympy(a), _SYMBOLS[coord]))
-
-
-def _sympy_quotient(f, g):
-    """sympy's exact quotient f/g over the Gaussian rationals, or None."""
-    pf = sympy.Poly(to_sympy(f), *_GENS, domain=sympy.QQ_I)
-    pg = sympy.Poly(to_sympy(g), *_GENS, domain=sympy.QQ_I)
-    try:
-        return pf.exquo(pg).as_expr()
-    except sympy.polys.polyerrors.ExactQuotientFailed:
-        return None
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(_polys, _polys)
-def test_divide_exact_of_a_product_matches_sympy(a, b):
-    if b.is_zero():
-        return
-    q = divide_exact(a * b, b)
-    assert q == a
-    theirs = _sympy_quotient(a * b, b)
-    assert theirs is not None
-    assert _same(q, sympy.expand(theirs))
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(_polys, _polys)
-def test_divide_exact_agrees_with_sympy_on_divisibility(f, g):
-    if g.is_zero():
-        return
-    theirs = _sympy_quotient(f, g)
-    try:
-        q = divide_exact(f, g)
-    except ExactDivisionError:
-        assert theirs is None
-    else:
-        assert theirs is not None
-        assert _same(q, sympy.expand(theirs))
 
 
 # -- linear systems -------------------------------------------------------------
@@ -145,155 +100,92 @@ def _matrices(rows, cols):
                     min_size=rows, max_size=rows)
 
 
-def _names(n):
-    return [f"x{p}" for p in range(n)]
-
-
 def _rows(matrix):
     return [{p: c for p, c in enumerate(row) if not c.is_zero()}
             for row in matrix]
 
 
-def _rhs_of(matrix, values):
-    """The right-hand sides that make `values` a solution: A x."""
-    out = []
-    for row in matrix:
-        total = Expr.zero()
-        for c, v in zip(row, values):
-            total = total + c * v
-        out.append(total)
-    return out
-
-
-def _det(matrix):
-    return sympy.expand(sympy.Matrix(
-        [[to_sympy(c) for c in row] for row in matrix]).det(method="berkowitz"))
-
-
-def _linsolve(matrix, rhs):
-    xs = sympy.symbols(f"x0:{len(matrix[0])}")
-    eqs = [sum((to_sympy(c) * x for c, x in zip(row, xs)), -to_sympy(b))
-           for row, b in zip(matrix, rhs)]
+def _linsolve(rows, width, rhs):
+    """sympy's solutions of ``sum(row[p] * x_p) == rhs_n`` over the field
+    of rational functions, and its unknowns."""
+    xs = sympy.symbols(f"x0:{width}")
+    eqs = [sum((to_sympy(c) * xs[p] for p, c in row.items()), -to_sympy(b))
+           for row, b in zip(rows, rhs)]
     return xs, sympy.linsolve(eqs, xs)
 
 
-def _raised(fn):
-    """The solver error that `fn` raised."""
-    try:
-        fn()
-    except (UnderdeterminedError, InconsistentSystemError) as exc:
-        return exc
-    raise AssertionError("the system solved")
+def _unique(xs, solutions):
+    """sympy's one solution, or None when it has a free unknown."""
+    (solution,) = solutions
+    if set(xs) & set().union(*(t.free_symbols for t in solution)):
+        return None
+    return solution
 
 
-def _same_solution(ours, matrix, rhs):
-    _, theirs = _linsolve(matrix, rhs)
-    (theirs,) = theirs
-    return all(sympy.cancel(to_sympy(mine) - their) == 0
-               for mine, their in zip(ours, theirs))
-
-
-def _is_polynomial(solution):
-    return all(not sympy.fraction(sympy.cancel(t))[1].free_symbols
-               for t in solution)
-
-
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(1, 3).flatmap(
-    lambda n: st.tuples(_matrices(n, n),
-                        st.lists(st.lists(_values, min_size=n, max_size=n),
-                                 min_size=1, max_size=3),
-                        st.lists(_values, min_size=n, max_size=n))))
-def test_one_factorisation_solves_many_right_hand_sides(case):
-    """Right-hand sides built from a known polynomial solution give it back;
-    arbitrary ones solve like sympy's unique solution when it is a
-    polynomial, and fail to divide exactly when it is not."""
-    matrix, solutions, arbitrary = case
-    if _det(matrix) == 0:
-        return
-    names = _names(len(matrix))
-    factor = PolyLinearFactor(_rows(matrix), len(names))
-    for values in solutions:
-        rhs = _rhs_of(matrix, values)
-        ours = factor.solve(rhs, names)
-        assert ours == values
-        assert _same_solution(ours, matrix, rhs)
-    (theirs,) = _linsolve(matrix, arbitrary)[1]
-    if _is_polynomial(theirs):
-        assert _same_solution(factor.solve(arbitrary, names), matrix, arbitrary)
-    else:
-        failed = _raised(lambda: factor.solve(arbitrary, names))
-        assert isinstance(failed, InconsistentSystemError)
-        assert str(failed).startswith("no polynomial solution for x")
-
-
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(st.integers(2, 3).flatmap(
-    lambda n: st.tuples(_matrices(n - 1, n), _entries.filter(bool),
+    lambda n: st.tuples(st.integers(max(1, n - 1), n + 1).flatmap(
+                            lambda rows: _matrices(rows, n)),
                         st.lists(_values, min_size=n, max_size=n),
                         st.booleans())))
-def test_singular_and_inconsistent_systems_fail_like_the_one_shot_solve(case):
-    """A last row that is a multiple of the first makes the system
-    singular, and the solve names its free unknowns before reading any
-    right-hand side.  The last right-hand side either follows (sympy's
-    solution is parametric) or is off by one (sympy finds none)."""
-    top, factor_poly, values, consistent = case
-    matrix = top + [[factor_poly * c for c in top[0]]]
-    rhs = _rhs_of(matrix, values)
-    if not consistent:
-        rhs[-1] = rhs[-1] + 1
-    names = _names(len(values))
-    failed = _raised(lambda: PolyLinearFactor(_rows(matrix), len(values))
-                     .solve(rhs, names))
-    assert isinstance(failed, UnderdeterminedError)
-    assert failed.free and set(failed.free) <= set(names)
-    assert str(failed) == ("underdetermined system; free unknowns: "
-                           + ", ".join(failed.free))
-    xs, theirs = _linsolve(matrix, rhs)
-    if consistent:
-        (theirs,) = theirs
-        assert set(xs) & set().union(*(t.free_symbols for t in theirs))
-    else:
-        assert theirs == sympy.S.EmptySet
+def test_no_position_is_free_exactly_when_sympy_finds_one_solution(case):
+    """On 1-3 unknowns and one row fewer to one row more: with right-hand
+    sides that some polynomial values meet, sympy finds a solution, and it
+    has no free unknown exactly when the elimination leaves no position
+    free.  Half the systems repeat their first row, scaled, as their last
+    row."""
+    matrix, values, repeat = case
+    if repeat and len(matrix) > 1:
+        matrix[-1] = [c * (Expr.atom(holo(0, 1)) + 2) for c in matrix[0]]
+    rows = _rows(matrix)
+    rhs = [sum((c * values[p] for p, c in row.items()), Expr.zero())
+           for row in rows]
+    pivoted = {p[0] for p in _eliminate(rows, len(values))}
+    xs, solutions = _linsolve(rows, len(values), rhs)
+    assert (len(pivoted) == len(values)) == (_unique(xs, solutions)
+                                             is not None)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(st.integers(1, 3).flatmap(
-    lambda n: st.tuples(_matrices(n, n),
-                        st.lists(_entries, min_size=n, max_size=n),
-                        st.integers(0, n),
-                        st.lists(_values, min_size=n, max_size=n),
-                        st.booleans())))
-def test_overdetermined_systems_are_checked_on_their_raw_rows(case):
-    """n nonsingular rows plus one polynomial combination of them, inserted
-    anywhere: full column rank, so nothing is free.  A consistent right-hand
-    side solves like sympy and every raw row vanishes at the values.  With
-    the combination's right-hand side off by one sympy finds no solution,
-    and either the solve raises or some raw row does not vanish at the
-    values it returns."""
-    top, weights, at, values, consistent = case
-    if _det(top) == 0:
-        return
-    combination = [sum((w * row[p] for w, row in zip(weights, top)),
-                       Expr.zero()) for p in range(len(values))]
-    matrix = top[:at] + [combination] + top[at:]
-    rhs = _rhs_of(matrix, values)
-    if not consistent:
-        rhs[at] = rhs[at] + 1
-    names = _names(len(values))
-    factor = PolyLinearFactor(_rows(matrix), len(values))
-    assert not factor.free
-    _, theirs = _linsolve(matrix, rhs)
-    try:
-        ours = factor.solve(rhs, names)
-    except InconsistentSystemError:
-        assert not consistent and theirs == sympy.S.EmptySet
-        return
-    residuals = [ax - b for ax, b in zip(_rhs_of(matrix, ours), rhs)]
-    if consistent:
-        assert ours == values
-        assert _same_solution(ours, matrix, rhs)
-        assert all(r.is_zero() for r in residuals)
-    else:
-        assert theirs == sympy.S.EmptySet
-        assert any(not r.is_zero() for r in residuals)
+def _lift_cases(chart0, k):
+    """``(lift, system, coordinates, right-hand sides)`` of the vector and
+    one-form lifts of kinds v, c and every cv split, with t-dependent terms
+    on a chart with t: the system and the right-hand sides each solver
+    certifies its candidate against."""
+    gen = FieldGen(0)
+    Z, w = gen.vector(chart0), gen.oneform(chart0, time_component=0)
+    if chart0.has_time:
+        t, z = Expr.atom(TIME), Expr.atom(holo(0, 1))
+        Z = Z + VectorField(chart0, {holo(0, 1): t * z, TIME: 3})
+        w = w + OneForm(chart0, {anti(0, 1): t})
+    pairing = L._system((L._pairing, chart0, k))
+    out = []
+    for kind, r, s in [("v", None, None), ("c", None, None)] + [
+            ("cv", r, k - r) for r in range(k + 1)]:
+        include_time = chart0.has_time and kind == "v"
+        family = L._system((L._vf_family, chart0, k, include_time))
+        out.append((L.vf_lift_solve(Z, kind, k, r=r, s=s), family,
+                    L._vf_layout(chart0, k, include_time),
+                    [L._lift_scalar_expr(Z.apply(f), kind, k, r, s)
+                     for f in family.items]))
+        out.append((L.of_lift_solve(w, kind, k, r=r, s=s), pairing,
+                    list(chart0.extend(k).coordinates()),
+                    [L._lift_scalar_expr(w.pair(X), kind, k, r, s)
+                     for X in pairing.items]))
+    return out
+
+
+@pytest.mark.parametrize("has_time", [False, True], ids=["m1k2", "m1k2t"])
+def test_certified_lifts_are_sympys_unique_solution(has_time):
+    """At m = 1, k = 2, with and without t: each certified vector and
+    one-form lift, of kinds v, c and every cv split, is the one solution
+    sympy finds for every row of the system its solver certifies it on,
+    solved or only checked, with the same right-hand sides."""
+    L.clear_lift_cache()
+    for lifted, system, coords, rhs in _lift_cases(ChartSpec(1, 0, has_time),
+                                                   2):
+        xs, solutions = _linsolve(system.rows, system.width, rhs)
+        solution = _unique(xs, solutions)
+        assert solution is not None
+        assert all(sympy.cancel(to_sympy(lifted.component(c)) - theirs) == 0
+                   for c, theirs in zip(coords, solution))
+    L.clear_lift_cache()
